@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -31,7 +32,7 @@ func runBench(b *testing.B, sf float64, batch *logical.Batch, strat core.Strateg
 		if err != nil {
 			b.Fatal(err)
 		}
-		res = core.Run(opt, strat)
+		res = core.RunWith(context.Background(), opt, strat, core.Config{})
 	}
 	b.StopTimer()
 	b.ReportMetric(res.Cost/1000, "cost_s")
@@ -49,7 +50,7 @@ func BenchmarkExample1(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res = core.Run(opt, s)
+				res = core.RunWith(context.Background(), opt, s, core.Config{})
 			}
 			b.ReportMetric(res.Cost/1000, "cost_s")
 		})
@@ -125,7 +126,7 @@ func BenchmarkLazyVsEager(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				o := submod.NewOracle(core.NewBenefitFunc(opt))
+				o := submod.NewOracle(core.NewBenefitFuncCtx(context.Background(), opt))
 				alg(submod.DecomposeStar(o))
 				calls = o.Calls
 			}
@@ -151,7 +152,7 @@ func BenchmarkIncrementalCache(b *testing.B) {
 					b.Fatal(err)
 				}
 				opt.SetIncremental(inc)
-				core.Run(opt, core.MarginalGreedy)
+				core.RunWith(context.Background(), opt, core.MarginalGreedy, core.Config{})
 			}
 		})
 	}
@@ -200,7 +201,7 @@ func BenchmarkWorkload(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					res = core.Run(opt, core.MarginalGreedy)
+					res = core.RunWith(context.Background(), opt, core.MarginalGreedy, core.Config{})
 				}
 				b.StopTimer()
 				b.ReportMetric(res.Cost/1000, "cost_s")
@@ -236,7 +237,7 @@ func BenchmarkWorkloadSkew(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res = core.Run(opt, core.MarginalGreedy)
+				res = core.RunWith(context.Background(), opt, core.MarginalGreedy, core.Config{})
 			}
 			b.StopTimer()
 			b.ReportMetric(res.Cost/1000, "cost_s")
@@ -325,11 +326,11 @@ func BenchmarkOracleParallel(b *testing.B) {
 	for i, id := range sh {
 		sets[i] = opt.NewNodeSet(id)
 	}
-	opt.BestCostBatch(sets) // warm every worker's cache
+	opt.BestCostBatchCtx(context.Background(), sets) // warm every worker's cache
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		opt.BestCostBatch(sets)
+		opt.BestCostBatchCtx(context.Background(), sets)
 	}
 }
 
@@ -344,7 +345,7 @@ func BenchmarkBestPlan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res := core.Run(opt, core.MarginalGreedy)
+	res := core.RunWith(context.Background(), opt, core.MarginalGreedy, core.Config{})
 	mat := res.MatSet()
 	opt.Plan(mat) // warm the scratch tables and cross-call cache
 	b.ReportAllocs()

@@ -32,18 +32,20 @@ func ExampleSession() {
 	// zero budget:    45 s, 0 shared node(s), stopped: call-budget
 }
 
-// ExampleOptimize optimizes the paper's Example 1 batch: two queries
-// sharing the subexpression σ(B)⋈C, which the MQO strategies materialize
-// once and reuse.
-func ExampleOptimize() {
+// ExampleSession_Optimize optimizes the paper's Example 1 batch: two
+// queries sharing the subexpression σ(B)⋈C, which the MQO strategies
+// materialize once and reuse.
+func ExampleSession_Optimize() {
 	cat, batch := tpcd.ExampleOneInstance()
+	sess, _ := repro.NewSession(cat, cost.Default())
+	ctx := context.Background()
 
-	volcano, _, _ := repro.Optimize(cat, batch, repro.Volcano)
-	marginal, plan, _ := repro.Optimize(cat, batch, repro.MarginalGreedy)
+	volcano, _ := sess.Optimize(ctx, batch, repro.WithStrategy(repro.Volcano))
+	marginal, _ := sess.Optimize(ctx, batch, repro.WithStrategy(repro.MarginalGreedy))
 
 	fmt.Printf("stand-alone Volcano: %.0f s\n", volcano.Cost/1000)
 	fmt.Printf("MarginalGreedy:      %.0f s, %d shared node(s) materialized\n",
-		marginal.Cost/1000, len(plan.Steps))
+		marginal.Cost/1000, len(marginal.Plan.Steps))
 	fmt.Printf("consolidated plan beats locally optimal plans: %v\n",
 		marginal.Cost < volcano.Cost)
 	// Output:

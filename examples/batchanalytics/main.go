@@ -3,10 +3,9 @@
 // Q7, each run twice with different selection constants). The example
 // optimizes the batch through one Session with all three strategies,
 // prints the Figure-4-style comparison, and then actually executes the
-// winning consolidated plan on deterministic synthetic data — with the
-// executor's wavefront scheduler running independent materializations
-// concurrently — verifying that every query returns the same answer as
-// the unshared plan while doing less simulated I/O.
+// winning consolidated plan on deterministic synthetic data, verifying
+// that every query returns the same answer as the unshared plan while
+// doing less simulated I/O.
 package main
 
 import (
@@ -47,7 +46,6 @@ func main() {
 	run := func(s repro.Strategy) ([]exec.QueryResult, exec.Accounting) {
 		r := results[s]
 		eng := exec.NewEngine(&exec.Generator{Cat: cat, Seed: 1, Cap: 3000}, r.Memo())
-		eng.Parallelism = 4
 		out, err := eng.RunConsolidated(r.Plan)
 		if err != nil {
 			log.Fatal(err)

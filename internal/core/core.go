@@ -7,11 +7,10 @@
 // materialize-everything baseline and an exhaustive optimizer for small
 // instances.
 //
-// RunWith is the context-aware entry point: it accepts a Config carrying a
+// RunWith is the entry point: it accepts a context and a Config carrying a
 // wall-clock budget, an oracle-call budget and a progress callback, checks
 // them between greedy rounds, and reports per-phase telemetry in the
-// Result. Run is the budget-free shim the original one-shot API used;
-// both produce bit-identical materialization sets when no budget fires.
+// Result. The zero Config runs unbudgeted.
 package core
 
 import (
@@ -85,8 +84,7 @@ func (s Strategy) String() string {
 }
 
 // Config bounds and instruments one optimization run. The zero value means
-// "no budgets, no callbacks" — exactly the behavior of the original
-// one-shot API.
+// "no budgets, no callbacks".
 type Config struct {
 	// TimeBudget caps the wall-clock time of the run (0 = none). It is
 	// enforced as a context deadline: the greedy loop stops between oracle
@@ -210,8 +208,8 @@ func (r Result) Stopped() submod.StopReason { return r.Telemetry.Stopped }
 // submod.Function interface; element i corresponds to Nodes[i]. It also
 // implements submod.BatchFunction: a batch of candidate sets is evaluated
 // concurrently on the searcher's worker pool, with results bit-identical
-// to sequential evaluation. An attached context (NewBenefitFuncCtx) aborts
-// in-flight batches between individual evaluations when cancelled.
+// to sequential evaluation. The attached context aborts in-flight batches
+// between individual evaluations when cancelled.
 type BenefitFunc struct {
 	Opt   *volcano.Optimizer
 	Nodes []memo.GroupID
@@ -219,13 +217,9 @@ type BenefitFunc struct {
 	ctx   context.Context
 }
 
-// NewBenefitFunc builds the benefit function (one bc(∅) evaluation).
-func NewBenefitFunc(opt *volcano.Optimizer) *BenefitFunc {
-	return NewBenefitFuncCtx(nil, opt)
-}
-
-// NewBenefitFuncCtx is NewBenefitFunc with a context that cancels batched
-// evaluations between individual bc(S) calls.
+// NewBenefitFuncCtx builds the benefit function (one bc(∅) evaluation)
+// with a context that cancels batched evaluations between individual
+// bc(S) calls.
 func NewBenefitFuncCtx(ctx context.Context, opt *volcano.Optimizer) *BenefitFunc {
 	return &BenefitFunc{
 		Opt:   opt,
@@ -316,19 +310,14 @@ func (b benefitL2) Get(k uint64) (float64, bool) {
 }
 func (b benefitL2) Put(k uint64, v float64) { b.c.PutBenefit(b.ns, k, v) }
 
-// Run executes one strategy against a prepared optimizer and reports the
-// chosen materializations, costs and optimization time. It is the
-// budget-free shim over RunWith kept for the one-shot API.
-func Run(opt *volcano.Optimizer, strat Strategy) Result {
-	return RunWith(context.Background(), opt, strat, Config{})
-}
-
-// RunWith executes one strategy under a context and a Config. Cancellation
-// and budgets are honored between oracle rounds (and between individual
-// evaluations of an in-flight concurrent batch), so an interrupted run
-// still returns a deterministic best-so-far Result with its Telemetry
-// explaining where the time and oracle calls went. With no budget set the
-// chosen sets and costs are bit-identical to Run.
+// RunWith executes one strategy against a prepared optimizer under a
+// context and a Config, and reports the chosen materializations, costs and
+// optimization time. Cancellation and budgets are honored between oracle
+// rounds (and between individual evaluations of an in-flight concurrent
+// batch), so an interrupted run still returns a deterministic best-so-far
+// Result with its Telemetry explaining where the time and oracle calls
+// went. With no budget set the chosen sets and costs are bit-identical to
+// the seed-oracle goldens.
 func RunWith(ctx context.Context, opt *volcano.Optimizer, strat Strategy, cfg Config) Result {
 	res, err := run(ctx, opt, strat, cfg, nil)
 	if err != nil {
@@ -500,6 +489,41 @@ func run(ctx context.Context, opt *volcano.Optimizer, strat Strategy, cfg Config
 	return res, nil
 }
 
+// Work is the deterministic part of a run's telemetry: the counters that
+// are a pure function of (batch, strategy, budgets, warm-oracle state) —
+// how much search the run did and why it stopped. What it leaves out
+// depends on the machine and the schedule: the phase times, and the
+// cache-effect counters CacheHits / SharedHits / ComputedKeys /
+// CacheHitRate, which vary with which worker's private cache saw which
+// candidate set (BestCostBatchCtx hands indices out through a shared
+// counter). Contracts of the form "these two runs did the same thing" —
+// a served request ≡ a direct Session call, a lane of one ≡ a solo
+// request — are stated over Work, never over the whole struct.
+type Work struct {
+	OracleCalls      int
+	BCCalls          int
+	SharedOracleHits int
+	Rounds           int
+	Pruned           int
+	Stale            int
+	Reused           int
+	Stopped          submod.StopReason
+}
+
+// Work projects the telemetry onto its deterministic counters.
+func (t Telemetry) Work() Work {
+	return Work{
+		OracleCalls:      t.OracleCalls,
+		BCCalls:          t.BCCalls,
+		SharedOracleHits: t.SharedOracleHits,
+		Rounds:           t.Rounds,
+		Pruned:           t.Pruned,
+		Stale:            t.Stale,
+		Reused:           t.Reused,
+		Stopped:          t.Stopped,
+	}
+}
+
 func (t *Telemetry) fillHitRate() {
 	if n := t.CacheHits + t.SharedHits + t.ComputedKeys; n > 0 {
 		t.CacheHitRate = float64(t.CacheHits+t.SharedHits) / float64(n)
@@ -512,7 +536,7 @@ func (t *Telemetry) fillHitRate() {
 // same output either way.
 func RunK(opt *volcano.Optimizer, k int, reduce bool) Result {
 	start := nowFunc()
-	f := NewBenefitFunc(opt)
+	f := NewBenefitFuncCtx(context.TODO(), opt)
 	oracle := submod.NewOracle(f)
 	d := submod.DecomposeStar(oracle)
 	var r submod.Result

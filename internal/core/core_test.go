@@ -39,9 +39,9 @@ func TestStrategyStrings(t *testing.T) {
 
 func TestAllStrategiesNeverWorseThanVolcano(t *testing.T) {
 	opt := bq2Optimizer(t)
-	v := Run(opt, Volcano)
+	v := RunWith(context.Background(), opt, Volcano, Config{})
 	for _, s := range []Strategy{Greedy, LazyGreedyStrategy, MarginalGreedy, LazyMarginalGreedy} {
-		r := Run(opt, s)
+		r := RunWith(context.Background(), opt, s, Config{})
 		if r.Cost > v.Cost+1e-6 {
 			t.Errorf("%v cost %.1f worse than Volcano %.1f", s, r.Cost, v.Cost)
 		}
@@ -53,13 +53,13 @@ func TestAllStrategiesNeverWorseThanVolcano(t *testing.T) {
 
 func TestLazyVariantsMatchEager(t *testing.T) {
 	opt := bq2Optimizer(t)
-	g := Run(opt, Greedy)
-	lg := Run(opt, LazyGreedyStrategy)
+	g := RunWith(context.Background(), opt, Greedy, Config{})
+	lg := RunWith(context.Background(), opt, LazyGreedyStrategy, Config{})
 	if !equalIDs(g.Materialized, lg.Materialized) {
 		t.Errorf("LazyGreedy picked %v, Greedy picked %v", lg.Materialized, g.Materialized)
 	}
-	m := Run(opt, MarginalGreedy)
-	lm := Run(opt, LazyMarginalGreedy)
+	m := RunWith(context.Background(), opt, MarginalGreedy, Config{})
+	lm := RunWith(context.Background(), opt, LazyMarginalGreedy, Config{})
 	if !equalIDs(m.Materialized, lm.Materialized) {
 		t.Errorf("LazyMarginalGreedy picked %v, MarginalGreedy picked %v", lm.Materialized, m.Materialized)
 	}
@@ -67,7 +67,7 @@ func TestLazyVariantsMatchEager(t *testing.T) {
 
 func TestVolcanoMaterializesNothing(t *testing.T) {
 	opt := bq2Optimizer(t)
-	v := Run(opt, Volcano)
+	v := RunWith(context.Background(), opt, Volcano, Config{})
 	if len(v.Materialized) != 0 || v.Benefit != 0 {
 		t.Errorf("Volcano result %+v", v)
 	}
@@ -77,8 +77,8 @@ func TestMaterializeAllIsWorseHere(t *testing.T) {
 	// The paper notes materializing everything "can be horribly
 	// inefficient"; on BQ2 it must lose to MarginalGreedy.
 	opt := bq2Optimizer(t)
-	all := Run(opt, MaterializeAll)
-	mg := Run(opt, MarginalGreedy)
+	all := RunWith(context.Background(), opt, MaterializeAll, Config{})
+	mg := RunWith(context.Background(), opt, MarginalGreedy, Config{})
 	if all.Cost < mg.Cost {
 		t.Errorf("MaterializeAll %.1f unexpectedly beats MarginalGreedy %.1f", all.Cost, mg.Cost)
 	}
@@ -92,9 +92,9 @@ func TestExhaustiveDominatesOnExample1(t *testing.T) {
 	if n := len(opt.Shareable()); n > 20 {
 		t.Skipf("universe too large for exhaustive: %d", n)
 	}
-	ex := Run(opt, Exhaustive)
+	ex := RunWith(context.Background(), opt, Exhaustive, Config{})
 	for _, s := range []Strategy{Greedy, MarginalGreedy} {
-		r := Run(opt, s)
+		r := RunWith(context.Background(), opt, s, Config{})
 		if r.Cost < ex.Cost-1e-6 {
 			t.Errorf("%v cost %.1f beats exhaustive %.1f", s, r.Cost, ex.Cost)
 		}
@@ -118,7 +118,7 @@ func TestRunKRespectsBudgetAndReduction(t *testing.T) {
 
 func TestBenefitFuncIsNormalized(t *testing.T) {
 	opt := bq2Optimizer(t)
-	f := NewBenefitFunc(opt)
+	f := NewBenefitFuncCtx(context.Background(), opt)
 	if v := f.Eval(submod.Set{}); v != 0 {
 		t.Errorf("mb(∅) = %v, want 0", v)
 	}
@@ -129,7 +129,7 @@ func TestBenefitFuncIsNormalized(t *testing.T) {
 
 func TestBenefitEqualsCostDrop(t *testing.T) {
 	opt := bq2Optimizer(t)
-	f := NewBenefitFunc(opt)
+	f := NewBenefitFuncCtx(context.Background(), opt)
 	for e := 0; e < f.N(); e++ {
 		mb := f.Eval(submod.NewSet(e))
 		bc := opt.BestCost(opt.NewNodeSet(f.ToNodes(submod.NewSet(e))...))
@@ -141,7 +141,7 @@ func TestBenefitEqualsCostDrop(t *testing.T) {
 
 func TestOracleCallsReported(t *testing.T) {
 	opt := bq2Optimizer(t)
-	r := Run(opt, MarginalGreedy)
+	r := RunWith(context.Background(), opt, MarginalGreedy, Config{})
 	if r.OracleCalls <= 0 {
 		t.Errorf("OracleCalls = %d", r.OracleCalls)
 	}
@@ -188,7 +188,7 @@ func TestBudgetRunWithZeroOracleCalls(t *testing.T) {
 func TestBudgetRunWithMatchesRunWhenOff(t *testing.T) {
 	opt := bq2Optimizer(t)
 	for _, s := range []Strategy{Volcano, Greedy, LazyGreedyStrategy, MarginalGreedy, LazyMarginalGreedy, MaterializeAll, VolcanoSH} {
-		plain := Run(opt, s)
+		plain := RunWith(context.Background(), opt, s, Config{})
 		with := RunWith(context.Background(), opt, s, Config{})
 		if !equalIDs(plain.Materialized, with.Materialized) || plain.Cost != with.Cost {
 			t.Errorf("%v: RunWith diverged: %v/%v vs %v/%v",

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cost"
@@ -45,9 +46,9 @@ func TestExample1DAGSharesBC(t *testing.T) {
 
 func TestExample1MQOBeatsVolcano(t *testing.T) {
 	opt := newExample1Optimizer(t)
-	volcanoRes := Run(opt, Volcano)
-	greedy := Run(opt, Greedy)
-	marginal := Run(opt, MarginalGreedy)
+	volcanoRes := RunWith(context.Background(), opt, Volcano, Config{})
+	greedy := RunWith(context.Background(), opt, Greedy, Config{})
+	marginal := RunWith(context.Background(), opt, MarginalGreedy, Config{})
 
 	if greedy.Cost > volcanoRes.Cost {
 		t.Errorf("Greedy cost %.1f worse than Volcano %.1f", greedy.Cost, volcanoRes.Cost)
@@ -68,7 +69,7 @@ func TestExample1MQOBeatsVolcano(t *testing.T) {
 
 func TestExample1PlanConsistency(t *testing.T) {
 	opt := newExample1Optimizer(t)
-	res := Run(opt, MarginalGreedy)
+	res := RunWith(context.Background(), opt, MarginalGreedy, Config{})
 	plan := opt.Plan(res.MatSet())
 	if diff := plan.Total - res.Cost; diff > 1e-6 || diff < -1e-6 {
 		t.Errorf("extracted plan total %.4f != bestCost %.4f", plan.Total, res.Cost)
@@ -84,7 +85,7 @@ func TestExample1PlanConsistency(t *testing.T) {
 func TestExample1EmptySetIsVolcano(t *testing.T) {
 	opt := newExample1Optimizer(t)
 	bcEmpty := opt.BestCost(physical.NodeSet{})
-	if v := Run(opt, Volcano); v.Cost != bcEmpty {
+	if v := RunWith(context.Background(), opt, Volcano, Config{}); v.Cost != bcEmpty {
 		t.Errorf("Volcano strategy cost %.4f != bc(∅) %.4f", v.Cost, bcEmpty)
 	}
 	// buc(∅) == bc(∅): with nothing materialized there is nothing to pay for.

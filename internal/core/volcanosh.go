@@ -9,20 +9,16 @@ import (
 	"repro/internal/volcano"
 )
 
-// RunVolcanoSH implements the Volcano-SH baseline from the MQO lineage
+// runVolcanoSH implements the Volcano-SH baseline from the MQO lineage
 // (Subramanian & Venkataraman's transient views, Roy et al.'s Volcano-SH):
 // optimize every query independently first, then share only the
 // subexpressions that happen to appear in those locally optimal plans —
 // a cheap post-optimization phase that "can be highly suboptimal" because
 // it never steers plan choice toward sharing. It provides the middle
-// baseline between stand-alone Volcano and full cost-based MQO.
-func RunVolcanoSH(opt *volcano.Optimizer) Result {
-	return runVolcanoSH(context.Background(), opt, Config{})
-}
-
-// runVolcanoSH is the budget-aware body: Volcano-SH has no submod oracle,
-// so its bestCost probes are counted directly against the call budget and
-// the candidate keep-loop checks the context between probes.
+// baseline between stand-alone Volcano and full cost-based MQO. Volcano-SH
+// has no submod oracle, so its bestCost probes are counted directly against
+// the call budget and the candidate keep-loop checks the context between
+// probes.
 func runVolcanoSH(ctx context.Context, opt *volcano.Optimizer, cfg Config) Result {
 	start := nowFunc()
 	bc0, hit0, key0 := opt.Searcher.BCCalls, opt.Searcher.CacheHits, opt.Searcher.ComputedKey

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/memo"
@@ -12,9 +13,9 @@ func TestVolcanoSHBetweenVolcanoAndMQO(t *testing.T) {
 	// MarginalGreedy), since Volcano-SH only shares what the locally
 	// optimal plans already expose.
 	opt := bq2Optimizer(t)
-	v := Run(opt, Volcano)
-	sh := Run(opt, VolcanoSH)
-	g := Run(opt, Greedy)
+	v := RunWith(context.Background(), opt, Volcano, Config{})
+	sh := RunWith(context.Background(), opt, VolcanoSH, Config{})
+	g := RunWith(context.Background(), opt, Greedy, Config{})
 	if sh.Cost > v.Cost+1e-6 {
 		t.Errorf("Volcano-SH %.1f worse than Volcano %.1f", sh.Cost, v.Cost)
 	}
@@ -29,7 +30,7 @@ func TestVolcanoSHOnlyPicksSharedNodes(t *testing.T) {
 	// Everything Volcano-SH materializes must be computed at least twice
 	// in the locally optimal plan trees.
 	opt := newExample1Optimizer(t)
-	sh := Run(opt, VolcanoSH)
+	sh := RunWith(context.Background(), opt, VolcanoSH, Config{})
 	plan := opt.Plan(physical.NodeSet{})
 	uses := map[memo.GroupID]int{}
 	var walk func(n *physical.PlanNode)

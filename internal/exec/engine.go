@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/cardinality"
 	"repro/internal/expr"
-	"repro/internal/faultinject"
 	"repro/internal/memo"
 	"repro/internal/physical"
 )
@@ -29,15 +26,6 @@ func (a Accounting) Total() float64 {
 	return a.ReadBlocks + 2*a.WriteBlocks + float64(a.Seeks)*5
 }
 
-// add folds another tally in; the wavefront scheduler merges per-step
-// tallies in step order so accounting stays deterministic.
-func (a *Accounting) add(b Accounting) {
-	a.ReadBlocks += b.ReadBlocks
-	a.WriteBlocks += b.WriteBlocks
-	a.Seeks += b.Seeks
-	a.RowsOut += b.RowsOut
-}
-
 // memBlocks mirrors the cost model's 6 MB operator memory in 4 KB blocks;
 // the executor uses it only for spill accounting.
 const memBlocks = 1536
@@ -55,18 +43,6 @@ type Engine struct {
 	M   *memo.Memo
 	IO  Accounting
 
-	// Parallelism bounds the workers that execute independent
-	// materialization steps of a consolidated plan (and then the query
-	// plans) concurrently — the same knob shape as the optimizer's
-	// Searcher.Parallelism and repro.WithParallelism. Steps are scheduled
-	// in topological wavefronts: a step whose plan reads another step's
-	// materialization runs in a later wave, and queries run only after
-	// every materialization. Values <= 1 keep the fully serial execution
-	// (bit-identical accounting to earlier releases); at higher settings
-	// rows are identical and I/O tallies are merged in deterministic step
-	// order (float sums may differ in the last ulp from a serial run).
-	Parallelism int
-
 	store map[memo.GroupID]stored
 }
 
@@ -75,10 +51,8 @@ func NewEngine(gen *Generator, m *memo.Memo) *Engine {
 	return &Engine{Gen: gen, M: m, store: map[memo.GroupID]stored{}}
 }
 
-// task is one execution context: shared read-only engine state plus a
-// private I/O tally, so concurrent steps never contend on the accountant.
-// The engine's store is read-only while a wave runs; the scheduler commits
-// results between waves.
+// task is the execution context of one RunConsolidated call: the engine's
+// state plus the call's running I/O tally.
 type task struct {
 	e  *Engine
 	io Accounting
@@ -93,13 +67,10 @@ type QueryResult struct {
 
 // RunConsolidated executes a consolidated plan: materialization steps
 // first (each computed once and written to the simulated disk), then every
-// query plan (reading shared results where the plan says so). With
-// Parallelism > 1 independent steps run concurrently in topological
-// wavefronts; queries still execute only after their materializations.
+// query plan (reading shared results where the plan says so). Steps run
+// in the plan's order, which BestPlan sorts by depth, so a step that reads
+// another step's materialization always runs after it.
 func (e *Engine) RunConsolidated(cp *physical.ConsolidatedPlan) ([]QueryResult, error) {
-	if e.Parallelism > 1 {
-		return e.runConsolidatedParallel(cp)
-	}
 	t := &task{e: e, io: e.IO}
 	defer func() { e.IO = t.io }()
 	for _, st := range cp.Steps {
@@ -129,145 +100,6 @@ func queryName(cp *physical.ConsolidatedPlan, i int) string {
 		return cp.QueryNames[i]
 	}
 	return fmt.Sprintf("query-%d", i)
-}
-
-// stepDeps returns, per materialization step, the indexes of the steps
-// whose materializations its plan reads (matscan edges between steps).
-func stepDeps(cp *physical.ConsolidatedPlan) [][]int {
-	stepOf := make(map[memo.GroupID]int, len(cp.Steps))
-	for i, st := range cp.Steps {
-		stepOf[st.Group] = i
-	}
-	deps := make([][]int, len(cp.Steps))
-	for i, st := range cp.Steps {
-		seen := map[int]bool{}
-		var walk func(n *physical.PlanNode)
-		walk = func(n *physical.PlanNode) {
-			if n.Op == physical.OpNameMatScan {
-				if j, ok := stepOf[n.Group]; ok && j != i {
-					seen[j] = true
-				}
-			}
-			for _, c := range n.Children {
-				walk(c)
-			}
-		}
-		walk(st.Plan)
-		for j := range seen {
-			deps[i] = append(deps[i], j)
-		}
-	}
-	return deps
-}
-
-// runConsolidatedParallel executes the plan's materialization steps in
-// topological wavefronts — every step of a wave depends only on steps of
-// earlier waves — and then the query plans, fanning each phase out to up
-// to Parallelism workers. Each unit of work runs on its own task, and the
-// scheduler commits rows, store entries and I/O tallies between waves in
-// ascending step order, so results (and accounting, up to float summation
-// order) are deterministic regardless of scheduling.
-func (e *Engine) runConsolidatedParallel(cp *physical.ConsolidatedPlan) ([]QueryResult, error) {
-	type unit struct {
-		schema *Schema
-		rows   []Row
-		io     Accounting
-		err    error
-	}
-	// runOne executes one plan with panic isolation: a panicking task —
-	// these run on pool goroutines, where an escaped panic would kill the
-	// whole process — is recovered into the unit's error and surfaces like
-	// any other execution failure.
-	runOne := func(plan *physical.PlanNode) (u unit) {
-		defer func() {
-			if r := recover(); r != nil {
-				u = unit{err: faultinject.NewPanicError("exec.wavefront", r)}
-			}
-		}()
-		faultinject.Hit(faultinject.ExecTask)
-		t := &task{e: e}
-		schema, rows, err := t.run(plan)
-		return unit{schema: schema, rows: rows, io: t.io, err: err}
-	}
-	runAll := func(plans []*physical.PlanNode) []unit {
-		outs := make([]unit, len(plans))
-		par := e.Parallelism
-		if par > len(plans) {
-			par = len(plans)
-		}
-		var next int64 = -1
-		var wg sync.WaitGroup
-		for k := 0; k < par; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(atomic.AddInt64(&next, 1))
-					if i >= len(plans) {
-						return
-					}
-					outs[i] = runOne(plans[i])
-				}
-			}()
-		}
-		wg.Wait()
-		return outs
-	}
-
-	deps := stepDeps(cp)
-	done := make([]bool, len(cp.Steps))
-	remaining := len(cp.Steps)
-	for remaining > 0 {
-		var wave []int
-		for i := range cp.Steps {
-			if done[i] {
-				continue
-			}
-			ready := true
-			for _, j := range deps[i] {
-				if !done[j] {
-					ready = false
-					break
-				}
-			}
-			if ready {
-				wave = append(wave, i)
-			}
-		}
-		if len(wave) == 0 {
-			return nil, fmt.Errorf("exec: materialization steps form a dependency cycle")
-		}
-		plans := make([]*physical.PlanNode, len(wave))
-		for p, i := range wave {
-			plans[p] = cp.Steps[i].Plan
-		}
-		outs := runAll(plans)
-		for p, i := range wave {
-			o := outs[p]
-			if o.err != nil {
-				return nil, fmt.Errorf("materializing group %d: %w", cp.Steps[i].Group, o.err)
-			}
-			blocks := e.blocksFor(len(o.rows), len(o.schema.Names))
-			e.IO.add(o.io)
-			e.IO.WriteBlocks += blocks
-			e.IO.Seeks++
-			e.store[cp.Steps[i].Group] = stored{schema: o.schema, rows: o.rows, blocks: blocks}
-			done[i] = true
-			remaining--
-		}
-	}
-
-	outs := runAll(cp.Queries)
-	var out []QueryResult
-	for i, o := range outs {
-		if o.err != nil {
-			return nil, fmt.Errorf("query %d: %w", i, o.err)
-		}
-		e.IO.add(o.io)
-		e.IO.RowsOut += len(o.rows)
-		out = append(out, QueryResult{Name: queryName(cp, i), Schema: o.schema, Rows: o.rows})
-	}
-	return out, nil
 }
 
 func (e *Engine) blocksFor(rows, cols int) float64 {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -18,7 +19,7 @@ func runExample1(t *testing.T, strat core.Strategy) ([]QueryResult, Accounting) 
 	if err != nil {
 		t.Fatalf("NewOptimizer: %v", err)
 	}
-	res := core.Run(opt, strat)
+	res := core.RunWith(context.Background(), opt, strat, core.Config{})
 	plan := opt.Plan(res.MatSet())
 	gen := &Generator{Cat: cat, Seed: 7, Cap: 2000}
 	eng := NewEngine(gen, opt.Memo)

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -111,7 +112,7 @@ func TestReAggMatchesDirectAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := core.Run(opt, core.MarginalGreedy)
+	res := core.RunWith(context.Background(), opt, core.MarginalGreedy, core.Config{})
 	gen := &Generator{Cat: cat, Seed: 21, Cap: 3000}
 	eng := NewEngine(gen, opt.Memo)
 	out, err := eng.RunConsolidated(opt.Plan(res.MatSet()))

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -25,7 +26,7 @@ func TestStandAloneWorkloadsExecute(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := core.Run(opt, core.MarginalGreedy)
+			res := core.RunWith(context.Background(), opt, core.MarginalGreedy, core.Config{})
 			gen := &Generator{Cat: cat, Seed: 5, Cap: 2500}
 
 			engShared := NewEngine(gen, opt.Memo)
@@ -72,7 +73,7 @@ func TestBatchedWorkloadExecutes(t *testing.T) {
 	gen := &Generator{Cat: cat, Seed: 9, Cap: 2000}
 	var baseline []QueryResult
 	for _, s := range []core.Strategy{core.Volcano, core.Greedy, core.MarginalGreedy, core.VolcanoSH} {
-		res := core.Run(opt, s)
+		res := core.RunWith(context.Background(), opt, s, core.Config{})
 		eng := NewEngine(gen, opt.Memo)
 		out, err := eng.RunConsolidated(opt.Plan(res.MatSet()))
 		if err != nil {

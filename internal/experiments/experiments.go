@@ -29,6 +29,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -85,7 +86,7 @@ func runBatch(cat *catalog.Catalog, batch *logical.Batch) (map[core.Strategy]cor
 		if err != nil {
 			return nil, err
 		}
-		out[s] = core.Run(opt, s)
+		out[s] = core.RunWith(context.TODO(), opt, s, core.Config{})
 	}
 	return out, nil
 }
@@ -242,7 +243,7 @@ func Example1() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		r := core.Run(opt, s)
+		r := core.RunWith(context.TODO(), opt, s, core.Config{})
 		t.Rows = append(t.Rows, []string{
 			s.String(), seconds(r.Cost), fmt.Sprintf("%d", len(r.Materialized)),
 		})
@@ -278,7 +279,7 @@ func Ablation() (*Table, error) {
 			return nil, err
 		}
 		opt.SetIncremental(v.incremental)
-		r := core.Run(opt, v.strat)
+		r := core.RunWith(context.TODO(), opt, v.strat, core.Config{})
 		t.Rows = append(t.Rows, []string{
 			v.name,
 			seconds(r.Cost),

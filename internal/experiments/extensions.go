@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -29,7 +30,7 @@ func MemorySweep() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res[s] = core.Run(opt, s)
+			res[s] = core.RunWith(context.TODO(), opt, s, core.Config{})
 		}
 		v, g, m := res[core.Volcano], res[core.Greedy], res[core.MarginalGreedy]
 		t.Rows = append(t.Rows, []string{
@@ -65,7 +66,7 @@ func RuleAblation() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		r := core.Run(opt, core.MarginalGreedy)
+		r := core.RunWith(context.TODO(), opt, core.MarginalGreedy, core.Config{})
 		t.Rows = append(t.Rows, []string{
 			v.name,
 			seconds(r.Cost),
@@ -109,7 +110,7 @@ func Baselines() (*Table, error) {
 				row = append(row, "-")
 				continue
 			}
-			row = append(row, seconds(core.Run(opt, s).Cost))
+			row = append(row, seconds(core.RunWith(context.TODO(), opt, s, core.Config{}).Cost))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -142,7 +143,7 @@ func ExtendedOperators() (*Table, error) {
 				return nil, err
 			}
 			opt.SetExtendedOps(ext)
-			res[s] = core.Run(opt, s)
+			res[s] = core.RunWith(context.TODO(), opt, s, core.Config{})
 		}
 		v, g, m := res[core.Volcano], res[core.Greedy], res[core.MarginalGreedy]
 		t.Rows = append(t.Rows, []string{

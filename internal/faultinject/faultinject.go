@@ -42,9 +42,6 @@ const (
 	// Round fires at each greedy round boundary (submod.lazyMaximize),
 	// after budget checks and before the round's oracle work.
 	Round
-	// ExecTask fires before each wavefront task of the parallel executor
-	// (exec.Engine).
-	ExecTask
 	// PoolGet fires on each session-pool acquire (internal/server).
 	PoolGet
 	// PoolEvict fires inside session-pool eviction, while the pool lock is
@@ -60,8 +57,6 @@ func (p Point) String() string {
 		return "oracle-eval"
 	case Round:
 		return "round"
-	case ExecTask:
-		return "exec-task"
 	case PoolGet:
 		return "pool-get"
 	case PoolEvict:

@@ -75,12 +75,12 @@ func TestEnableRestoresPreviousSchedule(t *testing.T) {
 	restoreOuter := Enable(outer)
 	inner := NewSchedule(2)
 	restoreInner := Enable(inner)
-	Hit(ExecTask)
+	Hit(PoolEvict)
 	restoreInner()
-	Hit(ExecTask)
+	Hit(PoolEvict)
 	restoreOuter()
-	if inner.Hits(ExecTask) != 1 || outer.Hits(ExecTask) != 1 {
-		t.Errorf("hits inner=%d outer=%d, want 1 and 1", inner.Hits(ExecTask), outer.Hits(ExecTask))
+	if inner.Hits(PoolEvict) != 1 || outer.Hits(PoolEvict) != 1 {
+		t.Errorf("hits inner=%d outer=%d, want 1 and 1", inner.Hits(PoolEvict), outer.Hits(PoolEvict))
 	}
 	if Enabled() {
 		t.Error("restore left a schedule installed")

@@ -20,7 +20,7 @@ func TestFaultBatchPanicRecovered(t *testing.T) {
 	for _, id := range sh {
 		mats = append(mats, ref.NewNodeSet(id))
 	}
-	want := ref.BestCostBatch(mats)
+	want, _ := ref.BestCostBatchCtx(context.Background(), mats)
 
 	for _, par := range []int{1, 4} {
 		s := buildSearcher(t, sharedPairQueries()...)

@@ -94,7 +94,7 @@
 // per-evaluation state (scratch tables, the private L1 cache, stat
 // counters) lives in per-worker contexts: sequential entry points
 // (BestCost, BestUseCost, BestPlan, ValidatePlan) share worker 0 and are
-// not safe for concurrent use, while BestCostBatch evaluates many
+// not safe for concurrent use, while BestCostBatchCtx evaluates many
 // materialization sets concurrently on up to Parallelism workers. Costs
 // are pure functions of (memo, set), so batch results are bit-identical
 // to sequential evaluation regardless of scheduling — and SharedCache
@@ -248,7 +248,7 @@ type Searcher struct {
 	// Like ExtendedOps, toggling it requires a ClearCache call.
 	MatOrders bool
 
-	// Parallelism bounds the number of workers BestCostBatch fans a batch
+	// Parallelism bounds the number of workers BestCostBatchCtx fans a batch
 	// of candidate sets out to; 0 (the default) means GOMAXPROCS and 1
 	// forces sequential evaluation on worker 0. Each worker carries its
 	// own scratch tables and cross-call cache, and every individual bc(S)
@@ -588,7 +588,7 @@ func (b *l1Bucket) store(epoch uint32, mask uint64, v float64) {
 }
 
 // worker is one evaluation context: per-call scratch tables plus a private
-// cross-call cache. Sequential entry points use worker 0; BestCostBatch
+// cross-call cache. Sequential entry points use worker 0; BestCostBatchCtx
 // uses one worker per goroutine.
 type worker struct {
 	s *Searcher
@@ -896,17 +896,11 @@ func (s *Searcher) bestCostOn(w *worker, mat memo.Bitset) float64 {
 	return total
 }
 
-// BestCostBatch evaluates bc(S) for every set concurrently on up to
-// Parallelism workers and returns the costs in input order. Results are
-// bit-identical to calling BestCost sequentially.
-func (s *Searcher) BestCostBatch(mats []NodeSet) []float64 {
-	out, _ := s.BestCostBatchCtx(nil, mats)
-	return out
-}
-
-// BestCostBatchCtx is BestCostBatch under a context: once ctx is cancelled
-// no further evaluation starts (a bc(S) evaluation already underway runs
-// to completion — cancellation granularity is one oracle call). On abort
+// BestCostBatchCtx evaluates bc(S) for every set concurrently on up to
+// Parallelism workers and returns the costs in input order. Once ctx is
+// cancelled no further evaluation starts (a bc(S) evaluation already
+// underway runs to completion — cancellation granularity is one oracle
+// call). On abort
 // it returns ok=false together with the completed prefix of the results —
 // costs[:k] such that every evaluation before the first unevaluated set
 // finished. Each value in the prefix is the exact, deterministic bc(S) of

@@ -40,8 +40,8 @@ type TenantConfig struct {
 	// / POST /v1/tenants/{name}/reset).
 	CallQuota int64 `json:"call_quota,omitempty"`
 	// RefillPerSec refills the quota bucket continuously at this many
-	// oracle-call tokens per second (0 = no refill: the legacy
-	// manual-reset-only quota). 429 Retry-After reflects the actual time
+	// oracle-call tokens per second (0 = no refill: the quota is
+	// manual-reset-only). 429 Retry-After reflects the actual time
 	// until a token is available.
 	RefillPerSec float64 `json:"refill_per_sec,omitempty"`
 	// QuotaBurst caps the bucket (0 = CallQuota): how much unused quota a
@@ -87,7 +87,7 @@ func (c TenantConfig) normalize() TenantConfig {
 // Validate rejects scheduler fields no normalization can repair: negative
 // weights or deadlines, and refill rates or bursts that are negative,
 // NaN, or infinite. (QueueDepth's negative form is meaningful — "no
-// queueing" — so the legacy fields stay normalize-only.)
+// queueing" — so the limit fields stay normalize-only.)
 func (c TenantConfig) Validate() error {
 	if c.Weight < 0 {
 		return fmt.Errorf("tenant config: negative weight %d", c.Weight)
@@ -233,7 +233,7 @@ type tenant struct {
 const maxDynamicTenants = 4096
 
 // Admission is the scheduling admission controller: per-tenant
-// concurrency limits and bounded wait queues as before, plus — when a
+// concurrency limits and bounded wait queues, plus — when a
 // SchedConfig gives it shared worker slots — deficit-round-robin
 // weighted-fair dispatch, earliest-deadline-first cut-ahead, token-bucket
 // quota refill, and deadline-aware preemption of running grants (see
@@ -269,16 +269,11 @@ type Admission struct {
 	retrySeq atomic.Uint64
 }
 
-// NewAdmission builds a controller with no shared slots: only the
-// per-tenant limits bind, which is the legacy per-tenant FIFO behavior.
-// def is the config for tenants not in cfgs (unless strict, in which case
-// they are rejected); cfgs pre-declares named tenants.
-func NewAdmission(def TenantConfig, cfgs map[string]TenantConfig, strict bool) *Admission {
-	return NewScheduler(def, cfgs, strict, SchedConfig{})
-}
-
 // NewScheduler builds a controller with a scheduling policy over a shared
-// worker-slot pool (see SchedConfig).
+// worker-slot pool (see SchedConfig; its zero value has no shared slots,
+// so only the per-tenant limits bind). def is the config for tenants not
+// in cfgs (unless strict, in which case they are rejected); cfgs
+// pre-declares named tenants.
 func NewScheduler(def TenantConfig, cfgs map[string]TenantConfig, strict bool, sc SchedConfig) *Admission {
 	a := &Admission{
 		tenants:  make(map[string]*tenant, len(cfgs)),
@@ -355,20 +350,6 @@ func (a *Admission) nextAdmitLocked(t *tenant) time.Duration {
 	return time.Duration((1 - t.tokens) / t.cfg.RefillPerSec * float64(time.Second))
 }
 
-// Acquire admits one request for the named tenant, blocking in the
-// tenant's queue when no slot is available. On success it returns a
-// release function the caller MUST invoke exactly once with the request's
-// oracle-call spend (0 for requests that never ran); on failure it
-// returns one of the Err* reasons. ctx aborts the queue wait. It is the
-// weight-1, cost-1, no-deadline form of AcquireGrant.
-func (a *Admission) Acquire(ctx context.Context, name string) (release func(oracleCalls int), err error) {
-	g, err := a.AcquireGrant(ctx, AdmitRequest{Tenant: name})
-	if err != nil {
-		return nil, err
-	}
-	return g.Release, nil
-}
-
 // AdmitRequest describes one request to the scheduler.
 type AdmitRequest struct {
 	// Tenant is the requesting tenant's name.
@@ -383,10 +364,11 @@ type AdmitRequest struct {
 }
 
 // AcquireGrant admits one request under the scheduling policy, blocking
-// in the tenant's queue when no slot is available. The returned Grant
-// must be Released exactly once with the request's total oracle-call
-// spend; preemptible grants additionally expose PreemptRequested/Yield
-// (see sched.go). ctx aborts the queue wait.
+// in the tenant's queue when no slot is available; on failure it returns
+// one of the Err* reasons. The returned Grant must be Released exactly
+// once with the request's total oracle-call spend (0 for requests that
+// never ran); preemptible grants additionally expose
+// PreemptRequested/Yield (see sched.go). ctx aborts the queue wait.
 func (a *Admission) AcquireGrant(ctx context.Context, req AdmitRequest) (*Grant, error) {
 	a.mu.Lock()
 	t, err := a.tenantLocked(req.Tenant)

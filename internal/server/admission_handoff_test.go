@@ -29,13 +29,13 @@ func TestAdmissionMultiReleaseHandoff(t *testing.T) {
 		slots   = 4 // M concurrent releases
 		waiters = 9 // queued behind them, > 2×slots so the drain cascades
 	)
-	a := NewAdmission(TenantConfig{MaxConcurrent: slots, QueueDepth: waiters, QueueWaitMS: 60000}, nil, false)
+	a := NewScheduler(TenantConfig{MaxConcurrent: slots, QueueDepth: waiters, QueueWaitMS: 60000}, nil, false, SchedConfig{})
 	neverFire(a)
 
 	// Fill every slot.
-	releases := make([]func(int), slots)
+	releases := make([]*Grant, slots)
 	for i := range releases {
-		rel, err := a.Acquire(context.Background(), "t")
+		rel, err := a.AcquireGrant(context.Background(), AdmitRequest{Tenant: "t"})
 		if err != nil {
 			t.Fatalf("filling slot %d: %v", i, err)
 		}
@@ -50,12 +50,12 @@ func TestAdmissionMultiReleaseHandoff(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rel, err := a.Acquire(context.Background(), "t")
+			rel, err := a.AcquireGrant(context.Background(), AdmitRequest{Tenant: "t"})
 			if err != nil {
 				errs <- err
 				return
 			}
-			rel(0)
+			rel.Release(0)
 		}()
 	}
 	waitForQueued(t, a, "t", waiters)
@@ -63,9 +63,9 @@ func TestAdmissionMultiReleaseHandoff(t *testing.T) {
 	// The M-way moment: all slot holders release at once.
 	for _, rel := range releases {
 		wg.Add(1)
-		go func(rel func(int)) {
+		go func(rel *Grant) {
 			defer wg.Done()
-			rel(0)
+			rel.Release(0)
 		}(rel)
 	}
 
@@ -97,7 +97,7 @@ func TestAdmissionMultiReleaseHandoff(t *testing.T) {
 // queue, so the later release finds nobody to hand its slot to and the
 // slot simply frees.
 func TestAdmissionQueueTimeoutDeterministic(t *testing.T) {
-	a := NewAdmission(TenantConfig{MaxConcurrent: 1, QueueDepth: 4, QueueWaitMS: 60000}, nil, false)
+	a := NewScheduler(TenantConfig{MaxConcurrent: 1, QueueDepth: 4, QueueWaitMS: 60000}, nil, false, SchedConfig{})
 	var (
 		mu     sync.Mutex
 		timers []chan time.Time
@@ -110,13 +110,13 @@ func TestAdmissionQueueTimeoutDeterministic(t *testing.T) {
 		return ch, func() bool { return true }
 	}
 
-	rel, err := a.Acquire(context.Background(), "t")
+	rel, err := a.AcquireGrant(context.Background(), AdmitRequest{Tenant: "t"})
 	if err != nil {
 		t.Fatalf("filling the slot: %v", err)
 	}
 	got := make(chan error, 1)
 	go func() {
-		_, err := a.Acquire(context.Background(), "t")
+		_, err := a.AcquireGrant(context.Background(), AdmitRequest{Tenant: "t"})
 		got <- err
 	}()
 	waitForQueued(t, a, "t", 1)
@@ -145,12 +145,12 @@ func TestAdmissionQueueTimeoutDeterministic(t *testing.T) {
 
 	// The release must not hand the slot to the departed waiter: the next
 	// Acquire takes it directly.
-	rel(0)
-	rel2, err := a.Acquire(context.Background(), "t")
+	rel.Release(0)
+	rel2, err := a.AcquireGrant(context.Background(), AdmitRequest{Tenant: "t"})
 	if err != nil {
 		t.Fatalf("post-timeout Acquire: %v", err)
 	}
-	rel2(0)
+	rel2.Release(0)
 	s = a.Stats()["t"]
 	if s.Active != 0 || s.Admitted != 2 || s.Completed != 2 {
 		t.Fatalf("final stats %+v, want 2 admitted/completed, 0 active", s)

@@ -13,22 +13,22 @@ import (
 // then checks the overflow request is rejected immediately with
 // ErrQueueFull while the queued one is admitted FIFO when a slot frees.
 func TestAdmissionConcurrencyAndQueueFull(t *testing.T) {
-	a := NewAdmission(TenantConfig{MaxConcurrent: 2, QueueDepth: 1, QueueWaitMS: 60000}, nil, false)
+	a := NewScheduler(TenantConfig{MaxConcurrent: 2, QueueDepth: 1, QueueWaitMS: 60000}, nil, false, SchedConfig{})
 	ctx := context.Background()
 
-	rel1, err := a.Acquire(ctx, "t")
+	rel1, err := a.AcquireGrant(ctx, AdmitRequest{Tenant: "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel2, err := a.Acquire(ctx, "t")
+	rel2, err := a.AcquireGrant(ctx, AdmitRequest{Tenant: "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Third request queues; acquire it on a goroutine.
-	admitted := make(chan func(int), 1)
+	admitted := make(chan *Grant, 1)
 	go func() {
-		rel, err := a.Acquire(ctx, "t")
+		rel, err := a.AcquireGrant(ctx, AdmitRequest{Tenant: "t"})
 		if err != nil {
 			t.Errorf("queued request rejected: %v", err)
 			admitted <- nil
@@ -39,11 +39,11 @@ func TestAdmissionConcurrencyAndQueueFull(t *testing.T) {
 	waitFor(t, func() bool { return a.Stats()["t"].Queued == 1 })
 
 	// Fourth request sees a full queue: immediate 429-class rejection.
-	if _, err := a.Acquire(ctx, "t"); !errors.Is(err, ErrQueueFull) {
+	if _, err := a.AcquireGrant(ctx, AdmitRequest{Tenant: "t"}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overflow acquire = %v, want ErrQueueFull", err)
 	}
 
-	rel1(10) // frees a slot -> the queued waiter is admitted
+	rel1.Release(10) // frees a slot -> the queued waiter is admitted
 	rel3 := <-admitted
 	if rel3 == nil {
 		t.FailNow()
@@ -52,8 +52,8 @@ func TestAdmissionConcurrencyAndQueueFull(t *testing.T) {
 	if st.Admitted != 3 || st.RejectedQueueFull != 1 || st.Active != 2 || st.Queued != 0 {
 		t.Fatalf("stats = %+v, want 3 admitted, 1 queue-full, 2 active, 0 queued", st)
 	}
-	rel2(0)
-	rel3(5)
+	rel2.Release(0)
+	rel3.Release(5)
 	st = a.Stats()["t"]
 	if st.Active != 0 || st.QuotaSpent != 15 {
 		t.Fatalf("after release: %+v, want 0 active, 15 quota spent", st)
@@ -63,9 +63,9 @@ func TestAdmissionConcurrencyAndQueueFull(t *testing.T) {
 // TestAdmissionFIFOOrder pins that freed slots go to waiters in arrival
 // order.
 func TestAdmissionFIFOOrder(t *testing.T) {
-	a := NewAdmission(TenantConfig{MaxConcurrent: 1, QueueDepth: 4, QueueWaitMS: 60000}, nil, false)
+	a := NewScheduler(TenantConfig{MaxConcurrent: 1, QueueDepth: 4, QueueWaitMS: 60000}, nil, false, SchedConfig{})
 	ctx := context.Background()
-	rel, err := a.Acquire(ctx, "t")
+	rel, err := a.AcquireGrant(ctx, AdmitRequest{Tenant: "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestAdmissionFIFOOrder(t *testing.T) {
 		started := make(chan struct{})
 		go func() {
 			close(started)
-			r, err := a.Acquire(ctx, "t")
+			r, err := a.AcquireGrant(ctx, AdmitRequest{Tenant: "t"})
 			if err != nil {
 				t.Errorf("waiter %d rejected: %v", i, err)
 				wg.Done()
@@ -89,14 +89,14 @@ func TestAdmissionFIFOOrder(t *testing.T) {
 			mu.Lock()
 			order = append(order, i)
 			mu.Unlock()
-			r(0)
+			r.Release(0)
 			wg.Done()
 		}()
 		<-started
 		waitFor(t, func() bool { return a.Stats()["t"].Queued == i+1 })
 	}
 
-	rel(0) // cascade: each release hands the slot to the next waiter
+	rel.Release(0) // cascade: each release hands the slot to the next waiter
 	wg.Wait()
 	mu.Lock()
 	defer mu.Unlock()
@@ -109,14 +109,14 @@ func TestAdmissionFIFOOrder(t *testing.T) {
 // tenant's deadline is rejected with ErrQueueTimeout and removed from the
 // queue.
 func TestAdmissionQueueWaitDeadline(t *testing.T) {
-	a := NewAdmission(TenantConfig{MaxConcurrent: 1, QueueDepth: 4, QueueWaitMS: 30}, nil, false)
+	a := NewScheduler(TenantConfig{MaxConcurrent: 1, QueueDepth: 4, QueueWaitMS: 30}, nil, false, SchedConfig{})
 	ctx := context.Background()
-	rel, err := a.Acquire(ctx, "t")
+	rel, err := a.AcquireGrant(ctx, AdmitRequest{Tenant: "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if _, err := a.Acquire(ctx, "t"); !errors.Is(err, ErrQueueTimeout) {
+	if _, err := a.AcquireGrant(ctx, AdmitRequest{Tenant: "t"}); !errors.Is(err, ErrQueueTimeout) {
 		t.Fatalf("queued acquire = %v, want ErrQueueTimeout", err)
 	}
 	if d := time.Since(start); d > 5*time.Second {
@@ -126,27 +126,27 @@ func TestAdmissionQueueWaitDeadline(t *testing.T) {
 	if st.QueueTimeouts != 1 || st.Queued != 0 {
 		t.Fatalf("stats = %+v, want 1 queue timeout, 0 queued", st)
 	}
-	rel(0)
+	rel.Release(0)
 	// The slot is free again: the next request is admitted directly.
-	rel2, err := a.Acquire(ctx, "t")
+	rel2, err := a.AcquireGrant(ctx, AdmitRequest{Tenant: "t"})
 	if err != nil {
 		t.Fatalf("post-timeout acquire failed: %v", err)
 	}
-	rel2(0)
+	rel2.Release(0)
 }
 
 // TestAdmissionCancelWhileQueued: cancelling the context of a queued
 // request removes it and reports ErrCancelled.
 func TestAdmissionCancelWhileQueued(t *testing.T) {
-	a := NewAdmission(TenantConfig{MaxConcurrent: 1, QueueDepth: 4, QueueWaitMS: 60000}, nil, false)
-	rel, err := a.Acquire(context.Background(), "t")
+	a := NewScheduler(TenantConfig{MaxConcurrent: 1, QueueDepth: 4, QueueWaitMS: 60000}, nil, false, SchedConfig{})
+	rel, err := a.AcquireGrant(context.Background(), AdmitRequest{Tenant: "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := a.Acquire(ctx, "t")
+		_, err := a.AcquireGrant(ctx, AdmitRequest{Tenant: "t"})
 		errc <- err
 	}()
 	waitFor(t, func() bool { return a.Stats()["t"].Queued == 1 })
@@ -158,20 +158,20 @@ func TestAdmissionCancelWhileQueued(t *testing.T) {
 	if st.Cancelled != 1 || st.Queued != 0 {
 		t.Fatalf("stats = %+v, want 1 cancelled, 0 queued", st)
 	}
-	rel(0)
+	rel.Release(0)
 }
 
 // TestAdmissionQuota: once completed requests have spent the tenant's
 // cumulative oracle-call quota, new requests are rejected until ResetQuota.
 func TestAdmissionQuota(t *testing.T) {
-	a := NewAdmission(TenantConfig{MaxConcurrent: 4, CallQuota: 100}, nil, false)
+	a := NewScheduler(TenantConfig{MaxConcurrent: 4, CallQuota: 100}, nil, false, SchedConfig{})
 	ctx := context.Background()
-	rel, err := a.Acquire(ctx, "t")
+	rel, err := a.AcquireGrant(ctx, AdmitRequest{Tenant: "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel(100) // spends the whole quota
-	if _, err := a.Acquire(ctx, "t"); !errors.Is(err, ErrQuotaExhausted) {
+	rel.Release(100) // spends the whole quota
+	if _, err := a.AcquireGrant(ctx, AdmitRequest{Tenant: "t"}); !errors.Is(err, ErrQuotaExhausted) {
 		t.Fatalf("acquire after quota spend = %v, want ErrQuotaExhausted", err)
 	}
 	st := a.Stats()["t"]
@@ -181,11 +181,11 @@ func TestAdmissionQuota(t *testing.T) {
 	if !a.ResetQuota("t") {
 		t.Fatal("ResetQuota reported unknown tenant")
 	}
-	rel2, err := a.Acquire(ctx, "t")
+	rel2, err := a.AcquireGrant(ctx, AdmitRequest{Tenant: "t"})
 	if err != nil {
 		t.Fatalf("acquire after reset = %v", err)
 	}
-	rel2(1)
+	rel2.Release(1)
 	if a.ResetQuota("never-seen") {
 		t.Fatal("ResetQuota invented a tenant")
 	}
@@ -196,21 +196,21 @@ func TestAdmissionQuota(t *testing.T) {
 // rejected immediately with the quota reason instead of burning their
 // wait deadline on a slot that could no longer help them.
 func TestAdmissionQuotaCutsQueue(t *testing.T) {
-	a := NewAdmission(TenantConfig{MaxConcurrent: 1, QueueDepth: 4, QueueWaitMS: 60000, CallQuota: 10}, nil, false)
+	a := NewScheduler(TenantConfig{MaxConcurrent: 1, QueueDepth: 4, QueueWaitMS: 60000, CallQuota: 10}, nil, false, SchedConfig{})
 	ctx := context.Background()
-	rel, err := a.Acquire(ctx, "t")
+	rel, err := a.AcquireGrant(ctx, AdmitRequest{Tenant: "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	errs := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			_, err := a.Acquire(ctx, "t")
+			_, err := a.AcquireGrant(ctx, AdmitRequest{Tenant: "t"})
 			errs <- err
 		}()
 	}
 	waitFor(t, func() bool { return a.Stats()["t"].Queued == 2 })
-	rel(10) // spends the whole quota: the queue is cut, not handed the slot
+	rel.Release(10) // spends the whole quota: the queue is cut, not handed the slot
 	for i := 0; i < 2; i++ {
 		if err := <-errs; !errors.Is(err, ErrQuotaExhausted) {
 			t.Fatalf("queued acquire after quota spend = %v, want ErrQuotaExhausted", err)
@@ -226,38 +226,38 @@ func TestAdmissionQuotaCutsQueue(t *testing.T) {
 // allocate state beyond maxDynamicTenants lazily-created names, so
 // request-invented tenant names cannot grow it without bound.
 func TestAdmissionDynamicTenantCap(t *testing.T) {
-	a := NewAdmission(TenantConfig{}, map[string]TenantConfig{"declared": {}}, false)
+	a := NewScheduler(TenantConfig{}, map[string]TenantConfig{"declared": {}}, false, SchedConfig{})
 	a.mu.Lock()
 	for i := 0; i < maxDynamicTenants; i++ {
 		name := fmt.Sprintf("dyn-%d", i)
 		a.tenants[name] = &tenant{name: name, cfg: a.defCfg}
 	}
 	a.mu.Unlock()
-	if _, err := a.Acquire(context.Background(), "one-too-many"); !errors.Is(err, ErrTenantOverflow) {
+	if _, err := a.AcquireGrant(context.Background(), AdmitRequest{Tenant: "one-too-many"}); !errors.Is(err, ErrTenantOverflow) {
 		t.Fatalf("acquire past the tenant cap = %v, want ErrTenantOverflow", err)
 	}
 	// Existing tenants — declared or dynamic — still work.
 	for _, name := range []string{"declared", "dyn-0"} {
-		rel, err := a.Acquire(context.Background(), name)
+		rel, err := a.AcquireGrant(context.Background(), AdmitRequest{Tenant: name})
 		if err != nil {
 			t.Fatalf("existing tenant %q rejected: %v", name, err)
 		}
-		rel(0)
+		rel.Release(0)
 	}
 }
 
 // TestAdmissionStrictTenants: strict mode rejects tenants missing from the
 // table and still serves the declared ones.
 func TestAdmissionStrictTenants(t *testing.T) {
-	a := NewAdmission(TenantConfig{}, map[string]TenantConfig{"known": {}}, true)
-	if _, err := a.Acquire(context.Background(), "stranger"); !errors.Is(err, ErrUnknownTenant) {
+	a := NewScheduler(TenantConfig{}, map[string]TenantConfig{"known": {}}, true, SchedConfig{})
+	if _, err := a.AcquireGrant(context.Background(), AdmitRequest{Tenant: "stranger"}); !errors.Is(err, ErrUnknownTenant) {
 		t.Fatalf("stranger acquire = %v, want ErrUnknownTenant", err)
 	}
-	rel, err := a.Acquire(context.Background(), "known")
+	rel, err := a.AcquireGrant(context.Background(), AdmitRequest{Tenant: "known"})
 	if err != nil {
 		t.Fatalf("known tenant rejected: %v", err)
 	}
-	rel(0)
+	rel.Release(0)
 }
 
 // TestAdmissionTenantsIsolated: one tenant saturating its limits does not
@@ -265,23 +265,23 @@ func TestAdmissionStrictTenants(t *testing.T) {
 func TestAdmissionTenantsIsolated(t *testing.T) {
 	// QueueDepth -1 normalizes to "no queueing": reject as soon as the
 	// slots are full.
-	a := NewAdmission(TenantConfig{MaxConcurrent: 1, QueueDepth: -1, QueueWaitMS: 30}, nil, false)
+	a := NewScheduler(TenantConfig{MaxConcurrent: 1, QueueDepth: -1, QueueWaitMS: 30}, nil, false, SchedConfig{})
 	ctx := context.Background()
-	relA, err := a.Acquire(ctx, "a")
+	relA, err := a.AcquireGrant(ctx, AdmitRequest{Tenant: "a"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// "a" is saturated (no queue slots) ...
-	if _, err := a.Acquire(ctx, "a"); !errors.Is(err, ErrQueueFull) {
+	if _, err := a.AcquireGrant(ctx, AdmitRequest{Tenant: "a"}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("saturated tenant acquire = %v, want ErrQueueFull", err)
 	}
 	// ... but "b" sails through.
-	relB, err := a.Acquire(ctx, "b")
+	relB, err := a.AcquireGrant(ctx, AdmitRequest{Tenant: "b"})
 	if err != nil {
 		t.Fatalf("tenant b rejected: %v", err)
 	}
-	relA(0)
-	relB(0)
+	relA.Release(0)
+	relB.Release(0)
 }
 
 // TestAdmissionRetryAfter: congestion backs off from the tenant's queue
@@ -289,7 +289,7 @@ func TestAdmissionTenantsIsolated(t *testing.T) {
 // into [base/2, base] per (tenant, rejection ordinal).
 func TestAdmissionRetryAfter(t *testing.T) {
 	inBounds := func(d, base time.Duration) bool { return base/2 <= d && d <= base }
-	a := NewAdmission(TenantConfig{QueueWaitMS: 2500}, nil, false)
+	a := NewScheduler(TenantConfig{QueueWaitMS: 2500}, nil, false, SchedConfig{})
 	if d := a.RetryAfter("t", ErrQueueFull); !inBounds(d, 2500*time.Millisecond) {
 		t.Errorf("RetryAfter(queue full) = %v, want within [1.25s, 2.5s]", d)
 	}
@@ -299,7 +299,7 @@ func TestAdmissionRetryAfter(t *testing.T) {
 
 	// The sequence is a pure function of (tenant, ordinal): a second
 	// controller replays it exactly, and distinct tenants de-correlate.
-	b := NewAdmission(TenantConfig{QueueWaitMS: 2500}, nil, false)
+	b := NewScheduler(TenantConfig{QueueWaitMS: 2500}, nil, false, SchedConfig{})
 	var seqA, seqB []time.Duration
 	for i := 0; i < 8; i++ {
 		seqA = append(seqA, a.RetryAfter("t", ErrQueueFull))
@@ -320,7 +320,7 @@ func TestAdmissionRetryAfter(t *testing.T) {
 	}
 
 	// Pinning the RNG hook pins the jitter: rand64 ≡ 0 means no offset.
-	c := NewAdmission(TenantConfig{QueueWaitMS: 2500}, nil, false)
+	c := NewScheduler(TenantConfig{QueueWaitMS: 2500}, nil, false, SchedConfig{})
 	c.rand64 = func(uint64) uint64 { return 0 }
 	if d := c.RetryAfter("t", ErrQueueFull); d != 2500*time.Millisecond {
 		t.Errorf("RetryAfter with zero RNG = %v, want the full base 2.5s", d)

@@ -101,14 +101,14 @@ func TestBatchRaceStress(t *testing.T) {
 		successRuns   int
 		faultRuns     int
 	)
-	srv.batcher.onBatchComplete = func(total core.Telemetry, shares []core.Telemetry) {
+	srv.onLaneComplete = func(total core.Telemetry, shares []core.Telemetry) {
 		expectConserved(t, "completed run", total, shares)
 		hookMu.Lock()
 		successTotals = telemetrySum([]core.Telemetry{successTotals, total})
 		successRuns++
 		hookMu.Unlock()
 	}
-	srv.batcher.onBatchFault = func(total core.Telemetry, shares []core.Telemetry) {
+	srv.onLaneFault = func(total core.Telemetry, shares []core.Telemetry) {
 		expectConserved(t, "faulted run", total, shares)
 		hookMu.Lock()
 		faultTotals = telemetrySum([]core.Telemetry{faultTotals, total})
@@ -243,9 +243,9 @@ func TestBatchRaceStress(t *testing.T) {
 	if sum.faulted == 0 {
 		t.Errorf("no client observed the injected fault (faulted run had %d members?)", faultRuns)
 	}
-	t.Logf("stress: %d ok (%d in multi-member batches), %d rejected, %d faulted, %d disconnected; %d runs (+%d faulted), %d members coalesced away",
+	t.Logf("stress: %d ok (%d in multi-member batches), %d rejected, %d faulted, %d disconnected; %d runs (+%d faulted)",
 		sum.ok, sum.okMulti, sum.rejected, sum.faulted, sum.disconnected,
-		successRuns, faultRuns, srv.batcher.coalesced.Load())
+		successRuns, faultRuns)
 
 	// Session-layer conservation: the pooled sessions' aggregate (live
 	// plus the quarantined one) must equal the sum of the successful run

@@ -209,9 +209,9 @@ func TestBatchDistinctMembersAttribution(t *testing.T) {
 	}
 }
 
-// TestBatchSingletonMatchesSolo pins the singleton fast path end to end:
-// with MaxRequests=1 every request rides the batch scheduler alone, and
-// its response must carry exactly the numbers the solo path serves —
+// TestBatchSingletonMatchesSolo pins the lane of one end to end: with
+// MaxRequests=1 every request rides the batch scheduler alone, and its
+// response must carry exactly the numbers a batching-off server serves —
 // same materializations, costs, telemetry counters, and even the
 // checkpoint/plan-text surfaces that multi-member batches withhold.
 func TestBatchSingletonMatchesSolo(t *testing.T) {
@@ -245,11 +245,8 @@ func TestBatchSingletonMatchesSolo(t *testing.T) {
 	if batched.PlanText == "" || batched.PlanText != want.PlanText {
 		t.Fatalf("singleton plan text differs from solo")
 	}
-	bt, wt := batched.Telemetry, want.Telemetry
-	bt.SetupTime, bt.SearchTime, bt.FinalizeTime, bt.TotalTime = 0, 0, 0, 0
-	wt.SetupTime, wt.SearchTime, wt.FinalizeTime, wt.TotalTime = 0, 0, 0, 0
-	if bt != wt {
-		t.Fatalf("singleton telemetry counters differ:\n  %+v\n  %+v", bt, wt)
+	if bt, wt := batched.Telemetry.Work(), want.Telemetry.Work(); bt != wt {
+		t.Fatalf("singleton work counters differ:\n  %+v\n  %+v", bt, wt)
 	}
 }
 
@@ -265,7 +262,12 @@ func TestBatchMemberCancelledExcised(t *testing.T) {
 		batch := &logical.Batch{}
 		batch.Add(logical.NewBlock().Scan("lineitem", "l").Cmp("l.tax", expr.LT, 40).Query("q"))
 		fp, _ := batchFingerprint(batch)
-		return &batchMember{ctx: ctx, batch: batch, fp: fp, tenant: "t", outcome: make(chan batchOutcome, 1)}
+		g, err := srv.adm.AcquireGrant(context.Background(), AdmitRequest{Tenant: "t"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { g.Release(0) })
+		return &batchMember{ctx: ctx, batch: batch, fp: fp, tenant: "t", grant: g, outcome: make(chan batchOutcome, 1)}
 	}
 	key := laneKey{pool: poolKey{sf: 1}, spec: runSpec{strategy: core.MarginalGreedy, callBudget: -1}}
 

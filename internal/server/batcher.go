@@ -1,26 +1,20 @@
 package server
 
 import (
-	"context"
-	"errors"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro"
-	"repro/internal/core"
 	"repro/internal/logical"
 	"repro/internal/memo"
-	"repro/internal/physical"
 )
 
 // BatchConfig parameterizes cross-request continuous batching. The zero
-// value disables it: requests are served solo exactly as before, so
+// value disables it: every request is served as its own lane of one, so
 // batching is strictly opt-in per server.
 type BatchConfig struct {
-	// Enabled turns the batch scheduler on. Disabled, every request takes
-	// the solo path.
+	// Enabled turns the batch scheduler on. Disabled, no request waits for
+	// peers.
 	Enabled bool `json:"enabled,omitempty"`
 	// MaxRequests flushes a lane as soon as this many requests wait in it
 	// (default 8).
@@ -48,62 +42,11 @@ func (c BatchConfig) maxDelay() time.Duration {
 	return time.Duration(c.MaxDelayMS) * time.Millisecond
 }
 
-// laneKey identifies one batchable stream: requests coalesce only when
-// they target the same catalog, resolve to the same effective run spec
-// (strategy, parallelism, budgets after tenant and degradation clamps)
-// and the same degradation state, so the single shared run's options are
-// exactly what every member would have run solo with. Tenancy is NOT part
-// of the key — cross-tenant sharing is the point, and the attribution
-// split keeps each tenant's accounting exact.
-type laneKey struct {
-	pool     poolKey
-	spec     runSpec
-	degraded bool
-}
-
-// batchMember is one admitted request waiting in a lane. Its outcome
-// channel (buffered, written exactly once) carries everything the handler
-// needs to answer the client and charge the tenant quota.
-type batchMember struct {
-	ctx      context.Context
-	batch    *logical.Batch
-	fp       string // batch fingerprint; "" = not coalescible
-	tenant   string
-	planText bool
-	outcome  chan batchOutcome
-}
-
-// batchOutcome is the terminal state of one member: a 200 response, an
-// error response, or a pre-run cancellation. spent is the member's exact
-// oracle-call share, charged against its tenant quota by the handler's
-// admission release.
-type batchOutcome struct {
-	resp      *OptimizeResponse // non-nil: answer 200
-	status    int               // else: answer status/body
-	body      *errorBody
-	spent     int
-	cancelled bool // client gone before the run started: answer 499
-}
-
-// lane is the accumulating state of one laneKey: members joined since the
-// last flush, their combined query count, and the deadline timer armed by
-// the first member. A lane is detached (removed from the map, timer
-// disarmed) exactly once — by the size/query trigger or by the deadline —
-// and then owned by the goroutine running it.
-type lane struct {
-	key       laneKey
-	members   []*batchMember
-	queries   int
-	flushed   bool
-	detached  chan struct{}
-	stopTimer func() bool
-}
-
-// batcher is the continuous-batching scheduler: admitted requests enqueue
-// into per-laneKey lanes, and each flush coalesces the waiting members'
-// batches into one combined DAG, runs one shared optimization, and
-// attributes the result back per member — exact materialization slices,
-// conserving telemetry shares, per-tenant quota charges.
+// batcher is the continuous-batching scheduler. It only decides WHO is in
+// a lane: admitted requests accumulate in per-laneKey lanes, and each
+// flush (by size, combined query count or deadline) hands the detached
+// lane to Server.runLane, the same path a solo request's lane of one
+// takes.
 type batcher struct {
 	srv *Server
 	cfg BatchConfig
@@ -114,18 +57,6 @@ type batcher struct {
 	// newTimer is the deadline-clock hook; tests swap it for a manual
 	// trigger so flush timing is deterministic.
 	newTimer func(time.Duration) (<-chan time.Time, func() bool)
-	// onBatchComplete, when non-nil, observes every successful shared run:
-	// the run's total telemetry and the per-member shares it was split
-	// into. The race-stress conservation audit hangs off it.
-	onBatchComplete func(total core.Telemetry, shares []core.Telemetry)
-	// onBatchFault mirrors onBatchComplete for faulted shared runs: the
-	// telemetry the run burned before its panic and the conserving
-	// per-member shares it was charged out as.
-	onBatchFault func(total core.Telemetry, shares []core.Telemetry)
-	// batches and coalesced count flushed runs and members deduplicated
-	// away by fingerprint coalescing.
-	batches   atomic.Int64
-	coalesced atomic.Int64
 }
 
 func newBatcher(srv *Server, cfg BatchConfig) *batcher {
@@ -189,7 +120,7 @@ func (b *batcher) submit(key laneKey, m *batchMember) batchOutcome {
 	b.mu.Lock()
 	l := b.lanes[key]
 	if l == nil {
-		l = &lane{key: key, detached: make(chan struct{})}
+		l = &lane{key: key, batched: true, detached: make(chan struct{})}
 		ch, stop := b.newTimer(b.cfg.maxDelay())
 		l.stopTimer = stop
 		b.lanes[key] = l
@@ -218,7 +149,6 @@ func (b *batcher) submit(key laneKey, m *batchMember) batchOutcome {
 // detachLocked removes the lane from the map and disarms its timer; the
 // caller then owns the lane exclusively.
 func (b *batcher) detachLocked(l *lane) {
-	l.flushed = true
 	delete(b.lanes, l.key)
 	close(l.detached)
 	l.stopTimer()
@@ -228,7 +158,7 @@ func (b *batcher) detachLocked(l *lane) {
 // beat the timer, then run it.
 func (b *batcher) flush(l *lane) {
 	b.mu.Lock()
-	if l.flushed {
+	if b.lanes[l.key] != l {
 		b.mu.Unlock()
 		return
 	}
@@ -237,29 +167,11 @@ func (b *batcher) flush(l *lane) {
 	b.run(l)
 }
 
-// deliverer tracks which members already got their outcome, so the panic
-// backstop can finish exactly the undelivered ones.
-type deliverer struct {
-	members []*batchMember
-	sent    []bool
-}
-
-func (d *deliverer) deliver(i int, o batchOutcome) {
-	if d.sent[i] {
-		return
-	}
-	d.sent[i] = true
-	d.members[i].outcome <- o
-}
-
-// run executes one detached lane: excise already-cancelled members,
-// coalesce the rest by fingerprint, run one shared optimization on the
-// lane's catalog session, and attribute the outcome per member. Every
-// member receives exactly one outcome, whatever happens — including a
-// panic anywhere in this function.
+// run executes one detached lane on the calling goroutine. The lane may
+// be running on a timer goroutine, where an escaped panic would kill the
+// process: the backstop answers every member not yet delivered instead.
 func (b *batcher) run(l *lane) {
 	s := b.srv
-	d := &deliverer{members: l.members, sent: make([]bool, len(l.members))}
 	defer func() {
 		rec := recover()
 		if rec == nil {
@@ -268,284 +180,9 @@ func (b *batcher) run(l *lane) {
 		id := s.incident()
 		s.panics.Add(1)
 		s.logf("server: batch %s: panic recovered (incident %s): %v", l.key.pool, id, rec)
-		for i := range l.members {
-			d.deliver(i, batchOutcome{
-				status: 500,
-				body: &errorBody{
-					Error:    "internal error (incident " + id + ")",
-					Code:     codeInternalPanic,
-					Incident: id,
-				},
-			})
+		for _, m := range l.members {
+			m.deliver(incidentOutcome("internal error", id, 0))
 		}
 	}()
-
-	// A member whose client disconnected while the lane filled is excised
-	// here: answered 499, never part of the shared run.
-	live := make([]int, 0, len(l.members))
-	for i, m := range l.members {
-		if m.ctx.Err() != nil {
-			d.deliver(i, batchOutcome{cancelled: true})
-			continue
-		}
-		live = append(live, i)
-	}
-	if len(live) == 0 {
-		return
-	}
-
-	liveMembers := make([]*batchMember, len(live))
-	for k, i := range live {
-		liveMembers[k] = l.members[i]
-	}
-	groups, memberGroup := coalesceBatches(liveMembers)
-	b.batches.Add(1)
-	b.coalesced.Add(int64(len(live) - len(groups)))
-
-	sess, release, err := s.pool.acquire(l.key.pool)
-	if err != nil {
-		for _, i := range live {
-			d.deliver(i, batchOutcome{status: 500, body: &errorBody{Error: err.Error(), Code: codeInternalError}})
-		}
-		return
-	}
-	defer release()
-	defer func() {
-		if rec := recover(); rec != nil {
-			s.pool.quarantine(l.key.pool, sess)
-			s.breaker.recordFailure(l.key.pool)
-			panic(rec) // the outer backstop answers the members
-		}
-	}()
-
-	// The shared run is cancelled only when EVERY live member's client is
-	// gone; one disconnect must not abort the run the others are riding.
-	runCtx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var remaining atomic.Int32
-	remaining.Store(int32(len(live)))
-	stops := make([]func() bool, 0, len(live))
-	for _, m := range liveMembers {
-		stops = append(stops, context.AfterFunc(m.ctx, func() {
-			if remaining.Add(-1) == 0 {
-				cancel()
-			}
-		}))
-	}
-	defer func() {
-		for _, stop := range stops {
-			stop()
-		}
-	}()
-
-	sres, err := sess.OptimizeShared(runCtx, groups, l.key.spec.options()...)
-	if err != nil {
-		var fe *repro.FaultError
-		if errors.As(err, &fe) {
-			b.faultBatch(l, live, sess, fe, d, len(groups))
-			return
-		}
-		// The combined build failed — typically one member's batch is
-		// invalid against the catalog. Fall back to per-member solo runs so
-		// an innocent member is never 400'd for a peer's bad request.
-		b.soloFallback(l, live, sess, d)
-		return
-	}
-	if sres.Telemetry.Stopped == repro.StopTimeBudget {
-		s.breaker.recordFailure(l.key.pool)
-	} else {
-		s.breaker.recordSuccess(l.key.pool)
-	}
-
-	// Split each group's attribution among the members it was coalesced
-	// from. Group attributions conserve against the run exactly
-	// (repro.OptimizeShared's contract) and SplitTelemetry conserves each
-	// group's share exactly, so summing every member's telemetry
-	// reproduces the run's — the invariant the quota charges and the
-	// race-stress audit check.
-	sharers := make([][]int, len(groups)) // group -> positions in live order
-	for k, gi := range memberGroup {
-		sharers[gi] = append(sharers[gi], k)
-	}
-	shares := make([]core.Telemetry, len(live))
-	for gi, a := range sres.Attributions {
-		ones := make([]int, len(sharers[gi]))
-		for j := range ones {
-			ones[j] = 1
-		}
-		split := repro.SplitTelemetry(a.Telemetry, ones)
-		for j, k := range sharers[gi] {
-			shares[k] = split[j]
-		}
-	}
-	if b.onBatchComplete != nil {
-		b.onBatchComplete(sres.Telemetry, shares)
-	}
-
-	for k, i := range live {
-		m := liveMembers[k]
-		a := sres.Attributions[memberGroup[k]]
-		resp := &OptimizeResponse{
-			Strategy:       l.key.spec.strategy.String(),
-			Queries:        len(m.batch.Queries),
-			Materialized:   make([]int, 0, len(a.Materialized)),
-			CostMS:         a.Cost,
-			VolcanoMS:      a.VolcanoCost,
-			BenefitMS:      a.Benefit,
-			SharedCreditMS: a.SharedCredit,
-			Plan:           summarizeMemberPlan(sres.Plan, a),
-			Telemetry:      shares[k],
-			BuildNS:        sres.BuildTime.Nanoseconds(),
-			OptNS:          sres.OptTime.Nanoseconds(),
-			ExtractNS:      sres.ExtractTime.Nanoseconds(),
-			Degraded:       l.key.degraded,
-			Batched:        true,
-			BatchSize:      len(live),
-		}
-		for _, g := range a.Materialized {
-			resp.Materialized = append(resp.Materialized, int(g))
-		}
-		// Checkpoints bind to the combined search space and plan text spans
-		// every member's queries: both are only safe to hand out when the
-		// member IS the whole batch.
-		if len(live) == 1 {
-			resp.Checkpoint = sres.Checkpoint
-			if m.planText {
-				resp.PlanText = sres.Plan.String()
-			}
-		}
-		d.deliver(i, batchOutcome{resp: resp, spent: shares[k].OracleCalls})
-	}
-}
-
-// faultBatch answers every live member of a faulted shared run: one
-// incident, one quarantine, one breaker failure — but each member is
-// charged its exact telemetry share of the work the run burned before the
-// panic, so the fault costs tenants what it actually cost the server.
-func (b *batcher) faultBatch(l *lane, live []int, sess *repro.Session, fe *repro.FaultError, d *deliverer, nGroups int) {
-	s := b.srv
-	id := s.incident()
-	s.panics.Add(1)
-	s.pool.quarantine(l.key.pool, sess)
-	s.breaker.recordFailure(l.key.pool)
-	s.logf("server: batch %s: optimization faulted (incident %s): %v", l.key.pool, id, fe.Panic)
-	ones := make([]int, len(live))
-	for i := range ones {
-		ones[i] = 1
-	}
-	shares := repro.SplitTelemetry(fe.Telemetry, ones)
-	if b.onBatchFault != nil {
-		b.onBatchFault(fe.Telemetry, shares)
-	}
-	for k, i := range live {
-		body := &errorBody{
-			Error:    "optimization faulted (incident " + id + ")",
-			Code:     codeInternalPanic,
-			Incident: id,
-		}
-		// A checkpoint from a combined run only resumes the combined
-		// batch; hand it out only when this member is the whole run.
-		if len(live) == 1 && nGroups == 1 {
-			body.Checkpoint = fe.Checkpoint
-		}
-		d.deliver(i, batchOutcome{status: 500, body: body, spent: shares[k].OracleCalls})
-	}
-}
-
-// soloFallback serves each live member with its own solo run on the
-// lane's session after the combined build failed. Error handling mirrors
-// the solo path: faults quarantine and answer 500 with an incident,
-// anything else is the member's own 400.
-func (b *batcher) soloFallback(l *lane, live []int, sess *repro.Session, d *deliverer) {
-	s := b.srv
-	for _, i := range live {
-		m := l.members[i]
-		res, err := sess.Optimize(m.ctx, m.batch, l.key.spec.options()...)
-		if err != nil {
-			var fe *repro.FaultError
-			if errors.As(err, &fe) {
-				id := s.incident()
-				s.panics.Add(1)
-				s.pool.quarantine(l.key.pool, sess)
-				s.breaker.recordFailure(l.key.pool)
-				s.logf("server: %s: optimization faulted (incident %s): %v", m.tenant, id, fe.Panic)
-				d.deliver(i, batchOutcome{
-					status: 500,
-					body: &errorBody{
-						Error:      "optimization faulted (incident " + id + ")",
-						Code:       codeInternalPanic,
-						Incident:   id,
-						Checkpoint: fe.Checkpoint,
-					},
-					spent: fe.Telemetry.OracleCalls,
-				})
-				continue
-			}
-			d.deliver(i, batchOutcome{status: 400, body: &errorBody{Error: err.Error(), Code: codeBadRequest}})
-			continue
-		}
-		if res.Telemetry.Stopped == repro.StopTimeBudget {
-			s.breaker.recordFailure(l.key.pool)
-		} else {
-			s.breaker.recordSuccess(l.key.pool)
-		}
-		resp := &OptimizeResponse{
-			Strategy:     l.key.spec.strategy.String(),
-			Queries:      len(m.batch.Queries),
-			Materialized: make([]int, 0, len(res.Materialized)),
-			CostMS:       res.Cost,
-			VolcanoMS:    res.VolcanoCost,
-			BenefitMS:    res.Benefit,
-			Plan:         summarizePlan(res.Plan),
-			Telemetry:    res.Telemetry,
-			BuildNS:      res.BuildTime.Nanoseconds(),
-			OptNS:        res.OptTime.Nanoseconds(),
-			ExtractNS:    res.ExtractTime.Nanoseconds(),
-			Checkpoint:   res.Checkpoint,
-			Degraded:     l.key.degraded,
-		}
-		for _, g := range res.Materialized {
-			resp.Materialized = append(resp.Materialized, int(g))
-		}
-		if m.planText {
-			resp.PlanText = res.Plan.String()
-		}
-		d.deliver(i, batchOutcome{resp: resp, spent: res.Telemetry.OracleCalls})
-	}
-}
-
-// summarizeMemberPlan renders one member's slice of the combined plan:
-// the materialization steps its attribution owns a share of, and exactly
-// its queries' plans. TotalMS is the member's attributed cost, so a
-// client summing its own responses reconstructs the batch totals.
-func summarizeMemberPlan(cp *physical.ConsolidatedPlan, a repro.Attribution) PlanSummary {
-	ps := PlanSummary{
-		Steps:   make([]StepSummary, 0, len(a.Materialized)),
-		Queries: make([]QuerySummary, 0, a.QueryCount),
-		TotalMS: a.Cost,
-	}
-	for _, st := range cp.Steps {
-		if !a.Set.Has(st.Group) {
-			continue
-		}
-		ps.Steps = append(ps.Steps, StepSummary{
-			Group:       int(st.Group),
-			Op:          st.Plan.Op,
-			Rows:        st.Plan.Rows,
-			CostMS:      st.Plan.Cost,
-			WriteCostMS: st.WriteCost,
-		})
-	}
-	for i := a.QueryOffset; i < a.QueryOffset+a.QueryCount && i < len(cp.Queries); i++ {
-		name := ""
-		if i < len(cp.QueryNames) {
-			name = cp.QueryNames[i]
-		}
-		ps.Queries = append(ps.Queries, QuerySummary{
-			Name:      name,
-			Operators: countOps(cp.Queries[i]),
-			CostMS:    cp.Queries[i].Cost,
-		})
-	}
-	return ps
+	s.runLane(l)
 }

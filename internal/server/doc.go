@@ -87,7 +87,9 @@
 // Unless SchedConfig.NoPreempt is set, a deadline waiter that cannot be
 // dispatched picks one running preemptible victim — the grant with the
 // latest deadline, deadline-less bulk work first — and asks it to
-// suspend. The victim's run stops at its next greedy round boundary with
+// suspend. A run is preemptible exactly when its lane has one live member
+// and its strategy checkpoints at round boundaries, whoever formed the
+// lane (Server.runSegments). The victim's run stops at its next greedy round boundary with
 // a checkpoint, yields its slot (the freed slot goes to the
 // earliest-deadline waiter), re-enters its tenant's queue at its
 // original arrival position — ahead of later arrivals — and resumes
@@ -109,65 +111,81 @@
 //     unpreempted run's calls + its Preemptions count.
 //   - The tenant's quota is charged the response's actual merged
 //     OracleCalls — charge and report always agree.
-//   - BCCalls and CacheHits are NOT conserved: segments re-enter the
-//     session's shared cost cache with whatever warmth it has by then.
+//   - BCCalls and the cache-effect counters (CacheHits, SharedHits,
+//     ComputedKeys) are NOT conserved: segments re-enter the session's
+//     shared cost cache with whatever warmth it has by then. (On more
+//     than one core the cache-effect counters differ even between two
+//     identical runs, so run-equality contracts are stated over
+//     core.Telemetry.Work, never over the whole struct.)
 //
-// # Continuous batching
+// # One request pipeline
 //
-// With Config.Batch.Enabled (strictly opt-in — the zero value serves
-// every request solo, exactly as before), admitted optimize requests
-// enter per-lane accumulators instead of running immediately. A lane is
-// keyed by everything that must match for one shared run to stand in for
-// each member's solo run: the catalog (pool key), the fully-clamped
-// effective run spec (strategy, parallelism, time and call budgets after
-// tenant caps and degradation clamps), and the degradation flag. Tenancy
-// is deliberately NOT in the key — cross-tenant sharing is the point, and
-// attribution keeps each tenant's accounting exact. Requests carrying a
-// resume checkpoint bypass batching (a checkpoint binds to its original
-// search space).
+// Every optimize request takes one path: decode → validate → admit →
+// build → lane of ≥ 1 → one Session.OptimizeShared run → attribute →
+// encode (handleOptimize, then Server.runLane). Whatever is a pure
+// function of the request and the config — body shape, tenant name, the
+// sf allowlist — is rejected before admission, so a request that can only
+// be a 4xx never holds a slot or draws scheduler deficit.
 //
-// A lane flushes when MaxRequests members wait in it, when their combined
-// query count reaches MaxQueries (if set), or when the first member has
-// waited MaxDelay. The flush first excises members whose clients already
-// disconnected (answered 499, never part of the run), then coalesces the
-// rest: members whose batches are structurally identical — equal per-query
-// memo fingerprints and names — collapse into ONE group served by one
-// sub-run (eight identical clients cost one solo run, the throughput
-// lever), while distinct batches stay separate groups of one combined
-// DAG. One Session.OptimizeShared call optimizes all groups together and
-// returns per-group attributions.
+// A lane is the set of requests one shared run serves, keyed by
+// everything that must match for that run to be exactly what each member
+// asked for: the catalog (pool key), the fully-clamped effective run spec
+// (strategy, parallelism, time and call budgets after tenant caps and
+// degradation clamps), and the degradation flag. Tenancy is deliberately
+// NOT in the key — cross-tenant sharing is the point, and attribution
+// keeps each tenant's accounting exact. A solo request is a lane of one:
+// with batching off (the zero Config.Batch), or for a request carrying a
+// resume checkpoint, the handler forms the lane and runs it on its own
+// goroutine. With Config.Batch.Enabled the batcher only decides WHO is in
+// the lane: requests accumulate per key and flush when MaxRequests
+// members wait, when their combined query count reaches MaxQueries (if
+// set), or when the first member has waited MaxDelay.
 //
-// Attribution is exact, not estimated: each member receives its own
-// materialization-set slice, its own plan summary (only its queries, only
-// the steps its attribution owns a share of), its own cost/benefit plus a
-// SharedCreditMS subsidy, and a conserving telemetry share — summing the
-// members' Telemetry fields reproduces the shared run's exactly, which is
-// what the tenant quota is charged with (one member of an n-way
-// coalesced group pays ~1/n of that group's oracle calls). The same
-// conservation holds for faulted runs: the telemetry the run burned
-// before a panic is split across the members and charged, under one
-// incident id and one session quarantine. Disconnection of SOME members
-// never aborts a running shared optimization (the survivors are riding
-// it); only when every member's client is gone is the run cancelled. A
-// member whose batch is invalid against the catalog cannot poison its
-// peers: the combined-build failure falls back to per-member solo runs,
-// so the guilty request gets its own 400 and the others are served
-// unbatched.
+// runLane excises members whose clients already disconnected (answered
+// 499, charged nothing), then coalesces the rest: members whose batches
+// are structurally identical — equal per-query memo fingerprints and
+// names — collapse into ONE group (eight identical clients cost one run,
+// the throughput lever), while distinct batches stay separate groups of
+// one combined DAG. Attribution is exact, not estimated: each member
+// receives its own materialization-set slice, its own plan summary (only
+// its queries, only the steps it owns a share of), its own cost/benefit
+// plus a SharedCreditMS subsidy, and a conserving telemetry share —
+// summing the members' Telemetry reproduces the run's exactly, which is
+// what the tenant quotas are charged (one member of an n-way coalesced
+// group pays ~1/n of that group's oracle calls; a lane of one gets the
+// run itself). Faulted runs conserve the same way: the telemetry burned
+// before the panic is split and charged, under one incident id and one
+// session quarantine. Disconnection of SOME members never aborts the run
+// the survivors are riding; only when every client is gone is it
+// cancelled. When the combined build fails — one member's batch is
+// invalid against the catalog — each member is re-run as its own lane of
+// one, so the guilty request gets its own 400 and its peers are served.
 //
-// Two sharp edges the contract pins down. Privacy/safety: PlanText and
-// resumable checkpoints are only delivered when the batch has exactly one
-// member — a combined run's rendered plan and checkpoints span every
-// member's queries and search space. Sizing: members waiting in a lane
-// hold their admission slots, so a tenant's MaxConcurrent should be at
-// least Batch.MaxRequests (the default 5ms MaxDelay bounds the wait
-// regardless, but an undersized tenant can never fill a lane and loses
-// the coalescing win).
+// What a lane of one may carry that a larger lane may not — selected by
+// the observed number of live members, never by a setting, so a request
+// the batch timer catches alone gets all of it:
+//
+//   - Checkpoints and resume. A checkpoint binds to the search space of
+//     the run that produced it. A lane of one's is its request's own,
+//     which the client can name again; a larger lane's is the combined
+//     DAG of whoever shared it, which nobody can.
+//   - PlanText. The rendered plan spans every query of the run; in a
+//     larger lane that would show one tenant another tenant's queries.
+//   - Preemption. Suspending a run needs a checkpoint to resume from and
+//     one grant to yield; a larger lane has neither, and stalling it
+//     would make every member wait on one member's re-grant.
+//
+// Responses that came through the batcher are marked "batched" with the
+// lane's live size; otherwise a lane of one's response is the same
+// whoever formed the lane (TestLaneOfOneMatchesSolo). Sizing: members
+// waiting in a lane hold their admission slots, so a tenant's
+// MaxConcurrent should be at least Batch.MaxRequests or it can never fill
+// a lane (the default 5ms MaxDelay bounds the wait regardless).
 //
 // # Fault tolerance
 //
-// A panic inside an optimization — in the batched-oracle workers, the
-// executor's wavefront tasks, or the handler itself — never kills the
-// process. Worker goroutines recover into a typed faultinject.PanicError;
+// A panic inside an optimization — in the batched-oracle workers or the
+// handler itself — never kills the process. Worker goroutines recover into a typed faultinject.PanicError;
 // the handler answers 500 with code internal_panic, an incident id (also
 // logged with the stack), and any round-boundary checkpoint the run had
 // committed. The owning session is quarantined: removed from the pool at
@@ -209,9 +227,10 @@
 //
 // The front end adds no nondeterminism: for a given spec/SQL payload,
 // strategy and parallelism, the response's materialization set, costs and
-// oracle-call telemetry are bit-identical to a direct Session.Optimize
-// call (the session's shared cost cache can only add SharedHits, never
-// change a result). The e2e tests pin this byte-for-byte. Under
+// work telemetry (core.Telemetry.Work) are bit-identical to a direct
+// Session.Optimize call — by construction, since a request is served by
+// the same OptimizeShared call Optimize makes (the session's shared cost
+// cache can only add SharedHits, never change a result). The e2e tests pin this byte-for-byte. Under
 // preemption the result stays bit-identical and only OracleCalls moves,
 // by exactly the response's Preemptions count (one re-derivation per
 // resumed segment — see the scheduling section).

@@ -1,0 +1,414 @@
+package server
+
+import (
+	"context"
+	"errors"
+	"net/http"
+	"sync/atomic"
+	"time"
+
+	"repro"
+	"repro/internal/core"
+	"repro/internal/logical"
+	"repro/internal/physical"
+)
+
+// laneKey identifies one stream of requests that one shared run can
+// serve: they target the same catalog, resolve to the same effective run
+// spec (strategy, parallelism, budgets after tenant and degradation
+// clamps) and the same degradation state, so the run's options are
+// exactly what every member asked for. Tenancy is NOT part of the key —
+// cross-tenant sharing is the point, and the attribution split keeps each
+// tenant's accounting exact.
+type laneKey struct {
+	pool     poolKey
+	spec     runSpec
+	degraded bool
+}
+
+// batchMember is one admitted request in a lane. Its outcome channel
+// (buffered) carries everything the handler needs to answer the client
+// and charge the tenant quota.
+type batchMember struct {
+	ctx       context.Context
+	batch     *logical.Batch
+	fp        string // batch fingerprint; "" = not coalescible
+	tenant    string
+	planText  bool
+	queueWait time.Duration
+	// grant is the member's scheduler hold and resume the checkpoint its
+	// client sent. Both are used only when the member is alone in its
+	// lane: the run of a lane of one is the member's own search space, so
+	// it can be suspended, resumed and checkpointed; a larger lane's
+	// cannot.
+	grant   *Grant
+	resume  *repro.Checkpoint
+	outcome chan batchOutcome
+}
+
+// batchOutcome is the terminal state of one member: a 200 response, an
+// error response, or a pre-run cancellation. spent is the member's exact
+// oracle-call share, charged against its tenant quota by the handler's
+// admission release.
+type batchOutcome struct {
+	resp      *OptimizeResponse // non-nil: answer 200
+	status    int               // else: answer status/body
+	body      *errorBody
+	spent     int
+	cancelled bool // client gone before the run started: answer 499
+}
+
+// write answers the member's client.
+func (o batchOutcome) write(w http.ResponseWriter) {
+	switch {
+	case o.cancelled:
+		w.WriteHeader(499) // the client is gone; nginx's convention
+	case o.resp != nil:
+		writeJSON(w, http.StatusOK, o.resp)
+	default:
+		writeJSON(w, o.status, o.body)
+	}
+}
+
+// lane is the unit the server runs: the requests one shared optimization
+// serves. The handler forms a lane of one directly; the batcher
+// accumulates larger ones (queries, detached and stopTimer are its
+// bookkeeping) and detaches each exactly once before handing it to
+// runLane.
+type lane struct {
+	key     laneKey
+	members []*batchMember
+	// batched marks a lane the batcher formed: its responses say so and
+	// carry the lane size.
+	batched bool
+
+	queries   int
+	detached  chan struct{}
+	stopTimer func() bool
+}
+
+// deliver hands member m its outcome. The first outcome wins: the channel
+// holds one, so a later one (the panic backstop sweeping members that
+// were already answered) is dropped.
+func (m *batchMember) deliver(o batchOutcome) {
+	select {
+	case m.outcome <- o:
+	default:
+	}
+}
+
+func errorOutcome(status int, code, msg string, spent int) batchOutcome {
+	return batchOutcome{status: status, body: &errorBody{Error: msg, Code: code}, spent: spent}
+}
+
+// incidentOutcome is the 500 of a recovered panic, correlated with the
+// server log by its incident id.
+func incidentOutcome(what, id string, spent int) batchOutcome {
+	o := errorOutcome(http.StatusInternalServerError, codeInternalPanic, what+" (incident "+id+")", spent)
+	o.body.Incident = id
+	return o
+}
+
+// runLane is the one request path: excise members whose clients already
+// left, coalesce the rest by fingerprint, run one shared optimization on
+// the lane's catalog session, and attribute the outcome per member. Every
+// member is delivered one outcome unless runLane panics (the caller's
+// backstop then answers).
+func (s *Server) runLane(l *lane) {
+	live := make([]*batchMember, 0, len(l.members))
+	for _, m := range l.members {
+		if m.ctx.Err() != nil {
+			m.deliver(batchOutcome{cancelled: true}) // 499, never part of the run
+			continue
+		}
+		live = append(live, m)
+	}
+	if len(live) == 0 {
+		return
+	}
+	groups, memberGroup := coalesceBatches(live)
+
+	sess, release, err := s.pool.acquire(l.key.pool)
+	if err != nil {
+		for _, m := range live {
+			m.deliver(errorOutcome(http.StatusInternalServerError, codeInternalError, err.Error(), 0))
+		}
+		return
+	}
+	defer release()
+
+	sres, segs, err := s.runSegments(sess, l.key, live, groups)
+	if err != nil {
+		var fe *repro.FaultError
+		switch {
+		case errors.As(err, &fe):
+			s.faultLane(l.key.pool, live, sess, fe, segs, len(groups))
+		case len(live) > 1:
+			// The combined build failed — typically one member's batch is
+			// invalid against the catalog. Run each member as its own lane of
+			// one, so an innocent member is never 400'd for a peer's request.
+			for _, m := range live {
+				s.runLane(&lane{key: l.key, members: []*batchMember{m}})
+			}
+		default:
+			// The request's own fault: a batch invalid against the catalog
+			// (unknown tables/columns, malformed predicates) or a checkpoint
+			// from another search space. Suspended segments stay charged.
+			status, code := http.StatusBadRequest, codeBadRequest
+			if errors.Is(err, repro.ErrResumeMismatch) {
+				status, code = http.StatusConflict, codeResumeMismatch
+			}
+			live[0].deliver(errorOutcome(status, code, err.Error(), repro.MergeSegments(segs).OracleCalls))
+		}
+		return
+	}
+	// A deadline stop is a breaker failure — a catalog that cannot finish
+	// inside its budgets degrades before it monopolizes the pool.
+	if sres.Telemetry.Stopped == repro.StopTimeBudget {
+		s.breaker.recordFailure(l.key.pool)
+	} else {
+		s.breaker.recordSuccess(l.key.pool)
+	}
+
+	// Split each group's attribution among the members it was coalesced
+	// from. Group attributions conserve against the run exactly
+	// (repro.OptimizeShared's contract) and SplitTelemetry conserves each
+	// group's share exactly, so summing every member's telemetry
+	// reproduces the run's — the invariant the quota charges and the
+	// race-stress audit check.
+	sharers := make([][]int, len(groups)) // group -> positions in live
+	for k, gi := range memberGroup {
+		sharers[gi] = append(sharers[gi], k)
+	}
+	shares := make([]core.Telemetry, len(live))
+	for gi, a := range sres.Attributions {
+		split := repro.SplitTelemetry(a.Telemetry, ones(len(sharers[gi])))
+		for j, k := range sharers[gi] {
+			shares[k] = split[j]
+		}
+	}
+	if s.onLaneComplete != nil {
+		s.onLaneComplete(sres.Telemetry, shares)
+	}
+
+	strategy := l.key.spec.strategy.String()
+	if len(live) == 1 && live[0].resume != nil {
+		strategy = live[0].resume.State.Algorithm // non-nil State: decode-validated
+	}
+	for k, m := range live {
+		a := sres.Attributions[memberGroup[k]]
+		resp := &OptimizeResponse{
+			Tenant:         m.tenant,
+			Strategy:       strategy,
+			Queries:        len(m.batch.Queries),
+			Materialized:   make([]int, 0, len(a.Materialized)),
+			CostMS:         a.Cost,
+			VolcanoMS:      a.VolcanoCost,
+			BenefitMS:      a.Benefit,
+			SharedCreditMS: a.SharedCredit,
+			Plan:           summarizeMemberPlan(sres.Plan, a),
+			Telemetry:      shares[k],
+			BuildNS:        sres.BuildTime.Nanoseconds(),
+			OptNS:          sres.OptTime.Nanoseconds(),
+			ExtractNS:      sres.ExtractTime.Nanoseconds(),
+			QueueWaitNS:    m.queueWait.Nanoseconds(),
+			Degraded:       l.key.degraded,
+			Preemptions:    m.grant.Preemptions(),
+			Batched:        l.batched,
+		}
+		if l.batched {
+			resp.BatchSize = len(live)
+		}
+		for _, g := range a.Materialized {
+			resp.Materialized = append(resp.Materialized, int(g))
+		}
+		// Checkpoints bind to the run's search space and plan text spans
+		// every member's queries: both are only safe to hand out when the
+		// member IS the whole lane.
+		if len(live) == 1 {
+			resp.Checkpoint = sres.Checkpoint
+			if m.planText {
+				resp.PlanText = sres.Plan.String()
+			}
+		}
+		m.deliver(batchOutcome{resp: resp, spent: shares[k].OracleCalls})
+	}
+}
+
+// runSegments drives the lane's one shared run on sess. A lane of one
+// under a checkpoint-capable strategy is preemptible, however it was
+// formed: the scheduler may ask it to suspend at its next round boundary
+// to serve a nearer-deadline request, after which the run yields its
+// slot, waits for a re-grant and resumes from the checkpoint — so the run
+// is a sequence of segments. It returns the final segment's result with
+// the merged telemetry of all of them (the response and the quota charge
+// account the run's work exactly once across the suspensions); on error,
+// segs holds the completed segments' telemetry. A larger lane runs as a
+// single uninterruptible segment: its checkpoint would bind to a combined
+// search space no member can name again, and suspending it would stall
+// every member for one victim's grant.
+func (s *Server) runSegments(sess *repro.Session, key laneKey, live []*batchMember, groups []*logical.Batch) (sres *repro.SharedResult, segs []repro.Telemetry, err error) {
+	// A panic past this point may have corrupted the shared session: pull
+	// it from the pool before letting the caller's backstop answer.
+	defer func() {
+		if rec := recover(); rec != nil {
+			s.pool.quarantine(key.pool, sess)
+			s.breaker.recordFailure(key.pool)
+			panic(rec)
+		}
+	}()
+	ctx, stop := laneContext(live)
+	defer stop()
+
+	m := live[0]
+	var resume *repro.Checkpoint
+	preemptible := false
+	if len(live) == 1 {
+		resume = m.resume
+		preemptible = resume != nil || preemptibleStrategy(key.spec.strategy)
+		defer m.grant.SetPreemptible(false)
+	}
+	for {
+		opts := key.spec.options()
+		if resume != nil {
+			opts = append(opts, repro.WithResume(resume))
+		}
+		if preemptible {
+			m.grant.SetPreemptible(true)
+			opts = append(opts, repro.WithPreemptSignal(m.grant.PreemptRequested))
+		}
+		sres, err = sess.OptimizeShared(ctx, groups, opts...)
+		if err != nil {
+			return nil, segs, err
+		}
+		if sres.Telemetry.Stopped != repro.StopPreempted {
+			break
+		}
+		// Suspended at a round boundary. A nil checkpoint means the
+		// strategy was in a non-checkpointable phase: it still yields, but
+		// restarts from the original request afterwards and stops
+		// volunteering as a victim (the burned segment stays charged).
+		if sres.Checkpoint == nil {
+			preemptible = false
+			m.grant.SetPreemptible(false)
+			resume = m.resume
+		} else {
+			resume = sres.Checkpoint
+		}
+		if yerr := m.grant.Yield(m.ctx); yerr != nil {
+			// No re-grant (queue-wait timeout or the client left): stop
+			// here. The suspended segment's committed prefix plus its
+			// checkpoint is exactly the shape of a budget stop, so it
+			// becomes the normal response.
+			s.logf("server: %s: preempted run not resumed: %v", m.tenant, yerr)
+			break
+		}
+		segs = append(segs, sres.Telemetry)
+	}
+	if len(segs) > 0 {
+		// Only a lane of one is ever suspended, so the run has one group.
+		merged := repro.MergeSegments(append(segs, sres.Telemetry))
+		sres.Telemetry, sres.Attributions[0].Telemetry = merged, merged
+	}
+	return sres, segs, nil
+}
+
+// laneContext is the context of the lane's shared run. A lane of one runs
+// under its member's request context; a larger lane's run is cancelled
+// only when EVERY member's client is gone — one disconnect must not abort
+// the run the others are riding.
+func laneContext(live []*batchMember) (context.Context, func()) {
+	if len(live) == 1 {
+		return live[0].ctx, func() {}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var remaining atomic.Int32
+	remaining.Store(int32(len(live)))
+	stops := make([]func() bool, 0, len(live))
+	for _, m := range live {
+		stops = append(stops, context.AfterFunc(m.ctx, func() {
+			if remaining.Add(-1) == 0 {
+				cancel()
+			}
+		}))
+	}
+	return ctx, func() {
+		for _, stop := range stops {
+			stop()
+		}
+		cancel()
+	}
+}
+
+// faultLane answers every live member of a run stopped by a panic the
+// optimizer recovered: one incident, one quarantine, one breaker failure —
+// but each member is charged its exact telemetry share of the work the
+// run burned before the panic (and in the segments before it), so the
+// fault costs tenants what it actually cost the server.
+func (s *Server) faultLane(pool poolKey, live []*batchMember, sess *repro.Session, fe *repro.FaultError, segs []repro.Telemetry, nGroups int) {
+	id := s.incident()
+	s.panics.Add(1)
+	s.pool.quarantine(pool, sess)
+	s.breaker.recordFailure(pool)
+	s.logf("server: lane %s: optimization faulted (incident %s): %v", pool, id, fe.Panic)
+	burned := repro.MergeSegments(append(segs, fe.Telemetry))
+	shares := repro.SplitTelemetry(burned, ones(len(live)))
+	if s.onLaneFault != nil {
+		s.onLaneFault(burned, shares)
+	}
+	for k, m := range live {
+		o := incidentOutcome("optimization faulted", id, shares[k].OracleCalls)
+		// A checkpoint from a combined run only resumes the combined
+		// batch; hand it out only when this member is the whole run.
+		if len(live) == 1 && nGroups == 1 {
+			o.body.Checkpoint = fe.Checkpoint
+		}
+		m.deliver(o)
+	}
+}
+
+// ones is the equal-weights vector of SplitTelemetry.
+func ones(n int) []int {
+	w := make([]int, n)
+	for i := range w {
+		w[i] = 1
+	}
+	return w
+}
+
+// summarizeMemberPlan renders one member's slice of the run's plan: the
+// materialization steps its attribution owns a share of, and exactly its
+// queries' plans — the whole plan for a lane of one. TotalMS is the
+// member's attributed cost, so a client summing its own responses
+// reconstructs the batch totals.
+func summarizeMemberPlan(cp *physical.ConsolidatedPlan, a repro.Attribution) PlanSummary {
+	ps := PlanSummary{
+		Steps:   make([]StepSummary, 0, len(a.Materialized)),
+		Queries: make([]QuerySummary, 0, a.QueryCount),
+		TotalMS: a.Cost,
+	}
+	for _, st := range cp.Steps {
+		if !a.Set.Has(st.Group) {
+			continue
+		}
+		ps.Steps = append(ps.Steps, StepSummary{
+			Group:       int(st.Group),
+			Op:          st.Plan.Op,
+			Rows:        st.Plan.Rows,
+			CostMS:      st.Plan.Cost,
+			WriteCostMS: st.WriteCost,
+		})
+	}
+	for i := a.QueryOffset; i < a.QueryOffset+a.QueryCount && i < len(cp.Queries); i++ {
+		name := ""
+		if i < len(cp.QueryNames) {
+			name = cp.QueryNames[i]
+		}
+		ps.Queries = append(ps.Queries, QuerySummary{
+			Name:      name,
+			Operators: countOps(cp.Queries[i]),
+			CostMS:    cp.Queries[i].Cost,
+		})
+	}
+	return ps
+}

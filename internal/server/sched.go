@@ -19,7 +19,7 @@ const (
 
 // SchedConfig parameterizes the scheduler policy layer over the shared
 // worker-slot pool. The zero value has no shared slots, so only the
-// per-tenant limits bind — the legacy per-tenant FIFO behavior.
+// per-tenant limits bind and freed slots go out in arrival order.
 type SchedConfig struct {
 	// Slots is the shared worker-slot pool all tenants compete for
 	// (0 = unbounded: per-tenant MaxConcurrent alone limits concurrency).
@@ -63,7 +63,7 @@ type Grant struct {
 	// preempt is the scheduler's suspend request; the run polls it at
 	// round boundaries (repro.WithPreemptSignal).
 	preempt atomic.Bool
-	// preemptible marks the run suspendable: a solo run under a
+	// preemptible marks the run suspendable: a lane of one under a
 	// resumable strategy. Only preemptible grants are chosen as victims.
 	preemptible atomic.Bool
 
@@ -94,7 +94,7 @@ func (g *Grant) newWaiter(resume bool) *waiter {
 func (g *Grant) PreemptRequested() bool { return g.preempt.Load() }
 
 // SetPreemptible marks the grant's run suspendable at round boundaries
-// (set it only for solo runs under a checkpoint-capable strategy).
+// (set it only for a lane of one under a checkpoint-capable strategy).
 func (g *Grant) SetPreemptible(on bool) { g.preemptible.Store(on) }
 
 // Preemptions reports how many times this grant's run was suspended.

@@ -275,26 +275,26 @@ func manualClock(a *Admission) func(time.Duration) {
 // the burst cap, rejection happens at zero, and Retry-After reports the
 // exact time until one whole token exists.
 func TestTokenBucketRefill(t *testing.T) {
-	a := NewAdmission(TenantConfig{
+	a := NewScheduler(TenantConfig{
 		MaxConcurrent: 4, QueueDepth: 8, QueueWaitMS: 60000,
 		CallQuota: 100, RefillPerSec: 10, QuotaBurst: 100,
-	}, nil, false)
+	}, nil, false, SchedConfig{})
 	advance := manualClock(a)
 	ctx := context.Background()
 
 	// Spend the whole bucket in one run.
-	rel, err := a.Acquire(ctx, "t")
+	rel, err := a.AcquireGrant(ctx, AdmitRequest{Tenant: "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel(100)
+	rel.Release(100)
 	st := a.Stats()["t"]
 	if st.QuotaRemaining != 0 || st.QuotaSpent != 100 {
 		t.Fatalf("after spend: remaining=%v spent=%d, want 0/100", st.QuotaRemaining, st.QuotaSpent)
 	}
 	// Empty bucket rejects, and Retry-After is the exact refill time:
 	// 1 token at 10 tokens/sec = 100ms.
-	if _, err := a.Acquire(ctx, "t"); !errors.Is(err, ErrQuotaExhausted) {
+	if _, err := a.AcquireGrant(ctx, AdmitRequest{Tenant: "t"}); !errors.Is(err, ErrQuotaExhausted) {
 		t.Fatalf("acquire on empty bucket = %v, want ErrQuotaExhausted", err)
 	}
 	if d := a.RetryAfter("t", ErrQuotaExhausted); d != 100*time.Millisecond {
@@ -309,11 +309,11 @@ func TestTokenBucketRefill(t *testing.T) {
 	if st := a.Stats()["t"]; st.QuotaRemaining != 5 {
 		t.Fatalf("after 500ms: remaining=%v, want 5", st.QuotaRemaining)
 	}
-	rel, err = a.Acquire(ctx, "t")
+	rel, err = a.AcquireGrant(ctx, AdmitRequest{Tenant: "t"})
 	if err != nil {
 		t.Fatalf("acquire after refill: %v", err)
 	}
-	rel(5)
+	rel.Release(5)
 	// The bucket never exceeds its burst cap, however long it idles.
 	advance(time.Hour)
 	if st := a.Stats()["t"]; st.QuotaRemaining != 100 {
@@ -325,22 +325,22 @@ func TestTokenBucketRefill(t *testing.T) {
 // bucket holds drives it negative (the run was already admitted; the debt
 // is real) and that refill pays the debt before serving new requests.
 func TestTokenBucketOverspendDebt(t *testing.T) {
-	a := NewAdmission(TenantConfig{
+	a := NewScheduler(TenantConfig{
 		MaxConcurrent: 4, QueueDepth: 8, QueueWaitMS: 60000,
 		CallQuota: 50, RefillPerSec: 100,
-	}, nil, false)
+	}, nil, false, SchedConfig{})
 	advance := manualClock(a)
 	ctx := context.Background()
 
-	rel, err := a.Acquire(ctx, "t")
+	rel, err := a.AcquireGrant(ctx, AdmitRequest{Tenant: "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel(80) // 30 over the bucket
+	rel.Release(80) // 30 over the bucket
 	if st := a.Stats()["t"]; st.QuotaRemaining != -30 {
 		t.Fatalf("after overspend: remaining=%v, want -30", st.QuotaRemaining)
 	}
-	if _, err := a.Acquire(ctx, "t"); !errors.Is(err, ErrQuotaExhausted) {
+	if _, err := a.AcquireGrant(ctx, AdmitRequest{Tenant: "t"}); !errors.Is(err, ErrQuotaExhausted) {
 		t.Fatalf("acquire in debt = %v, want ErrQuotaExhausted", err)
 	}
 	// 31 tokens at 100/sec: the debt plus one whole token takes 310ms.
@@ -348,34 +348,34 @@ func TestTokenBucketOverspendDebt(t *testing.T) {
 		t.Fatalf("RetryAfter = %v, want exactly 310ms", d)
 	}
 	advance(310 * time.Millisecond)
-	rel, err = a.Acquire(ctx, "t")
+	rel, err = a.AcquireGrant(ctx, AdmitRequest{Tenant: "t"})
 	if err != nil {
 		t.Fatalf("acquire after debt repaid: %v", err)
 	}
-	rel(0)
+	rel.Release(0)
 }
 
-// TestTokenBucketManualResetOnly pins the legacy regime (RefillPerSec 0):
+// TestTokenBucketManualResetOnly pins the no-refill quota (RefillPerSec 0):
 // an exhausted bucket stays exhausted — NextAdmitMS answers 0 ("waiting
 // will not help") — until ResetQuota refills it to capacity.
 func TestTokenBucketManualResetOnly(t *testing.T) {
-	a := NewAdmission(TenantConfig{
+	a := NewScheduler(TenantConfig{
 		MaxConcurrent: 4, QueueDepth: 8, QueueWaitMS: 60000, CallQuota: 10,
-	}, nil, false)
+	}, nil, false, SchedConfig{})
 	advance := manualClock(a)
 	ctx := context.Background()
 
-	rel, err := a.Acquire(ctx, "t")
+	rel, err := a.AcquireGrant(ctx, AdmitRequest{Tenant: "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel(10)
+	rel.Release(10)
 	advance(time.Hour) // no refill rate: time changes nothing
 	st := a.Stats()["t"]
 	if st.QuotaRemaining != 0 || st.NextAdmitMS != 0 {
 		t.Fatalf("exhausted manual bucket: remaining=%v nextAdmit=%d, want 0/0", st.QuotaRemaining, st.NextAdmitMS)
 	}
-	if _, err := a.Acquire(ctx, "t"); !errors.Is(err, ErrQuotaExhausted) {
+	if _, err := a.AcquireGrant(ctx, AdmitRequest{Tenant: "t"}); !errors.Is(err, ErrQuotaExhausted) {
 		t.Fatalf("acquire = %v, want ErrQuotaExhausted", err)
 	}
 	if !a.ResetQuota("t") {
@@ -385,11 +385,11 @@ func TestTokenBucketManualResetOnly(t *testing.T) {
 	if st.QuotaRemaining != 10 || st.QuotaSpent != 0 {
 		t.Fatalf("after reset: remaining=%v spent=%d, want 10/0", st.QuotaRemaining, st.QuotaSpent)
 	}
-	rel, err = a.Acquire(ctx, "t")
+	rel, err = a.AcquireGrant(ctx, AdmitRequest{Tenant: "t"})
 	if err != nil {
 		t.Fatalf("acquire after reset: %v", err)
 	}
-	rel(0)
+	rel.Release(0)
 }
 
 // TestSchedPreemptVictimSelection pins maybePreemptLocked's choice: a
@@ -572,7 +572,7 @@ func TestSchedResumeAheadOfLaterArrivals(t *testing.T) {
 // TestSchedGrantReleaseIdempotent pins the exactly-once release contract:
 // double Release must not double-charge quota or free a slot twice.
 func TestSchedGrantReleaseIdempotent(t *testing.T) {
-	a := NewAdmission(TenantConfig{MaxConcurrent: 2, QueueDepth: 8, QueueWaitMS: 60000, CallQuota: 100}, nil, false)
+	a := NewScheduler(TenantConfig{MaxConcurrent: 2, QueueDepth: 8, QueueWaitMS: 60000, CallQuota: 100}, nil, false, SchedConfig{})
 	g, err := a.AcquireGrant(context.Background(), AdmitRequest{Tenant: "t"})
 	if err != nil {
 		t.Fatal(err)

@@ -51,13 +51,12 @@ type Config struct {
 	// open serving after repeated faults).
 	Breaker BreakerConfig
 	// Batch parameterizes cross-request continuous batching; the zero
-	// value disables it and every request is served solo.
+	// value disables it and every request is served as a lane of one.
 	Batch BatchConfig
 	// Sched parameterizes the scheduler policy layer over a shared
 	// worker-slot pool: deficit-round-robin weighted-fair dispatch,
 	// deadline-aware cut-ahead and preemption (see SchedConfig). The zero
-	// value has no shared slots, which keeps the legacy behavior of
-	// per-tenant limits alone.
+	// value has no shared slots: only the per-tenant limits bind.
 	Sched SchedConfig
 	// Logger receives request-level diagnostics; nil discards them.
 	Logger *log.Logger
@@ -115,6 +114,14 @@ type Server struct {
 	// deterministic point (filling slots and queues) and to observe the
 	// request context.
 	preOptimize func(ctx context.Context, req *OptimizeRequest)
+	// onLaneComplete, when non-nil, observes every successful lane run:
+	// the run's total telemetry and the per-member shares it was split
+	// into. The race-stress conservation audit hangs off it.
+	onLaneComplete func(total core.Telemetry, shares []core.Telemetry)
+	// onLaneFault mirrors onLaneComplete for faulted runs: the telemetry
+	// the run burned before its panic and the conserving per-member shares
+	// it was charged out as.
+	onLaneFault func(total core.Telemetry, shares []core.Telemetry)
 }
 
 // New builds a Server over its config.
@@ -204,11 +211,7 @@ func (s *Server) recoverPanics(next http.Handler) http.Handler {
 			s.panics.Add(1)
 			s.logf("server: %s %s: panic recovered (incident %s): %v", r.Method, r.URL.Path, id, rec)
 			if !tw.wrote {
-				writeJSON(tw, http.StatusInternalServerError, errorBody{
-					Error:    "internal error (incident " + id + ")",
-					Code:     codeInternalPanic,
-					Incident: id,
-				})
+				incidentOutcome("internal error", id, 0).write(tw)
 			}
 		}()
 		next.ServeHTTP(tw, r)
@@ -270,8 +273,8 @@ func requestCost(req *OptimizeRequest) int {
 }
 
 // preemptibleStrategy reports whether a strategy checkpoints at round
-// boundaries, which is what makes its solo runs safe to suspend and
-// resume bit-identically.
+// boundaries, which is what makes a lane of one running it safe to suspend
+// and resume bit-identically.
 func preemptibleStrategy(s core.Strategy) bool {
 	switch s {
 	case core.Greedy, core.LazyGreedyStrategy, core.MarginalGreedy, core.LazyMarginalGreedy:
@@ -381,30 +384,57 @@ func (rs runSpec) options() []repro.Option {
 	return opts
 }
 
+// decodeOptimize reads and validates one optimize request: everything
+// that is a pure function of the body, the headers and the config is
+// checked here, before admission, so a request that can only ever be a 4xx
+// never occupies a scheduler slot, waits in a tenant queue or draws DRR
+// deficit. ok=false means the error response has been written.
+func (s *Server) decodeOptimize(w http.ResponseWriter, r *http.Request) (req *OptimizeRequest, tenant string, key poolKey, ok bool) {
+	fail := func(status int, code, msg string) (*OptimizeRequest, string, poolKey, bool) {
+		writeError(w, status, code, msg, 0)
+		return nil, "", poolKey{}, false
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		return fail(http.StatusRequestEntityTooLarge, codeBodyTooLarge, "request body too large")
+	case err != nil:
+		return fail(http.StatusBadRequest, codeBadRequest, "reading request body: "+err.Error())
+	}
+	req, err = decodeOptimizeRequest(body, s.cfg.MaxQueries)
+	if err != nil {
+		return fail(http.StatusBadRequest, codeBadRequest, err.Error())
+	}
+	tenant = tenantOf(r, req)
+	if !validTenantName(tenant) {
+		return fail(http.StatusBadRequest, codeBadRequest,
+			fmt.Sprintf("tenant name must be 1..%d printable non-space ASCII characters", maxTenantNameLen))
+	}
+	sf := req.SF
+	if sf == 0 {
+		sf = s.cfg.DefaultSF
+	}
+	if !slices.Contains(s.cfg.AllowedSFs, sf) {
+		return fail(http.StatusBadRequest, codeBadRequest,
+			fmt.Sprintf("sf %v is not served; allowed scale factors: %v", sf, s.cfg.AllowedSFs))
+	}
+	return req, tenant, poolKey{sf: sf, extended: req.ExtendedOps}, true
+}
+
+// handleOptimize is the one request pipeline: decode → validate → admit →
+// build → lane of ≥ 1 → one shared run → attribute → encode. With
+// batching off, or for a request carrying a resume checkpoint (which
+// binds to its own search space and so cannot share a run), the handler
+// forms a lane of one and runs it here; otherwise the batcher decides who
+// else is in the lane. Either way Server.runLane serves it.
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, codeDraining, "server is draining", 5*time.Second)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, codeBodyTooLarge, "request body too large", 0)
-			return
-		}
-		writeError(w, http.StatusBadRequest, codeBadRequest, "reading request body: "+err.Error(), 0)
-		return
-	}
-	req, err := decodeOptimizeRequest(body, s.cfg.MaxQueries)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error(), 0)
-		return
-	}
-	tenantName := tenantOf(r, req)
-	if !validTenantName(tenantName) {
-		writeError(w, http.StatusBadRequest, codeBadRequest,
-			fmt.Sprintf("tenant name must be 1..%d printable non-space ASCII characters", maxTenantNameLen), 0)
+	req, tenantName, key, ok := s.decodeOptimize(w, r)
+	if !ok {
 		return
 	}
 	ctx := r.Context()
@@ -434,17 +464,6 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error(), 0)
 		return
 	}
-	sf := req.SF
-	if sf == 0 {
-		sf = s.cfg.DefaultSF
-	}
-	if !slices.Contains(s.cfg.AllowedSFs, sf) {
-		writeError(w, http.StatusBadRequest, codeBadRequest,
-			fmt.Sprintf("sf %v is not served; allowed scale factors: %v", sf, s.cfg.AllowedSFs), 0)
-		return
-	}
-	key := poolKey{sf: sf, extended: req.ExtendedOps}
-
 	degraded, retry, admitted := s.breaker.admit(key)
 	if !admitted {
 		writeError(w, http.StatusServiceUnavailable, codeBreakerOpen,
@@ -455,177 +474,31 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	if degraded {
 		degCfg = &s.cfg.Breaker
 	}
-	tenantCfg := s.adm.Config(tenantName)
 
-	// Continuous batching: an admitted, breaker-cleared request without a
-	// resume checkpoint enqueues into its lane and blocks for its
-	// attributed slice of the shared run (checkpoints bind to a single
-	// search space, so resume stays on the solo path). The outcome always
-	// arrives — the run path is panic-isolated — and carries the member's
-	// exact oracle-call share for the quota charge.
+	lk := laneKey{pool: key, spec: effectiveSpec(req, s.adm.Config(tenantName), degCfg), degraded: degraded}
+	m := &batchMember{
+		ctx:       ctx,
+		batch:     batch,
+		tenant:    tenantName,
+		planText:  req.PlanText,
+		queueWait: queueWait,
+		grant:     g,
+		resume:    req.Resume,
+		outcome:   make(chan batchOutcome, 1),
+	}
+	// The outcome always arrives — the batcher's run path is panic-isolated
+	// and a panic in the handler's own lane unwinds to the middleware — and
+	// carries the member's exact oracle-call share for the quota charge.
+	var out batchOutcome
 	if s.batcher != nil && req.Resume == nil {
-		fp, _ := batchFingerprint(batch)
-		out := s.batcher.submit(
-			laneKey{pool: key, spec: effectiveSpec(req, tenantCfg, degCfg), degraded: degraded},
-			&batchMember{
-				ctx:      ctx,
-				batch:    batch,
-				fp:       fp,
-				tenant:   tenantName,
-				planText: req.PlanText,
-				outcome:  make(chan batchOutcome, 1),
-			})
-		spent = out.spent
-		switch {
-		case out.cancelled:
-			w.WriteHeader(499) // the client is gone; nginx's convention
-		case out.resp != nil:
-			out.resp.Tenant = tenantName
-			out.resp.QueueWaitNS = queueWait.Nanoseconds()
-			writeJSON(w, http.StatusOK, out.resp)
-		default:
-			writeJSON(w, out.status, out.body)
-		}
-		return
-	}
-
-	sess, poolRelease, err := s.pool.acquire(key)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, codeInternalError, err.Error(), 0)
-		return
-	}
-	defer poolRelease()
-	// A panic past this point may have corrupted the shared session: pull
-	// it from the pool before letting the middleware answer the request.
-	defer func() {
-		if rec := recover(); rec != nil {
-			s.pool.quarantine(key, sess)
-			s.breaker.recordFailure(key)
-			panic(rec)
-		}
-	}()
-
-	rs := effectiveSpec(req, tenantCfg, degCfg)
-	stratName := rs.strategy.String()
-	resume := req.Resume
-	if resume != nil {
-		stratName = resume.State.Algorithm // non-nil State: decode-validated
-	}
-	// A solo run under a checkpoint-capable strategy is preemptible: the
-	// scheduler may ask it to suspend at its next round boundary to serve a
-	// nearer-deadline request, after which the handler yields the slot,
-	// waits for a re-grant and resumes from the checkpoint. Segment
-	// telemetry is merged so the response — and the quota charge — account
-	// the run's work exactly once across the suspensions.
-	preemptible := resume != nil || preemptibleStrategy(rs.strategy)
-	var segs []repro.Telemetry
-	var res *repro.RunResult
-	for {
-		runOpts := rs.options()
-		if resume != nil {
-			runOpts = append(runOpts, repro.WithResume(resume))
-		}
-		if preemptible {
-			g.SetPreemptible(true)
-			runOpts = append(runOpts, repro.WithPreemptSignal(g.PreemptRequested))
-		}
-		res, err = sess.Optimize(ctx, batch, runOpts...)
-		if err != nil {
-			g.SetPreemptible(false)
-			for _, t := range segs {
-				spent += t.OracleCalls
-			}
-			var fe *repro.FaultError
-			switch {
-			case errors.As(err, &fe):
-				// A worker panic was recovered inside the optimizer: answer
-				// with an incident id (plus any resumable state the run had
-				// committed), quarantine the session, and charge the tenant
-				// for the work the faulted run did burn.
-				id := s.incident()
-				s.panics.Add(1)
-				s.pool.quarantine(key, sess)
-				s.breaker.recordFailure(key)
-				s.logf("server: %s: optimization faulted (incident %s): %v", tenantName, id, fe.Panic)
-				spent += fe.Telemetry.OracleCalls
-				writeJSON(w, http.StatusInternalServerError, errorBody{
-					Error:      "optimization faulted (incident " + id + ")",
-					Code:       codeInternalPanic,
-					Incident:   id,
-					Checkpoint: fe.Checkpoint,
-				})
-			case errors.Is(err, repro.ErrResumeMismatch):
-				writeError(w, http.StatusConflict, codeResumeMismatch, err.Error(), 0)
-			default:
-				// NewOptimizer rejects batches that are invalid against the
-				// catalog (unknown tables/columns, malformed predicates): the
-				// request's fault, not the server's.
-				writeError(w, http.StatusBadRequest, codeBadRequest, err.Error(), 0)
-			}
-			return
-		}
-		if res.Telemetry.Stopped != repro.StopPreempted {
-			break
-		}
-		// Suspended at a round boundary. A nil checkpoint means the
-		// strategy was in a non-checkpointable phase: it still yields, but
-		// restarts from the original request afterwards and stops
-		// volunteering as a victim (the burned segment stays charged).
-		if res.Checkpoint == nil {
-			preemptible = false
-			g.SetPreemptible(false)
-			resume = req.Resume
-		} else {
-			resume = res.Checkpoint
-		}
-		if yerr := g.Yield(ctx); yerr != nil {
-			// No re-grant (queue-wait timeout or the client left): stop
-			// here. The suspended segment's committed prefix plus its
-			// checkpoint is exactly the shape of a budget stop, so it
-			// falls through to the normal response.
-			s.logf("server: %s: preempted run not resumed: %v", tenantName, yerr)
-			break
-		}
-		segs = append(segs, res.Telemetry)
-	}
-	g.SetPreemptible(false)
-	if len(segs) > 0 {
-		res.Telemetry = repro.MergeSegments(append(segs, res.Telemetry))
-	}
-	spent = res.Telemetry.OracleCalls
-	// A deadline stop is a breaker failure — a catalog that cannot finish
-	// inside its budgets degrades before it monopolizes the pool.
-	if res.Telemetry.Stopped == repro.StopTimeBudget {
-		s.breaker.recordFailure(key)
+		m.fp, _ = batchFingerprint(batch) // only a shared lane coalesces
+		out = s.batcher.submit(lk, m)
 	} else {
-		s.breaker.recordSuccess(key)
+		s.runLane(&lane{key: lk, members: []*batchMember{m}})
+		out = <-m.outcome
 	}
-
-	resp := &OptimizeResponse{
-		Tenant:       tenantName,
-		Strategy:     stratName,
-		Queries:      len(batch.Queries),
-		Materialized: make([]int, 0, len(res.Materialized)),
-		CostMS:       res.Cost,
-		VolcanoMS:    res.VolcanoCost,
-		BenefitMS:    res.Benefit,
-		Plan:         summarizePlan(res.Plan),
-		Telemetry:    res.Telemetry,
-		BuildNS:      res.BuildTime.Nanoseconds(),
-		OptNS:        res.OptTime.Nanoseconds(),
-		ExtractNS:    res.ExtractTime.Nanoseconds(),
-		QueueWaitNS:  queueWait.Nanoseconds(),
-		Checkpoint:   res.Checkpoint,
-		Degraded:     degraded,
-		Preemptions:  g.Preemptions(),
-	}
-	for _, g := range res.Materialized {
-		resp.Materialized = append(resp.Materialized, int(g))
-	}
-	if req.PlanText {
-		resp.PlanText = res.Plan.String()
-	}
-	writeJSON(w, http.StatusOK, resp)
+	spent = out.spent
+	out.write(w)
 }
 
 // rejected maps an admission error onto its HTTP status.

@@ -404,10 +404,42 @@ func TestServerCallBudgetZero(t *testing.T) {
 	}
 }
 
-// TestServerClientDisconnectCancels: when the client goes away, the
-// request context cancels the optimization between rounds and the handler
-// returns promptly, freeing the tenant slot; the interrupted call is
-// visible in the session stats.
+// TestServerBadSFRejectedBeforeAdmission: the sf allowlist is a pure
+// function of the request and the config, so it is checked before
+// admission — a request that can only ever be a 400 gets it at once even
+// when the tenant's single slot is held, instead of queueing behind it
+// (and possibly timing out of the queue with a 503), and it never counts
+// as admitted.
+func TestServerBadSFRejectedBeforeAdmission(t *testing.T) {
+	srv, started, gate := blockingServer(Config{
+		DefaultTenant: TenantConfig{MaxConcurrent: 1, QueueDepth: 4, QueueWaitMS: 60000},
+	})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	held := make(chan int, 1)
+	go func() {
+		resp, _ := postOptimize(t, ts.URL, tinySQL, nil)
+		held <- resp.StatusCode
+	}()
+	<-started // the only slot is now held
+
+	resp, data := postOptimize(t, ts.URL, `{"sql": "SELECT l.tax FROM lineitem l", "sf": 1.001}`, nil)
+	var eb errorBody
+	if err := json.Unmarshal(data, &eb); err != nil || resp.StatusCode != http.StatusBadRequest || eb.Code != codeBadRequest {
+		t.Fatalf("bad sf behind a held slot: status %d body %s, want an immediate 400", resp.StatusCode, data)
+	}
+	if st := srv.Admission().Stats()["default"]; st.Admitted != 1 || st.Queued != 0 {
+		t.Fatalf("tenant stats %+v: the bad-sf request must not have been admitted or queued", st)
+	}
+	close(gate)
+	if status := <-held; status != http.StatusOK {
+		t.Fatalf("held request: status %d", status)
+	}
+}
+
+// TestServerClientDisconnectCancels: when the client goes away while its
+// request is admitted but not yet running, the handler returns promptly,
+// freeing the tenant slot, and no optimizer work is spent on it.
 func TestServerClientDisconnectCancels(t *testing.T) {
 	srv := New(Config{DefaultTenant: TenantConfig{MaxConcurrent: 1}})
 	entered := make(chan struct{}, 1)
@@ -458,17 +490,24 @@ func TestServerClientDisconnectCancels(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-cancel request status = %d: %s", resp.StatusCode, data)
 	}
-	// The cancelled run was admitted, ran against the session with a dead
-	// context, and was recorded as interrupted (StopCancelled) — telemetry
-	// is charged exactly once even when the client is gone.
-	waitFor(t, func() bool {
-		for _, p := range srv.pool.stats() {
-			if p.Session.Interrupted >= 1 {
-				return true
-			}
-		}
-		return false
-	})
+	// The request's client left before its lane ran, so it was excised:
+	// admitted and completed, but never part of a run — the session saw
+	// only the post-cancel request and the tenant was charged only for it.
+	// (A disconnect that lands mid-run cancels the run through the same
+	// context; the Session cancellation tests pin that half.)
+	var or OptimizeResponse
+	if err := json.Unmarshal(data, &or); err != nil {
+		t.Fatal(err)
+	}
+	ps := srv.pool.stats()
+	if len(ps) != 1 || ps[0].Session.Batches != 1 || ps[0].Session.Interrupted != 0 {
+		t.Fatalf("pool stats %+v: want one session that ran exactly the post-cancel request", ps)
+	}
+	st := srv.Admission().Stats()["default"]
+	if st.Completed != 2 || st.QuotaSpent != int64(or.Telemetry.OracleCalls) {
+		t.Fatalf("tenant completed=%d spent=%d, want 2 completed and only the live request's %d calls charged",
+			st.Completed, st.QuotaSpent, or.Telemetry.OracleCalls)
+	}
 }
 
 // TestServerGracefulDrain: draining rejects new work with 503 (and flips

@@ -213,36 +213,6 @@ type QuerySummary struct {
 	CostMS    float64 `json:"cost_ms"`
 }
 
-// summarizePlan flattens a ConsolidatedPlan into the wire summary.
-func summarizePlan(cp *physical.ConsolidatedPlan) PlanSummary {
-	ps := PlanSummary{
-		Steps:   make([]StepSummary, 0, len(cp.Steps)),
-		Queries: make([]QuerySummary, 0, len(cp.Queries)),
-		TotalMS: cp.Total,
-	}
-	for _, st := range cp.Steps {
-		ps.Steps = append(ps.Steps, StepSummary{
-			Group:       int(st.Group),
-			Op:          st.Plan.Op,
-			Rows:        st.Plan.Rows,
-			CostMS:      st.Plan.Cost,
-			WriteCostMS: st.WriteCost,
-		})
-	}
-	for i, q := range cp.Queries {
-		name := ""
-		if i < len(cp.QueryNames) {
-			name = cp.QueryNames[i]
-		}
-		ps.Queries = append(ps.Queries, QuerySummary{
-			Name:      name,
-			Operators: countOps(q),
-			CostMS:    q.Cost,
-		})
-	}
-	return ps
-}
-
 func countOps(p *physical.PlanNode) int {
 	if p == nil {
 		return 0

@@ -1,6 +1,7 @@
 package tpcd
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -36,7 +37,7 @@ func TestQ15SharesLineitemSlice(t *testing.T) {
 	if !found {
 		t.Error("Q15's σ(lineitem) slice should be shareable (used by both view references)")
 	}
-	r := core.Run(opt, core.MarginalGreedy)
+	r := core.RunWith(context.Background(), opt, core.MarginalGreedy, core.Config{})
 	if r.Benefit <= 0 {
 		t.Error("Q15 internal sharing produced no benefit")
 	}
@@ -56,7 +57,7 @@ func TestQ2InnerOuterShareJoin(t *testing.T) {
 	if shared == 0 {
 		t.Error("Q2 has no shared join groups between inner and outer blocks")
 	}
-	r := core.Run(opt, core.MarginalGreedy)
+	r := core.RunWith(context.Background(), opt, core.MarginalGreedy, core.Config{})
 	if r.Benefit <= 0 {
 		t.Error("Q2 correlated-subquery sharing produced no benefit")
 	}
@@ -65,8 +66,8 @@ func TestQ2InnerOuterShareJoin(t *testing.T) {
 func TestQ2DBatchSharesMore(t *testing.T) {
 	// Q2-D (the decorrelated batch) exposes the whole inner aggregate for
 	// sharing, so its MQO benefit must be at least Q2's.
-	q2 := core.Run(optimize(t, single(Q2())), core.MarginalGreedy)
-	q2d := core.Run(optimize(t, Q2D()), core.MarginalGreedy)
+	q2 := core.RunWith(context.Background(), optimize(t, single(Q2())), core.MarginalGreedy, core.Config{})
+	q2d := core.RunWith(context.Background(), optimize(t, Q2D()), core.MarginalGreedy, core.Config{})
 	if q2d.Benefit < q2.Benefit {
 		t.Errorf("Q2-D benefit %.0f below Q2 benefit %.0f", q2d.Benefit, q2.Benefit)
 	}
@@ -109,8 +110,8 @@ func TestSubsumptionPairQ10(t *testing.T) {
 	b.Add(Q10(VariantA))
 	b.Add(Q10(VariantB))
 	opt := optimize(t, b)
-	v := core.Run(opt, core.Volcano)
-	g := core.Run(opt, core.Greedy)
+	v := core.RunWith(context.Background(), opt, core.Volcano, core.Config{})
+	g := core.RunWith(context.Background(), opt, core.Greedy, core.Config{})
 	if g.Cost >= v.Cost {
 		t.Errorf("Q10 pair: no benefit (%.0f vs %.0f)", g.Cost, v.Cost)
 	}
@@ -121,8 +122,8 @@ func TestGreedyGainsInPaperRange(t *testing.T) {
 	// check: every batch gains at least 20%, none gains more than 70%.
 	for i := 1; i <= 6; i++ {
 		opt := optimize(t, BQ(i))
-		v := core.Run(opt, core.Volcano)
-		g := core.Run(opt, core.Greedy)
+		v := core.RunWith(context.Background(), opt, core.Volcano, core.Config{})
+		g := core.RunWith(context.Background(), opt, core.Greedy, core.Config{})
 		gain := (v.Cost - g.Cost) / v.Cost
 		if gain < 0.20 || gain > 0.70 {
 			t.Errorf("BQ%d Greedy gain %.0f%% outside the expected 20–70%% band", i, gain*100)
@@ -135,8 +136,8 @@ func TestMarginalGreedyMaterializesAtLeastAsMany(t *testing.T) {
 	// moderate-benefit nodes.
 	for i := 2; i <= 6; i++ {
 		opt := optimize(t, BQ(i))
-		g := core.Run(opt, core.Greedy)
-		m := core.Run(opt, core.MarginalGreedy)
+		g := core.RunWith(context.Background(), opt, core.Greedy, core.Config{})
+		m := core.RunWith(context.Background(), opt, core.MarginalGreedy, core.Config{})
 		if len(m.Materialized) < len(g.Materialized) {
 			t.Errorf("BQ%d: MarginalGreedy materialized %d < Greedy's %d",
 				i, len(m.Materialized), len(g.Materialized))

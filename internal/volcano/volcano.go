@@ -44,15 +44,10 @@ func (o *Optimizer) BestCost(s physical.NodeSet) float64 {
 	return o.Searcher.BestCost(s)
 }
 
-// BestCostBatch evaluates bc(S) for many sets concurrently; results are
-// bit-identical to sequential BestCost calls in input order.
-func (o *Optimizer) BestCostBatch(sets []physical.NodeSet) []float64 {
-	return o.Searcher.BestCostBatch(sets)
-}
-
-// BestCostBatchCtx is BestCostBatch under a context: once ctx is cancelled
-// no further evaluation starts, ok is false and the completed prefix of
-// the costs is returned — exact values a caller may commit (see
+// BestCostBatchCtx evaluates bc(S) for many sets concurrently; results are
+// bit-identical to sequential BestCost calls in input order. Once ctx is
+// cancelled no further evaluation starts, ok is false and the completed
+// prefix of the costs is returned — exact values a caller may commit (see
 // physical.Searcher.BestCostBatchCtx). The session API routes its
 // cancellation and time budgets through this path.
 func (o *Optimizer) BestCostBatchCtx(ctx context.Context, sets []physical.NodeSet) ([]float64, bool) {

@@ -26,7 +26,7 @@
 // Generation is a pure function of the Spec: the same Spec (seed included)
 // produces a byte-identical batch, which Fingerprint makes checkable.
 // Generated batches validate against tpcd.Catalog and round-trip through
-// volcano.NewOptimizer → core.Run → physical plan extraction.
+// volcano.NewOptimizer → core.RunWith → physical plan extraction.
 package workload
 
 import (

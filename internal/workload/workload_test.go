@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -124,7 +125,7 @@ func TestWorkloadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := core.Run(opt, core.MarginalGreedy)
+	res := core.RunWith(context.Background(), opt, core.MarginalGreedy, core.Config{})
 	if res.Cost > res.VolcanoCost+1e-6 {
 		t.Errorf("MarginalGreedy cost %v exceeds no-MQO cost %v", res.Cost, res.VolcanoCost)
 	}
@@ -152,7 +153,7 @@ func TestWorkloadSharingGrowsUnification(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := core.Run(opt, core.MarginalGreedy)
+		r := core.RunWith(context.Background(), opt, core.MarginalGreedy, core.Config{})
 		return opt.Memo.NumGroups(), r.Benefit / r.VolcanoCost
 	}
 	loGroups, loBenefit := run(0)
@@ -179,7 +180,7 @@ func TestWorkloadParitySerialBatched(t *testing.T) {
 				t.Fatal(err)
 			}
 			opt.Searcher.Parallelism = par
-			return core.Run(opt, strat)
+			return core.RunWith(context.Background(), opt, strat, core.Config{})
 		}
 		serial, batched := run(1), run(4)
 		if serial.Cost != batched.Cost {
@@ -266,7 +267,7 @@ func TestWorkloadRunDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return core.Run(opt, core.MarginalGreedy)
+		return core.RunWith(context.Background(), opt, core.MarginalGreedy, core.Config{})
 	}
 	a, b := run(), run()
 	if a.Cost != b.Cost || fmt.Sprint(a.Materialized) != fmt.Sprint(b.Materialized) {

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -51,7 +52,7 @@ func TestLazyWorkloadPropertyGrid(t *testing.T) {
 						t.Fatal(err)
 					}
 					r := f(opt)
-					bf := core.NewBenefitFunc(opt) // fresh base for pricing only
+					bf := core.NewBenefitFuncCtx(context.Background(), opt) // fresh base for pricing only
 					var ids []string
 					for _, id := range bf.ToNodes(r.Set) {
 						ids = append(ids, fmt.Sprint(id))
@@ -61,12 +62,12 @@ func TestLazyWorkloadPropertyGrid(t *testing.T) {
 				}
 				marginal := func(alg func(*submod.Decomposition) submod.Result) run {
 					return exec(func(opt *volcano.Optimizer) submod.Result {
-						return alg(submod.DecomposeStar(submod.NewOracle(core.NewBenefitFunc(opt))))
+						return alg(submod.DecomposeStar(submod.NewOracle(core.NewBenefitFuncCtx(context.Background(), opt))))
 					})
 				}
 				plain := func(alg func(*submod.Oracle) submod.Result) run {
 					return exec(func(opt *volcano.Optimizer) submod.Result {
-						return alg(submod.NewOracle(core.NewBenefitFunc(opt)))
+						return alg(submod.NewOracle(core.NewBenefitFuncCtx(context.Background(), opt)))
 					})
 				}
 
@@ -111,7 +112,7 @@ func TestLazyWorkloadPropertyGrid(t *testing.T) {
 	}
 }
 
-// TestLazyStrategyGridViaRun pins the same property at the core.Run level
+// TestLazyStrategyGridViaRun pins the same property at the core.RunWith level
 // (the strategy dispatch the session uses) on the TPCD batch fixtures:
 // lazy strategies agree with their golden-verified counterparts.
 func TestLazyStrategyGridViaRun(t *testing.T) {
@@ -123,7 +124,7 @@ func TestLazyStrategyGridViaRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return core.Run(opt, s)
+			return core.RunWith(context.Background(), opt, s, core.Config{})
 		}
 		mg, lmg := run(core.MarginalGreedy), run(core.LazyMarginalGreedy)
 		if fmt.Sprint(mg.Materialized) != fmt.Sprint(lmg.Materialized) {

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -121,7 +122,7 @@ func runStrategy(t *testing.T, sf float64, bq int, strat core.Strategy, parallel
 		t.Fatal(err)
 	}
 	opt.Searcher.Parallelism = parallelism
-	return core.Run(opt, strat)
+	return core.RunWith(context.Background(), opt, strat, core.Config{})
 }
 
 func checkParity(t *testing.T, row parityRow, res core.Result) {

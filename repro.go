@@ -28,16 +28,7 @@
 // A run cut off by its context or a budget returns the deterministic
 // best-so-far materialization set of the completed rounds with
 // Telemetry.Stopped saying why; with no budget set, every strategy is
-// bit-identical to the original one-shot facade.
-//
-// # Migration from the one-shot facade
-//
-//	repro.Optimize(cat, batch, strat)      -> NewSession(cat, cost.Default()) +
-//	                                          Session.Optimize(ctx, batch, WithStrategy(strat))
-//	volcano.NewOptimizer + core.Run        -> core.RunWith(ctx, opt, strat, core.Config{...})
-//	opt.Plan(res.MatSet())                 -> RunResult.Plan (already extracted, Validate() to audit)
-//
-// The old entry points remain as thin shims over the session path.
+// bit-identical to the seed-oracle goldens.
 //
 // # Implementation packages
 //
@@ -50,18 +41,13 @@
 //	internal/core        the MQO strategies, context/budget plumbing, telemetry
 //	internal/tpcd        the TPCD workload (schema, queries, batches)
 //	internal/workload    seeded synthetic workload generator (stress batches)
-//	internal/exec        iterator-model executor, wavefront-parallel materialization
+//	internal/exec        iterator-model executor over synthetic data
 //	internal/parser      a small SQL-like language for the CLI
 //	internal/experiments the paper's tables and figures, workload stress modes
 package repro
 
 import (
-	"context"
-
-	"repro/internal/catalog"
 	"repro/internal/core"
-	"repro/internal/cost"
-	"repro/internal/logical"
 	"repro/internal/physical"
 )
 
@@ -81,21 +67,3 @@ type Result = core.Result
 
 // Plan is an extracted consolidated physical plan.
 type Plan = physical.ConsolidatedPlan
-
-// Optimize runs multi-query optimization over a batch with the paper's
-// cost-model constants and returns the result together with the
-// consolidated plan.
-//
-// Deprecated: Optimize builds a throwaway session per call and cannot be
-// cancelled or budgeted. Use NewSession and Session.Optimize.
-func Optimize(cat *catalog.Catalog, batch *logical.Batch, strategy Strategy) (Result, *Plan, error) {
-	sess, err := NewSession(cat, cost.Default(), WithStrategy(strategy))
-	if err != nil {
-		return Result{}, nil, err
-	}
-	r, err := sess.Optimize(context.Background(), batch)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	return r.Result, r.Plan, nil
-}

@@ -1,7 +1,10 @@
 package repro
 
 import (
+	"context"
 	"testing"
+
+	"repro/internal/cost"
 
 	"repro/internal/parser"
 	"repro/internal/tpcd"
@@ -9,14 +12,19 @@ import (
 
 func TestOptimizeFacade(t *testing.T) {
 	cat, batch := tpcd.ExampleOneInstance()
-	v, vplan, err := Optimize(cat, batch, Volcano)
+	sess, err := NewSession(cat, cost.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, mplan, err := Optimize(cat, batch, MarginalGreedy)
+	v, err := sess.Optimize(context.Background(), batch, WithStrategy(Volcano))
 	if err != nil {
 		t.Fatal(err)
 	}
+	m, err := sess.Optimize(context.Background(), batch, WithStrategy(MarginalGreedy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vplan, mplan := v.Plan, m.Plan
 	if m.Cost > v.Cost {
 		t.Errorf("MarginalGreedy %.1f worse than Volcano %.1f", m.Cost, v.Cost)
 	}
@@ -32,8 +40,7 @@ func TestOptimizeFacade(t *testing.T) {
 }
 
 func TestOptimizeRejectsInvalidBatch(t *testing.T) {
-	cat := tpcd.Catalog(1)
-	if _, _, err := Optimize(cat, nil, Greedy); err == nil {
+	if _, err := newTestSession(t).Optimize(context.Background(), nil, WithStrategy(Greedy)); err == nil {
 		t.Error("nil batch accepted")
 	}
 }
@@ -48,15 +55,16 @@ func TestSQLToPlanEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat := tpcd.Catalog(1)
-	v, _, err := Optimize(cat, batch, Volcano)
+	sess := newTestSession(t)
+	v, err := sess.Optimize(context.Background(), batch, WithStrategy(Volcano))
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, plan, err := Optimize(cat, batch, MarginalGreedy)
+	g, err := sess.Optimize(context.Background(), batch, WithStrategy(MarginalGreedy))
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan := g.Plan
 	if g.Cost >= v.Cost {
 		t.Errorf("subsumption pair found no sharing: %v vs %v", g.Cost, v.Cost)
 	}

@@ -117,9 +117,7 @@ func WithStrategy(s Strategy) Option {
 
 // WithParallelism bounds the worker pool evaluating candidate sets in a
 // greedy round: 0 means GOMAXPROCS, 1 forces sequential evaluation.
-// Results are bit-identical at every setting. (The executor's wavefront
-// workers are the same knob shape but configured separately, on
-// exec.Engine.Parallelism.)
+// Results are bit-identical at every setting.
 func WithParallelism(n int) Option {
 	return func(c *config) { c.parallelism = n }
 }
@@ -400,10 +398,14 @@ func (r *RunResult) Memo() *memo.Memo { return r.opt.Memo }
 // in-flight concurrent batch); budgets behave the same way, so an
 // interrupted call still returns a deterministic best-so-far result, its
 // plan, and telemetry explaining where the time went. With no budget set
-// the chosen sets and costs are bit-identical to the one-shot Optimize
-// facade (and to the seed-oracle goldens).
+// the chosen sets and costs are bit-identical to the seed-oracle goldens.
+// It is OptimizeShared over the one group, minus the attribution.
 func (s *Session) Optimize(ctx context.Context, batch *logical.Batch, opts ...Option) (*RunResult, error) {
-	return s.runBatch(ctx, batch, s.mergeConfig(opts))
+	sr, err := s.OptimizeShared(ctx, []*logical.Batch{batch}, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return sr.RunResult, nil
 }
 
 // mergeConfig layers per-call options over the session defaults.
@@ -416,7 +418,7 @@ func (s *Session) mergeConfig(opts []Option) config {
 	return cfg
 }
 
-// runBatch is the shared body of Optimize and OptimizeShared: build the
+// runBatch is the body of OptimizeShared: build the
 // combined DAG (through the sub-DAG interner), run the strategy, extract
 // the plan, publish cache learning, and account session stats.
 func (s *Session) runBatch(ctx context.Context, batch *logical.Batch, cfg config) (*RunResult, error) {

@@ -41,9 +41,10 @@ func newTestSession(t *testing.T, opts ...Option) *Session {
 }
 
 // TestSessionMatchesOneShotAllStrategies pins the sessionized path to the
-// original facade: with no budget set, every strategy must choose the same
-// materializations at the same cost as core.Run — and core.Run itself is
-// pinned bit-for-bit to the seed-oracle goldens by TestOracleParityGolden.
+// bare strategy run: with no budget set, every strategy must choose the
+// same materializations at the same cost as core.RunWith on a fresh
+// optimizer — which is itself pinned bit-for-bit to the seed-oracle
+// goldens by TestOracleParityGolden.
 func TestSessionMatchesOneShotAllStrategies(t *testing.T) {
 	sess := newTestSession(t)
 	batch := tpcd.BQ(2)
@@ -55,7 +56,7 @@ func TestSessionMatchesOneShotAllStrategies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := core.Run(opt, s)
+		want := core.RunWith(context.Background(), opt, s, core.Config{})
 		got, err := sess.Optimize(context.Background(), batch, WithStrategy(s))
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)

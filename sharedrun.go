@@ -64,19 +64,20 @@ type SharedResult struct {
 
 // OptimizeShared optimizes several members' batches as one combined DAG —
 // cross-member common subexpressions unify and materializations are
-// shared — and attributes the result back per member. It is the entry
-// point the server's continuous-batching scheduler uses: one run, N
-// exact per-request slices. Cancellation, budgets, faults and session
-// stats behave exactly as in Optimize (the whole shared run counts as one
-// batch); resume is not supported, because a checkpoint binds to the
-// combined search space, not to any single member.
+// shared — and attributes the result back per member. It is the session's
+// one run entry point: Optimize is the single-group case, and the server
+// serves every request as a lane of ≥ 1 groups through it. Cancellation,
+// budgets, faults and session stats count the whole shared run as one
+// batch. WithResume is accepted for a single group only: a checkpoint
+// binds to one search space, and only a lone group's search space is the
+// one its caller can name again.
 func (s *Session) OptimizeShared(ctx context.Context, groups []*logical.Batch, opts ...Option) (*SharedResult, error) {
 	if len(groups) == 0 {
 		return nil, errors.New("repro: OptimizeShared with no member groups")
 	}
 	cfg := s.mergeConfig(opts)
-	if cfg.resume != nil {
-		return nil, errors.New("repro: resume is not supported for shared runs")
+	if cfg.resume != nil && len(groups) > 1 {
+		return nil, errors.New("repro: resume is not supported for runs shared by several groups")
 	}
 	combined := &logical.Batch{}
 	counts := make([]int, len(groups))
@@ -95,8 +96,8 @@ func (s *Session) OptimizeShared(ctx context.Context, groups []*logical.Batch, o
 }
 
 // attributeShared slices a completed shared run into per-member
-// attributions. The single-member case short-circuits to the run's own
-// numbers, bit-identical to a plain Optimize call.
+// attributions. A single member owns the whole run: its attribution is the
+// run's own numbers.
 func attributeShared(rr *RunResult, counts []int) []Attribution {
 	offsets := make([]int, len(counts))
 	total := 0

@@ -394,8 +394,7 @@ func run(ctx context.Context, opt *volcano.Optimizer, strat Strategy, cfg Config
 	if strat == VolcanoSH {
 		return runVolcanoSH(ctx, opt, cfg), nil
 	}
-	start := nowFunc()
-	bc0, hit0, sh0, key0 := opt.Searcher.BCCalls, opt.Searcher.CacheHits, opt.Searcher.SharedHits, opt.Searcher.ComputedKey
+	mt := startMeter(opt)
 	f := NewBenefitFuncCtx(ctx, opt)
 	oracle := submod.NewOracle(f)
 	// With a session SharedCache attached, memoized oracle values from
@@ -452,41 +451,73 @@ func run(ctx context.Context, opt *volcano.Optimizer, strat Strategy, cfg Config
 		}
 	}
 	searchEnd := nowFunc()
-	nodes := f.ToNodes(r.Set)
-	res := Result{
+	return mt.finish(searched(strat, f, oracle, r), setupEnd, searchEnd), nil
+}
+
+// meter is the start-of-run snapshot every driver takes: the clock and the
+// searcher's cumulative counters, so a run's Telemetry is the delta over
+// exactly its own work however warm the searcher already was.
+type meter struct {
+	opt                  *volcano.Optimizer
+	start                time.Time
+	bc0, hit0, sh0, key0 int
+}
+
+func startMeter(opt *volcano.Optimizer) meter {
+	s := opt.Searcher
+	return meter{opt: opt, start: nowFunc(), bc0: s.BCCalls, hit0: s.CacheHits, sh0: s.SharedHits, key0: s.ComputedKey}
+}
+
+// searched is the part of a Result a submod driver's search decides, read
+// off its oracle and submod.Result: what meter.finish takes as input.
+func searched(strat Strategy, f *BenefitFunc, oracle *submod.Oracle, r submod.Result) Result {
+	return Result{
 		Strategy:     strat,
-		Materialized: nodes,
-		Set:          opt.NewNodeSet(nodes...),
+		Materialized: f.ToNodes(r.Set),
 		VolcanoCost:  f.Base(),
 		OracleCalls:  oracle.Calls,
 		Checkpoint:   r.Checkpoint,
 		Fault:        oracle.Fault(),
+		Telemetry: Telemetry{
+			SharedOracleHits: oracle.L2Hits,
+			Rounds:           r.Iterations,
+			Pruned:           r.Pruned,
+			Stale:            r.Stale,
+			Reused:           r.Reused,
+			Stopped:          r.Stopped,
+		},
 	}
+}
+
+// finish completes a Result whose search part the driver filled in
+// (Strategy, Materialized, VolcanoCost, OracleCalls, Checkpoint, Fault and
+// the Telemetry round counters): it prices the chosen set (a faulted
+// run's searcher is not consulted again) and fills the counter deltas and
+// phase times — the one place they are put together. setupEnd and
+// searchEnd split the clock into setup, search and finalize.
+func (mt meter) finish(res Result, setupEnd, searchEnd time.Time) Result {
+	s := mt.opt.Searcher
+	res.Set = mt.opt.NewNodeSet(res.Materialized...)
 	if res.Fault == nil {
-		res.Cost = opt.BestCost(res.Set)
+		res.Cost = mt.opt.BestCost(res.Set)
 		res.Benefit = res.VolcanoCost - res.Cost
 	}
 	end := nowFunc()
-	res.OptTime = end.Sub(start)
-	res.Telemetry = Telemetry{
-		OracleCalls:      oracle.Calls,
-		BCCalls:          opt.Searcher.BCCalls - bc0,
-		CacheHits:        opt.Searcher.CacheHits - hit0,
-		SharedHits:       opt.Searcher.SharedHits - sh0,
-		ComputedKeys:     opt.Searcher.ComputedKey - key0,
-		SharedOracleHits: oracle.L2Hits,
-		Rounds:           r.Iterations,
-		Pruned:           r.Pruned,
-		Stale:            r.Stale,
-		Reused:           r.Reused,
-		Stopped:          r.Stopped,
-		SetupTime:        setupEnd.Sub(start),
-		SearchTime:       searchEnd.Sub(setupEnd),
-		FinalizeTime:     end.Sub(searchEnd),
-		TotalTime:        end.Sub(start),
+	res.OptTime = end.Sub(mt.start)
+	tel := &res.Telemetry
+	tel.OracleCalls = res.OracleCalls
+	tel.BCCalls = s.BCCalls - mt.bc0
+	tel.CacheHits = s.CacheHits - mt.hit0
+	tel.SharedHits = s.SharedHits - mt.sh0
+	tel.ComputedKeys = s.ComputedKey - mt.key0
+	tel.SetupTime = setupEnd.Sub(mt.start)
+	tel.SearchTime = searchEnd.Sub(setupEnd)
+	tel.FinalizeTime = end.Sub(searchEnd)
+	tel.TotalTime = end.Sub(mt.start)
+	if n := tel.CacheHits + tel.SharedHits + tel.ComputedKeys; n > 0 {
+		tel.CacheHitRate = float64(tel.CacheHits+tel.SharedHits) / float64(n)
 	}
-	res.Telemetry.fillHitRate()
-	return res, nil
+	return res
 }
 
 // Work is the deterministic part of a run's telemetry: the counters that
@@ -524,21 +555,16 @@ func (t Telemetry) Work() Work {
 	}
 }
 
-func (t *Telemetry) fillHitRate() {
-	if n := t.CacheHits + t.SharedHits + t.ComputedKeys; n > 0 {
-		t.CacheHitRate = float64(t.CacheHits+t.SharedHits) / float64(n)
-	}
-}
-
 // RunK executes the cardinality-constrained MarginalGreedy of Section 5.3:
 // at most k nodes are materialized. With reduce=true the Theorem 4
 // universe-reduction preprocessing runs first; Theorem 4 guarantees the
 // same output either way.
 func RunK(opt *volcano.Optimizer, k int, reduce bool) Result {
-	start := nowFunc()
+	mt := startMeter(opt)
 	f := NewBenefitFuncCtx(context.TODO(), opt)
 	oracle := submod.NewOracle(f)
 	d := submod.DecomposeStar(oracle)
+	setupEnd := nowFunc()
 	var r submod.Result
 	if reduce {
 		universe := submod.ReduceUniverse(d, k)
@@ -546,24 +572,6 @@ func RunK(opt *volcano.Optimizer, k int, reduce bool) Result {
 	} else {
 		r = submod.MarginalGreedyK(d, k)
 	}
-	res := Result{
-		Strategy:     MarginalGreedy,
-		Materialized: f.ToNodes(r.Set),
-		VolcanoCost:  f.Base(),
-		OptTime:      nowFunc().Sub(start),
-		OracleCalls:  oracle.Calls,
-	}
-	res.Set = opt.NewNodeSet(res.Materialized...)
-	res.Cost = opt.BestCost(res.Set)
-	res.Benefit = res.VolcanoCost - res.Cost
-	res.Telemetry = Telemetry{
-		OracleCalls: oracle.Calls,
-		Rounds:      r.Iterations,
-		Pruned:      r.Pruned,
-		Stale:       r.Stale,
-		Reused:      r.Reused,
-		Stopped:     r.Stopped,
-		TotalTime:   res.OptTime,
-	}
-	return res
+	searchEnd := nowFunc()
+	return mt.finish(searched(MarginalGreedy, f, oracle, r), setupEnd, searchEnd)
 }

@@ -108,6 +108,9 @@ func TestRunKRespectsBudgetAndReduction(t *testing.T) {
 		if len(full.Materialized) > k {
 			t.Errorf("k=%d materialized %d", k, len(full.Materialized))
 		}
+		if tel := full.Telemetry; tel.BCCalls < tel.OracleCalls || tel.TotalTime != full.OptTime {
+			t.Errorf("k=%d: RunK telemetry not assembled like RunWith's: %+v", k, tel)
+		}
 		reduced := RunK(opt, k, true)
 		if !equalIDs(full.Materialized, reduced.Materialized) {
 			t.Errorf("k=%d: Theorem 4 violated: full %v != reduced %v",

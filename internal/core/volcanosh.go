@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"context"
+	"slices"
 
 	"repro/internal/memo"
 	"repro/internal/physical"
@@ -20,8 +22,7 @@ import (
 // the call budget and the candidate keep-loop checks the context between
 // probes.
 func runVolcanoSH(ctx context.Context, opt *volcano.Optimizer, cfg Config) Result {
-	start := nowFunc()
-	bc0, hit0, key0 := opt.Searcher.BCCalls, opt.Searcher.CacheHits, opt.Searcher.ComputedKey
+	mt := startMeter(opt)
 	base := opt.BestCost(physical.NodeSet{})
 	plan := opt.Plan(physical.NodeSet{})
 	setupEnd := nowFunc()
@@ -82,43 +83,19 @@ func runVolcanoSH(ctx context.Context, opt *volcano.Optimizer, cfg Config) Resul
 		}
 	}
 	searchEnd := nowFunc()
-
-	res := Result{
+	return mt.finish(Result{
 		Strategy:     VolcanoSH,
 		Materialized: chosen.Groups(),
-		Set:          chosen,
 		VolcanoCost:  base,
 		OracleCalls:  calls,
-	}
-	res.Cost = opt.BestCost(res.Set)
-	res.Benefit = res.VolcanoCost - res.Cost
-	end := nowFunc()
-	res.OptTime = end.Sub(start)
-	res.Telemetry = Telemetry{
-		OracleCalls:  calls,
-		BCCalls:      opt.Searcher.BCCalls - bc0,
-		CacheHits:    opt.Searcher.CacheHits - hit0,
-		ComputedKeys: opt.Searcher.ComputedKey - key0,
-		Rounds:       rounds,
-		Stopped:      stopped,
-		SetupTime:    setupEnd.Sub(start),
-		SearchTime:   searchEnd.Sub(setupEnd),
-		FinalizeTime: end.Sub(searchEnd),
-		TotalTime:    end.Sub(start),
-	}
-	res.Telemetry.fillHitRate()
-	return res
+		Telemetry:    Telemetry{Rounds: rounds, Stopped: stopped},
+	}, setupEnd, searchEnd)
 }
 
+// sortByUsesDesc orders candidates by use count descending, ties by group
+// id ascending.
 func sortByUsesDesc(ids []memo.GroupID, uses map[memo.GroupID]int) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0; j-- {
-			a, b := ids[j-1], ids[j]
-			if uses[b] > uses[a] || (uses[b] == uses[a] && b < a) {
-				ids[j-1], ids[j] = b, a
-			} else {
-				break
-			}
-		}
-	}
+	slices.SortFunc(ids, func(a, b memo.GroupID) int {
+		return cmp.Or(cmp.Compare(uses[b], uses[a]), cmp.Compare(a, b))
+	})
 }

@@ -31,7 +31,7 @@ func openLoop(tenant string, rate, amp float64) TenantLoad {
 
 // TestGenTraceDeterministic: the trace is a pure function of its config —
 // same seed, identical events and summary; different seed, a different
-// trace. This is the property the CI determinism row replays.
+// trace. CI replays it in every row of the GOMAXPROCS test matrix.
 func TestGenTraceDeterministic(t *testing.T) {
 	cfg := TraceConfig{
 		Seed:     42,

@@ -367,27 +367,6 @@ func (r *runner) send(ctx context.Context, tenant, key string, body []byte) {
 	}
 }
 
-// JainIndex is Jain's fairness index over per-tenant allocations:
-// (Σx)²/(n·Σx²) — 1 when every tenant gets an equal share, approaching
-// 1/n as one tenant starves the rest. The fairness gate feeds it inverse
-// slowdowns (solo reference latency over observed latency), so a policy
-// that serves every tenant at the same multiple of its solo latency
-// scores 1 regardless of how different the tenants' demands are.
-func JainIndex(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum, sumSq float64
-	for _, x := range xs {
-		sum += x
-		sumSq += x * x
-	}
-	if sumSq == 0 {
-		return 0
-	}
-	return sum * sum / (float64(len(xs)) * sumSq)
-}
-
 // percentile reads the q-quantile from sorted values (nearest-rank).
 func percentile(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {

@@ -68,12 +68,19 @@ func (b *Block) SourceByAlias(alias string) (Source, bool) {
 }
 
 // SelectFor returns the conjunction of all selection predicates on the
-// given alias.
+// given alias. A predicate belongs to the least alias its conjuncts
+// reference (each references exactly one in a valid block).
 func (b *Block) SelectFor(alias string) expr.Pred {
 	var p expr.Pred
 	for _, sp := range b.Selects {
-		cols := sp.Columns()
-		if len(cols) > 0 && cols[0].Alias == alias {
+		if len(sp.Conj) == 0 {
+			continue
+		}
+		least := sp.Conj[0].Col.Alias
+		for _, c := range sp.Conj[1:] {
+			least = min(least, c.Col.Alias)
+		}
+		if least == alias {
 			p = p.And(sp)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"strconv"
 
 	"repro/internal/cardinality"
@@ -49,19 +50,12 @@ func Build(cat *catalog.Catalog, model cost.Model, batch *logical.Batch, opts ..
 	}
 	m := New(cat, model)
 	for qi, q := range batch.Queries {
-		ctx := "q" + strconv.Itoa(qi)
-		root, ok, err := buildInterned(m, cfg.cache, q, ctx)
-		if err != nil {
+		if err := cfg.cache.validate(cat, q); err != nil {
 			return nil, err
 		}
-		if !ok {
-			if err := q.Validate(cat); err != nil {
-				return nil, err
-			}
-			root, err = m.buildBlock(q.Root, ctx)
-			if err != nil {
-				return nil, fmt.Errorf("query %q: %w", q.Name, err)
-			}
+		root, err := m.buildBlock(q.Root, "q"+strconv.Itoa(qi))
+		if err != nil {
+			return nil, fmt.Errorf("query %q: %w", q.Name, err)
 		}
 		m.QueryRoots = append(m.QueryRoots, root)
 		m.QueryNames = append(m.QueryNames, q.Name)
@@ -79,23 +73,25 @@ func Build(cat *catalog.Catalog, model cost.Model, batch *logical.Batch, opts ..
 // resolver maps a block's original column references to canonical ones.
 type resolver struct {
 	m *Memo
-	// base maps a base-relation alias to its leaf group.
-	base map[string]GroupID
-	// derived maps a derived alias to the sub-block's root group.
-	derived map[string]GroupID
+	// idx maps a source alias to its index in the block's source list.
+	idx map[string]int
+	// leaf[i] is the leaf group of base source src[i], or the sub-block's
+	// root group when src[i] is derived.
+	src  []logical.Source
+	leaf []GroupID
 }
 
 // col canonicalizes one column reference.
 func (r *resolver) col(c expr.Col) (expr.Col, error) {
-	if gid, ok := r.base[c.Alias]; ok {
-		return expr.Col{Alias: CanonAlias(gid), Column: c.Column}, nil
-	}
-	gid, ok := r.derived[c.Alias]
+	i, ok := r.idx[c.Alias]
 	if !ok {
 		return expr.Col{}, fmt.Errorf("unresolved alias %q", c.Alias)
 	}
+	if r.src[i].Base() {
+		return expr.Col{Alias: CanonAlias(r.leaf[i]), Column: c.Column}, nil
+	}
 	// Match the exposed column by name among the derived group's outputs.
-	props := r.m.Group(gid).Props
+	props := r.m.Group(r.leaf[i]).Props
 	for _, cc := range props.ColumnList() {
 		if cc.Column == c.Column {
 			return cc, nil
@@ -119,8 +115,8 @@ func (r *resolver) pred(p expr.Pred) (expr.Pred, error) {
 // buildBlock expands one block and returns its root group.
 func (m *Memo) buildBlock(b *logical.Block, ctx string) (GroupID, error) {
 	n := len(b.Sources)
-	res := &resolver{m: m, base: map[string]GroupID{}, derived: map[string]GroupID{}}
 	leafGID := make([]GroupID, n)
+	res := &resolver{m: m, idx: make(map[string]int, n), src: b.Sources, leaf: leafGID}
 	ordCount := map[string]int{}
 
 	for i, src := range b.Sources {
@@ -132,7 +128,10 @@ func (m *Memo) buildBlock(b *logical.Block, ctx string) (GroupID, error) {
 			sig := key + "|" + strconv.Itoa(ord)
 			g, isNew := m.internGroup(sig)
 			if isNew {
-				t, _ := m.Cat.Table(src.Table)
+				t, ok := m.Cat.Table(src.Table)
+				if !ok {
+					return 0, fmt.Errorf("memo: table %q not in catalog", src.Table)
+				}
 				canonPred := rewriteAlias(pred, src.Alias, CanonAlias(g.ID))
 				g.Props = cardinality.ApplySelect(cardinality.BaseProps(t, CanonAlias(g.ID)), canonPred)
 				g.Leaf = true
@@ -140,15 +139,14 @@ func (m *Memo) buildBlock(b *logical.Block, ctx string) (GroupID, error) {
 				m.addExpr(&MExpr{Kind: OpScan, Group: g.ID, Table: src.Table, Alias: src.Alias, Pred: canonPred})
 			}
 			leafGID[i] = g.ID
-			res.base[src.Alias] = g.ID
 		} else {
 			sub, err := m.buildBlock(src.Sub, ctx+"/"+src.Alias)
 			if err != nil {
 				return 0, err
 			}
 			leafGID[i] = sub
-			res.derived[src.Alias] = sub
 		}
+		res.idx[src.Alias] = i
 		m.addConsumer(leafGID[i], ctx)
 	}
 
@@ -158,10 +156,6 @@ func (m *Memo) buildBlock(b *logical.Block, ctx string) (GroupID, error) {
 		cond expr.EqJoin
 		li   int // source index of the left column
 		ri   int // source index of the right column
-	}
-	srcIdx := map[string]int{}
-	for i, s := range b.Sources {
-		srcIdx[s.Alias] = i
 	}
 	conds := make([]condInfo, 0, len(b.Joins))
 	for _, j := range b.Joins {
@@ -175,8 +169,8 @@ func (m *Memo) buildBlock(b *logical.Block, ctx string) (GroupID, error) {
 		}
 		conds = append(conds, condInfo{
 			cond: expr.EqJoin{Left: l, Right: r}.Canonical(),
-			li:   srcIdx[j.Left.Alias],
-			ri:   srcIdx[j.Right.Alias],
+			li:   res.idx[j.Left.Alias],
+			ri:   res.idx[j.Right.Alias],
 		})
 	}
 
@@ -205,39 +199,37 @@ func (m *Memo) buildBlock(b *logical.Block, ctx string) (GroupID, error) {
 			}
 			return seen == mask
 		}
-		condsIn := func(mask uint64) []expr.EqJoin {
-			var out []expr.EqJoin
-			for _, ci := range conds {
-				if mask&(1<<uint(ci.li)) != 0 && mask&(1<<uint(ci.ri)) != 0 {
-					out = append(out, ci.cond)
-				}
-			}
-			return out
-		}
-		condsAcross := func(a, bm uint64) []expr.EqJoin {
-			var out []expr.EqJoin
-			for _, ci := range conds {
-				lb, rb := uint64(1)<<uint(ci.li), uint64(1)<<uint(ci.ri)
-				if (a&lb != 0 && bm&rb != 0) || (a&rb != 0 && bm&lb != 0) {
-					out = append(out, ci.cond)
-				}
-			}
-			return out
-		}
-		groupOf := make(map[uint64]GroupID, 1<<uint(n))
+		// inner, cross and ids are scratch reused across subsets: only the
+		// cross conditions of an accepted partition are retained (copied at
+		// exact size into the join node).
+		var inner, cross []expr.EqJoin
+		ids := make([]GroupID, 0, n)
+		// groupOf maps a source-index mask to its group, or noGroup when the
+		// subset is not connected. Masks are visited in ascending order, so
+		// both halves of every partition are already decided.
+		const noGroup GroupID = -1
+		groupOf := make([]GroupID, 1<<uint(n))
 		for i := 0; i < n; i++ {
 			groupOf[1<<uint(i)] = leafGID[i]
 		}
 		full := uint64(1)<<uint(n) - 1
 		for mask := uint64(1); mask <= full; mask++ {
-			if bits.OnesCount64(mask) < 2 || !connected(mask) {
+			if mask&(mask-1) == 0 {
+				continue // single source
+			}
+			if !connected(mask) {
+				groupOf[mask] = noGroup
 				continue
 			}
-			ids := make([]GroupID, 0, bits.OnesCount64(mask))
+			ids, inner = ids[:0], inner[:0]
 			for t := mask; t != 0; t &= t - 1 {
 				ids = append(ids, leafGID[bits.TrailingZeros64(t)])
 			}
-			inner := condsIn(mask)
+			for _, ci := range conds {
+				if mask&(1<<uint(ci.li)) != 0 && mask&(1<<uint(ci.ri)) != 0 {
+					inner = append(inner, ci.cond)
+				}
+			}
 			sig := "join|" + sortedIDs(ids) + "|" + expr.JoinFingerprint(inner)
 			g, isNew := m.internGroup(sig)
 			if isNew {
@@ -248,16 +240,19 @@ func (m *Memo) buildBlock(b *logical.Block, ctx string) (GroupID, error) {
 			// All partitions into two connected halves; counting each
 			// unordered partition once by keeping the lowest bit on the
 			// left side (commutativity is handled physically).
-			low := uint64(1) << uint(bits.TrailingZeros64(mask))
+			low := mask & -mask
 			for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
-				if sub&low == 0 {
-					continue
-				}
 				rest := mask ^ sub
-				if !connected(sub) || !connected(rest) {
+				if sub&low == 0 || groupOf[sub] == noGroup || groupOf[rest] == noGroup {
 					continue
 				}
-				cross := condsAcross(sub, rest)
+				cross = cross[:0]
+				for _, ci := range conds {
+					lb, rb := uint64(1)<<uint(ci.li), uint64(1)<<uint(ci.ri)
+					if (sub&lb != 0 && rest&rb != 0) || (sub&rb != 0 && rest&lb != 0) {
+						cross = append(cross, ci.cond)
+					}
+				}
 				if len(cross) == 0 {
 					continue
 				}
@@ -265,7 +260,7 @@ func (m *Memo) buildBlock(b *logical.Block, ctx string) (GroupID, error) {
 					Kind:     OpJoin,
 					Group:    g.ID,
 					Children: []GroupID{groupOf[sub], groupOf[rest]},
-					Conds:    cross,
+					Conds:    slices.Clone(cross),
 				})
 			}
 			if len(g.Exprs) == 0 {

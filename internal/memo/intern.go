@@ -1,184 +1,106 @@
 package memo
 
 import (
-	"fmt"
-	"math/bits"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/cardinality"
-	"repro/internal/expr"
+	"repro/internal/catalog"
 	"repro/internal/logical"
 )
 
-// BuildCache is a cross-call sub-DAG interner: it memoizes, per structural
-// query fingerprint, the symbolic expansion recipe of a single-block query
-// — which connected join subsets exist, how each partitions into two
-// connected halves, and which conditions apply — so that rebuilding the
-// same (or a structurally identical) query in a later combined DAG skips
-// the O(3^n) connectivity and partition enumeration and replays a flat
-// node list instead. This is the memo-level sibling of the
-// physical.SharedCache structHash namespace: recipes are keyed by the
-// canonical structural rendering of the query, validation is skipped on a
-// hit (an identical query against the same catalog validated before), and
-// replay re-interns every node through the memo's signature map, so
-// cross-query unification inside a combined DAG is unchanged. A batched
-// serving layer coalescing streams of similar requests amortizes nearly
-// the whole per-query build cost this way.
+// BuildCache remembers, across Build calls, which single-block queries
+// have already validated against the catalog, keyed by their canonical
+// structural fingerprint (blockKey). A query whose key is present skips
+// Query.Validate — an equal key means an identical query that validated
+// against the same catalog before — and is then expanded by buildBlock like
+// any other, so results are bit-identical with and without a cache. The
+// hit/miss counters are the session's measure of how repetitive its
+// traffic is (SessionStats.RecipeHits/RecipeMisses).
 //
 // A BuildCache must only be shared across builds against one catalog (the
-// owner is repro.Session, which fixes the catalog); recipes are immutable
-// once stored and the cache is safe for concurrent use.
+// owner is repro.Session, which fixes the catalog); it is safe for
+// concurrent use.
 type BuildCache struct {
-	mu      sync.Mutex
-	recipes map[string]*recipe
-	order   []string // insertion ring for FIFO eviction
-	next    int
-	max     int
+	mu        sync.Mutex
+	validated map[string]struct{}
+	order     []string // insertion ring for FIFO eviction
+	next      int
+	max       int
 
 	hits   atomic.Int64
 	misses atomic.Int64
 }
 
-// buildCacheCap bounds the recipe map; beyond it the oldest entries are
-// evicted FIFO. Eviction affects only build speed, never results.
+// buildCacheCap bounds the key set; beyond it the oldest keys are evicted
+// FIFO. Eviction only costs a later re-validation, never a result.
 const buildCacheCap = 4096
 
-// NewBuildCache returns an empty interner.
+// NewBuildCache returns an empty cache.
 func NewBuildCache() *BuildCache {
-	return &BuildCache{recipes: map[string]*recipe{}, max: buildCacheCap}
+	return &BuildCache{validated: map[string]struct{}{}, max: buildCacheCap}
 }
 
-// Stats reports how many eligible per-query builds hit a stored recipe
-// versus recorded a fresh one.
+// Stats reports how many fingerprintable per-query builds found their
+// structural key already validated versus validated and recorded it.
 func (c *BuildCache) Stats() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()
 }
 
-// WithBuildCache attaches a sub-DAG interner to the build: eligible
-// queries (single-block, base sources only) are expanded by recipe replay,
-// amortizing enumeration cost across structurally identical queries.
-// Results are bit-identical with and without a cache.
+// WithBuildCache attaches a validated-structure cache to the build:
+// fingerprintable queries (single-block, base sources only) that repeat
+// an earlier one skip validation. Results are bit-identical with and
+// without a cache.
 func WithBuildCache(c *BuildCache) Option {
 	return func(cfg *buildConfig) { cfg.cache = c }
 }
 
-func (c *BuildCache) lookup(key string) *recipe {
+// validate is Query.Validate behind the cache: a fingerprintable query is
+// validated once per structural key. Queries that are not fingerprintable,
+// and every query when c is nil, are validated each time and touch no
+// counter; a query that fails validation is not recorded.
+func (c *BuildCache) validate(cat *catalog.Catalog, q *logical.Query) error {
+	if c == nil {
+		return q.Validate(cat)
+	}
+	key, ok := blockKey(q.Root)
+	if !ok {
+		return q.Validate(cat)
+	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.recipes[key]
+	_, hit := c.validated[key]
+	c.mu.Unlock()
+	if hit {
+		c.hits.Add(1)
+		return nil
+	}
+	if err := q.Validate(cat); err != nil {
+		return err
+	}
+	c.store(key)
+	c.misses.Add(1)
+	return nil
 }
 
-func (c *BuildCache) store(key string, r *recipe) {
+func (c *BuildCache) store(key string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.recipes[key]; ok {
+	if _, ok := c.validated[key]; ok {
 		return
 	}
 	if len(c.order) < c.max {
 		c.order = append(c.order, key)
 	} else {
-		delete(c.recipes, c.order[c.next])
+		delete(c.validated, c.order[c.next])
 		c.order[c.next] = key
 		c.next = (c.next + 1) % c.max
 	}
-	c.recipes[key] = r
-}
-
-// buildInterned expands one query through the interner, if there is one
-// and the query is eligible. ok=false means the caller must take the
-// legacy validate+buildBlock path; a returned error is final. On a recipe
-// hit, validation is skipped: an equal structural key means an identical
-// query that validated against the same catalog when the recipe was
-// recorded.
-func buildInterned(m *Memo, c *BuildCache, q *logical.Query, ctx string) (GroupID, bool, error) {
-	if c == nil {
-		return 0, false, nil
-	}
-	key, ok := blockKey(q.Root)
-	if !ok {
-		return 0, false, nil
-	}
-	rec := c.lookup(key)
-	if rec == nil {
-		if err := q.Validate(m.Cat); err != nil {
-			return 0, true, err
-		}
-		rec, ok = newRecipe(q.Root)
-		if !ok {
-			return 0, false, nil
-		}
-		c.store(key, rec)
-		c.misses.Add(1)
-	} else {
-		c.hits.Add(1)
-	}
-	root, err := rec.replay(m, ctx)
-	if err != nil {
-		return 0, true, fmt.Errorf("query %q: %w", q.Name, err)
-	}
-	return root, true, nil
-}
-
-// recipe is the symbolic, memo-independent expansion of one single-block
-// query. Everything that depends on assigned group ids (canonical aliases,
-// properties, signatures) is recomputed at replay; everything enumerative
-// (connectivity, partitions, condition scoping) is stored.
-type recipe struct {
-	leaves []recipeLeaf
-	conds  []recipeCond
-	joins  []recipeJoin // connected subsets with ≥2 sources, ascending mask
-	full   uint64       // mask of all sources
-	agg    *recipeAgg
-}
-
-type recipeLeaf struct {
-	table string
-	alias string    // original alias (diagnostics on first creation)
-	pred  expr.Pred // pushed-down selection in original-alias form
-	key   string    // alias-independent signature prefix "scan|table|anonPred"
-}
-
-// recipeCond is one join condition by source index; the canonical EqJoin is
-// rebuilt at replay from the leaf groups' canonical aliases.
-type recipeCond struct {
-	li, ri     int
-	lcol, rcol string
-}
-
-type recipeJoin struct {
-	mask  uint64
-	inner []int // cond indices with both sides inside mask
-	parts []recipePart
-}
-
-type recipePart struct {
-	sub, rest uint64
-	cross     []int // cond indices spanning the split
-}
-
-type recipeAgg struct {
-	groupBy []recipeColRef
-	aggs    []recipeAggRef
-}
-
-type recipeColRef struct {
-	si  int
-	col string
-}
-
-type recipeAggRef struct {
-	fn    expr.AggFunc
-	si    int    // resolved source index; -1 for Count (kept verbatim)
-	col   string // column name; for Count the original Agg is reproduced
-	count expr.Agg
+	c.validated[key] = struct{}{}
 }
 
 // QueryFingerprint renders the canonical structural fingerprint of a
-// query — the same collision-free key the build-recipe cache interns
-// sub-DAGs under — or ok=false when the query is not fingerprintable
+// query — the same collision-free key BuildCache records validated
+// queries under — or ok=false when the query is not fingerprintable
 // (derived sources, >64 sources). Two queries with equal fingerprints
 // build identical memo sub-DAGs against the same catalog; the serving
 // layer's batch coalescer relies on exactly that to deduplicate
@@ -191,10 +113,10 @@ func QueryFingerprint(q *logical.Query) (string, bool) {
 }
 
 // blockKey renders the canonical structural fingerprint of a single-block
-// query, or ok=false when the block is not eligible for interning (derived
-// sources, >64 sources). Two blocks with equal keys produce identical
-// recipes: the key covers sources (alias, table, pushed selection), join
-// conditions in declaration order, and the aggregate spec.
+// query, or ok=false when the block is not fingerprintable (derived
+// sources, >64 sources). Two blocks with equal keys expand identically:
+// the key covers sources (alias, table, pushed selection), join conditions
+// in declaration order, and the aggregate spec.
 func blockKey(b *logical.Block) (string, bool) {
 	if b == nil || len(b.Sources) == 0 || len(b.Sources) > 64 {
 		return "", false
@@ -223,232 +145,4 @@ func blockKey(b *logical.Block) (string, bool) {
 		sb.WriteString(b.Agg.Fingerprint())
 	}
 	return sb.String(), true
-}
-
-// newRecipe records the expansion of an eligible (validated) block: the
-// same connectivity and partition enumeration buildBlock performs, but
-// producing source-index masks and condition indices instead of memo
-// nodes.
-func newRecipe(b *logical.Block) (*recipe, bool) {
-	n := len(b.Sources)
-	rec := &recipe{full: uint64(1)<<uint(n) - 1}
-	srcIdx := map[string]int{}
-	for i, src := range b.Sources {
-		if !src.Base() {
-			return nil, false
-		}
-		srcIdx[src.Alias] = i
-		pred := b.SelectFor(src.Alias)
-		rec.leaves = append(rec.leaves, recipeLeaf{
-			table: src.Table,
-			alias: src.Alias,
-			pred:  pred,
-			key:   "scan|" + src.Table + "|" + anonPred(pred, src.Alias),
-		})
-	}
-	for _, j := range b.Joins {
-		li, lok := srcIdx[j.Left.Alias]
-		ri, rok := srcIdx[j.Right.Alias]
-		if !lok || !rok {
-			return nil, false
-		}
-		rec.conds = append(rec.conds, recipeCond{li: li, ri: ri, lcol: j.Left.Column, rcol: j.Right.Column})
-	}
-
-	if n > 1 {
-		adj := make([]uint64, n)
-		for _, ci := range rec.conds {
-			adj[ci.li] |= 1 << uint(ci.ri)
-			adj[ci.ri] |= 1 << uint(ci.li)
-		}
-		connected := func(mask uint64) bool {
-			start := uint64(1) << uint(bits.TrailingZeros64(mask))
-			seen := start
-			for {
-				grow := seen
-				for t := seen; t != 0; t &= t - 1 {
-					grow |= adj[bits.TrailingZeros64(t)] & mask
-				}
-				if grow == seen {
-					break
-				}
-				seen = grow
-			}
-			return seen == mask
-		}
-		condsIn := func(mask uint64) []int {
-			var out []int
-			for i, ci := range rec.conds {
-				if mask&(1<<uint(ci.li)) != 0 && mask&(1<<uint(ci.ri)) != 0 {
-					out = append(out, i)
-				}
-			}
-			return out
-		}
-		condsAcross := func(a, bm uint64) []int {
-			var out []int
-			for i, ci := range rec.conds {
-				lb, rb := uint64(1)<<uint(ci.li), uint64(1)<<uint(ci.ri)
-				if (a&lb != 0 && bm&rb != 0) || (a&rb != 0 && bm&lb != 0) {
-					out = append(out, i)
-				}
-			}
-			return out
-		}
-		for mask := uint64(1); mask <= rec.full; mask++ {
-			if bits.OnesCount64(mask) < 2 || !connected(mask) {
-				continue
-			}
-			rj := recipeJoin{mask: mask, inner: condsIn(mask)}
-			low := uint64(1) << uint(bits.TrailingZeros64(mask))
-			for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
-				if sub&low == 0 {
-					continue
-				}
-				rest := mask ^ sub
-				if !connected(sub) || !connected(rest) {
-					continue
-				}
-				cross := condsAcross(sub, rest)
-				if len(cross) == 0 {
-					continue
-				}
-				rj.parts = append(rj.parts, recipePart{sub: sub, rest: rest, cross: cross})
-			}
-			if len(rj.parts) == 0 {
-				return nil, false // would be an internal error in buildBlock
-			}
-			rec.joins = append(rec.joins, rj)
-		}
-	}
-
-	if b.Agg != nil {
-		ra := &recipeAgg{}
-		for _, c := range b.Agg.GroupBy {
-			si, ok := srcIdx[c.Alias]
-			if !ok {
-				return nil, false
-			}
-			ra.groupBy = append(ra.groupBy, recipeColRef{si: si, col: c.Column})
-		}
-		for _, a := range b.Agg.Aggs {
-			if a.Func == expr.Count {
-				ra.aggs = append(ra.aggs, recipeAggRef{fn: a.Func, si: -1, count: a})
-				continue
-			}
-			si, ok := srcIdx[a.Col.Alias]
-			if !ok {
-				return nil, false
-			}
-			ra.aggs = append(ra.aggs, recipeAggRef{fn: a.Func, si: si, col: a.Col.Column})
-		}
-		rec.agg = ra
-	}
-	return rec, true
-}
-
-// replay expands the recipe into the memo, producing exactly the groups,
-// expressions, consumers and properties buildBlock would: leaf signatures
-// get per-block occurrence ordinals, join signatures are rebuilt from the
-// actual leaf group ids, and properties are computed only for groups new
-// to this memo.
-func (rec *recipe) replay(m *Memo, ctx string) (GroupID, error) {
-	n := len(rec.leaves)
-	leafGID := make([]GroupID, n)
-	ordCount := map[string]int{}
-	for i, lf := range rec.leaves {
-		ord := ordCount[lf.key]
-		ordCount[lf.key]++
-		sig := lf.key + "|" + strconv.Itoa(ord)
-		g, isNew := m.internGroup(sig)
-		if isNew {
-			t, ok := m.Cat.Table(lf.table)
-			if !ok {
-				return 0, fmt.Errorf("memo: recipe table %q not in catalog", lf.table)
-			}
-			canonPred := rewriteAlias(lf.pred, lf.alias, CanonAlias(g.ID))
-			g.Props = cardinality.ApplySelect(cardinality.BaseProps(t, CanonAlias(g.ID)), canonPred)
-			g.Leaf = true
-			g.BasePred = !lf.pred.True()
-			m.addExpr(&MExpr{Kind: OpScan, Group: g.ID, Table: lf.table, Alias: lf.alias, Pred: canonPred})
-		}
-		leafGID[i] = g.ID
-		m.addConsumer(g.ID, ctx)
-	}
-
-	conds := make([]expr.EqJoin, len(rec.conds))
-	for i, rc := range rec.conds {
-		conds[i] = expr.EqJoin{
-			Left:  expr.Col{Alias: CanonAlias(leafGID[rc.li]), Column: rc.lcol},
-			Right: expr.Col{Alias: CanonAlias(leafGID[rc.ri]), Column: rc.rcol},
-		}.Canonical()
-	}
-	pick := func(idx []int) []expr.EqJoin {
-		if len(idx) == 0 {
-			return nil
-		}
-		out := make([]expr.EqJoin, len(idx))
-		for i, ci := range idx {
-			out[i] = conds[ci]
-		}
-		return out
-	}
-
-	rootGID := leafGID[0]
-	if n > 1 {
-		groupOf := make(map[uint64]GroupID, len(rec.joins)+n)
-		for i := 0; i < n; i++ {
-			groupOf[1<<uint(i)] = leafGID[i]
-		}
-		for _, rj := range rec.joins {
-			ids := make([]GroupID, 0, bits.OnesCount64(rj.mask))
-			for t := rj.mask; t != 0; t &= t - 1 {
-				ids = append(ids, leafGID[bits.TrailingZeros64(t)])
-			}
-			inner := pick(rj.inner)
-			sig := "join|" + sortedIDs(ids) + "|" + expr.JoinFingerprint(inner)
-			g, isNew := m.internGroup(sig)
-			if isNew {
-				g.Props = m.joinSubsetProps(ids, inner)
-			}
-			groupOf[rj.mask] = g.ID
-			m.addConsumer(g.ID, ctx)
-			for _, p := range rj.parts {
-				m.addExpr(&MExpr{
-					Kind:     OpJoin,
-					Group:    g.ID,
-					Children: []GroupID{groupOf[p.sub], groupOf[p.rest]},
-					Conds:    pick(p.cross),
-				})
-			}
-			if len(g.Exprs) == 0 {
-				return 0, fmt.Errorf("memo: no join derivation for connected subset (internal error)")
-			}
-		}
-		rootGID = groupOf[rec.full]
-	}
-
-	if rec.agg != nil {
-		spec := expr.AggSpec{}
-		for _, c := range rec.agg.groupBy {
-			spec.GroupBy = append(spec.GroupBy, expr.Col{Alias: CanonAlias(leafGID[c.si]), Column: c.col})
-		}
-		for _, a := range rec.agg.aggs {
-			if a.si < 0 {
-				spec.Aggs = append(spec.Aggs, a.count)
-				continue
-			}
-			spec.Aggs = append(spec.Aggs, expr.Agg{Func: a.fn, Col: expr.Col{Alias: CanonAlias(leafGID[a.si]), Column: a.col}})
-		}
-		sig := "agg|" + strconv.Itoa(int(rootGID)) + "|" + spec.Fingerprint()
-		g, isNew := m.internGroup(sig)
-		if isNew {
-			g.Props = cardinality.AggProps(m.Group(rootGID).Props, spec)
-			sp := spec
-			m.addExpr(&MExpr{Kind: OpAgg, Group: g.ID, Children: []GroupID{rootGID}, Spec: &sp})
-		}
-		m.addConsumer(g.ID, ctx)
-		rootGID = g.ID
-	}
-	return rootGID, nil
 }

@@ -1,0 +1,204 @@
+package memo_test
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/catalog"
+	"repro/internal/cost"
+	"repro/internal/expr"
+	"repro/internal/logical"
+	"repro/internal/memo"
+	"repro/internal/physical"
+	"repro/internal/tpcd"
+	"repro/internal/workload"
+)
+
+// equalMemos asserts two memos are structurally identical: same groups in
+// the same id order (signature, flags, properties, expression keys,
+// consumer sets) and the same query roots.
+func equalMemos(t *testing.T, a, b *memo.Memo) {
+	t.Helper()
+	if a.NumGroups() != b.NumGroups() || a.NumExprs() != b.NumExprs() {
+		t.Fatalf("sizes differ: %d/%d vs %d/%d", a.NumGroups(), a.NumExprs(), b.NumGroups(), b.NumExprs())
+	}
+	for i := 0; i < a.NumGroups(); i++ {
+		ga, gb := a.Group(memo.GroupID(i)), b.Group(memo.GroupID(i))
+		if ga.Sig != gb.Sig {
+			t.Fatalf("group %d sig %q vs %q", i, ga.Sig, gb.Sig)
+		}
+		if ga.Leaf != gb.Leaf || ga.BasePred != gb.BasePred {
+			t.Fatalf("group %d flags differ", i)
+		}
+		if ga.Props.Rows != gb.Props.Rows || ga.Props.Width != gb.Props.Width {
+			t.Fatalf("group %d props differ: %v/%d vs %v/%d", i, ga.Props.Rows, ga.Props.Width, gb.Props.Rows, gb.Props.Width)
+		}
+		if len(ga.Props.Cols) != len(gb.Props.Cols) {
+			t.Fatalf("group %d column stats differ", i)
+		}
+		for k, v := range ga.Props.Cols {
+			if gb.Props.Cols[k] != v {
+				t.Fatalf("group %d column %v stats differ", i, k)
+			}
+		}
+		if len(ga.Exprs) != len(gb.Exprs) {
+			t.Fatalf("group %d expr count %d vs %d", i, len(ga.Exprs), len(gb.Exprs))
+		}
+		for j := range ga.Exprs {
+			if memo.ExprKey(ga.Exprs[j]) != memo.ExprKey(gb.Exprs[j]) {
+				t.Fatalf("group %d expr %d differs:\n  %s\n  %s", i, j, memo.ExprKey(ga.Exprs[j]), memo.ExprKey(gb.Exprs[j]))
+			}
+		}
+		if len(ga.Consumers) != len(gb.Consumers) {
+			t.Fatalf("group %d consumer count differs", i)
+		}
+		for c := range ga.Consumers {
+			if !gb.Consumers[c] {
+				t.Fatalf("group %d consumer %q missing", i, c)
+			}
+		}
+	}
+	if len(a.QueryRoots) != len(b.QueryRoots) {
+		t.Fatalf("root count differs")
+	}
+	for i := range a.QueryRoots {
+		if a.QueryRoots[i] != b.QueryRoots[i] || a.QueryNames[i] != b.QueryNames[i] {
+			t.Fatalf("root %d differs: %d %q vs %d %q", i, a.QueryRoots[i], a.QueryNames[i], b.QueryRoots[i], b.QueryNames[i])
+		}
+	}
+}
+
+type internCase struct {
+	name  string
+	cat   *catalog.Catalog
+	batch *logical.Batch
+	// cold is the {hits, misses} a fresh cache must read after one build;
+	// nil derives it from the batch's fingerprints (see wantCold).
+	cold *[2]int64
+}
+
+// wantCold is the counter contract stated on fingerprints: every
+// fingerprintable query is one lookup, the first of each distinct key
+// misses and every repeat hits; queries with derived sources are not
+// looked up at all. lookups is how many more hits a warm rebuild adds.
+func wantCold(b *logical.Batch) (cold [2]int64, lookups int64) {
+	seen := map[string]bool{}
+	for _, q := range b.Queries {
+		fp, ok := memo.QueryFingerprint(q)
+		if !ok {
+			continue
+		}
+		lookups++
+		if seen[fp] {
+			cold[0]++
+		} else {
+			seen[fp] = true
+			cold[1]++
+		}
+	}
+	return cold, lookups
+}
+
+func internCases(t *testing.T) []internCase {
+	var cases []internCase
+
+	// BQ1–6 are single-block; the stand-alone Q2/Q2-D/Q11/Q15 bring the
+	// derived sources.
+	tp := tpcd.Catalog(1)
+	for i := 1; i <= 6; i++ {
+		cases = append(cases, internCase{name: fmt.Sprintf("BQ%d", i), cat: tp, batch: tpcd.BQ(i)})
+	}
+	for _, sa := range tpcd.StandAlone() {
+		c := internCase{name: sa.Name, cat: tp, batch: sa.Batch}
+		if sa.Name != "Q2-D" { // Q2-D adds the inner block as a query of its own
+			c.cold = &[2]int64{0, 0}
+		}
+		cases = append(cases, c)
+	}
+
+	// Self-joins exercise the per-block occurrence ordinals in leaf
+	// signatures; the duplicate hits; the alias-renamed copy has a key of
+	// its own (a miss) and lands in the same groups.
+	mk := func(alias1, alias2 string) *logical.Query {
+		return logical.NewBlock().Scan("t1", alias1).Scan("t1", alias2).Scan("t2", "p").
+			Cmp(alias1+".v", expr.LT, 40).
+			Join(alias1+".fk", alias2+".id").Join(alias2+".fk", "p.id").
+			GroupBy(alias1 + ".v").Sum("p.v").Query("q")
+	}
+	dup := &logical.Batch{}
+	dup.Add(mk("a", "b"))
+	dup.Add(mk("a", "b"))
+	dup.Add(mk("x", "y"))
+	cases = append(cases, internCase{name: "selfjoin-dup-rename", cat: memo.TestCatalog(), batch: dup, cold: &[2]int64{1, 2}})
+
+	// A derived source over a plain block: not fingerprintable.
+	inner := logical.NewBlock().Scan("t1", "a").Scan("t2", "b").
+		Join("a.fk", "b.id").
+		GroupBy("a.v").Sum("b.v")
+	derived := &logical.Batch{}
+	derived.Add(&logical.Query{Name: "outer", Root: &logical.Block{
+		Sources: []logical.Source{
+			{Alias: "d", Sub: inner.Build()},
+			{Alias: "t", Table: "t3"},
+		},
+		Joins: []expr.EqJoin{{
+			Left:  expr.Col{Alias: "d", Column: "v"},
+			Right: expr.Col{Alias: "t", Column: "v"},
+		}},
+	}})
+	cases = append(cases, internCase{name: "derived", cat: memo.TestCatalog(), batch: derived, cold: &[2]int64{0, 0}})
+
+	for _, shape := range []workload.Shape{workload.Star, workload.Chain, workload.Snowflake} {
+		for _, fan := range []int{2, 4, workload.MaxFanOut(shape)} {
+			for _, sharing := range []float64{0.25, 0.75} {
+				spec := workload.DefaultSpec(12, sharing)
+				spec.Shape = shape
+				spec.FanOut = fan
+				spec.Seed = int64(17 + int(shape)*100 + fan)
+				batch, err := workload.Generate(spec)
+				if err != nil {
+					t.Fatalf("Generate: %v", err)
+				}
+				cases = append(cases, internCase{
+					name: fmt.Sprintf("%s/fan%d/s%.2f", shape, fan, sharing), cat: tp, batch: batch,
+				})
+			}
+		}
+	}
+	return cases
+}
+
+// A build is the same DAG whether no cache, a cold cache or a warm cache
+// is attached — same memo, same compiled search space — and the cache's
+// counters follow the fingerprint contract of wantCold.
+func TestInternedBuild(t *testing.T) {
+	for _, tc := range internCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			cold, lookups := wantCold(tc.batch)
+			if tc.cold != nil && *tc.cold != cold {
+				t.Fatalf("fingerprints give cold hits/misses %v, case pins %v", cold, *tc.cold)
+			}
+			plain, err := memo.Build(tc.cat, cost.Default(), tc.batch)
+			if err != nil {
+				t.Fatalf("Build without cache: %v", err)
+			}
+			fp := physical.NewSearcher(plain).Fingerprint()
+			cache := memo.NewBuildCache()
+			want := cold
+			for _, state := range []string{"cold", "warm"} {
+				m, err := memo.Build(tc.cat, cost.Default(), tc.batch, memo.WithBuildCache(cache))
+				if err != nil {
+					t.Fatalf("%s Build: %v", state, err)
+				}
+				equalMemos(t, plain, m)
+				if got := physical.NewSearcher(m).Fingerprint(); got != fp {
+					t.Fatalf("%s cache: searcher fingerprint %x, want %x", state, got, fp)
+				}
+				if hits, misses := cache.Stats(); [2]int64{hits, misses} != want {
+					t.Fatalf("%s cache: hits=%d misses=%d, want %v", state, hits, misses, want)
+				}
+				want[0] += lookups
+			}
+		})
+	}
+}

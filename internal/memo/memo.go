@@ -16,7 +16,7 @@ package memo
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -119,10 +119,9 @@ type Memo struct {
 	Cat   *catalog.Catalog
 	Model cost.Model
 
-	groups  []*Group
-	bySig   map[string]GroupID
-	byExpr  map[string]*MExpr
-	ordSeen map[string]int // occurrence ordinals per leaf signature per block
+	groups []*Group
+	bySig  map[string]GroupID
+	byExpr map[string]*MExpr
 
 	// QueryRoots holds the root group of each query in batch order.
 	QueryRoots []GroupID
@@ -221,14 +220,14 @@ func (m *Memo) addConsumer(id GroupID, ctx string) {
 
 // sortedIDs renders a list of group ids canonically.
 func sortedIDs(ids []GroupID) string {
-	s := make([]int, len(ids))
-	for i, id := range ids {
-		s[i] = int(id)
+	s := slices.Clone(ids)
+	slices.Sort(s)
+	b := make([]byte, 0, 4*len(s))
+	for i, id := range s {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(id), 10)
 	}
-	sort.Ints(s)
-	parts := make([]string, len(s))
-	for i, v := range s {
-		parts[i] = strconv.Itoa(v)
-	}
-	return strings.Join(parts, ",")
+	return string(b)
 }

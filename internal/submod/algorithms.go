@@ -1,7 +1,9 @@
 package submod
 
 import (
+	"cmp"
 	"math"
+	"slices"
 )
 
 // epsCost is the threshold below which an element's additive cost is
@@ -488,7 +490,7 @@ func ReduceUniverse(d *Decomposition, k int) []int {
 		}
 	}
 	out = append(out, free...)
-	sortInts(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -502,26 +504,17 @@ func remove(xs []int, v int) []int {
 	return out
 }
 
+// sortByCost orders elements by cost ascending, ties by element ascending.
 func sortByCost(xs []int, c []float64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && (c[xs[j]] < c[xs[j-1]] || (c[xs[j]] == c[xs[j-1]] && xs[j] < xs[j-1])); j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
+	slices.SortFunc(xs, func(a, b int) int {
+		return cmp.Or(cmp.Compare(c[a], c[b]), cmp.Compare(a, b))
+	})
 }
 
+// sortByRatioDesc orders elements by ratio descending, ties by element
+// ascending.
 func sortByRatioDesc(xs []int, r map[int]float64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && (r[xs[j]] > r[xs[j-1]] || (r[xs[j]] == r[xs[j-1]] && xs[j] < xs[j-1])); j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
+	slices.SortFunc(xs, func(a, b int) int {
+		return cmp.Or(cmp.Compare(r[b], r[a]), cmp.Compare(a, b))
+	})
 }

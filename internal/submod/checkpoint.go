@@ -1,8 +1,10 @@
 package submod
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Checkpoint is a resumable round-boundary snapshot of a batched-lazy
@@ -137,16 +139,9 @@ func captureFree(name string, x Set, d *Decomposition, res *Result) *Checkpoint 
 // heap's total order, so rebuilding a heap from the sorted slice reproduces
 // the exact pop sequence of the snapshotted one.
 func sortLazyItems(items []lazyItem) {
-	for i := 1; i < len(items); i++ {
-		for j := i; j > 0; j-- {
-			a, b := &items[j-1], &items[j]
-			if b.bound > a.bound || (b.bound == a.bound && b.e < a.e) {
-				items[j-1], items[j] = items[j], items[j-1]
-			} else {
-				break
-			}
-		}
-	}
+	slices.SortFunc(items, func(a, b lazyItem) int {
+		return cmp.Or(cmp.Compare(b.bound, a.bound), cmp.Compare(a.e, b.e))
+	})
 }
 
 // Validate checks the snapshot's internal consistency against a universe of

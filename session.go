@@ -257,11 +257,13 @@ type SessionStats struct {
 	BuildTime   time.Duration `json:"build_ns"`   // DAG construction
 	OptTime     time.Duration `json:"opt_ns"`     // strategy runs
 	ExtractTime time.Duration `json:"extract_ns"` // consolidated-plan extraction
-	// RecipeHits / RecipeMisses count per-query sub-DAG interner lookups
-	// during combined-DAG builds (memo.BuildCache): a hit replays a stored
-	// expansion recipe instead of re-enumerating the query's join subsets.
-	// They are session-level build accounting, not per-run telemetry, so
-	// they are excluded from the sum-over-responses reconciliation.
+	// RecipeHits / RecipeMisses count per-query structural-fingerprint
+	// lookups during combined-DAG builds (memo.BuildCache): a hit is a
+	// query the session has built before — it skips validation and is
+	// expanded like any other — so the ratio measures how repetitive the
+	// session's traffic is. The names are the wire contract. They are
+	// session-level build accounting, not per-run telemetry, so they are
+	// excluded from the sum-over-responses reconciliation.
 	RecipeHits   int64 `json:"recipe_hits"`
 	RecipeMisses int64 `json:"recipe_misses"`
 }
@@ -286,11 +288,10 @@ type Session struct {
 	model    cost.Model
 	defaults config
 	cache    *physical.SharedCache
-	// build is the per-query sub-DAG interner (memo.BuildCache): recipes
-	// for structurally identical queries are replayed instead of
-	// re-enumerated, so combined-DAG build cost amortizes across a stream
-	// of similar batches. Recipes are pure functions of (catalog, query)
-	// and never invalidate within a session.
+	// build records which query structures have already validated against
+	// the session's catalog (memo.BuildCache) and counts repeats. Validity
+	// is a pure function of (catalog, query), so it never invalidates
+	// within a session.
 	build *memo.BuildCache
 	// warmed flips on when a snapshot is imported: from then on every run
 	// consumes memoized oracle values from the shared cache (see
@@ -418,9 +419,9 @@ func (s *Session) mergeConfig(opts []Option) config {
 	return cfg
 }
 
-// runBatch is the body of OptimizeShared: build the
-// combined DAG (through the sub-DAG interner), run the strategy, extract
-// the plan, publish cache learning, and account session stats.
+// runBatch is the body of OptimizeShared: build the combined DAG, run the
+// strategy, extract the plan, publish cache learning, and account session
+// stats.
 func (s *Session) runBatch(ctx context.Context, batch *logical.Batch, cfg config) (*RunResult, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -354,6 +354,33 @@ func TestSessionSharedCacheWarmsAcrossBatches(t *testing.T) {
 	}
 }
 
+// TestSessionVolcanoSHCountsSharedHits: Volcano-SH snapshots the same
+// searcher counters as every other strategy, so a repeat of a batch on a
+// warm session reports the SharedCache hits that replaced its key
+// computations, and the session's total is the sum over its results.
+func TestSessionVolcanoSHCountsSharedHits(t *testing.T) {
+	sess := newTestSession(t, WithParallelism(1), WithStrategy(core.VolcanoSH))
+	ctx := context.Background()
+	batch := tpcd.BQ(3)
+	sum := 0
+	var warm *RunResult
+	for i := 0; i < 2; i++ {
+		rr, err := sess.Optimize(ctx, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += rr.Telemetry.SharedHits
+		warm = rr
+	}
+	if warm.Telemetry.ComputedKeys != 0 || warm.Telemetry.SharedHits == 0 {
+		t.Errorf("warm Volcano-SH run: computed_keys=%d shared_hits=%d, want 0 and > 0",
+			warm.Telemetry.ComputedKeys, warm.Telemetry.SharedHits)
+	}
+	if got := sess.Stats().SharedHits; got != sum {
+		t.Errorf("session counts %d shared hits, results sum to %d", got, sum)
+	}
+}
+
 // TestSessionInvalidateCacheForcesColdStart: after InvalidateCache a
 // repeated batch relearns from scratch, bit-identically.
 func TestSessionInvalidateCacheForcesColdStart(t *testing.T) {

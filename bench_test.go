@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/logical"
+	"repro/internal/memo"
 	"repro/internal/physical"
 	"repro/internal/submod"
 	"repro/internal/tpcd"
@@ -270,6 +271,30 @@ func BenchmarkWorkloadDAGBuild(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSearcherSetup isolates the per-run searcher set-up every
+// Optimize pays after the DAG is built — template compilation plus worker
+// 0's slot-sized tables — over a prebuilt memo, so the allocation slice
+// left between BenchmarkWorkloadDAGBuild and BenchmarkWorkload has its own
+// warm number. Not in the CI gate set.
+func BenchmarkSearcherSetup(b *testing.B) {
+	cat := tpcd.Catalog(1)
+	for _, size := range []int{32, 64} {
+		b.Run(fmt.Sprintf("%dx0.25", size), func(b *testing.B) {
+			m, err := memo.Build(cat, cost.Default(), workload.MustGenerate(workload.DefaultSpec(size, 0.25)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSearcher = physical.NewSearcher(m)
+			}
+		})
+	}
+}
+
+var benchSearcher *physical.Searcher
 
 // BenchmarkBestCostOracle measures one bc(S) evaluation on a warm searcher,
 // the unit of work all MQO algorithms are built from.

@@ -17,12 +17,16 @@ func TestExperimentTimesTables(t *testing.T) {
 	if len(t2.Rows) != 4 {
 		t.Errorf("Experiment2Times rows = %d", len(t2.Rows))
 	}
-	// Optimization times: MQO algorithms cost more than plain Volcano.
+	// Optimization times: the MQO algorithms cost more than plain Volcano
+	// (Figure 4c). Stated over the sum of BQ1–6: a single row is two
+	// sub-millisecond wall-clock readings, and one descheduling flips it.
+	var volcano, greedy float64
 	for _, row := range t1.Rows {
-		v, g := atof(t, row[1]), atof(t, row[2])
-		if g < v {
-			t.Errorf("%s: Greedy optimization (%v ms) cheaper than Volcano (%v ms)?", row[0], g, v)
-		}
+		volcano += atof(t, row[1])
+		greedy += atof(t, row[2])
+	}
+	if greedy < volcano {
+		t.Errorf("Σ BQ1–6: Greedy optimization (%.2f ms) cheaper than Volcano (%.2f ms)?", greedy, volcano)
 	}
 }
 

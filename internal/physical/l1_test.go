@@ -3,9 +3,13 @@ package physical
 import (
 	"math/bits"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"repro/internal/cost"
 	"repro/internal/memo"
+	"repro/internal/tpcd"
+	"repro/internal/workload"
 )
 
 // l1TestMask derives the i-th distinct test mask. The multiplier is odd,
@@ -29,30 +33,86 @@ func findMaskWithHome(t *testing.T, home int, taken map[uint64]bool) uint64 {
 	return 0
 }
 
-// TestL1AllOnesMaskRoundTrips pins the retired-sentinel bug: the old
-// front cache marked empty slots with ^uint64(0), so a real all-ones
-// mask hash queried before any store read the zeroed value array as a
-// hit. With explicit occupancy a fresh slot must miss, and the stored
-// value must round-trip exactly.
+// TestL1AllOnesMaskRoundTrips pins the retired-sentinel bug: an earlier
+// layout marked empty cells with ^uint64(0), so a real all-ones mask hash
+// queried before any store read the zeroed value array as a hit. With
+// explicit occupancy a fresh table must miss, and the stored value must
+// round-trip exactly — for both cost kinds.
 func TestL1AllOnesMaskRoundTrips(t *testing.T) {
 	s := buildSearcher(t, sharedPairQueries()...)
 	w := s.worker(0)
 	const mask = ^uint64(0)
-	if v, ok := w.cachedUse(0, 0, 0, mask); ok {
-		t.Fatalf("all-ones mask hit an empty L1 with value %v (sentinel collision)", v)
+	for _, kind := range []int{kindUse, kindComp} {
+		if v, ok := w.cached(0, 0, 0, mask, kind); ok {
+			t.Fatalf("kind %d: all-ones mask hit an empty L1 with value %v (sentinel collision)", kind, v)
+		}
+		want := 42.5 + float64(kind)
+		w.store(0, mask, want, kind)
+		if v, ok := w.cached(0, 0, 0, mask, kind); !ok || v != want {
+			t.Fatalf("kind %d: all-ones mask after store: got (%v, %v), want (%v, true)", kind, v, ok, want)
+		}
+		// A later store of another mask in the same bucket must not
+		// displace it.
+		w.store(0, 7, 9.25, kind)
+		if v, ok := w.cached(0, 0, 0, mask, kind); !ok || v != want {
+			t.Fatalf("kind %d: all-ones mask after a second store: got (%v, %v), want (%v, true)", kind, v, ok, want)
+		}
 	}
-	if v, ok := w.cachedComp(0, 0, 0, mask); ok {
-		t.Fatalf("all-ones mask hit an empty comp L1 with value %v (sentinel collision)", v)
+}
+
+// TestL1KindsDoNotAlias pins the fold of the use/compute twin tables into
+// one: the kind must reach both the L1 index and the cacheKey. A value
+// stored as a use cost must miss as a compute cost and vice versa, in the
+// L1 and — after PublishCache — in the SharedCache a fresh searcher reads.
+func TestL1KindsDoNotAlias(t *testing.T) {
+	s := buildSearcher(t, sharedPairQueries()...)
+	cache := NewSharedCache()
+	s.AttachSharedCache(cache)
+	w := s.worker(0)
+	w.syncShared()
+
+	const both, useOnly, compOnly = uint64(31), uint64(32), uint64(33)
+	w.store(0, both, 1.5, kindUse)
+	if v, ok := w.cached(0, 0, 0, both, kindComp); ok {
+		t.Fatalf("use cost read back as a compute cost (%v): kind missing from the L1 index", v)
 	}
-	w.storeUse(0, mask, 42.5)
-	if v, ok := w.cachedUse(0, 0, 0, mask); !ok || v != 42.5 {
-		t.Fatalf("all-ones mask after store: got (%v, %v), want (42.5, true)", v, ok)
+	w.store(0, both, 2.5, kindComp)
+	w.store(0, useOnly, 3.5, kindUse)
+	w.store(0, compOnly, 4.5, kindComp)
+
+	type probe struct {
+		mask uint64
+		kind int
+		want float64
+		hit  bool
 	}
-	// The bucket probe path must agree once the front cache points at a
-	// different mask.
-	w.storeUse(0, 7, 9.25)
-	if v, ok := w.cachedUse(0, 0, 0, mask); !ok || v != 42.5 {
-		t.Fatalf("all-ones mask via bucket probe: got (%v, %v), want (42.5, true)", v, ok)
+	probes := []probe{
+		{both, kindUse, 1.5, true},
+		{both, kindComp, 2.5, true},
+		{useOnly, kindUse, 3.5, true},
+		{useOnly, kindComp, 0, false},
+		{compOnly, kindComp, 4.5, true},
+		{compOnly, kindUse, 0, false},
+	}
+	check := func(where string, w *worker) {
+		t.Helper()
+		for _, p := range probes {
+			if v, ok := w.cached(0, 0, 0, p.mask, p.kind); ok != p.hit || v != p.want {
+				t.Fatalf("%s: mask %d kind %d: got (%v, %v), want (%v, %v)", where, p.mask, p.kind, v, ok, p.want, p.hit)
+			}
+		}
+	}
+	check("L1", w)
+
+	s.PublishCache()
+	s2 := buildSearcher(t, sharedPairQueries()...)
+	s2.AttachSharedCache(cache)
+	w2 := s2.worker(0)
+	w2.syncShared()
+	check("L2", w2)
+	w2.flushStats()
+	if s2.SharedHits != 4 || s2.CacheHits != 0 {
+		t.Fatalf("fresh searcher: %d shared / %d private hits, want 4 / 0", s2.SharedHits, s2.CacheHits)
 	}
 }
 
@@ -66,9 +126,9 @@ func TestL1ProbeWraparound(t *testing.T) {
 	masks := make([]uint64, 4)
 	for i := range masks {
 		masks[i] = findMaskWithHome(t, l1BucketCap-1, taken)
-		w.storeUse(0, masks[i], float64(100+i))
+		w.store(0, masks[i], float64(100+i), kindUse)
 	}
-	b := w.useL1[0]
+	b := w.l1[kindUse]
 	if b == nil {
 		t.Fatal("no bucket allocated")
 	}
@@ -104,9 +164,9 @@ func TestL1OverflowFallsBackToShared(t *testing.T) {
 	for i := 0; i < l1MaxFill; i++ {
 		m := l1TestMask(i)
 		taken[m] = true
-		w.storeUse(0, m, float64(i))
+		w.store(0, m, float64(i), kindUse)
 	}
-	b := w.useL1[0]
+	b := w.l1[kindUse]
 	if got := bits.OnesCount64(b.occ); got != l1MaxFill {
 		t.Fatalf("bucket fill %d after %d distinct stores, want the fill bound", got, l1MaxFill)
 	}
@@ -131,7 +191,7 @@ func TestL1OverflowFallsBackToShared(t *testing.T) {
 	if victimVal, ok = b.lookup(victim); !ok {
 		t.Fatal("home position occupant not retrievable before eviction")
 	}
-	w.storeUse(0, extra, 999.5)
+	w.store(0, extra, 999.5, kindUse)
 	if v, ok := b.lookup(extra); !ok || v != 999.5 {
 		t.Fatalf("overflow store lost the new key: got (%v, %v)", v, ok)
 	}
@@ -144,7 +204,7 @@ func TestL1OverflowFallsBackToShared(t *testing.T) {
 	// shared hit and re-promoted into the L1.
 	cache.merge(w.ns, []sharedKV{{k: cacheKey{g: 0, ord: 0, compute: false, mask: victim}, v: victimVal}})
 	w.sharedHits = 0
-	if v, ok := w.cachedUse(0, 0, 0, victim); !ok || v != victimVal {
+	if v, ok := w.cached(0, 0, 0, victim, kindUse); !ok || v != victimVal {
 		t.Fatalf("evicted key via L2 fallback: got (%v, %v), want (%v, true)", v, ok, victimVal)
 	}
 	if w.sharedHits != 1 {
@@ -153,42 +213,38 @@ func TestL1OverflowFallsBackToShared(t *testing.T) {
 }
 
 // TestL1ResetReusesBackingArrays pins the epoch-stamped reset: resetL1
-// must empty the cache without reallocating the front arrays or the
-// bucket probe arrays, and the emptied buckets must be reusable.
+// must empty the cache without dropping the bucket probe arrays, and the
+// emptied buckets must be reusable.
 func TestL1ResetReusesBackingArrays(t *testing.T) {
 	s := buildSearcher(t, sharedPairQueries()...)
 	w := s.worker(0)
-	w.storeUse(0, 11, 1.5)
-	w.storeComp(0, 12, 2.5)
-	frontBefore := &w.useFront[0]
-	bucketBefore := w.useL1[0]
-	if bucketBefore == nil {
-		t.Fatal("no bucket allocated")
+	w.store(0, 11, 1.5, kindUse)
+	w.store(0, 12, 2.5, kindComp)
+	useBefore, compBefore := w.l1[kindUse], w.l1[kindComp]
+	if useBefore == nil || compBefore == nil || useBefore == compBefore {
+		t.Fatalf("buckets after one store per kind: use %p, comp %p", useBefore, compBefore)
 	}
 
 	w.resetL1()
-	if &w.useFront[0] != frontBefore {
-		t.Fatal("resetL1 reallocated the front-cache arrays")
+	if w.l1[kindUse] != useBefore || w.l1[kindComp] != compBefore {
+		t.Fatal("resetL1 dropped a bucket backing array")
 	}
-	if w.useL1[0] != bucketBefore {
-		t.Fatal("resetL1 dropped the bucket backing array")
-	}
-	if _, ok := w.cachedUse(0, 0, 0, 11); ok {
+	if _, ok := w.cached(0, 0, 0, 11, kindUse); ok {
 		t.Fatal("use entry survived resetL1")
 	}
-	if _, ok := w.cachedComp(0, 0, 0, 12); ok {
+	if _, ok := w.cached(0, 0, 0, 12, kindComp); ok {
 		t.Fatal("comp entry survived resetL1")
 	}
 
 	// The stale bucket self-clears on its next store and serves again.
-	w.storeUse(0, 13, 3.5)
-	if w.useL1[0] != bucketBefore {
+	w.store(0, 13, 3.5, kindUse)
+	if w.l1[kindUse] != useBefore {
 		t.Fatal("post-reset store allocated a fresh bucket")
 	}
-	if v, ok := w.cachedUse(0, 0, 0, 13); !ok || v != 3.5 {
+	if v, ok := w.cached(0, 0, 0, 13, kindUse); !ok || v != 3.5 {
 		t.Fatalf("post-reset store: got (%v, %v), want (3.5, true)", v, ok)
 	}
-	if _, ok := w.useL1[0].lookup(11); ok {
+	if _, ok := useBefore.lookup(11); ok {
 		t.Fatal("pre-reset entry resurfaced after the bucket self-cleared")
 	}
 }
@@ -199,16 +255,24 @@ func TestL1ResetReusesBackingArrays(t *testing.T) {
 func TestL1EpochWrapHardResets(t *testing.T) {
 	s := buildSearcher(t, sharedPairQueries()...)
 	w := s.worker(0)
-	w.storeUse(0, 21, 4.5)
-	w.l1Epoch = ^uint32(0) // next reset wraps
-	w.useFront[0].ep = ^uint32(0)
-	w.useL1[0].ep = ^uint32(0)
+	w.store(0, 21, 4.5, kindUse)
+	w.store(0, 22, 5.5, kindComp)
+	// A bucket last written in generation 1 — the value the wrap lands on.
+	stale := w.l1[kindComp]
+	w.l1Epoch = ^uint32(0)       // next reset wraps
+	w.store(0, 21, 4.5, kindUse) // restamps the use bucket with the last generation
 	w.resetL1()
 	if w.l1Epoch != 1 {
 		t.Fatalf("wrapped epoch is %d, want 1", w.l1Epoch)
 	}
-	if _, ok := w.cachedUse(0, 0, 0, 21); ok {
+	if _, ok := w.cached(0, 0, 0, 21, kindUse); ok {
 		t.Fatal("entry resurrected across an epoch wrap")
+	}
+	if _, ok := w.cached(0, 0, 0, 22, kindComp); ok {
+		t.Fatal("generation-1 entry resurrected by the recycled epoch")
+	}
+	if stale.ep != 0 || stale.occ != 0 {
+		t.Fatalf("wrap left bucket stamped ep=%d occ=%#x, want a hard clear", stale.ep, stale.occ)
 	}
 }
 
@@ -300,3 +364,31 @@ func BenchmarkL1Probe(b *testing.B) {
 }
 
 var benchSink float64
+
+// TestNewWorkerBytesPerSlot guards the per-run table set-up every
+// Optimize pays once per worker: the slot-sized arrays are the L1 bucket
+// pointers (2 × 8 B) and the two per-call memo cells (2 × 16 B), 48 B per
+// (group, order) slot. The allowance covers the per-group scratch arrays
+// and allocator size-class rounding; a fourth slot-sized array does not
+// fit in it. One goroutine, one newWorker: the reading does not depend on
+// GOMAXPROCS or the worker pool size.
+func TestNewWorkerBytesPerSlot(t *testing.T) {
+	m, err := memo.Build(tpcd.Catalog(1), cost.Default(), workload.MustGenerate(workload.DefaultSpec(32, 0.25)))
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	s := NewSearcher(m)
+	groups := m.NumGroups()
+	slots := groups * s.numOrds
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	w := s.newWorker()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(w)
+	got := after.TotalAlloc - before.TotalAlloc
+	limit := uint64(48*slots + 64*groups + 64<<10)
+	t.Logf("%d groups × %d orders: newWorker allocated %d B (%.1f B/slot), limit %d", groups, s.numOrds, got, float64(got)/float64(slots), limit)
+	if got > limit {
+		t.Fatalf("newWorker allocated %d B for %d slots, want ≤ %d (48 B/slot plus allowance)", got, slots, limit)
+	}
+}

@@ -52,36 +52,32 @@
 // (bc_calls) is deterministic because it is counted at the oracle entry
 // point, above every cache level.
 //
-// The hierarchy a lookup walks, fastest first:
+// The hierarchy a lookup walks under the per-call memo, fastest first:
 //
-//  1. Front cache: one direct-mapped l1Front cell per (group, order)
-//     slot holding the last (mask, cost) the slot served — consecutive
-//     greedy candidates mostly re-ask the same mask. Liveness is an
-//     explicit epoch stamp (live iff ep == the worker's l1Epoch); no
-//     mask value is reserved as an "empty" sentinel, so a real all-ones
-//     mask hash round-trips (the retired sentinel scheme mis-served the
-//     zero value for it on a cold slot).
-//  2. Flat L1: per-slot open-addressed probe arrays (l1Bucket, lazily
+//  1. Flat L1: per-slot open-addressed probe arrays (l1Bucket, lazily
 //     allocated) of inline (mask, value) pairs — fixed power-of-two
 //     capacity, linear probing from a Fibonacci home position, a 1-byte
 //     tag per position so a probe compares bytes in one cache line and
 //     touches a 16-byte entry only on a tag match. Occupancy is an
 //     explicit bitmap word; the probe length is derived from it up
-//     front. At the fill bound (3/4 load) a store evicts the occupant
-//     of its home position instead of growing — bounded memory, and the
-//     probing invariant survives because the new key rests at its exact
-//     home. resetL1 clears every bucket and front cell in O(1) by
-//     bumping the worker's l1Epoch; backing arrays are reused, and a
-//     stale bucket self-clears on its next store.
-//  3. SharedCache L2: the optionally attached, lock-striped cross-worker
+//     front, and no mask value is reserved as an "empty" sentinel, so a
+//     real all-ones mask hash round-trips. Use-cost and compute-cost
+//     keys share one table: the bucket of a (group, order) slot and
+//     kind sits at index 2*slot+kind. At the fill bound (3/4 load) a
+//     store evicts the occupant of its home position instead of growing
+//     — bounded memory, and the probing invariant survives because the
+//     new key rests at its exact home. resetL1 clears every bucket in
+//     O(1) by bumping the worker's l1Epoch; backing arrays are reused,
+//     and a stale bucket self-clears on its next store.
+//  2. SharedCache L2: the optionally attached, lock-striped cross-worker
 //     tier. The hot path never locks it on store — fresh values go only
 //     to the L1 and PublishCache drains them into the L2 in bulk; an L2
 //     hit (including a key the L1 evicted after an earlier publish) is
-//     promoted back into the L1 and front, paying its read lock at most
-//     once per worker. Shard capacity is enforced per merge: a shard
-//     over cap is reset at most once, before the batch's writes, so one
-//     publish can never evict its own entries (the old per-entry reset
-//     kept only the tail of a batch at or over cap).
+//     promoted back into the L1, paying its read lock at most once per
+//     worker. Shard capacity is enforced per merge: a shard over cap is
+//     reset at most once, before the batch's writes, so one publish can
+//     never evict its own entries (the old per-entry reset kept only
+//     the tail of a batch at or over cap).
 //
 // repro.Session owns one SharedCache per session, so identical batches
 // start warm; entries are namespaced by the searcher's structural
@@ -479,16 +475,6 @@ type epVal struct {
 	val float64
 }
 
-// l1Front is one direct-mapped front-cache cell: the last (mask hash,
-// cost) pair its slot served, live iff ep matches the worker's L1 epoch.
-// One struct load replaces the three parallel-array touches the front
-// check used to cost.
-type l1Front struct {
-	mask uint64
-	val  float64
-	ep   uint32
-}
-
 // l1Entry is one inline (mask hash, cost) pair of a flat L1 bucket.
 type l1Entry struct {
 	mask uint64
@@ -496,11 +482,9 @@ type l1Entry struct {
 }
 
 // l1Bucket is the flat open-addressed cross-call cache of one (group,
-// order) slot. Occupancy is explicit — bit j of occ marks entries[j]
-// live — so every 64-bit mask hash, including ^uint64(0), round-trips
-// exactly (the previous map layout's companion front cache used an
-// all-ones sentinel for "empty", which silently mis-cached a real
-// all-ones mask hash). ep stamps the occupancy with the worker's L1
+// order) slot and cost kind. Occupancy is explicit — bit j of occ marks
+// entries[j] live — so every 64-bit mask hash, including ^uint64(0),
+// round-trips exactly. ep stamps the occupancy with the worker's L1
 // epoch: resetL1 bumps the epoch in O(1) and a stale bucket lazily
 // self-clears on its next store, reusing its backing array.
 type l1Bucket struct {
@@ -595,25 +579,18 @@ type worker struct {
 
 	// Private L1 cross-call cache. Entries are bucketed by the (group,
 	// order) slot — the same int(g)*numOrds+ord index the scratch tables
-	// use — and keyed inside the bucket by the 8-byte mask hash alone.
-	// Each bucket is a flat open-addressed probe array (l1Bucket), lazily
-	// allocated on first store and cleared in place by epoch stamping, so
-	// a probe is a few adjacent inline loads instead of a runtime map
-	// access. A 1-entry direct-mapped front cache per slot (mask1/val1,
-	// live iff its epoch stamp ep1 is current) exploits the scan locality
-	// of greedy rounds: consecutive candidate sets leave most groups'
-	// mask restrictions untouched, so the common case is two loads and a
-	// compare before any probe. Misses fall through to s.shared. (A
-	// single flat map[cacheKey]float64 was profiled at ~70% of
-	// optimization wall time on the 256-query workloads, and the
-	// per-slot map[uint64]float64 buckets that replaced it still at ~25%
-	// — mapaccess2_fast64 hashing and probing — which this layout
+	// use — and the cost kind, and keyed inside the bucket by the 8-byte
+	// mask hash alone. Each bucket is a flat open-addressed probe array
+	// (l1Bucket), lazily allocated on first store and cleared in place by
+	// epoch stamping, so a probe is a few adjacent inline loads instead
+	// of a runtime map access. Misses fall through to s.shared. (A single
+	// flat map[cacheKey]float64 was profiled at ~70% of optimization wall
+	// time on the 256-query workloads, and the per-slot
+	// map[uint64]float64 buckets that replaced it still at ~25% —
+	// mapaccess2_fast64 hashing and probing — which this layout
 	// eliminates.)
-	l1Epoch   uint32    // current L1 generation; entries with other stamps are dead
-	useFront  []l1Front // front cache: last-seen (mask, cost) per slot
-	compFront []l1Front
-	useL1     []*l1Bucket // per-slot flat probe arrays (lazily allocated)
-	compL1    []*l1Bucket
+	l1Epoch uint32      // current L1 generation; buckets with other stamps are dead
+	l1      []*l1Bucket // bucket of (slot, kind) at 2*slot+kind, lazily allocated
 
 	ns          uint64 // SharedCache namespace for the current call's flags
 	sharedEpoch uint64 // SharedCache epoch the L1 was filled under
@@ -637,10 +614,7 @@ func (s *Searcher) newWorker() *worker {
 	w := &worker{
 		s:         s,
 		l1Epoch:   1,
-		useFront:  make([]l1Front, slots),
-		compFront: make([]l1Front, slots),
-		useL1:     make([]*l1Bucket, slots),
-		compL1:    make([]*l1Bucket, slots),
+		l1:        make([]*l1Bucket, 2*slots),
 		bits:      s.SI.NewMatSet(),
 		useMemo:   make([]epVal, slots),
 		compMemo:  make([]epVal, slots),
@@ -654,24 +628,13 @@ func (s *Searcher) newWorker() *worker {
 }
 
 // resetL1 drops the worker's private cross-call cache in O(1) by bumping
-// the L1 epoch: front-cache slots and buckets stamped with an older
-// generation read as empty, and every backing array is reused in place —
-// no reallocation, however often a SharedCache epoch bump or an explicit
-// ClearCache lands.
+// the L1 epoch: buckets stamped with an older generation read as empty,
+// and every backing array is reused in place — no reallocation, however
+// often a SharedCache epoch bump or an explicit ClearCache lands.
 func (w *worker) resetL1() {
 	w.l1Epoch++
 	if w.l1Epoch == 0 { // wrapped: stamps are ambiguous, hard-reset
-		for i := range w.useFront {
-			w.useFront[i].ep = 0
-			w.compFront[i].ep = 0
-		}
-		for _, b := range w.useL1 {
-			if b != nil {
-				b.ep = 0
-				b.occ = 0
-			}
-		}
-		for _, b := range w.compL1 {
+		for _, b := range w.l1 {
 			if b != nil {
 				b.ep = 0
 				b.occ = 0
@@ -696,78 +659,41 @@ func (w *worker) syncShared() {
 	}
 }
 
-// cachedUse consults the cache levels for a use-cost key: front cache,
-// bucket map, then the SharedCache (whose hits are promoted so each
+// Cost kinds of a cross-call cache key: the low bit of an L1 table index
+// and the compute field of a cacheKey.
+const (
+	kindUse  = 0
+	kindComp = 1
+)
+
+// cached consults the cache levels for a use- or compute-cost key: the
+// slot's L1 bucket, then the SharedCache (whose hits are promoted so each
 // shared key pays its read lock at most once per worker). Fresh values go
 // only to the L1 — PublishCache merges them into the SharedCache in bulk,
 // keeping the hot path free of per-key locking.
-func (w *worker) cachedUse(g memo.GroupID, ord ordID, idx int, mask uint64) (float64, bool) {
-	f := &w.useFront[idx]
-	if f.ep == w.l1Epoch && f.mask == mask {
-		w.cacheHits++
-		return f.val, true
-	}
-	if b := w.useL1[idx]; b != nil && b.ep == w.l1Epoch {
+func (w *worker) cached(g memo.GroupID, ord ordID, idx int, mask uint64, kind int) (float64, bool) {
+	if b := w.l1[2*idx+kind]; b != nil && b.ep == w.l1Epoch {
 		if v, ok := b.lookup(mask); ok {
 			w.cacheHits++
-			*f = l1Front{mask: mask, val: v, ep: w.l1Epoch}
 			return v, true
 		}
 	}
 	if sh := w.s.shared; sh != nil {
-		if v, ok := sh.get(w.ns, cacheKey{g: g, ord: ord, compute: false, mask: mask}); ok {
+		if v, ok := sh.get(w.ns, cacheKey{g: g, ord: ord, compute: kind == kindComp, mask: mask}); ok {
 			w.sharedHits++
-			w.storeUse(idx, mask, v)
+			w.store(idx, mask, v, kind)
 			return v, true
 		}
 	}
 	return 0, false
 }
 
-func (w *worker) storeUse(idx int, mask uint64, v float64) {
-	w.useFront[idx] = l1Front{mask: mask, val: v, ep: w.l1Epoch}
-	b := w.useL1[idx]
-	if b == nil {
-		b = new(l1Bucket)
-		b.ep = w.l1Epoch
-		w.useL1[idx] = b
+func (w *worker) store(idx int, mask uint64, v float64, kind int) {
+	i := 2*idx + kind
+	if w.l1[i] == nil {
+		w.l1[i] = new(l1Bucket)
 	}
-	b.store(w.l1Epoch, mask, v)
-}
-
-// cachedComp is cachedUse for compute-cost keys.
-func (w *worker) cachedComp(g memo.GroupID, ord ordID, idx int, mask uint64) (float64, bool) {
-	f := &w.compFront[idx]
-	if f.ep == w.l1Epoch && f.mask == mask {
-		w.cacheHits++
-		return f.val, true
-	}
-	if b := w.compL1[idx]; b != nil && b.ep == w.l1Epoch {
-		if v, ok := b.lookup(mask); ok {
-			w.cacheHits++
-			*f = l1Front{mask: mask, val: v, ep: w.l1Epoch}
-			return v, true
-		}
-	}
-	if sh := w.s.shared; sh != nil {
-		if v, ok := sh.get(w.ns, cacheKey{g: g, ord: ord, compute: true, mask: mask}); ok {
-			w.sharedHits++
-			w.storeComp(idx, mask, v)
-			return v, true
-		}
-	}
-	return 0, false
-}
-
-func (w *worker) storeComp(idx int, mask uint64, v float64) {
-	w.compFront[idx] = l1Front{mask: mask, val: v, ep: w.l1Epoch}
-	b := w.compL1[idx]
-	if b == nil {
-		b = new(l1Bucket)
-		b.ep = w.l1Epoch
-		w.compL1[idx] = b
-	}
-	b.store(w.l1Epoch, mask, v)
+	w.l1[i].store(w.l1Epoch, mask, v)
 }
 
 // worker returns the i-th worker, growing the pool on demand.
@@ -1052,7 +978,7 @@ func (w *worker) useCostMiss(g memo.GroupID, ord ordID, m *epVal) float64 {
 	var mask uint64
 	if s.Incremental {
 		mask = w.maskHash(g)
-		if v, ok := w.cachedUse(g, ord, idx, mask); ok {
+		if v, ok := w.cached(g, ord, idx, mask, kindUse); ok {
 			m.val = v
 			m.ep = w.epoch
 			return v
@@ -1067,7 +993,7 @@ func (w *worker) useCostMiss(g memo.GroupID, ord ordID, m *epVal) float64 {
 	m.val = v
 	m.ep = w.epoch
 	if s.Incremental {
-		w.storeUse(idx, mask, v)
+		w.store(idx, mask, v, kindUse)
 	}
 	return v
 }
@@ -1108,7 +1034,7 @@ func (w *worker) computeMiss(g memo.GroupID, ord ordID, m *epVal) float64 {
 	var mask uint64
 	if s.Incremental {
 		mask = w.maskHash(g)
-		if v, ok := w.cachedComp(g, ord, idx, mask); ok {
+		if v, ok := w.cached(g, ord, idx, mask, kindComp); ok {
 			m.val = v
 			return v
 		}
@@ -1128,7 +1054,7 @@ func (w *worker) computeMiss(g memo.GroupID, ord ordID, m *epVal) float64 {
 	}
 	m.val = best
 	if s.Incremental {
-		w.storeComp(idx, mask, best)
+		w.store(idx, mask, best, kindComp)
 	}
 	return best
 }

@@ -286,7 +286,7 @@ func (s *Searcher) cacheNS() uint64 {
 func (s *Searcher) Fingerprint() uint64 { return s.cacheNS() }
 
 // AttachSharedCache attaches a cross-call L2 cache: every worker keeps its
-// private (lock-free) L1 map, missing into c and promoting hits, and
+// private (lock-free) L1 table, missing into c and promoting hits, and
 // PublishCache merges the workers' learning back. Attaching a longer-lived
 // cache (repro.Session owns one) lets identical batches start warm. A nil
 // c detaches, leaving workers with private caches only — the default for
@@ -310,24 +310,18 @@ func (s *Searcher) PublishCache() {
 	ns := s.cacheNS()
 	for _, w := range s.workers {
 		var kvs []sharedKV
-		drain := func(buckets []*l1Bucket, compute bool) {
-			for idx, b := range buckets {
-				if b == nil || b.ep != w.l1Epoch || b.occ == 0 {
-					continue
-				}
-				g := memo.GroupID(idx / s.numOrds)
-				ord := ordID(idx % s.numOrds)
-				occ := b.occ
-				for occ != 0 {
-					j := bits.TrailingZeros64(occ)
-					occ &= occ - 1
-					e := &b.entries[j]
-					kvs = append(kvs, sharedKV{k: cacheKey{g: g, ord: ord, compute: compute, mask: e.mask}, v: e.val})
-				}
+		for i, b := range w.l1 {
+			if b == nil || b.ep != w.l1Epoch {
+				continue
+			}
+			idx, kind := i/2, i%2
+			k := cacheKey{g: memo.GroupID(idx / s.numOrds), ord: ordID(idx % s.numOrds), compute: kind == kindComp}
+			for occ := b.occ; occ != 0; occ &= occ - 1 {
+				e := &b.entries[bits.TrailingZeros64(occ)]
+				k.mask = e.mask
+				kvs = append(kvs, sharedKV{k: k, v: e.val})
 			}
 		}
-		drain(w.useL1, false)
-		drain(w.compL1, true)
 		if len(kvs) > 0 {
 			s.shared.merge(ns, kvs)
 		}

@@ -296,6 +296,48 @@ func BenchmarkSearcherSetup(b *testing.B) {
 
 var benchSearcher *physical.Searcher
 
+// BenchmarkPublishCache isolates Searcher.PublishCache, the stage of
+// Session.Optimize after plan extraction: "cold" publishes one cold
+// MarginalGreedy run's worker caches into an empty SharedCache; "warm"
+// publishes an identical second run made against the cache the first one
+// filled (what a repeated batch on a long-lived session pays). The run itself is
+// outside the timer. Not in the CI gate set.
+func BenchmarkPublishCache(b *testing.B) {
+	cat := tpcd.Catalog(1)
+	for _, size := range []int{32, 64} {
+		batch := workload.MustGenerate(workload.DefaultSpec(size, 0.25))
+		run := func(b *testing.B, cache *physical.SharedCache) *physical.Searcher {
+			opt, err := volcano.NewOptimizer(cat, cost.Default(), batch)
+			if err != nil {
+				b.Fatal(err)
+			}
+			opt.Searcher.AttachSharedCache(cache)
+			core.RunWith(context.Background(), opt, core.MarginalGreedy, core.Config{})
+			return opt.Searcher
+		}
+		b.Run(fmt.Sprintf("%dx0.25/cold", size), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s := run(b, physical.NewSharedCache())
+				b.StartTimer()
+				s.PublishCache()
+			}
+		})
+		b.Run(fmt.Sprintf("%dx0.25/warm", size), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				cache := physical.NewSharedCache()
+				run(b, cache).PublishCache()
+				s := run(b, cache)
+				b.StartTimer()
+				s.PublishCache()
+			}
+		})
+	}
+}
+
 // BenchmarkBestCostOracle measures one bc(S) evaluation on a warm searcher,
 // the unit of work all MQO algorithms are built from.
 func BenchmarkBestCostOracle(b *testing.B) {

@@ -145,7 +145,7 @@ type Telemetry struct {
 	OracleCalls  int     `json:"oracle_calls"`   // memoized-distinct mb(S) evaluations
 	BCCalls      int     `json:"bc_calls"`       // bestCost invocations during the run
 	CacheHits    int     `json:"cache_hits"`     // worker-private (L1) cross-call cache hits
-	SharedHits   int     `json:"shared_hits"`    // SharedCache (L2) hits during the run
+	SharedHits   int     `json:"shared_hits"`    // lookups served by the SharedCache (L2) during the run
 	ComputedKeys int     `json:"computed_keys"`  // fresh (group, order, mask) computations
 	CacheHitRate float64 `json:"cache_hit_rate"` // (CacheHits+SharedHits) / (hits + ComputedKeys)
 	// SharedOracleHits counts distinct mb(S) evaluations served from the

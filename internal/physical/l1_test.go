@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cost"
@@ -43,18 +44,18 @@ func TestL1AllOnesMaskRoundTrips(t *testing.T) {
 	w := s.worker(0)
 	const mask = ^uint64(0)
 	for _, kind := range []int{kindUse, kindComp} {
-		if v, ok := w.cached(0, 0, 0, mask, kind); ok {
+		if v, ok := w.cached(0, mask, kind); ok {
 			t.Fatalf("kind %d: all-ones mask hit an empty L1 with value %v (sentinel collision)", kind, v)
 		}
 		want := 42.5 + float64(kind)
 		w.store(0, mask, want, kind)
-		if v, ok := w.cached(0, 0, 0, mask, kind); !ok || v != want {
+		if v, ok := w.cached(0, mask, kind); !ok || v != want {
 			t.Fatalf("kind %d: all-ones mask after store: got (%v, %v), want (%v, true)", kind, v, ok, want)
 		}
 		// A later store of another mask in the same bucket must not
 		// displace it.
 		w.store(0, 7, 9.25, kind)
-		if v, ok := w.cached(0, 0, 0, mask, kind); !ok || v != want {
+		if v, ok := w.cached(0, mask, kind); !ok || v != want {
 			t.Fatalf("kind %d: all-ones mask after a second store: got (%v, %v), want (%v, true)", kind, v, ok, want)
 		}
 	}
@@ -73,7 +74,7 @@ func TestL1KindsDoNotAlias(t *testing.T) {
 
 	const both, useOnly, compOnly = uint64(31), uint64(32), uint64(33)
 	w.store(0, both, 1.5, kindUse)
-	if v, ok := w.cached(0, 0, 0, both, kindComp); ok {
+	if v, ok := w.cached(0, both, kindComp); ok {
 		t.Fatalf("use cost read back as a compute cost (%v): kind missing from the L1 index", v)
 	}
 	w.store(0, both, 2.5, kindComp)
@@ -97,7 +98,7 @@ func TestL1KindsDoNotAlias(t *testing.T) {
 	check := func(where string, w *worker) {
 		t.Helper()
 		for _, p := range probes {
-			if v, ok := w.cached(0, 0, 0, p.mask, p.kind); ok != p.hit || v != p.want {
+			if v, ok := w.cached(0, p.mask, p.kind); ok != p.hit || v != p.want {
 				t.Fatalf("%s: mask %d kind %d: got (%v, %v), want (%v, %v)", where, p.mask, p.kind, v, ok, p.want, p.hit)
 			}
 		}
@@ -201,14 +202,112 @@ func TestL1OverflowFallsBackToShared(t *testing.T) {
 
 	// The evicted key falls back to the L2: seed it there (as an earlier
 	// PublishCache would have) and the cache read must hit, counted as a
-	// shared hit and re-promoted into the L1.
-	cache.merge(w.ns, []sharedKV{{k: cacheKey{g: 0, ord: 0, compute: false, mask: victim}, v: victimVal}})
+	// shared hit — every time, since a shared hit is not copied into the L1.
+	seedCosts(cache, w.ns, s.M.NumGroups(), s.numOrds, []sharedKV{{k: cacheKey{g: 0, ord: 0, compute: false, mask: victim}, v: victimVal}})
+	w.syncShared()
 	w.sharedHits = 0
-	if v, ok := w.cached(0, 0, 0, victim, kindUse); !ok || v != victimVal {
-		t.Fatalf("evicted key via L2 fallback: got (%v, %v), want (%v, true)", v, ok, victimVal)
+	for n := 1; n <= 2; n++ {
+		if v, ok := w.cached(0, victim, kindUse); !ok || v != victimVal {
+			t.Fatalf("evicted key via L2 fallback: got (%v, %v), want (%v, true)", v, ok, victimVal)
+		}
+		if w.sharedHits != n {
+			t.Fatalf("L2 fallback counted %d shared hits after %d reads", w.sharedHits, n)
+		}
 	}
-	if w.sharedHits != 1 {
-		t.Fatalf("L2 fallback counted %d shared hits, want 1", w.sharedHits)
+}
+
+// TestL1OccupancyPastFillBound pins what the fill bound does and does not
+// bound. Past it a store goes to its home position, and when that home is
+// empty it is claimed, so occupancy creeps past l1MaxFill up to the full
+// capacity. Lookups must stay exact there (the probe-run length comes from
+// the occupancy word: 64 when no position is free), and the publish path,
+// which reasons about the occupancy count, must take such a bucket — and
+// extend its chain — without losing an entry.
+func TestL1OccupancyPastFillBound(t *testing.T) {
+	b := new(l1Bucket)
+	stored := map[uint64]float64{}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 5000 && b.occ != ^uint64(0); i++ {
+		m := l1TestMask(rng.Intn(1 << 20))
+		stored[m] = float64(i)
+		b.store(1, m, float64(i))
+	}
+	if got := bits.OnesCount64(b.occ); got != l1BucketCap {
+		t.Fatalf("occupancy %d after random stores, want it to creep to %d", got, l1BucketCap)
+	}
+	resident := map[uint64]float64{}
+	for j := range b.entries {
+		resident[b.entries[j].mask] = b.entries[j].val
+	}
+	if len(resident) != l1BucketCap {
+		t.Fatalf("full bucket holds %d distinct masks, want %d", len(resident), l1BucketCap)
+	}
+	checkResident := func(where string, find func(uint64) (float64, bool)) {
+		t.Helper()
+		for m, v := range stored {
+			got, ok := find(m)
+			if want, in := resident[m]; in {
+				if !ok || got != want || want != v {
+					t.Fatalf("%s: resident mask %#x: got (%v, %v), want (%v, true)", where, m, got, ok, want)
+				}
+			} else if ok {
+				t.Fatalf("%s: evicted mask %#x still found (%v)", where, m, got)
+			}
+		}
+		if v, ok := find(l1TestMask(1 << 21)); ok {
+			t.Fatalf("%s: never-stored mask found (%v)", where, v)
+		}
+	}
+	checkResident("full bucket", b.lookup)
+
+	// Published: an empty slot adopts the full bucket as is.
+	tab := &nsTable{numOrds: 1, slots: make([]atomic.Pointer[l1Bucket], 2)}
+	if n := tab.absorb(kindUse, b); n != l1BucketCap {
+		t.Fatalf("adopting the full bucket added %d entries, want %d", n, l1BucketCap)
+	}
+	// A second bucket sharing two of its keys brings ten new ones: they
+	// cannot fit under the head's bound, so the chain grows by a link.
+	more := new(l1Bucket)
+	fresh := map[uint64]float64{}
+	for i := 0; i < 10; i++ {
+		m := l1TestMask(1<<22 + i)
+		fresh[m] = float64(-i)
+		more.store(1, m, float64(-i))
+	}
+	dup := 0
+	for m, v := range resident {
+		if dup < 2 && more.put(m, v) {
+			dup++
+		}
+	}
+	if n := tab.absorb(kindUse, more); n != len(fresh) {
+		t.Fatalf("absorbing %d new and %d known keys added %d entries", len(fresh), dup, n)
+	}
+	// A second full bucket, all new: more than one link's worth.
+	full := new(l1Bucket)
+	for i := 0; full.occ != ^uint64(0); i++ {
+		full.store(1, l1TestMask(1<<23+i), float64(i))
+	}
+	for j := range full.entries {
+		fresh[full.entries[j].mask] = full.entries[j].val
+	}
+	inFull := bits.OnesCount64(full.occ)
+	if n := tab.absorb(kindUse, full); n != inFull {
+		t.Fatalf("absorbing a full bucket of new keys added %d entries, want %d", n, inFull)
+	}
+	head := tab.slots[kindUse].Load()
+	checkResident("published chain", head.find)
+	for m, v := range fresh {
+		if got, ok := head.find(m); !ok || got != v {
+			t.Fatalf("published chain lost absorbed mask %#x: got (%v, %v), want (%v, true)", m, got, ok, v)
+		}
+	}
+	links := 0
+	for l := head; l != nil; l = l.next {
+		links++
+	}
+	if links < 3 {
+		t.Fatalf("chain has %d links after absorbing 10 + %d entries over a full bucket", links, inFull)
 	}
 }
 
@@ -229,10 +328,10 @@ func TestL1ResetReusesBackingArrays(t *testing.T) {
 	if w.l1[kindUse] != useBefore || w.l1[kindComp] != compBefore {
 		t.Fatal("resetL1 dropped a bucket backing array")
 	}
-	if _, ok := w.cached(0, 0, 0, 11, kindUse); ok {
+	if _, ok := w.cached(0, 11, kindUse); ok {
 		t.Fatal("use entry survived resetL1")
 	}
-	if _, ok := w.cached(0, 0, 0, 12, kindComp); ok {
+	if _, ok := w.cached(0, 12, kindComp); ok {
 		t.Fatal("comp entry survived resetL1")
 	}
 
@@ -241,7 +340,7 @@ func TestL1ResetReusesBackingArrays(t *testing.T) {
 	if w.l1[kindUse] != useBefore {
 		t.Fatal("post-reset store allocated a fresh bucket")
 	}
-	if v, ok := w.cached(0, 0, 0, 13, kindUse); !ok || v != 3.5 {
+	if v, ok := w.cached(0, 13, kindUse); !ok || v != 3.5 {
 		t.Fatalf("post-reset store: got (%v, %v), want (3.5, true)", v, ok)
 	}
 	if _, ok := useBefore.lookup(11); ok {
@@ -265,10 +364,10 @@ func TestL1EpochWrapHardResets(t *testing.T) {
 	if w.l1Epoch != 1 {
 		t.Fatalf("wrapped epoch is %d, want 1", w.l1Epoch)
 	}
-	if _, ok := w.cached(0, 0, 0, 21, kindUse); ok {
+	if _, ok := w.cached(0, 21, kindUse); ok {
 		t.Fatal("entry resurrected across an epoch wrap")
 	}
-	if _, ok := w.cached(0, 0, 0, 22, kindComp); ok {
+	if _, ok := w.cached(0, 22, kindComp); ok {
 		t.Fatal("generation-1 entry resurrected by the recycled epoch")
 	}
 	if stale.ep != 0 || stale.occ != 0 {

@@ -64,20 +64,34 @@
 //     real all-ones mask hash round-trips. Use-cost and compute-cost
 //     keys share one table: the bucket of a (group, order) slot and
 //     kind sits at index 2*slot+kind. At the fill bound (3/4 load) a
-//     store evicts the occupant of its home position instead of growing
-//     — bounded memory, and the probing invariant survives because the
-//     new key rests at its exact home. resetL1 clears every bucket in
+//     store stops probing for a free position and writes at its home,
+//     evicting the occupant — or claiming the home if it is empty, so
+//     occupancy can still creep from the bound up to the full capacity.
+//     Memory stays bounded, and the probing invariant survives because
+//     the new key rests at its exact home. resetL1 clears every bucket in
 //     O(1) by bumping the worker's l1Epoch; backing arrays are reused,
 //     and a stale bucket self-clears on its next store.
-//  2. SharedCache L2: the optionally attached, lock-striped cross-worker
-//     tier. The hot path never locks it on store — fresh values go only
-//     to the L1 and PublishCache drains them into the L2 in bulk; an L2
-//     hit (including a key the L1 evicted after an earlier publish) is
-//     promoted back into the L1, paying its read lock at most once per
-//     worker. Shard capacity is enforced per merge: a shard over cap is
-//     reset at most once, before the batch's writes, so one publish can
-//     never evict its own entries (the old per-entry reset kept only
-//     the tail of a batch at or over cap).
+//  2. SharedCache L2: the optionally attached cross-searcher tier, one
+//     table per namespace (structural fingerprint + operator flags) with
+//     the L1's own geometry: slot 2*slot+kind holds an atomically loaded
+//     pointer to a short chain of l1Buckets that are immutable once
+//     published. Reads are lock-free: a worker resolves its namespace's
+//     table once per oracle call (nil when nothing was published under
+//     it, so a cold run never probes the L2) and on an L1 miss loads the
+//     slot and probes the chain — no lock, no hash. There is no
+//     promotion: an L2 hit is not copied into the L1, so the L1 holds
+//     only what this run computed. The hot path never writes the L2 —
+//     fresh values go only to the L1 and PublishCache moves them over:
+//     an empty slot adopts the worker's bucket pointer as it is (the
+//     worker's slot is cleared, so it can never write a shared bucket);
+//     an occupied slot gets, for the entries its chain lacks, a copied
+//     and extended head (copy-on-write, when they fit under the fill
+//     bound) or a new chain link. Capacity is one bound on the whole
+//     cache, enforced after a publish by dropping whole namespaces, least
+//     recently published first and never the one just published, so one
+//     publish can never evict its own entries. Invalidate drops every
+//     table (and the memoized oracle values, which live in a small
+//     guarded map of their own), releasing their memory.
 //
 // repro.Session owns one SharedCache per session, so identical batches
 // start warm; entries are namespaced by the searcher's structural
@@ -94,8 +108,8 @@
 // materialization sets concurrently on up to Parallelism workers. Costs
 // are pure functions of (memo, set), so batch results are bit-identical
 // to sequential evaluation regardless of scheduling — and SharedCache
-// reads/merges never change a value, only how often it is recomputed. The
-// flags may only be toggled between evaluations, never during a
+// reads/publishes never change a value, only how often it is recomputed.
+// The flags may only be toggled between evaluations, never during a
 // concurrent batch, and a toggle requires a ClearCache call (the
 // volcano.Optimizer setters do this).
 package physical
@@ -286,7 +300,7 @@ type Searcher struct {
 	// Stats.
 	BCCalls      int // bestCost invocations
 	CacheHits    int // worker-private (L1) cross-call cache hits
-	SharedHits   int // SharedCache (L2) hits promoted into a worker L1
+	SharedHits   int // lookups served by the SharedCache (L2)
 	ComputedKey  int // fresh (group, order, mask) computations
 	ExtractCalls int // plan-extraction node resolutions (BestPlan)
 }
@@ -459,12 +473,17 @@ const l1BucketBits = 6
 // l1BucketCap is the bucket capacity (entries per probe array).
 const l1BucketCap = 1 << l1BucketBits
 
-// l1MaxFill bounds the distinct masks a bucket holds (3/4 load): linear
-// probes therefore always terminate at an empty position, and lookup
-// chains stay short even in the hottest buckets. A store into a bucket
-// at the fill bound evicts deterministically instead of claiming a new
-// position; the evicted key falls back to the SharedCache L2 (or a
-// recomputation) — see l1Bucket.store.
+// l1MaxFill is the fill bound of a bucket (3/4 load). Below it a store
+// claims the first empty position of its probe run. At or past it a store
+// never probes for a new position: it writes at its home, replacing the
+// occupant or — when the home happens to be empty — claiming it. So past
+// the bound a store never lengthens a probe run beyond the key's own home,
+// lookup chains stay short even in the hottest buckets, and memory stays
+// bounded; but occupancy is not capped at the bound — claimed empty homes
+// let it creep up to the full capacity, where a probe for an absent key
+// walks all l1BucketCap positions (lookup takes the run length from the
+// occupancy word, so it still terminates). An evicted key falls back to
+// the SharedCache L2 (or a recomputation) — see l1Bucket.store.
 const l1MaxFill = l1BucketCap * 3 / 4
 
 // epVal is one per-call scratch memo cell: a cost stamped with the call
@@ -486,17 +505,22 @@ type l1Entry struct {
 // entries[j] live — so every 64-bit mask hash, including ^uint64(0),
 // round-trips exactly. ep stamps the occupancy with the worker's L1
 // epoch: resetL1 bumps the epoch in O(1) and a stale bucket lazily
-// self-clears on its next store, reusing its backing array.
+// self-clears on its next store, reusing its backing array. next is nil
+// in a worker's L1; a SharedCache table, whose buckets are never written
+// once published, links the buckets of one slot through it. It comes last
+// so the 16-byte header keeps every entry inside one cache line; only a
+// probe that misses a published bucket reads it.
 type l1Bucket struct {
 	ep      uint32
 	occ     uint64
 	tags    [l1BucketCap]uint8
 	entries [l1BucketCap]l1Entry
+	next    *l1Bucket
 }
 
 // l1Home is the probe start position for a mask hash: the top bucket
-// bits of a Fibonacci remix (the mask is itself a hash, but its top
-// bits must be independent of the SharedCache's shard choice).
+// bits of a Fibonacci remix (the mask is itself a hash; the remix keeps
+// the home independent of which of its bits happen to vary in a bucket).
 func l1Home(mask uint64) int {
 	return int((mask * 0x9e3779b97f4a7c15) >> (64 - l1BucketBits))
 }
@@ -530,19 +554,21 @@ func (b *l1Bucket) lookup(mask uint64) (float64, bool) {
 	return 0, false
 }
 
-// store inserts or overwrites a (mask, value) pair. A bucket whose epoch
-// is stale self-clears first (O(1): drop the occupancy bitmap). At the
-// fill bound the probe array is "full": the pair deterministically
-// replaces the entry at its home position — the linear-probing invariant
-// survives because the new key rests exactly at its own home, and the
-// evicted key simply misses from then on, falling back to the
-// SharedCache L2 (if it was published) or to recomputation. Values are
-// pure functions of their key, so eviction can never change a cost.
-func (b *l1Bucket) store(epoch uint32, mask uint64, v float64) {
-	if b.ep != epoch {
-		b.ep = epoch
-		b.occ = 0
+// find probes the chain of buckets starting at b (nil is the empty chain).
+func (b *l1Bucket) find(mask uint64) (float64, bool) {
+	for ; b != nil; b = b.next {
+		if v, ok := b.lookup(mask); ok {
+			return v, true
+		}
 	}
+	return 0, false
+}
+
+// put overwrites the mask's value or, below the fill bound, claims the
+// first empty position of its probe run. It reports false — leaving the
+// bucket as it was — when the mask is absent and the bucket is at the
+// bound.
+func (b *l1Bucket) put(mask uint64, v float64) bool {
 	h := l1Home(mask)
 	tag := l1Tag(mask)
 	full := bits.OnesCount64(b.occ) >= l1MaxFill
@@ -550,24 +576,43 @@ func (b *l1Bucket) store(epoch uint32, mask uint64, v float64) {
 		j := (h + i) & (l1BucketCap - 1)
 		if b.occ&(1<<uint(j)) == 0 {
 			if full {
-				break
+				return false
 			}
 			b.occ |= 1 << uint(j)
 			b.tags[j] = tag
 			b.entries[j] = l1Entry{mask: mask, val: v}
-			return
+			return true
 		}
 		if b.tags[j] == tag && b.entries[j].mask == mask {
 			b.entries[j].val = v
-			return
+			return true
 		}
 	}
-	// Eviction at the home position. The occupancy bit is set explicitly:
-	// past the fill bound the home may itself be empty (evictions land
-	// only on home positions), and a claimed-but-unmarked entry would be
-	// a lost store.
+	return false
+}
+
+// store inserts or overwrites a (mask, value) pair. A bucket whose epoch
+// is stale self-clears first (O(1): drop the occupancy bitmap). At the
+// fill bound a new pair goes to its home position whatever is there: it
+// replaces the occupant, or claims the home if that is empty (which is how
+// occupancy passes the bound, see l1MaxFill). The linear-probing invariant
+// survives because the new key rests exactly at its own home; an evicted
+// key simply misses from then on, falling back to the SharedCache L2 (if
+// it was published) or to recomputation. Values are pure functions of
+// their key, so eviction can never change a cost.
+func (b *l1Bucket) store(epoch uint32, mask uint64, v float64) {
+	if b.ep != epoch {
+		b.ep = epoch
+		b.occ = 0
+	}
+	if b.put(mask, v) {
+		return
+	}
+	// The occupancy bit is set explicitly: the home may itself be empty,
+	// and a claimed-but-unmarked entry would be a lost store.
+	h := l1Home(mask)
 	b.occ |= 1 << uint(h)
-	b.tags[h] = tag
+	b.tags[h] = l1Tag(mask)
 	b.entries[h] = l1Entry{mask: mask, val: v}
 }
 
@@ -583,7 +628,7 @@ type worker struct {
 	// mask hash alone. Each bucket is a flat open-addressed probe array
 	// (l1Bucket), lazily allocated on first store and cleared in place by
 	// epoch stamping, so a probe is a few adjacent inline loads instead
-	// of a runtime map access. Misses fall through to s.shared. (A single
+	// of a runtime map access. Misses fall through to l2. (A single
 	// flat map[cacheKey]float64 was profiled at ~70% of optimization wall
 	// time on the 256-query workloads, and the per-slot
 	// map[uint64]float64 buckets that replaced it still at ~25% —
@@ -592,8 +637,13 @@ type worker struct {
 	l1Epoch uint32      // current L1 generation; buckets with other stamps are dead
 	l1      []*l1Bucket // bucket of (slot, kind) at 2*slot+kind, lazily allocated
 
-	ns          uint64 // SharedCache namespace for the current call's flags
-	sharedEpoch uint64 // SharedCache epoch the L1 was filled under
+	// View of the attached SharedCache, refreshed by syncShared: l2 is the
+	// table of namespace ns as resolved at generation sharedGen, nil when
+	// nothing is published under it.
+	ns          uint64
+	sharedGen   uint64
+	sharedEpoch uint64 // SharedCache invalidation epoch the L1 was filled under
+	l2          []atomic.Pointer[l1Bucket]
 
 	epoch     uint32
 	bits      memo.Bitset // current materialization set
@@ -644,17 +694,25 @@ func (w *worker) resetL1() {
 	}
 }
 
-// syncShared refreshes the worker's view of the attached SharedCache: the
-// flag namespace, and — after an Invalidate — the private L1, which may
-// hold entries the invalidation was meant to flush.
+// syncShared refreshes the worker's view of the attached SharedCache when
+// the flag namespace or the cache's table set moved: the namespace's
+// table, and — after an Invalidate — the private L1, which may hold
+// entries the invalidation was meant to flush.
 func (w *worker) syncShared() {
 	s := w.s
-	if s.shared == nil {
+	c := s.shared
+	if c == nil {
 		return
 	}
-	w.ns = s.cacheNS()
-	if ep := s.shared.epoch.Load(); ep != w.sharedEpoch {
-		w.sharedEpoch = ep
+	ns, gen := s.cacheNS(), c.gen.Load()
+	if ns == w.ns && gen == w.sharedGen {
+		return
+	}
+	w.ns, w.sharedGen = ns, gen
+	var epoch uint64
+	w.l2, epoch = c.resolve(ns, s.M.NumGroups(), s.numOrds)
+	if epoch != w.sharedEpoch {
+		w.sharedEpoch = epoch
 		w.resetL1()
 	}
 }
@@ -667,21 +725,21 @@ const (
 )
 
 // cached consults the cache levels for a use- or compute-cost key: the
-// slot's L1 bucket, then the SharedCache (whose hits are promoted so each
-// shared key pays its read lock at most once per worker). Fresh values go
-// only to the L1 — PublishCache merges them into the SharedCache in bulk,
-// keeping the hot path free of per-key locking.
-func (w *worker) cached(g memo.GroupID, ord ordID, idx int, mask uint64, kind int) (float64, bool) {
-	if b := w.l1[2*idx+kind]; b != nil && b.ep == w.l1Epoch {
+// slot's L1 bucket, then the same slot of the SharedCache table resolved
+// for this call — an atomic pointer load and a probe of immutable buckets,
+// with no lock, no hash, and no copy into the L1. Fresh values go only to
+// the L1; PublishCache hands them to the SharedCache in bulk.
+func (w *worker) cached(idx int, mask uint64, kind int) (float64, bool) {
+	i := 2*idx + kind
+	if b := w.l1[i]; b != nil && b.ep == w.l1Epoch {
 		if v, ok := b.lookup(mask); ok {
 			w.cacheHits++
 			return v, true
 		}
 	}
-	if sh := w.s.shared; sh != nil {
-		if v, ok := sh.get(w.ns, cacheKey{g: g, ord: ord, compute: kind == kindComp, mask: mask}); ok {
+	if w.l2 != nil {
+		if v, ok := w.l2[i].Load().find(mask); ok {
 			w.sharedHits++
-			w.store(idx, mask, v, kind)
 			return v, true
 		}
 	}
@@ -978,7 +1036,7 @@ func (w *worker) useCostMiss(g memo.GroupID, ord ordID, m *epVal) float64 {
 	var mask uint64
 	if s.Incremental {
 		mask = w.maskHash(g)
-		if v, ok := w.cached(g, ord, idx, mask, kindUse); ok {
+		if v, ok := w.cached(idx, mask, kindUse); ok {
 			m.val = v
 			m.ep = w.epoch
 			return v
@@ -1034,7 +1092,7 @@ func (w *worker) computeMiss(g memo.GroupID, ord ordID, m *epVal) float64 {
 	var mask uint64
 	if s.Incremental {
 		mask = w.maskHash(g)
-		if v, ok := w.cached(g, ord, idx, mask, kindComp); ok {
+		if v, ok := w.cached(idx, mask, kindComp); ok {
 			m.val = v
 			return v
 		}

@@ -3,188 +3,340 @@ package physical
 import (
 	"math"
 	"math/bits"
+	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/memo"
 )
 
-// sharedCacheShards is the lock-striping width of a SharedCache. Keys are
-// spread by a mixed hash, so 64 shards keep write contention negligible
-// even with a full worker pool filling the cache concurrently.
-const sharedCacheShards = 64
+// sharedCacheCap bounds the cost entries a SharedCache holds across all of
+// its namespaces. Cached costs are pure functions of their key, so when a
+// publish or an import takes the cache over the bound, whole namespaces are
+// dropped, least recently published first, and relearned if they come
+// back — eviction can never change a result, only cost a recomputation.
+// The namespace being published is never the one dropped, so one publish
+// larger than the bound survives whole.
+const sharedCacheCap = 1 << 19
 
-// sharedShardCap bounds each shard's entry count (≈512k entries across the
-// cache). Cached costs are pure functions of their key, so when a shard
-// fills up it is simply dropped and relearned — eviction can never change
-// a result, only cost a recomputation.
-const sharedShardCap = 1 << 13
+// benefitCap bounds the memoized oracle values a SharedCache holds. They
+// live apart from the cost tables (a run stores a few hundred, one per
+// distinct oracle call), so filling up drops only them.
+const benefitCap = 1 << 16
 
-// SharedCache is a sharded, lock-striped cross-call cost cache owned by a
-// longer-lived holder — repro.Session — and attached to every searcher the
-// holder creates. Entries are keyed by the searcher's structural namespace
-// (compiled memo, cost constants and operator flags) plus the incremental
-// cache key {group, order, compute, mask}, so caches attached to different
-// DAGs or flag settings never observe each other's values, and a batch
-// identical to an earlier one starts warm instead of relearning per
+// SharedCache is the cross-call cost cache owned by a longer-lived holder —
+// repro.Session — and attached to every searcher the holder creates. It
+// keeps one table per search-space namespace (the searcher's structural
+// fingerprint mixed with its operator flags), so caches attached to
+// different DAGs or flag settings never observe each other's values, and a
+// batch identical to an earlier one starts warm instead of relearning per
 // worker.
 //
-// The hot path stays lock-free: workers read the SharedCache only on a
-// private-L1 miss (promoting hits so each shared key pays its read lock at
-// most once per worker) and never write it mid-evaluation — freshly
-// computed values are published in bulk by Searcher.PublishCache, one lock
-// acquisition per shard, when the owner decides a call's learning is worth
-// keeping (repro.Session publishes after every Optimize call).
+// A table has the geometry of a worker's L1: slot 2*(g*numOrds+ord)+kind
+// holds an atomically loaded pointer to a short chain of l1Buckets that
+// are immutable once published. A worker resolves its namespace's table
+// once per oracle call (nil when nothing was published under it, so a cold
+// run never probes the SharedCache at all) and on an L1 miss probes the
+// slot's chain directly: no lock, no hash, and no copy into the L1 — the
+// L1 holds only what its own run computed. Workers never write the cache
+// mid-evaluation; Searcher.PublishCache hands their buckets over when the
+// owner decides a call's learning is worth keeping (repro.Session
+// publishes after every Optimize call).
 //
 // Cached values are pure functions of their full key; the cache therefore
 // never changes any cost, only how often it is recomputed, and lookups are
-// safe from any number of workers concurrently. Invalidate drops every
-// entry in O(1) by bumping the cache epoch (stale entries are ignored and
-// lazily overwritten).
+// safe from any number of workers concurrently with publishes, imports and
+// invalidations. Memoized oracle values (GetBenefit/PutBenefit) sit in a
+// small map of their own behind a separate lock.
 type SharedCache struct {
-	epoch  atomic.Uint64
-	shards [sharedCacheShards]sharedShard
+	// gen moves whenever a namespace gains or loses its table, telling
+	// workers to resolve again; it starts at 1 so a worker's zero value
+	// never matches.
+	gen atomic.Uint64
+
+	mu     sync.Mutex // serialises publish, import, export and invalidation
+	epoch  uint64     // Invalidate count: workers flush their L1 when it moves
+	clock  uint64     // publish clock behind nsTable.stamp
+	total  int        // cost entries across spaces
+	spaces map[uint64]*nsTable
+
+	benMu    sync.RWMutex
+	benefits map[benefitKey]float64
 }
 
-type sharedShard struct {
-	mu sync.RWMutex
-	m  map[sharedKey]sharedEntry
+// nsTable is one namespace's cost entries. Its geometry is the publishing
+// searcher's; entries imported before any searcher of the namespace was
+// seen wait in held (numOrds is not on the wire) and are folded into slots
+// by the first one that resolves or publishes.
+type nsTable struct {
+	stamp   uint64 // clock reading of the last publish or import
+	n       int    // entries in slots and held
+	numOrds int
+	slots   []atomic.Pointer[l1Bucket]
+	held    []sharedKV // canonical order, no duplicate keys
 }
 
-type sharedKey struct {
-	ns uint64
-	k  cacheKey
-}
-
-type sharedEntry struct {
-	v     float64
-	epoch uint64
-}
+type benefitKey struct{ ns, key uint64 }
 
 // NewSharedCache returns an empty cache ready for concurrent use.
 func NewSharedCache() *SharedCache {
-	c := &SharedCache{}
-	for i := range c.shards {
-		c.shards[i].m = make(map[sharedKey]sharedEntry)
+	c := &SharedCache{
+		spaces:   make(map[uint64]*nsTable),
+		benefits: make(map[benefitKey]float64),
 	}
+	c.gen.Store(1)
 	return c
 }
 
-// Invalidate drops every cached entry in O(1) by bumping the epoch.
-// Flag toggles do not require it (the namespace already separates flag
-// settings); it exists for holders that want to bound memory or force a
-// cold start.
-func (c *SharedCache) Invalidate() { c.epoch.Add(1) }
+// Invalidate drops every table and memoized oracle value, releasing their
+// memory (a run in flight keeps the tables it resolved until its next
+// oracle call). Flag toggles do not require it (the namespace already
+// separates flag settings); it exists for holders that want to bound
+// memory or force a cold start.
+func (c *SharedCache) Invalidate() {
+	c.mu.Lock()
+	c.spaces = make(map[uint64]*nsTable)
+	c.total = 0
+	c.epoch++
+	c.gen.Add(1)
+	c.mu.Unlock()
+	c.benMu.Lock()
+	c.benefits = make(map[benefitKey]float64)
+	c.benMu.Unlock()
+}
 
-// Len reports the live entry count under the current epoch (for tests and
-// introspection; takes every shard read-lock).
+// Len reports the live entry count, cost keys and memoized oracle values
+// together (for tests and introspection).
 func (c *SharedCache) Len() int {
-	ep := c.epoch.Load()
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		for _, e := range sh.m {
-			if e.epoch == ep {
-				n++
-			}
-		}
-		sh.mu.RUnlock()
-	}
+	c.mu.Lock()
+	n := c.total
+	c.mu.Unlock()
+	c.benMu.RLock()
+	n += len(c.benefits)
+	c.benMu.RUnlock()
 	return n
 }
 
-func (c *SharedCache) shardIndex(ns uint64, k cacheKey) uint64 {
-	h := ns ^ k.mask ^ uint64(uint32(k.g))<<29 ^ uint64(uint32(k.ord))<<13
-	if k.compute {
-		h ^= 0x9e3779b97f4a7c15
-	}
-	h *= 0xff51afd7ed558ccd // fmix64
-	h ^= h >> 33
-	return h & (sharedCacheShards - 1)
-}
-
-func (c *SharedCache) shard(ns uint64, k cacheKey) *sharedShard {
-	return &c.shards[c.shardIndex(ns, k)]
-}
-
-func (c *SharedCache) get(ns uint64, k cacheKey) (float64, bool) {
-	ep := c.epoch.Load()
-	sh := c.shard(ns, k)
-	sh.mu.RLock()
-	e, ok := sh.m[sharedKey{ns: ns, k: k}]
-	sh.mu.RUnlock()
-	if !ok || e.epoch != ep {
-		return 0, false
-	}
-	return e.v, true
-}
-
-// benefitGroup is the reserved pseudo-group benefit-oracle entries are
-// stored under: real groups are non-negative, so mb(S) values — keyed by
-// the submod set key in the mask field — share the shard maps (and the
-// snapshot machinery) with the (group, order, mask) cost entries without
-// ever colliding with them.
+// benefitGroup is the reserved pseudo-group benefit-oracle entries carry in
+// a CacheSnapshot: real groups are non-negative, so mb(S) values — keyed by
+// the submod set key in the mask field — travel beside the (group, order,
+// mask) cost entries of their namespace without ever colliding with them.
 const benefitGroup = memo.GroupID(-1)
 
 // GetBenefit looks up a memoized oracle value mb(S) under a namespace;
 // key is the submod set key of S. Safe for concurrent use.
 func (c *SharedCache) GetBenefit(ns, key uint64) (float64, bool) {
-	return c.get(ns, cacheKey{g: benefitGroup, mask: key})
+	c.benMu.RLock()
+	v, ok := c.benefits[benefitKey{ns, key}]
+	c.benMu.RUnlock()
+	return v, ok
 }
 
 // PutBenefit publishes one memoized oracle value under a namespace. Values
 // are pure functions of (namespace, key), so concurrent writers can only
-// ever store the same value. Safe for concurrent use; a single direct
-// shard write, cheap enough to call per fresh oracle evaluation.
+// ever store the same value. Safe for concurrent use; a single guarded map
+// write, cheap enough to call per fresh oracle evaluation. At benefitCap
+// the oracle values (and only they) are dropped and relearned.
 func (c *SharedCache) PutBenefit(ns, key uint64, v float64) {
-	k := cacheKey{g: benefitGroup, mask: key}
-	ep := c.epoch.Load()
-	sh := c.shard(ns, k)
-	sh.mu.Lock()
-	if len(sh.m) >= sharedShardCap {
-		sh.m = make(map[sharedKey]sharedEntry)
+	c.benMu.Lock()
+	if len(c.benefits) >= benefitCap {
+		c.benefits = make(map[benefitKey]float64)
 	}
-	sh.m[sharedKey{ns: ns, k: k}] = sharedEntry{v: v, epoch: ep}
-	sh.mu.Unlock()
+	c.benefits[benefitKey{ns, key}] = v
+	c.benMu.Unlock()
 }
 
-// sharedKV is one entry of a bulk merge.
+// sharedKV is one cost entry outside a table: what a snapshot carries.
 type sharedKV struct {
 	k cacheKey
 	v float64
 }
 
-// merge bulk-publishes entries under one namespace, acquiring each shard
-// lock once. A shard that cannot absorb its share of the batch under the
-// cap is reset — at most once per merge, before any of the batch's
-// entries are written — and relearned, so a publish's own learning
-// always survives its merge, however large the batch. (Resetting inside
-// the write loop, as this used to, kept only the batch's tail and wiped
-// every other namespace's entries on each wrap.) Values are pure
-// functions of their key, so eviction only ever costs recomputation; a
-// shard briefly exceeds the cap only when one merge's own bucket is
-// larger than the cap itself.
-func (c *SharedCache) merge(ns uint64, kvs []sharedKV) {
-	ep := c.epoch.Load()
-	buckets := make([][]sharedKV, sharedCacheShards)
-	for _, e := range kvs {
-		h := c.shardIndex(ns, e.k)
-		buckets[h] = append(buckets[h], e)
+// keyLess is the canonical key order of a snapshot: ascending (g, ord,
+// compute, mask), use costs before compute costs.
+func keyLess(a, b cacheKey) bool {
+	if a.g != b.g {
+		return a.g < b.g
 	}
-	for i, b := range buckets {
-		if len(b) == 0 {
-			continue
+	if a.ord != b.ord {
+		return a.ord < b.ord
+	}
+	if a.compute != b.compute {
+		return !a.compute
+	}
+	return a.mask < b.mask
+}
+
+// sortKVs puts entries in canonical order and drops repeated keys.
+func sortKVs(kvs []sharedKV) []sharedKV {
+	less := func(a, b int) bool { return keyLess(kvs[a].k, kvs[b].k) }
+	if !sort.SliceIsSorted(kvs, less) {
+		sort.Slice(kvs, less)
+	}
+	out := kvs[:0]
+	for i, e := range kvs {
+		if i == 0 || e.k != kvs[i-1].k {
+			out = append(out, e)
 		}
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		if len(sh.m)+len(b) > sharedShardCap {
-			sh.m = make(map[sharedKey]sharedEntry, len(b))
+	}
+	return out
+}
+
+// space returns the namespace's record, creating it if need be.
+func (c *SharedCache) space(ns uint64) *nsTable {
+	t := c.spaces[ns]
+	if t == nil {
+		t = &nsTable{}
+		c.spaces[ns] = t
+		c.gen.Add(1)
+	}
+	return t
+}
+
+// touch marks the namespace the most recently published.
+func (c *SharedCache) touch(t *nsTable) {
+	c.clock++
+	t.stamp = c.clock
+}
+
+// evict enforces sharedCacheCap by dropping whole namespaces, least
+// recently published first, never keep.
+func (c *SharedCache) evict(keep *nsTable) {
+	for c.total > sharedCacheCap {
+		var victim *nsTable
+		var victimNS uint64
+		for ns, t := range c.spaces {
+			if t != keep && (victim == nil || t.stamp < victim.stamp) {
+				victim, victimNS = t, ns
+			}
 		}
-		for _, e := range b {
-			sh.m[sharedKey{ns: ns, k: e.k}] = sharedEntry{v: e.v, epoch: ep}
+		if victim == nil {
+			return
 		}
-		sh.mu.Unlock()
+		delete(c.spaces, victimNS)
+		c.total -= victim.n
+		c.gen.Add(1)
+	}
+}
+
+// shaped gives the table a searcher's geometry, its group and order
+// counts — allocating the slots and folding held entries in the first
+// time — and reports whether the table has that geometry. It can only
+// differ when two search spaces collide on the 64-bit namespace; the later
+// one then goes uncached.
+func (c *SharedCache) shaped(t *nsTable, groups, numOrds int) bool {
+	if t.slots == nil {
+		t.numOrds = numOrds
+		t.slots = make([]atomic.Pointer[l1Bucket], 2*groups*numOrds)
+		held := t.held
+		c.total -= t.n
+		t.held, t.n = nil, 0
+		c.insert(t, held)
+	}
+	return t.numOrds == numOrds && len(t.slots) == 2*groups*numOrds
+}
+
+// resolve returns the slots of the namespace's table, nil when nothing is
+// published under it, together with the invalidation epoch.
+func (c *SharedCache) resolve(ns uint64, groups, numOrds int) ([]atomic.Pointer[l1Bucket], uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if t := c.spaces[ns]; t != nil && c.shaped(t, groups, numOrds) {
+		return t.slots, c.epoch
+	}
+	return nil, c.epoch
+}
+
+// insert adds canonical-order entries to a shaped table, skipping keys the
+// table already has and keys outside its geometry (no searcher of the
+// namespace can ask for those).
+func (c *SharedCache) insert(t *nsTable, kvs []sharedKV) {
+	groups := len(t.slots) / (2 * t.numOrds)
+	var extra []l1Entry
+	for len(kvs) > 0 {
+		k := kvs[0].k
+		run := 1
+		for run < len(kvs) && kvs[run].k.g == k.g && kvs[run].k.ord == k.ord && kvs[run].k.compute == k.compute {
+			run++
+		}
+		if k.g >= 0 && int(k.g) < groups && k.ord >= 0 && int(k.ord) < t.numOrds {
+			i := 2 * (int(k.g)*t.numOrds + int(k.ord))
+			if k.compute {
+				i += kindComp
+			}
+			head := t.slots[i].Load()
+			extra = extra[:0]
+			for _, e := range kvs[:run] {
+				if _, ok := head.find(e.k.mask); !ok {
+					extra = append(extra, l1Entry{mask: e.k.mask, val: e.v})
+				}
+			}
+			t.extend(i, extra)
+			t.n += len(extra)
+			c.total += len(extra)
+		}
+		kvs = kvs[run:]
+	}
+}
+
+// extend publishes entries the chain of slot i lacks. When they fit under
+// the head bucket's fill bound the head is copied, extended and swapped in
+// (copy-on-write: a published bucket is never written); otherwise they go
+// into new links in front of the chain.
+func (t *nsTable) extend(i int, extra []l1Entry) {
+	head := t.slots[i].Load()
+	for len(extra) > 0 {
+		nb, room := &l1Bucket{next: head}, l1MaxFill
+		if head != nil && bits.OnesCount64(head.occ)+len(extra) <= l1MaxFill {
+			*nb = *head
+			room -= bits.OnesCount64(head.occ)
+		}
+		if room > len(extra) {
+			room = len(extra)
+		}
+		for _, e := range extra[:room] {
+			nb.put(e.mask, e.val)
+		}
+		extra = extra[room:]
+		head = nb
+	}
+	t.slots[i].Store(head)
+}
+
+// absorb takes a worker's live bucket into slot i and returns how many
+// entries the table gained. An empty slot adopts the bucket itself — the
+// caller has taken it away from the worker, so nothing writes it again; an
+// occupied one is extended by the entries its chain lacks.
+func (t *nsTable) absorb(i int, b *l1Bucket) int {
+	head := t.slots[i].Load()
+	if head == nil {
+		t.slots[i].Store(b)
+		return bits.OnesCount64(b.occ)
+	}
+	var buf [l1BucketCap]l1Entry
+	extra := buf[:0]
+	for occ := b.occ; occ != 0; occ &= occ - 1 {
+		e := b.entries[bits.TrailingZeros64(occ)]
+		if _, ok := head.find(e.mask); !ok {
+			extra = append(extra, e)
+		}
+	}
+	t.extend(i, extra)
+	return len(extra)
+}
+
+// each calls fn for every entry in the table's slots.
+func (t *nsTable) each(fn func(k cacheKey, v float64)) {
+	for i := range t.slots {
+		slot := i / 2
+		k := cacheKey{g: memo.GroupID(slot / t.numOrds), ord: ordID(slot % t.numOrds), compute: i%2 == kindComp}
+		for b := t.slots[i].Load(); b != nil; b = b.next {
+			for occ := b.occ; occ != 0; occ &= occ - 1 {
+				e := &b.entries[bits.TrailingZeros64(occ)]
+				k.mask = e.mask
+				fn(k, e.val)
+			}
+		}
 	}
 }
 
@@ -286,44 +438,65 @@ func (s *Searcher) cacheNS() uint64 {
 func (s *Searcher) Fingerprint() uint64 { return s.cacheNS() }
 
 // AttachSharedCache attaches a cross-call L2 cache: every worker keeps its
-// private (lock-free) L1 table, missing into c and promoting hits, and
-// PublishCache merges the workers' learning back. Attaching a longer-lived
-// cache (repro.Session owns one) lets identical batches start warm. A nil
-// c detaches, leaving workers with private caches only — the default for
-// a fresh searcher. Attach only between evaluations, never during a
-// concurrent batch.
-func (s *Searcher) AttachSharedCache(c *SharedCache) { s.shared = c }
+// private (lock-free) L1 table for what it computes itself, reads c on an
+// L1 miss, and PublishCache hands the workers' learning over. Attaching a
+// longer-lived cache (repro.Session owns one) lets identical batches start
+// warm. A nil c detaches, leaving workers with private caches only — the
+// default for a fresh searcher. Attach only between evaluations, never
+// during a concurrent batch.
+func (s *Searcher) AttachSharedCache(c *SharedCache) {
+	s.shared = c
+	for _, w := range s.workers {
+		w.l2, w.sharedGen = nil, 0
+	}
+}
 
 // Shared returns the attached cross-call L2 cache (nil unless attached).
 func (s *Searcher) Shared() *SharedCache { return s.shared }
 
-// PublishCache bulk-merges every worker's private cross-call cache into
-// the attached SharedCache under the current flag namespace, one lock
-// acquisition per shard — the write half of the L1/L2 protocol, kept off
-// the evaluation hot path. It is a no-op without an attached cache (or
-// with the incremental cache disabled) and must only be called between
-// evaluations, like every other cache operation.
+// PublishCache moves every worker's private cross-call cache into the
+// attached SharedCache under the current flag namespace — the write half
+// of the L1/L2 protocol, kept off the evaluation hot path. The workers'
+// L1s are left empty: their buckets now belong to the cache (or were
+// copied into it), and the searcher keeps reading them through it. It is
+// a no-op without an attached cache (or with the incremental cache
+// disabled) and must only be called between evaluations, like every other
+// cache operation.
 func (s *Searcher) PublishCache() {
 	if s.shared == nil || !s.Incremental {
 		return
 	}
-	ns := s.cacheNS()
-	for _, w := range s.workers {
-		var kvs []sharedKV
+	s.shared.publish(s.cacheNS(), s.M.NumGroups(), s.numOrds, s.workers)
+}
+
+// publish drains the live L1 buckets of a searcher's workers into the
+// namespace's table, creating it on the first entry, then marks the
+// namespace most recently published and enforces the cap against the
+// others.
+func (c *SharedCache) publish(ns uint64, groups, numOrds int, workers []*worker) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	t := c.spaces[ns]
+	if t != nil && !c.shaped(t, groups, numOrds) {
+		return
+	}
+	for _, w := range workers {
 		for i, b := range w.l1 {
-			if b == nil || b.ep != w.l1Epoch {
+			if b == nil || b.ep != w.l1Epoch || b.occ == 0 {
 				continue
 			}
-			idx, kind := i/2, i%2
-			k := cacheKey{g: memo.GroupID(idx / s.numOrds), ord: ordID(idx % s.numOrds), compute: kind == kindComp}
-			for occ := b.occ; occ != 0; occ &= occ - 1 {
-				e := &b.entries[bits.TrailingZeros64(occ)]
-				k.mask = e.mask
-				kvs = append(kvs, sharedKV{k: k, v: e.val})
+			w.l1[i] = nil
+			if t == nil {
+				t = c.space(ns)
+				c.shaped(t, groups, numOrds)
 			}
+			n := t.absorb(i, b)
+			t.n += n
+			c.total += n
 		}
-		if len(kvs) > 0 {
-			s.shared.merge(ns, kvs)
-		}
+	}
+	if t != nil {
+		c.touch(t)
+		c.evict(t)
 	}
 }

@@ -2,9 +2,16 @@ package physical
 
 import (
 	"context"
+	"math/bits"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/cost"
+	"repro/internal/memo"
+	"repro/internal/tpcd"
+	"repro/internal/workload"
 )
 
 // TestSharedCacheWarmStartAcrossSearchers: two searchers compiled from
@@ -120,75 +127,363 @@ func TestSharedCacheConcurrentSearchers(t *testing.T) {
 	}
 }
 
-// TestSharedCacheMergeCapKeepsBatch is the shard-cap eviction regression
-// test: one bulk publish larger than a shard's cap must come out of the
-// merge with every one of its own keys readable. The old merge reset the
-// shard map inside the per-entry write loop whenever the cap was hit, so
-// a batch ≥ the cap kept only its tail — entries written earlier in the
-// same publish were silently discarded.
-func TestSharedCacheMergeCapKeepsBatch(t *testing.T) {
+// seedCosts stores cost entries under a namespace the way Import does:
+// with numOrds == 0 they are held until a searcher's geometry is known,
+// otherwise the namespace first gets a table of that geometry.
+func seedCosts(c *SharedCache, ns uint64, groups, numOrds int, kvs []sharedKV) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	t := c.space(ns)
+	c.touch(t)
+	if numOrds > 0 {
+		c.shaped(t, groups, numOrds)
+	}
+	c.importCosts(t, append([]sharedKV(nil), kvs...))
+	c.evict(t)
+}
+
+// fakeRun is a worker whose L1 holds perSlot distinct masks in each of the
+// first slots use-cost slots of a one-group, numOrds-order table: a run's
+// learning without the run. Masks are l1TestMask(base + slot*perSlot + j).
+func fakeRun(numOrds, slots, perSlot, base int) *worker {
+	w := &worker{l1Epoch: 1, l1: make([]*l1Bucket, 2*numOrds)}
+	for sl := 0; sl < slots; sl++ {
+		for j := 0; j < perSlot; j++ {
+			k := base + sl*perSlot + j
+			w.store(sl, l1TestMask(k), float64(k), kindUse)
+		}
+	}
+	return w
+}
+
+// hasRun reports how many of fakeRun's keys the cache serves under ns.
+func hasRun(c *SharedCache, ns uint64, numOrds, slots, perSlot, base int) int {
+	tab, _ := c.resolve(ns, 1, numOrds)
+	if tab == nil {
+		return 0
+	}
+	n := 0
+	for sl := 0; sl < slots; sl++ {
+		for j := 0; j < perSlot; j++ {
+			k := base + sl*perSlot + j
+			if v, ok := tab[2*sl+kindUse].Load().find(l1TestMask(k)); ok && v == float64(k) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestSharedCacheCapDropsOtherNamespacesOldestFirst: the cap is enforced
+// by dropping whole namespaces, least recently published first and never
+// the one being published — so a publish larger than the cap survives
+// whole.
+func TestSharedCacheCapDropsOtherNamespacesOldestFirst(t *testing.T) {
+	const numOrds, perSlot = 16000, 40
 	c := NewSharedCache()
-	const ns = uint64(0xabcdef)
-	// Collect sharedShardCap+64 keys that all land in one shard, so the
-	// merge's own bucket exceeds the cap.
-	var kvs []sharedKV
-	var shard uint64
-	for mask := uint64(0); len(kvs) < sharedShardCap+64; mask++ {
-		k := cacheKey{g: 1, ord: 2, mask: mask}
-		h := c.shardIndex(ns, k)
-		if len(kvs) == 0 {
-			shard = h
-		} else if h != shard {
-			continue
-		}
-		kvs = append(kvs, sharedKV{k: k, v: float64(mask) + 0.5})
+	small := 1000 / perSlot // slots of a 1,000-entry namespace
+	for ns := uint64(1); ns <= 3; ns++ {
+		c.publish(ns, 1, numOrds, []*worker{fakeRun(numOrds, small, perSlot, 0)})
 	}
-	c.merge(ns, kvs)
-	lost := 0
-	for _, e := range kvs {
-		v, ok := c.get(ns, e.k)
-		if !ok {
-			lost++
-			continue
-		}
-		if v != e.v {
-			t.Fatalf("key mask=%d came back %v, want %v", e.k.mask, v, e.v)
+	// Republishing namespace 1 (nothing new) makes 2 the oldest.
+	c.publish(1, 1, numOrds, []*worker{fakeRun(numOrds, small, perSlot, 0)})
+	if got := c.Len(); got != 3000 {
+		t.Fatalf("three 1,000-entry namespaces hold %d entries", got)
+	}
+
+	// A fourth namespace that leaves room for exactly one of the others.
+	bigSlots := (sharedCacheCap - 1500) / perSlot
+	c.publish(4, 1, numOrds, []*worker{fakeRun(numOrds, bigSlots, perSlot, 0)})
+	if got := hasRun(c, 4, numOrds, bigSlots, perSlot, 0); got != bigSlots*perSlot {
+		t.Fatalf("published namespace serves %d of its %d keys", got, bigSlots*perSlot)
+	}
+	for ns, want := range map[uint64]int{1: small * perSlot, 2: 0, 3: 0} {
+		if got := hasRun(c, ns, numOrds, small, perSlot, 0); got != want {
+			t.Errorf("namespace %d serves %d keys after the cap was enforced, want %d (oldest dropped first)", ns, got, want)
 		}
 	}
-	if lost > 0 {
-		t.Fatalf("merge lost %d of its own %d entries (cap eviction ran mid-batch)", lost, len(kvs))
+	if got, want := c.Len(), bigSlots*perSlot+small*perSlot; got != want {
+		t.Errorf("Len() = %d after eviction, want %d", got, want)
+	}
+
+	// A publish larger than the whole cap evicts everything else and keeps
+	// every one of its own entries.
+	overSlots := sharedCacheCap/perSlot + 100
+	c.publish(5, 1, numOrds, []*worker{fakeRun(numOrds, overSlots, perSlot, 7)})
+	if got := hasRun(c, 5, numOrds, overSlots, perSlot, 7); got != overSlots*perSlot {
+		t.Fatalf("over-cap publish serves %d of its own %d keys", got, overSlots*perSlot)
+	}
+	if got := c.Len(); got != overSlots*perSlot {
+		t.Errorf("Len() = %d after an over-cap publish of %d entries: other namespaces survived", got, overSlots*perSlot)
 	}
 }
 
-// TestSharedCacheMergeCapResetsAtMostOnce: consecutive merges that
-// overflow a shard must each survive intact — the reset happens before a
-// merge's writes, never between them — and the shard never holds more
-// than the larger of the cap and one merge's own bucket.
-func TestSharedCacheMergeCapResetsAtMostOnce(t *testing.T) {
-	c := NewSharedCache()
-	const ns = uint64(0x1717)
-	shard := c.shardIndex(ns, cacheKey{g: 3, ord: 1, mask: 0})
-	oneShard := func(n int, start uint64) []sharedKV {
-		var kvs []sharedKV
-		for mask := start; len(kvs) < n; mask++ {
-			k := cacheKey{g: 3, ord: 1, mask: mask}
-			if c.shardIndex(ns, k) != shard {
-				continue
-			}
-			kvs = append(kvs, sharedKV{k: k, v: float64(mask)})
+// TestSharedCacheInvalidateDropsTables: Invalidate releases the tables
+// (Len 0, no namespace left), a searcher that resolved its table before
+// the invalidation is served nothing from it afterwards, and republishing
+// the same run holds what one publish holds, not two.
+func TestSharedCacheInvalidateDropsTables(t *testing.T) {
+	cache := NewSharedCache()
+	run := func(s *Searcher) []float64 {
+		var out []float64
+		for _, id := range s.M.Shareable() {
+			out = append(out, s.BestCost(s.NewNodeSet(id)))
 		}
-		return kvs
+		return out
 	}
-	a := oneShard(sharedShardCap/2, 0)
-	c.merge(ns, a)
-	// A second merge into the same shard pushes past the cap: it may
-	// evict the first batch wholesale, but its own keys must all land.
-	b := oneShard(sharedShardCap, 1<<32)
-	c.merge(ns, b)
-	for _, e := range b {
-		if v, ok := c.get(ns, e.k); !ok || v != e.v {
-			t.Fatalf("second merge lost its own key mask=%d (got %v, %v)", e.k.mask, v, ok)
+	s1 := buildSearcher(t, sharedPairQueries()...)
+	s1.AttachSharedCache(cache)
+	want := run(s1)
+	s1.PublishCache()
+	one := cache.Len()
+	if one == 0 {
+		t.Fatal("publish stored nothing")
+	}
+
+	early := buildSearcher(t, sharedPairQueries()...)
+	early.AttachSharedCache(cache)
+	run(early)
+	if early.SharedHits == 0 || early.worker(0).l2 == nil {
+		t.Fatal("second searcher never read the published table")
+	}
+
+	cache.Invalidate()
+	if cache.Len() != 0 || len(cache.spaces) != 0 {
+		t.Fatalf("invalidated cache holds %d entries in %d namespaces", cache.Len(), len(cache.spaces))
+	}
+	early.ResetStats()
+	for i, v := range run(early) {
+		if v != want[i] {
+			t.Errorf("cost %d after invalidation %v != %v", i, v, want[i])
 		}
+	}
+	if early.SharedHits != 0 {
+		t.Errorf("searcher attached before the invalidation was served %d stale lookups", early.SharedHits)
+	}
+	early.PublishCache()
+	if got := cache.Len(); got != one {
+		t.Errorf("republished run holds %d entries, one publish held %d", got, one)
+	}
+	again := buildSearcher(t, sharedPairQueries()...)
+	again.AttachSharedCache(cache)
+	run(again)
+	again.PublishCache()
+	if got := cache.Len(); got != one {
+		t.Errorf("identical run published twice holds %d entries, want %d", got, one)
+	}
+}
+
+// workloadMemo builds the combined DAG of a generated batch.
+func workloadMemo(t testing.TB, queries int) *memo.Memo {
+	t.Helper()
+	m, err := memo.Build(tpcd.Catalog(1), cost.Default(), workload.MustGenerate(workload.DefaultSpec(queries, 0.25)))
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	return m
+}
+
+// randomSets draws n materialization sets over the searcher's shareable
+// nodes, each node in with probability 1/4.
+func randomSets(s *Searcher, rng *rand.Rand, n int) []NodeSet {
+	sets := make([]NodeSet, n)
+	for i := range sets {
+		sets[i] = s.NewNodeSet()
+		for _, id := range s.M.Shareable() {
+			if rng.Intn(4) == 0 {
+				sets[i].Add(id)
+			}
+		}
+	}
+	return sets
+}
+
+// TestSharedCacheReadDuringPublish guards the lock-free read path (run
+// under -race by CI's full-p{1,2,4} rows): four searchers over one memo,
+// each a 4-worker pool, evaluate batches while the others publish into
+// the same namespace; every cost must be bit-identical to an unattached
+// searcher's. Parallelism is forced so a 1-vCPU runner does not take the
+// sequential branch.
+func TestSharedCacheReadDuringPublish(t *testing.T) {
+	m := workloadMemo(t, 8)
+	ref := NewSearcher(m)
+	const rounds, perRound = 4, 24
+	sets := randomSets(ref, rand.New(rand.NewSource(11)), rounds*perRound)
+	want := make([]float64, len(sets))
+	for i, set := range sets {
+		want[i] = ref.BestCost(set)
+	}
+
+	cache := NewSharedCache()
+	searchers := make([]*Searcher, 4)
+	for k := range searchers {
+		searchers[k] = NewSearcher(m)
+		searchers[k].Parallelism = 4
+		searchers[k].AttachSharedCache(cache)
+	}
+	var wg sync.WaitGroup
+	for k, s := range searchers {
+		wg.Add(1)
+		go func(k int, s *Searcher) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				// Each searcher walks the rounds from its own offset, so one
+				// publishes a round's keys while another still reads them.
+				lo := ((r + k) % rounds) * perRound
+				got, ok := s.BestCostBatchCtx(context.Background(), sets[lo:lo+perRound])
+				if !ok {
+					t.Errorf("searcher %d round %d: batch aborted", k, r)
+					return
+				}
+				for i, v := range got {
+					if v != want[lo+i] {
+						t.Errorf("searcher %d set %d: %v != unattached %v", k, lo+i, v, want[lo+i])
+						return
+					}
+				}
+				s.PublishCache()
+			}
+		}(k, s)
+	}
+	wg.Wait()
+	hits := 0
+	for _, s := range searchers {
+		hits += s.SharedHits
+	}
+	if hits == 0 {
+		t.Error("no searcher was ever served by the shared cache")
+	}
+}
+
+// liveL1Entries counts the entries in the workers' live L1 buckets: what
+// the next PublishCache has to hand over.
+func liveL1Entries(s *Searcher) int {
+	n := 0
+	for _, w := range s.workers {
+		for _, b := range w.l1 {
+			if b != nil && b.ep == w.l1Epoch {
+				n += bits.OnesCount64(b.occ)
+			}
+		}
+	}
+	return n
+}
+
+// TestPublishCacheMovesBucketsOut: after a publish no worker holds a
+// bucket the table owns, so what the searcher stores next stays private
+// until its next publish; and the searcher itself keeps pricing and
+// validating plans through the table.
+func TestPublishCacheMovesBucketsOut(t *testing.T) {
+	m := workloadMemo(t, 8)
+	cache := NewSharedCache()
+	s := NewSearcher(m)
+	s.Parallelism = 4
+	s.AttachSharedCache(cache)
+	sets := randomSets(s, rand.New(rand.NewSource(3)), 33)
+	first, late := sets[:32], sets[32]
+	if _, ok := s.BestCostBatchCtx(context.Background(), first); !ok {
+		t.Fatal("batch aborted")
+	}
+	plan := s.BestPlan(first[0])
+	s.PublishCache()
+
+	if n := liveL1Entries(s); n != 0 {
+		t.Fatalf("workers still hold %d live L1 entries after the publish", n)
+	}
+	owned := map[*l1Bucket]bool{}
+	tab, _ := cache.resolve(s.cacheNS(), m.NumGroups(), s.numOrds)
+	for i := range tab {
+		for b := tab[i].Load(); b != nil; b = b.next {
+			owned[b] = true
+		}
+	}
+	if len(owned) == 0 {
+		t.Fatal("publish left the table empty")
+	}
+	for _, w := range s.workers {
+		for i, b := range w.l1 {
+			if owned[b] {
+				t.Fatalf("worker slot %d still points at a bucket the table owns", i)
+			}
+		}
+	}
+	if err := s.ValidatePlan(plan, first[0]); err != nil {
+		t.Fatalf("ValidatePlan after the publish: %v", err)
+	}
+
+	// Work after the publish lands in fresh private buckets.
+	s.ResetStats()
+	want := s.BestCost(late)
+	fresh := s.ComputedKey
+	if fresh == 0 {
+		t.Fatal("the late set computed no new key; pick another")
+	}
+	for i := range tab {
+		for b := tab[i].Load(); b != nil; b = b.next {
+			if !owned[b] {
+				t.Fatalf("table slot %d changed without a publish", i)
+			}
+		}
+	}
+	peer := NewSearcher(m)
+	peer.AttachSharedCache(cache)
+	if got := peer.BestCost(late); got != want {
+		t.Fatalf("peer cost %v != %v", got, want)
+	}
+	if peer.ComputedKey != fresh {
+		t.Errorf("peer computed %d keys, the publisher %d: unpublished work leaked (or was lost)", peer.ComputedKey, fresh)
+	}
+	s.PublishCache()
+	after := NewSearcher(m)
+	after.AttachSharedCache(cache)
+	if got := after.BestCost(late); got != want || after.ComputedKey != 0 {
+		t.Errorf("after the second publish a peer computed %d keys (cost %v, want %v)", after.ComputedKey, got, want)
+	}
+}
+
+// TestRepublishGrowsByNewKeysOnly: shared hits are not copied into the L1,
+// so a run publishes what it computed and nothing else — an identical run
+// adds nothing, a run with new sets adds exactly its new keys.
+func TestRepublishGrowsByNewKeysOnly(t *testing.T) {
+	m := workloadMemo(t, 8)
+	cache := NewSharedCache()
+	attach := func() *Searcher {
+		s := NewSearcher(m)
+		s.Parallelism = 1
+		s.AttachSharedCache(cache)
+		return s
+	}
+	s1 := attach()
+	sets := randomSets(s1, rand.New(rand.NewSource(5)), 24)
+	for _, set := range sets[:16] {
+		s1.BestCost(set)
+	}
+	s1.PublishCache()
+	one := cache.Len()
+
+	s2 := attach()
+	for _, set := range sets[:16] {
+		s2.BestCost(set)
+	}
+	if n := liveL1Entries(s2); n != 0 || s2.ComputedKey != 0 {
+		t.Fatalf("identical warm run holds %d L1 entries and computed %d keys, want 0 / 0", n, s2.ComputedKey)
+	}
+	s2.PublishCache()
+	if got := cache.Len(); got != one {
+		t.Fatalf("identical run grew the cache from %d to %d entries", one, got)
+	}
+
+	s3 := attach()
+	for _, set := range sets {
+		s3.BestCost(set)
+	}
+	added := liveL1Entries(s3)
+	if added == 0 {
+		t.Fatal("the extra sets computed nothing new")
+	}
+	s3.PublishCache()
+	if got := cache.Len(); got != one+added {
+		t.Fatalf("cache holds %d entries after a run that computed %d new keys on top of %d", got, added, one)
 	}
 }
 
@@ -247,4 +542,48 @@ func TestBestCostBatchCtxReturnsCompletedPrefix(t *testing.T) {
 	if ok || len(costs) != 0 {
 		t.Errorf("dead-context batch: ok=%v prefix=%d, want false/empty", ok, len(costs))
 	}
+}
+
+// BenchmarkSharedCacheGet measures one warm L2 probe through
+// worker.cached: an L1 miss, the table slot's atomic load and the chain
+// probe. It must not allocate. Not in the CI gate set.
+func BenchmarkSharedCacheGet(b *testing.B) {
+	m := workloadMemo(b, 32)
+	cache := NewSharedCache()
+	s := NewSearcher(m)
+	s.AttachSharedCache(cache)
+	for _, set := range randomSets(s, rand.New(rand.NewSource(1)), 64) {
+		s.BestCost(set)
+	}
+	s.PublishCache()
+
+	reader := NewSearcher(m)
+	reader.AttachSharedCache(cache)
+	w := reader.worker(0)
+	w.syncShared()
+	type probe struct {
+		idx, kind int
+		mask      uint64
+	}
+	var probes []probe
+	for i := range w.l2 {
+		for bk := w.l2[i].Load(); bk != nil; bk = bk.next {
+			for occ := bk.occ; occ != 0; occ &= occ - 1 {
+				probes = append(probes, probe{idx: i / 2, kind: i % 2, mask: bk.entries[bits.TrailingZeros64(occ)].mask})
+			}
+		}
+	}
+	rand.New(rand.NewSource(2)).Shuffle(len(probes), func(i, j int) { probes[i], probes[j] = probes[j], probes[i] })
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		p := probes[i%len(probes)]
+		v, ok := w.cached(p.idx, p.mask, p.kind)
+		if !ok {
+			b.Fatal("published key missed")
+		}
+		sink += v
+	}
+	benchSink = sink
 }

@@ -126,25 +126,24 @@ func (s *CacheSnapshot) checksum() string {
 // result is canonical (sorted namespaces and entries, fixed-width hex),
 // so equal cache contents always export to byte-identical encodings.
 func (c *SharedCache) Export(scope string) *CacheSnapshot {
-	ep := c.epoch.Load()
-	byNS := make(map[uint64][]SnapshotEntry)
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		for k, e := range sh.m {
-			if e.epoch != ep {
-				continue
-			}
-			byNS[k.ns] = append(byNS[k.ns], SnapshotEntry{
-				G:       int(k.k.g),
-				Ord:     int(k.k.ord),
-				Compute: k.k.compute,
-				Mask:    hex16(k.k.mask),
-				V:       hex16(math.Float64bits(e.v)),
-			})
+	byNS := make(map[uint64][]sharedKV)
+	c.mu.Lock()
+	for ns, t := range c.spaces {
+		if t.n == 0 {
+			continue
 		}
-		sh.mu.RUnlock()
+		kvs := make([]sharedKV, 0, t.n)
+		kvs = append(kvs, t.held...)
+		t.each(func(k cacheKey, v float64) { kvs = append(kvs, sharedKV{k: k, v: v}) })
+		byNS[ns] = kvs
 	}
+	c.mu.Unlock()
+	c.benMu.RLock()
+	for k, v := range c.benefits {
+		byNS[k.ns] = append(byNS[k.ns], sharedKV{k: cacheKey{g: benefitGroup, mask: k.key}, v: v})
+	}
+	c.benMu.RUnlock()
+
 	snap := &CacheSnapshot{Version: snapshotVersion, Scope: scope}
 	nss := make([]uint64, 0, len(byNS))
 	for ns := range byNS {
@@ -152,10 +151,17 @@ func (c *SharedCache) Export(scope string) *CacheSnapshot {
 	}
 	sort.Slice(nss, func(a, b int) bool { return nss[a] < nss[b] })
 	for _, ns := range nss {
-		entries := byNS[ns]
-		sort.Slice(entries, func(a, b int) bool {
-			return entryLess(&entries[a], &entries[b])
-		})
+		kvs := sortKVs(byNS[ns])
+		entries := make([]SnapshotEntry, len(kvs))
+		for i, e := range kvs {
+			entries[i] = SnapshotEntry{
+				G:       int(e.k.g),
+				Ord:     int(e.k.ord),
+				Compute: e.k.compute,
+				Mask:    hex16(e.k.mask),
+				V:       hex16(math.Float64bits(e.v)),
+			}
+		}
 		snap.Namespaces = append(snap.Namespaces, SnapshotNamespace{NS: hex16(ns), Entries: entries})
 	}
 	snap.Checksum = snap.checksum()
@@ -194,8 +200,8 @@ func (c *SharedCache) Import(snap *CacheSnapshot, scope string) (int, error) {
 		return 0, snapErrf("scope", "snapshot is for %q, importer expects %q", snap.Scope, scope)
 	}
 	type nsBatch struct {
-		ns  uint64
-		kvs []sharedKV
+		ns              uint64
+		costs, benefits []sharedKV
 	}
 	batches := make([]nsBatch, 0, len(snap.Namespaces))
 	n := 0
@@ -205,7 +211,7 @@ func (c *SharedCache) Import(snap *CacheSnapshot, scope string) (int, error) {
 		if !ok {
 			return 0, snapErrf("malformed", "namespace %d: bad fingerprint %q", i, nsStr.NS)
 		}
-		kvs := make([]sharedKV, 0, len(nsStr.Entries))
+		b := nsBatch{ns: ns}
 		for j := range nsStr.Entries {
 			e := &nsStr.Entries[j]
 			mask, ok := parseHex16(e.Mask)
@@ -216,18 +222,51 @@ func (c *SharedCache) Import(snap *CacheSnapshot, scope string) (int, error) {
 			if !ok {
 				return 0, snapErrf("malformed", "namespace %s entry %d: bad value %q", nsStr.NS, j, e.V)
 			}
-			kvs = append(kvs, sharedKV{
+			kv := sharedKV{
 				k: cacheKey{g: memo.GroupID(e.G), ord: ordID(e.Ord), compute: e.Compute, mask: mask},
 				v: math.Float64frombits(bits),
-			})
+			}
+			if kv.k == (cacheKey{g: benefitGroup, mask: mask}) {
+				b.benefits = append(b.benefits, kv)
+			} else {
+				b.costs = append(b.costs, kv)
+			}
 		}
-		batches = append(batches, nsBatch{ns: ns, kvs: kvs})
-		n += len(kvs)
+		batches = append(batches, b)
+		n += len(nsStr.Entries)
 	}
+	c.mu.Lock()
+	var last *nsTable
 	for _, b := range batches {
-		c.merge(b.ns, b.kvs)
+		if len(b.costs) > 0 {
+			last = c.space(b.ns)
+			c.touch(last)
+			c.importCosts(last, b.costs)
+		}
+	}
+	if last != nil {
+		c.evict(last)
+	}
+	c.mu.Unlock()
+	for _, b := range batches {
+		for _, e := range b.benefits {
+			c.PutBenefit(b.ns, e.k.mask, e.v)
+		}
 	}
 	return n, nil
+}
+
+// importCosts merges cost entries into a namespace: into its table when a
+// searcher has given it a geometry, else into the held list the first
+// searcher to resolve the namespace folds in (see nsTable).
+func (c *SharedCache) importCosts(t *nsTable, kvs []sharedKV) {
+	if t.slots != nil {
+		c.insert(t, sortKVs(kvs))
+		return
+	}
+	t.held = sortKVs(append(t.held, kvs...))
+	c.total += len(t.held) - t.n
+	t.n = len(t.held)
 }
 
 // Encode renders the snapshot as canonical JSON (stable field order,
@@ -243,11 +282,11 @@ func (s *CacheSnapshot) Encode() ([]byte, error) {
 
 // DecodeCacheSnapshot strictly parses and fully validates a snapshot:
 // unknown fields, a wrong version, malformed hex, out-of-order or
-// duplicate keys, and checksum mismatches are all rejected with a typed
-// *SnapshotError. A snapshot that decodes successfully re-encodes to the
-// byte-identical input modulo JSON whitespace — and, because validation
-// enforces canonical order, Encode of the decoded value is itself
-// canonical.
+// duplicate keys, a namespace without entries (Export never emits one),
+// and checksum mismatches are all rejected with a typed *SnapshotError. A
+// snapshot that decodes successfully re-encodes to the byte-identical
+// input modulo JSON whitespace — and, because validation enforces
+// canonical order, Encode of the decoded value is itself canonical.
 func DecodeCacheSnapshot(data []byte) (*CacheSnapshot, error) {
 	var snap CacheSnapshot
 	if err := strictjson.Decode(data, &snap); err != nil {
@@ -263,6 +302,9 @@ func DecodeCacheSnapshot(data []byte) (*CacheSnapshot, error) {
 		}
 		if i > 0 && !(snap.Namespaces[i-1].NS < ns.NS) {
 			return nil, snapErrf("malformed", "namespace %q out of order after %q", ns.NS, snap.Namespaces[i-1].NS)
+		}
+		if len(ns.Entries) == 0 {
+			return nil, snapErrf("malformed", "namespace %s has no entries", ns.NS)
 		}
 		for j := range ns.Entries {
 			e := &ns.Entries[j]

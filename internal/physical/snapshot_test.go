@@ -25,8 +25,8 @@ func seedCache() *SharedCache {
 			}
 		}
 	}
-	c.merge(0x1111222233334444, kvs)
-	c.merge(0xaaaabbbbccccdddd, kvs[:20])
+	seedCosts(c, 0x1111222233334444, 0, 0, kvs)
+	seedCosts(c, 0xaaaabbbbccccdddd, 0, 0, kvs[:20])
 	for i := 0; i < 12; i++ {
 		c.PutBenefit(0x1111222233334444, uint64(i)*0x2545f4914f6cdd1d, math.Sqrt(float64(i+1)))
 	}
@@ -186,6 +186,89 @@ func TestSnapshotOutOfOrderRejected(t *testing.T) {
 	}
 }
 
+// TestSnapshotEmptyNamespaceRejected: Export never emits a namespace
+// without entries, so one on the wire is not canonical — an importer would
+// drop it and export something else.
+func TestSnapshotEmptyNamespaceRejected(t *testing.T) {
+	snap := seedCache().Export("sf=1")
+	snap.Namespaces = append(snap.Namespaces, SnapshotNamespace{NS: "ffffffffffffffff", Entries: []SnapshotEntry{}})
+	snap.Checksum = snap.checksum()
+	enc, err := snap.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeCacheSnapshot(enc); !isSnapErr(err, "malformed") {
+		t.Fatalf("empty namespace decode = %v, want *SnapshotError{malformed}", err)
+	}
+}
+
+// TestSnapshotFoldKeepsExport: entries imported before any searcher of
+// their namespace was seen are held without a table (the order count is
+// not on the wire); the first resolve folds them into one. The export must
+// not notice — and the folded table must serve every key.
+func TestSnapshotFoldKeepsExport(t *testing.T) {
+	c := seedCache()
+	before, err := c.Export("sf=1").Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ns = uint64(0x1111222233334444)
+	if c.spaces[ns].slots != nil {
+		t.Fatal("an import without a searcher built a table")
+	}
+	tab, _ := c.resolve(ns, 5, 2)
+	if tab == nil {
+		t.Fatal("resolve did not fold the held entries into a table")
+	}
+	if c.spaces[ns].held != nil {
+		t.Fatal("held entries survived the fold")
+	}
+	after, err := c.Export("sf=1").Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("export changed when the held entries were folded into a table")
+	}
+	for g := 0; g < 5; g++ {
+		for ord := 0; ord < 2; ord++ {
+			for m := uint64(0); m < 8; m++ {
+				i := 2 * (g*2 + ord)
+				if m%2 == 0 {
+					i += kindComp
+				}
+				want := float64(g*100+ord*10) + float64(m)/7
+				if v, ok := tab[i].Load().find(m * 0x9e3779b97f4a7c15); !ok || v != want {
+					t.Fatalf("folded key g=%d ord=%d m=%d: got (%v, %v), want (%v, true)", g, ord, m, v, ok, want)
+				}
+			}
+		}
+	}
+
+	// A second import of the same snapshot adds nothing, folded or held.
+	dec, err := DecodeCacheSnapshot(before)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := c.Len()
+	if _, err := c.Import(dec, "sf=1"); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Len(); got != n {
+		t.Fatalf("re-importing the cache's own export grew it from %d to %d entries", n, got)
+	}
+
+	// A searcher with a smaller geometry than the entries assume drops the
+	// keys it could never ask for instead of indexing past its table.
+	small := seedCache()
+	if tab, _ := small.resolve(ns, 2, 1); len(tab) != 4 {
+		t.Fatalf("fold under a 2-group, 1-order geometry built %d slots", len(tab))
+	}
+	if got, want := small.spaces[ns].n, 2*8; got != want {
+		t.Fatalf("fold kept %d entries, want the %d inside the geometry", got, want)
+	}
+}
+
 func TestSnapshotEmptyCache(t *testing.T) {
 	snap := NewSharedCache().Export("empty")
 	enc, err := snap.Encode()
@@ -203,13 +286,14 @@ func TestSnapshotEmptyCache(t *testing.T) {
 
 // FuzzCacheSnapshot: any input either fails to decode with a typed
 // *SnapshotError, or decodes to a snapshot whose re-encoding is a
-// canonical fixpoint (encode → decode → encode byte-identical) and whose
-// import into a fresh cache succeeds with a matching entry count.
+// canonical fixpoint (encode → decode → encode byte-identical), whose
+// import into a fresh cache succeeds with a matching entry count, and
+// which that cache exports byte-identically.
 func FuzzCacheSnapshot(f *testing.F) {
 	// A small valid snapshot seeds the mutator (the full seedCache export
 	// is covered by the unit tests; a large seed only slows the fuzzer).
 	tiny := NewSharedCache()
-	tiny.merge(0x1111222233334444, []sharedKV{
+	seedCosts(tiny, 0x1111222233334444, 0, 0, []sharedKV{
 		{k: cacheKey{g: 1, ord: 0, mask: 0x2a}, v: 1.5},
 		{k: cacheKey{g: 1, ord: 1, compute: true, mask: 0x2b}, v: -2.25},
 	})
@@ -224,6 +308,19 @@ func FuzzCacheSnapshot(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"version":1,"scope":"x","namespaces":[],"checksum":"0000000000000000"}`))
 	f.Add([]byte(strings.Replace(string(enc), `"compute": true`, `"compute": false`, 1)))
+	odd := NewSharedCache()
+	seedCosts(odd, 0x1111222233334444, 0, 0, []sharedKV{
+		{k: cacheKey{g: -2, ord: 3, mask: 1}, v: 1},
+		{k: cacheKey{g: benefitGroup, ord: 1, mask: 7}, v: 2},
+		{k: cacheKey{g: 1 << 20, ord: -1, compute: true, mask: ^uint64(0)}, v: 3},
+	})
+	odd.PutBenefit(0x1111222233334444, 7, 3.5)
+	odd.PutBenefit(0x5555666677778888, 9, -1)
+	oddEnc, err := odd.Export("odd").Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(oddEnc)
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -261,6 +358,19 @@ func FuzzCacheSnapshot(f *testing.F) {
 		}
 		if n != want {
 			t.Fatalf("import reported %d entries, snapshot carries %d", n, want)
+		}
+		// The importer has seen no searcher, so no namespace has a table
+		// geometry yet: the entries must still export canonically.
+		enc3, err := c.Export(snap.Scope).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(snap.Namespaces) == 0 {
+			snap.Namespaces = nil // Export's spelling of "none"
+			enc1, _ = snap.Encode()
+		}
+		if !bytes.Equal(enc1, enc3) {
+			t.Fatalf("import → export of a fresh cache differs from the canonical input:\n%s\nvs\n%s", enc1, enc3)
 		}
 	})
 }

@@ -10,7 +10,8 @@
 //	GET  /v1/stats     per-tenant admission counters incl. quota-bucket
 //	                   refill state (quota_remaining, refill_per_sec,
 //	                   next_admit_ms), session-pool stats (live + retired
-//	                   aggregate), recovered-panic count, per-catalog
+//	                   aggregate; stage times build_ns, opt_ns, extract_ns
+//	                   and publish_ns), recovered-panic count, per-catalog
 //	                   breaker states
 //	POST /v1/tenants/{tenant}/reset  admin: refill the tenant's quota
 //	                   bucket to capacity and return its fresh stats
@@ -111,8 +112,9 @@
 //     unpreempted run's calls + its Preemptions count.
 //   - The tenant's quota is charged the response's actual merged
 //     OracleCalls — charge and report always agree.
-//   - BCCalls and the cache-effect counters (CacheHits, SharedHits,
-//     ComputedKeys) are NOT conserved: segments re-enter the session's
+//   - BCCalls and the cache-effect counters (CacheHits; SharedHits, the
+//     lookups served by the session's SharedCache; ComputedKeys) are NOT
+//     conserved: segments re-enter the session's
 //     shared cost cache with whatever warmth it has by then. (On more
 //     than one core the cache-effect counters differ even between two
 //     identical runs, so run-equality contracts are stated over

@@ -137,8 +137,9 @@ func (p *sessionPool) release(e *poolEntry) {
 }
 
 // retireLocked folds the dead session's lifetime counters into the
-// retired aggregate and invalidates its shared cost cache so the memory
-// is released promptly. Only called once per entry: from the dooming site
+// retired aggregate and invalidates its shared cost cache, which drops the
+// cache's tables, so the memory is released even while a straggler still
+// holds the session. Only called once per entry: from the dooming site
 // when unpinned, else from the last release.
 func (p *sessionPool) retireLocked(e *poolEntry) {
 	addSessionStats(&p.retired, e.sess.Stats())
@@ -211,6 +212,7 @@ func addSessionStats(dst *repro.SessionStats, src repro.SessionStats) {
 	dst.BuildTime += src.BuildTime
 	dst.OptTime += src.OptTime
 	dst.ExtractTime += src.ExtractTime
+	dst.PublishTime += src.PublishTime
 }
 
 // retiredStats snapshots the retirement aggregate.

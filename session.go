@@ -241,7 +241,7 @@ type SessionStats struct {
 	OracleCalls  int `json:"oracle_calls"`  // total memoized-distinct oracle calls
 	BCCalls      int `json:"bc_calls"`      // total bestCost invocations
 	CacheHits    int `json:"cache_hits"`    // worker-private (L1) cache hits
-	SharedHits   int `json:"shared_hits"`   // session SharedCache (L2) hits
+	SharedHits   int `json:"shared_hits"`   // lookups served by the session SharedCache (L2)
 	ComputedKeys int `json:"computed_keys"` // fresh (group, order, mask) computations
 	// SharedOracleHits counts whole oracle evaluations served from the
 	// session cache's cross-run memo — calls a cold session would have paid
@@ -257,6 +257,7 @@ type SessionStats struct {
 	BuildTime   time.Duration `json:"build_ns"`   // DAG construction
 	OptTime     time.Duration `json:"opt_ns"`     // strategy runs
 	ExtractTime time.Duration `json:"extract_ns"` // consolidated-plan extraction
+	PublishTime time.Duration `json:"publish_ns"` // handing the run's cost learning to the session cache
 	// RecipeHits / RecipeMisses count per-query structural-fingerprint
 	// lookups during combined-DAG builds (memo.BuildCache): a hit is a
 	// query the session has built before — it skips validation and is
@@ -275,12 +276,12 @@ type SessionStats struct {
 // safe for concurrent use — each call owns its optimizer — and the session
 // aggregates telemetry across calls (Stats).
 //
-// The session also owns a sharded cross-call cost cache
-// (physical.SharedCache) attached to every call's searcher: concurrent
-// scan workers share what they learn within a call, and — because entries
-// are namespaced by the combined DAG's structural fingerprint — a batch
-// identical to an earlier one starts with a warm cache instead of
-// relearning every (group, order, mask) cost. Cached costs are pure
+// The session also owns a cross-call cost cache (physical.SharedCache)
+// attached to every call's searcher: each call publishes what its scan
+// workers learned when it ends, and — because the cache keeps one table
+// per combined-DAG structural fingerprint — a batch identical to an
+// earlier one starts with a warm cache instead of relearning every
+// (group, order, mask) cost. Cached costs are pure
 // functions of their keys, so sharing never changes a result
 // (Telemetry.SharedHits reports how often it helped).
 type Session struct {
@@ -322,8 +323,9 @@ func NewSession(cat *catalog.Catalog, model cost.Model, opts ...Option) (*Sessio
 	return s, nil
 }
 
-// InvalidateCache drops the session's shared cross-call cost cache in
-// O(1). Correctness never requires it — entries are namespaced by DAG
+// InvalidateCache drops the session's shared cross-call cost cache: its
+// tables and memoized oracle values are released to the collector.
+// Correctness never requires it — entries are namespaced by DAG
 // fingerprint and operator flags — but a long-running session may use it
 // to bound memory or force cold-cache measurements. A session pool evicting
 // this session should call it so the dropped entry releases its cache
@@ -376,6 +378,10 @@ type RunResult struct {
 	Plan        *Plan
 	BuildTime   time.Duration // combined-DAG construction
 	ExtractTime time.Duration // consolidated-plan extraction
+	// PublishTime is the time spent handing the run's cost learning to the
+	// session cache after extraction. BuildTime + OptTime + ExtractTime +
+	// PublishTime covers the call.
+	PublishTime time.Duration
 	// Checkpoint, set when the run stopped early under a resumable lazy
 	// strategy, is the token WithResume continues from. (It shadows the
 	// embedded core result's raw snapshot, adding the fingerprint pin.)
@@ -488,7 +494,9 @@ func (s *Session) runBatch(ctx context.Context, batch *logical.Batch, cfg config
 	extract := time.Since(extractStart)
 	// Publish this call's cost learning into the session cache so later
 	// batches with the same DAG fingerprint start warm.
+	publishStart := time.Now()
 	opt.Searcher.PublishCache()
+	publish := time.Since(publishStart)
 
 	s.mu.Lock()
 	s.stats.Batches++
@@ -505,6 +513,7 @@ func (s *Session) runBatch(ctx context.Context, batch *logical.Batch, cfg config
 	s.stats.BuildTime += build
 	s.stats.OptTime += res.OptTime
 	s.stats.ExtractTime += extract
+	s.stats.PublishTime += publish
 	s.mu.Unlock()
 
 	return &RunResult{
@@ -512,6 +521,7 @@ func (s *Session) runBatch(ctx context.Context, batch *logical.Batch, cfg config
 		Plan:        plan,
 		BuildTime:   build,
 		ExtractTime: extract,
+		PublishTime: publish,
 		Checkpoint:  cp,
 		opt:         opt,
 	}, nil

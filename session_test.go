@@ -11,6 +11,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/tpcd"
 	"repro/internal/volcano"
+	"repro/internal/workload"
 )
 
 // almostEqual absorbs last-ulp differences between a plan's Total (summed
@@ -401,5 +402,46 @@ func TestSessionInvalidateCacheForcesColdStart(t *testing.T) {
 	}
 	if again.Cost != first.Cost {
 		t.Errorf("cost changed across invalidation: %v vs %v", again.Cost, first.Cost)
+	}
+}
+
+// TestSessionStagesCoverWall: the four stage clocks of a RunResult — DAG
+// build, strategy run, plan extraction, cache publish — account for the
+// call: on a cold 32-query Optimize they sum to within 10 % of the wall
+// measured around it. (Before PublishTime existed the publish, two fifths
+// of such a call, had no clock.) The result must also still validate: the
+// publish has moved the searcher's cache buckets into the session cache by
+// the time the caller sees the plan. Contention can only widen the gaps
+// between clocks, so the best of three attempts is taken.
+func TestSessionStagesCoverWall(t *testing.T) {
+	batch := workload.MustGenerate(workload.DefaultSpec(32, 0.25))
+	best := 0.0
+	for attempt := 0; attempt < 3 && best < 0.9; attempt++ {
+		sess := newTestSession(t)
+		start := time.Now()
+		rr, err := sess.Optimize(context.Background(), batch)
+		wall := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rr.Validate(); err != nil {
+			t.Fatalf("Validate after the publish: %v", err)
+		}
+		if rr.PublishTime <= 0 {
+			t.Fatalf("PublishTime = %v on a cold run", rr.PublishTime)
+		}
+		if st := sess.Stats(); st.PublishTime != rr.PublishTime {
+			t.Fatalf("session PublishTime %v != the one call's %v", st.PublishTime, rr.PublishTime)
+		}
+		stages := rr.BuildTime + rr.OptTime + rr.ExtractTime + rr.PublishTime
+		if stages > wall {
+			t.Fatalf("stages sum to %v, more than the wall %v", stages, wall)
+		}
+		if cover := float64(stages) / float64(wall); cover > best {
+			best = cover
+		}
+	}
+	if best < 0.9 {
+		t.Errorf("stage clocks cover %.1f %% of the call, want ≥ 90 %%", 100*best)
 	}
 }

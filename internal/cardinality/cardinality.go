@@ -137,54 +137,52 @@ func rangeFrac(st ColStats, lo, hi float64) float64 {
 	return clamp01((hi - lo) / (st.Max - st.Min))
 }
 
-// JoinProps returns the properties of the equi-join of two inputs under the
-// given conditions, using the standard |L||R| / Π max(V(l),V(r)) estimate.
-func JoinProps(l, r Props, conds []expr.EqJoin) Props {
-	rows := l.Rows * r.Rows
-	for _, j := range conds {
-		vl := distinctOrDefault(l, j.Left, r, j.Right)
-		vr := distinctOrDefault(r, j.Right, l, j.Left)
-		d := math.Max(vl, vr)
-		if d < 1 {
-			d = 1
+// JoinSubsetProps returns the properties of the equi-join of a set of leaf
+// inputs under all the conditions that hold among them. The estimate is
+// split-independent — the product of the leaf row counts divided, per
+// condition, by the larger distinct count of its two columns (10 when
+// neither is known) — so every derivation of the subset agrees on it. Join
+// columns take the smaller distinct count and the intersected range
+// (containment assumption); conditions apply in order, each seeing the
+// statistics the previous ones left.
+func JoinSubsetProps(leaves []Props, conds []expr.EqJoin) Props {
+	ncols := 0
+	for _, p := range leaves {
+		ncols += len(p.Cols)
+	}
+	out := Props{Rows: 1, Cols: make(map[expr.Col]ColStats, ncols)}
+	for _, p := range leaves {
+		out.Rows *= p.Rows
+		out.Width += p.Width
+		for k, v := range p.Cols {
+			out.Cols[k] = v
 		}
-		rows /= d
 	}
-	rows = math.Max(1, rows)
-	cols := make(map[expr.Col]ColStats, len(l.Cols)+len(r.Cols))
-	for k, v := range l.Cols {
-		cols[k] = v
-	}
-	for k, v := range r.Cols {
-		cols[k] = v
-	}
-	out := Props{Rows: rows, Width: l.Width + r.Width, Cols: cols}
-	// Join columns take the smaller distinct count (containment assumption).
 	for _, j := range conds {
-		if ls, ok := l.Cols[j.Left]; ok {
-			if rs, ok2 := r.Cols[j.Right]; ok2 {
-				d := math.Min(ls.Distinct, rs.Distinct)
-				lo := math.Max(ls.Min, rs.Min)
-				hi := math.Min(ls.Max, rs.Max)
-				cols[j.Left] = ColStats{Distinct: d, Min: lo, Max: hi}
-				cols[j.Right] = ColStats{Distinct: d, Min: lo, Max: hi}
+		vl, okl := out.Cols[j.Left]
+		vr, okr := out.Cols[j.Right]
+		d := 10.0
+		switch {
+		case okl && okr:
+			d = math.Max(vl.Distinct, vr.Distinct)
+		case okl:
+			d = vl.Distinct
+		case okr:
+			d = vr.Distinct
+		}
+		out.Rows /= math.Max(1, d)
+		if okl && okr {
+			st := ColStats{
+				Distinct: math.Min(vl.Distinct, vr.Distinct),
+				Min:      math.Max(vl.Min, vr.Min),
+				Max:      math.Min(vl.Max, vr.Max),
 			}
+			out.Cols[j.Left], out.Cols[j.Right] = st, st
 		}
 	}
+	out.Rows = math.Max(1, out.Rows)
 	capDistinct(&out)
 	return out
-}
-
-// distinctOrDefault returns the distinct count of col in p, falling back to
-// the other side's count, then to 10.
-func distinctOrDefault(p Props, col expr.Col, other Props, otherCol expr.Col) float64 {
-	if st, ok := p.Cols[col]; ok && st.Distinct > 0 {
-		return st.Distinct
-	}
-	if st, ok := other.Cols[otherCol]; ok && st.Distinct > 0 {
-		return st.Distinct
-	}
-	return 10
 }
 
 // AggProps returns the properties of an aggregation: output rows are the

@@ -113,7 +113,7 @@ func TestApplySelectFloor(t *testing.T) {
 func TestJoinProps(t *testing.T) {
 	l := BaseProps(testTable(), "a")
 	r := BaseProps(testTable(), "b")
-	j := JoinProps(l, r, []expr.EqJoin{{Left: col("a", "id"), Right: col("b", "id")}})
+	j := JoinSubsetProps([]Props{l, r}, []expr.EqJoin{{Left: col("a", "id"), Right: col("b", "id")}})
 	// |L||R|/max(V,V) = 1000*1000/1000.
 	if j.Rows != 1000 {
 		t.Errorf("join rows = %v, want 1000", j.Rows)
@@ -129,7 +129,7 @@ func TestJoinProps(t *testing.T) {
 func TestJoinPropsLowDistinct(t *testing.T) {
 	l := BaseProps(testTable(), "a")
 	r := BaseProps(testTable(), "b")
-	j := JoinProps(l, r, []expr.EqJoin{{Left: col("a", "grp"), Right: col("b", "grp")}})
+	j := JoinSubsetProps([]Props{l, r}, []expr.EqJoin{{Left: col("a", "grp"), Right: col("b", "grp")}})
 	if j.Rows != 100000 { // 10^6 / 10
 		t.Errorf("join rows = %v, want 100000", j.Rows)
 	}
@@ -142,7 +142,7 @@ func TestJoinPropsLowDistinct(t *testing.T) {
 func TestJoinRowsNeverBelowOne(t *testing.T) {
 	l := ApplySelect(BaseProps(testTable(), "a"), pred(col("a", "id"), expr.EQ, 5))
 	r := ApplySelect(BaseProps(testTable(), "b"), pred(col("b", "id"), expr.EQ, 7))
-	j := JoinProps(l, r, []expr.EqJoin{{Left: col("a", "id"), Right: col("b", "id")}})
+	j := JoinSubsetProps([]Props{l, r}, []expr.EqJoin{{Left: col("a", "id"), Right: col("b", "id")}})
 	if j.Rows < 1 {
 		t.Errorf("join rows %v < 1", j.Rows)
 	}

@@ -44,8 +44,10 @@
 //
 // Replica health combines an active /healthz poll (status, per-catalog
 // breaker states) with passive signals from forwarding: a dial error
-// marks a replica down immediately, any response marks it reachable, a
-// 503 draining marks it draining. Down and draining replicas drop out of
+// marks a replica down immediately (a forward that fails because the
+// client itself disconnected says nothing about the replica and leaves
+// its health alone), any response marks it reachable, a 503 draining
+// marks it draining. Down and draining replicas drop out of
 // rotation and their keys spill to the next ring position; when a replica
 // recovers, the same keys return to it — deterministically, because the
 // preference order never changed.

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -110,27 +111,9 @@ type Router struct {
 	inflight map[string]int
 	total    int
 
-	forwards atomic64
-	retries  atomic64
-	failures atomic64
-}
-
-// atomic64 is a tiny counter (separate type to keep the struct readable).
-type atomic64 struct {
-	mu sync.Mutex
-	v  int64
-}
-
-func (a *atomic64) add(n int64) {
-	a.mu.Lock()
-	a.v += n
-	a.mu.Unlock()
-}
-
-func (a *atomic64) load() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.v
+	forwards atomic.Int64
+	retries  atomic.Int64
+	failures atomic.Int64
 }
 
 // NewRouter builds a router over its config. The replica set is fixed for
@@ -331,19 +314,23 @@ func (rt *Router) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		if i > 0 {
-			rt.retries.add(1)
+			rt.retries.Add(1)
 		}
 		status, hdr, respBody, err := rt.forward(r.Context(), rep, r, body)
 		if err != nil {
+			if r.Context().Err() != nil {
+				// The client left mid-forward and took the attempt with
+				// it: that says nothing about the replica, so its health
+				// stays as it was and nobody is left to shop for.
+				return
+			}
 			// The connection never yielded a response: for dial-class
 			// errors the request provably never executed, so the next
-			// replica may take it. Mark the replica down either way.
+			// replica may take it. Mark the replica down either way (a
+			// ForwardTimeout expiry included: the client is still here).
 			rt.health.markDown(rep, err)
 			lastErr = err.Error()
 			rt.logf("cluster: %s: forward to %s failed: %v", key, rep, err)
-			if r.Context().Err() != nil {
-				return // the client is gone; stop shopping
-			}
 			continue
 		}
 		if code, retryable := retryableReject(status, respBody); retryable {
@@ -354,7 +341,7 @@ func (rt *Router) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			rt.logf("cluster: %s: %s rejected with %s, trying next replica", key, rep, code)
 			continue
 		}
-		rt.forwards.add(1)
+		rt.forwards.Add(1)
 		rt.health.markUp(rep)
 		for k, vs := range hdr {
 			for _, v := range vs {
@@ -366,7 +353,7 @@ func (rt *Router) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write(respBody)
 		return
 	}
-	rt.failures.add(1)
+	rt.failures.Add(1)
 	msg := "no replica could serve the request"
 	if lastErr != "" {
 		msg += "; last failure: " + lastErr
@@ -423,9 +410,9 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	reps := rt.ring.Replicas()
 	out := RouterStats{
 		Replicas:   len(reps),
-		Forwarded:  rt.forwards.load(),
-		Retried:    rt.retries.load(),
-		Failed:     rt.failures.load(),
+		Forwarded:  rt.forwards.Load(),
+		Retried:    rt.retries.Load(),
+		Failed:     rt.failures.Load(),
 		PerReplica: make(map[string]json.RawMessage, len(reps)),
 	}
 	var mu sync.Mutex

@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/server"
@@ -174,7 +176,7 @@ func TestRouterRejectParity(t *testing.T) {
 	if err := json.Unmarshal(data, &eb); err != nil || eb.Code != "unknown_tenant" {
 		t.Errorf("403 body = %s, want code unknown_tenant", data)
 	}
-	if n := strict.rt.retries.load(); n != 0 {
+	if n := strict.rt.retries.Load(); n != 0 {
 		t.Errorf("router retried a 403 %d times", n)
 	}
 	if resp, data = post(t, strict.front.URL, specBody(t, nil), map[string]string{"X-Tenant": "known"}); resp.StatusCode != http.StatusOK {
@@ -201,7 +203,7 @@ func TestRouterRejectParity(t *testing.T) {
 	if rep := resp.Header.Get(ReplicaHeader); rep != first {
 		t.Errorf("429 came from %s, quota was spent on %s — affinity broke", rep, first)
 	}
-	if n := metered.rt.retries.load(); n != 0 {
+	if n := metered.rt.retries.Load(); n != 0 {
 		t.Errorf("router retried a 429 %d times", n)
 	}
 }
@@ -348,6 +350,71 @@ func TestRouterFailover(t *testing.T) {
 	var eb errorBody
 	if err := json.Unmarshal(data, &eb); err != nil || eb.Code != codeNoReplicas {
 		t.Errorf("no-replica body = %s, want code %s", data, codeNoReplicas)
+	}
+}
+
+// TestRouterClientCancelKeepsReplicaUp: a client that disconnects while
+// its request is being forwarded fails the forward with the client's own
+// cancellation. That is no evidence against the replica: it must stay up,
+// and the key's next request must still land on its ring owner.
+func TestRouterClientCancelKeepsReplicaUp(t *testing.T) {
+	entered := make(chan string, 1)
+	release := make(chan struct{})
+	unblock := sync.OnceFunc(func() { close(release) })
+	var urls []string
+	for i := 0; i < 2; i++ {
+		var ts *httptest.Server
+		ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			select {
+			case entered <- ts.URL:
+			default:
+			}
+			select {
+			case <-release:
+			case <-r.Context().Done():
+			}
+			_, _ = io.WriteString(w, "{}")
+		}))
+		t.Cleanup(ts.Close)
+		urls = append(urls, ts.URL)
+	}
+	t.Cleanup(unblock) // runs before the servers close, which wait for their handlers
+	rt, err := NewRouter(RouterConfig{Replicas: urls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := rt.Ring().Owner("gone|sf=1")
+	send := func(ctx context.Context) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, "/v1/optimize", strings.NewReader(specBody(t, nil))).WithContext(ctx)
+		req.Header.Set("X-Tenant", "gone")
+		rec := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(rec, req)
+		return rec
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		send(ctx)
+	}()
+	if got := <-entered; got != owner {
+		t.Fatalf("first forward went to %s, want ring owner %s", got, owner)
+	}
+	cancel() // the client leaves while the owner holds the request
+	<-done
+	if h := rt.health.snapshot(owner); !h.up {
+		t.Errorf("client cancellation marked the replica down (lastErr %q)", h.lastErr)
+	}
+
+	unblock()
+	rec := send(context.Background())
+	if rec.Code != http.StatusOK {
+		t.Fatalf("follow-up request = %d: %s", rec.Code, rec.Body)
+	}
+	if got := rec.Header().Get(ReplicaHeader); got != owner {
+		t.Errorf("follow-up request served by %s, want ring owner %s", got, owner)
 	}
 }
 

@@ -2,7 +2,6 @@ package memo
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 	"strconv"
@@ -88,28 +87,19 @@ func (r *resolver) col(c expr.Col) (expr.Col, error) {
 		return expr.Col{}, fmt.Errorf("unresolved alias %q", c.Alias)
 	}
 	if r.src[i].Base() {
-		return expr.Col{Alias: CanonAlias(r.leaf[i]), Column: c.Column}, nil
+		cc := expr.Col{Alias: CanonAlias(r.leaf[i]), Column: c.Column}
+		r.m.noteUsed(cc)
+		return cc, nil
 	}
 	// Match the exposed column by name among the derived group's outputs.
 	props := r.m.Group(r.leaf[i]).Props
 	for _, cc := range props.ColumnList() {
 		if cc.Column == c.Column {
+			r.m.noteUsed(cc)
 			return cc, nil
 		}
 	}
 	return expr.Col{}, fmt.Errorf("derived source %q does not expose column %q", c.Alias, c.Column)
-}
-
-func (r *resolver) pred(p expr.Pred) (expr.Pred, error) {
-	out := expr.Pred{Conj: make([]expr.Cmp, len(p.Conj))}
-	for i, c := range p.Conj {
-		cc, err := r.col(c.Col)
-		if err != nil {
-			return expr.Pred{}, err
-		}
-		out.Conj[i] = expr.Cmp{Col: cc, Op: c.Op, Val: c.Val}
-	}
-	return out, nil
 }
 
 // buildBlock expands one block and returns its root group.
@@ -118,11 +108,19 @@ func (m *Memo) buildBlock(b *logical.Block, ctx string) (GroupID, error) {
 	leafGID := make([]GroupID, n)
 	res := &resolver{m: m, idx: make(map[string]int, n), src: b.Sources, leaf: leafGID}
 	ordCount := map[string]int{}
+	// twins is set when two sources resolve to one group (identical derived
+	// tables, or a derived table that is a bare scan this block repeats):
+	// distinct partitions of a subset can then name the same ordered child
+	// pair, even in a join group this block creates.
+	twins := false
 
 	for i, src := range b.Sources {
 		if src.Base() {
 			pred := b.SelectFor(src.Alias)
-			key := "scan|" + src.Table + "|" + anonPred(pred, src.Alias)
+			// The signature renders the selection with its alias anonymized,
+			// so unification is alias-independent.
+			anon := rewriteAlias(pred, src.Alias, "$")
+			key := "scan|" + src.Table + "|" + anon.Fingerprint()
 			ord := ordCount[key]
 			ordCount[key]++
 			sig := key + "|" + strconv.Itoa(ord)
@@ -132,11 +130,16 @@ func (m *Memo) buildBlock(b *logical.Block, ctx string) (GroupID, error) {
 				if !ok {
 					return 0, fmt.Errorf("memo: table %q not in catalog", src.Table)
 				}
-				canonPred := rewriteAlias(pred, src.Alias, CanonAlias(g.ID))
-				g.Props = cardinality.ApplySelect(cardinality.BaseProps(t, CanonAlias(g.ID)), canonPred)
+				alias := CanonAlias(g.ID)
+				canonPred := rewriteAlias(pred, src.Alias, alias)
+				for _, c := range canonPred.Conj {
+					m.noteUsed(c.Col)
+				}
+				g.Props = cardinality.ApplySelect(cardinality.BaseProps(t, alias), canonPred)
 				g.Leaf = true
 				g.BasePred = !pred.True()
 				m.addExpr(&MExpr{Kind: OpScan, Group: g.ID, Table: src.Table, Alias: src.Alias, Pred: canonPred})
+				m.scans = append(m.scans, scanLeaf{g: g, table: t, anon: anon})
 			}
 			leafGID[i] = g.ID
 		} else {
@@ -146,6 +149,7 @@ func (m *Memo) buildBlock(b *logical.Block, ctx string) (GroupID, error) {
 			}
 			leafGID[i] = sub
 		}
+		twins = twins || slices.Contains(leafGID[:i], leafGID[i])
 		res.idx[src.Alias] = i
 		m.addConsumer(leafGID[i], ctx)
 	}
@@ -203,6 +207,7 @@ func (m *Memo) buildBlock(b *logical.Block, ctx string) (GroupID, error) {
 		// cross conditions of an accepted partition are retained (copied at
 		// exact size into the join node).
 		var inner, cross []expr.EqJoin
+		var leaves []cardinality.Props
 		ids := make([]GroupID, 0, n)
 		// groupOf maps a source-index mask to its group, or noGroup when the
 		// subset is not connected. Masks are visited in ascending order, so
@@ -233,8 +238,17 @@ func (m *Memo) buildBlock(b *logical.Block, ctx string) (GroupID, error) {
 			sig := "join|" + sortedIDs(ids) + "|" + expr.JoinFingerprint(inner)
 			g, isNew := m.internGroup(sig)
 			if isNew {
-				g.Props = m.joinSubsetProps(ids, inner)
+				leaves = leaves[:0]
+				for _, id := range ids {
+					leaves = append(leaves, m.Group(id).Props)
+				}
+				g.Props = cardinality.JoinSubsetProps(leaves, inner)
 			}
+			// A group that was there before this subset was reached may
+			// already hold some of its partitions: an earlier query that
+			// listed the sources in another order left the commuted pairs,
+			// so membership is asked per ordered pair, never per group.
+			mayRepeat := !isNew || twins
 			groupOf[mask] = g.ID
 			m.addConsumer(g.ID, ctx)
 			// All partitions into two connected halves; counting each
@@ -253,7 +267,7 @@ func (m *Memo) buildBlock(b *logical.Block, ctx string) (GroupID, error) {
 						cross = append(cross, ci.cond)
 					}
 				}
-				if len(cross) == 0 {
+				if len(cross) == 0 || (mayRepeat && g.joins(groupOf[sub], groupOf[rest])) {
 					continue
 				}
 				m.addExpr(&MExpr{
@@ -301,62 +315,6 @@ func (m *Memo) buildBlock(b *logical.Block, ctx string) (GroupID, error) {
 		rootGID = g.ID
 	}
 	return rootGID, nil
-}
-
-// joinSubsetProps computes split-independent properties for a join subset:
-// the row count is the product of the leaf row counts times the product of
-// the condition selectivities, so every derivation of the subset agrees.
-func (m *Memo) joinSubsetProps(ids []GroupID, conds []expr.EqJoin) cardinality.Props {
-	cols := map[expr.Col]cardinality.ColStats{}
-	rows := 1.0
-	width := 0
-	for _, id := range ids {
-		p := m.Group(id).Props
-		rows *= p.Rows
-		width += p.Width
-		for k, v := range p.Cols {
-			cols[k] = v
-		}
-	}
-	for _, j := range conds {
-		vl, okl := cols[j.Left]
-		vr, okr := cols[j.Right]
-		d := 10.0
-		switch {
-		case okl && okr:
-			d = math.Max(vl.Distinct, vr.Distinct)
-		case okl:
-			d = vl.Distinct
-		case okr:
-			d = vr.Distinct
-		}
-		if d < 1 {
-			d = 1
-		}
-		rows /= d
-		if okl && okr {
-			dd := math.Min(vl.Distinct, vr.Distinct)
-			lo := math.Max(vl.Min, vr.Min)
-			hi := math.Min(vl.Max, vr.Max)
-			cols[j.Left] = cardinality.ColStats{Distinct: dd, Min: lo, Max: hi}
-			cols[j.Right] = cardinality.ColStats{Distinct: dd, Min: lo, Max: hi}
-		}
-	}
-	rows = math.Max(1, rows)
-	p := cardinality.Props{Rows: rows, Width: width, Cols: cols}
-	for k, v := range cols {
-		if v.Distinct > rows {
-			v.Distinct = rows
-			cols[k] = v
-		}
-	}
-	return p
-}
-
-// anonPred renders a single-alias predicate with the alias anonymized, for
-// use in leaf signatures (so that unification is alias-independent).
-func anonPred(p expr.Pred, alias string) string {
-	return rewriteAlias(p, alias, "$").Fingerprint()
 }
 
 // rewriteAlias returns the predicate with every reference to `from`

@@ -12,13 +12,37 @@
 // "g<leafGroupID>". Because leaves unify across queries, canonicalized
 // predicates and join conditions compare equal exactly when the
 // subexpressions are equal, regardless of the aliases the queries used.
+//
+// Build records each fact once, where it is first known, and keeps no
+// mechanism to find it again. Creating a base-relation leaf notes three
+// things (scanLeaf): the group, its catalog table, and its selection with
+// the alias anonymized — the predicate the leaf's signature is rendered
+// from, and the one select subsumption compares across the leaves of a
+// table. Every column is noted as used at the moment it is canonicalized
+// (resolver.col, a leaf's scan predicate, a subsumption filter), which is
+// all that width projection needs. A group's operators are reachable from
+// the group only: there are no parent links.
+//
+// No table of operators backs the construction, because it cannot produce
+// a duplicate: a scan or an aggregate is added only together with the
+// group it creates, a subsumption edge once per ordered pair of distinct
+// groups, and a join once per partition of a subset the batch meets for
+// the first time. One site can repeat itself — a block that enumerates the
+// partitions of a join group already filled by an earlier block, or by
+// this block's twin when two of its sources resolve to one group — and it
+// asks the group whether it already joins that ordered child pair
+// (Group.joins, an integer compare). The pair is ordered because a query
+// that lists the same sources the other way round contributes the commuted
+// pair, which is a different operator and stays; and the pair decides the
+// whole operator, since a join's conditions are its group's conditions
+// minus its children's. TestNoDuplicateExprs and FuzzBuildInvariants state
+// the invariant; TestBuildDigestPinned pins the resulting DAGs.
 package memo
 
 import (
 	"fmt"
 	"slices"
 	"strconv"
-	"strings"
 
 	"repro/internal/cardinality"
 	"repro/internal/catalog"
@@ -106,22 +130,41 @@ type Group struct {
 	// Consumers is the set of distinct consumption contexts (query/block
 	// instances) that can use this group; ≥ 2 makes the group shareable.
 	Consumers map[string]bool
-
-	// parents are the operator nodes that reference this group as a child.
-	parents []*MExpr
 }
 
-// Parents returns the operator nodes referencing this group as input.
-func (g *Group) Parents() []*MExpr { return g.parents }
+// joins reports whether the group already derives itself as the join of
+// this ordered child pair.
+func (g *Group) joins(l, r GroupID) bool {
+	for _, e := range g.Exprs {
+		if e.Kind == OpJoin && e.Children[0] == l && e.Children[1] == r {
+			return true
+		}
+	}
+	return false
+}
+
+// scanLeaf is what Build notes when it creates a base-relation leaf.
+type scanLeaf struct {
+	g     *Group
+	table *catalog.Table
+	// anon is the pushed-down selection under the anonymous alias "$", so
+	// the selections of two leaves of one table compare directly.
+	anon expr.Pred
+}
 
 // Memo is the combined AND-OR DAG for a batch of queries.
 type Memo struct {
 	Cat   *catalog.Catalog
 	Model cost.Model
 
-	groups []*Group
-	bySig  map[string]GroupID
-	byExpr map[string]*MExpr
+	groups   []*Group
+	bySig    map[string]GroupID
+	numExprs int
+	// scans lists the base-relation leaves in creation order.
+	scans []scanLeaf
+	// used holds every canonical column some operator references; leaf
+	// scans project to these (projectWidths).
+	used map[expr.Col]struct{}
 
 	// QueryRoots holds the root group of each query in batch order.
 	QueryRoots []GroupID
@@ -132,10 +175,10 @@ type Memo struct {
 // New returns an empty memo over the given catalog and cost model.
 func New(cat *catalog.Catalog, model cost.Model) *Memo {
 	return &Memo{
-		Cat:    cat,
-		Model:  model,
-		bySig:  map[string]GroupID{},
-		byExpr: map[string]*MExpr{},
+		Cat:   cat,
+		Model: model,
+		bySig: map[string]GroupID{},
+		used:  map[expr.Col]struct{}{},
 	}
 }
 
@@ -146,7 +189,7 @@ func (m *Memo) Group(id GroupID) *Group { return m.groups[id] }
 func (m *Memo) NumGroups() int { return len(m.groups) }
 
 // NumExprs returns the number of operator nodes in the DAG.
-func (m *Memo) NumExprs() int { return len(m.byExpr) }
+func (m *Memo) NumExprs() int { return m.numExprs }
 
 // Groups returns all groups in creation order.
 func (m *Memo) Groups() []*Group { return m.groups }
@@ -168,50 +211,16 @@ func (m *Memo) internGroup(sig string) (*Group, bool) {
 	return g, true
 }
 
-// addExpr adds an operator node to a group unless an identical node is
-// already present, and maintains parent links.
-func (m *Memo) addExpr(e *MExpr) *MExpr {
-	key := exprKey(e)
-	if old, ok := m.byExpr[key]; ok {
-		return old
-	}
-	m.byExpr[key] = e
+// addExpr appends an operator node to its group. Callers add each
+// operator once (see the package comment).
+func (m *Memo) addExpr(e *MExpr) {
 	g := m.groups[e.Group]
 	g.Exprs = append(g.Exprs, e)
-	for _, c := range e.Children {
-		m.groups[c].parents = append(m.groups[c].parents, e)
-	}
-	return e
+	m.numExprs++
 }
 
-// exprKey returns the deduplication key for an operator node. All
-// predicates/conditions are already canonicalized, so equal keys mean
-// identical operators.
-func exprKey(e *MExpr) string {
-	var b strings.Builder
-	b.WriteString(e.Kind.String())
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(int(e.Group)))
-	b.WriteByte('|')
-	for _, c := range e.Children {
-		b.WriteString(strconv.Itoa(int(c)))
-		b.WriteByte(',')
-	}
-	b.WriteByte('|')
-	switch e.Kind {
-	case OpScan:
-		b.WriteString(e.Table)
-		b.WriteByte('|')
-		b.WriteString(e.Pred.Fingerprint())
-	case OpFilter:
-		b.WriteString(e.Pred.Fingerprint())
-	case OpJoin:
-		b.WriteString(expr.JoinFingerprint(e.Conds))
-	case OpAgg, OpReAgg:
-		b.WriteString(e.Spec.Fingerprint())
-	}
-	return b.String()
-}
+// noteUsed records that some operator references the canonical column.
+func (m *Memo) noteUsed(c expr.Col) { m.used[c] = struct{}{} }
 
 // addConsumer records that the given context can consume the group.
 func (m *Memo) addConsumer(id GroupID, ctx string) {

@@ -1,9 +1,6 @@
 package memo
 
-import (
-	"math/bits"
-	"sort"
-)
+import "math/bits"
 
 // Shareable returns the equivalence nodes worth considering for
 // materialization: groups consumable from at least two distinct contexts
@@ -21,9 +18,8 @@ func (m *Memo) Shareable() []GroupID {
 		if g.Leaf && !g.BasePred {
 			continue
 		}
-		out = append(out, g.ID)
+		out = append(out, g.ID) // groups are in id order, so out is ascending
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -71,48 +67,71 @@ func (b Bitset) Clone() Bitset {
 // cost computed for (group, order) can be reused across bestCost calls
 // whenever the materialization set restricted to those nodes is unchanged.
 
-// ShareIndex maps shareable group ids to dense bit positions.
+// ShareIndex maps shareable group ids to dense bit positions and every
+// group to the shareable nodes at or below it. Both are arrays indexed by
+// GroupID, filled once by NewShareIndex; the oracle hot path reads them in
+// place.
 type ShareIndex struct {
-	pos   map[GroupID]int
+	slot  []int32   // group id -> slot, -1 when the group is not shareable
 	ids   []GroupID // slot -> group id
 	words int
-	desc  map[GroupID]Bitset
-	memo  *Memo
+	desc  []Bitset // group id -> shareable nodes reachable at or below it
 }
 
 // NewShareIndex builds the index for the memo's shareable set.
 func (m *Memo) NewShareIndex() *ShareIndex {
-	sh := m.Shareable()
-	si := &ShareIndex{
-		pos:   make(map[GroupID]int, len(sh)),
-		ids:   sh,
-		words: (len(sh) + 63) / 64,
-		desc:  map[GroupID]Bitset{},
-		memo:  m,
+	n := len(m.groups)
+	si := &ShareIndex{slot: make([]int32, n), ids: m.Shareable(), desc: make([]Bitset, n)}
+	si.words = max(1, (len(si.ids)+63)/64)
+	for i := range si.slot {
+		si.slot[i] = -1
 	}
-	if si.words == 0 {
-		si.words = 1
+	for i, id := range si.ids {
+		si.slot[id] = int32(i)
 	}
-	for i, id := range sh {
-		si.pos[id] = i
+	// A subsumption edge can point at a group created later, so id order is
+	// not a topological order: fill depth-first (the DAG is acyclic), a
+	// non-nil entry marking a group as done.
+	words := make([]uint64, n*si.words) // one backing array
+	var fill func(id GroupID) Bitset
+	fill = func(id GroupID) Bitset {
+		if si.desc[id] != nil {
+			return si.desc[id]
+		}
+		lo, hi := int(id)*si.words, (int(id)+1)*si.words
+		bs := Bitset(words[lo:hi:hi])
+		si.desc[id] = bs
+		if p := si.slot[id]; p >= 0 {
+			bs.SetSlot(int(p))
+		}
+		for _, e := range m.groups[id].Exprs {
+			for _, c := range e.Children {
+				for w, v := range fill(c) {
+					bs[w] |= v
+				}
+			}
+		}
+		return bs
+	}
+	for i := range si.desc {
+		fill(GroupID(i))
 	}
 	return si
 }
 
 // Pos returns the bit position of a shareable group, or -1.
 func (si *ShareIndex) Pos(id GroupID) int {
-	p, ok := si.pos[id]
-	if !ok {
+	if uint(id) >= uint(len(si.slot)) {
 		return -1
 	}
-	return p
+	return int(si.slot[id])
 }
 
 // GroupAt returns the group id occupying a slot.
 func (si *ShareIndex) GroupAt(slot int) GroupID { return si.ids[slot] }
 
 // Len returns the number of shareable nodes.
-func (si *ShareIndex) Len() int { return len(si.pos) }
+func (si *ShareIndex) Len() int { return len(si.ids) }
 
 // Groups returns the group ids of the set slots, in ascending id order.
 func (si *ShareIndex) Groups(mat Bitset) []GroupID {
@@ -128,26 +147,8 @@ func (si *ShareIndex) Groups(mat Bitset) []GroupID {
 }
 
 // Descendants returns the bitset of shareable nodes reachable at or below
-// the group (memoized; the DAG is acyclic).
-func (si *ShareIndex) Descendants(id GroupID) Bitset {
-	if bs, ok := si.desc[id]; ok {
-		return bs
-	}
-	bs := make(Bitset, si.words)
-	si.desc[id] = bs // pre-insert: DAG is acyclic so no true cycles, but be safe
-	if p, ok := si.pos[id]; ok {
-		bs[p/64] |= 1 << uint(p%64)
-	}
-	for _, e := range si.memo.Group(id).Exprs {
-		for _, c := range e.Children {
-			for w, v := range si.Descendants(c) {
-				bs[w] |= v
-			}
-		}
-	}
-	si.desc[id] = bs
-	return bs
-}
+// the group (shared storage, do not mutate).
+func (si *ShareIndex) Descendants(id GroupID) Bitset { return si.desc[id] }
 
 // MaskHash hashes the intersection of a materialization bitset with the
 // group's shareable descendants (FNV-1a over the masked words).
@@ -179,8 +180,8 @@ func (si *ShareIndex) NewMatSet() Bitset { return make(Bitset, si.words) }
 // Set marks a shareable group in the bitset; it reports whether the group
 // was shareable.
 func (si *ShareIndex) Set(mat Bitset, id GroupID) bool {
-	p, ok := si.pos[id]
-	if !ok {
+	p := si.Pos(id)
+	if p < 0 {
 		return false
 	}
 	mat.SetSlot(p)
@@ -189,16 +190,13 @@ func (si *ShareIndex) Set(mat Bitset, id GroupID) bool {
 
 // Unset clears a shareable group's bit.
 func (si *ShareIndex) Unset(mat Bitset, id GroupID) {
-	if p, ok := si.pos[id]; ok {
+	if p := si.Pos(id); p >= 0 {
 		mat.ClearSlot(p)
 	}
 }
 
 // Has reports whether the group's bit is set.
 func (si *ShareIndex) Has(mat Bitset, id GroupID) bool {
-	p, ok := si.pos[id]
-	if !ok {
-		return false
-	}
-	return mat.HasSlot(p)
+	p := si.Pos(id)
+	return p >= 0 && mat.HasSlot(p)
 }

@@ -11,51 +11,35 @@ import (
 // paper's batched experiments rely on (the same query repeated with
 // different selection constants).
 func (m *Memo) subsumeSelections() {
-	byTable := map[string][]*Group{}
-	scanPred := map[GroupID]expr.Pred{}
-	for _, g := range m.groups {
-		if !g.Leaf {
+	for i := range m.scans {
+		a := &m.scans[i] // candidate stricter leaf
+		if a.anon.True() {
 			continue
 		}
-		for _, e := range g.Exprs {
-			if e.Kind == OpScan {
-				byTable[e.Table] = append(byTable[e.Table], g)
-				scanPred[g.ID] = e.Pred
-				break
-			}
-		}
-	}
-	for _, groups := range byTable {
-		for _, a := range groups { // candidate stricter group
-			pa := scanPred[a.ID]
-			if pa.True() {
+		for j := range m.scans {
+			b := &m.scans[j] // candidate looser leaf
+			if i == j || a.table != b.table {
 				continue
 			}
-			for _, b := range groups { // candidate looser group
-				if a.ID == b.ID {
-					continue
-				}
-				pb := scanPred[b.ID]
-				paAnon := rewriteAlias(pa, CanonAlias(a.ID), "$")
-				pbAnon := rewriteAlias(pb, CanonAlias(b.ID), "$")
-				if paAnon.Fingerprint() == pbAnon.Fingerprint() {
-					continue // distinct occurrences of the same selection
-				}
-				if !paAnon.Implies(pbAnon) || pbAnon.Implies(paAnon) {
-					continue
-				}
-				// a = filter(b, pa) — re-apply the stricter predicate to
-				// b's output, whose columns carry b's canonical alias.
-				filterPred := rewriteAlias(pa, CanonAlias(a.ID), CanonAlias(b.ID))
-				m.addExpr(&MExpr{
-					Kind:     OpFilter,
-					Group:    a.ID,
-					Children: []GroupID{b.ID},
-					Pred:     filterPred,
-				})
-				for ctx := range a.Consumers {
-					m.addConsumer(b.ID, ctx)
-				}
+			// Strictly stricter: mutual implication (which includes distinct
+			// occurrences of the same selection) is not a subsumption edge.
+			if !a.anon.Implies(b.anon) || b.anon.Implies(a.anon) {
+				continue
+			}
+			// a = filter(b, pa) — re-apply the stricter predicate to
+			// b's output, whose columns carry b's canonical alias.
+			filterPred := rewriteAlias(a.anon, "$", CanonAlias(b.g.ID))
+			for _, c := range filterPred.Conj {
+				m.noteUsed(c.Col)
+			}
+			m.addExpr(&MExpr{
+				Kind:     OpFilter,
+				Group:    a.g.ID,
+				Children: []GroupID{b.g.ID},
+				Pred:     filterPred,
+			})
+			for ctx := range a.g.Consumers {
+				m.addConsumer(b.g.ID, ctx)
 			}
 		}
 	}

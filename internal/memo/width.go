@@ -1,89 +1,31 @@
 package memo
 
-import (
-	"strconv"
-	"strings"
-)
+import "repro/internal/expr"
 
 // projectWidths applies the "project early" model: every leaf scan projects
 // to the columns referenced anywhere in the batch (join conditions,
-// predicates, aggregations), and intermediate widths are recomputed from
-// the projected leaf widths. Without this, intermediate results would
-// carry never-referenced payload columns (comments, addresses) and
-// materialization costs would be wildly overestimated — real
-// Volcano-style optimizers push projections to the scans.
+// predicates, aggregations — noted in Memo.used as each was canonicalized),
+// and intermediate widths are recomputed from the projected leaf widths.
+// Without this, intermediate results would carry never-referenced payload
+// columns (comments, addresses) and materialization costs would be wildly
+// overestimated — real Volcano-style optimizers push projections to the
+// scans.
 //
 // Widths only affect cost estimation (block counts); cardinalities and DAG
 // structure are untouched, so this runs once after the DAG is complete.
 func (m *Memo) projectWidths() {
-	needed := map[GroupID]map[string]bool{}
-	note := func(alias, column string) {
-		if !strings.HasPrefix(alias, "g") {
-			return
-		}
-		id, err := strconv.Atoi(alias[1:])
-		if err != nil || id < 0 || id >= len(m.groups) {
-			return
-		}
-		gid := GroupID(id)
-		if !m.groups[gid].Leaf {
-			return
-		}
-		if needed[gid] == nil {
-			needed[gid] = map[string]bool{}
-		}
-		needed[gid][column] = true
-	}
-	for _, g := range m.groups {
-		for _, e := range g.Exprs {
-			for _, c := range e.Pred.Conj {
-				note(c.Col.Alias, c.Col.Column)
-			}
-			for _, j := range e.Conds {
-				note(j.Left.Alias, j.Left.Column)
-				note(j.Right.Alias, j.Right.Column)
-			}
-			if e.Spec != nil {
-				for _, c := range e.Spec.GroupBy {
-					note(c.Alias, c.Column)
-				}
-				for _, a := range e.Spec.Aggs {
-					note(a.Col.Alias, a.Col.Column)
-				}
-			}
-		}
-	}
-
-	// Leaf widths: sum of the widths of the needed table columns (minimum
-	// one 8-byte column so row counts still occupy space).
-	for _, g := range m.groups {
-		if !g.Leaf {
-			continue
-		}
-		var table string
-		for _, e := range g.Exprs {
-			if e.Kind == OpScan {
-				table = e.Table
-				break
-			}
-		}
-		if table == "" {
-			continue // derived leaf (nested block root): handled below
-		}
-		t, ok := m.Cat.Table(table)
-		if !ok {
-			continue
-		}
+	// Leaf widths: sum of the widths of the used table columns (minimum
+	// one 8-byte column so row counts still occupy space). A derived leaf
+	// (nested block root) is not a scan and is handled below.
+	for _, l := range m.scans {
+		alias := CanonAlias(l.g.ID)
 		w := 0
-		for col := range needed[g.ID] {
-			if c, ok := t.Column(col); ok {
+		for _, c := range l.table.Columns {
+			if _, ok := m.used[expr.Col{Alias: alias, Column: c.Name}]; ok {
 				w += c.Width
 			}
 		}
-		if w < 8 {
-			w = 8
-		}
-		g.Props.Width = w
+		l.g.Props.Width = max(w, 8)
 	}
 
 	// Non-leaf widths in id order (children always precede parents; every

@@ -61,7 +61,7 @@ func (s *Searcher) CostBreakdown(mat NodeSet) CostBreakdown {
 // attribution layer can decide which batch members a materialized node
 // serves. Safe for concurrent use after construction.
 func (s *Searcher) RootsReaching(g memo.GroupID) []int {
-	sl := s.slot[g]
+	sl := s.SI.Pos(g)
 	if sl < 0 {
 		return nil
 	}

@@ -63,7 +63,7 @@ func TestRootsReachingCoversShareables(t *testing.T) {
 			}
 			// The root's descendant cone must actually contain the group.
 			root := s.M.QueryRoots[ri]
-			if !s.desc[root].HasSlot(int(s.slot[id])) {
+			if !s.SI.Descendants(root).HasSlot(s.SI.Pos(id)) {
 				t.Fatalf("group %d attributed to root %d but not in its cone", id, ri)
 			}
 		}
@@ -71,7 +71,7 @@ func TestRootsReachingCoversShareables(t *testing.T) {
 	// Non-shareable groups have no slot and report nil.
 	for gi := 0; gi < s.M.NumGroups(); gi++ {
 		id := s.M.Group(memo.GroupID(gi)).ID
-		if s.slot[id] < 0 && s.RootsReaching(id) != nil {
+		if s.SI.Pos(id) < 0 && s.RootsReaching(id) != nil {
 			t.Fatalf("non-shareable group %d reports roots", id)
 		}
 	}

@@ -163,7 +163,7 @@ func (s *Searcher) joinTemplates(g memo.GroupID, e *memo.MExpr) []tmpl {
 			t.localSpill = t.local
 		} else {
 			t.localSpill = m.BNLJCost(oB, iB, outBlocks, false)
-			if s.slot[inner] >= 0 {
+			if s.SI.Pos(inner) >= 0 {
 				t.matGate = inner
 			} else {
 				t.local = t.localSpill // never re-readable

@@ -270,12 +270,10 @@ type Searcher struct {
 	Parallelism int
 
 	// Compiled structures, immutable after NewSearcher.
-	orders    []Order  // order registry; orders[0] = nil
-	sat       [][]bool // sat[have][want] = orders[have].Satisfies(orders[want])
-	tmpls     [][]tmpl // candidate templates per group
-	slot      []int32  // shareable slot per group, -1 if none
-	depths    []int32  // DAG height per group
-	desc      []memo.Bitset
+	orders    []Order   // order registry; orders[0] = nil
+	sat       [][]bool  // sat[have][want] = orders[have].Satisfies(orders[want])
+	tmpls     [][]tmpl  // candidate templates per group
+	depths    []int32   // DAG height per group
 	blocksArr []float64 // output blocks per group
 	sortArr   []float64 // SortCost per group
 	readArr   []float64 // MaterializeReadCost per group
@@ -347,9 +345,7 @@ type cacheKey struct {
 // prepare compiles the memo into the immutable hot-path structures.
 func (s *Searcher) prepare() {
 	n := s.M.NumGroups()
-	s.slot = make([]int32, n)
 	s.depths = make([]int32, n)
-	s.desc = make([]memo.Bitset, n)
 	s.blocksArr = make([]float64, n)
 	s.sortArr = make([]float64, n)
 	s.readArr = make([]float64, n)
@@ -358,9 +354,7 @@ func (s *Searcher) prepare() {
 	s.orders = []Order{nil}
 	for i := 0; i < n; i++ {
 		id := memo.GroupID(i)
-		s.slot[i] = int32(s.SI.Pos(id))
 		s.depths[i] = -1
-		s.desc[i] = s.SI.Descendants(id)
 		p := s.M.Group(id).Props
 		b := s.M.Model.Blocks(p.Rows, p.Width)
 		s.blocksArr[i] = b
@@ -401,7 +395,7 @@ func (s *Searcher) fillRootMasks() {
 		s.rootMask[i] = words[i*s.rootWords : (i+1)*s.rootWords]
 	}
 	for ri, r := range s.M.QueryRoots {
-		for wi, wv := range s.desc[r] {
+		for wi, wv := range s.SI.Descendants(r) {
 			for wv != 0 {
 				slot := wi*64 + bits.TrailingZeros64(wv)
 				wv &= wv - 1
@@ -418,7 +412,7 @@ func (s *Searcher) fillRootMasks() {
 // (submod.InteractionFunction). Non-shareable groups conservatively report
 // true. Safe for concurrent use after construction.
 func (s *Searcher) SharesQueryRoot(a, b memo.GroupID) bool {
-	sa, sb := s.slot[a], s.slot[b]
+	sa, sb := s.SI.Pos(a), s.SI.Pos(b)
 	if sa < 0 || sb < 0 {
 		return true
 	}
@@ -822,8 +816,8 @@ func (w *worker) matGroups() []memo.GroupID {
 
 // matHas reports whether the group is in the current materialization set.
 func (w *worker) matHas(g memo.GroupID) bool {
-	sl := w.s.slot[g]
-	return sl >= 0 && w.bits.HasSlot(int(sl))
+	sl := w.s.SI.Pos(g)
+	return sl >= 0 && w.bits.HasSlot(sl)
 }
 
 // stored returns the delivered order of a materialized group this call.
@@ -840,7 +834,7 @@ func (w *worker) maskHash(g memo.GroupID) uint64 {
 	if w.mhEp[g] == w.epoch {
 		return w.mhVal[g]
 	}
-	v := memo.HashMasked(w.s.desc[g], w.bits)
+	v := memo.HashMasked(w.s.SI.Descendants(g), w.bits)
 	w.mhVal[g] = v
 	w.mhEp[g] = w.epoch
 	return v

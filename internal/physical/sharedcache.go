@@ -390,7 +390,7 @@ func (s *Searcher) structHash() uint64 {
 	}
 	h.i(s.SI.Len())
 	for g := 0; g < s.M.NumGroups(); g++ {
-		h.i(int(s.slot[g]))
+		h.i(s.SI.Pos(memo.GroupID(g)))
 		h.f(s.blocksArr[g])
 		h.f(s.sortArr[g])
 		h.f(s.readArr[g])

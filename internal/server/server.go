@@ -262,14 +262,22 @@ func tenantOf(r *http.Request, req *OptimizeRequest) string {
 }
 
 // requestCost estimates a request's scheduling cost in query-count units
-// before its batch is built: the spec's query count, or the statement
-// count of the SQL payload. The DRR deficit charge scales with it, so a
-// 64-query bulk request draws 64× the deficit of a single-query one.
+// before its batch is built: the spec's query count, or the number of
+// non-blank ;-separated statements in the SQL payload (at least 1, so a
+// terminating or repeated ";" charges nothing). The DRR deficit charge
+// scales with it, so a 64-query bulk request draws 64× the deficit of a
+// single-query one.
 func requestCost(req *OptimizeRequest) int {
 	if req.Spec != nil {
 		return req.Spec.Queries
 	}
-	return strings.Count(req.SQL, ";") + 1
+	n := 0
+	for stmt := range strings.SplitSeq(req.SQL, ";") {
+		if strings.TrimSpace(stmt) != "" {
+			n++
+		}
+	}
+	return max(n, 1)
 }
 
 // preemptibleStrategy reports whether a strategy checkpoints at round

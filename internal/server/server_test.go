@@ -185,6 +185,29 @@ func TestServerOptimizeSQL(t *testing.T) {
 	}
 }
 
+// TestRequestCost: a SQL payload is charged one DRR cost unit per non-blank
+// statement — a terminating ";" (the usual form) or a run of them adds
+// nothing — and a spec its query count.
+func TestRequestCost(t *testing.T) {
+	for _, tc := range []struct {
+		sql  string
+		want int
+	}{
+		{"a; b", 2},
+		{"a; b;\n", 2},
+		{"a;;;", 1},
+		{"", 1},
+	} {
+		if got := requestCost(&OptimizeRequest{SQL: tc.sql}); got != tc.want {
+			t.Errorf("requestCost(SQL %q) = %d, want %d", tc.sql, got, tc.want)
+		}
+	}
+	spec := testSpec()
+	if got := requestCost(&OptimizeRequest{Spec: &spec}); got != spec.Queries {
+		t.Errorf("requestCost(spec) = %d, want %d", got, spec.Queries)
+	}
+}
+
 // TestServerBadRequests sweeps the 4xx decode/validation surface.
 func TestServerBadRequests(t *testing.T) {
 	srv := New(Config{MaxQueries: 64})

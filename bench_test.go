@@ -272,23 +272,82 @@ func BenchmarkWorkloadDAGBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkSearcherSetup isolates the per-run searcher set-up every
-// Optimize pays after the DAG is built — template compilation plus worker
-// 0's slot-sized tables — over a prebuilt memo, so the allocation slice
-// left between BenchmarkWorkloadDAGBuild and BenchmarkWorkload has its own
-// warm number. Not in the CI gate set.
+// BenchmarkSearcherSetup isolates what physical.NewSearcher costs over a
+// prebuilt memo. "cold" is the first searcher over a memo, which compiles
+// the search space (order registry, candidate templates, cost arrays,
+// structural fingerprint) and leaves it on the memo: a fresh memo per
+// iteration, built outside the timer. "reused" is every later searcher over
+// that memo — what a repeated batch on a session pays — a struct literal.
+// Neither allocates a worker; the first evaluation takes one. Not in the CI
+// gate set.
 func BenchmarkSearcherSetup(b *testing.B) {
 	cat := tpcd.Catalog(1)
 	for _, size := range []int{32, 64} {
-		b.Run(fmt.Sprintf("%dx0.25", size), func(b *testing.B) {
-			m, err := memo.Build(cat, cost.Default(), workload.MustGenerate(workload.DefaultSpec(size, 0.25)))
+		batch := workload.MustGenerate(workload.DefaultSpec(size, 0.25))
+		build := func(b *testing.B) *memo.Memo {
+			m, err := memo.Build(cat, cost.Default(), batch)
 			if err != nil {
 				b.Fatal(err)
 			}
+			return m
+		}
+		b.Run(fmt.Sprintf("%dx0.25/cold", size), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				m := build(b)
+				b.StartTimer()
+				benchSearcher = physical.NewSearcher(m)
+			}
+		})
+		b.Run(fmt.Sprintf("%dx0.25/reused", size), func(b *testing.B) {
+			m := build(b)
+			physical.NewSearcher(m)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				benchSearcher = physical.NewSearcher(m)
+			}
+		})
+	}
+}
+
+// BenchmarkSessionRepeat measures the case a Session exists for: a warm
+// Session.Optimize of one batch it has optimized before. The DAG and
+// compiled search space come back from the session, the cost cache answers
+// every key and the workers' tables are the previous call's, so what is
+// left is the search itself (bc_calls repeats exactly: the oracle work of a
+// repeat is the cold run's), plan extraction and the publish. In the CI
+// trajectory (bench-regression) from PR 18 on.
+func BenchmarkSessionRepeat(b *testing.B) {
+	for _, c := range []struct {
+		size    int
+		sharing float64
+	}{{16, 0.5}, {32, 0.25}, {64, 0.25}} {
+		b.Run(fmt.Sprintf("%dx%g", c.size, c.sharing), func(b *testing.B) {
+			batch := workload.MustGenerate(workload.DefaultSpec(c.size, c.sharing))
+			sess, err := NewSession(tpcd.Catalog(1), cost.Default())
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			var res *RunResult
+			for i := 0; i < 2; i++ { // build, fill the cost cache, size the workers
+				if res, err = sess.Optimize(ctx, batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if res, err = sess.Optimize(ctx, batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(res.OracleCalls), "bc_calls")
+			if st := sess.Stats(); st.CompiledMisses != 1 {
+				b.Fatalf("the repeated batch was built %d times", st.CompiledMisses)
 			}
 		})
 	}

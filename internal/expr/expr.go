@@ -6,6 +6,7 @@ package expr
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -89,8 +90,12 @@ func (p Pred) And(q Pred) Pred {
 }
 
 // canonical returns the predicate with conjuncts sorted deterministically.
+// It never writes through the receiver: predicates sit in DAGs that
+// concurrent runs share, and rendering one (String, Fingerprint) must stay a
+// read. A predicate already in order — every one And produced — is returned
+// as it is; any other is copied first.
 func (p Pred) canonical() Pred {
-	sort.Slice(p.Conj, func(i, j int) bool {
+	less := func(i, j int) bool {
 		a, b := p.Conj[i], p.Conj[j]
 		if a.Col != b.Col {
 			return a.Col.Less(b.Col)
@@ -99,7 +104,11 @@ func (p Pred) canonical() Pred {
 			return a.Op < b.Op
 		}
 		return a.Val < b.Val
-	})
+	}
+	if !sort.SliceIsSorted(p.Conj, less) {
+		p.Conj = slices.Clone(p.Conj)
+		sort.Slice(p.Conj, less)
+	}
 	return p
 }
 

@@ -52,6 +52,10 @@ func TestPredFingerprintCanonical(t *testing.T) {
 	if p1.Fingerprint() != p2.Fingerprint() {
 		t.Errorf("fingerprints differ for reordered conjuncts: %q vs %q", p1.Fingerprint(), p2.Fingerprint())
 	}
+	// Rendering is a read: predicates sit in DAGs concurrent runs share.
+	if _ = p2.String(); p2.Conj[0].Col != col("a", "y") {
+		t.Errorf("Fingerprint reordered its receiver's conjuncts: %v", p2.Conj)
+	}
 }
 
 func TestPredTrueAndAnd(t *testing.T) {

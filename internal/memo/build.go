@@ -38,7 +38,10 @@ func WithoutAggSubsumption() Option {
 // each block's join graph becomes a group with all bushy join derivations
 // (the closure of join associativity and commutativity), aggregations are
 // placed on top, common subexpressions unify across the batch, and
-// select/aggregate subsumption derivations are added.
+// select/aggregate subsumption derivations are added. The memo is finished
+// when Build returns and nothing changes it afterwards; with a BuildCache
+// attached it may be the memo an earlier, identical call returned, shared
+// with that call's users.
 func Build(cat *catalog.Catalog, model cost.Model, batch *logical.Batch, opts ...Option) (*Memo, error) {
 	if batch == nil || len(batch.Queries) == 0 {
 		return nil, fmt.Errorf("memo: empty batch")
@@ -47,9 +50,13 @@ func Build(cat *catalog.Catalog, model cost.Model, batch *logical.Batch, opts ..
 	for _, o := range opts {
 		o(&cfg)
 	}
+	queryKeys, batchKey := cfg.cache.keys(batch, &cfg)
+	if m := cfg.cache.get(batchKey, cat, model, len(batch.Queries)); m != nil {
+		return m, nil
+	}
 	m := New(cat, model)
 	for qi, q := range batch.Queries {
-		if err := cfg.cache.validate(cat, q); err != nil {
+		if err := cfg.cache.validate(cat, q, queryKeys[qi]); err != nil {
 			return nil, err
 		}
 		root, err := m.buildBlock(q.Root, "q"+strconv.Itoa(qi))
@@ -66,6 +73,9 @@ func Build(cat *catalog.Catalog, model cost.Model, batch *logical.Batch, opts ..
 		m.subsumeAggregates()
 	}
 	m.projectWidths()
+	// What only construction reads is released here, not held with the memo.
+	m.bySig, m.scans, m.used = nil, nil, nil
+	cfg.cache.hold(batchKey, m)
 	return m, nil
 }
 
@@ -102,8 +112,13 @@ func (r *resolver) col(c expr.Col) (expr.Col, error) {
 	return expr.Col{}, fmt.Errorf("derived source %q does not expose column %q", c.Alias, c.Column)
 }
 
-// buildBlock expands one block and returns its root group.
+// buildBlock expands one block and returns its root group. It checks the
+// source bound itself: a query whose fingerprint the BuildCache knows skips
+// Query.Validate, and the 1<<n table below must never depend on that.
 func (m *Memo) buildBlock(b *logical.Block, ctx string) (GroupID, error) {
+	if err := b.CheckSources(); err != nil {
+		return 0, fmt.Errorf("memo: %w", err)
+	}
 	n := len(b.Sources)
 	leafGID := make([]GroupID, n)
 	res := &resolver{m: m, idx: make(map[string]int, n), src: b.Sources, leaf: leafGID}

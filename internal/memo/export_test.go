@@ -1,7 +1,6 @@
 package memo
 
 import (
-	"slices"
 	"strconv"
 	"strings"
 
@@ -13,11 +12,12 @@ import (
 // physical imports memo.
 var TestCatalog = testCatalog
 
+// HeldNodeCap is the BuildCache's bound on held operator nodes.
+const HeldNodeCap = heldNodeCap
+
 // ExprKey renders an operator node: kind, owning group, children in order
 // and canonical parameters. Equal renderings mean identical operators; the
 // tests use it to compare DAGs and to state that no group holds one twice.
-// The predicate is rendered from a copy because Pred.Fingerprint sorts its
-// receiver's conjuncts in place, and the tests also pin stored order.
 func ExprKey(e *MExpr) string {
 	var b strings.Builder
 	b.WriteString(e.Kind.String())
@@ -35,7 +35,7 @@ func ExprKey(e *MExpr) string {
 		b.WriteByte('|')
 		fallthrough
 	case OpFilter:
-		b.WriteString(expr.Pred{Conj: slices.Clone(e.Pred.Conj)}.Fingerprint())
+		b.WriteString(e.Pred.Fingerprint())
 	case OpJoin:
 		b.WriteString(expr.JoinFingerprint(e.Conds))
 	case OpAgg, OpReAgg:

@@ -1,7 +1,9 @@
 package memo_test
 
 import (
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/cost"
@@ -11,11 +13,27 @@ import (
 	"repro/internal/tpcd"
 )
 
+// oversizeFrom is a self-join of n aliases of one table on its key.
+func oversizeFrom(n int) string {
+	var from, where []string
+	for i := 0; i < n; i++ {
+		from = append(from, fmt.Sprintf("orders o%d", i))
+		if i > 0 {
+			where = append(where, fmt.Sprintf("o0.orderkey = o%d.orderkey", i))
+		}
+	}
+	return "SELECT * FROM " + strings.Join(from, ", ") + " WHERE " + strings.Join(where, " AND ")
+}
+
 // FuzzBuildInvariants states the construction's invariants on whatever SQL
 // parses and builds: no group holds an operator twice (there is no dedup
-// table to catch one), building is deterministic, and a batch listed twice
-// holds exactly the operators of the batch listed once. Seeds are the
-// statements of internal/parser's tests and the root repro_test.go.
+// table to catch one), building is deterministic, a batch listed twice
+// holds exactly the operators of the batch listed once, and two builds
+// through one BuildCache — the second answered with the first's memo when
+// every query has a fingerprint — are the build without a cache. Seeds are
+// the statements of internal/parser's tests and the root repro_test.go, and
+// a FROM list past logical.MaxBlockSources, which must be refused before
+// its 2^n subsets are enumerated.
 func FuzzBuildInvariants(f *testing.F) {
 	for _, sql := range []string{
 		`SELECT * FROM orders o, lineitem l WHERE o.orderkey = l.orderkey AND o.orderdate < 1100`,
@@ -38,6 +56,7 @@ func FuzzBuildInvariants(f *testing.F) {
 			SELECT * FROM lineitem l, orders o, customer c WHERE o.orderkey = l.orderkey AND c.custkey = o.custkey;`,
 		`SELECT * FROM lineitem l, partsupp ps WHERE l.partkey = ps.partkey AND l.suppkey = ps.suppkey;
 			SELECT * FROM partsupp ps, lineitem l WHERE l.suppkey = ps.suppkey AND l.partkey = ps.partkey;`,
+		oversizeFrom(30),
 	} {
 		f.Add(sql)
 	}
@@ -46,13 +65,6 @@ func FuzzBuildInvariants(f *testing.F) {
 		batch, err := parser.ParseBatch(sql)
 		if err != nil || len(batch.Queries) > 8 {
 			return
-		}
-		for _, q := range batch.Queries {
-			// Build enumerates 2^sources subsets per block and nothing
-			// upstream bounds the count; keep the fuzzer off that cliff.
-			if len(q.Root.Sources) > 6 {
-				return
-			}
 		}
 		m, err := memo.Build(cat, cost.Default(), batch)
 		if err != nil {
@@ -65,6 +77,16 @@ func FuzzBuildInvariants(f *testing.F) {
 		}
 		if a, b := memoDigest(m), memoDigest(again); a != b {
 			t.Fatalf("two builds of one batch digest %016x and %016x", a, b)
+		}
+		cache := memo.NewBuildCache()
+		for _, state := range []string{"cold", "warm"} {
+			cached, err := memo.Build(cat, cost.Default(), batch, memo.WithBuildCache(cache))
+			if err != nil {
+				t.Fatalf("Build through a %s cache: %v", state, err)
+			}
+			if a, b := memoDigest(m), memoDigest(cached); a != b {
+				t.Fatalf("build through a %s cache digests %016x, without one %016x", state, b, a)
+			}
 		}
 		twice := &logical.Batch{Queries: slices.Concat(batch.Queries, batch.Queries)}
 		m2, err := memo.Build(cat, cost.Default(), twice)

@@ -1,6 +1,7 @@
 package memo
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cost"
@@ -47,5 +48,19 @@ func TestBuildCacheEviction(t *testing.T) {
 	cache.mu.Unlock()
 	if n > 4 {
 		t.Fatalf("cache grew past cap: %d entries", n)
+	}
+}
+
+// buildBlock bounds its own 1<<n table: a query whose fingerprint the cache
+// has validated never reaches Query.Validate, and a nested block is only
+// ever seen here.
+func TestBuildBlockChecksSources(t *testing.T) {
+	bb := logical.NewBlock().Scan("t1", "a0")
+	for i := 1; i <= logical.MaxBlockSources; i++ {
+		a := fmt.Sprintf("a%d", i)
+		bb.Scan("t1", a).Join("a0.id", a+".id")
+	}
+	if _, err := New(testCatalog(), cost.Default()).buildBlock(bb.Build(), "q0"); err == nil {
+		t.Fatalf("buildBlock expanded a block of %d sources", logical.MaxBlockSources+1)
 	}
 }

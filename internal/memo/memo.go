@@ -43,6 +43,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"sync"
 
 	"repro/internal/cardinality"
 	"repro/internal/catalog"
@@ -152,19 +153,28 @@ type scanLeaf struct {
 	anon expr.Pred
 }
 
-// Memo is the combined AND-OR DAG for a batch of queries.
+// Memo is the combined AND-OR DAG for a batch of queries. Build returns it
+// finished, and from then on it is read-only: a memo built through a
+// BuildCache is handed to every later build of the same batch, so
+// concurrent runs — and whoever holds RunResult.Memo — share one object.
 type Memo struct {
 	Cat   *catalog.Catalog
 	Model cost.Model
 
 	groups   []*Group
-	bySig    map[string]GroupID
 	numExprs int
-	// scans lists the base-relation leaves in creation order.
+	// Construction state, released when Build returns: the signature
+	// table, the base-relation leaves in creation order, and every
+	// canonical column some operator references (leaf scans project to
+	// these, projectWidths).
+	bySig map[string]GroupID
 	scans []scanLeaf
-	// used holds every canonical column some operator references; leaf
-	// scans project to these (projectWidths).
-	used map[expr.Col]struct{}
+	used  map[expr.Col]struct{}
+
+	// compiled is what a user of the finished DAG derived from it once, for
+	// every later user to share (Compiled).
+	compiled     any
+	compiledOnce sync.Once
 
 	// QueryRoots holds the root group of each query in batch order.
 	QueryRoots []GroupID
@@ -180,6 +190,16 @@ func New(cat *catalog.Catalog, model cost.Model) *Memo {
 		bySig: map[string]GroupID{},
 		used:  map[expr.Col]struct{}{},
 	}
+}
+
+// Compiled returns the value the first call's compile produced for this
+// memo: the slot a layer above fills once with the immutable structures it
+// derives from the finished DAG (physical.NewSearcher keeps its compiled
+// search space here), so a memo reused through a BuildCache brings them
+// along. Safe for concurrent use; compile runs at most once.
+func (m *Memo) Compiled(compile func() any) any {
+	m.compiledOnce.Do(func() { m.compiled = compile() })
+	return m.compiled
 }
 
 // Group returns the group with the given id.

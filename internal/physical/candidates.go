@@ -62,7 +62,7 @@ type childReq struct {
 // conjunct), order-preserving filters, joins (BNLJ both operand orders,
 // hash join both orders, merge join both column orders), aggregations
 // (sort-based, then hash).
-func (s *Searcher) buildTemplates(g memo.GroupID) []tmpl {
+func (s *space) buildTemplates(g memo.GroupID) []tmpl {
 	var out []tmpl
 	for _, e := range s.M.Group(g).Exprs {
 		switch e.Kind {
@@ -89,7 +89,7 @@ func (s *Searcher) buildTemplates(g memo.GroupID) []tmpl {
 	return out
 }
 
-func (s *Searcher) scanTemplates(g memo.GroupID, e *memo.MExpr) []tmpl {
+func (s *space) scanTemplates(g memo.GroupID, e *memo.MExpr) []tmpl {
 	m := s.M.Model
 	t, _ := s.M.Cat.Table(e.Table)
 	tableBlocks := m.Blocks(t.Rows, t.RowWidth())
@@ -133,7 +133,7 @@ func (s *Searcher) scanTemplates(g memo.GroupID, e *memo.MExpr) []tmpl {
 	return out
 }
 
-func (s *Searcher) joinTemplates(g memo.GroupID, e *memo.MExpr) []tmpl {
+func (s *space) joinTemplates(g memo.GroupID, e *memo.MExpr) []tmpl {
 	m := s.M.Model
 	outBlocks := s.blocksArr[g]
 	var out []tmpl
@@ -212,7 +212,7 @@ func (s *Searcher) joinTemplates(g memo.GroupID, e *memo.MExpr) []tmpl {
 
 // mergeOrders splits the join conditions into the column sequences each
 // child must be sorted on, in a deterministic condition order.
-func (s *Searcher) mergeOrders(a memo.GroupID, conds []expr.EqJoin) (Order, Order, bool) {
+func (s *space) mergeOrders(a memo.GroupID, conds []expr.EqJoin) (Order, Order, bool) {
 	ap := s.M.Group(a).Props
 	type pair struct{ ca, cb expr.Col }
 	pairs := make([]pair, 0, len(conds))
@@ -237,7 +237,7 @@ func (s *Searcher) mergeOrders(a memo.GroupID, conds []expr.EqJoin) (Order, Orde
 	return ordA, ordB, len(ordA) > 0
 }
 
-func (s *Searcher) aggTemplates(g memo.GroupID, e *memo.MExpr) []tmpl {
+func (s *space) aggTemplates(g memo.GroupID, e *memo.MExpr) []tmpl {
 	m := s.M.Model
 	child := e.Children[0]
 	childBlocks := s.blocksArr[child]

@@ -20,8 +20,9 @@
 //
 // # Hot-path representation
 //
-// The oracle is allocation-free. At construction the Searcher compiles the
-// memo into immutable lookup structures:
+// The oracle is allocation-free. The first searcher over a memo compiles it
+// into immutable lookup structures — the compiled search space, which stays
+// on the memo (memo.Memo.Compiled) for every later searcher over it:
 //
 //   - an order registry interning every sort order that can ever be
 //     required or delivered (clustered-scan orders, index orders, merge-join
@@ -100,14 +101,27 @@
 //
 // # Concurrency contract
 //
-// After construction all compiled structures are immutable. Mutable
-// per-evaluation state (scratch tables, the private L1 cache, stat
-// counters) lives in per-worker contexts: sequential entry points
-// (BestCost, BestUseCost, BestPlan, ValidatePlan) share worker 0 and are
-// not safe for concurrent use, while BestCostBatchCtx evaluates many
-// materialization sets concurrently on up to Parallelism workers. Costs
-// are pure functions of (memo, set), so batch results are bit-identical
-// to sequential evaluation regardless of scheduling — and SharedCache
+// The compiled search space is immutable and belongs to the memo, not to a
+// searcher: any number of searchers over one memo — a session's concurrent
+// or repeated runs of a batch it holds compiled — read the same arrays.
+// What a run mutates lives in the Searcher (flags, counters) and in its
+// workers, the per-evaluation contexts (scratch tables, the private L1
+// cache, stat counters). A searcher takes a worker the first time an
+// evaluation needs one: sequential entry points (BestCost, BestUseCost,
+// BestPlan, CostBreakdown) share worker 0 and are not safe for concurrent
+// use, while BestCostBatchCtx evaluates many materialization sets
+// concurrently on up to Parallelism workers. Workers are borrowed: with a
+// SharedCache attached they come from its free list when it has one large
+// enough, PublishCache gives them back emptied, and the next searcher —
+// over whatever DAG — reslices their tables and resets what they remember
+// (worker.bind), so a run never allocates and clears tables its
+// predecessor just finished with; a worker is never on the list and in a
+// searcher at once, and a run stopped by a panic returns none. An
+// evaluation after a publish takes workers again and keeps them, with what
+// they learn, for the next publish; CostBreakdown, which a finished run
+// calls after its last one, alone returns the worker it took. Costs are
+// pure functions of (memo, set), so batch results are bit-identical to
+// sequential evaluation regardless of scheduling — and SharedCache
 // reads/publishes never change a value, only how often it is recomputed.
 // The flags may only be toggled between evaluations, never during a
 // concurrent batch, and a toggle requires a ClearCache call (the
@@ -232,11 +246,41 @@ func (ns NodeSet) Groups() []memo.GroupID {
 // Bits exposes the underlying bitset (shared storage, do not mutate).
 func (ns NodeSet) Bits() memo.Bitset { return ns.bits }
 
-// Searcher owns the compiled search structures and cross-call caches for
-// one combined DAG. See the package comment for the concurrency contract.
-type Searcher struct {
+// space is the compiled search space of one memo: everything the oracle's
+// hot path reads that is a pure function of the finished DAG. It is
+// immutable once prepare returns and rides on its memo (memo.Memo.Compiled),
+// so every searcher over one memo — a session's concurrent or repeated runs
+// of a batch its BuildCache reuses — shares one.
+type space struct {
 	M  *memo.Memo
 	SI *memo.ShareIndex
+
+	orders    []Order   // order registry; orders[0] = nil
+	sat       [][]bool  // sat[have][want] = orders[have].Satisfies(orders[want])
+	tmpls     [][]tmpl  // candidate templates per group
+	depths    []int32   // DAG height per group
+	blocksArr []float64 // output blocks per group
+	sortArr   []float64 // SortCost per group
+	readArr   []float64 // MaterializeReadCost per group
+	writeArr  []float64 // MaterializeWriteCost per group
+	numOrds   int
+	// rootMask[slot] is the bitset of query roots whose cone contains the
+	// shareable node at slot; words are ceil(len(QueryRoots)/64).
+	rootMask  [][]uint64
+	rootWords int
+	structSum uint64 // structural fingerprint of the compiled search space
+
+	ordIdx map[string]ordID // construction only
+}
+
+// Searcher owns the per-run search state — flags, workers, counters — over
+// the compiled search space of one combined DAG. See the package comment
+// for the concurrency contract.
+type Searcher struct {
+	// space is the memo's compiled search space, shared read-only with every
+	// other searcher over the same memo. It brings the exported fields M
+	// (the memo) and SI (its shareable-node index).
+	space
 
 	// Incremental reports whether the cross-call cache is enabled
 	// (Section 5.1 optimization). Disabled only for ablation benchmarks.
@@ -269,25 +313,13 @@ type Searcher struct {
 	// starts; it must not change during a concurrent batch.
 	Parallelism int
 
-	// Compiled structures, immutable after NewSearcher.
-	orders    []Order   // order registry; orders[0] = nil
-	sat       [][]bool  // sat[have][want] = orders[have].Satisfies(orders[want])
-	tmpls     [][]tmpl  // candidate templates per group
-	depths    []int32   // DAG height per group
-	blocksArr []float64 // output blocks per group
-	sortArr   []float64 // SortCost per group
-	readArr   []float64 // MaterializeReadCost per group
-	writeArr  []float64 // MaterializeWriteCost per group
-	numOrds   int
-	// rootMask[slot] is the bitset of query roots whose cone contains the
-	// shareable node at slot; words are ceil(len(QueryRoots)/64).
-	rootMask  [][]uint64
-	rootWords int
-	structSum uint64 // structural fingerprint of the compiled search space
-
+	// workers are the evaluation contexts this searcher has taken so far
+	// (worker), in the order it asked for them.
 	workers []*worker
-	ordIdx  map[string]ordID // construction only
-	shared  *SharedCache     // cross-worker / cross-searcher L2 cache
+	shared  *SharedCache // cross-worker / cross-searcher L2 cache
+	// published is set by PublishCache: from then on a CostBreakdown that
+	// finds the searcher without a worker borrows one for the call.
+	published bool
 
 	// fault is the first panic a batch worker recovered, kept until the
 	// owning run collects it with TakeFault. Batches run one at a time per
@@ -307,16 +339,20 @@ type Searcher struct {
 // cache and materialized-order handling enabled, and no SharedCache
 // attached: workers keep purely private caches (zero synchronization on
 // the hot path). A longer-lived owner attaches its cache with
-// AttachSharedCache (repro.Session does).
+// AttachSharedCache (repro.Session does). The search space is compiled by
+// the first searcher over a memo and kept on it, so on a memo a BuildCache
+// handed back NewSearcher is a struct literal; it allocates no worker —
+// the first evaluation takes one.
 func NewSearcher(m *memo.Memo) *Searcher {
-	s := &Searcher{
-		M:           m,
-		SI:          m.NewShareIndex(),
-		Incremental: true,
-		MatOrders:   true,
-	}
-	s.prepare()
-	return s
+	sp := m.Compiled(func() any { return compile(m) }).(*space)
+	return &Searcher{space: *sp, Incremental: true, MatOrders: true}
+}
+
+// compile builds the memo's search space.
+func compile(m *memo.Memo) *space {
+	sp := &space{M: m, SI: m.NewShareIndex()}
+	sp.prepare()
+	return sp
 }
 
 // ResetStats clears the counters (not the cache).
@@ -343,7 +379,7 @@ type cacheKey struct {
 }
 
 // prepare compiles the memo into the immutable hot-path structures.
-func (s *Searcher) prepare() {
+func (s *space) prepare() {
 	n := s.M.NumGroups()
 	s.depths = make([]int32, n)
 	s.blocksArr = make([]float64, n)
@@ -381,13 +417,12 @@ func (s *Searcher) prepare() {
 	s.fillRootMasks()
 	s.structSum = s.structHash()
 	s.ordIdx = nil // registry is sealed
-	s.workers = []*worker{s.newWorker()}
 }
 
 // fillRootMasks computes, for every shareable slot, the bitset of query
 // roots whose cone contains it — the structural reach the dirty-candidate
 // pruning tests against (SharesQueryRoot).
-func (s *Searcher) fillRootMasks() {
+func (s *space) fillRootMasks() {
 	s.rootWords = (len(s.M.QueryRoots) + 63) / 64
 	s.rootMask = make([][]uint64, s.SI.Len())
 	words := make([]uint64, s.SI.Len()*s.rootWords) // one backing array
@@ -426,7 +461,7 @@ func (s *Searcher) SharesQueryRoot(a, b memo.GroupID) bool {
 }
 
 // intern registers an order and returns its id; construction-time only.
-func (s *Searcher) intern(o Order) ordID {
+func (s *space) intern(o Order) ordID {
 	k := o.Key()
 	if id, ok := s.ordIdx[k]; ok {
 		return id
@@ -437,7 +472,7 @@ func (s *Searcher) intern(o Order) ordID {
 	return id
 }
 
-func (s *Searcher) fillDepth(g memo.GroupID) int32 {
+func (s *space) fillDepth(g memo.GroupID) int32 {
 	if s.depths[g] >= 0 {
 		return s.depths[g]
 	}
@@ -456,7 +491,7 @@ func (s *Searcher) fillDepth(g memo.GroupID) int32 {
 
 // depth returns the height of a group in the DAG (leaves are 0), used to
 // order materialization steps so dependencies are computed first.
-func (s *Searcher) depth(g memo.GroupID) int { return int(s.depths[g]) }
+func (s *space) depth(g memo.GroupID) int { return int(s.depths[g]) }
 
 // l1BucketBits sizes the per-(group,order) flat L1 buckets: each bucket
 // is a fixed-capacity power-of-two probe array of 1<<l1BucketBits
@@ -612,9 +647,13 @@ func (b *l1Bucket) store(epoch uint32, mask uint64, v float64) {
 
 // worker is one evaluation context: per-call scratch tables plus a private
 // cross-call cache. Sequential entry points use worker 0; BestCostBatchCtx
-// uses one worker per goroutine.
+// uses one worker per goroutine. A worker belongs to one searcher at a
+// time, but may outlive it: a searcher with a SharedCache attached takes
+// its workers from the cache's free list and PublishCache gives them back,
+// so the tables below are sized by capacity — a later searcher reslices
+// them to its own DAG (bind) — and every stamp in them only ever grows.
 type worker struct {
-	s *Searcher
+	s *Searcher // current owner; nil on the free list
 
 	// Private L1 cross-call cache. Entries are bucketed by the (group,
 	// order) slot — the same int(g)*numOrds+ord index the scratch tables
@@ -653,22 +692,43 @@ type worker struct {
 }
 
 func (s *Searcher) newWorker() *worker {
+	w := &worker{matIDs: make([]memo.GroupID, 0, 64)}
+	w.bind(s)
+	return w
+}
+
+// fit returns a resliced to n elements when its array is large enough, else
+// a new zeroed slice.
+func fit[S ~[]E, E any](a S, n int) S {
+	if cap(a) >= n {
+		return a[:n]
+	}
+	return make(S, n)
+}
+
+// bind makes the worker this searcher's: its tables are sized to the
+// searcher's DAG — kept where they are large enough, whatever DAG they
+// served before — and nothing of the previous owner stays readable. Every
+// scratch cell carries an epoch stamp below the worker's next one, and a new
+// array's zero stamps are below every epoch in use, so no cell is cleared;
+// the L1 may hold costs priced under the previous run's operator flags, so
+// it is reset; and the view of the SharedCache was resolved for the
+// previous namespace, so it is dropped.
+func (w *worker) bind(s *Searcher) {
 	n := s.M.NumGroups()
 	slots := n * s.numOrds
-	w := &worker{
-		s:         s,
-		l1Epoch:   1,
-		l1:        make([]*l1Bucket, 2*slots),
-		bits:      s.SI.NewMatSet(),
-		useMemo:   make([]epVal, slots),
-		compMemo:  make([]epVal, slots),
-		storedOrd: make([]ordID, n),
-		storedEp:  make([]uint32, n),
-		mhVal:     make([]uint64, n),
-		mhEp:      make([]uint32, n),
-		matIDs:    make([]memo.GroupID, 0, 64),
-	}
-	return w
+	w.s = s
+	w.l1 = fit(w.l1, 2*slots)
+	w.useMemo = fit(w.useMemo, slots)
+	w.compMemo = fit(w.compMemo, slots)
+	w.storedOrd = fit(w.storedOrd, n)
+	w.storedEp = fit(w.storedEp, n)
+	w.mhVal = fit(w.mhVal, n)
+	w.mhEp = fit(w.mhEp, n)
+	w.bits = s.SI.NewMatSet()
+	w.resetL1()
+	w.ns, w.sharedGen, w.sharedEpoch, w.l2 = 0, 0, 0, nil
+	w.bcCalls, w.cacheHits, w.sharedHits, w.computedKey, w.extractCalls = 0, 0, 0, 0, 0
 }
 
 // resetL1 drops the worker's private cross-call cache in O(1) by bumping
@@ -678,7 +738,9 @@ func (s *Searcher) newWorker() *worker {
 func (w *worker) resetL1() {
 	w.l1Epoch++
 	if w.l1Epoch == 0 { // wrapped: stamps are ambiguous, hard-reset
-		for _, b := range w.l1 {
+		// The whole array, not the slots of the current DAG: a bucket
+		// beyond them keeps its stamp for the next, larger one.
+		for _, b := range w.l1[:cap(w.l1)] {
 			if b != nil {
 				b.ep = 0
 				b.occ = 0
@@ -748,12 +810,34 @@ func (w *worker) store(idx int, mask uint64, v float64, kind int) {
 	w.l1[i].store(w.l1Epoch, mask, v)
 }
 
-// worker returns the i-th worker, growing the pool on demand.
+// worker returns the searcher's i-th worker, taking more on demand: from
+// the attached SharedCache's free list when it has one large enough for
+// this DAG, else newly allocated.
 func (s *Searcher) worker(i int) *worker {
 	for len(s.workers) <= i {
-		s.workers = append(s.workers, s.newWorker())
+		var w *worker
+		if s.shared != nil {
+			w = s.shared.takeWorker(s.M.NumGroups() * s.numOrds)
+		}
+		if w != nil {
+			w.bind(s)
+		} else {
+			w = s.newWorker()
+		}
+		s.workers = append(s.workers, w)
 	}
 	return s.workers[i]
+}
+
+// releaseWorkers gives the searcher's workers to the attached SharedCache's
+// free list; the next evaluation takes workers again. Without a cache the
+// workers, and the private caches that are all they have, stay.
+func (s *Searcher) releaseWorkers() {
+	if s.shared == nil {
+		return
+	}
+	s.shared.putWorkers(s.workers)
+	s.workers = nil
 }
 
 // flushStats folds worker-local counters into the searcher totals; called
@@ -775,14 +859,13 @@ func (w *worker) initCall(mat memo.Bitset) {
 	w.syncShared()
 	w.epoch++
 	if w.epoch == 0 { // wrapped: stamps are ambiguous, hard-reset
-		for i := range w.useMemo {
-			w.useMemo[i].ep = 0
-			w.compMemo[i].ep = 0
-		}
-		for i := range w.storedEp {
-			w.storedEp[i] = 0
-			w.mhEp[i] = 0
-		}
+		// A worker lives as long as its session (≈ 139 k calls/s wrap a
+		// uint32 in under nine hours), and its arrays may extend past this
+		// DAG's slots: clear their whole capacity.
+		clear(w.useMemo[:cap(w.useMemo)])
+		clear(w.compMemo[:cap(w.compMemo)])
+		clear(w.storedEp[:cap(w.storedEp)])
+		clear(w.mhEp[:cap(w.mhEp)])
 		w.epoch = 1
 	}
 	for i := range w.bits {
@@ -1172,7 +1255,7 @@ func (w *worker) bestDeliveredOrder(g memo.GroupID) ordID {
 
 const inf = 1e300
 
-func (s *Searcher) blocks(g memo.GroupID) float64       { return s.blocksArr[g] }
-func (s *Searcher) sortCost(g memo.GroupID) float64     { return s.sortArr[g] }
-func (s *Searcher) matReadCost(g memo.GroupID) float64  { return s.readArr[g] }
-func (s *Searcher) matWriteCost(g memo.GroupID) float64 { return s.writeArr[g] }
+func (s *space) blocks(g memo.GroupID) float64       { return s.blocksArr[g] }
+func (s *space) sortCost(g memo.GroupID) float64     { return s.sortArr[g] }
+func (s *space) matReadCost(g memo.GroupID) float64  { return s.readArr[g] }
+func (s *space) matWriteCost(g memo.GroupID) float64 { return s.writeArr[g] }

@@ -3,6 +3,7 @@ package physical
 import (
 	"math"
 	"math/bits"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -18,6 +19,13 @@ import (
 // The namespace being published is never the one dropped, so one publish
 // larger than the bound survives whole.
 const sharedCacheCap = 1 << 19
+
+// freeSlotCap bounds the (group, order) slots of the workers a SharedCache
+// keeps for reuse, all of them together: at 48 B a slot their tables stay
+// under ≈ 25 MB, below what the cost entries themselves may hold. It fits a
+// worker per core for the 64-query batches of the benchmark (175.6 k slots
+// each); a 256-query worker (2.36 M slots) is never kept.
+const freeSlotCap = 1 << 19
 
 // benefitCap bounds the memoized oracle values a SharedCache holds. They
 // live apart from the cost tables (a run stores a few hundred, one per
@@ -48,6 +56,15 @@ const benefitCap = 1 << 16
 // safe from any number of workers concurrently with publishes, imports and
 // invalidations. Memoized oracle values (GetBenefit/PutBenefit) sit in a
 // small map of their own behind a separate lock.
+//
+// The cache also keeps the workers themselves. A searcher's PublishCache
+// leaves its workers' L1s empty, and what remains — the slot-sized scratch
+// tables a new worker would allocate and clear again — goes on a free list
+// the next searcher attached to the cache takes from (Searcher.worker): a
+// few workers for the whole cache, at most GOMAXPROCS and freeSlotCap slots
+// together, whatever DAG they last served. Only PublishCache and a
+// sequential call that borrowed its worker after it put workers there, so
+// a run stopped by a panic, which never publishes, never returns one.
 type SharedCache struct {
 	// gen moves whenever a namespace gains or loses its table, telling
 	// workers to resolve again; it starts at 1 so a worker's zero value
@@ -62,6 +79,9 @@ type SharedCache struct {
 
 	benMu    sync.RWMutex
 	benefits map[benefitKey]float64
+
+	freeMu sync.Mutex
+	free   []*worker // no owner; see takeWorker / putWorkers
 }
 
 // nsTable is one namespace's cost entries. Its geometry is the publishing
@@ -103,6 +123,72 @@ func (c *SharedCache) Invalidate() {
 	c.benMu.Lock()
 	c.benefits = make(map[benefitKey]float64)
 	c.benMu.Unlock()
+	c.freeMu.Lock()
+	c.free = nil
+	c.freeMu.Unlock()
+}
+
+// FreeWorkers reports how many workers wait on the free list (for tests and
+// introspection).
+func (c *SharedCache) FreeWorkers() int {
+	c.freeMu.Lock()
+	defer c.freeMu.Unlock()
+	return len(c.free)
+}
+
+// slotCap is the number of (group, order) slots the worker's tables can
+// serve without reallocating.
+func (w *worker) slotCap() int { return cap(w.useMemo) }
+
+// takeWorker removes and returns the free worker whose tables fit a DAG of
+// the given slot count most tightly, or nil when none is large enough. The
+// caller binds it.
+func (c *SharedCache) takeWorker(slots int) *worker {
+	c.freeMu.Lock()
+	defer c.freeMu.Unlock()
+	best := -1
+	for i, w := range c.free {
+		if w.slotCap() >= slots && (best < 0 || w.slotCap() < c.free[best].slotCap()) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	return c.removeFree(best)
+}
+
+// removeFree takes the i-th worker off the free list (order is not kept).
+func (c *SharedCache) removeFree(i int) *worker {
+	w, last := c.free[i], len(c.free)-1
+	c.free[i], c.free[last] = c.free[last], nil
+	c.free = c.free[:last]
+	return w
+}
+
+// putWorkers puts workers their searcher is done with on the free list and
+// enforces its bounds by dropping the smallest: a large worker serves any
+// DAG a small one does.
+func (c *SharedCache) putWorkers(ws []*worker) {
+	c.freeMu.Lock()
+	defer c.freeMu.Unlock()
+	for _, w := range ws {
+		w.s, w.l2 = nil, nil // hold neither the searcher nor a namespace's table
+		c.free = append(c.free, w)
+	}
+	slots := 0
+	for _, w := range c.free {
+		slots += w.slotCap()
+	}
+	for len(c.free) > 0 && (len(c.free) > runtime.GOMAXPROCS(0) || slots > freeSlotCap) {
+		small := 0
+		for i, w := range c.free {
+			if w.slotCap() < c.free[small].slotCap() {
+				small = i
+			}
+		}
+		slots -= c.removeFree(small).slotCap()
+	}
 }
 
 // Len reports the live entry count, cost keys and memoized oracle values
@@ -380,7 +466,7 @@ func (h *fnv64) str(s string) {
 // 64-bit fingerprint makes a cross-DAG collision astronomically unlikely
 // rather than impossible; a collision could only surface when one
 // SharedCache is attached to searchers over different batches.
-func (s *Searcher) structHash() uint64 {
+func (s *space) structHash() uint64 {
 	h := newFNV64()
 	h.i(s.M.NumGroups())
 	h.i(s.numOrds)
@@ -439,11 +525,12 @@ func (s *Searcher) Fingerprint() uint64 { return s.cacheNS() }
 
 // AttachSharedCache attaches a cross-call L2 cache: every worker keeps its
 // private (lock-free) L1 table for what it computes itself, reads c on an
-// L1 miss, and PublishCache hands the workers' learning over. Attaching a
-// longer-lived cache (repro.Session owns one) lets identical batches start
-// warm. A nil c detaches, leaving workers with private caches only — the
-// default for a fresh searcher. Attach only between evaluations, never
-// during a concurrent batch.
+// L1 miss, and PublishCache hands the workers' learning over — and then the
+// workers, which the searcher also takes from c when c has some to spare.
+// Attaching a longer-lived cache (repro.Session owns one) lets identical
+// batches start warm. A nil c detaches, leaving workers with private caches
+// only — the default for a fresh searcher. Attach only between evaluations,
+// never during a concurrent batch.
 func (s *Searcher) AttachSharedCache(c *SharedCache) {
 	s.shared = c
 	for _, w := range s.workers {
@@ -458,15 +545,23 @@ func (s *Searcher) Shared() *SharedCache { return s.shared }
 // attached SharedCache under the current flag namespace — the write half
 // of the L1/L2 protocol, kept off the evaluation hot path. The workers'
 // L1s are left empty: their buckets now belong to the cache (or were
-// copied into it), and the searcher keeps reading them through it. It is
-// a no-op without an attached cache (or with the incremental cache
-// disabled) and must only be called between evaluations, like every other
-// cache operation.
+// copied into it), and the searcher keeps reading them through it. The
+// emptied workers go to the cache's free list for the next searcher; a
+// later evaluation on this one takes workers again and keeps them, with
+// what they learn, until the next publish (CostBreakdown alone returns the
+// one it took when the call ends). It is a no-op without
+// an attached cache (with the incremental cache disabled it only returns
+// the workers) and must only be called between evaluations, like every
+// other cache operation — and never on a searcher a panic has poisoned.
 func (s *Searcher) PublishCache() {
-	if s.shared == nil || !s.Incremental {
+	if s.shared == nil {
 		return
 	}
-	s.shared.publish(s.cacheNS(), s.M.NumGroups(), s.numOrds, s.workers)
+	if s.Incremental {
+		s.shared.publish(s.cacheNS(), s.M.NumGroups(), s.numOrds, s.workers)
+	}
+	s.releaseWorkers()
+	s.published = true
 }
 
 // publish drains the live L1 buckets of a searcher's workers into the

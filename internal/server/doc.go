@@ -11,12 +11,36 @@
 //	                   refill state (quota_remaining, refill_per_sec,
 //	                   next_admit_ms), session-pool stats (live + retired
 //	                   aggregate; stage times build_ns, opt_ns, extract_ns
-//	                   and publish_ns), recovered-panic count, per-catalog
-//	                   breaker states
+//	                   and publish_ns; build reuse, see "Session stats"),
+//	                   recovered-panic count, per-catalog breaker states
 //	POST /v1/tenants/{tenant}/reset  admin: refill the tenant's quota
 //	                   bucket to capacity and return its fresh stats
 //	GET  /healthz      200 while serving ("ok", or "degraded" with the
 //	                   non-closed breakers listed), 503 while draining
+//
+// # Session stats
+//
+// Each pooled session's "session" object, and the "retired_sessions"
+// aggregate of the sessions the pool has dropped, carry the per-run
+// counters (exact sums over responses) and the session's build accounting,
+// which is not per-run and stays out of that reconciliation:
+//
+//   - recipe_hits / recipe_misses count queries: a hit is a query whose
+//     structure the session had validated before (one hit per query of a
+//     batch that was reused whole).
+//   - compiled_hits / compiled_misses count batches: a hit is a request (or
+//     lane) whose exact batch — same queries, names and order — the session
+//     had compiled before and still held, so the run got that DAG and
+//     search space back and skipped the build; a miss built them.
+//     build_ns shows the difference.
+//   - compiled_nodes is a gauge: the operator nodes of the DAGs the session
+//     holds right now (bounded; ≈ 1.6 kB each). In the retired aggregate it
+//     is what the dropped sessions held when they were dropped — all
+//     released at that moment, along with their cost caches.
+//
+// A request is refused with 400 when one of its blocks joins more than
+// logical.MaxBlockSources sources: the DAG holds every connected subset of
+// a block's sources, so the bound is checked before anything is built.
 //
 // # Admission-control contract
 //

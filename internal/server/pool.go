@@ -137,9 +137,9 @@ func (p *sessionPool) release(e *poolEntry) {
 }
 
 // retireLocked folds the dead session's lifetime counters into the
-// retired aggregate and invalidates its shared cost cache, which drops the
-// cache's tables, so the memory is released even while a straggler still
-// holds the session. Only called once per entry: from the dooming site
+// retired aggregate and invalidates its caches, which drops the cost
+// tables, the free workers and the compiled DAGs, so the memory is released
+// even while a straggler still holds the session. Only called once per entry: from the dooming site
 // when unpinned, else from the last release.
 func (p *sessionPool) retireLocked(e *poolEntry) {
 	addSessionStats(&p.retired, e.sess.Stats())
@@ -213,6 +213,11 @@ func addSessionStats(dst *repro.SessionStats, src repro.SessionStats) {
 	dst.OptTime += src.OptTime
 	dst.ExtractTime += src.ExtractTime
 	dst.PublishTime += src.PublishTime
+	dst.RecipeHits += src.RecipeHits
+	dst.RecipeMisses += src.RecipeMisses
+	dst.CompiledHits += src.CompiledHits
+	dst.CompiledMisses += src.CompiledMisses
+	dst.CompiledNodes += src.CompiledNodes
 }
 
 // retiredStats snapshots the retirement aggregate.

@@ -22,7 +22,9 @@ type Optimizer struct {
 }
 
 // NewOptimizer builds and fully expands the combined DAG for the batch.
-// Options are forwarded to memo.Build (rule ablations).
+// Options are forwarded to memo.Build (rule ablations, and a BuildCache:
+// with one, a batch it has seen gets back the memo — and the search space
+// compiled onto it — that the first build made, shared read-only).
 func NewOptimizer(cat *catalog.Catalog, model cost.Model, batch *logical.Batch, opts ...memo.Option) (*Optimizer, error) {
 	m, err := memo.Build(cat, model, batch, opts...)
 	if err != nil {

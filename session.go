@@ -260,39 +260,59 @@ type SessionStats struct {
 	PublishTime time.Duration `json:"publish_ns"` // handing the run's cost learning to the session cache
 	// RecipeHits / RecipeMisses count per-query structural-fingerprint
 	// lookups during combined-DAG builds (memo.BuildCache): a hit is a
-	// query the session has built before — it skips validation and is
-	// expanded like any other — so the ratio measures how repetitive the
-	// session's traffic is. The names are the wire contract. They are
-	// session-level build accounting, not per-run telemetry, so they are
-	// excluded from the sum-over-responses reconciliation.
+	// query the session has built before — alone it skips validation, and
+	// when its whole batch repeats the build is skipped (one hit per query
+	// of the batch) — so the ratio measures how repetitive the session's
+	// traffic is. The names are the wire contract. They are session-level
+	// build accounting, not per-run telemetry, so they are excluded from
+	// the sum-over-responses reconciliation, like the three below.
 	RecipeHits   int64 `json:"recipe_hits"`
 	RecipeMisses int64 `json:"recipe_misses"`
+	// CompiledHits / CompiledMisses count batches, not queries: a hit is a
+	// call whose batch the session had compiled before and still held — it
+	// got that DAG and search space back instead of building them — a miss
+	// is a call that built. CompiledNodes is the number of operator nodes
+	// of the DAGs the session holds right now (a gauge, bounded; dropped by
+	// InvalidateCache).
+	CompiledHits   int64 `json:"compiled_hits"`
+	CompiledMisses int64 `json:"compiled_misses"`
+	CompiledNodes  int   `json:"compiled_nodes"`
 }
 
 // Session is a long-lived handle for optimizing many batches against one
 // catalog: it fixes the catalog, the cost model and the tuning knobs
 // (strategy, parallelism, budgets) once, and every Optimize call reuses
-// them while building the batch-specific DAG state per call. Optimize is
-// safe for concurrent use — each call owns its optimizer — and the session
-// aggregates telemetry across calls (Stats).
+// them. Optimize is safe for concurrent use — each call owns its optimizer
+// — and the session aggregates telemetry across calls (Stats).
 //
-// The session also owns a cross-call cost cache (physical.SharedCache)
-// attached to every call's searcher: each call publishes what its scan
-// workers learned when it ends, and — because the cache keeps one table
-// per combined-DAG structural fingerprint — a batch identical to an
-// earlier one starts with a warm cache instead of relearning every
-// (group, order, mask) cost. Cached costs are pure
-// functions of their keys, so sharing never changes a result
-// (Telemetry.SharedHits reports how often it helped).
+// A session exists for the recurring batch, and keeps three things for it.
+// The combined DAG and its compiled search space are built by the first
+// call that optimizes a batch and held (memo.BuildCache, bounded, least
+// recently used out): a later call with the same batch — same queries,
+// names, order and rule ablations — gets the same immutable objects back
+// and goes straight to the search. The cross-call cost cache
+// (physical.SharedCache) is attached to every call's searcher: each call
+// publishes what its scan workers learned when it ends, and — because the
+// cache keeps one table per combined-DAG structural fingerprint — a batch
+// identical to an earlier one starts with a warm cache instead of
+// relearning every (group, order, mask) cost. And the workers' scratch
+// tables, emptied by that publish, wait in the cost cache for the next
+// call instead of being allocated and cleared again. None of it can change
+// a result: a DAG is a pure function of catalog and batch, cached costs are
+// pure functions of their keys (Telemetry.SharedHits reports how often they
+// helped), and a reused worker starts empty. The search itself always
+// runs, so every call reports the same oracle work (WithWarmOracle is the
+// opt-in that skips it).
 type Session struct {
 	cat      *catalog.Catalog
 	model    cost.Model
 	defaults config
 	cache    *physical.SharedCache
-	// build records which query structures have already validated against
-	// the session's catalog (memo.BuildCache) and counts repeats. Validity
-	// is a pure function of (catalog, query), so it never invalidates
-	// within a session.
+	// build holds the memos (with their compiled search spaces) of the
+	// batches the session has optimized, and remembers which query
+	// structures have validated against its catalog. Both are pure
+	// functions of (catalog, input), so neither goes stale within a
+	// session.
 	build *memo.BuildCache
 	// warmed flips on when a snapshot is imported: from then on every run
 	// consumes memoized oracle values from the shared cache (see
@@ -323,15 +343,18 @@ func NewSession(cat *catalog.Catalog, model cost.Model, opts ...Option) (*Sessio
 	return s, nil
 }
 
-// InvalidateCache drops the session's shared cross-call cost cache: its
-// tables and memoized oracle values are released to the collector.
-// Correctness never requires it — entries are namespaced by DAG
-// fingerprint and operator flags — but a long-running session may use it
-// to bound memory or force cold-cache measurements. A session pool evicting
-// this session should call it so the dropped entry releases its cache
-// memory immediately; Stats counts the invalidations.
+// InvalidateCache drops everything the session holds for a recurring batch:
+// the cost cache's tables, memoized oracle values and free workers, and the
+// compiled DAGs, all released to the collector (a run in flight keeps what
+// it already has). Correctness never requires it — cost entries are
+// namespaced by DAG fingerprint and operator flags, DAGs are keyed by the
+// batch — but a long-running session may use it to bound memory or force
+// cold measurements. A session pool evicting this session should call it so
+// the dropped entry releases its memory immediately; Stats counts the
+// invalidations.
 func (s *Session) InvalidateCache() {
 	s.cache.Invalidate()
+	s.build.Drop()
 	s.mu.Lock()
 	s.stats.Invalidations++
 	s.mu.Unlock()
@@ -397,7 +420,9 @@ func (r *RunResult) Validate() error {
 }
 
 // Memo exposes the combined DAG the plan was extracted from; the executor
-// (internal/exec) resolves group properties against it.
+// (internal/exec) resolves group properties against it. The session holds
+// the same object for later calls with the same batch, and concurrent calls
+// may be searching it: it is read-only.
 func (r *RunResult) Memo() *memo.Memo { return r.opt.Memo }
 
 // Optimize runs multi-query optimization over one batch. ctx cancels the
@@ -533,5 +558,6 @@ func (s *Session) Stats() SessionStats {
 	st := s.stats
 	s.mu.Unlock()
 	st.RecipeHits, st.RecipeMisses = s.build.Stats()
+	st.CompiledHits, st.CompiledMisses, st.CompiledNodes = s.build.Compiled()
 	return st
 }

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/tpcd"
 )
@@ -148,5 +150,51 @@ func TestSessionResumeFingerprintMismatch(t *testing.T) {
 	}
 	if _, err := sess.Optimize(context.Background(), tpcd.BQ(3), WithResume(&Checkpoint{})); err == nil {
 		t.Error("stateless checkpoint accepted")
+	}
+}
+
+// TestSessionFaultInOneCandidateRound: LazyGreedy — the strategy the server's
+// breaker degrades to — refreshes one candidate per oracle round once every
+// candidate has been priced. Those rounds go through the batched oracle like
+// any other, so each of them passes the injection point, and a panic in one
+// is isolated: the call returns a *FaultError with StopPanic and a checkpoint
+// a fresh session resumes to the uninterrupted result, instead of the panic
+// escaping Optimize.
+func TestSessionFaultInOneCandidateRound(t *testing.T) {
+	lazy := WithStrategy(core.LazyGreedyStrategy)
+	counting := faultinject.NewSchedule(1)
+	restore := faultinject.Enable(counting)
+	ref, err := newTestSession(t).Optimize(context.Background(), tpcd.BQ(2), lazy)
+	restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstPass := int64(len(ref.opt.Shareable())) // round 1 prices every candidate in one batch
+	evals := counting.Hits(faultinject.OracleEval)
+	if evals <= firstPass {
+		t.Fatalf("%d evaluations passed the injection point, all of them in the first pass of %d: one-candidate rounds bypass it", evals, firstPass)
+	}
+	for n := firstPass + 1; n <= evals; n++ {
+		restore := faultinject.Enable(faultinject.NewSchedule(n,
+			faultinject.Rule{Point: faultinject.OracleEval, N: n, Panic: true}))
+		r, err := newTestSession(t).Optimize(context.Background(), tpcd.BQ(2), lazy)
+		restore()
+		var fe *FaultError
+		if r != nil || !errors.As(err, &fe) {
+			t.Fatalf("evaluation %d: result %v, error %v; want a *FaultError alone", n, r, err)
+		}
+		if fe.Telemetry.Stopped != StopPanic || fe.Checkpoint == nil {
+			t.Fatalf("evaluation %d: stopped %v, checkpoint %v", n, fe.Telemetry.Stopped, fe.Checkpoint)
+		}
+		got, err := newTestSession(t).Optimize(context.Background(), tpcd.BQ(2), WithResume(fe.Checkpoint))
+		if err != nil {
+			t.Fatalf("evaluation %d: resume on a fresh session: %v", n, err)
+		}
+		if got.Cost != ref.Cost || !slices.Equal(got.Materialized, ref.Materialized) {
+			t.Fatalf("evaluation %d: resumed to cost %v set %v, uninterrupted %v %v", n, got.Cost, got.Materialized, ref.Cost, ref.Materialized)
+		}
+	}
+	if ref.Telemetry.OracleCalls != 28 || ref.Telemetry.BCCalls != 30 {
+		t.Errorf("LazyGreedy on BQ2 spent %d oracle calls / %d bestCost calls, pinned 28 / 30", ref.Telemetry.OracleCalls, ref.Telemetry.BCCalls)
 	}
 }

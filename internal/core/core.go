@@ -56,9 +56,6 @@ const (
 	VolcanoSH
 )
 
-// nowFunc indirects time.Now for the timing bookkeeping.
-var nowFunc = time.Now
-
 // String implements fmt.Stringer.
 func (s Strategy) String() string {
 	switch s {
@@ -133,47 +130,6 @@ func (c Config) LimitOracleCalls(n int) Config {
 	}
 	c.maxCalls, c.hasMaxCalls = n, true
 	return c
-}
-
-// OracleCallLimit reports the configured budget (and whether one is set).
-func (c Config) OracleCallLimit() (int, bool) { return c.maxCalls, c.hasMaxCalls }
-
-// Telemetry reports how a run spent its budget, phase by phase. The JSON
-// tags are the wire contract of the serving front end (internal/server):
-// durations marshal as nanoseconds, Stopped as its String form.
-type Telemetry struct {
-	OracleCalls  int     `json:"oracle_calls"`   // memoized-distinct mb(S) evaluations
-	BCCalls      int     `json:"bc_calls"`       // bestCost invocations during the run
-	CacheHits    int     `json:"cache_hits"`     // worker-private (L1) cross-call cache hits
-	SharedHits   int     `json:"shared_hits"`    // lookups served by the SharedCache (L2) during the run
-	ComputedKeys int     `json:"computed_keys"`  // fresh (group, order, mask) computations
-	CacheHitRate float64 `json:"cache_hit_rate"` // (CacheHits+SharedHits) / (hits + ComputedKeys)
-	// SharedOracleHits counts distinct mb(S) evaluations served from the
-	// session SharedCache's cross-run oracle memo instead of the bestCost
-	// oracle: the warm-start savings of this run. OracleCalls counts only
-	// the evaluations that actually ran, so OracleCalls+SharedOracleHits is
-	// what the same run would have cost against a cold cache.
-	SharedOracleHits int `json:"shared_oracle_hits"`
-	Rounds           int `json:"rounds"` // completed greedy rounds (selections for lazy)
-	Pruned           int `json:"pruned"` // Section 5.1 permanent prunes
-	// Stale counts stale-bound re-evaluations the lazy scan performed;
-	// Reused counts marginals carried exactly across a selection by the
-	// dirty-candidate tracking (work the scan provably avoided). Both are
-	// zero for eager strategies. See submod.Result.
-	Stale  int `json:"stale"`
-	Reused int `json:"reused"`
-	// Stopped records why the run ended early; StopNone for a complete
-	// run. A stopped run's materialization set is the deterministic
-	// best-so-far selection of the completed rounds.
-	Stopped submod.StopReason `json:"stopped"`
-	// SetupTime covers bc(∅) and, for the marginal strategies, the
-	// Proposition 1 decomposition; SearchTime the greedy rounds;
-	// FinalizeTime the pricing of the chosen set. They sum to TotalTime up
-	// to bookkeeping noise.
-	SetupTime    time.Duration `json:"setup_ns"`
-	SearchTime   time.Duration `json:"search_ns"`
-	FinalizeTime time.Duration `json:"finalize_ns"`
-	TotalTime    time.Duration `json:"total_ns"`
 }
 
 // Result is the outcome of one MQO run.
@@ -327,18 +283,18 @@ func RunWith(ctx context.Context, opt *volcano.Optimizer, strat Strategy, cfg Co
 	return res
 }
 
+// Resumable reports whether the strategy runs on a lazy driver
+// (submod.Resumable): stopped early it leaves a checkpoint ResumeWith
+// continues bit-identically, which is also what makes it safe to preempt.
+func (s Strategy) Resumable() bool { return submod.Resumable(s.String()) }
+
 // StrategyOfAlgorithm maps a checkpoint's algorithm name back to its
 // strategy; only the resumable lazy drivers have one.
 func StrategyOfAlgorithm(name string) (Strategy, error) {
-	switch name {
-	case "Greedy":
-		return Greedy, nil
-	case "LazyGreedy":
-		return LazyGreedyStrategy, nil
-	case "MarginalGreedy":
-		return MarginalGreedy, nil
-	case "LazyMarginalGreedy":
-		return LazyMarginalGreedy, nil
+	for s := Volcano; s <= VolcanoSH; s++ { // first and last declared
+		if s.Resumable() && s.String() == name {
+			return s, nil
+		}
 	}
 	return 0, fmt.Errorf("core: %q is not a resumable strategy", name)
 }
@@ -413,7 +369,7 @@ func run(ctx context.Context, opt *volcano.Optimizer, strat Strategy, cfg Config
 		OnProgress:  cfg.Progress,
 	})
 	var r submod.Result
-	setupEnd := nowFunc()
+	setupEnd := time.Now()
 	if resume != nil {
 		var err error
 		r, err = submod.ResumeLazy(oracle, resume)
@@ -430,11 +386,11 @@ func run(ctx context.Context, opt *volcano.Optimizer, strat Strategy, cfg Config
 			r = submod.LazyGreedy(oracle)
 		case MarginalGreedy:
 			d := submod.DecomposeStar(oracle)
-			setupEnd = nowFunc()
+			setupEnd = time.Now()
 			r = submod.MarginalGreedy(d)
 		case LazyMarginalGreedy:
 			d := submod.DecomposeStar(oracle)
-			setupEnd = nowFunc()
+			setupEnd = time.Now()
 			r = submod.LazyMarginalGreedy(d)
 		case MaterializeAll:
 			// No oracle rounds to bound, but the budget contract ("n = 0
@@ -450,7 +406,7 @@ func run(ctx context.Context, opt *volcano.Optimizer, strat Strategy, cfg Config
 			panic("core: unknown strategy")
 		}
 	}
-	searchEnd := nowFunc()
+	searchEnd := time.Now()
 	return mt.finish(searched(strat, f, oracle, r), setupEnd, searchEnd), nil
 }
 
@@ -458,14 +414,13 @@ func run(ctx context.Context, opt *volcano.Optimizer, strat Strategy, cfg Config
 // searcher's cumulative counters, so a run's Telemetry is the delta over
 // exactly its own work however warm the searcher already was.
 type meter struct {
-	opt                  *volcano.Optimizer
-	start                time.Time
-	bc0, hit0, sh0, key0 int
+	opt    *volcano.Optimizer
+	start  time.Time
+	before physical.Stats
 }
 
 func startMeter(opt *volcano.Optimizer) meter {
-	s := opt.Searcher
-	return meter{opt: opt, start: nowFunc(), bc0: s.BCCalls, hit0: s.CacheHits, sh0: s.SharedHits, key0: s.ComputedKey}
+	return meter{opt: opt, start: time.Now(), before: opt.Searcher.Stats}
 }
 
 // searched is the part of a Result a submod driver's search decides, read
@@ -496,63 +451,23 @@ func searched(strat Strategy, f *BenefitFunc, oracle *submod.Oracle, r submod.Re
 // phase times — the one place they are put together. setupEnd and
 // searchEnd split the clock into setup, search and finalize.
 func (mt meter) finish(res Result, setupEnd, searchEnd time.Time) Result {
-	s := mt.opt.Searcher
 	res.Set = mt.opt.NewNodeSet(res.Materialized...)
 	if res.Fault == nil {
 		res.Cost = mt.opt.BestCost(res.Set)
 		res.Benefit = res.VolcanoCost - res.Cost
 	}
-	end := nowFunc()
+	end := time.Now()
 	res.OptTime = end.Sub(mt.start)
 	tel := &res.Telemetry
 	tel.OracleCalls = res.OracleCalls
-	tel.BCCalls = s.BCCalls - mt.bc0
-	tel.CacheHits = s.CacheHits - mt.hit0
-	tel.SharedHits = s.SharedHits - mt.sh0
-	tel.ComputedKeys = s.ComputedKey - mt.key0
+	did := mt.opt.Searcher.Stats.Sub(mt.before)
+	tel.BCCalls, tel.CacheHits, tel.SharedHits, tel.ComputedKeys = did.BCCalls, did.CacheHits, did.SharedHits, did.ComputedKey
 	tel.SetupTime = setupEnd.Sub(mt.start)
 	tel.SearchTime = searchEnd.Sub(setupEnd)
 	tel.FinalizeTime = end.Sub(searchEnd)
 	tel.TotalTime = end.Sub(mt.start)
-	if n := tel.CacheHits + tel.SharedHits + tel.ComputedKeys; n > 0 {
-		tel.CacheHitRate = float64(tel.CacheHits+tel.SharedHits) / float64(n)
-	}
+	tel.setHitRate()
 	return res
-}
-
-// Work is the deterministic part of a run's telemetry: the counters that
-// are a pure function of (batch, strategy, budgets, warm-oracle state) —
-// how much search the run did and why it stopped. What it leaves out
-// depends on the machine and the schedule: the phase times, and the
-// cache-effect counters CacheHits / SharedHits / ComputedKeys /
-// CacheHitRate, which vary with which worker's private cache saw which
-// candidate set (BestCostBatchCtx hands indices out through a shared
-// counter). Contracts of the form "these two runs did the same thing" —
-// a served request ≡ a direct Session call, a lane of one ≡ a solo
-// request — are stated over Work, never over the whole struct.
-type Work struct {
-	OracleCalls      int
-	BCCalls          int
-	SharedOracleHits int
-	Rounds           int
-	Pruned           int
-	Stale            int
-	Reused           int
-	Stopped          submod.StopReason
-}
-
-// Work projects the telemetry onto its deterministic counters.
-func (t Telemetry) Work() Work {
-	return Work{
-		OracleCalls:      t.OracleCalls,
-		BCCalls:          t.BCCalls,
-		SharedOracleHits: t.SharedOracleHits,
-		Rounds:           t.Rounds,
-		Pruned:           t.Pruned,
-		Stale:            t.Stale,
-		Reused:           t.Reused,
-		Stopped:          t.Stopped,
-	}
 }
 
 // RunK executes the cardinality-constrained MarginalGreedy of Section 5.3:
@@ -564,7 +479,7 @@ func RunK(opt *volcano.Optimizer, k int, reduce bool) Result {
 	f := NewBenefitFuncCtx(context.TODO(), opt)
 	oracle := submod.NewOracle(f)
 	d := submod.DecomposeStar(oracle)
-	setupEnd := nowFunc()
+	setupEnd := time.Now()
 	var r submod.Result
 	if reduce {
 		universe := submod.ReduceUniverse(d, k)
@@ -572,6 +487,6 @@ func RunK(opt *volcano.Optimizer, k int, reduce bool) Result {
 	} else {
 		r = submod.MarginalGreedyK(d, k)
 	}
-	searchEnd := nowFunc()
+	searchEnd := time.Now()
 	return mt.finish(searched(MarginalGreedy, f, oracle, r), setupEnd, searchEnd)
 }

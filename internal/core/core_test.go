@@ -220,3 +220,48 @@ func TestBudgetTelemetryPhases(t *testing.T) {
 		t.Errorf("phase times inconsistent: %+v", tl)
 	}
 }
+
+// A fresh run is a resume from the start checkpoint, on the real oracle: for
+// every lazy driver over BQ1–6 the driver call and submod.ResumeLazy from
+// submod.Start agree on the set, its value, every scan counter and the oracle
+// calls spent.
+func TestFreshRunIsResumeFromStartBQ(t *testing.T) {
+	drivers := map[string]func(o *submod.Oracle) submod.Result{
+		"Greedy":             submod.Greedy,
+		"LazyGreedy":         submod.LazyGreedy,
+		"MarginalGreedy":     func(o *submod.Oracle) submod.Result { return submod.MarginalGreedy(submod.DecomposeStar(o)) },
+		"LazyMarginalGreedy": func(o *submod.Oracle) submod.Result { return submod.LazyMarginalGreedy(submod.DecomposeStar(o)) },
+	}
+	oracle := func(i int) *submod.Oracle {
+		opt, err := volcano.NewOptimizer(tpcd.Catalog(1), cost.Default(), tpcd.BQ(i))
+		if err != nil {
+			t.Fatalf("BQ%d: %v", i, err)
+		}
+		return submod.NewOracle(NewBenefitFuncCtx(context.Background(), opt))
+	}
+	for i := 1; i <= 6; i++ {
+		for name, run := range drivers {
+			strat, err := StrategyOfAlgorithm(name)
+			if err != nil || !strat.Resumable() {
+				t.Fatalf("%s: not a resumable strategy (%v)", name, err)
+			}
+			refO, o := oracle(i), oracle(i)
+			ref := run(refO)
+			var d *submod.Decomposition
+			if strat == MarginalGreedy || strat == LazyMarginalGreedy {
+				d = submod.DecomposeStar(o)
+			}
+			got, err := submod.ResumeLazy(o, submod.Start(name, o.N(), d))
+			if err != nil {
+				t.Fatalf("BQ%d %s: resume from start: %v", i, name, err)
+			}
+			if !got.Set.Equal(ref.Set) || got.Value != ref.Value || got.Stopped != submod.StopNone ||
+				got.Iterations != ref.Iterations || got.Pruned != ref.Pruned || got.Stale != ref.Stale || got.Reused != ref.Reused {
+				t.Fatalf("BQ%d %s: resume from start %+v, driver %+v", i, name, got, ref)
+			}
+			if o.Calls != refO.Calls {
+				t.Fatalf("BQ%d %s: resume from start spent %d oracle calls, the driver %d", i, name, o.Calls, refO.Calls)
+			}
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"slices"
+	"time"
 
 	"repro/internal/memo"
 	"repro/internal/physical"
@@ -25,7 +26,7 @@ func runVolcanoSH(ctx context.Context, opt *volcano.Optimizer, cfg Config) Resul
 	mt := startMeter(opt)
 	base := opt.BestCost(physical.NodeSet{})
 	plan := opt.Plan(physical.NodeSet{})
-	setupEnd := nowFunc()
+	setupEnd := time.Now()
 
 	// Count how many times each group is computed across the locally
 	// optimal plan trees.
@@ -82,7 +83,7 @@ func runVolcanoSH(ctx context.Context, opt *volcano.Optimizer, cfg Config) Resul
 			})
 		}
 	}
-	searchEnd := nowFunc()
+	searchEnd := time.Now()
 	return mt.finish(Result{
 		Strategy:     VolcanoSH,
 		Materialized: chosen.Groups(),

@@ -39,7 +39,7 @@ const (
 	// OracleEval fires before each bc(S) evaluation of a batched oracle
 	// round (physical.Searcher.BestCostBatchCtx, serial and parallel).
 	OracleEval Point = iota
-	// Round fires at each greedy round boundary (submod.lazyMaximize),
+	// Round fires at each greedy round boundary (submod.lazyRun),
 	// after budget checks and before the round's oracle work.
 	Round
 	// PoolGet fires on each session-pool acquire (internal/server).

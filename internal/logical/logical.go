@@ -48,15 +48,6 @@ type Batch struct {
 // Add appends a query to the batch.
 func (b *Batch) Add(q *Query) { b.Queries = append(b.Queries, q) }
 
-// Aliases returns the block's source aliases in declaration order.
-func (b *Block) Aliases() []string {
-	out := make([]string, len(b.Sources))
-	for i, s := range b.Sources {
-		out[i] = s.Alias
-	}
-	return out
-}
-
 // SourceByAlias returns the source with the given alias, or false.
 func (b *Block) SourceByAlias(alias string) (Source, bool) {
 	for _, s := range b.Sources {

@@ -50,13 +50,13 @@ func Build(cat *catalog.Catalog, model cost.Model, batch *logical.Batch, opts ..
 	for _, o := range opts {
 		o(&cfg)
 	}
-	queryKeys, batchKey := cfg.cache.keys(batch, &cfg)
+	batchKey := cfg.cache.key(batch, &cfg)
 	if m := cfg.cache.get(batchKey, cat, model, len(batch.Queries)); m != nil {
 		return m, nil
 	}
 	m := New(cat, model)
 	for qi, q := range batch.Queries {
-		if err := cfg.cache.validate(cat, q, queryKeys[qi]); err != nil {
+		if err := q.Validate(cat); err != nil {
 			return nil, err
 		}
 		root, err := m.buildBlock(q.Root, "q"+strconv.Itoa(qi))
@@ -113,8 +113,8 @@ func (r *resolver) col(c expr.Col) (expr.Col, error) {
 }
 
 // buildBlock expands one block and returns its root group. It checks the
-// source bound itself: a query whose fingerprint the BuildCache knows skips
-// Query.Validate, and the 1<<n table below must never depend on that.
+// source bound itself: the 1<<n table below must never depend on a caller
+// having validated the query.
 func (m *Memo) buildBlock(b *logical.Block, ctx string) (GroupID, error) {
 	if err := b.CheckSources(); err != nil {
 		return 0, fmt.Errorf("memo: %w", err)

@@ -31,17 +31,10 @@ type CostBreakdown struct {
 // CostBreakdown evaluates bc(mat) on worker 0 and returns its per-root /
 // per-materialization decomposition. It counts as one bestCost invocation
 // in the searcher stats and warms the same caches, so calling it after a
-// run re-derives the final set's breakdown at cache-hit cost. It is the
-// one entry point a finished run calls after its PublishCache (attribution
-// follows the publish, and nothing publishes again): a searcher that has
-// published and holds no worker borrows one for the call, reads the costs
-// through the SharedCache and gives the worker back, so a finished run
-// never sits on one. The other sequential entry points keep the worker they
-// take, and what it learns, for the next PublishCache to hand over.
+// run re-derives the final set's breakdown at cache-hit cost.
 func (s *Searcher) CostBreakdown(mat NodeSet) CostBreakdown {
-	borrowed := s.published && len(s.workers) == 0
 	w := s.worker(0)
-	w.bcCalls++
+	w.stats.BCCalls++
 	w.initCall(mat.bits)
 	bd := CostBreakdown{RootUse: make([]float64, len(s.M.QueryRoots))}
 	total := 0.0
@@ -58,10 +51,6 @@ func (s *Searcher) CostBreakdown(mat NodeSet) CostBreakdown {
 	}
 	bd.Total = total
 	w.flushStats()
-	if borrowed {
-		// Not deferred: a call that panics keeps its worker off the list.
-		s.releaseWorkers()
-	}
 	return bd
 }
 

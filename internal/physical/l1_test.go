@@ -205,13 +205,13 @@ func TestL1OverflowFallsBackToShared(t *testing.T) {
 	// shared hit — every time, since a shared hit is not copied into the L1.
 	seedCosts(cache, w.ns, s.M.NumGroups(), s.numOrds, []sharedKV{{k: cacheKey{g: 0, ord: 0, compute: false, mask: victim}, v: victimVal}})
 	w.syncShared()
-	w.sharedHits = 0
+	w.stats.SharedHits = 0
 	for n := 1; n <= 2; n++ {
 		if v, ok := w.cached(0, victim, kindUse); !ok || v != victimVal {
 			t.Fatalf("evicted key via L2 fallback: got (%v, %v), want (%v, true)", v, ok, victimVal)
 		}
-		if w.sharedHits != n {
-			t.Fatalf("L2 fallback counted %d shared hits after %d reads", w.sharedHits, n)
+		if w.stats.SharedHits != n {
+			t.Fatalf("L2 fallback counted %d shared hits after %d reads", w.stats.SharedHits, n)
 		}
 	}
 }

@@ -55,23 +55,14 @@
 //
 // The hierarchy a lookup walks under the per-call memo, fastest first:
 //
-//  1. Flat L1: per-slot open-addressed probe arrays (l1Bucket, lazily
-//     allocated) of inline (mask, value) pairs — fixed power-of-two
-//     capacity, linear probing from a Fibonacci home position, a 1-byte
-//     tag per position so a probe compares bytes in one cache line and
-//     touches a 16-byte entry only on a tag match. Occupancy is an
-//     explicit bitmap word; the probe length is derived from it up
-//     front, and no mask value is reserved as an "empty" sentinel, so a
-//     real all-ones mask hash round-trips. Use-cost and compute-cost
-//     keys share one table: the bucket of a (group, order) slot and
-//     kind sits at index 2*slot+kind. At the fill bound (3/4 load) a
-//     store stops probing for a free position and writes at its home,
-//     evicting the occupant — or claiming the home if it is empty, so
-//     occupancy can still creep from the bound up to the full capacity.
-//     Memory stays bounded, and the probing invariant survives because
-//     the new key rests at its exact home. resetL1 clears every bucket in
-//     O(1) by bumping the worker's l1Epoch; backing arrays are reused,
-//     and a stale bucket self-clears on its next store.
+//  1. Flat L1, private to a worker: per-slot open-addressed probe arrays
+//     (l1Bucket, lazily allocated) of inline (mask, value) pairs with a
+//     1-byte tag per position and an explicit occupancy bitmap, so no mask
+//     value is reserved as "empty". Use-cost and compute-cost keys share
+//     one table: the bucket of a (group, order) slot and kind sits at index
+//     2*slot+kind. Memory is bounded by the fill bound (l1Bucket.store says
+//     what a store does there); resetL1 clears every bucket in O(1) by
+//     bumping the worker's l1Epoch.
 //  2. SharedCache L2: the optionally attached cross-searcher tier, one
 //     table per namespace (structural fingerprint + operator flags) with
 //     the L1's own geometry: slot 2*slot+kind holds an atomically loaded
@@ -82,17 +73,8 @@
 //     slot and probes the chain — no lock, no hash. There is no
 //     promotion: an L2 hit is not copied into the L1, so the L1 holds
 //     only what this run computed. The hot path never writes the L2 —
-//     fresh values go only to the L1 and PublishCache moves them over:
-//     an empty slot adopts the worker's bucket pointer as it is (the
-//     worker's slot is cleared, so it can never write a shared bucket);
-//     an occupied slot gets, for the entries its chain lacks, a copied
-//     and extended head (copy-on-write, when they fit under the fill
-//     bound) or a new chain link. Capacity is one bound on the whole
-//     cache, enforced after a publish by dropping whole namespaces, least
-//     recently published first and never the one just published, so one
-//     publish can never evict its own entries. Invalidate drops every
-//     table (and the memoized oracle values, which live in a small
-//     guarded map of their own), releasing their memory.
+//     fresh values go only to the L1 and PublishCache moves them over
+//     (see SharedCache for how, and for the capacity bound).
 //
 // repro.Session owns one SharedCache per session, so identical batches
 // start warm; entries are namespaced by the searcher's structural
@@ -106,25 +88,26 @@
 // or repeated runs of a batch it holds compiled — read the same arrays.
 // What a run mutates lives in the Searcher (flags, counters) and in its
 // workers, the per-evaluation contexts (scratch tables, the private L1
-// cache, stat counters). A searcher takes a worker the first time an
-// evaluation needs one: sequential entry points (BestCost, BestUseCost,
+// cache, stat counters). Sequential entry points (BestCost, BestUseCost,
 // BestPlan, CostBreakdown) share worker 0 and are not safe for concurrent
 // use, while BestCostBatchCtx evaluates many materialization sets
-// concurrently on up to Parallelism workers. Workers are borrowed: with a
-// SharedCache attached they come from its free list when it has one large
-// enough, PublishCache gives them back emptied, and the next searcher —
-// over whatever DAG — reslices their tables and resets what they remember
-// (worker.bind), so a run never allocates and clears tables its
-// predecessor just finished with; a worker is never on the list and in a
-// searcher at once, and a run stopped by a panic returns none. An
-// evaluation after a publish takes workers again and keeps them, with what
-// they learn, for the next publish; CostBreakdown, which a finished run
-// calls after its last one, alone returns the worker it took. Costs are
-// pure functions of (memo, set), so batch results are bit-identical to
-// sequential evaluation regardless of scheduling — and SharedCache
-// reads/publishes never change a value, only how often it is recomputed.
-// The flags may only be toggled between evaluations, never during a
-// concurrent batch, and a toggle requires a ClearCache call (the
+// concurrently on up to Parallelism workers.
+//
+// Workers are borrowed, under one rule for every entry point: a searcher
+// takes a worker the first time an evaluation needs one — from the attached
+// SharedCache's free list when it has one large enough, rebound to this DAG
+// (worker.bind), else newly allocated — and keeps it, with what it learns,
+// until PublishCache hands the learning and then the emptied workers to the
+// cache. So an owner evaluates first and publishes last (repro.Session
+// attributes a shared run before its publish); a worker is never on the
+// list and in a searcher at once, and a run stopped by a panic, which never
+// publishes, returns none. Without a cache the workers simply stay.
+//
+// Costs are pure functions of (memo, set), so batch results are
+// bit-identical to sequential evaluation regardless of scheduling — and
+// SharedCache reads/publishes never change a value, only how often it is
+// recomputed. The flags may only be toggled between evaluations, never
+// during a concurrent batch, and a toggle requires a ClearCache call (the
 // volcano.Optimizer setters do this).
 package physical
 
@@ -243,9 +226,6 @@ func (ns NodeSet) Groups() []memo.GroupID {
 	return ns.si.Groups(ns.bits)
 }
 
-// Bits exposes the underlying bitset (shared storage, do not mutate).
-func (ns NodeSet) Bits() memo.Bitset { return ns.bits }
-
 // space is the compiled search space of one memo: everything the oracle's
 // hot path reads that is a pure function of the finished DAG. It is
 // immutable once prepare returns and rides on its memo (memo.Memo.Compiled),
@@ -317,9 +297,6 @@ type Searcher struct {
 	// (worker), in the order it asked for them.
 	workers []*worker
 	shared  *SharedCache // cross-worker / cross-searcher L2 cache
-	// published is set by PublishCache: from then on a CostBreakdown that
-	// finds the searcher without a worker borrows one for the call.
-	published bool
 
 	// fault is the first panic a batch worker recovered, kept until the
 	// owning run collects it with TakeFault. Batches run one at a time per
@@ -327,12 +304,33 @@ type Searcher struct {
 	// read after the batch's WaitGroup is race-free.
 	fault *faultinject.PanicError
 
-	// Stats.
+	// Stats are the work counters, cumulative over the searcher's life;
+	// workers count privately and fold in after each evaluation.
+	Stats
+}
+
+// Stats counts the work of a searcher (or, between two flushes, of one
+// worker).
+type Stats struct {
 	BCCalls      int // bestCost invocations
 	CacheHits    int // worker-private (L1) cross-call cache hits
 	SharedHits   int // lookups served by the SharedCache (L2)
 	ComputedKey  int // fresh (group, order, mask) computations
 	ExtractCalls int // plan-extraction node resolutions (BestPlan)
+}
+
+func (a *Stats) add(b Stats) {
+	a.BCCalls += b.BCCalls
+	a.CacheHits += b.CacheHits
+	a.SharedHits += b.SharedHits
+	a.ComputedKey += b.ComputedKey
+	a.ExtractCalls += b.ExtractCalls
+}
+
+// Sub returns a − b: the work done between the reading b and the reading a.
+func (a Stats) Sub(b Stats) Stats {
+	return Stats{a.BCCalls - b.BCCalls, a.CacheHits - b.CacheHits, a.SharedHits - b.SharedHits,
+		a.ComputedKey - b.ComputedKey, a.ExtractCalls - b.ExtractCalls}
 }
 
 // NewSearcher returns a searcher over the given memo with the incremental
@@ -356,9 +354,7 @@ func compile(m *memo.Memo) *space {
 }
 
 // ResetStats clears the counters (not the cache).
-func (s *Searcher) ResetStats() {
-	s.BCCalls, s.CacheHits, s.SharedHits, s.ComputedKey, s.ExtractCalls = 0, 0, 0, 0, 0
-}
+func (s *Searcher) ResetStats() { s.Stats = Stats{} }
 
 // ClearCache drops the worker-private cross-call caches. An attached
 // SharedCache is left alone: its entries are namespaced by the structural
@@ -502,17 +498,12 @@ const l1BucketBits = 6
 // l1BucketCap is the bucket capacity (entries per probe array).
 const l1BucketCap = 1 << l1BucketBits
 
-// l1MaxFill is the fill bound of a bucket (3/4 load). Below it a store
-// claims the first empty position of its probe run. At or past it a store
-// never probes for a new position: it writes at its home, replacing the
-// occupant or — when the home happens to be empty — claiming it. So past
-// the bound a store never lengthens a probe run beyond the key's own home,
-// lookup chains stay short even in the hottest buckets, and memory stays
-// bounded; but occupancy is not capped at the bound — claimed empty homes
-// let it creep up to the full capacity, where a probe for an absent key
-// walks all l1BucketCap positions (lookup takes the run length from the
-// occupancy word, so it still terminates). An evicted key falls back to
-// the SharedCache L2 (or a recomputation) — see l1Bucket.store.
+// l1MaxFill is the fill bound of a bucket (3/4 load): below it a store
+// claims the first empty position of its probe run, at or past it a store
+// writes at its home (see l1Bucket.store). Occupancy is not capped at the
+// bound — claimed empty homes let it creep up to the full capacity, where a
+// probe for an absent key walks all l1BucketCap positions (lookup takes the
+// run length from the occupancy word, so it still terminates).
 const l1MaxFill = l1BucketCap * 3 / 4
 
 // epVal is one per-call scratch memo cell: a cost stamped with the call
@@ -661,12 +652,7 @@ type worker struct {
 	// mask hash alone. Each bucket is a flat open-addressed probe array
 	// (l1Bucket), lazily allocated on first store and cleared in place by
 	// epoch stamping, so a probe is a few adjacent inline loads instead
-	// of a runtime map access. Misses fall through to l2. (A single
-	// flat map[cacheKey]float64 was profiled at ~70% of optimization wall
-	// time on the 256-query workloads, and the per-slot
-	// map[uint64]float64 buckets that replaced it still at ~25% —
-	// mapaccess2_fast64 hashing and probing — which this layout
-	// eliminates.)
+	// of a runtime map access. Misses fall through to l2.
 	l1Epoch uint32      // current L1 generation; buckets with other stamps are dead
 	l1      []*l1Bucket // bucket of (slot, kind) at 2*slot+kind, lazily allocated
 
@@ -688,7 +674,7 @@ type worker struct {
 	mhEp      []uint32
 	matIDs    []memo.GroupID // scratch for stored-order initialization
 
-	bcCalls, cacheHits, sharedHits, computedKey, extractCalls int
+	stats Stats // since the last flushStats
 }
 
 func (s *Searcher) newWorker() *worker {
@@ -728,7 +714,7 @@ func (w *worker) bind(s *Searcher) {
 	w.bits = s.SI.NewMatSet()
 	w.resetL1()
 	w.ns, w.sharedGen, w.sharedEpoch, w.l2 = 0, 0, 0, nil
-	w.bcCalls, w.cacheHits, w.sharedHits, w.computedKey, w.extractCalls = 0, 0, 0, 0, 0
+	w.stats = Stats{}
 }
 
 // resetL1 drops the worker's private cross-call cache in O(1) by bumping
@@ -789,13 +775,13 @@ func (w *worker) cached(idx int, mask uint64, kind int) (float64, bool) {
 	i := 2*idx + kind
 	if b := w.l1[i]; b != nil && b.ep == w.l1Epoch {
 		if v, ok := b.lookup(mask); ok {
-			w.cacheHits++
+			w.stats.CacheHits++
 			return v, true
 		}
 	}
 	if w.l2 != nil {
 		if v, ok := w.l2[i].Load().find(mask); ok {
-			w.sharedHits++
+			w.stats.SharedHits++
 			return v, true
 		}
 	}
@@ -829,26 +815,11 @@ func (s *Searcher) worker(i int) *worker {
 	return s.workers[i]
 }
 
-// releaseWorkers gives the searcher's workers to the attached SharedCache's
-// free list; the next evaluation takes workers again. Without a cache the
-// workers, and the private caches that are all they have, stay.
-func (s *Searcher) releaseWorkers() {
-	if s.shared == nil {
-		return
-	}
-	s.shared.putWorkers(s.workers)
-	s.workers = nil
-}
-
 // flushStats folds worker-local counters into the searcher totals; called
 // only from single-goroutine contexts.
 func (w *worker) flushStats() {
-	w.s.BCCalls += w.bcCalls
-	w.s.CacheHits += w.cacheHits
-	w.s.SharedHits += w.sharedHits
-	w.s.ComputedKey += w.computedKey
-	w.s.ExtractCalls += w.extractCalls
-	w.bcCalls, w.cacheHits, w.sharedHits, w.computedKey, w.extractCalls = 0, 0, 0, 0, 0
+	w.s.Stats.add(w.stats)
+	w.stats = Stats{}
 }
 
 // initCall resets the per-call scratch state for a new materialization set
@@ -945,7 +916,7 @@ func (s *Searcher) BestCost(mat NodeSet) float64 {
 }
 
 func (s *Searcher) bestCostOn(w *worker, mat memo.Bitset) float64 {
-	w.bcCalls++
+	w.stats.BCCalls++
 	w.initCall(mat)
 	total := 0.0
 	for _, id := range w.matGroups() {
@@ -1174,7 +1145,7 @@ func (w *worker) computeMiss(g memo.GroupID, ord ordID, m *epVal) float64 {
 			return v
 		}
 	}
-	w.computedKey++
+	w.stats.ComputedKey++
 	best := inf
 	for i := range s.tmpls[g] {
 		if cost, _, ok := w.price(&s.tmpls[g][i], ord); ok && cost < best {

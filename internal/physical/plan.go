@@ -59,7 +59,7 @@ func (s *Searcher) BestPlan(mat NodeSet) *ConsolidatedPlan {
 		return ids[i] < ids[j]
 	})
 	for _, id := range ids {
-		w.extractCalls++
+		w.stats.ExtractCalls++
 		p := w.extractCompute(id, 0)
 		wc := s.writeArr[id]
 		cp.Steps = append(cp.Steps, MatStep{Group: id, Plan: p, WriteCost: wc})
@@ -77,7 +77,7 @@ func (s *Searcher) BestPlan(mat NodeSet) *ConsolidatedPlan {
 // extractUse mirrors useCost, returning the chosen plan.
 func (w *worker) extractUse(g memo.GroupID, ord ordID) *PlanNode {
 	s := w.s
-	w.extractCalls++
+	w.stats.ExtractCalls++
 	compCost := w.compute(g, ord)
 	if w.matHas(g) {
 		alt, needSort := w.matUseCost(g, ord)

@@ -62,9 +62,9 @@ const benefitCap = 1 << 16
 // tables a new worker would allocate and clear again — goes on a free list
 // the next searcher attached to the cache takes from (Searcher.worker): a
 // few workers for the whole cache, at most GOMAXPROCS and freeSlotCap slots
-// together, whatever DAG they last served. Only PublishCache and a
-// sequential call that borrowed its worker after it put workers there, so
-// a run stopped by a panic, which never publishes, never returns one.
+// together, whatever DAG they last served. Only PublishCache puts workers
+// there, so a run stopped by a panic, which never publishes, never returns
+// one.
 type SharedCache struct {
 	// gen moves whenever a namespace gains or loses its table, telling
 	// workers to resolve again; it starts at 1 so a worker's zero value
@@ -527,10 +527,9 @@ func (s *Searcher) Fingerprint() uint64 { return s.cacheNS() }
 // private (lock-free) L1 table for what it computes itself, reads c on an
 // L1 miss, and PublishCache hands the workers' learning over — and then the
 // workers, which the searcher also takes from c when c has some to spare.
-// Attaching a longer-lived cache (repro.Session owns one) lets identical
-// batches start warm. A nil c detaches, leaving workers with private caches
-// only — the default for a fresh searcher. Attach only between evaluations,
-// never during a concurrent batch.
+// A nil c detaches, leaving workers with private caches only — the default
+// for a fresh searcher. Attach only between evaluations, never during a
+// concurrent batch.
 func (s *Searcher) AttachSharedCache(c *SharedCache) {
 	s.shared = c
 	for _, w := range s.workers {
@@ -543,16 +542,13 @@ func (s *Searcher) Shared() *SharedCache { return s.shared }
 
 // PublishCache moves every worker's private cross-call cache into the
 // attached SharedCache under the current flag namespace — the write half
-// of the L1/L2 protocol, kept off the evaluation hot path. The workers'
-// L1s are left empty: their buckets now belong to the cache (or were
-// copied into it), and the searcher keeps reading them through it. The
-// emptied workers go to the cache's free list for the next searcher; a
-// later evaluation on this one takes workers again and keeps them, with
-// what they learn, until the next publish (CostBreakdown alone returns the
-// one it took when the call ends). It is a no-op without
-// an attached cache (with the incremental cache disabled it only returns
-// the workers) and must only be called between evaluations, like every
-// other cache operation — and never on a searcher a panic has poisoned.
+// of the L1/L2 protocol, kept off the evaluation hot path — and then gives
+// the workers, their L1s now empty, to the cache's free list for the next
+// searcher (see the package comment for the borrow rule). It is a no-op
+// without an attached cache (with the incremental cache disabled it only
+// returns the workers) and must only be called between evaluations, like
+// every other cache operation — and never on a searcher a panic has
+// poisoned.
 func (s *Searcher) PublishCache() {
 	if s.shared == nil {
 		return
@@ -560,8 +556,8 @@ func (s *Searcher) PublishCache() {
 	if s.Incremental {
 		s.shared.publish(s.cacheNS(), s.M.NumGroups(), s.numOrds, s.workers)
 	}
-	s.releaseWorkers()
-	s.published = true
+	s.shared.putWorkers(s.workers)
+	s.workers = nil
 }
 
 // publish drains the live L1 buckets of a searcher's workers into the

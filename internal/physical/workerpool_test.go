@@ -95,41 +95,42 @@ func TestPublishReturnsWorkers(t *testing.T) {
 		t.Fatalf("reused worker computed %d keys with %d shared hits; the published run covers every set", next.ComputedKey, next.SharedHits)
 	}
 
-	// A searcher that publishes and is then asked for a breakdown borrows a
-	// worker for the call.
+	// One rule for every entry point, before and after a publish: an
+	// evaluation takes the searcher's worker 0, which stays, with what it
+	// learned, until the next publish hands it back.
 	next.PublishCache()
 	free := cache.FreeWorkers()
-	bd := next.CostBreakdown(sets[0])
-	if want := NewSearcher(m).BestCost(sets[0]); bd.Total != want {
+	for _, eval := range []func(*Searcher){
+		func(s *Searcher) { s.CostBreakdown(sets[0]) },
+		func(s *Searcher) { s.BestCost(sets[0]) },
+		func(s *Searcher) { s.BestUseCost(sets[0]) },
+		func(s *Searcher) { s.BestPlan(sets[0]) },
+	} {
+		for _, sr := range []*Searcher{next, attached(m, cache)} { // after a publish, and as a first evaluation
+			eval(sr)
+			if len(sr.workers) != 1 || cache.FreeWorkers() != free-1 {
+				t.Fatalf("an evaluation gave its worker back: searcher holds %d, free list %d → %d", len(sr.workers), free, cache.FreeWorkers())
+			}
+			sr.PublishCache()
+			if len(sr.workers) != 0 || cache.FreeWorkers() != free {
+				t.Fatalf("publish left the searcher %d workers and the free list %d, want 0 and %d", len(sr.workers), cache.FreeWorkers(), free)
+			}
+		}
+	}
+	if bd, want := next.CostBreakdown(sets[0]), NewSearcher(m).BestCost(sets[0]); bd.Total != want {
 		t.Fatalf("breakdown after publish totals %v, want %v", bd.Total, want)
-	}
-	if len(next.workers) != 0 || cache.FreeWorkers() != free {
-		t.Fatalf("CostBreakdown after publish kept its worker: searcher holds %d, free list %d → %d", len(next.workers), free, cache.FreeWorkers())
-	}
-
-	// A breakdown that is a searcher's first evaluation takes the
-	// searcher's own worker: it stays, with what it learned, for the
-	// publish. So does the worker any other entry point takes after one.
-	first := NewSearcher(m)
-	first.AttachSharedCache(cache)
-	first.CostBreakdown(sets[0])
-	if len(first.workers) != 1 || cache.FreeWorkers() != free-1 {
-		t.Fatalf("first evaluation gave its worker back: searcher holds %d, free list %d → %d", len(first.workers), free, cache.FreeWorkers())
-	}
-	first.PublishCache()
-	first.BestCost(sets[0])
-	if len(first.workers) != 1 || cache.FreeWorkers() != free-1 {
-		t.Fatalf("BestCost after publish gave its worker back: searcher holds %d, free list %d → %d", len(first.workers), free, cache.FreeWorkers())
-	}
-	first.PublishCache()
-	if cache.FreeWorkers() != free {
-		t.Fatalf("second publish left %d free workers, want %d", cache.FreeWorkers(), free)
 	}
 
 	cache.Invalidate()
 	if cache.FreeWorkers() != 0 {
 		t.Fatalf("Invalidate left %d free workers", cache.FreeWorkers())
 	}
+}
+
+func attached(m *memo.Memo, c *SharedCache) *Searcher {
+	s := NewSearcher(m)
+	s.AttachSharedCache(c)
+	return s
 }
 
 // Without a cache the workers are all a searcher has: they stay.
@@ -213,7 +214,7 @@ func TestPooledWorkerAcrossDAGs(t *testing.T) {
 		if round%2 == 0 {
 			s.PublishCache()
 		} else {
-			s.releaseWorkers() // what CostBreakdown does: back with a live L1
+			cache.putWorkers(s.workers) // back with a live L1
 		}
 	}
 }
@@ -238,7 +239,7 @@ func TestPooledWorkerEpochWrap(t *testing.T) {
 	for _, set := range sets {
 		first.BestCost(set)
 	}
-	first.releaseWorkers() // unpublished: the L1 buckets stay with the worker
+	cache.putWorkers(first.workers) // unpublished: the L1 buckets stay with the worker
 	if w.l1Epoch != 2 || w.epoch != uint32(len(sets)) {
 		t.Fatalf("first run left epochs %d / %d, the test assumes 2 / %d", w.l1Epoch, w.epoch, len(sets))
 	}

@@ -52,7 +52,7 @@ func sumStats(t *testing.T, srv *Server) repro.SessionStats {
 	t.Helper()
 	total, _ := srv.pool.retiredStats()
 	for _, p := range srv.pool.stats() {
-		addSessionStats(&total, p.Session)
+		total.Add(p.Session)
 	}
 	return total
 }

@@ -25,18 +25,17 @@
 // counters (exact sums over responses) and the session's build accounting,
 // which is not per-run and stays out of that reconciliation:
 //
-//   - recipe_hits / recipe_misses count queries: a hit is a query whose
-//     structure the session had validated before (one hit per query of a
-//     batch that was reused whole).
+//   - recipe_hits / recipe_misses are the next pair weighted by query
+//     count: the queries of the batches that were reused whole, and of the
+//     batches that were built.
 //   - compiled_hits / compiled_misses count batches: a hit is a request (or
 //     lane) whose exact batch — same queries, names and order — the session
 //     had compiled before and still held, so the run got that DAG and
 //     search space back and skipped the build; a miss built them.
 //     build_ns shows the difference.
 //   - compiled_nodes is a gauge: the operator nodes of the DAGs the session
-//     holds right now (bounded; ≈ 1.6 kB each). In the retired aggregate it
-//     is what the dropped sessions held when they were dropped — all
-//     released at that moment, along with their cost caches.
+//     holds right now (bounded; ≈ 1.6 kB each). A dropped session releases
+//     them with its cost caches, so the retired aggregate reads 0.
 //
 // A request is refused with 400 when one of its blocks joins more than
 // logical.MaxBlockSources sources: the DAG holds every connected subset of

@@ -265,7 +265,7 @@ func (s *Server) runSegments(sess *repro.Session, key laneKey, live []*batchMemb
 	preemptible := false
 	if len(live) == 1 {
 		resume = m.resume
-		preemptible = resume != nil || preemptibleStrategy(key.spec.strategy)
+		preemptible = resume != nil || key.spec.strategy.Resumable()
 		defer m.grant.SetPreemptible(false)
 	}
 	for {

@@ -139,10 +139,10 @@ func (p *sessionPool) release(e *poolEntry) {
 // retireLocked folds the dead session's lifetime counters into the
 // retired aggregate and invalidates its caches, which drops the cost
 // tables, the free workers and the compiled DAGs, so the memory is released
-// even while a straggler still holds the session. Only called once per entry: from the dooming site
-// when unpinned, else from the last release.
+// even while a straggler still holds the session. Only called once per
+// entry: from the dooming site when unpinned, else from the last release.
 func (p *sessionPool) retireLocked(e *poolEntry) {
-	addSessionStats(&p.retired, e.sess.Stats())
+	p.retired.Add(e.sess.Stats())
 	p.retiredCount++
 	e.sess.InvalidateCache()
 }
@@ -194,30 +194,6 @@ func (p *sessionPool) quarantine(key poolKey, sess *repro.Session) {
 		return
 	}
 	p.retireLocked(e)
-}
-
-// addSessionStats accumulates src into dst field by field.
-func addSessionStats(dst *repro.SessionStats, src repro.SessionStats) {
-	dst.Batches += src.Batches
-	dst.Interrupted += src.Interrupted
-	dst.OracleCalls += src.OracleCalls
-	dst.BCCalls += src.BCCalls
-	dst.CacheHits += src.CacheHits
-	dst.SharedHits += src.SharedHits
-	dst.ComputedKeys += src.ComputedKeys
-	dst.SharedOracleHits += src.SharedOracleHits
-	dst.Rounds += src.Rounds
-	dst.Invalidations += src.Invalidations
-	dst.Faults += src.Faults
-	dst.BuildTime += src.BuildTime
-	dst.OptTime += src.OptTime
-	dst.ExtractTime += src.ExtractTime
-	dst.PublishTime += src.PublishTime
-	dst.RecipeHits += src.RecipeHits
-	dst.RecipeMisses += src.RecipeMisses
-	dst.CompiledHits += src.CompiledHits
-	dst.CompiledMisses += src.CompiledMisses
-	dst.CompiledNodes += src.CompiledNodes
 }
 
 // retiredStats snapshots the retirement aggregate.

@@ -280,17 +280,6 @@ func requestCost(req *OptimizeRequest) int {
 	return max(n, 1)
 }
 
-// preemptibleStrategy reports whether a strategy checkpoints at round
-// boundaries, which is what makes a lane of one running it safe to suspend
-// and resume bit-identically.
-func preemptibleStrategy(s core.Strategy) bool {
-	switch s {
-	case core.Greedy, core.LazyGreedyStrategy, core.MarginalGreedy, core.LazyMarginalGreedy:
-		return true
-	}
-	return false
-}
-
 // maxTenantNameLen bounds tenant names: they become map keys, stats keys
 // and log fields, so an attacker-sized header must not inflate them.
 const maxTenantNameLen = 100

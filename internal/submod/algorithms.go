@@ -70,13 +70,25 @@ func (d *Decomposition) positiveCostSplit() (cands, free []int) {
 	return cands, free
 }
 
+// fresh runs the named lazy driver from its Start checkpoint. A run that may
+// not begin — the budget or the context was spent before it, or setting up
+// the decomposition used them up — returns the empty set and no checkpoint.
+func fresh(name string, o *Oracle, d *Decomposition) Result {
+	if (d != nil && d.truncated) || o.Interrupted() {
+		res := Result{Stopped: o.StopReason()}
+		res.finish(o, Set{})
+		return res
+	}
+	return runLazy(o, Start(name, o.N(), d), lazyDrivers[name])
+}
+
 // MarginalGreedy is Algorithm 2 of the paper: while some element has
 // marginal-benefit to cost ratio f'_M(x,X)/c(x) > 1, add the element with
 // the maximum ratio; finally add every element with non-positive cost.
 // Elements observed with ratio < 1 are permanently discarded
 // (Section 5.1): by submodularity their ratio can only decrease.
 //
-// The scan is batched-lazy (see lazyMaximize): candidates are kept in a
+// The scan is batched-lazy (see lazyRun): candidates are kept in a
 // max-heap of stale upper bounds and re-evaluated — in oracle rounds of up
 // to lazyChunkSize batched evaluations — only while their bound still tops
 // the heap, and marginals of candidates provably untouched by the last
@@ -91,7 +103,7 @@ func (d *Decomposition) positiveCostSplit() (cands, free []int) {
 // greedy prefix (Result.Stopped says why). A truncated decomposition —
 // budget spent before the costs existed — yields the empty set.
 func MarginalGreedy(d *Decomposition) Result {
-	return marginalGreedyLazy("MarginalGreedy", d, lazyChunkSize)
+	return fresh("MarginalGreedy", d.o, d)
 }
 
 // LazyMarginalGreedy is the Section 5.2 variant: the same lazy heap as
@@ -100,24 +112,7 @@ func MarginalGreedy(d *Decomposition) Result {
 // concurrent oracle nothing to batch. It returns exactly the same set as
 // MarginalGreedy and EagerMarginalGreedy under diminishing returns.
 func LazyMarginalGreedy(d *Decomposition) Result {
-	return marginalGreedyLazy("LazyMarginalGreedy", d, 1)
-}
-
-// marginalGreedyLazy is the shared body of the lazy marginal drivers.
-func marginalGreedyLazy(name string, d *Decomposition, chunk int) Result {
-	res := Result{}
-	if d.truncated || d.o.Interrupted() {
-		res.Stopped = d.o.StopReason()
-		res.finish(d.o, Set{})
-		return res
-	}
-	cands, free := d.positiveCostSplit()
-	x := lazyMaximize(name, d.o, d, cands, chunk, &res)
-	if res.Stopped == StopNone {
-		x = addFree(name, d, x, free, &res)
-	}
-	res.finish(d.o, x)
-	return res
+	return fresh("LazyMarginalGreedy", d.o, d)
 }
 
 // EagerMarginalGreedy is the exhaustive-scan reference implementation of
@@ -238,7 +233,7 @@ func addFree(name string, d *Decomposition, x Set, free []int, res *Result) Set 
 // exhaustive-scan EagerGreedy selects under diminishing returns. Budgets
 // and cancellation are checked between oracle rounds.
 func Greedy(o *Oracle) Result {
-	return greedyLazy("Greedy", o, lazyChunkSize)
+	return fresh("Greedy", o, nil)
 }
 
 // LazyGreedy is Greedy accelerated with the Minoux heap under the
@@ -247,24 +242,7 @@ func Greedy(o *Oracle) Result {
 // (chunk size 1) re-evaluation. It returns the same set as Greedy when the
 // assumption holds. Budgets are checked before every oracle round.
 func LazyGreedy(o *Oracle) Result {
-	return greedyLazy("LazyGreedy", o, 1)
-}
-
-// greedyLazy is the shared body of the lazy benefit-greedy drivers.
-func greedyLazy(name string, o *Oracle, chunk int) Result {
-	res := Result{}
-	if o.Interrupted() {
-		res.Stopped = o.StopReason()
-		res.finish(o, Set{})
-		return res
-	}
-	cands := make([]int, o.N())
-	for i := range cands {
-		cands[i] = i
-	}
-	x := lazyMaximize(name, o, nil, cands, chunk, &res)
-	res.finish(o, x)
-	return res
+	return fresh("LazyGreedy", o, nil)
 }
 
 // EagerGreedy is the exhaustive-scan reference implementation of the

@@ -64,21 +64,55 @@ type CheckpointItem struct {
 	State     uint8  `json:"state"`
 }
 
-// lazyParams maps a lazy driver name to its chunk size and whether it runs
-// on a cost decomposition (marginal-ratio threshold 1 plus the free-element
-// phase) rather than raw benefit.
-func lazyParams(name string) (chunk int, marginal bool, err error) {
-	switch name {
-	case "MarginalGreedy":
-		return lazyChunkSize, true, nil
-	case "LazyMarginalGreedy":
-		return 1, true, nil
-	case "Greedy":
-		return lazyChunkSize, false, nil
-	case "LazyGreedy":
-		return 1, false, nil
+// lazyDriver is what tells the four lazy drivers apart: how many stale
+// candidates one oracle round refreshes, and whether the scan runs on a cost
+// decomposition (marginal-ratio threshold 1 plus the free-element phase)
+// rather than on raw benefit.
+type lazyDriver struct {
+	chunk    int
+	marginal bool
+}
+
+// lazyDrivers is the one table of the drivers that checkpoint and resume,
+// by Checkpoint.Algorithm name; core and the server ask Resumable.
+var lazyDrivers = map[string]lazyDriver{
+	"Greedy":             {lazyChunkSize, false},
+	"LazyGreedy":         {1, false},
+	"MarginalGreedy":     {lazyChunkSize, true},
+	"LazyMarginalGreedy": {1, true},
+}
+
+// Resumable reports whether name is a lazy driver: one whose interrupted run
+// leaves a Checkpoint that ResumeLazy continues.
+func Resumable(name string) bool {
+	_, ok := lazyDrivers[name]
+	return ok
+}
+
+// Start is the checkpoint a run of the named driver that has not begun would
+// leave: nothing selected, every candidate queued with an infinite bound —
+// for the marginal drivers the positive-cost elements of d, whose costs the
+// checkpoint carries; d is nil for the benefit-greedy pair. A fresh run is
+// ResumeLazy from it.
+func Start(name string, n int, d *Decomposition) *Checkpoint {
+	cp := &Checkpoint{Algorithm: name, Heap: make([]CheckpointItem, 0, n)}
+	if d != nil {
+		cp.CostBits = costBits(d)
 	}
-	return 0, false, fmt.Errorf("submod: %q is not a resumable lazy driver", name)
+	for e := 0; e < n; e++ {
+		if d == nil || d.C[e] > epsCost {
+			cp.Heap = append(cp.Heap, CheckpointItem{E: e, BoundBits: math.Float64bits(math.Inf(1)), State: uint8(lazyStale)})
+		}
+	}
+	return cp
+}
+
+func costBits(d *Decomposition) []uint64 {
+	out := make([]uint64, len(d.C))
+	for i, c := range d.C {
+		out[i] = math.Float64bits(c)
+	}
+	return out
 }
 
 // captureLazy snapshots an interrupted lazy run. popped holds the items of
@@ -106,32 +140,19 @@ func captureLazy(name string, x Set, q *lazyQueue, popped []lazyItem, staleAt in
 		})
 	}
 	if d != nil {
-		cp.CostBits = make([]uint64, len(d.C))
-		for i, c := range d.C {
-			cp.CostBits[i] = math.Float64bits(c)
-		}
+		cp.CostBits = costBits(d)
 	}
 	return cp
 }
 
-// captureFree snapshots a stop inside the free-element phase.
+// captureFree snapshots a stop inside the free-element phase: the heap
+// phase is over, so there is no heap to carry.
 func captureFree(name string, x Set, d *Decomposition, res *Result) *Checkpoint {
-	if _, _, err := lazyParams(name); err != nil {
+	if !Resumable(name) {
 		return nil // eager reference drivers do not checkpoint
 	}
-	cp := &Checkpoint{
-		Algorithm:  name,
-		Selected:   x.Sorted(),
-		MainDone:   true,
-		Iterations: res.Iterations,
-		Pruned:     res.Pruned,
-		Stale:      res.Stale,
-		Reused:     res.Reused,
-	}
-	cp.CostBits = make([]uint64, len(d.C))
-	for i, c := range d.C {
-		cp.CostBits[i] = math.Float64bits(c)
-	}
+	cp := captureLazy(name, x, &lazyQueue{}, nil, res.Stale, d, res)
+	cp.MainDone = true
 	return cp
 }
 
@@ -148,9 +169,9 @@ func sortLazyItems(items []lazyItem) {
 // n elements: known algorithm, element indexes in range, no element both
 // selected and queued, costs present exactly when the driver needs them.
 func (cp *Checkpoint) Validate(n int) error {
-	_, marginal, err := lazyParams(cp.Algorithm)
-	if err != nil {
-		return err
+	drv, ok := lazyDrivers[cp.Algorithm]
+	if !ok {
+		return fmt.Errorf("submod: %q is not a resumable lazy driver", cp.Algorithm)
 	}
 	seen := make(map[int]bool, len(cp.Selected)+len(cp.Heap))
 	for _, e := range cp.Selected {
@@ -174,7 +195,7 @@ func (cp *Checkpoint) Validate(n int) error {
 			return fmt.Errorf("submod: checkpoint element %d has unknown lazy state %d", it.E, it.State)
 		}
 	}
-	if marginal {
+	if drv.marginal {
 		if len(cp.CostBits) != n {
 			return fmt.Errorf("submod: checkpoint carries %d costs for a universe of %d", len(cp.CostBits), n)
 		}
@@ -201,14 +222,22 @@ func ResumeLazy(o *Oracle, cp *Checkpoint) (Result, error) {
 	if err := cp.Validate(o.N()); err != nil {
 		return Result{}, err
 	}
-	chunk, marginal, _ := lazyParams(cp.Algorithm)
+	return runLazy(o, cp, lazyDrivers[cp.Algorithm]), nil
+}
+
+// runLazy is the one body of the lazy drivers: it enters the scan in the
+// state cp describes — the Start checkpoint for a fresh run, an interrupted
+// run's for a resume — runs the heap phase and, for the marginal drivers,
+// the free-element phase, and prices the chosen set. cp is well formed; drv
+// is its driver's row of lazyDrivers (tests vary the chunk).
+func runLazy(o *Oracle, cp *Checkpoint, drv lazyDriver) Result {
 	var d *Decomposition
-	if marginal {
+	if drv.marginal {
 		costs := make([]float64, len(cp.CostBits))
 		for i, b := range cp.CostBits {
 			costs[i] = math.Float64frombits(b)
 		}
-		d = NewDecomposition(o, costs)
+		d = &Decomposition{o: o, C: costs}
 	}
 	res := Result{
 		Iterations: cp.Iterations,
@@ -222,9 +251,9 @@ func ResumeLazy(o *Oracle, cp *Checkpoint) (Result, error) {
 		for _, it := range cp.Heap {
 			q.push(lazyItem{e: it.E, bound: math.Float64frombits(it.BoundBits), state: lazyState(it.State)})
 		}
-		x = lazyRun(cp.Algorithm, o, d, &q, x, chunk, &res)
+		x = lazyRun(cp.Algorithm, o, d, &q, x, drv.chunk, &res)
 	}
-	if marginal && res.Stopped == StopNone {
+	if d != nil && res.Stopped == StopNone {
 		var free []int
 		for e := 0; e < o.N(); e++ {
 			if d.C[e] <= epsCost && !x.Contains(e) {
@@ -234,5 +263,5 @@ func ResumeLazy(o *Oracle, cp *Checkpoint) (Result, error) {
 		x = addFree(cp.Algorithm, d, x, free, &res)
 	}
 	res.finish(o, x)
-	return res, nil
+	return res
 }

@@ -3,6 +3,7 @@ package submod
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"testing"
 )
 
@@ -242,5 +243,43 @@ func TestCheckpointValidateRejectsMalformed(t *testing.T) {
 	}
 	if err := good().Validate(10); err != nil {
 		t.Errorf("well-formed checkpoint rejected: %v", err)
+	}
+}
+
+// startOf is the Start checkpoint of the named driver over o: the marginal
+// pair decompose first, as their callers do.
+func startOf(name string, o *Oracle) *Checkpoint {
+	if lazyDrivers[name].marginal {
+		return Start(name, o.N(), DecomposeStar(o))
+	}
+	return Start(name, o.N(), nil)
+}
+
+// A fresh run is a resume from the Start checkpoint: for every lazy driver
+// the driver call and ResumeLazy(Start) — through the wire form — agree on
+// the set, its value, every counter and the oracle calls spent, on random
+// and planted coverage instances and on the block function whose interaction
+// structure exercises the exact-reuse path.
+func TestFreshRunIsResumeFromStart(t *testing.T) {
+	instances := map[string]func(seed int64) Function{
+		"coverage": func(seed int64) Function { return RandomCoverage(seed, 14, 42, 3, 1.0, 1.2) },
+		"planted":  func(seed int64) Function { return PlantedInstance(seed, 24, 4, 10, 5, 2) },
+		"block":    func(seed int64) Function { return newBlockFunc(seed, 18, 3) },
+	}
+	for kind, mk := range instances {
+		for i := 0; i < 6*len(resumableDrivers); i++ {
+			seed, dc := int64(i/len(resumableDrivers)), resumableDrivers[i%len(resumableDrivers)]
+			label := fmt.Sprintf("%s/%d", kind, seed)
+			refO, o := NewOracle(mk(seed)), NewOracle(mk(seed))
+			ref := dc.run(refO)
+			got, err := ResumeLazy(o, roundTripCheckpoint(t, startOf(dc.name, o)))
+			if err != nil {
+				t.Fatalf("%s %s: resume from start: %v", label, dc.name, err)
+			}
+			assertResumeMatches(t, label+" "+dc.name, ref, got)
+			if o.Calls != refO.Calls {
+				t.Fatalf("%s %s: resume from start spent %d oracle calls, the driver %d", label, dc.name, o.Calls, refO.Calls)
+			}
+		}
 	}
 }

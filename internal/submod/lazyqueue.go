@@ -127,9 +127,12 @@ func (q *lazyQueue) demote(inter InteractionFunction, x int) int {
 	return reused
 }
 
-// lazyMaximize is the shared batched-lazy greedy driver behind Greedy,
-// LazyGreedy, MarginalGreedy and LazyMarginalGreedy. It maintains the
-// Minoux max-heap of upper bounds over cands and repeatedly:
+// lazyRun is the batched-lazy greedy loop behind Greedy, LazyGreedy,
+// MarginalGreedy, LazyMarginalGreedy and ResumeLazy (see runLazy): it takes
+// over a heap and a selection — a fresh run's heap holds every candidate at
+// an infinite bound — so a resumed run enters exactly the state the
+// interrupted one left. It maintains the Minoux max-heap of upper bounds and
+// repeatedly:
 //
 //   - selects the top candidate outright when its bound is exact (freshly
 //     evaluated this round, or provably unchanged via the oracle's
@@ -152,17 +155,6 @@ func (q *lazyQueue) demote(inter InteractionFunction, x int) int {
 // stopped run keeps the deterministic greedy prefix selected so far and
 // exports a Checkpoint (see checkpoint.go) from which ResumeLazy continues
 // bit-identically.
-func lazyMaximize(name string, o *Oracle, d *Decomposition, cands []int, chunk int, res *Result) Set {
-	q := lazyQueue{items: make([]lazyItem, 0, len(cands))}
-	for _, e := range cands {
-		q.push(lazyItem{e: e, bound: math.Inf(1), state: lazyStale})
-	}
-	return lazyRun(name, o, d, &q, Set{}, chunk, res)
-}
-
-// lazyRun is the driver loop behind lazyMaximize and ResumeLazy: it takes
-// over an existing heap and selection, so a resumed run enters exactly the
-// state the interrupted one left.
 func lazyRun(name string, o *Oracle, d *Decomposition, q *lazyQueue, x Set, chunk int, res *Result) Set {
 	inter, _ := o.F.(InteractionFunction)
 	threshold := 0.0

@@ -126,13 +126,10 @@ func TestLazyChunkSizeDoesNotChangeSelection(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		ref := LazyMarginalGreedy(DecomposeStar(randomInstance(seed, 14)))
 		for _, chunk := range []int{2, 5, 64} {
-			res := Result{}
 			d := DecomposeStar(randomInstance(seed, 14))
-			cands, free := d.positiveCostSplit()
-			x := lazyMaximize("test", d.o, d, cands, chunk, &res)
-			x = addFree("test", d, x, free, &res)
-			if !ref.Set.Equal(x) {
-				t.Fatalf("seed %d chunk %d: %v != chunk-1 %v", seed, chunk, x.Sorted(), ref.Set.Sorted())
+			res := runLazy(d.o, Start("LazyMarginalGreedy", d.o.N(), d), lazyDriver{chunk: chunk, marginal: true})
+			if !ref.Set.Equal(res.Set) {
+				t.Fatalf("seed %d chunk %d: %v != chunk-1 %v", seed, chunk, res.Set.Sorted(), ref.Set.Sorted())
 			}
 		}
 	}

@@ -20,7 +20,7 @@
 // # Lazy evaluation and incremental marginal maintenance
 //
 // All four greedy drivers (Greedy, LazyGreedy, MarginalGreedy,
-// LazyMarginalGreedy) share one batched-lazy engine (lazyMaximize): a
+// LazyMarginalGreedy) share one batched-lazy engine (lazyRun): a
 // max-heap of per-candidate upper bounds, ordered (bound desc, element
 // asc) to mirror the eager scan's first-maximum tie-break. A candidate is
 // re-evaluated only while its stale bound still tops the heap — in oracle
@@ -54,9 +54,6 @@ import (
 // Set is a subset of the universe, represented as a bitset over element
 // indexes. The zero value is the empty set. With/Without return modified
 // copies (the functional style the algorithms use); Add mutates in place.
-// Unlike the earlier map representation, a Set never allocates per element
-// on membership tests and copies in O(universe/64) words, which removes the
-// remaining per-round allocations in the greedy drivers.
 type Set struct {
 	words []uint64
 }
@@ -182,8 +179,7 @@ func (s Set) Equal(o Set) bool {
 }
 
 // Key renders the set canonically for memoization: FNV-1a over the elements
-// in increasing order (the exact hash the map representation used, so
-// memoization behavior is unchanged).
+// in increasing order.
 func (s Set) Key() uint64 {
 	var h uint64 = 1469598103934665603
 	for wi, w := range s.words {
@@ -301,13 +297,19 @@ func (o *Oracle) Eval(s Set) float64 {
 			return v
 		}
 	}
-	o.Calls++
 	v := o.F.Eval(s)
+	o.commit(k, v)
+	return v
+}
+
+// commit records one evaluation the function made: the call, the run memo
+// and the cross-run store.
+func (o *Oracle) commit(k uint64, v float64) {
+	o.Calls++
 	o.memo[k] = v
 	if o.L2 != nil {
 		o.L2.Put(k, v)
 	}
-	return v
 }
 
 // EvalBatch returns f(S) for every set, memoized, and true. Sets not in
@@ -347,7 +349,7 @@ func (o *Oracle) EvalBatch(sets []Set) ([]float64, bool) {
 		missIdx = append(missIdx, i)
 	}
 	if len(missIdx) > 0 {
-		if bf, ok := o.F.(BatchFunction); ok && len(missIdx) > 1 {
+		if bf, ok := o.F.(BatchFunction); ok {
 			miss := make([]Set, len(missIdx))
 			for j, i := range missIdx {
 				miss[j] = sets[i]
@@ -356,11 +358,7 @@ func (o *Oracle) EvalBatch(sets []Set) ([]float64, bool) {
 			// Commit whatever completed — the whole batch, or the leading
 			// prefix of an interrupted one.
 			for j := 0; j < len(vals) && j < len(missIdx); j++ {
-				o.Calls++
-				o.memo[keys[missIdx[j]]] = vals[j]
-				if o.L2 != nil {
-					o.L2.Put(keys[missIdx[j]], vals[j])
-				}
+				o.commit(keys[missIdx[j]], vals[j])
 			}
 			if !ok {
 				o.markCancelled()
@@ -371,12 +369,7 @@ func (o *Oracle) EvalBatch(sets []Set) ([]float64, bool) {
 				if o.ctxCancelled() {
 					return nil, false
 				}
-				v := o.F.Eval(sets[i])
-				o.Calls++
-				o.memo[keys[i]] = v
-				if o.L2 != nil {
-					o.L2.Put(keys[i], v)
-				}
+				o.commit(keys[i], o.F.Eval(sets[i]))
 			}
 		}
 		// Fill every position (duplicates included) from the memo.
@@ -418,16 +411,12 @@ type Decomposition struct {
 	truncated bool
 }
 
-// Truncated reports whether the decomposition was interrupted before its
-// costs were computed (its C is unusable).
-func (d *Decomposition) Truncated() bool { return d.truncated }
-
 // DecomposeStar computes the Proposition 1 decomposition:
 // c*(e) = f(U∖{e}) − f(U). It uses exactly n+1 oracle calls (for U and
 // each U∖{e}); the n leave-one-out evaluations run as one batched —
 // possibly concurrent — oracle call. When the oracle's budget is already
 // exhausted (or is cut off mid-batch) the returned decomposition is marked
-// Truncated and carries no costs.
+// truncated and carries no costs.
 func DecomposeStar(o *Oracle) *Decomposition {
 	if o.Interrupted() {
 		return &Decomposition{o: o, truncated: true}

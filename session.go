@@ -100,7 +100,6 @@ type config struct {
 	hasBudget   bool
 	progress    func(Progress)
 	extendedOps bool
-	memoOpts    []memo.Option
 	resume      *Checkpoint
 	warmOracle  bool
 	preempt     func() bool
@@ -186,35 +185,14 @@ func WithPreemptSignal(fn func() bool) Option {
 // a zero Telemetry.
 func MergeSegments(segs []Telemetry) Telemetry {
 	var out Telemetry
-	for i, t := range segs {
-		out.OracleCalls += t.OracleCalls
-		out.BCCalls += t.BCCalls
-		out.CacheHits += t.CacheHits
-		out.SharedHits += t.SharedHits
-		out.ComputedKeys += t.ComputedKeys
-		out.SharedOracleHits += t.SharedOracleHits
-		out.SetupTime += t.SetupTime
-		out.SearchTime += t.SearchTime
-		out.FinalizeTime += t.FinalizeTime
-		out.TotalTime += t.TotalTime
-		if i == len(segs)-1 {
-			out.Rounds = t.Rounds
-			out.Pruned = t.Pruned
-			out.Stale = t.Stale
-			out.Reused = t.Reused
-			out.Stopped = t.Stopped
-		}
+	for _, t := range segs {
+		out.Add(t)
 	}
-	if n := out.CacheHits + out.SharedHits + out.ComputedKeys; n > 0 {
-		out.CacheHitRate = float64(out.CacheHits+out.SharedHits) / float64(n)
+	if n := len(segs); n > 0 {
+		last := segs[n-1]
+		out.Rounds, out.Pruned, out.Stale, out.Reused = last.Rounds, last.Pruned, last.Stale, last.Reused
 	}
 	return out
-}
-
-// WithMemoOptions forwards DAG-construction options (rule ablations) to
-// memo.Build.
-func WithMemoOptions(opts ...memo.Option) Option {
-	return func(c *config) { c.memoOpts = append(c.memoOpts, opts...) }
 }
 
 // WithResume continues an interrupted run from its checkpoint instead of
@@ -258,14 +236,12 @@ type SessionStats struct {
 	OptTime     time.Duration `json:"opt_ns"`     // strategy runs
 	ExtractTime time.Duration `json:"extract_ns"` // consolidated-plan extraction
 	PublishTime time.Duration `json:"publish_ns"` // handing the run's cost learning to the session cache
-	// RecipeHits / RecipeMisses count per-query structural-fingerprint
-	// lookups during combined-DAG builds (memo.BuildCache): a hit is a
-	// query the session has built before — alone it skips validation, and
-	// when its whole batch repeats the build is skipped (one hit per query
-	// of the batch) — so the ratio measures how repetitive the session's
-	// traffic is. The names are the wire contract. They are session-level
-	// build accounting, not per-run telemetry, so they are excluded from
-	// the sum-over-responses reconciliation, like the three below.
+	// RecipeHits / RecipeMisses are CompiledHits / CompiledMisses weighted
+	// by query count (memo.BuildCache): the queries of the batches whose
+	// build was skipped, and of the batches that were built. The names are
+	// the wire contract. They are session-level build accounting, not
+	// per-run telemetry, so they are excluded from the sum-over-responses
+	// reconciliation, like the three below.
 	RecipeHits   int64 `json:"recipe_hits"`
 	RecipeMisses int64 `json:"recipe_misses"`
 	// CompiledHits / CompiledMisses count batches, not queries: a hit is a
@@ -279,6 +255,32 @@ type SessionStats struct {
 	CompiledNodes  int   `json:"compiled_nodes"`
 }
 
+// Add folds o into s: one call's accounting into its session's, or a retired
+// session's lifetime into a pool's aggregate. Every counter and time sums;
+// CompiledNodes, a gauge of what a session holds right now, is left alone (a
+// retired session holds nothing).
+func (s *SessionStats) Add(o SessionStats) {
+	s.Batches += o.Batches
+	s.Interrupted += o.Interrupted
+	s.OracleCalls += o.OracleCalls
+	s.BCCalls += o.BCCalls
+	s.CacheHits += o.CacheHits
+	s.SharedHits += o.SharedHits
+	s.ComputedKeys += o.ComputedKeys
+	s.SharedOracleHits += o.SharedOracleHits
+	s.Rounds += o.Rounds
+	s.Invalidations += o.Invalidations
+	s.Faults += o.Faults
+	s.BuildTime += o.BuildTime
+	s.OptTime += o.OptTime
+	s.ExtractTime += o.ExtractTime
+	s.PublishTime += o.PublishTime
+	s.RecipeHits += o.RecipeHits
+	s.RecipeMisses += o.RecipeMisses
+	s.CompiledHits += o.CompiledHits
+	s.CompiledMisses += o.CompiledMisses
+}
+
 // Session is a long-lived handle for optimizing many batches against one
 // catalog: it fixes the catalog, the cost model and the tuning knobs
 // (strategy, parallelism, budgets) once, and every Optimize call reuses
@@ -286,33 +288,28 @@ type SessionStats struct {
 // — and the session aggregates telemetry across calls (Stats).
 //
 // A session exists for the recurring batch, and keeps three things for it.
-// The combined DAG and its compiled search space are built by the first
-// call that optimizes a batch and held (memo.BuildCache, bounded, least
-// recently used out): a later call with the same batch — same queries,
-// names, order and rule ablations — gets the same immutable objects back
-// and goes straight to the search. The cross-call cost cache
-// (physical.SharedCache) is attached to every call's searcher: each call
-// publishes what its scan workers learned when it ends, and — because the
-// cache keeps one table per combined-DAG structural fingerprint — a batch
-// identical to an earlier one starts with a warm cache instead of
-// relearning every (group, order, mask) cost. And the workers' scratch
-// tables, emptied by that publish, wait in the cost cache for the next
-// call instead of being allocated and cleared again. None of it can change
-// a result: a DAG is a pure function of catalog and batch, cached costs are
-// pure functions of their keys (Telemetry.SharedHits reports how often they
-// helped), and a reused worker starts empty. The search itself always
-// runs, so every call reports the same oracle work (WithWarmOracle is the
-// opt-in that skips it).
+// The combined DAG and its compiled search space, built by the first call
+// that optimizes a batch, are held (memo.BuildCache, bounded, least recently
+// used out): a later call with the same batch — same queries, names, order —
+// gets the same immutable objects back and goes straight to the search. The
+// cross-call cost cache (physical.SharedCache, one table per DAG
+// fingerprint) is attached to every call's searcher, and each call ends by
+// publishing into it what its workers learned, so an identical batch starts
+// warm. And the workers' scratch tables, emptied by that publish — the last
+// thing a call does with its searcher — wait in the cost cache for the next
+// call. None of it can change a result: a DAG is a pure function of catalog
+// and batch, cached costs are pure functions of their keys
+// (Telemetry.SharedHits reports how often they helped), and a reused worker
+// starts empty. The search itself always runs, so every call reports the
+// same oracle work (WithWarmOracle is the opt-in that skips it).
 type Session struct {
 	cat      *catalog.Catalog
 	model    cost.Model
 	defaults config
 	cache    *physical.SharedCache
 	// build holds the memos (with their compiled search spaces) of the
-	// batches the session has optimized, and remembers which query
-	// structures have validated against its catalog. Both are pure
-	// functions of (catalog, input), so neither goes stale within a
-	// session.
+	// batches the session has optimized: pure functions of (catalog, batch),
+	// so none goes stale within a session.
 	build *memo.BuildCache
 	// warmed flips on when a snapshot is imported: from then on every run
 	// consumes memoized oracle values from the shared cache (see
@@ -440,32 +437,21 @@ func (s *Session) Optimize(ctx context.Context, batch *logical.Batch, opts ...Op
 	return sr.RunResult, nil
 }
 
-// mergeConfig layers per-call options over the session defaults.
-func (s *Session) mergeConfig(opts []Option) config {
-	cfg := s.defaults
-	cfg.memoOpts = append([]memo.Option(nil), s.defaults.memoOpts...)
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return cfg
-}
-
 // runBatch is the body of OptimizeShared: build the combined DAG, run the
-// strategy, extract the plan, publish cache learning, and account session
-// stats.
-func (s *Session) runBatch(ctx context.Context, batch *logical.Batch, cfg config) (*RunResult, error) {
+// strategy, extract the plan, attribute the run to its member groups (counts
+// are their query counts), publish cache learning, and account session stats.
+// Publishing comes last of what touches the searcher: it hands the workers
+// back, so everything that evaluates on them runs before it.
+func (s *Session) runBatch(ctx context.Context, batch *logical.Batch, counts []int, cfg config) (*SharedResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cfg.memoOpts = append(cfg.memoOpts, memo.WithBuildCache(s.build))
-
 	buildStart := time.Now()
-	opt, err := volcano.NewOptimizer(s.cat, s.model, batch, cfg.memoOpts...)
+	opt, err := volcano.NewOptimizer(s.cat, s.model, batch, memo.WithBuildCache(s.build))
 	if err != nil {
 		return nil, err
 	}
 	build := time.Since(buildStart)
-	opt.Searcher.Parallelism = cfg.parallelism
 	opt.Searcher.AttachSharedCache(s.cache)
 	if cfg.extendedOps {
 		opt.SetExtendedOps(true)
@@ -517,39 +503,29 @@ func (s *Session) runBatch(ctx context.Context, batch *logical.Batch, cfg config
 	extractStart := time.Now()
 	plan := opt.Plan(res.MatSet())
 	extract := time.Since(extractStart)
+	rr := &RunResult{Result: res, Plan: plan, BuildTime: build, ExtractTime: extract, Checkpoint: cp, opt: opt}
+	attrs := attributeShared(rr, counts)
 	// Publish this call's cost learning into the session cache so later
 	// batches with the same DAG fingerprint start warm.
 	publishStart := time.Now()
 	opt.Searcher.PublishCache()
-	publish := time.Since(publishStart)
+	rr.PublishTime = time.Since(publishStart)
 
-	s.mu.Lock()
-	s.stats.Batches++
-	if res.Telemetry.Stopped != StopNone {
-		s.stats.Interrupted++
+	tel := res.Telemetry
+	call := SessionStats{
+		Batches: 1, OracleCalls: tel.OracleCalls, BCCalls: tel.BCCalls,
+		CacheHits: tel.CacheHits, SharedHits: tel.SharedHits, ComputedKeys: tel.ComputedKeys,
+		SharedOracleHits: tel.SharedOracleHits, Rounds: tel.Rounds,
+		BuildTime: build, OptTime: res.OptTime, ExtractTime: extract, PublishTime: rr.PublishTime,
 	}
-	s.stats.OracleCalls += res.Telemetry.OracleCalls
-	s.stats.BCCalls += res.Telemetry.BCCalls
-	s.stats.CacheHits += res.Telemetry.CacheHits
-	s.stats.SharedHits += res.Telemetry.SharedHits
-	s.stats.ComputedKeys += res.Telemetry.ComputedKeys
-	s.stats.SharedOracleHits += res.Telemetry.SharedOracleHits
-	s.stats.Rounds += res.Telemetry.Rounds
-	s.stats.BuildTime += build
-	s.stats.OptTime += res.OptTime
-	s.stats.ExtractTime += extract
-	s.stats.PublishTime += publish
+	if tel.Stopped != StopNone {
+		call.Interrupted = 1
+	}
+	s.mu.Lock()
+	s.stats.Add(call)
 	s.mu.Unlock()
 
-	return &RunResult{
-		Result:      res,
-		Plan:        plan,
-		BuildTime:   build,
-		ExtractTime: extract,
-		PublishTime: publish,
-		Checkpoint:  cp,
-		opt:         opt,
-	}, nil
+	return &SharedResult{RunResult: rr, Attributions: attrs}, nil
 }
 
 // Stats returns the telemetry aggregated over the session's calls so far.

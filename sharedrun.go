@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
-	"time"
 
 	"repro/internal/logical"
 	"repro/internal/memo"
@@ -75,7 +73,10 @@ func (s *Session) OptimizeShared(ctx context.Context, groups []*logical.Batch, o
 	if len(groups) == 0 {
 		return nil, errors.New("repro: OptimizeShared with no member groups")
 	}
-	cfg := s.mergeConfig(opts)
+	cfg := s.defaults // per-call options layer over the session's
+	for _, o := range opts {
+		o(&cfg)
+	}
 	if cfg.resume != nil && len(groups) > 1 {
 		return nil, errors.New("repro: resume is not supported for runs shared by several groups")
 	}
@@ -88,11 +89,7 @@ func (s *Session) OptimizeShared(ctx context.Context, groups []*logical.Batch, o
 		counts[i] = len(g.Queries)
 		combined.Queries = append(combined.Queries, g.Queries...)
 	}
-	rr, err := s.runBatch(ctx, combined, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &SharedResult{RunResult: rr, Attributions: attributeShared(rr, counts)}, nil
+	return s.runBatch(ctx, combined, counts, cfg)
 }
 
 // attributeShared slices a completed shared run into per-member
@@ -177,101 +174,5 @@ func attributeShared(rr *RunResult, counts []int) []Attribution {
 }
 
 // SplitTelemetry apportions one run's telemetry into len(weights) shares
-// that conserve exactly: every integer counter and duration satisfies
-// Σ shares == total, using largest-remainder apportionment (ties break to
-// the lower index), so the split is deterministic and no count is ever
-// lost or duplicated — the invariant the batched serving layer's
-// conservation audits rely on. Stopped is copied to every share;
-// CacheHitRate is recomputed per share from its own counters.
-func SplitTelemetry(t Telemetry, weights []int) []Telemetry {
-	n := len(weights)
-	if n == 0 {
-		return nil
-	}
-	out := make([]Telemetry, n)
-	splitInt := func(total int, set func(i int, v int)) {
-		vals := apportion(int64(total), weights)
-		for i, v := range vals {
-			set(i, int(v))
-		}
-	}
-	splitInt(t.OracleCalls, func(i, v int) { out[i].OracleCalls = v })
-	splitInt(t.BCCalls, func(i, v int) { out[i].BCCalls = v })
-	splitInt(t.CacheHits, func(i, v int) { out[i].CacheHits = v })
-	splitInt(t.SharedHits, func(i, v int) { out[i].SharedHits = v })
-	splitInt(t.ComputedKeys, func(i, v int) { out[i].ComputedKeys = v })
-	splitInt(t.SharedOracleHits, func(i, v int) { out[i].SharedOracleHits = v })
-	splitInt(t.Rounds, func(i, v int) { out[i].Rounds = v })
-	splitInt(t.Pruned, func(i, v int) { out[i].Pruned = v })
-	splitInt(t.Stale, func(i, v int) { out[i].Stale = v })
-	splitInt(t.Reused, func(i, v int) { out[i].Reused = v })
-	setup := apportion(int64(t.SetupTime), weights)
-	search := apportion(int64(t.SearchTime), weights)
-	finalize := apportion(int64(t.FinalizeTime), weights)
-	totalT := apportion(int64(t.TotalTime), weights)
-	for i := range out {
-		out[i].SetupTime = time.Duration(setup[i])
-		out[i].SearchTime = time.Duration(search[i])
-		out[i].FinalizeTime = time.Duration(finalize[i])
-		out[i].TotalTime = time.Duration(totalT[i])
-		out[i].Stopped = t.Stopped
-		if denom := out[i].CacheHits + out[i].SharedHits + out[i].ComputedKeys; denom > 0 {
-			out[i].CacheHitRate = float64(out[i].CacheHits+out[i].SharedHits) / float64(denom)
-		}
-	}
-	return out
-}
-
-// apportion splits total into len(weights) integer parts proportional to
-// the weights with Σ parts == total exactly (largest-remainder method,
-// ties to the lower index). Non-positive weight sums degrade to "all to
-// index 0"; negative totals split as the negated positive split.
-func apportion(total int64, weights []int) []int64 {
-	n := len(weights)
-	out := make([]int64, n)
-	if n == 0 || total == 0 {
-		return out
-	}
-	if total < 0 {
-		neg := apportion(-total, weights)
-		for i, v := range neg {
-			out[i] = -v
-		}
-		return out
-	}
-	var wsum int64
-	for _, w := range weights {
-		if w > 0 {
-			wsum += int64(w)
-		}
-	}
-	if wsum <= 0 {
-		out[0] = total
-		return out
-	}
-	type rem struct {
-		idx int
-		r   int64
-	}
-	rems := make([]rem, n)
-	var given int64
-	for i, w := range weights {
-		if w < 0 {
-			w = 0
-		}
-		q := total * int64(w) / wsum
-		out[i] = q
-		given += q
-		rems[i] = rem{idx: i, r: total * int64(w) % wsum}
-	}
-	sort.Slice(rems, func(a, b int) bool {
-		if rems[a].r != rems[b].r {
-			return rems[a].r > rems[b].r
-		}
-		return rems[a].idx < rems[b].idx
-	})
-	for k := int64(0); k < total-given; k++ {
-		out[rems[k%int64(n)].idx]++
-	}
-	return out
-}
+// that conserve exactly (Telemetry.Split).
+func SplitTelemetry(t Telemetry, weights []int) []Telemetry { return t.Split(weights) }

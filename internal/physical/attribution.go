@@ -35,7 +35,7 @@ type CostBreakdown struct {
 func (s *Searcher) CostBreakdown(mat NodeSet) CostBreakdown {
 	w := s.worker(0)
 	w.stats.BCCalls++
-	w.initCall(mat.bits)
+	w.begin(mat.bits, nil)
 	bd := CostBreakdown{RootUse: make([]float64, len(s.M.QueryRoots))}
 	total := 0.0
 	for _, id := range w.matGroups() {

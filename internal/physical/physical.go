@@ -12,11 +12,15 @@
 //	bc(S) = Σ_{s∈S} (computeCost(s) + matWriteCost(s)) + Σ_q useCost(root_q)
 //	useCost(g) = min(computeCost(g), matReadCost(g) [+ sort enforcement])  if g ∈ S
 //
-// The search memoizes on (group, required order) per call and keeps a
-// cross-call cache keyed by the materialization set restricted to the
-// shareable nodes below each group — the incremental recomputation
-// optimization of Section 5.1: adding one node to S invalidates only the
-// costs of its ancestors.
+// The search memoizes on (group, required order), and carries what it
+// learned from one call to the next at two levels — the incremental
+// recomputation optimization of Section 5.1: adding one node to S
+// invalidates only the costs of its ancestors. The memo itself outlives the
+// call: an evaluation re-prices only the groups above the nodes its set
+// differs from the previous one's in. Under it a cross-call cache is keyed
+// by the materialization set restricted to the shareable nodes below each
+// group, so a re-priced group whose own descendants did not change is a
+// lookup.
 //
 // # Hot-path representation
 //
@@ -35,12 +39,51 @@
 //     candidate generator defines (ties in the strict-< minimum therefore
 //     resolve identically to a naive enumeration);
 //   - per-group cost-model constants (blocks, sort/read/write costs), DAG
-//     depths and shareable-descendant bitsets.
+//     depths and shareable-descendant bitsets, and their inverse: for each
+//     shareable node the list of groups above it, and the shareable nodes in
+//     dependency (depth) order.
 //
 // Materialization sets are Bitsets indexed by shareable-node slot (see
 // memo.ShareIndex); NodeSet wraps one with the index needed to translate
-// group ids. Per-call memo tables are flat epoch-stamped arrays indexed by
-// (group, order id) that are reset in O(1) by bumping the epoch.
+// group ids.
+//
+// The memo is a pair of flat arrays of stamped cells indexed by (group,
+// order id) — one for use costs, one for compute costs — and one stamp per
+// group: a cell is live while its stamp is its group's, so handing a group a
+// new stamp (worker.stamp: no table holds it yet) drops every cell of the
+// group at once, and there is no second per-(group, order) table. A worker
+// keeps a base set, the set its live cells are priced for. To evaluate a set
+// T it re-stamps the groups above the nodes of T △ base (space.above) and
+// prices them through useCost / compute / the caches below; every other
+// group's cells — on the generator's DAGs five sixths of them, for a T one
+// node from the base — are read in place, with no mask hash, no cache probe
+// and no template loop. What the evaluation overwrote in the re-stamped
+// groups (their stamps, mask hashes, stored orders, cells) goes on an undo
+// log and is put back before the next evaluation, so a round of S ∪ {x}
+// over many x pays for the groups above x, once each, and nothing else.
+// bestCostOn still adds every materialized group's and every root's term, in
+// one fixed order, so a total is the bit a walk from nothing produces.
+//
+// The invariant: a cell whose stamp matches its group's holds the value for
+// the worker's current set; an evaluation may leave a matching stamp only on
+// a cell whose value holds for the base. (A cell written in a group that was
+// not re-stamped qualifies: no changed node lies below it, so its value is
+// the same under T and under the base.) Under it a lost undo record, a
+// dropped base or an eviction can only cost a recomputation, never change a
+// cost.
+//
+// The base follows the caller without being told. A batch
+// (BestCostBatchCtx) keeps the current base while every one of its sets is
+// within one node of it and otherwise moves to the batch's bitwise majority —
+// S for a greedy round of S ∪ {x}, U for DecomposeStar's U ∖ {e}; a worker
+// follows by re-stamping only the groups above old base △ new base. An
+// evaluation on its own keeps the base while it is within loneReach nodes
+// and otherwise becomes the base. A walk from nothing is the same code with
+// no base to start from: every group is re-stamped. That is also what
+// Incremental = false means — nothing is reused across calls: no base is
+// kept, no cache read or written — and what a flag toggle (ClearCache), a
+// SharedCache.Invalidate and a worker changing hands (bind) come down to:
+// they drop the base together with the L1.
 //
 // # Cross-call caching
 //
@@ -53,7 +96,7 @@
 // (bc_calls) is deterministic because it is counted at the oracle entry
 // point, above every cache level.
 //
-// The hierarchy a lookup walks under the per-call memo, fastest first:
+// The hierarchy a lookup walks under the memo, fastest first:
 //
 //  1. Flat L1, private to a worker: per-slot open-addressed probe arrays
 //     (l1Bucket, lazily allocated) of inline (mask, value) pairs with a
@@ -87,11 +130,14 @@
 // searcher: any number of searchers over one memo — a session's concurrent
 // or repeated runs of a batch it holds compiled — read the same arrays.
 // What a run mutates lives in the Searcher (flags, counters) and in its
-// workers, the per-evaluation contexts (scratch tables, the private L1
-// cache, stat counters). Sequential entry points (BestCost, BestUseCost,
-// BestPlan, CostBreakdown) share worker 0 and are not safe for concurrent
-// use, while BestCostBatchCtx evaluates many materialization sets
-// concurrently on up to Parallelism workers.
+// workers, the per-evaluation contexts (the memo with its base and undo
+// log, the private L1 cache, stat counters). Sequential entry points
+// (BestCost, BestUseCost, BestPlan, CostBreakdown) share worker 0 and are
+// not safe for concurrent use, while BestCostBatchCtx evaluates many
+// materialization sets concurrently on up to Parallelism workers. A worker's
+// base is private to it; the batch base (Searcher.base) is written by
+// BestCostBatchCtx before it starts the batch's goroutines, which only read
+// it.
 //
 // Workers are borrowed, under one rule for every entry point: a searcher
 // takes a worker the first time an evaluation needs one — from the attached
@@ -113,8 +159,10 @@ package physical
 
 import (
 	"context"
+	"math"
 	"math/bits"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -238,7 +286,7 @@ type space struct {
 	orders    []Order   // order registry; orders[0] = nil
 	sat       [][]bool  // sat[have][want] = orders[have].Satisfies(orders[want])
 	tmpls     [][]tmpl  // candidate templates per group
-	depths    []int32   // DAG height per group
+	depths    []int32   // DAG height per group (leaves are 0)
 	blocksArr []float64 // output blocks per group
 	sortArr   []float64 // SortCost per group
 	readArr   []float64 // MaterializeReadCost per group
@@ -248,7 +296,14 @@ type space struct {
 	// shareable node at slot; words are ceil(len(QueryRoots)/64).
 	rootMask  [][]uint64
 	rootWords int
-	structSum uint64 // structural fingerprint of the compiled search space
+	// above[slot] lists every group whose cone contains the shareable node
+	// at slot (the node's group included), ascending: the groups whose costs
+	// can change when the node enters or leaves the materialization set.
+	above [][]int32
+	// depthOrder lists the shareable slots by (DAG depth, group id): the
+	// order in which materializations depend on each other.
+	depthOrder []int32
+	structSum  uint64 // structural fingerprint of the compiled search space
 
 	ordIdx map[string]ordID // construction only
 }
@@ -262,8 +317,9 @@ type Searcher struct {
 	// (the memo) and SI (its shareable-node index).
 	space
 
-	// Incremental reports whether the cross-call cache is enabled
-	// (Section 5.1 optimization). Disabled only for ablation benchmarks.
+	// Incremental reports whether anything is reused across calls (the
+	// Section 5.1 optimization): the memo's base and the cross-call cache.
+	// Disabled only for ablation benchmarks.
 	Incremental bool
 
 	// ExtendedOps adds hash join and hash aggregation to the paper's
@@ -284,19 +340,31 @@ type Searcher struct {
 
 	// Parallelism bounds the number of workers BestCostBatchCtx fans a batch
 	// of candidate sets out to; 0 (the default) means GOMAXPROCS and 1
-	// forces sequential evaluation on worker 0. Each worker carries its
-	// own scratch tables and cross-call cache, and every individual bc(S)
-	// evaluation stays sequential, so results are bit-identical for every
-	// setting — the knob trades memory (one scratch context per worker)
-	// and warm-up (per-worker caches learn separately) against wall-clock
-	// time on the batched greedy rounds. Set it before optimization
-	// starts; it must not change during a concurrent batch.
+	// forces sequential evaluation on worker 0. It is a bound, not a
+	// demand: a batch fans out only where that pays — while the evaluations
+	// before it computed keys rather than read caches (fanOutKeys) — so a
+	// run the caches serve stays on worker 0 and takes no other. Each
+	// worker carries its own memo and cross-call cache, and every
+	// individual bc(S) evaluation stays sequential, so results are
+	// bit-identical for every setting — the knob trades memory (one
+	// context per worker) and warm-up (per-worker caches learn separately)
+	// against wall-clock time on the batched greedy rounds. Set it before
+	// optimization starts; it must not change during a concurrent batch.
 	Parallelism int
 
 	// workers are the evaluation contexts this searcher has taken so far
 	// (worker), in the order it asked for them.
 	workers []*worker
 	shared  *SharedCache // cross-worker / cross-searcher L2 cache
+
+	// base is the set the evaluations of a batch are priced against — the
+	// batch's workers read it, BestCostBatchCtx writes it before it starts
+	// them (setBatchBase) — and tally that rule's per-slot scratch.
+	// batchMark is the Stats reading at the start of the last batch, from
+	// which the next one decides whether fanning out pays (fanOutKeys).
+	base      memo.Bitset
+	tally     []int32
+	batchMark Stats
 
 	// fault is the first panic a batch worker recovered, kept until the
 	// owning run collects it with TakeFault. Batches run one at a time per
@@ -411,6 +479,7 @@ func (s *space) prepare() {
 		s.sat[i] = row
 	}
 	s.fillRootMasks()
+	s.fillAbove()
 	s.structSum = s.structHash()
 	s.ordIdx = nil // registry is sealed
 }
@@ -434,6 +503,45 @@ func (s *space) fillRootMasks() {
 			}
 		}
 	}
+}
+
+// fillAbove inverts the descendant bitsets into the per-slot ancestor lists
+// (one backing array, sized by a counting pass) and sorts the shareable
+// slots by depth.
+func (s *space) fillAbove() {
+	n, slots := s.M.NumGroups(), s.SI.Len()
+	start := make([]int, slots+1)
+	for g := 0; g < n; g++ {
+		for wi, wv := range s.SI.Descendants(memo.GroupID(g)) {
+			for ; wv != 0; wv &= wv - 1 {
+				start[wi*64+bits.TrailingZeros64(wv)+1]++
+			}
+		}
+	}
+	for i := 0; i < slots; i++ {
+		start[i+1] += start[i]
+	}
+	groups := make([]int32, start[slots])
+	s.above = make([][]int32, slots)
+	for i := range s.above {
+		s.above[i] = groups[start[i]:start[i]:start[i+1]]
+	}
+	for g := 0; g < n; g++ {
+		for wi, wv := range s.SI.Descendants(memo.GroupID(g)) {
+			for ; wv != 0; wv &= wv - 1 {
+				slot := wi*64 + bits.TrailingZeros64(wv)
+				s.above[slot] = append(s.above[slot], int32(g))
+			}
+		}
+	}
+	s.depthOrder = make([]int32, slots)
+	for i := range s.depthOrder {
+		s.depthOrder[i] = int32(i)
+	}
+	// Slots ascend with group id, so a stable sort by depth is (depth, id).
+	sort.SliceStable(s.depthOrder, func(i, j int) bool {
+		return s.depths[s.SI.GroupAt(int(s.depthOrder[i]))] < s.depths[s.SI.GroupAt(int(s.depthOrder[j]))]
+	})
 }
 
 // SharesQueryRoot reports whether some query root's cone contains both
@@ -485,10 +593,6 @@ func (s *space) fillDepth(g memo.GroupID) int32 {
 	return d
 }
 
-// depth returns the height of a group in the DAG (leaves are 0), used to
-// order materialization steps so dependencies are computed first.
-func (s *space) depth(g memo.GroupID) int { return int(s.depths[g]) }
-
 // l1BucketBits sizes the per-(group,order) flat L1 buckets: each bucket
 // is a fixed-capacity power-of-two probe array of 1<<l1BucketBits
 // (mask, value) pairs stored inline, so its occupancy fits one uint64
@@ -506,13 +610,47 @@ const l1BucketCap = 1 << l1BucketBits
 // run length from the occupancy word, so it still terminates).
 const l1MaxFill = l1BucketCap * 3 / 4
 
-// epVal is one per-call scratch memo cell: a cost stamped with the call
-// epoch that wrote it, adjacent in memory so a memo hit touches one
-// cache line.
+// epVal is one memo cell: a cost and the stamp its group carried when the
+// cost was written, adjacent in memory so a memo hit touches one cache line.
+// The cell is live while that is still the group's stamp (groupState.ep).
 type epVal struct {
 	ep  uint32
 	val float64
 }
+
+// groupState is what a worker knows about one group under its current set:
+// the stamp its live memo cells carry, and — each live while its own stamp
+// equals ep — the Section 5.1 mask hash and the order the group's
+// materialization is stored in.
+type groupState struct {
+	ep        uint32
+	mhEp      uint32
+	storedEp  uint32
+	storedOrd ordID
+	mhVal     uint64
+}
+
+// groupUndo and cellUndo are the undo log of one evaluation: what a group
+// re-stamped for it, and a cell of such a group it overwrote, held before.
+type groupUndo struct {
+	g   int32
+	old groupState
+}
+
+type cellUndo struct {
+	cell int32 // 2*slot + kind, the cell's L1 index
+	old  epVal
+}
+
+// loneReach is how far (in nodes) an evaluation outside a batch may lie from
+// the worker's base and still be priced as a delta against it; a set further
+// away becomes the base. One keeps a sequential scan of S ∪ {x} on S once S
+// itself was priced (the eager drivers). At two a scan that never priced S
+// (VolcanoSH) would sit on its first set and re-price two nodes' ancestors a
+// call with the undo log on top, where following the sets re-prices the same
+// two without it: 32 queries, everything in the L1, 1.22 µs a call at two
+// against 0.90 at one.
+const loneReach = 1
 
 // l1Entry is one inline (mask hash, cost) pair of a flat L1 bucket.
 type l1Entry struct {
@@ -664,15 +802,25 @@ type worker struct {
 	sharedEpoch uint64 // SharedCache invalidation epoch the L1 was filled under
 	l2          []atomic.Pointer[l1Bucket]
 
-	epoch     uint32
-	bits      memo.Bitset // current materialization set
-	useMemo   []epVal     // (group, ord) -> use cost, epoch-stamped
-	compMemo  []epVal     // (group, ord) -> compute cost, epoch-stamped
-	storedOrd []ordID     // delivered order of each materialization
-	storedEp  []uint32
-	mhVal     []uint64 // mask-hash per group
-	mhEp      []uint32
-	matIDs    []memo.GroupID // scratch for stored-order initialization
+	// The memo (see "Hot-path representation"). clock is the last stamp
+	// handed out: every stamp in the tables below is at most it, so a new
+	// one matches nothing.
+	clock    uint32
+	bits     memo.Bitset    // current materialization set
+	groups   []groupState   // per group
+	useMemo  []epVal        // (group, ord) -> use cost
+	compMemo []epVal        // (group, ord) -> compute cost
+	matIDs   []memo.GroupID // scratch for matGroups
+
+	// base is the set every live cell outside the undo log is priced for
+	// (meaningful while hasBase). overlay is the stamp of the groups the
+	// evaluation in flight re-priced against it, zero when there are none;
+	// the logs say what begin puts back before the next one.
+	base       memo.Bitset
+	hasBase    bool
+	overlay    uint32
+	undoGroups []groupUndo
+	undoCells  []cellUndo
 
 	stats Stats // since the last flushStats
 }
@@ -695,11 +843,11 @@ func fit[S ~[]E, E any](a S, n int) S {
 // bind makes the worker this searcher's: its tables are sized to the
 // searcher's DAG — kept where they are large enough, whatever DAG they
 // served before — and nothing of the previous owner stays readable. Every
-// scratch cell carries an epoch stamp below the worker's next one, and a new
-// array's zero stamps are below every epoch in use, so no cell is cleared;
-// the L1 may hold costs priced under the previous run's operator flags, so
-// it is reset; and the view of the SharedCache was resolved for the
-// previous namespace, so it is dropped.
+// stamp in them is at most the worker's clock and the base is dropped, so
+// the first evaluation re-stamps every group past them and no cell is
+// cleared; the L1 may hold costs priced under the previous run's operator
+// flags, so it is reset; and the view of the SharedCache was resolved for
+// the previous namespace, so it is dropped.
 func (w *worker) bind(s *Searcher) {
 	n := s.M.NumGroups()
 	slots := n * s.numOrds
@@ -707,21 +855,23 @@ func (w *worker) bind(s *Searcher) {
 	w.l1 = fit(w.l1, 2*slots)
 	w.useMemo = fit(w.useMemo, slots)
 	w.compMemo = fit(w.compMemo, slots)
-	w.storedOrd = fit(w.storedOrd, n)
-	w.storedEp = fit(w.storedEp, n)
-	w.mhVal = fit(w.mhVal, n)
-	w.mhEp = fit(w.mhEp, n)
+	w.groups = fit(w.groups, n)
 	w.bits = s.SI.NewMatSet()
+	w.base = fit(w.base, len(w.bits)) // unread until a rebase fills it
 	w.resetL1()
 	w.ns, w.sharedGen, w.sharedEpoch, w.l2 = 0, 0, 0, nil
 	w.stats = Stats{}
 }
 
-// resetL1 drops the worker's private cross-call cache in O(1) by bumping
-// the L1 epoch: buckets stamped with an older generation read as empty,
-// and every backing array is reused in place — no reallocation, however
-// often a SharedCache epoch bump or an explicit ClearCache lands.
+// resetL1 drops what the worker carries from one evaluation to the next:
+// the private cross-call cache, in O(1) by bumping the L1 epoch — buckets
+// stamped with an older generation read as empty, and every backing array
+// is reused in place, however often a SharedCache epoch bump or an explicit
+// ClearCache lands — and with it the base, so the next evaluation re-stamps
+// every group and no memo cell priced before (under other operator flags,
+// for one) is read again.
 func (w *worker) resetL1() {
+	w.dropBase()
 	w.l1Epoch++
 	if w.l1Epoch == 0 { // wrapped: stamps are ambiguous, hard-reset
 		// The whole array, not the slots of the current DAG: a bucket
@@ -822,34 +972,142 @@ func (w *worker) flushStats() {
 	w.stats = Stats{}
 }
 
-// initCall resets the per-call scratch state for a new materialization set
-// and, with MatOrders on, fixes each materialization's stored order in
-// dependency (depth) order, so a node's compute plan can already exploit
-// the materializations below it.
-func (w *worker) initCall(mat memo.Bitset) {
-	w.syncShared()
-	w.epoch++
-	if w.epoch == 0 { // wrapped: stamps are ambiguous, hard-reset
-		// A worker lives as long as its session (≈ 139 k calls/s wrap a
-		// uint32 in under nine hours), and its arrays may extend past this
-		// DAG's slots: clear their whole capacity.
-		clear(w.useMemo[:cap(w.useMemo)])
-		clear(w.compMemo[:cap(w.compMemo)])
-		clear(w.storedEp[:cap(w.storedEp)])
-		clear(w.mhEp[:cap(w.mhEp)])
-		w.epoch = 1
+// word is the i-th word of a set; a short or nil Bitset reads as all-zero.
+func word(b memo.Bitset, i int) uint64 {
+	if i < len(b) {
+		return b[i]
 	}
-	for i := range w.bits {
-		w.bits[i] = 0
+	return 0
+}
+
+// apart counts the nodes in exactly one of the two sets; b is full-width.
+func apart(a, b memo.Bitset) int {
+	n := 0
+	for i, bw := range b {
+		n += bits.OnesCount64(word(a, i) ^ bw)
 	}
-	copy(w.bits, mat)
-	if w.s.MatOrders {
-		ids := w.matGroups()
-		sortByDepth(w.s, ids)
-		for _, id := range ids {
-			w.storedOrd[id] = w.bestDeliveredOrder(id)
-			w.storedEp[id] = w.epoch
+	return n
+}
+
+// stamp hands out a stamp no table holds yet.
+func (w *worker) stamp() uint32 {
+	w.clock++
+	return w.clock
+}
+
+// dropBase forgets the base and whatever the last evaluation logged against
+// it: the next evaluation re-stamps every group.
+func (w *worker) dropBase() {
+	w.hasBase, w.overlay = false, 0
+	w.undoGroups, w.undoCells = w.undoGroups[:0], w.undoCells[:0]
+}
+
+// undo puts back what the last evaluation overwrote in the groups it
+// re-priced against the base — their stamps, mask hashes and stored orders,
+// and the cells it wrote there — so the memo again holds the base. Cells it
+// wrote elsewhere stay: no changed node lies below their groups, so they
+// hold for the base too.
+func (w *worker) undo() {
+	for i := len(w.undoCells) - 1; i >= 0; i-- {
+		u := &w.undoCells[i]
+		if u.cell&1 == kindUse {
+			w.useMemo[u.cell>>1] = u.old
+		} else {
+			w.compMemo[u.cell>>1] = u.old
 		}
+	}
+	for i := range w.undoGroups {
+		w.groups[w.undoGroups[i].g] = w.undoGroups[i].old
+	}
+	w.undoGroups, w.undoCells, w.overlay = w.undoGroups[:0], w.undoCells[:0], 0
+}
+
+// restamp hands the groups above the nodes of a △ b one new stamp and
+// returns it, zero when the sets are equal. With log set it records what
+// each group held first, for undo.
+func (w *worker) restamp(a, b memo.Bitset, log bool) (ep uint32) {
+	for i, aw := range a {
+		for d := aw ^ b[i]; d != 0; d &= d - 1 {
+			if ep == 0 {
+				ep = w.stamp()
+			}
+			for _, g := range w.s.above[i*64+bits.TrailingZeros64(d)] {
+				if gs := &w.groups[g]; gs.ep != ep {
+					if log {
+						w.undoGroups = append(w.undoGroups, groupUndo{g, *gs})
+					}
+					gs.ep = ep
+				}
+			}
+		}
+	}
+	return ep
+}
+
+// rebase makes to the worker's base, re-stamping — for good, nothing is
+// logged — only the groups above the nodes the old base differs in; with no
+// base to start from, or none to keep (to == nil), that is every group.
+func (w *worker) rebase(to memo.Bitset) {
+	if w.hasBase && to != nil {
+		w.restamp(w.base, to, false)
+	} else {
+		ep := w.stamp()
+		for g := range w.groups {
+			w.groups[g].ep = ep
+		}
+		w.hasBase = to != nil
+	}
+	copy(w.base, to)
+}
+
+// begin makes the memo hold the set mat: a live cell — one whose stamp is
+// its group's — is the group's cost under mat when begin returns. base is
+// the set the batch in flight prices against (BestCostBatchCtx), nil for an
+// evaluation on its own, which keeps the worker's base while mat lies
+// within loneReach of it and otherwise becomes the base itself. begin
+// rolls the previous evaluation back, follows the base, re-stamps the
+// groups above the nodes mat differs from it in, logging what they held.
+// With Incremental off no base is kept and every call re-stamps every group.
+func (w *worker) begin(mat, base memo.Bitset) {
+	w.syncShared()
+	if w.clock >= math.MaxUint32-2 { // a call takes at most two stamps
+		w.wrap()
+	}
+	w.undo()
+	for i := range w.bits {
+		w.bits[i] = word(mat, i)
+	}
+	switch {
+	case !w.s.Incremental:
+		base = nil
+	case base == nil && w.hasBase && apart(w.bits, w.base) <= loneReach:
+		base = w.base
+	case base == nil:
+		base = w.bits
+	}
+	w.rebase(base)
+	if w.hasBase {
+		w.overlay = w.restamp(w.base, w.bits, true)
+	}
+}
+
+// wrap hard-resets the memo before the clock runs out: stamps would turn
+// ambiguous. A worker lives as long as its session (≈ 139 k calls/s wrap a
+// uint32 in under nine hours), and its arrays may extend past this DAG's
+// slots: their whole capacity is cleared.
+func (w *worker) wrap() {
+	clear(w.useMemo[:cap(w.useMemo)])
+	clear(w.compMemo[:cap(w.compMemo)])
+	clear(w.groups[:cap(w.groups)])
+	w.clock = 0
+	w.dropBase()
+}
+
+// logCell records, before the evaluation in flight overwrites it, a cell of
+// a group re-stamped for this evaluation alone.
+func (w *worker) logCell(g memo.GroupID, cell int, m *epVal) {
+	if w.groups[g].ep == w.overlay {
+		w.undoCells = append(w.undoCells, cellUndo{int32(cell), *m})
 	}
 }
 
@@ -874,50 +1132,48 @@ func (w *worker) matHas(g memo.GroupID) bool {
 	return sl >= 0 && w.bits.HasSlot(sl)
 }
 
-// stored returns the delivered order of a materialized group this call.
+// stored returns the order a materialized group is stored in under the
+// current set: with MatOrders on, the one its cheapest unconstrained compute
+// plan delivers, fixed the first time a reader asks. That plan reads the
+// materializations below the group in their stored orders, which the same
+// rule fixes on the way down, so dependencies come first.
 func (w *worker) stored(g memo.GroupID) ordID {
-	if w.storedEp[g] != w.epoch {
+	if !w.s.MatOrders {
 		return 0
 	}
-	return w.storedOrd[g]
+	gs := &w.groups[g]
+	if gs.storedEp != gs.ep {
+		gs.storedOrd = w.bestDeliveredOrder(g)
+		gs.storedEp = gs.ep
+	}
+	return gs.storedOrd
 }
 
 // maskHash returns the Section 5.1 cache mask for the group under the
-// current set, memoized per call.
+// current set, memoized like a cell.
 func (w *worker) maskHash(g memo.GroupID) uint64 {
-	if w.mhEp[g] == w.epoch {
-		return w.mhVal[g]
+	gs := &w.groups[g]
+	if gs.mhEp != gs.ep {
+		gs.mhVal = memo.HashMasked(w.s.SI.Descendants(g), w.bits)
+		gs.mhEp = gs.ep
 	}
-	v := memo.HashMasked(w.s.SI.Descendants(g), w.bits)
-	w.mhVal[g] = v
-	w.mhEp[g] = w.epoch
-	return v
-}
-
-func sortByDepth(s *Searcher, ids []memo.GroupID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0; j-- {
-			di, dj := s.depth(ids[j-1]), s.depth(ids[j])
-			if dj < di || (dj == di && ids[j] < ids[j-1]) {
-				ids[j-1], ids[j] = ids[j], ids[j-1]
-			} else {
-				break
-			}
-		}
-	}
+	return gs.mhVal
 }
 
 // BestCost is bc(S): see the package comment.
 func (s *Searcher) BestCost(mat NodeSet) float64 {
 	w := s.worker(0)
-	v := s.bestCostOn(w, mat.bits)
+	v := s.bestCostOn(w, mat.bits, nil)
 	w.flushStats()
 	return v
 }
 
-func (s *Searcher) bestCostOn(w *worker, mat memo.Bitset) float64 {
+// bestCostOn prices mat on the worker against the given base (see begin).
+// Whatever begin found live, every materialized group's and every root's
+// term is added, in this order: the float total is the full walk's.
+func (s *Searcher) bestCostOn(w *worker, mat, base memo.Bitset) float64 {
 	w.stats.BCCalls++
-	w.initCall(mat)
+	w.begin(mat, base)
 	total := 0.0
 	for _, id := range w.matGroups() {
 		total += w.compute(id, 0) + s.writeArr[id]
@@ -951,6 +1207,13 @@ func (s *Searcher) BestCostBatchCtx(ctx context.Context, mats []NodeSet) (costs 
 	if par > len(mats) {
 		par = len(mats)
 	}
+	if did := s.Stats.Sub(s.batchMark); did.BCCalls > 0 && did.ComputedKey < fanOutKeys*did.BCCalls {
+		par = 1
+	}
+	s.batchMark = s.Stats
+	if s.Incremental {
+		s.setBatchBase(mats)
+	}
 	var aborted int32
 	var fault atomic.Pointer[faultinject.PanicError]
 	cancelled := func() bool {
@@ -976,7 +1239,7 @@ func (s *Searcher) BestCostBatchCtx(ctx context.Context, mats []NodeSet) (costs 
 			}
 		}()
 		faultinject.Hit(faultinject.OracleEval)
-		out[i] = s.bestCostOn(w, mats[i].bits)
+		out[i] = s.bestCostOn(w, mats[i].bits, s.base)
 		return true
 	}
 	if par <= 1 {
@@ -1036,6 +1299,51 @@ func (s *Searcher) BestCostBatchCtx(ctx context.Context, mats []NodeSet) (costs 
 	return out, true
 }
 
+// fanOutKeys is the number of keys an evaluation must compute, on average
+// over the evaluations since the start of the last batch, for the next batch
+// to be worth a second worker: below it the batch runs on worker 0 whatever
+// Parallelism says. An evaluation the caches serve costs 1–6 µs, less than
+// waking a goroutine, and a worker that is never woken is never taken or
+// allocated. Measured with the rule off (2-vCPU Xeon 2.6 GHz, PR 23, a warm
+// Session.Optimize at Parallelism 1 against 2): 16 queries 0.47 against
+// 0.66 ms, 32 queries 1.34 against 1.70, 64 queries 5.7 against 6.0 — under
+// a key a call each — while a cold 64-query run (≈ 350 keys a call) is 101 ms
+// on one worker and 88 on two. A searcher's first batch after no evaluation
+// at all fans out.
+const fanOutKeys = 16
+
+// setBatchBase chooses the base of a batch: the current one while every set
+// of the batch lies within one node of it — a later chunk of the same
+// round — and otherwise the batch's bitwise majority, which is S for a
+// round of S ∪ {x} and U for DecomposeStar's U ∖ {e}.
+func (s *Searcher) setBatchBase(mats []NodeSet) {
+	if s.base == nil {
+		s.base, s.tally = s.SI.NewMatSet(), make([]int32, s.SI.Len())
+	} else {
+		near := true
+		for i := 0; near && i < len(mats); i++ {
+			near = apart(mats[i].bits, s.base) <= 1
+		}
+		if near {
+			return
+		}
+	}
+	clear(s.tally)
+	for _, m := range mats {
+		for wi, v := range m.bits {
+			for ; v != 0; v &= v - 1 {
+				s.tally[wi*64+bits.TrailingZeros64(v)]++
+			}
+		}
+	}
+	clear(s.base)
+	for slot, n := range s.tally {
+		if 2*int(n) > len(mats) {
+			s.base.SetSlot(slot)
+		}
+	}
+}
+
 // TakeFault returns the panic recovered during the most recent batch, if
 // any, and clears it. A non-nil fault means that batch aborted with
 // ok=false and its committed prefix is still exact; the memo and caches of
@@ -1054,7 +1362,7 @@ func (s *Searcher) TakeFault() error {
 // but does not pay for computing or materializing it.
 func (s *Searcher) BestUseCost(mat NodeSet) float64 {
 	w := s.worker(0)
-	w.initCall(mat.bits)
+	w.begin(mat.bits, nil)
 	total := 0.0
 	for _, root := range s.M.QueryRoots {
 		total += w.useCost(root, 0)
@@ -1070,7 +1378,7 @@ func (s *Searcher) BestUseCost(mat NodeSet) float64 {
 // a full call frame per memo hit is measurable at workload scale.
 func (w *worker) useCost(g memo.GroupID, ord ordID) float64 {
 	m := &w.useMemo[int(g)*w.s.numOrds+int(ord)]
-	if m.ep == w.epoch {
+	if m.ep == w.groups[g].ep {
 		return m.val
 	}
 	return w.useCostMiss(g, ord, m)
@@ -1081,12 +1389,13 @@ func (w *worker) useCost(g memo.GroupID, ord ordID) float64 {
 func (w *worker) useCostMiss(g memo.GroupID, ord ordID, m *epVal) float64 {
 	s := w.s
 	idx := int(g)*s.numOrds + int(ord)
+	w.logCell(g, 2*idx+kindUse, m)
 	var mask uint64
 	if s.Incremental {
 		mask = w.maskHash(g)
 		if v, ok := w.cached(idx, mask, kindUse); ok {
 			m.val = v
-			m.ep = w.epoch
+			m.ep = w.groups[g].ep
 			return v
 		}
 	}
@@ -1097,7 +1406,7 @@ func (w *worker) useCostMiss(g memo.GroupID, ord ordID, m *epVal) float64 {
 		}
 	}
 	m.val = v
-	m.ep = w.epoch
+	m.ep = w.groups[g].ep
 	if s.Incremental {
 		w.store(idx, mask, v, kindUse)
 	}
@@ -1124,7 +1433,7 @@ func (w *worker) matUseCost(g memo.GroupID, ord ordID) (cost float64, needSort b
 // required order. Like useCost, the memo check inlines at call sites.
 func (w *worker) compute(g memo.GroupID, ord ordID) float64 {
 	m := &w.compMemo[int(g)*w.s.numOrds+int(ord)]
-	if m.ep == w.epoch {
+	if m.ep == w.groups[g].ep {
 		return m.val
 	}
 	return w.computeMiss(g, ord, m)
@@ -1135,8 +1444,9 @@ func (w *worker) compute(g memo.GroupID, ord ordID) float64 {
 func (w *worker) computeMiss(g memo.GroupID, ord ordID, m *epVal) float64 {
 	s := w.s
 	idx := int(g)*s.numOrds + int(ord)
+	w.logCell(g, 2*idx+kindComp, m)
 	m.val = inf // guard against accidental cycles
-	m.ep = w.epoch
+	m.ep = w.groups[g].ep
 	var mask uint64
 	if s.Incremental {
 		mask = w.maskHash(g)
@@ -1184,7 +1494,7 @@ func (w *worker) price(t *tmpl, ord ordID) (cost float64, out ordID, ok bool) {
 		// Order-preserving filter: forward the requirement.
 		g := t.child[0].g
 		m := &w.useMemo[int(g)*s.numOrds+int(ord)]
-		if m.ep == w.epoch {
+		if m.ep == w.groups[g].ep {
 			return m.val + t.local, ord, true
 		}
 		return w.useCostMiss(g, ord, m) + t.local, ord, true
@@ -1192,11 +1502,10 @@ func (w *worker) price(t *tmpl, ord ordID) (cost float64, out ordID, ok bool) {
 	if !s.sat[t.out][ord] {
 		return 0, 0, false
 	}
-	ep := w.epoch
 	for ci := uint8(0); ci < t.nchild; ci++ {
 		c := &t.child[ci]
 		m := &w.useMemo[int(c.g)*s.numOrds+int(c.ord)]
-		if m.ep == ep {
+		if m.ep == w.groups[c.g].ep {
 			cost += m.val
 		} else {
 			cost += w.useCostMiss(c.g, c.ord, m)

@@ -2,7 +2,6 @@ package physical
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/expr"
@@ -48,17 +47,13 @@ type ConsolidatedPlan struct {
 // use.
 func (s *Searcher) BestPlan(mat NodeSet) *ConsolidatedPlan {
 	w := s.worker(0)
-	w.initCall(mat.bits)
+	w.begin(mat.bits, nil)
 	cp := &ConsolidatedPlan{QueryNames: append([]string(nil), s.M.QueryNames...)}
-	ids := append([]memo.GroupID(nil), w.matGroups()...)
-	sort.Slice(ids, func(i, j int) bool {
-		di, dj := s.depth(ids[i]), s.depth(ids[j])
-		if di != dj {
-			return di < dj
+	for _, slot := range s.depthOrder { // dependencies first
+		if !w.bits.HasSlot(int(slot)) {
+			continue
 		}
-		return ids[i] < ids[j]
-	})
-	for _, id := range ids {
+		id := s.SI.GroupAt(int(slot))
 		w.stats.ExtractCalls++
 		p := w.extractCompute(id, 0)
 		wc := s.writeArr[id]

@@ -2,6 +2,7 @@ package physical
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -207,8 +208,8 @@ func TestPooledWorkerAcrossDAGs(t *testing.T) {
 		} else if w != pooled {
 			t.Fatalf("round %d: the pooled worker was not reused", round)
 		}
-		if len(w.useMemo) != step.m.NumGroups()*s.numOrds || len(w.l1) != 2*len(w.useMemo) || len(w.mhEp) != step.m.NumGroups() {
-			t.Fatalf("round %d: tables sized %d/%d/%d for %d groups × %d orders", round, len(w.useMemo), len(w.l1), len(w.mhEp), step.m.NumGroups(), s.numOrds)
+		if len(w.useMemo) != step.m.NumGroups()*s.numOrds || len(w.l1) != 2*len(w.useMemo) || len(w.groups) != step.m.NumGroups() {
+			t.Fatalf("round %d: tables sized %d/%d/%d for %d groups × %d orders", round, len(w.useMemo), len(w.l1), len(w.groups), step.m.NumGroups(), s.numOrds)
 		}
 		sameCosts(t, "pooled worker", s, randomSets(s, rng, 12))
 		if round%2 == 0 {
@@ -219,12 +220,12 @@ func TestPooledWorkerAcrossDAGs(t *testing.T) {
 	}
 }
 
-// Epoch wrap on a pooled worker: it now lives as long as its session, so
+// Stamp wrap on a pooled worker: it now lives as long as its session, so
 // the wrap is reachable, and its arrays extend past the DAG it is bound to
 // when the wrap comes. The hard reset must clear their whole capacity: the
-// cells and buckets beyond the small DAG carry stamps of the large one's
-// first run (priced with the extended operators), and after the wrap the
-// epochs pass through those very values again.
+// cells, group records and buckets beyond the small DAG carry stamps of the
+// large one's first run (priced with the extended operators), and after the
+// wrap the clocks pass through those very values again.
 func TestPooledWorkerEpochWrap(t *testing.T) {
 	big, small := workloadMemo(t, 32), workloadMemo(t, 8)
 	cache := NewSharedCache()
@@ -240,19 +241,40 @@ func TestPooledWorkerEpochWrap(t *testing.T) {
 		first.BestCost(set)
 	}
 	cache.putWorkers(first.workers) // unpublished: the L1 buckets stay with the worker
-	if w.l1Epoch != 2 || w.epoch != uint32(len(sets)) {
-		t.Fatalf("first run left epochs %d / %d, the test assumes 2 / %d", w.l1Epoch, w.epoch, len(sets))
+	// Every evaluation took a stamp or two, so the second run's first
+	// stamps are ones cells of this run carry.
+	if w.l1Epoch != 2 || w.clock < uint32(len(sets)) || w.clock > 2*uint32(len(sets)) {
+		t.Fatalf("first run left L1 epoch %d and clock %d, the test assumes 2 and %d–%d", w.l1Epoch, w.clock, len(sets), 2*len(sets))
+	}
+	stale := 0
+	for _, c := range w.useMemo[small.NumGroups()*NewSearcher(small).numOrds:] {
+		if c.ep != 0 && c.ep <= uint32(len(sets)) {
+			stale++
+		}
+	}
+	if stale == 0 {
+		t.Fatal("no cell beyond the small DAG carries an early stamp: the wrap has nothing to clear")
 	}
 
-	w.epoch, w.l1Epoch = ^uint32(0), ^uint32(0)
+	w.clock, w.l1Epoch = math.MaxUint32-2, ^uint32(0)
 	mid := NewSearcher(small)
 	mid.AttachSharedCache(cache)
 	if mid.worker(0) != w || cap(w.useMemo) <= len(w.useMemo) {
 		t.Fatalf("the small DAG did not get the large worker resliced (len %d cap %d)", len(w.useMemo), cap(w.useMemo))
 	}
 	sameCosts(t, "small DAG across the wrap", mid, randomSets(mid, rng, 2))
-	if w.l1Epoch != 1 || w.epoch != 2 {
-		t.Fatalf("epochs after the wrap %d / %d, want 1 / 2", w.l1Epoch, w.epoch)
+	if w.l1Epoch != 1 || w.clock == 0 || w.clock > 4 {
+		t.Fatalf("after the wrap: L1 epoch %d, clock %d; want 1 and a restart from 1", w.l1Epoch, w.clock)
+	}
+	for i, c := range w.useMemo[len(w.useMemo):cap(w.useMemo)] {
+		if c.ep != 0 {
+			t.Fatalf("the wrap left stamp %d on cell %d past the bound DAG", c.ep, len(w.useMemo)+i)
+		}
+	}
+	for i, g := range w.groups[len(w.groups):cap(w.groups)] {
+		if g != (groupState{}) {
+			t.Fatalf("the wrap left %+v on group %d past the bound DAG", g, len(w.groups)+i)
+		}
 	}
 	mid.PublishCache()
 

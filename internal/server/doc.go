@@ -40,6 +40,9 @@
 // A request is refused with 400 when one of its blocks joins more than
 // logical.MaxBlockSources sources: the DAG holds every connected subset of
 // a block's sources, so the bound is checked before anything is built.
+// A request's "parallelism" above GOMAXPROCS runs at GOMAXPROCS (the oracle
+// allocates a DAG-sized worker per unit of it, and workers beyond the cores
+// buy nothing); the library's WithParallelism is taken as given.
 //
 // # Admission-control contract
 //

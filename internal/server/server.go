@@ -8,6 +8,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -330,7 +331,11 @@ type runSpec struct {
 // effectiveSpec resolves a request against its tenant's caps and, when
 // non-nil, the degraded clamps: the effective budget is the tightest of
 // the request's ask, the tenant's cap and the degraded clamp, and
-// degraded serving forces the cheap LazyGreedy fallback strategy.
+// degraded serving forces the cheap LazyGreedy fallback strategy. The
+// worker-pool override is clamped to GOMAXPROCS: a fanned-out batch
+// allocates a worker — tables the size of the DAG — per unit of it, and
+// workers beyond the cores buy nothing (a cold 32-query request asking for
+// 256 allocated 204 MB against the default's 16 MB).
 func effectiveSpec(req *OptimizeRequest, cfg TenantConfig, deg *BreakerConfig) runSpec {
 	strat, _ := parseStrategy(req.Strategy) // validated at decode time
 	if deg != nil {
@@ -338,7 +343,7 @@ func effectiveSpec(req *OptimizeRequest, cfg TenantConfig, deg *BreakerConfig) r
 	}
 	rs := runSpec{
 		strategy:    strat,
-		parallelism: req.Parallelism,
+		parallelism: min(req.Parallelism, runtime.GOMAXPROCS(0)),
 		timeMS:      req.TimeBudgetMS,
 		callBudget:  -1,
 	}

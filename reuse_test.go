@@ -203,35 +203,49 @@ func TestConcurrentRepeatsShareNothingMutable(t *testing.T) {
 }
 
 // TestFaultLeavesNoPooledWorker: a run stopped by a panic never publishes,
-// so the workers it poisoned never reach the free list — it stays as the
-// last clean run left it — and what the session held before the fault
-// still answers like a cold one.
+// so no worker it took — each may be poisoned — comes back to the free list,
+// and what the session held before the fault still answers like a cold one.
+// A run takes a worker when an evaluation first needs it: a repeat of a held
+// batch, which the caches serve, prices everything on one (fanOutKeys), a
+// run that has to compute — here the same batch under the other operator
+// set — fans out and takes Parallelism of them.
 func TestFaultLeavesNoPooledWorker(t *testing.T) {
 	batch := tpcd.BQ(2)
 	cold, err := newTestSession(t).Optimize(context.Background(), batch, WithParallelism(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := newTestSession(t, WithParallelism(2))
-	if _, err := sess.Optimize(context.Background(), batch); err != nil {
-		t.Fatal(err)
-	}
-	free := sess.cache.FreeWorkers()
-	if free == 0 {
-		t.Fatal("a clean run left no worker on the free list")
-	}
-	restore := faultinject.Enable(faultinject.NewSchedule(1,
-		faultinject.Rule{Point: faultinject.OracleEval, N: 5, Panic: true}))
-	_, err = sess.Optimize(context.Background(), batch)
-	restore()
-	var fe *FaultError
-	if !errors.As(err, &fe) {
-		t.Fatalf("injected panic surfaced as %v", err)
-	}
-	// The faulted run took the free workers and must not have given any
-	// back; a searcher it never got as far as using holds none.
-	if got := sess.cache.FreeWorkers(); got != 0 {
-		t.Fatalf("free list %d → %d across a faulted run: a poisoned worker was pooled", free, got)
+	var sess *Session
+	for _, tc := range []struct {
+		name string
+		opts []Option
+		took int
+	}{
+		{"warm repeat", nil, 1},
+		{"cold run", []Option{WithExtendedOps(true)}, 2},
+	} {
+		sess = newTestSession(t, WithParallelism(2))
+		if _, err := sess.Optimize(context.Background(), batch); err != nil {
+			t.Fatal(err)
+		}
+		free := sess.cache.FreeWorkers()
+		if free == 0 {
+			t.Fatal("a clean run left no worker on the free list")
+		}
+		restore := faultinject.Enable(faultinject.NewSchedule(1,
+			faultinject.Rule{Point: faultinject.OracleEval, N: 5, Panic: true}))
+		_, err = sess.Optimize(context.Background(), batch, tc.opts...)
+		restore()
+		var fe *FaultError
+		if !errors.As(err, &fe) {
+			t.Fatalf("%s: injected panic surfaced as %v", tc.name, err)
+		}
+		// The faulted run took its workers from the free list while it had
+		// any and must not have given one back; a searcher it never got as
+		// far as using holds none.
+		if got, want := sess.cache.FreeWorkers(), max(0, free-tc.took); got != want {
+			t.Fatalf("%s: free list %d → %d across a faulted run that took %d: want %d, a poisoned worker was pooled", tc.name, free, got, tc.took, want)
+		}
 	}
 	// The owner quarantines the session; the next one starts clean and is
 	// bit-identical to cold.

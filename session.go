@@ -115,7 +115,9 @@ func WithStrategy(s Strategy) Option {
 }
 
 // WithParallelism bounds the worker pool evaluating candidate sets in a
-// greedy round: 0 means GOMAXPROCS, 1 forces sequential evaluation.
+// greedy round: 0 means GOMAXPROCS, 1 forces sequential evaluation. It is a
+// bound: a round fans out only while the run is computing costs, so a repeat
+// the session's caches serve stays on one worker (physical.Searcher.Parallelism).
 // Results are bit-identical at every setting.
 func WithParallelism(n int) Option {
 	return func(c *config) { c.parallelism = n }

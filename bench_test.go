@@ -187,24 +187,27 @@ var (
 // shareable universe — the greedy scan volume, not DAG build, dominates.)
 func BenchmarkWorkload(b *testing.B) {
 	cat := tpcd.Catalog(1)
+	// run is the measured op: a fresh optimizer over the batch, one cold run.
+	run := func(b *testing.B, batch *logical.Batch, cfg core.Config) (res core.Result) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			opt, err := volcano.NewOptimizer(cat, cost.Default(), batch)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res = core.RunWith(context.Background(), opt, core.MarginalGreedy, cfg)
+		}
+		b.StopTimer()
+		return res
+	}
 	for _, size := range workloadSizes {
 		for _, sharing := range workloadSharings {
 			b.Run(fmt.Sprintf("%dx%g", size, sharing), func(b *testing.B) {
 				if size > 64 && testing.Short() {
 					b.Skipf("skipping the %d-query stress tier in -short mode", size)
 				}
-				batch := workload.MustGenerate(workload.DefaultSpec(size, sharing))
-				var res core.Result
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					opt, err := volcano.NewOptimizer(cat, cost.Default(), batch)
-					if err != nil {
-						b.Fatal(err)
-					}
-					res = core.RunWith(context.Background(), opt, core.MarginalGreedy, core.Config{})
-				}
-				b.StopTimer()
+				res := run(b, workload.MustGenerate(workload.DefaultSpec(size, sharing)), core.Config{})
 				b.ReportMetric(res.Cost/1000, "cost_s")
 				b.ReportMetric(float64(len(res.Materialized)), "materialized")
 				b.ReportMetric(float64(res.OracleCalls), "bc_calls")
@@ -213,6 +216,58 @@ func BenchmarkWorkload(b *testing.B) {
 				b.ReportMetric(float64(res.Telemetry.Pruned), "pruned")
 			})
 		}
+	}
+	// The parallel curve (ROADMAP item 2): the same cold 64-query run with the
+	// oracle's worker bound at 1, 2 and 4. computed_keys is the work — it
+	// grows with P, each worker's private L1 recomputing what a neighbour
+	// just did — and efficiency is p1's ns/op over P × this row's, so 1.0 is
+	// a linear speed-up; on fewer than P cores it cannot be reached.
+	batch := workload.MustGenerate(workload.DefaultSpec(64, 0.25))
+	var p1 float64
+	for _, par := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("64x0.25/p%d", par), func(b *testing.B) {
+			res := run(b, batch, core.Config{Parallelism: par})
+			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			if par == 1 {
+				p1 = ns
+			}
+			b.ReportMetric(float64(res.OracleCalls), "bc_calls")
+			b.ReportMetric(float64(res.Telemetry.ComputedKeys), "computed_keys")
+			if p1 > 0 {
+				b.ReportMetric(p1/(float64(par)*ns), "efficiency")
+			}
+		})
+	}
+}
+
+// BenchmarkNewWorker measures what a cold run pays per oracle worker before
+// it has priced anything twice: a searcher over a compiled memo takes a
+// fresh worker — the cell-sized memo and L1 tables, allocated and zeroed —
+// and makes the first bc(∅) on it, which touches every cell a full walk
+// demands and allocates the L1 buckets it stores them in (1,152 B each, most
+// of B/op). computed_keys is that walk.
+func BenchmarkNewWorker(b *testing.B) {
+	cat := tpcd.Catalog(1)
+	for _, size := range []int{64, 256} {
+		b.Run(fmt.Sprintf("%dx0.25", size), func(b *testing.B) {
+			if size > 64 && testing.Short() {
+				b.Skipf("skipping the %d-query stress tier in -short mode", size)
+			}
+			m, err := memo.Build(cat, cost.Default(), workload.MustGenerate(workload.DefaultSpec(size, 0.25)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			physical.NewSearcher(m) // compile outside the timer
+			var s *physical.Searcher
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s = physical.NewSearcher(m)
+				s.BestCost(physical.NodeSet{})
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(s.ComputedKey), "computed_keys")
+		})
 	}
 }
 

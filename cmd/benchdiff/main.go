@@ -22,9 +22,10 @@
 //     new/old ns-per-op ratios exceeds -threshold (default 1.25). A single
 //     noisy benchmark cannot fail the build unless the regression is
 //     drastic, while a broad slowdown always does. This gate is hardware-
-//     sensitive — a warning is printed when the recorded CPU differs from
-//     the baseline's, and the baseline should be refreshed from a CI
-//     artifact when the runner class shifts.
+//     sensitive, so it is refused — non-zero exit, one line saying why —
+//     when the run's CPU model or GOMAXPROCS differs from the baseline's:
+//     a ratio across machines passes real regressions and fails none.
+//     Re-record the baseline on the machine that gates against it.
 //   - oracle calls: fail when any benchmark's bc_calls metric (the
 //     deterministic count of bestCost oracle evaluations the workload
 //     benchmarks report) grows beyond -call-threshold (default 1.05).
@@ -83,9 +84,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(2)
 	}
-	if base.CPU != "" && snap.CPU != "" && base.CPU != snap.CPU {
-		fmt.Fprintf(os.Stderr, "benchdiff: warning: baseline CPU %q != current CPU %q — the ns/op gate compares across hardware; refresh the baseline from this runner's artifact if ratios look uniformly shifted\n", base.CPU, snap.CPU)
-	}
 	rep := Compare(base, snap, *threshold, *callThreshold)
 	fmt.Print(rep.Table())
 	if rep.Fail {
@@ -112,7 +110,21 @@ type Snapshot struct {
 	GOOS       string           `json:"goos,omitempty"`
 	GOARCH     string           `json:"goarch,omitempty"`
 	CPU        string           `json:"cpu,omitempty"`
+	GOMAXPROCS int              `json:"gomaxprocs,omitempty"` // from the benchmark names' suffix
 	Benchmarks map[string]Bench `json:"benchmarks"`
+}
+
+// otherMachine says why ns/op of the two snapshots cannot be compared — a
+// different CPU model or GOMAXPROCS — or returns "" when they can. A field
+// either side did not record decides nothing.
+func otherMachine(base, snap *Snapshot) string {
+	switch {
+	case base.CPU != "" && snap.CPU != "" && base.CPU != snap.CPU:
+		return fmt.Sprintf("the baseline was recorded on CPU %q, this run on %q", base.CPU, snap.CPU)
+	case base.GOMAXPROCS != 0 && snap.GOMAXPROCS != 0 && base.GOMAXPROCS != snap.GOMAXPROCS:
+		return fmt.Sprintf("the baseline was recorded at GOMAXPROCS %d, this run at %d", base.GOMAXPROCS, snap.GOMAXPROCS)
+	}
+	return ""
 }
 
 // Load reads a snapshot JSON.
@@ -162,6 +174,7 @@ func Compare(base, snap *Snapshot, threshold, callThreshold float64) *Report {
 	rep := &Report{}
 	sum, n := 0.0, 0
 	worstCalls := ""
+	refused := otherMachine(base, snap)
 	for name, old := range base.Benchmarks {
 		nv, ok := snap.Benchmarks[name]
 		if !ok {
@@ -172,7 +185,7 @@ func Compare(base, snap *Snapshot, threshold, callThreshold float64) *Report {
 		// A non-positive ns/op (a hand-edited or corrupted baseline entry)
 		// would drive the geomean to Inf/NaN and poison the whole gate;
 		// such rows are shown but excluded from the ratio.
-		if old.NsPerOp > 0 && nv.NsPerOp > 0 {
+		if old.NsPerOp > 0 && nv.NsPerOp > 0 && refused == "" {
 			r.Ratio = nv.NsPerOp / old.NsPerOp
 			sum += math.Log(r.Ratio)
 			n++
@@ -195,6 +208,20 @@ func Compare(base, snap *Snapshot, threshold, callThreshold float64) *Report {
 	sort.Strings(rep.Missing)
 	sort.Strings(rep.Added)
 	switch {
+	case refused != "":
+		// The call counts are the same on any machine: still gated, and
+		// reported with the refusal.
+		rep.Fail = true
+		rep.Geomean = math.NaN()
+		calls := "oracle calls are within the gate"
+		if worstCalls != "" {
+			calls = worstCalls
+		}
+		rep.Reason = fmt.Sprintf("refusing to gate ns/op: %s (re-record the baseline on this machine); %s", refused, calls)
+		if len(rep.Missing) > 0 {
+			rep.Reason += fmt.Sprintf("; %d baseline benchmark(s) missing from the new run", len(rep.Missing))
+		}
+		return rep
 	case n == 0:
 		rep.Fail = true
 		rep.Geomean = math.NaN()

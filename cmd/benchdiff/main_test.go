@@ -109,3 +109,59 @@ func TestCompareNoCommonFails(t *testing.T) {
 		t.Error("disjoint benchmark sets must fail the gate")
 	}
 }
+
+// TestCompareRefusesAcrossMachines: ns/op is gated only between runs of one
+// CPU model at one GOMAXPROCS. Across machines the comparison is refused —
+// the report fails with one line naming the difference — while the
+// machine-independent call counts are still gated and reported.
+func TestCompareRefusesAcrossMachines(t *testing.T) {
+	bench := func(ns, calls float64) map[string]Bench {
+		return map[string]Bench{"W": {NsPerOp: ns, BCCalls: calls}, "B": {NsPerOp: 100}}
+	}
+	for _, tc := range []struct {
+		name       string
+		base, snap Snapshot
+		fail       bool
+		reason     []string // substrings of Reason
+		ratios     bool     // ns/op ratios computed
+	}{
+		{"same machine", Snapshot{CPU: "x", GOMAXPROCS: 2, Benchmarks: bench(100, 1000)}, Snapshot{CPU: "x", GOMAXPROCS: 2, Benchmarks: bench(110, 1000)}, false, nil, true},
+		{"same machine, slower", Snapshot{CPU: "x", GOMAXPROCS: 2, Benchmarks: bench(100, 1000)}, Snapshot{CPU: "x", GOMAXPROCS: 2, Benchmarks: bench(400, 1000)}, true, []string{"geomean"}, true},
+		{"other CPU", Snapshot{CPU: "x", Benchmarks: bench(100, 1000)}, Snapshot{CPU: "y", Benchmarks: bench(50, 1000)}, true, []string{"refusing to gate ns/op", `CPU "x"`, `"y"`, "oracle calls are within"}, false},
+		{"other GOMAXPROCS", Snapshot{CPU: "x", GOMAXPROCS: 1, Benchmarks: bench(100, 1000)}, Snapshot{CPU: "x", GOMAXPROCS: 4, Benchmarks: bench(100, 1000)}, true, []string{"refusing to gate ns/op", "GOMAXPROCS 1", "at 4"}, false},
+		{"other CPU, calls grew", Snapshot{CPU: "x", Benchmarks: bench(100, 1000)}, Snapshot{CPU: "y", Benchmarks: bench(100, 1200)}, true, []string{"refusing to gate ns/op", "W oracle calls grew 1000 -> 1200"}, false},
+		{"baseline without a machine", Snapshot{Benchmarks: bench(100, 1000)}, Snapshot{CPU: "y", GOMAXPROCS: 2, Benchmarks: bench(100, 1000)}, false, nil, true},
+		{"baseline without GOMAXPROCS", Snapshot{CPU: "x", Benchmarks: bench(100, 1000)}, Snapshot{CPU: "x", GOMAXPROCS: 2, Benchmarks: bench(100, 1000)}, false, nil, true},
+	} {
+		rep := Compare(&tc.base, &tc.snap, 1.25, 1.05)
+		if rep.Fail != tc.fail {
+			t.Errorf("%s: fail = %t (%s), want %t", tc.name, rep.Fail, rep.Reason, tc.fail)
+		}
+		for _, want := range tc.reason {
+			if !strings.Contains(rep.Reason, want) {
+				t.Errorf("%s: reason %q does not mention %q", tc.name, rep.Reason, want)
+			}
+		}
+		if strings.Contains(rep.Reason, "\n") {
+			t.Errorf("%s: reason spans lines: %q", tc.name, rep.Reason)
+		}
+		for _, row := range rep.Rows {
+			if (row.Ratio > 0) != tc.ratios {
+				t.Errorf("%s: row %s has ns/op ratio %v, computed across machines: %t", tc.name, row.Name, row.Ratio, !tc.ratios)
+			}
+		}
+	}
+}
+
+func TestParseRecordsGOMAXPROCS(t *testing.T) {
+	for in, want := range map[string]int{
+		"BenchmarkA-4 1 10 ns/op\nBenchmarkB/x-4 1 10 ns/op\n": 4,
+		"BenchmarkA 1 10 ns/op\n":                              1,
+		"BenchmarkWorkload/64x0.25/p4-2 1 10 ns/op\n":          2,
+	} {
+		snap, err := Parse(strings.NewReader(in))
+		if err != nil || snap.GOMAXPROCS != want {
+			t.Errorf("Parse(%q): GOMAXPROCS %d (%v), want %d", in, snap.GOMAXPROCS, err, want)
+		}
+	}
+}

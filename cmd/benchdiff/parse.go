@@ -9,10 +9,11 @@ import (
 
 // Parse reads `go test -bench` output: benchmark result lines become
 // (name → minimum measurements) entries — the GOMAXPROCS suffix is
-// stripped so names are stable across machines — and the goos/goarch/cpu
-// header lines are carried into the snapshot. Besides ns/op, the
-// deterministic bc_calls metric is captured when a benchmark reports it.
-// Unrelated lines (PASS, ok, metrics-only noise) are ignored.
+// stripped so names are stable across machines, and kept as the snapshot's
+// GOMAXPROCS (no suffix is 1) — and the goos/goarch/cpu header lines are
+// carried into the snapshot. Besides ns/op, the deterministic bc_calls
+// metric is captured when a benchmark reports it. Unrelated lines (PASS, ok,
+// metrics-only noise) are ignored.
 func Parse(r io.Reader) (*Snapshot, error) {
 	snap := &Snapshot{Benchmarks: map[string]Bench{}}
 	sc := bufio.NewScanner(r)
@@ -33,10 +34,11 @@ func Parse(r io.Reader) (*Snapshot, error) {
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
 		}
-		name, b, ok := parseBenchLine(line)
+		name, b, procs, ok := parseBenchLine(line)
 		if !ok {
 			continue
 		}
+		snap.GOMAXPROCS = max(snap.GOMAXPROCS, procs)
 		if old, seen := snap.Benchmarks[name]; seen {
 			if old.NsPerOp < b.NsPerOp {
 				b.NsPerOp = old.NsPerOp
@@ -53,22 +55,21 @@ func Parse(r io.Reader) (*Snapshot, error) {
 // parseBenchLine extracts the measurements from one result line of the form
 //
 //	BenchmarkName[-8]  <iterations>  <value> ns/op  [<value> bc_calls ...]
-func parseBenchLine(line string) (string, Bench, bool) {
+func parseBenchLine(line string) (name string, b Bench, procs int, ok bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 {
-		return "", Bench{}, false
+		return "", Bench{}, 0, false
 	}
-	name := fields[0]
+	name, procs = fields[0], 1
 	// Strip the -GOMAXPROCS suffix from the last path element only.
 	if i := strings.LastIndex(name, "-"); i > 0 && !strings.Contains(name[i:], "/") {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
+		if p, err := strconv.Atoi(name[i+1:]); err == nil {
+			name, procs = name[:i], p
 		}
 	}
 	if _, err := strconv.Atoi(fields[1]); err != nil {
-		return "", Bench{}, false // iteration count must be an integer
+		return "", Bench{}, 0, false // iteration count must be an integer
 	}
-	var b Bench
 	for i := 2; i+1 < len(fields); i++ {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
@@ -82,7 +83,7 @@ func parseBenchLine(line string) (string, Bench, bool) {
 		}
 	}
 	if b.NsPerOp == 0 {
-		return "", Bench{}, false
+		return "", Bench{}, 0, false
 	}
-	return name, b, true
+	return name, b, procs, true
 }

@@ -39,13 +39,13 @@ func (s *Searcher) CostBreakdown(mat NodeSet) CostBreakdown {
 	bd := CostBreakdown{RootUse: make([]float64, len(s.M.QueryRoots))}
 	total := 0.0
 	for _, id := range w.matGroups() {
-		c := w.compute(id, 0) + s.writeArr[id]
+		c := w.compute(id, 0, s.cells.anyCell(id)) + s.writeArr[id]
 		bd.MatGroups = append(bd.MatGroups, id)
 		bd.MatCosts = append(bd.MatCosts, c)
 		total += c
 	}
 	for i, root := range s.M.QueryRoots {
-		u := w.useCost(root, 0)
+		u := w.useCost(root, 0, s.cells.anyCell(root))
 		bd.RootUse[i] = u
 		total += u
 	}

@@ -51,9 +51,15 @@ type tmpl struct {
 	indexCol string
 }
 
+// childReq is what a template asks of one child: the group and the order,
+// and the cell they have in the space's index (cellIndex). For the
+// passthrough filter, whose child order is whatever is required of the filter
+// itself, cell is instead the distance from the filter's cell to the child's:
+// the two groups share one order list, so it is the same for every order.
 type childReq struct {
-	g   memo.GroupID
-	ord ordID
+	g    memo.GroupID
+	ord  ordID
+	cell int32
 }
 
 // buildTemplates compiles the candidate templates of one group, in the

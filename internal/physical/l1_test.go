@@ -203,7 +203,7 @@ func TestL1OverflowFallsBackToShared(t *testing.T) {
 	// The evicted key falls back to the L2: seed it there (as an earlier
 	// PublishCache would have) and the cache read must hit, counted as a
 	// shared hit — every time, since a shared hit is not copied into the L1.
-	seedCosts(cache, w.ns, s.M.NumGroups(), s.numOrds, []sharedKV{{k: cacheKey{g: 0, ord: 0, compute: false, mask: victim}, v: victimVal}})
+	seedCosts(cache, w.ns, s.cells, []sharedKV{{k: cacheKey{g: 0, ord: 0, compute: false, mask: victim}, v: victimVal}})
 	w.syncShared()
 	w.stats.SharedHits = 0
 	for n := 1; n <= 2; n++ {
@@ -261,7 +261,7 @@ func TestL1OccupancyPastFillBound(t *testing.T) {
 	checkResident("full bucket", b.lookup)
 
 	// Published: an empty slot adopts the full bucket as is.
-	tab := &nsTable{numOrds: 1, slots: make([]atomic.Pointer[l1Bucket], 2)}
+	tab := &nsTable{slots: make([]atomic.Pointer[l1Bucket], 2)}
 	if n := tab.absorb(kindUse, b); n != l1BucketCap {
 		t.Fatalf("adopting the full bucket added %d entries, want %d", n, l1BucketCap)
 	}
@@ -464,30 +464,32 @@ func BenchmarkL1Probe(b *testing.B) {
 
 var benchSink float64
 
-// TestNewWorkerBytesPerSlot guards the per-run table set-up every
-// Optimize pays once per worker: the slot-sized arrays are the L1 bucket
-// pointers (2 × 8 B) and the two per-call memo cells (2 × 16 B), 48 B per
-// (group, order) slot. The allowance covers the per-group scratch arrays
-// and allocator size-class rounding; a fourth slot-sized array does not
-// fit in it. One goroutine, one newWorker: the reading does not depend on
-// GOMAXPROCS or the worker pool size.
-func TestNewWorkerBytesPerSlot(t *testing.T) {
+// TestNewWorkerBytesPerCell guards the per-run table set-up every
+// Optimize pays once per worker: the cell-sized arrays are the L1 bucket
+// pointers (2 × 8 B) and the two memo cells (2 × 16 B), 48 B per cell —
+// per (group, order) pair an evaluation can ask for, not per pair there
+// is. The allowance covers the per-group records (24 B) and allocator
+// size-class rounding; a fourth cell-sized array does not fit in it, and
+// one sized by groups × orders (here 15 × the cells) is far outside. One
+// goroutine, one newWorker: the reading does not depend on GOMAXPROCS or
+// the worker pool size.
+func TestNewWorkerBytesPerCell(t *testing.T) {
 	m, err := memo.Build(tpcd.Catalog(1), cost.Default(), workload.MustGenerate(workload.DefaultSpec(32, 0.25)))
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
 	s := NewSearcher(m)
 	groups := m.NumGroups()
-	slots := groups * s.numOrds
+	cells := s.cells.len()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	w := s.newWorker()
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(w)
 	got := after.TotalAlloc - before.TotalAlloc
-	limit := uint64(48*slots + 64*groups + 64<<10)
-	t.Logf("%d groups × %d orders: newWorker allocated %d B (%.1f B/slot), limit %d", groups, s.numOrds, got, float64(got)/float64(slots), limit)
+	limit := uint64(48*cells + 32*groups + 16<<10)
+	t.Logf("%d cells of %d groups × %d orders: newWorker allocated %d B (%.1f B/cell), limit %d", cells, groups, s.numOrds, got, float64(got)/float64(cells), limit)
 	if got > limit {
-		t.Fatalf("newWorker allocated %d B for %d slots, want ≤ %d (48 B/slot plus allowance)", got, slots, limit)
+		t.Fatalf("newWorker allocated %d B for %d cells, want ≤ %d (48 B/cell plus allowance)", got, cells, limit)
 	}
 }

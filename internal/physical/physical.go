@@ -41,17 +41,49 @@
 //   - per-group cost-model constants (blocks, sort/read/write costs), DAG
 //     depths and shareable-descendant bitsets, and their inverse: for each
 //     shareable node the list of groups above it, and the shareable nodes in
-//     dependency (depth) order.
+//     dependency (depth) order;
+//   - the cell index (cellIndex, fillCells): a number for every (group,
+//     order) pair an evaluation can ever ask for, and on every template the
+//     numbers of its children.
 //
 // Materialization sets are Bitsets indexed by shareable-node slot (see
 // memo.ShareIndex); NodeSet wraps one with the index needed to translate
 // group ids.
 //
-// The memo is a pair of flat arrays of stamped cells indexed by (group,
-// order id) — one for use costs, one for compute costs — and one stamp per
-// group: a cell is live while its stamp is its group's, so handing a group a
-// new stamp (worker.stamp: no table holds it yet) drops every cell of the
-// group at once, and there is no second per-(group, order) table. A worker
+// A cell is a (group, order) pair in the static demand closure. What is
+// asked of a group follows from price's rules alone, whatever the
+// materialization set, the operator flags or the caches — those only decide
+// which part of the closure one evaluation reaches: the entry points ask
+// use(root, any) of every query root and compute(g, any) of every
+// materialized group; use(g, o) asks compute(g, o), and stored(g) what
+// compute(g, any) asks; compute(g, o) asks, of each template whose delivered
+// order satisfies o, use of its children in the template's fixed orders, of
+// the order-preserving filter use(child, o), and — o being an order —
+// compute(g, any) for the sort enforcer. Every order satisfies "any", so a
+// group is asked for any order, for the fixed orders its parents' templates
+// name, and for what a filter above it is asked. That is 2–4 % of groups ×
+// orders (generator seed 1000, 16 / 32 / 64 / 256 queries: 620 / 1,555 /
+// 4,734 / 52,285 pairs of 14,534 / 50,530 / 182,304 / 2,362,584 — exactly
+// the keys a walk from nothing computes). Cells are numbered group by group,
+// ascending by order id within a group, and the groups a chain of filters
+// links share one order list (the union of their fixed demands): a filter
+// then forwards the k-th order of its list to the k-th cell of its child, a
+// constant distance away (childReq.cell), with no load between the parent's
+// cell and the child's — a per-template translation array is a dependent
+// cache miss on every filter visit, two templates in three at 256 queries
+// (ISSUE 24's prototype of it ran the 256-query tier in 6.7–7.0 s against
+// 5.3–5.5 this way and 6.0–6.3 with sparse tables). Sharing pads the closure
+// 2.0–2.6 × (1,210 / 3,546 / 11,770 / 134,777 cells), which is still
+// 12–17.5 × fewer than groups × orders, and everything per (group, order)
+// that a worker or a SharedCache namespace holds is sized by it: 48 B a cell,
+// 0.56 MB a worker at 64 queries and 6.5 MB at 256, where groups × orders
+// were 8.5 and 111.
+//
+// The memo is a pair of flat arrays of stamped cells — one for use costs, one
+// for compute costs — and one stamp per group: a cell is live while its stamp
+// is its group's, so handing a group a new stamp (worker.stamp: no table
+// holds it yet) drops every cell of the group at once, and there is no
+// second per-(group, order) table. A worker
 // keeps a base set, the set its live cells are priced for. To evaluate a set
 // T it re-stamps the groups above the nodes of T △ base (space.above) and
 // prices them through useCost / compute / the caches below; every other
@@ -98,17 +130,17 @@
 //
 // The hierarchy a lookup walks under the memo, fastest first:
 //
-//  1. Flat L1, private to a worker: per-slot open-addressed probe arrays
+//  1. Flat L1, private to a worker: per-cell open-addressed probe arrays
 //     (l1Bucket, lazily allocated) of inline (mask, value) pairs with a
 //     1-byte tag per position and an explicit occupancy bitmap, so no mask
 //     value is reserved as "empty". Use-cost and compute-cost keys share
-//     one table: the bucket of a (group, order) slot and kind sits at index
-//     2*slot+kind. Memory is bounded by the fill bound (l1Bucket.store says
-//     what a store does there); resetL1 clears every bucket in O(1) by
-//     bumping the worker's l1Epoch.
+//     one table: the bucket of a cell and kind sits at index 2*cell+kind.
+//     Memory is bounded by the fill bound (l1Bucket.store says what a store
+//     does there); resetL1 clears every bucket in O(1) by bumping the
+//     worker's l1Epoch.
 //  2. SharedCache L2: the optionally attached cross-searcher tier, one
 //     table per namespace (structural fingerprint + operator flags) with
-//     the L1's own geometry: slot 2*slot+kind holds an atomically loaded
+//     the L1's own geometry: slot 2*cell+kind holds an atomically loaded
 //     pointer to a short chain of l1Buckets that are immutable once
 //     published. Reads are lock-free: a worker resolves its namespace's
 //     table once per oracle call (nil when nothing was published under
@@ -118,6 +150,16 @@
 //     only what this run computed. The hot path never writes the L2 —
 //     fresh values go only to the L1 and PublishCache moves them over
 //     (see SharedCache for how, and for the capacity bound).
+//
+// The tables of both levels are per cell; the keys are not. A cacheKey, a
+// CacheSnapshot entry and the structural fingerprint name (group, order), as
+// they did when tables were groups × orders: a namespace table keeps the
+// cell index of the searcher that shaped it and maps through it at its
+// edges — an imported key is looked up (and dropped when it has no cell: no
+// searcher of the namespace can ask for it), an export walks the cells, which
+// ascend in the snapshot's canonical (group, order) order. Equal search
+// spaces compile to equal indexes, so a table shaped by one searcher serves
+// every other of its namespace.
 //
 // repro.Session owns one SharedCache per session, so identical batches
 // start warm; entries are namespaced by the searcher's structural
@@ -291,7 +333,10 @@ type space struct {
 	sortArr   []float64 // SortCost per group
 	readArr   []float64 // MaterializeReadCost per group
 	writeArr  []float64 // MaterializeWriteCost per group
-	numOrds   int
+	numOrds   int       // len(orders): what the registry and sat are sized by
+	// cells indexes every per-(group, order) table of a worker and of a
+	// SharedCache namespace (cellIndex, fillCells).
+	cells cellIndex
 	// rootMask[slot] is the bitset of query roots whose cone contains the
 	// shareable node at slot; words are ceil(len(QueryRoots)/64).
 	rootMask  [][]uint64
@@ -478,6 +523,7 @@ func (s *space) prepare() {
 		}
 		s.sat[i] = row
 	}
+	s.fillCells()
 	s.fillRootMasks()
 	s.fillAbove()
 	s.structSum = s.structHash()
@@ -638,7 +684,7 @@ type groupUndo struct {
 }
 
 type cellUndo struct {
-	cell int32 // 2*slot + kind, the cell's L1 index
+	cell int32 // 2*cell + kind, the cell's L1 index
 	old  epVal
 }
 
@@ -659,15 +705,15 @@ type l1Entry struct {
 }
 
 // l1Bucket is the flat open-addressed cross-call cache of one (group,
-// order) slot and cost kind. Occupancy is explicit — bit j of occ marks
+// order) cell and cost kind. Occupancy is explicit — bit j of occ marks
 // entries[j] live — so every 64-bit mask hash, including ^uint64(0),
 // round-trips exactly. ep stamps the occupancy with the worker's L1
 // epoch: resetL1 bumps the epoch in O(1) and a stale bucket lazily
 // self-clears on its next store, reusing its backing array. next is nil
 // in a worker's L1; a SharedCache table, whose buckets are never written
-// once published, links the buckets of one slot through it. It comes last
-// so the 16-byte header keeps every entry inside one cache line; only a
-// probe that misses a published bucket reads it.
+// once published, links the buckets of one cell and kind through it. It
+// comes last so the 16-byte header keeps every entry inside one cache line;
+// only a probe that misses a published bucket reads it.
 type l1Bucket struct {
 	ep      uint32
 	occ     uint64
@@ -785,14 +831,14 @@ type worker struct {
 	s *Searcher // current owner; nil on the free list
 
 	// Private L1 cross-call cache. Entries are bucketed by the (group,
-	// order) slot — the same int(g)*numOrds+ord index the scratch tables
-	// use — and the cost kind, and keyed inside the bucket by the 8-byte
-	// mask hash alone. Each bucket is a flat open-addressed probe array
-	// (l1Bucket), lazily allocated on first store and cleared in place by
-	// epoch stamping, so a probe is a few adjacent inline loads instead
-	// of a runtime map access. Misses fall through to l2.
+	// order) cell — the index the memo tables below use — and the cost
+	// kind, and keyed inside the bucket by the 8-byte mask hash alone. Each
+	// bucket is a flat open-addressed probe array (l1Bucket), lazily
+	// allocated on first store and cleared in place by epoch stamping, so a
+	// probe is a few adjacent inline loads instead of a runtime map access.
+	// Misses fall through to l2.
 	l1Epoch uint32      // current L1 generation; buckets with other stamps are dead
-	l1      []*l1Bucket // bucket of (slot, kind) at 2*slot+kind, lazily allocated
+	l1      []*l1Bucket // bucket of (cell, kind) at 2*cell+kind, lazily allocated
 
 	// View of the attached SharedCache, refreshed by syncShared: l2 is the
 	// table of namespace ns as resolved at generation sharedGen, nil when
@@ -808,8 +854,8 @@ type worker struct {
 	clock    uint32
 	bits     memo.Bitset    // current materialization set
 	groups   []groupState   // per group
-	useMemo  []epVal        // (group, ord) -> use cost
-	compMemo []epVal        // (group, ord) -> compute cost
+	useMemo  []epVal        // per cell: use cost
+	compMemo []epVal        // per cell: compute cost
 	matIDs   []memo.GroupID // scratch for matGroups
 
 	// base is the set every live cell outside the undo log is priced for
@@ -849,13 +895,12 @@ func fit[S ~[]E, E any](a S, n int) S {
 // flags, so it is reset; and the view of the SharedCache was resolved for
 // the previous namespace, so it is dropped.
 func (w *worker) bind(s *Searcher) {
-	n := s.M.NumGroups()
-	slots := n * s.numOrds
+	cells := s.cells.len()
 	w.s = s
-	w.l1 = fit(w.l1, 2*slots)
-	w.useMemo = fit(w.useMemo, slots)
-	w.compMemo = fit(w.compMemo, slots)
-	w.groups = fit(w.groups, n)
+	w.l1 = fit(w.l1, 2*cells)
+	w.useMemo = fit(w.useMemo, cells)
+	w.compMemo = fit(w.compMemo, cells)
+	w.groups = fit(w.groups, s.M.NumGroups())
 	w.bits = s.SI.NewMatSet()
 	w.base = fit(w.base, len(w.bits)) // unread until a rebase fills it
 	w.resetL1()
@@ -874,7 +919,7 @@ func (w *worker) resetL1() {
 	w.dropBase()
 	w.l1Epoch++
 	if w.l1Epoch == 0 { // wrapped: stamps are ambiguous, hard-reset
-		// The whole array, not the slots of the current DAG: a bucket
+		// The whole array, not the cells of the current DAG: a bucket
 		// beyond them keeps its stamp for the next, larger one.
 		for _, b := range w.l1[:cap(w.l1)] {
 			if b != nil {
@@ -902,7 +947,7 @@ func (w *worker) syncShared() {
 	}
 	w.ns, w.sharedGen = ns, gen
 	var epoch uint64
-	w.l2, epoch = c.resolve(ns, s.M.NumGroups(), s.numOrds)
+	w.l2, epoch = c.resolve(ns, s.cells)
 	if epoch != w.sharedEpoch {
 		w.sharedEpoch = epoch
 		w.resetL1()
@@ -917,12 +962,12 @@ const (
 )
 
 // cached consults the cache levels for a use- or compute-cost key: the
-// slot's L1 bucket, then the same slot of the SharedCache table resolved
+// cell's L1 bucket, then the same cell of the SharedCache table resolved
 // for this call — an atomic pointer load and a probe of immutable buckets,
 // with no lock, no hash, and no copy into the L1. Fresh values go only to
 // the L1; PublishCache hands them to the SharedCache in bulk.
-func (w *worker) cached(idx int, mask uint64, kind int) (float64, bool) {
-	i := 2*idx + kind
+func (w *worker) cached(cell int, mask uint64, kind int) (float64, bool) {
+	i := 2*cell + kind
 	if b := w.l1[i]; b != nil && b.ep == w.l1Epoch {
 		if v, ok := b.lookup(mask); ok {
 			w.stats.CacheHits++
@@ -938,8 +983,8 @@ func (w *worker) cached(idx int, mask uint64, kind int) (float64, bool) {
 	return 0, false
 }
 
-func (w *worker) store(idx int, mask uint64, v float64, kind int) {
-	i := 2*idx + kind
+func (w *worker) store(cell int, mask uint64, v float64, kind int) {
+	i := 2*cell + kind
 	if w.l1[i] == nil {
 		w.l1[i] = new(l1Bucket)
 	}
@@ -953,7 +998,7 @@ func (s *Searcher) worker(i int) *worker {
 	for len(s.workers) <= i {
 		var w *worker
 		if s.shared != nil {
-			w = s.shared.takeWorker(s.M.NumGroups() * s.numOrds)
+			w = s.shared.takeWorker(s.cells.len())
 		}
 		if w != nil {
 			w.bind(s)
@@ -1094,7 +1139,7 @@ func (w *worker) begin(mat, base memo.Bitset) {
 // wrap hard-resets the memo before the clock runs out: stamps would turn
 // ambiguous. A worker lives as long as its session (≈ 139 k calls/s wrap a
 // uint32 in under nine hours), and its arrays may extend past this DAG's
-// slots: their whole capacity is cleared.
+// cells: their whole capacity is cleared.
 func (w *worker) wrap() {
 	clear(w.useMemo[:cap(w.useMemo)])
 	clear(w.compMemo[:cap(w.compMemo)])
@@ -1105,9 +1150,9 @@ func (w *worker) wrap() {
 
 // logCell records, before the evaluation in flight overwrites it, a cell of
 // a group re-stamped for this evaluation alone.
-func (w *worker) logCell(g memo.GroupID, cell int, m *epVal) {
+func (w *worker) logCell(g memo.GroupID, cell, kind int, m *epVal) {
 	if w.groups[g].ep == w.overlay {
-		w.undoCells = append(w.undoCells, cellUndo{int32(cell), *m})
+		w.undoCells = append(w.undoCells, cellUndo{int32(2*cell + kind), *m})
 	}
 }
 
@@ -1176,10 +1221,10 @@ func (s *Searcher) bestCostOn(w *worker, mat, base memo.Bitset) float64 {
 	w.begin(mat, base)
 	total := 0.0
 	for _, id := range w.matGroups() {
-		total += w.compute(id, 0) + s.writeArr[id]
+		total += w.compute(id, 0, s.cells.anyCell(id)) + s.writeArr[id]
 	}
 	for _, root := range s.M.QueryRoots {
-		total += w.useCost(root, 0)
+		total += w.useCost(root, 0, s.cells.anyCell(root))
 	}
 	return total
 }
@@ -1365,41 +1410,44 @@ func (s *Searcher) BestUseCost(mat NodeSet) float64 {
 	w.begin(mat.bits, nil)
 	total := 0.0
 	for _, root := range s.M.QueryRoots {
-		total += w.useCost(root, 0)
+		total += w.useCost(root, 0, s.cells.anyCell(root))
 	}
 	w.flushStats()
 	return total
 }
 
 // useCost returns the cheapest way for a consumer to obtain the group's
-// result in the required order. The per-call memo check lives in this
-// tiny wrapper so it inlines into the pricing loops — the oracle resolves
-// the overwhelming majority of useCost calls from the scratch table, and
-// a full call frame per memo hit is measurable at workload scale.
-func (w *worker) useCost(g memo.GroupID, ord ordID) float64 {
-	m := &w.useMemo[int(g)*w.s.numOrds+int(ord)]
+// result in the required order; cell is the pair's cell, which the caller
+// has from a template or from the index. The per-call memo check lives in
+// this tiny wrapper so it inlines into the pricing loops — the oracle
+// resolves the overwhelming majority of useCost calls from the scratch
+// table, and a full call frame per memo hit is measurable at workload scale.
+func (w *worker) useCost(g memo.GroupID, ord ordID, cell int) float64 {
+	m := &w.useMemo[cell]
 	if m.ep == w.groups[g].ep {
 		return m.val
 	}
-	return w.useCostMiss(g, ord, m)
+	return w.useCostMiss(g, ord, cell, m)
 }
 
 // useCostMiss is useCost's slow path: consult the cross-call cache, else
 // price the group fresh under the current materialization set.
-func (w *worker) useCostMiss(g memo.GroupID, ord ordID, m *epVal) float64 {
+func (w *worker) useCostMiss(g memo.GroupID, ord ordID, cell int, m *epVal) float64 {
 	s := w.s
-	idx := int(g)*s.numOrds + int(ord)
-	w.logCell(g, 2*idx+kindUse, m)
+	if cellCheck {
+		s.checkCell(g, ord, cell)
+	}
+	w.logCell(g, cell, kindUse, m)
 	var mask uint64
 	if s.Incremental {
 		mask = w.maskHash(g)
-		if v, ok := w.cached(idx, mask, kindUse); ok {
+		if v, ok := w.cached(cell, mask, kindUse); ok {
 			m.val = v
 			m.ep = w.groups[g].ep
 			return v
 		}
 	}
-	v := w.compute(g, ord)
+	v := w.compute(g, ord, cell)
 	if w.matHas(g) {
 		if alt, _ := w.matUseCost(g, ord); alt < v {
 			v = alt
@@ -1408,7 +1456,7 @@ func (w *worker) useCostMiss(g memo.GroupID, ord ordID, m *epVal) float64 {
 	m.val = v
 	m.ep = w.groups[g].ep
 	if s.Incremental {
-		w.store(idx, mask, v, kindUse)
+		w.store(cell, mask, v, kindUse)
 	}
 	return v
 }
@@ -1431,26 +1479,28 @@ func (w *worker) matUseCost(g memo.GroupID, ord ordID) (cost float64, needSort b
 // compute returns the cheapest plan that computes the group from its
 // inputs (ignoring a materialized copy of the group itself) in the
 // required order. Like useCost, the memo check inlines at call sites.
-func (w *worker) compute(g memo.GroupID, ord ordID) float64 {
-	m := &w.compMemo[int(g)*w.s.numOrds+int(ord)]
+func (w *worker) compute(g memo.GroupID, ord ordID, cell int) float64 {
+	m := &w.compMemo[cell]
 	if m.ep == w.groups[g].ep {
 		return m.val
 	}
-	return w.computeMiss(g, ord, m)
+	return w.computeMiss(g, ord, cell, m)
 }
 
 // computeMiss is compute's slow path: cross-call cache, then a fresh
 // pass over the group's implementation templates.
-func (w *worker) computeMiss(g memo.GroupID, ord ordID, m *epVal) float64 {
+func (w *worker) computeMiss(g memo.GroupID, ord ordID, cell int, m *epVal) float64 {
 	s := w.s
-	idx := int(g)*s.numOrds + int(ord)
-	w.logCell(g, 2*idx+kindComp, m)
+	if cellCheck {
+		s.checkCell(g, ord, cell)
+	}
+	w.logCell(g, cell, kindComp, m)
 	m.val = inf // guard against accidental cycles
 	m.ep = w.groups[g].ep
 	var mask uint64
 	if s.Incremental {
 		mask = w.maskHash(g)
-		if v, ok := w.cached(idx, mask, kindComp); ok {
+		if v, ok := w.cached(cell, mask, kindComp); ok {
 			m.val = v
 			return v
 		}
@@ -1458,30 +1508,32 @@ func (w *worker) computeMiss(g memo.GroupID, ord ordID, m *epVal) float64 {
 	w.stats.ComputedKey++
 	best := inf
 	for i := range s.tmpls[g] {
-		if cost, _, ok := w.price(&s.tmpls[g][i], ord); ok && cost < best {
+		if cost, _, ok := w.price(&s.tmpls[g][i], ord, cell); ok && cost < best {
 			best = cost
 		}
 	}
 	// Sort enforcer: compute in any order, then sort.
 	if ord != 0 {
-		if v := w.compute(g, 0) + s.sortArr[g]; v < best {
+		if v := w.compute(g, 0, s.cells.anyCell(g)) + s.sortArr[g]; v < best {
 			best = v
 		}
 	}
 	m.val = best
 	if s.Incremental {
-		w.store(idx, mask, best, kindComp)
+		w.store(cell, mask, best, kindComp)
 	}
 	return best
 }
 
 // price returns one template's total use-cost (children included) and
-// delivered order under the current materialization set; ok is false when
-// the template is gated off or cannot deliver the required order. It is
-// the single pricing rule shared by the cost search (compute), the
-// stored-order pass (bestDeliveredOrder) and plan extraction
-// (extractCompute).
-func (w *worker) price(t *tmpl, ord ordID) (cost float64, out ordID, ok bool) {
+// delivered order under the current materialization set, for the template's
+// group asked for ord at cell; ok is false when the template is gated off or
+// cannot deliver the required order. It is the single pricing rule shared by
+// the cost search (compute), the stored-order pass (bestDeliveredOrder) and
+// plan extraction (extractCompute) — and the rule fillCells compiles the
+// cells from: which (group, order) pairs it can reach is fixed by the
+// templates, whatever the set.
+func (w *worker) price(t *tmpl, ord ordID, cell int) (cost float64, out ordID, ok bool) {
 	s := w.s
 	if t.extended && !s.ExtendedOps {
 		return 0, 0, false
@@ -1491,24 +1543,26 @@ func (w *worker) price(t *tmpl, ord ordID) (cost float64, out ordID, ok bool) {
 	// the inlining budget, and the overwhelming majority of child lookups
 	// are memo hits.
 	if t.passthrough {
-		// Order-preserving filter: forward the requirement.
-		g := t.child[0].g
-		m := &w.useMemo[int(g)*s.numOrds+int(ord)]
-		if m.ep == w.groups[g].ep {
+		// Order-preserving filter: forward the requirement. The child shares
+		// the group's order list, so its cell lies a fixed distance away.
+		c := &t.child[0]
+		cc := cell + int(c.cell)
+		m := &w.useMemo[cc]
+		if m.ep == w.groups[c.g].ep {
 			return m.val + t.local, ord, true
 		}
-		return w.useCostMiss(g, ord, m) + t.local, ord, true
+		return w.useCostMiss(c.g, ord, cc, m) + t.local, ord, true
 	}
 	if !s.sat[t.out][ord] {
 		return 0, 0, false
 	}
 	for ci := uint8(0); ci < t.nchild; ci++ {
 		c := &t.child[ci]
-		m := &w.useMemo[int(c.g)*s.numOrds+int(c.ord)]
+		m := &w.useMemo[c.cell]
 		if m.ep == w.groups[c.g].ep {
 			cost += m.val
 		} else {
-			cost += w.useCostMiss(c.g, c.ord, m)
+			cost += w.useCostMiss(c.g, c.ord, int(c.cell), m)
 		}
 	}
 	lc := t.local
@@ -1525,7 +1579,7 @@ func (w *worker) bestDeliveredOrder(g memo.GroupID) ordID {
 	best := inf
 	var out ordID
 	for i := range s.tmpls[g] {
-		if cost, o, ok := w.price(&s.tmpls[g][i], 0); ok && cost < best {
+		if cost, o, ok := w.price(&s.tmpls[g][i], 0, s.cells.anyCell(g)); ok && cost < best {
 			best = cost
 			out = o
 		}

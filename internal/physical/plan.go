@@ -55,13 +55,13 @@ func (s *Searcher) BestPlan(mat NodeSet) *ConsolidatedPlan {
 		}
 		id := s.SI.GroupAt(int(slot))
 		w.stats.ExtractCalls++
-		p := w.extractCompute(id, 0)
+		p := w.extractCompute(id, 0, s.cells.anyCell(id))
 		wc := s.writeArr[id]
 		cp.Steps = append(cp.Steps, MatStep{Group: id, Plan: p, WriteCost: wc})
 		cp.Total += p.Cost + wc
 	}
 	for _, root := range s.M.QueryRoots {
-		p := w.extractUse(root, 0)
+		p := w.extractUse(root, 0, s.cells.anyCell(root))
 		cp.Queries = append(cp.Queries, p)
 		cp.Total += p.Cost
 	}
@@ -70,10 +70,13 @@ func (s *Searcher) BestPlan(mat NodeSet) *ConsolidatedPlan {
 }
 
 // extractUse mirrors useCost, returning the chosen plan.
-func (w *worker) extractUse(g memo.GroupID, ord ordID) *PlanNode {
+func (w *worker) extractUse(g memo.GroupID, ord ordID, cell int) *PlanNode {
 	s := w.s
+	if cellCheck {
+		s.checkCell(g, ord, cell)
+	}
 	w.stats.ExtractCalls++
-	compCost := w.compute(g, ord)
+	compCost := w.compute(g, ord, cell)
 	if w.matHas(g) {
 		alt, needSort := w.matUseCost(g, ord)
 		if alt < compCost {
@@ -97,7 +100,7 @@ func (w *worker) extractUse(g memo.GroupID, ord ordID) *PlanNode {
 			return node
 		}
 	}
-	return w.extractCompute(g, ord)
+	return w.extractCompute(g, ord, cell)
 }
 
 // extractCompute mirrors compute, returning the chosen plan. It prices the
@@ -106,20 +109,23 @@ func (w *worker) extractUse(g memo.GroupID, ord ordID) *PlanNode {
 // extraction allocates nothing per considered implementation. ExtractCalls
 // is counted at the resolution entry points (extractUse and BestPlan's
 // step loop), once per resolved node.
-func (w *worker) extractCompute(g memo.GroupID, ord ordID) *PlanNode {
+func (w *worker) extractCompute(g memo.GroupID, ord ordID, cell int) *PlanNode {
 	s := w.s
-	best := w.compute(g, ord)
+	if cellCheck {
+		s.checkCell(g, ord, cell)
+	}
+	best := w.compute(g, ord, cell)
 	for i := range s.tmpls[g] {
 		t := &s.tmpls[g][i]
-		cost, out, ok := w.price(t, ord)
+		cost, out, ok := w.price(t, ord, cell)
 		if !ok || cost > best+1e-9 {
 			continue
 		}
-		return w.buildPlan(g, t, ord, cost, out)
+		return w.buildPlan(g, t, ord, cell, cost, out)
 	}
 	// Enforcer: compute unordered, then sort.
 	if ord != 0 {
-		child := w.extractCompute(g, 0)
+		child := w.extractCompute(g, 0, s.cells.anyCell(g))
 		return &PlanNode{
 			Op:       OpNameSort,
 			Group:    g,
@@ -133,9 +139,9 @@ func (w *worker) extractCompute(g memo.GroupID, ord ordID) *PlanNode {
 }
 
 // buildPlan materializes the plan node of one priced template. req is the
-// order required of the group (forwarded to the child by the passthrough
-// filter); out is the order the template delivers.
-func (w *worker) buildPlan(g memo.GroupID, t *tmpl, req ordID, cost float64, out ordID) *PlanNode {
+// order required of the group and cell its cell (forwarded to the child by
+// the passthrough filter); out is the order the template delivers.
+func (w *worker) buildPlan(g memo.GroupID, t *tmpl, req ordID, cell int, cost float64, out ordID) *PlanNode {
 	s := w.s
 	grp := s.M.Group(g)
 	node := &PlanNode{
@@ -147,8 +153,9 @@ func (w *worker) buildPlan(g memo.GroupID, t *tmpl, req ordID, cost float64, out
 		IndexCol: t.indexCol,
 	}
 	childOrd := [2]ordID{t.child[0].ord, t.child[1].ord}
+	childCell := [2]int{int(t.child[0].cell), int(t.child[1].cell)}
 	if t.passthrough {
-		childOrd[0] = req
+		childOrd[0], childCell[0] = req, cell+childCell[0]
 	}
 	e := t.e
 	switch e.Kind {
@@ -157,7 +164,7 @@ func (w *worker) buildPlan(g memo.GroupID, t *tmpl, req ordID, cost float64, out
 		node.Pred = e.Pred
 	case memo.OpFilter:
 		node.Pred = e.Pred
-		node.Children = []*PlanNode{w.extractUse(e.Children[0], childOrd[0])}
+		node.Children = []*PlanNode{w.extractUse(e.Children[0], childOrd[0], childCell[0])}
 	case memo.OpJoin:
 		node.Conds = e.Conds
 		first, second := e.Children[0], e.Children[1]
@@ -165,12 +172,12 @@ func (w *worker) buildPlan(g memo.GroupID, t *tmpl, req ordID, cost float64, out
 			first, second = second, first
 		}
 		node.Children = []*PlanNode{
-			w.extractUse(first, childOrd[0]),
-			w.extractUse(second, childOrd[1]),
+			w.extractUse(first, childOrd[0], childCell[0]),
+			w.extractUse(second, childOrd[1], childCell[1]),
 		}
 	case memo.OpAgg, memo.OpReAgg:
 		node.Spec = e.Spec
-		node.Children = []*PlanNode{w.extractUse(e.Children[0], childOrd[0])}
+		node.Children = []*PlanNode{w.extractUse(e.Children[0], childOrd[0], childCell[0])}
 	}
 	return node
 }

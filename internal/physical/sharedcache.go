@@ -20,12 +20,13 @@ import (
 // larger than the bound survives whole.
 const sharedCacheCap = 1 << 19
 
-// freeSlotCap bounds the (group, order) slots of the workers a SharedCache
-// keeps for reuse, all of them together: at 48 B a slot their tables stay
-// under ≈ 25 MB, below what the cost entries themselves may hold. It fits a
-// worker per core for the 64-query batches of the benchmark (175.6 k slots
-// each); a 256-query worker (2.36 M slots) is never kept.
-const freeSlotCap = 1 << 19
+// freeCellCap bounds the cells of the workers a SharedCache keeps for reuse,
+// all of them together: at 48 B a cell (two 16-byte memo cells and two L1
+// bucket pointers) their tables stay under ≈ 25 MB, below what the cost
+// entries themselves may hold. Measured at generator seed 1000, a worker for
+// a 64-query batch is 11,770 cells (0.56 MB) and one for the 256-query stress
+// tier 134,777 (6.5 MB), so a worker per core of either is kept.
+const freeCellCap = 1 << 19
 
 // benefitCap bounds the memoized oracle values a SharedCache holds. They
 // live apart from the cost tables (a run stores a few hundred, one per
@@ -40,9 +41,9 @@ const benefitCap = 1 << 16
 // batch identical to an earlier one starts warm instead of relearning per
 // worker.
 //
-// A table has the geometry of a worker's L1: slot 2*(g*numOrds+ord)+kind
-// holds an atomically loaded pointer to a short chain of l1Buckets that
-// are immutable once published. A worker resolves its namespace's table
+// A table has the geometry of a worker's L1: slot 2*cell+kind holds an
+// atomically loaded pointer to a short chain of l1Buckets that are
+// immutable once published. A worker resolves its namespace's table
 // once per oracle call (nil when nothing was published under it, so a cold
 // run never probes the SharedCache at all) and on an L1 miss probes the
 // slot's chain directly: no lock, no hash, and no copy into the L1 — the
@@ -58,10 +59,10 @@ const benefitCap = 1 << 16
 // small map of their own behind a separate lock.
 //
 // The cache also keeps the workers themselves. A searcher's PublishCache
-// leaves its workers' L1s empty, and what remains — the slot-sized scratch
+// leaves its workers' L1s empty, and what remains — the cell-sized scratch
 // tables a new worker would allocate and clear again — goes on a free list
 // the next searcher attached to the cache takes from (Searcher.worker): a
-// few workers for the whole cache, at most GOMAXPROCS and freeSlotCap slots
+// few workers for the whole cache, at most GOMAXPROCS and freeCellCap cells
 // together, whatever DAG they last served. Only PublishCache puts workers
 // there, so a run stopped by a panic, which never publishes, never returns
 // one.
@@ -84,16 +85,18 @@ type SharedCache struct {
 	free   []*worker // no owner; see takeWorker / putWorkers
 }
 
-// nsTable is one namespace's cost entries. Its geometry is the publishing
-// searcher's; entries imported before any searcher of the namespace was
-// seen wait in held (numOrds is not on the wire) and are folded into slots
-// by the first one that resolves or publishes.
+// nsTable is one namespace's cost entries: slots holds them by cell, and ix
+// — the compiled, immutable index of the searcher that shaped the table —
+// maps a cell back to the (group, order) its keys carry outside (insert,
+// each). Entries imported before any searcher of the namespace was seen wait
+// in held (the index is not on the wire) and are folded into slots by the
+// first one that resolves or publishes.
 type nsTable struct {
-	stamp   uint64 // clock reading of the last publish or import
-	n       int    // entries in slots and held
-	numOrds int
-	slots   []atomic.Pointer[l1Bucket]
-	held    []sharedKV // canonical order, no duplicate keys
+	stamp uint64 // clock reading of the last publish or import
+	n     int    // entries in slots and held
+	ix    cellIndex
+	slots []atomic.Pointer[l1Bucket]
+	held  []sharedKV // canonical order, no duplicate keys
 }
 
 type benefitKey struct{ ns, key uint64 }
@@ -136,19 +139,19 @@ func (c *SharedCache) FreeWorkers() int {
 	return len(c.free)
 }
 
-// slotCap is the number of (group, order) slots the worker's tables can
-// serve without reallocating.
-func (w *worker) slotCap() int { return cap(w.useMemo) }
+// cellCap is the number of cells the worker's tables can serve without
+// reallocating.
+func (w *worker) cellCap() int { return cap(w.useMemo) }
 
 // takeWorker removes and returns the free worker whose tables fit a DAG of
-// the given slot count most tightly, or nil when none is large enough. The
+// the given cell count most tightly, or nil when none is large enough. The
 // caller binds it.
-func (c *SharedCache) takeWorker(slots int) *worker {
+func (c *SharedCache) takeWorker(cells int) *worker {
 	c.freeMu.Lock()
 	defer c.freeMu.Unlock()
 	best := -1
 	for i, w := range c.free {
-		if w.slotCap() >= slots && (best < 0 || w.slotCap() < c.free[best].slotCap()) {
+		if w.cellCap() >= cells && (best < 0 || w.cellCap() < c.free[best].cellCap()) {
 			best = i
 		}
 	}
@@ -176,18 +179,18 @@ func (c *SharedCache) putWorkers(ws []*worker) {
 		w.s, w.l2 = nil, nil // hold neither the searcher nor a namespace's table
 		c.free = append(c.free, w)
 	}
-	slots := 0
+	cells := 0
 	for _, w := range c.free {
-		slots += w.slotCap()
+		cells += w.cellCap()
 	}
-	for len(c.free) > 0 && (len(c.free) > runtime.GOMAXPROCS(0) || slots > freeSlotCap) {
+	for len(c.free) > 0 && (len(c.free) > runtime.GOMAXPROCS(0) || cells > freeCellCap) {
 		small := 0
 		for i, w := range c.free {
-			if w.slotCap() < c.free[small].slotCap() {
+			if w.cellCap() < c.free[small].cellCap() {
 				small = i
 			}
 		}
-		slots -= c.removeFree(small).slotCap()
+		cells -= c.removeFree(small).cellCap()
 	}
 }
 
@@ -305,39 +308,39 @@ func (c *SharedCache) evict(keep *nsTable) {
 	}
 }
 
-// shaped gives the table a searcher's geometry, its group and order
-// counts — allocating the slots and folding held entries in the first
-// time — and reports whether the table has that geometry. It can only
-// differ when two search spaces collide on the 64-bit namespace; the later
-// one then goes uncached.
-func (c *SharedCache) shaped(t *nsTable, groups, numOrds int) bool {
+// shaped gives the table a searcher's geometry, its cell index —
+// allocating the slots and folding held entries in the first time — and
+// reports whether the table has that geometry: as many cells over as many
+// groups (equal search spaces compile to equal indexes). It can only differ
+// when two search spaces collide on the 64-bit namespace; the later one then
+// goes uncached.
+func (c *SharedCache) shaped(t *nsTable, ix cellIndex) bool {
 	if t.slots == nil {
-		t.numOrds = numOrds
-		t.slots = make([]atomic.Pointer[l1Bucket], 2*groups*numOrds)
+		t.ix = ix
+		t.slots = make([]atomic.Pointer[l1Bucket], 2*ix.len())
 		held := t.held
 		c.total -= t.n
 		t.held, t.n = nil, 0
 		c.insert(t, held)
 	}
-	return t.numOrds == numOrds && len(t.slots) == 2*groups*numOrds
+	return t.ix.len() == ix.len() && len(t.ix.start) == len(ix.start)
 }
 
 // resolve returns the slots of the namespace's table, nil when nothing is
 // published under it, together with the invalidation epoch.
-func (c *SharedCache) resolve(ns uint64, groups, numOrds int) ([]atomic.Pointer[l1Bucket], uint64) {
+func (c *SharedCache) resolve(ns uint64, ix cellIndex) ([]atomic.Pointer[l1Bucket], uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if t := c.spaces[ns]; t != nil && c.shaped(t, groups, numOrds) {
+	if t := c.spaces[ns]; t != nil && c.shaped(t, ix) {
 		return t.slots, c.epoch
 	}
 	return nil, c.epoch
 }
 
 // insert adds canonical-order entries to a shaped table, skipping keys the
-// table already has and keys outside its geometry (no searcher of the
-// namespace can ask for those).
+// table already has and keys that have no cell in its index (no searcher of
+// the namespace can ask for those).
 func (c *SharedCache) insert(t *nsTable, kvs []sharedKV) {
-	groups := len(t.slots) / (2 * t.numOrds)
 	var extra []l1Entry
 	for len(kvs) > 0 {
 		k := kvs[0].k
@@ -345,8 +348,8 @@ func (c *SharedCache) insert(t *nsTable, kvs []sharedKV) {
 		for run < len(kvs) && kvs[run].k.g == k.g && kvs[run].k.ord == k.ord && kvs[run].k.compute == k.compute {
 			run++
 		}
-		if k.g >= 0 && int(k.g) < groups && k.ord >= 0 && int(k.ord) < t.numOrds {
-			i := 2 * (int(k.g)*t.numOrds + int(k.ord))
+		if cell, ok := t.ix.cell(k.g, k.ord); ok {
+			i := 2 * cell
 			if k.compute {
 				i += kindComp
 			}
@@ -411,11 +414,16 @@ func (t *nsTable) absorb(i int, b *l1Bucket) int {
 	return len(extra)
 }
 
-// each calls fn for every entry in the table's slots.
+// each calls fn for every entry in the table's slots, ascending by (group,
+// order, kind): the cells are numbered that way.
 func (t *nsTable) each(fn func(k cacheKey, v float64)) {
+	g := memo.GroupID(0)
 	for i := range t.slots {
-		slot := i / 2
-		k := cacheKey{g: memo.GroupID(slot / t.numOrds), ord: ordID(slot % t.numOrds), compute: i%2 == kindComp}
+		cell := i / 2
+		for cell >= int(t.ix.start[g+1]) {
+			g++
+		}
+		k := cacheKey{g: g, ord: t.ix.ord[cell], compute: i%2 == kindComp}
 		for b := t.slots[i].Load(); b != nil; b = b.next {
 			for occ := b.occ; occ != 0; occ &= occ - 1 {
 				e := &b.entries[bits.TrailingZeros64(occ)]
@@ -554,7 +562,7 @@ func (s *Searcher) PublishCache() {
 		return
 	}
 	if s.Incremental {
-		s.shared.publish(s.cacheNS(), s.M.NumGroups(), s.numOrds, s.workers)
+		s.shared.publish(s.cacheNS(), s.cells, s.workers)
 	}
 	s.shared.putWorkers(s.workers)
 	s.workers = nil
@@ -564,11 +572,11 @@ func (s *Searcher) PublishCache() {
 // namespace's table, creating it on the first entry, then marks the
 // namespace most recently published and enforces the cap against the
 // others.
-func (c *SharedCache) publish(ns uint64, groups, numOrds int, workers []*worker) {
+func (c *SharedCache) publish(ns uint64, ix cellIndex, workers []*worker) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	t := c.spaces[ns]
-	if t != nil && !c.shaped(t, groups, numOrds) {
+	if t != nil && !c.shaped(t, ix) {
 		return
 	}
 	for _, w := range workers {
@@ -579,7 +587,7 @@ func (c *SharedCache) publish(ns uint64, groups, numOrds int, workers []*worker)
 			w.l1[i] = nil
 			if t == nil {
 				t = c.space(ns)
-				c.shaped(t, groups, numOrds)
+				c.shaped(t, ix)
 			}
 			n := t.absorb(i, b)
 			t.n += n

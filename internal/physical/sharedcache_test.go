@@ -128,25 +128,38 @@ func TestSharedCacheConcurrentSearchers(t *testing.T) {
 }
 
 // seedCosts stores cost entries under a namespace the way Import does:
-// with numOrds == 0 they are held until a searcher's geometry is known,
+// with no index they are held until a searcher's geometry is known,
 // otherwise the namespace first gets a table of that geometry.
-func seedCosts(c *SharedCache, ns uint64, groups, numOrds int, kvs []sharedKV) {
+func seedCosts(c *SharedCache, ns uint64, ix cellIndex, kvs []sharedKV) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	t := c.space(ns)
 	c.touch(t)
-	if numOrds > 0 {
-		c.shaped(t, groups, numOrds)
+	if ix.len() > 0 {
+		c.shaped(t, ix)
 	}
 	c.importCosts(t, append([]sharedKV(nil), kvs...))
 	c.evict(t)
 }
 
+// gridIndex is an index in which each of the groups is asked for every
+// order below ords: cell g*ords+ord, the numbering sparse tables had.
+func gridIndex(groups, ords int) cellIndex {
+	ix := cellIndex{start: make([]int32, groups+1), ord: make([]ordID, groups*ords)}
+	for i := range ix.ord {
+		ix.ord[i] = ordID(i % ords)
+	}
+	for g := range ix.start {
+		ix.start[g] = int32(g * ords)
+	}
+	return ix
+}
+
 // fakeRun is a worker whose L1 holds perSlot distinct masks in each of the
-// first slots use-cost slots of a one-group, numOrds-order table: a run's
-// learning without the run. Masks are l1TestMask(base + slot*perSlot + j).
-func fakeRun(numOrds, slots, perSlot, base int) *worker {
-	w := &worker{l1Epoch: 1, l1: make([]*l1Bucket, 2*numOrds)}
+// first slots use-cost cells of a one-group table of the given cell count: a
+// run's learning without the run. Masks are l1TestMask(base + slot*perSlot + j).
+func fakeRun(cells, slots, perSlot, base int) *worker {
+	w := &worker{l1Epoch: 1, l1: make([]*l1Bucket, 2*cells)}
 	for sl := 0; sl < slots; sl++ {
 		for j := 0; j < perSlot; j++ {
 			k := base + sl*perSlot + j
@@ -157,8 +170,8 @@ func fakeRun(numOrds, slots, perSlot, base int) *worker {
 }
 
 // hasRun reports how many of fakeRun's keys the cache serves under ns.
-func hasRun(c *SharedCache, ns uint64, numOrds, slots, perSlot, base int) int {
-	tab, _ := c.resolve(ns, 1, numOrds)
+func hasRun(c *SharedCache, ns uint64, ix cellIndex, slots, perSlot, base int) int {
+	tab, _ := c.resolve(ns, ix)
 	if tab == nil {
 		return 0
 	}
@@ -179,26 +192,27 @@ func hasRun(c *SharedCache, ns uint64, numOrds, slots, perSlot, base int) int {
 // the one being published — so a publish larger than the cap survives
 // whole.
 func TestSharedCacheCapDropsOtherNamespacesOldestFirst(t *testing.T) {
-	const numOrds, perSlot = 16000, 40
+	const cells, perSlot = 16000, 40
+	ix := gridIndex(1, cells)
 	c := NewSharedCache()
 	small := 1000 / perSlot // slots of a 1,000-entry namespace
 	for ns := uint64(1); ns <= 3; ns++ {
-		c.publish(ns, 1, numOrds, []*worker{fakeRun(numOrds, small, perSlot, 0)})
+		c.publish(ns, ix, []*worker{fakeRun(cells, small, perSlot, 0)})
 	}
 	// Republishing namespace 1 (nothing new) makes 2 the oldest.
-	c.publish(1, 1, numOrds, []*worker{fakeRun(numOrds, small, perSlot, 0)})
+	c.publish(1, ix, []*worker{fakeRun(cells, small, perSlot, 0)})
 	if got := c.Len(); got != 3000 {
 		t.Fatalf("three 1,000-entry namespaces hold %d entries", got)
 	}
 
 	// A fourth namespace that leaves room for exactly one of the others.
 	bigSlots := (sharedCacheCap - 1500) / perSlot
-	c.publish(4, 1, numOrds, []*worker{fakeRun(numOrds, bigSlots, perSlot, 0)})
-	if got := hasRun(c, 4, numOrds, bigSlots, perSlot, 0); got != bigSlots*perSlot {
+	c.publish(4, ix, []*worker{fakeRun(cells, bigSlots, perSlot, 0)})
+	if got := hasRun(c, 4, ix, bigSlots, perSlot, 0); got != bigSlots*perSlot {
 		t.Fatalf("published namespace serves %d of its %d keys", got, bigSlots*perSlot)
 	}
 	for ns, want := range map[uint64]int{1: small * perSlot, 2: 0, 3: 0} {
-		if got := hasRun(c, ns, numOrds, small, perSlot, 0); got != want {
+		if got := hasRun(c, ns, ix, small, perSlot, 0); got != want {
 			t.Errorf("namespace %d serves %d keys after the cap was enforced, want %d (oldest dropped first)", ns, got, want)
 		}
 	}
@@ -209,8 +223,8 @@ func TestSharedCacheCapDropsOtherNamespacesOldestFirst(t *testing.T) {
 	// A publish larger than the whole cap evicts everything else and keeps
 	// every one of its own entries.
 	overSlots := sharedCacheCap/perSlot + 100
-	c.publish(5, 1, numOrds, []*worker{fakeRun(numOrds, overSlots, perSlot, 7)})
-	if got := hasRun(c, 5, numOrds, overSlots, perSlot, 7); got != overSlots*perSlot {
+	c.publish(5, ix, []*worker{fakeRun(cells, overSlots, perSlot, 7)})
+	if got := hasRun(c, 5, ix, overSlots, perSlot, 7); got != overSlots*perSlot {
 		t.Fatalf("over-cap publish serves %d of its own %d keys", got, overSlots*perSlot)
 	}
 	if got := c.Len(); got != overSlots*perSlot {
@@ -391,7 +405,7 @@ func TestPublishCacheMovesBucketsOut(t *testing.T) {
 		t.Fatalf("workers still hold %d live L1 entries after the publish", n)
 	}
 	owned := map[*l1Bucket]bool{}
-	tab, _ := cache.resolve(s.cacheNS(), m.NumGroups(), s.numOrds)
+	tab, _ := cache.resolve(s.cacheNS(), s.cells)
 	for i := range tab {
 		for b := tab[i].Load(); b != nil; b = b.next {
 			owned[b] = true

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"os"
 	"strings"
 	"testing"
 
+	"repro/internal/cost"
 	"repro/internal/memo"
+	"repro/internal/tpcd"
+	"repro/internal/workload"
 )
 
 // seedCache fills a cache with a deterministic mix of cost and benefit
@@ -25,8 +29,8 @@ func seedCache() *SharedCache {
 			}
 		}
 	}
-	seedCosts(c, 0x1111222233334444, 0, 0, kvs)
-	seedCosts(c, 0xaaaabbbbccccdddd, 0, 0, kvs[:20])
+	seedCosts(c, 0x1111222233334444, cellIndex{}, kvs)
+	seedCosts(c, 0xaaaabbbbccccdddd, cellIndex{}, kvs[:20])
 	for i := 0; i < 12; i++ {
 		c.PutBenefit(0x1111222233334444, uint64(i)*0x2545f4914f6cdd1d, math.Sqrt(float64(i+1)))
 	}
@@ -203,7 +207,7 @@ func TestSnapshotEmptyNamespaceRejected(t *testing.T) {
 }
 
 // TestSnapshotFoldKeepsExport: entries imported before any searcher of
-// their namespace was seen are held without a table (the order count is
+// their namespace was seen are held without a table (the cell index is
 // not on the wire); the first resolve folds them into one. The export must
 // not notice — and the folded table must serve every key.
 func TestSnapshotFoldKeepsExport(t *testing.T) {
@@ -216,7 +220,7 @@ func TestSnapshotFoldKeepsExport(t *testing.T) {
 	if c.spaces[ns].slots != nil {
 		t.Fatal("an import without a searcher built a table")
 	}
-	tab, _ := c.resolve(ns, 5, 2)
+	tab, _ := c.resolve(ns, gridIndex(5, 2))
 	if tab == nil {
 		t.Fatal("resolve did not fold the held entries into a table")
 	}
@@ -258,14 +262,14 @@ func TestSnapshotFoldKeepsExport(t *testing.T) {
 		t.Fatalf("re-importing the cache's own export grew it from %d to %d entries", n, got)
 	}
 
-	// A searcher with a smaller geometry than the entries assume drops the
+	// A searcher with a smaller index than the entries assume drops the
 	// keys it could never ask for instead of indexing past its table.
 	small := seedCache()
-	if tab, _ := small.resolve(ns, 2, 1); len(tab) != 4 {
-		t.Fatalf("fold under a 2-group, 1-order geometry built %d slots", len(tab))
+	if tab, _ := small.resolve(ns, gridIndex(2, 1)); len(tab) != 4 {
+		t.Fatalf("fold under a 2-group, 1-order index built %d slots", len(tab))
 	}
 	if got, want := small.spaces[ns].n, 2*8; got != want {
-		t.Fatalf("fold kept %d entries, want the %d inside the geometry", got, want)
+		t.Fatalf("fold kept %d entries, want the %d that have a cell", got, want)
 	}
 }
 
@@ -293,7 +297,7 @@ func FuzzCacheSnapshot(f *testing.F) {
 	// A small valid snapshot seeds the mutator (the full seedCache export
 	// is covered by the unit tests; a large seed only slows the fuzzer).
 	tiny := NewSharedCache()
-	seedCosts(tiny, 0x1111222233334444, 0, 0, []sharedKV{
+	seedCosts(tiny, 0x1111222233334444, cellIndex{}, []sharedKV{
 		{k: cacheKey{g: 1, ord: 0, mask: 0x2a}, v: 1.5},
 		{k: cacheKey{g: 1, ord: 1, compute: true, mask: 0x2b}, v: -2.25},
 	})
@@ -309,7 +313,7 @@ func FuzzCacheSnapshot(f *testing.F) {
 	f.Add([]byte(`{"version":1,"scope":"x","namespaces":[],"checksum":"0000000000000000"}`))
 	f.Add([]byte(strings.Replace(string(enc), `"compute": true`, `"compute": false`, 1)))
 	odd := NewSharedCache()
-	seedCosts(odd, 0x1111222233334444, 0, 0, []sharedKV{
+	seedCosts(odd, 0x1111222233334444, cellIndex{}, []sharedKV{
 		{k: cacheKey{g: -2, ord: 3, mask: 1}, v: 1},
 		{k: cacheKey{g: benefitGroup, ord: 1, mask: 7}, v: 2},
 		{k: cacheKey{g: 1 << 20, ord: -1, compute: true, mask: ^uint64(0)}, v: 3},
@@ -373,4 +377,79 @@ func FuzzCacheSnapshot(f *testing.F) {
 			t.Fatalf("import → export of a fresh cache differs from the canonical input:\n%s\nvs\n%s", enc1, enc3)
 		}
 	})
+}
+
+// TestSnapshotAcrossIndex: the wire format knows nothing of cells. A
+// snapshot exported at the commit before the tables went from groups ×
+// orders slots to cells (testdata/snapshot_pr23.json: a two-query generated
+// batch, bc of three sets, published and exported there) names this build's
+// namespace, folds into a table through the searcher's index, serves that
+// searcher every key, and exports again to the same bytes. A key no
+// evaluation can ask for is counted by Import and dropped by the fold, as a
+// key outside the table's groups × orders was.
+func TestSnapshotAcrossIndex(t *testing.T) {
+	data, err := os.ReadFile("testdata/snapshot_pr23.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := DecodeCacheSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := memo.Build(tpcd.Catalog(1), cost.Default(), workload.MustGenerate(workload.DefaultSpec(2, 0.5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := m.Shareable()
+	run := func(c *SharedCache) *Searcher {
+		s := NewSearcher(m)
+		s.AttachSharedCache(c)
+		sets := []NodeSet{{}, s.NewNodeSet(sh[0]), s.NewNodeSet(sh...)}
+		sameCosts(t, "served from the imported snapshot", s, sets)
+		return s
+	}
+	entries := len(snap.Namespaces[0].Entries)
+
+	c := NewSharedCache()
+	if n, err := c.Import(snap, "pr23"); err != nil || n != entries {
+		t.Fatalf("Import = (%d, %v), the fixture carries %d entries", n, err, entries)
+	}
+	s := run(c)
+	if len(snap.Namespaces) != 1 || snap.Namespaces[0].NS != hex16(s.cacheNS()) {
+		t.Fatalf("the fixture's namespace is %s, this build's searcher has %s: the structural fingerprint moved", snap.Namespaces[0].NS, hex16(s.cacheNS()))
+	}
+	if s.ComputedKey != 0 || s.SharedHits == 0 {
+		t.Fatalf("the importer computed %d keys with %d shared hits; the fixture covers every set", s.ComputedKey, s.SharedHits)
+	}
+	if c.spaces[s.cacheNS()].held != nil || c.Len() != entries {
+		t.Fatalf("the fold kept %d of %d entries (held: %t)", c.Len(), entries, c.spaces[s.cacheNS()].held != nil)
+	}
+	if enc, _ := c.Export("pr23").Encode(); !bytes.Equal(enc, data) {
+		t.Fatal("re-export of the folded fixture is not byte-identical to it")
+	}
+
+	// A pair inside groups × orders that no evaluation can ask for.
+	stray := cacheKey{g: -1}
+	for g := 0; g < m.NumGroups() && stray.g < 0; g++ {
+		for ord := 0; ord < s.numOrds; ord++ {
+			if _, ok := s.cells.cell(memo.GroupID(g), ordID(ord)); !ok {
+				stray = cacheKey{g: memo.GroupID(g), ord: ordID(ord)}
+				break
+			}
+		}
+	}
+	with := *snap
+	with.Namespaces = []SnapshotNamespace{{NS: snap.Namespaces[0].NS, Entries: append(append([]SnapshotEntry(nil), snap.Namespaces[0].Entries...),
+		SnapshotEntry{G: int(stray.g), Ord: int(stray.ord), Mask: hex16(7), V: hex16(math.Float64bits(1.5))})}}
+	c = NewSharedCache()
+	if n, err := c.Import(&with, "pr23"); err != nil || n != entries+1 || c.Len() != entries+1 {
+		t.Fatalf("Import with a stray key = (%d, %v), cache holds %d; want %d counted and held", n, err, c.Len(), entries+1)
+	}
+	run(c)
+	if c.Len() != entries {
+		t.Fatalf("the fold kept %d entries, want the %d that have a cell", c.Len(), entries)
+	}
+	if enc, _ := c.Export("pr23").Encode(); !bytes.Equal(enc, data) {
+		t.Fatal("the stray key survived the fold into the export")
+	}
 }

@@ -146,10 +146,12 @@ func TestWorkersStayWithoutCache(t *testing.T) {
 	}
 }
 
-// The free list is bounded in workers (GOMAXPROCS) and in slots
-// (freeSlotCap), keeps the largest, and hands out the tightest fit.
+// The free list is bounded in workers (GOMAXPROCS) and in cells
+// (freeCellCap), keeps the largest, and hands out the tightest fit. Every
+// expectation follows from GOMAXPROCS: of maxp+3 workers of 100 … 102+maxp
+// cells the list keeps the maxp largest, 103 … 102+maxp.
 func TestFreeListBounds(t *testing.T) {
-	sized := func(slots int) *worker { return &worker{useMemo: make([]epVal, slots)} }
+	sized := func(cells int) *worker { return &worker{useMemo: make([]epVal, cells)} }
 	c := NewSharedCache()
 	maxp := runtime.GOMAXPROCS(0)
 	var ws []*worker
@@ -161,24 +163,39 @@ func TestFreeListBounds(t *testing.T) {
 		t.Fatalf("free list holds %d workers, GOMAXPROCS is %d", got, maxp)
 	}
 	if w := c.takeWorker(100 + maxp + 3); w != nil {
-		t.Fatalf("took a worker of %d slots for a DAG of %d", w.slotCap(), 100+maxp+3)
+		t.Fatalf("took a worker of %d cells for a DAG of %d", w.cellCap(), 100+maxp+3)
 	}
-	// The three smallest were dropped; the tightest fit of what is left.
-	if w := c.takeWorker(1); w == nil || w.slotCap() != 103 {
-		t.Fatalf("tightest fit for 1 slot: %v", w)
+	// The three smallest were dropped; the tightest fit is the smallest kept.
+	tight := c.takeWorker(1)
+	if tight == nil || tight.cellCap() != 103 {
+		t.Fatalf("tightest fit for 1 cell: %v", tight)
 	}
-	if w := c.takeWorker(100 + maxp + 2); w == nil || w.slotCap() != 100+maxp+2 {
-		t.Fatalf("exact fit: %v", w)
+	c.putWorkers([]*worker{tight}) // the kept set again
+	if w := c.takeWorker(102 + maxp); w == nil || w.cellCap() != 102+maxp {
+		t.Fatalf("exact fit for the largest kept worker: %v", w)
+	}
+	if got := c.FreeWorkers(); got != maxp-1 {
+		t.Fatalf("free list holds %d workers after one was taken from %d", got, maxp)
 	}
 
 	c = NewSharedCache()
-	c.putWorkers([]*worker{sized(freeSlotCap + 1)})
+	c.putWorkers([]*worker{sized(freeCellCap + 1)})
 	if c.FreeWorkers() != 0 {
-		t.Fatal("a worker larger than freeSlotCap was kept")
+		t.Fatal("a worker larger than freeCellCap was kept")
 	}
-	c.putWorkers([]*worker{sized(freeSlotCap/2 + 1), sized(freeSlotCap / 2)})
-	if c.FreeWorkers() != 1 || c.takeWorker(freeSlotCap/2+1) == nil {
-		t.Fatal("over freeSlotCap the larger worker must be the one kept")
+	c.putWorkers([]*worker{sized(freeCellCap/2 + 1), sized(freeCellCap / 2)})
+	if c.FreeWorkers() != 1 || c.takeWorker(freeCellCap/2+1) == nil {
+		t.Fatal("over freeCellCap the larger worker must be the one kept")
+	}
+
+	// A worker for the 256-query stress tier is under the bound and kept;
+	// its sparse tables (2.36 M slots against a bound of 512 Ki) never were.
+	s := NewSearcher(memo256())
+	w := s.newWorker()
+	c = NewSharedCache()
+	c.putWorkers([]*worker{w})
+	if c.FreeWorkers() != 1 || c.takeWorker(s.cells.len()) != w {
+		t.Fatalf("a 256-query worker of %d cells (bound %d) was not kept", w.cellCap(), freeCellCap)
 	}
 }
 
@@ -208,8 +225,8 @@ func TestPooledWorkerAcrossDAGs(t *testing.T) {
 		} else if w != pooled {
 			t.Fatalf("round %d: the pooled worker was not reused", round)
 		}
-		if len(w.useMemo) != step.m.NumGroups()*s.numOrds || len(w.l1) != 2*len(w.useMemo) || len(w.groups) != step.m.NumGroups() {
-			t.Fatalf("round %d: tables sized %d/%d/%d for %d groups × %d orders", round, len(w.useMemo), len(w.l1), len(w.groups), step.m.NumGroups(), s.numOrds)
+		if len(w.useMemo) != s.cells.len() || len(w.compMemo) != len(w.useMemo) || len(w.l1) != 2*len(w.useMemo) || len(w.groups) != step.m.NumGroups() {
+			t.Fatalf("round %d: tables sized %d/%d/%d/%d for %d cells of %d groups", round, len(w.useMemo), len(w.compMemo), len(w.l1), len(w.groups), s.cells.len(), step.m.NumGroups())
 		}
 		sameCosts(t, "pooled worker", s, randomSets(s, rng, 12))
 		if round%2 == 0 {
@@ -247,7 +264,7 @@ func TestPooledWorkerEpochWrap(t *testing.T) {
 		t.Fatalf("first run left L1 epoch %d and clock %d, the test assumes 2 and %d–%d", w.l1Epoch, w.clock, len(sets), 2*len(sets))
 	}
 	stale := 0
-	for _, c := range w.useMemo[small.NumGroups()*NewSearcher(small).numOrds:] {
+	for _, c := range w.useMemo[NewSearcher(small).cells.len():] {
 		if c.ep != 0 && c.ep <= uint32(len(sets)) {
 			stale++
 		}

@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -188,7 +189,7 @@ var (
 func BenchmarkWorkload(b *testing.B) {
 	cat := tpcd.Catalog(1)
 	// run is the measured op: a fresh optimizer over the batch, one cold run.
-	run := func(b *testing.B, batch *logical.Batch, cfg core.Config) (res core.Result) {
+	run := func(b *testing.B, batch *logical.Batch) (res core.Result) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -196,7 +197,7 @@ func BenchmarkWorkload(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res = core.RunWith(context.Background(), opt, core.MarginalGreedy, cfg)
+			res = core.RunWith(context.Background(), opt, core.MarginalGreedy, core.Config{})
 		}
 		b.StopTimer()
 		return res
@@ -207,7 +208,7 @@ func BenchmarkWorkload(b *testing.B) {
 				if size > 64 && testing.Short() {
 					b.Skipf("skipping the %d-query stress tier in -short mode", size)
 				}
-				res := run(b, workload.MustGenerate(workload.DefaultSpec(size, sharing)), core.Config{})
+				res := run(b, workload.MustGenerate(workload.DefaultSpec(size, sharing)))
 				b.ReportMetric(res.Cost/1000, "cost_s")
 				b.ReportMetric(float64(len(res.Materialized)), "materialized")
 				b.ReportMetric(float64(res.OracleCalls), "bc_calls")
@@ -217,8 +218,9 @@ func BenchmarkWorkload(b *testing.B) {
 			})
 		}
 	}
-	// The parallel curve (ROADMAP item 2): the same cold 64-query run with the
-	// oracle's worker bound at 1, 2 and 4. computed_keys is the work — it
+	// The parallel curve (ROADMAP item 2): the same cold 64-query run at
+	// GOMAXPROCS 1, 2 and 4, the widest the searcher fans a batch out (the
+	// run is cold, so it does fan out). computed_keys is the work — it
 	// grows with P, each worker's private L1 recomputing what a neighbour
 	// just did — and efficiency is p1's ns/op over P × this row's, so 1.0 is
 	// a linear speed-up; on fewer than P cores it cannot be reached.
@@ -226,7 +228,8 @@ func BenchmarkWorkload(b *testing.B) {
 	var p1 float64
 	for _, par := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("64x0.25/p%d", par), func(b *testing.B) {
-			res := run(b, batch, core.Config{Parallelism: par})
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
+			res := run(b, batch)
 			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 			if par == 1 {
 				p1 = ns

@@ -46,25 +46,27 @@ func attributionDigest(attrs []Attribution) uint64 {
 // the ones recorded before attribution moved ahead of the publish.
 func TestRunHandsWorkersBackLast(t *testing.T) {
 	ctx := context.Background()
+	withProcs(t, 1)
 	for _, par := range []int{1, 2} {
-		want := min(par, runtime.GOMAXPROCS(0))
+		runtime.GOMAXPROCS(par) // a cold run fans out to par workers, and the free list keeps par
+		want := par
 		groups := memberBatches(t, workload.Star, 0.25, 42)
 		for name, call := range map[string]func(*Session) error{
 			"Optimize":         func(s *Session) error { _, err := s.Optimize(ctx, tpcd.BQ(2)); return err },
 			"OptimizeShared/1": func(s *Session) error { _, err := s.OptimizeShared(ctx, groups[:1]); return err },
 			"OptimizeShared/3": func(s *Session) error { _, err := s.OptimizeShared(ctx, groups); return err },
 		} {
-			sess := newTestSession(t, WithParallelism(par))
+			sess := newTestSession(t)
 			for i := 0; i < 2; i++ { // cold, then on the workers the first call handed back
 				if err := call(sess); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				if got := sess.cache.FreeWorkers(); got != want {
-					t.Fatalf("%s at parallelism %d, call %d: %d free workers, want %d", name, par, i+1, got, want)
+					t.Fatalf("%s at GOMAXPROCS %d, call %d: %d free workers, want %d", name, par, i+1, got, want)
 				}
 			}
 		}
-		sess := newTestSession(t, WithParallelism(par))
+		sess := newTestSession(t)
 		restore := faultinject.Enable(faultinject.NewSchedule(1,
 			faultinject.Rule{Point: faultinject.OracleEval, N: 5, Panic: true}))
 		_, err := sess.OptimizeShared(ctx, groups)
@@ -74,7 +76,7 @@ func TestRunHandsWorkersBackLast(t *testing.T) {
 			t.Fatalf("injected panic surfaced as %v", err)
 		}
 		if got := sess.cache.FreeWorkers(); got != 0 {
-			t.Fatalf("a faulted run at parallelism %d left %d free workers", par, got)
+			t.Fatalf("a faulted run at GOMAXPROCS %d left %d free workers", par, got)
 		}
 	}
 

@@ -56,7 +56,6 @@ func main() {
 	wlSF := flag.Float64("wl-sf", 1, "workload: TPCD scale factor")
 	wlTimeBudget := flag.Duration("wl-time-budget", 0, "workload: wall-clock budget per optimization run (0 = none)")
 	wlCallBudget := flag.Int("wl-call-budget", -1, "workload: oracle-call budget per optimization run (-1 = none)")
-	wlParallel := flag.Int("wl-parallel", 0, "workload: oracle worker-pool bound (0 = GOMAXPROCS)")
 	lsURL := flag.String("ls-url", "", "loadsim: router or server base URL (empty = throwaway in-process server)")
 	lsSeed := flag.Int64("ls-seed", 1, "loadsim: trace seed (same seed, byte-identical trace)")
 	lsDuration := flag.Duration("ls-duration", 10*time.Second, "loadsim: virtual trace length")
@@ -69,7 +68,7 @@ func main() {
 
 	ctx := context.Background()
 	wlConfig := func() core.Config {
-		cfg := core.Config{TimeBudget: *wlTimeBudget, Parallelism: *wlParallel}
+		cfg := core.Config{TimeBudget: *wlTimeBudget}
 		if *wlCallBudget >= 0 {
 			cfg = cfg.LimitOracleCalls(*wlCallBudget)
 		}

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	mqo [-sf 1] [-algo marginal|greedy|volcano|all] [-file batch.sql]
-//	    [-timeout 0] [-budget -1] [-parallel 0]
+//	    [-timeout 0] [-budget -1]
 //
 // Reads the batch from -file or stdin; statements are separated by
 // semicolons. A -timeout or -budget bound degrades the run to its
@@ -50,7 +50,6 @@ func main() {
 	ext := flag.Bool("hash", false, "enable the extended operator set (hash join, hash aggregation)")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget per optimization (0 = none)")
 	budget := flag.Int("budget", -1, "oracle-call budget per optimization (-1 = none, 0 = empty set)")
-	parallel := flag.Int("parallel", 0, "oracle worker-pool bound (0 = GOMAXPROCS)")
 	flag.Parse()
 
 	var src []byte
@@ -93,9 +92,7 @@ func main() {
 		log.Fatalf("mqo: unknown algorithm %q", *algo)
 	}
 
-	sess, err := repro.NewSession(cat, cost.Default(),
-		repro.WithParallelism(*parallel),
-		repro.WithExtendedOps(*ext))
+	sess, err := repro.NewSession(cat, cost.Default(), repro.WithExtendedOps(*ext))
 	if err != nil {
 		log.Fatalf("mqo: %v", err)
 	}
@@ -104,8 +101,8 @@ func main() {
 			// The cardinality constraint applies to MarginalGreedy only
 			// (Section 5.3) and stays on the core API: RunK is not a
 			// streaming-session strategy.
-			if *timeout > 0 || *budget >= 0 || *parallel > 0 {
-				log.Printf("mqo: note: -timeout/-budget/-parallel do not apply to the -k mode")
+			if *timeout > 0 || *budget >= 0 {
+				log.Printf("mqo: note: -timeout/-budget do not apply to the -k mode")
 			}
 			runK(cat, batch, *k, *ext, *showPlan)
 			continue

@@ -22,7 +22,7 @@ import (
 func main() {
 	cat := tpcd.Catalog(1)
 	batch := tpcd.BQ(3)
-	sess, err := repro.NewSession(cat, cost.Default(), repro.WithParallelism(4))
+	sess, err := repro.NewSession(cat, cost.Default())
 	if err != nil {
 		log.Fatal(err)
 	}

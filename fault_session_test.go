@@ -4,12 +4,15 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/logical"
 	"repro/internal/tpcd"
+	"repro/internal/workload"
 )
 
 // TestSessionFaultErrorContract: an injected worker panic inside Optimize
@@ -17,6 +20,7 @@ import (
 // Faults stat, and — when the run had committed state — carries a
 // checkpoint that a FRESH session resumes to the uninterrupted result.
 func TestSessionFaultErrorContract(t *testing.T) {
+	withProcs(t, 4)
 	ref, err := newTestSession(t).Optimize(context.Background(), tpcd.BQ(2),
 		WithStrategy(MarginalGreedy))
 	if err != nil {
@@ -28,11 +32,11 @@ func TestSessionFaultErrorContract(t *testing.T) {
 		restore := faultinject.Enable(faultinject.NewSchedule(hit,
 			faultinject.Rule{Point: faultinject.OracleEval, N: hit, Panic: true}))
 		r, err := sess.Optimize(context.Background(), tpcd.BQ(2),
-			WithStrategy(MarginalGreedy), WithParallelism(4))
+			WithStrategy(MarginalGreedy))
 		restore()
 		if err == nil {
-			if hit < 40 {
-				t.Fatalf("hit %d: no error from faulted run", hit)
+			if hit <= int64(ref.Telemetry.BCCalls) {
+				t.Fatalf("hit %d of %d: no error from faulted run", hit, ref.Telemetry.BCCalls)
 			}
 			continue // run finished before the scheduled hit
 		}
@@ -159,7 +163,9 @@ func TestSessionResumeFingerprintMismatch(t *testing.T) {
 // any other, so each of them passes the injection point, and a panic in one
 // is isolated: the call returns a *FaultError with StopPanic and a checkpoint
 // a fresh session resumes to the uninterrupted result, instead of the panic
-// escaping Optimize.
+// escaping Optimize. The run's evaluations by hit: bc(∅); round 1, every
+// candidate and f(∅) in one batch; the one-candidate rounds and selections;
+// last, the pricing of the chosen set, whose fault carries no checkpoint.
 func TestSessionFaultInOneCandidateRound(t *testing.T) {
 	lazy := WithStrategy(core.LazyGreedyStrategy)
 	counting := faultinject.NewSchedule(1)
@@ -169,10 +175,13 @@ func TestSessionFaultInOneCandidateRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	firstPass := int64(len(ref.opt.Shareable())) // round 1 prices every candidate in one batch
+	firstPass := 1 + int64(len(ref.opt.Shareable())) + 1 // bc(∅), then round 1
 	evals := counting.Hits(faultinject.OracleEval)
-	if evals <= firstPass {
-		t.Fatalf("%d evaluations passed the injection point, all of them in the first pass of %d: one-candidate rounds bypass it", evals, firstPass)
+	if evals != int64(ref.Telemetry.BCCalls) {
+		t.Fatalf("%d evaluations passed the injection point of %d bestCost calls", evals, ref.Telemetry.BCCalls)
+	}
+	if evals <= firstPass+1 {
+		t.Fatalf("%d evaluations passed the injection point, all but the pricing in the first pass of %d: one-candidate rounds bypass it", evals, firstPass)
 	}
 	for n := firstPass + 1; n <= evals; n++ {
 		restore := faultinject.Enable(faultinject.NewSchedule(n,
@@ -183,8 +192,11 @@ func TestSessionFaultInOneCandidateRound(t *testing.T) {
 		if r != nil || !errors.As(err, &fe) {
 			t.Fatalf("evaluation %d: result %v, error %v; want a *FaultError alone", n, r, err)
 		}
-		if fe.Telemetry.Stopped != StopPanic || fe.Checkpoint == nil {
-			t.Fatalf("evaluation %d: stopped %v, checkpoint %v", n, fe.Telemetry.Stopped, fe.Checkpoint)
+		if fe.Telemetry.Stopped != StopPanic || (fe.Checkpoint == nil) != (n == evals) {
+			t.Fatalf("evaluation %d of %d: stopped %v, checkpoint %v", n, evals, fe.Telemetry.Stopped, fe.Checkpoint)
+		}
+		if n == evals {
+			continue
 		}
 		got, err := newTestSession(t).Optimize(context.Background(), tpcd.BQ(2), WithResume(fe.Checkpoint))
 		if err != nil {
@@ -196,5 +208,83 @@ func TestSessionFaultInOneCandidateRound(t *testing.T) {
 	}
 	if ref.Telemetry.OracleCalls != 28 || ref.Telemetry.BCCalls != 30 {
 		t.Errorf("LazyGreedy on BQ2 spent %d oracle calls / %d bestCost calls, pinned 28 / 30", ref.Telemetry.OracleCalls, ref.Telemetry.BCCalls)
+	}
+}
+
+// TestFaultEveryEvaluationIsolated: every bestCost call a servable strategy
+// makes goes through the oracle's batch path — it passes the OracleEval
+// injection point (one hit per Telemetry.BCCalls) and is panic-isolated — so
+// a panic at any of them comes out of Optimize as a *FaultError. What the
+// fault carries follows from where it hit: in setup (bc(∅), and the
+// decomposition of the marginal strategies) or in the pricing of the chosen
+// set (the last hit) no checkpoint; inside a resumable strategy's search a
+// checkpoint that a fresh session resumes to the uninterrupted result. A
+// faulted run hands no worker to the session's free list.
+func TestFaultEveryEvaluationIsolated(t *testing.T) {
+	batches := map[string]*logical.Batch{
+		"gen6": workload.MustGenerate(workload.DefaultSpec(6, 0.5)),
+		"gen8": workload.MustGenerate(workload.DefaultSpec(8, 0.25)),
+	}
+	for i := 1; i <= 6; i++ {
+		batches[fmt.Sprintf("BQ%d", i)] = tpcd.BQ(i)
+	}
+	ctx := context.Background()
+	for name, batch := range batches {
+		for _, strat := range []Strategy{core.Volcano, core.Greedy, core.LazyGreedyStrategy,
+			core.MarginalGreedy, core.LazyMarginalGreedy, core.MaterializeAll, core.VolcanoSH} {
+			counting := faultinject.NewSchedule(0)
+			restore := faultinject.Enable(counting)
+			ref, err := newTestSession(t).Optimize(ctx, batch, WithStrategy(strat))
+			restore()
+			if err != nil {
+				t.Fatalf("%s %v: %v", name, strat, err)
+			}
+			calls := int64(ref.Telemetry.BCCalls)
+			if hits := counting.Hits(faultinject.OracleEval); hits != calls {
+				t.Fatalf("%s %v: %d of %d bestCost calls passed the injection point", name, strat, hits, calls)
+			}
+			setup := int64(1) // bc(∅)
+			if strat == core.MarginalGreedy || strat == core.LazyMarginalGreedy {
+				setup += int64(len(ref.opt.Shareable())) + 1 // f(U), every f(U ∖ {e})
+			}
+			for hit := int64(1); hit <= calls; hit++ {
+				if testing.Short() && hit%5 != 1 && hit != calls {
+					continue
+				}
+				sess := newTestSession(t)
+				restore := faultinject.Enable(faultinject.NewSchedule(hit,
+					faultinject.Rule{Point: faultinject.OracleEval, N: hit, Panic: true}))
+				r, err := func() (r *RunResult, err error) {
+					defer func() {
+						if p := recover(); p != nil {
+							t.Fatalf("%s %v hit %d: a panic escaped Optimize: %v", name, strat, hit, p)
+						}
+					}()
+					return sess.Optimize(ctx, batch, WithStrategy(strat))
+				}()
+				restore()
+				var fe *FaultError
+				if r != nil || !errors.As(err, &fe) || fe.Telemetry.Stopped != StopPanic {
+					t.Fatalf("%s %v hit %d of %d: result %v, error %v; want a *FaultError alone", name, strat, hit, calls, r, err)
+				}
+				if n := sess.cache.FreeWorkers(); n != 0 {
+					t.Fatalf("%s %v hit %d: the faulted run pooled %d workers", name, strat, hit, n)
+				}
+				inSearch := strat.Resumable() && hit > setup && hit < calls
+				if (fe.Checkpoint != nil) != inSearch {
+					t.Fatalf("%s %v hit %d of %d (setup %d): checkpoint %v, want one %t", name, strat, hit, calls, setup, fe.Checkpoint, inSearch)
+				}
+				if !inSearch {
+					continue
+				}
+				got, err := newTestSession(t).Optimize(ctx, batch, WithResume(fe.Checkpoint))
+				if err != nil {
+					t.Fatalf("%s %v hit %d: resume on a fresh session: %v", name, strat, hit, err)
+				}
+				if got.Cost != ref.Cost || !slices.Equal(got.Materialized, ref.Materialized) {
+					t.Fatalf("%s %v hit %d: resumed to cost %v set %v, uninterrupted %v %v", name, strat, hit, got.Cost, got.Materialized, ref.Cost, ref.Materialized)
+				}
+			}
+		}
 	}
 }

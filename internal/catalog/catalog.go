@@ -6,10 +6,7 @@
 // catalog in internal/tpcd) populate and the estimator consumes.
 package catalog
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // ColType is the logical type of a column. It matters only for default
 // widths and for synthetic data generation.
@@ -176,23 +173,4 @@ func (c *Catalog) MustAddTable(t *Table) {
 func (c *Catalog) Table(name string) (*Table, bool) {
 	t, ok := c.tables[name]
 	return t, ok
-}
-
-// Tables returns all tables sorted by name.
-func (c *Catalog) Tables() []*Table {
-	out := make([]*Table, 0, len(c.tables))
-	for _, t := range c.tables {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// TotalBytes returns the total data size of all tables in bytes.
-func (c *Catalog) TotalBytes() float64 {
-	var sum float64
-	for _, t := range c.tables {
-		sum += t.Rows * float64(t.RowWidth())
-	}
-	return sum
 }

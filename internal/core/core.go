@@ -16,6 +16,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/memo"
@@ -92,9 +93,6 @@ type Config struct {
 	// greedy round. It runs on the optimizing goroutine, so cancelling the
 	// run's context from inside it stops the run at a deterministic round.
 	Progress func(submod.Progress)
-	// Parallelism, when > 0, sets the searcher's worker-pool bound before
-	// the run (see physical.Searcher.Parallelism).
-	Parallelism int
 	// WarmOracle lets the run consume memoized mb(S) values published to
 	// the attached SharedCache by earlier runs, skipping those oracle
 	// calls entirely (they surface as Telemetry.SharedOracleHits). Runs
@@ -175,14 +173,29 @@ type BenefitFunc struct {
 
 // NewBenefitFuncCtx builds the benefit function (one bc(∅) evaluation)
 // with a context that cancels batched evaluations between individual
-// bc(S) calls.
+// bc(S) calls. When bc(∅) panics, Fault reports the panic and the function
+// must not be used.
 func NewBenefitFuncCtx(ctx context.Context, opt *volcano.Optimizer) *BenefitFunc {
+	base, _ := bestCost(opt, physical.NodeSet{})
 	return &BenefitFunc{
 		Opt:   opt,
 		Nodes: opt.Shareable(),
-		base:  opt.BestCost(physical.NodeSet{}),
+		base:  base,
 		ctx:   ctx,
 	}
+}
+
+// bestCost is bc(set) priced the way every evaluation of a run is: on the
+// searcher's batch path, past the OracleEval injection point and
+// panic-isolated, as a batch of one that is never cancelled. ok is false
+// when the evaluation panicked; the searcher then holds the fault
+// (TakeFault).
+func bestCost(opt *volcano.Optimizer, set physical.NodeSet) (float64, bool) {
+	costs, ok := opt.Searcher.BestCostBatchCtx(context.Background(), []physical.NodeSet{set})
+	if !ok {
+		return 0, false
+	}
+	return costs[0], true
 }
 
 // N returns the number of shareable nodes.
@@ -198,9 +211,14 @@ func (f *BenefitFunc) toNodeSet(s submod.Set) physical.NodeSet {
 	return ns
 }
 
-// Eval returns mb(S) = bc(∅) − bc(S).
+// Eval returns mb(S) = bc(∅) − bc(S), ignoring the context. When the
+// evaluation panics it returns NaN and Fault reports the panic.
 func (f *BenefitFunc) Eval(s submod.Set) float64 {
-	return f.base - f.Opt.BestCost(f.toNodeSet(s))
+	c, ok := bestCost(f.Opt, f.toNodeSet(s))
+	if !ok {
+		return math.NaN()
+	}
+	return f.base - c
 }
 
 // EvalBatch returns mb(S) for every set, evaluating the underlying
@@ -222,9 +240,9 @@ func (f *BenefitFunc) EvalBatch(sets []submod.Set) ([]float64, bool) {
 	return out, ok
 }
 
-// Fault drains the panic the searcher's most recent batch recovered, if
-// any (submod.Faulter): the oracle classifies an aborted batch as
-// StopPanic when this is non-nil.
+// Fault drains the panic the searcher's most recent evaluation recovered,
+// if any (submod.Faulter): the oracle stops the run with StopPanic when
+// this is non-nil.
 func (f *BenefitFunc) Fault() error { return f.Opt.Searcher.TakeFault() }
 
 // Interacts reports whether materializing node x can change node e's
@@ -322,9 +340,6 @@ func run(ctx context.Context, opt *volcano.Optimizer, strat Strategy, cfg Config
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if cfg.Parallelism > 0 {
-		opt.Searcher.Parallelism = cfg.Parallelism
-	}
 	if cfg.TimeBudget > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, cfg.TimeBudget)
@@ -352,6 +367,9 @@ func run(ctx context.Context, opt *volcano.Optimizer, strat Strategy, cfg Config
 	}
 	mt := startMeter(opt)
 	f := NewBenefitFuncCtx(ctx, opt)
+	if err := f.Fault(); err != nil {
+		return mt.faulted(strat, err), nil
+	}
 	oracle := submod.NewOracle(f)
 	// With a session SharedCache attached, memoized oracle values from
 	// earlier runs over the same search space (namespaced by the searcher
@@ -447,14 +465,19 @@ func searched(strat Strategy, f *BenefitFunc, oracle *submod.Oracle, r submod.Re
 // finish completes a Result whose search part the driver filled in
 // (Strategy, Materialized, VolcanoCost, OracleCalls, Checkpoint, Fault and
 // the Telemetry round counters): it prices the chosen set (a faulted
-// run's searcher is not consulted again) and fills the counter deltas and
-// phase times — the one place they are put together. setupEnd and
-// searchEnd split the clock into setup, search and finalize.
+// run's searcher is not consulted again, and a panic in the pricing faults
+// the run) and fills the counter deltas and phase times — the one place
+// they are put together. setupEnd and searchEnd split the clock into
+// setup, search and finalize.
 func (mt meter) finish(res Result, setupEnd, searchEnd time.Time) Result {
 	res.Set = mt.opt.NewNodeSet(res.Materialized...)
 	if res.Fault == nil {
-		res.Cost = mt.opt.BestCost(res.Set)
-		res.Benefit = res.VolcanoCost - res.Cost
+		if c, ok := bestCost(mt.opt, res.Set); ok {
+			res.Cost = c
+			res.Benefit = res.VolcanoCost - res.Cost
+		} else {
+			res.Fault, res.Telemetry.Stopped = mt.opt.Searcher.TakeFault(), submod.StopPanic
+		}
 	}
 	end := time.Now()
 	res.OptTime = end.Sub(mt.start)
@@ -470,6 +493,13 @@ func (mt meter) finish(res Result, setupEnd, searchEnd time.Time) Result {
 	return res
 }
 
+// faulted is the Result of a run whose bc(∅) panicked: there is nothing to
+// search from and nothing to resume.
+func (mt meter) faulted(strat Strategy, err error) Result {
+	now := time.Now()
+	return mt.finish(Result{Strategy: strat, Fault: err, Telemetry: Telemetry{Stopped: submod.StopPanic}}, now, now)
+}
+
 // RunK executes the cardinality-constrained MarginalGreedy of Section 5.3:
 // at most k nodes are materialized. With reduce=true the Theorem 4
 // universe-reduction preprocessing runs first; Theorem 4 guarantees the
@@ -477,6 +507,9 @@ func (mt meter) finish(res Result, setupEnd, searchEnd time.Time) Result {
 func RunK(opt *volcano.Optimizer, k int, reduce bool) Result {
 	mt := startMeter(opt)
 	f := NewBenefitFuncCtx(context.TODO(), opt)
+	if err := f.Fault(); err != nil {
+		return mt.faulted(MarginalGreedy, err)
+	}
 	oracle := submod.NewOracle(f)
 	d := submod.DecomposeStar(oracle)
 	setupEnd := time.Now()

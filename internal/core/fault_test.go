@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -27,11 +28,11 @@ func sameGroups(a, b []memo.GroupID) bool {
 // TestFaultInjectedPanicIsolated: an injected worker panic during a greedy
 // run must not escape RunWith — the run stops with StopPanic, carries the
 // typed fault, and does not price the set on the possibly poisoned
-// searcher.
+// searcher. Hit 1 is bc(∅), hit 5 the decomposition, hit 40 the search.
 func TestFaultInjectedPanicIsolated(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	for _, hit := range []int64{1, 5, 40} {
 		opt := bq2Optimizer(t)
-		opt.Searcher.Parallelism = 4
 		restore := faultinject.Enable(faultinject.NewSchedule(hit,
 			faultinject.Rule{Point: faultinject.OracleEval, N: hit, Panic: true}))
 		res := RunWith(context.Background(), opt, MarginalGreedy, Config{})
@@ -52,26 +53,32 @@ func TestFaultInjectedPanicIsolated(t *testing.T) {
 	}
 }
 
-// TestFaultResumeAfterPanicMatchesUninterrupted: when the faulted run had
-// committed greedy state, its checkpoint — resumed on a FRESH optimizer,
-// as a quarantining server would — must land on exactly the set an
-// uninterrupted run selects.
+// TestFaultResumeAfterPanicMatchesUninterrupted: every bestCost call of the
+// run is a hit, and a panic at one faults the run. Inside the search it
+// leaves a checkpoint — resumed on a FRESH optimizer, as a quarantining
+// server would, it must land on exactly the set an uninterrupted run
+// selects; in setup (bc(∅), then f(U) and every f(U ∖ {e})) or in the final
+// pricing there is no state to resume, and no checkpoint.
 func TestFaultResumeAfterPanicMatchesUninterrupted(t *testing.T) {
-	ref := RunWith(context.Background(), bq2Optimizer(t), MarginalGreedy, Config{})
+	refOpt := bq2Optimizer(t)
+	ref := RunWith(context.Background(), refOpt, MarginalGreedy, Config{})
+	calls, setup := int64(ref.Telemetry.BCCalls), int64(2+len(refOpt.Shareable()))
 	resumed := 0
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	for hit := int64(1); hit <= 60; hit += 7 {
 		opt := bq2Optimizer(t)
-		opt.Searcher.Parallelism = 4
 		restore := faultinject.Enable(faultinject.NewSchedule(hit,
 			faultinject.Rule{Point: faultinject.OracleEval, N: hit, Panic: true}))
 		res := RunWith(context.Background(), opt, MarginalGreedy, Config{})
 		restore()
-		if res.Fault == nil {
-			// The run finished before the scheduled hit.
-			continue
+		if (res.Fault != nil) != (hit <= calls) {
+			t.Fatalf("hit %d of %d: fault %v", hit, calls, res.Fault)
+		}
+		if inSearch := setup < hit && hit < calls; (res.Checkpoint != nil) != inSearch {
+			t.Fatalf("hit %d (setup %d, %d calls): checkpoint %v, want one %t", hit, setup, calls, res.Checkpoint, inSearch)
 		}
 		if res.Checkpoint == nil {
-			continue // faulted before the driver had state (e.g. decomposition)
+			continue
 		}
 		got, err := ResumeWith(context.Background(), bq2Optimizer(t), res.Checkpoint, Config{})
 		if err != nil {

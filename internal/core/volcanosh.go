@@ -20,11 +20,14 @@ import (
 // it never steers plan choice toward sharing. It provides the middle
 // baseline between stand-alone Volcano and full cost-based MQO. Volcano-SH
 // has no submod oracle, so its bestCost probes are counted directly against
-// the call budget and the candidate keep-loop checks the context between
-// probes.
+// the call budget, the candidate keep-loop checks the context between
+// probes, and a panic in a probe stops the run with StopPanic.
 func runVolcanoSH(ctx context.Context, opt *volcano.Optimizer, cfg Config) Result {
 	mt := startMeter(opt)
-	base := opt.BestCost(physical.NodeSet{})
+	base, ok := bestCost(opt, physical.NodeSet{})
+	if !ok {
+		return mt.faulted(VolcanoSH, opt.Searcher.TakeFault())
+	}
 	plan := opt.Plan(physical.NodeSet{})
 	setupEnd := time.Now()
 
@@ -57,6 +60,7 @@ func runVolcanoSH(ctx context.Context, opt *volcano.Optimizer, cfg Config) Resul
 	cur := base
 	calls, rounds := 0, 0
 	stopped := submod.StopNone
+	var fault error
 	for _, id := range cands {
 		if err := ctx.Err(); err != nil {
 			stopped = submod.CtxStopReason(err)
@@ -68,7 +72,12 @@ func runVolcanoSH(ctx context.Context, opt *volcano.Optimizer, cfg Config) Resul
 		}
 		calls++
 		rounds++
-		if c := opt.BestCost(chosen.With(id)); c < cur {
+		c, ok := bestCost(opt, chosen.With(id))
+		if !ok {
+			stopped, fault = submod.StopPanic, opt.Searcher.TakeFault()
+			break
+		}
+		if c < cur {
 			chosen.Add(id)
 			cur = c
 		}
@@ -89,6 +98,7 @@ func runVolcanoSH(ctx context.Context, opt *volcano.Optimizer, cfg Config) Resul
 		Materialized: chosen.Groups(),
 		VolcanoCost:  base,
 		OracleCalls:  calls,
+		Fault:        fault,
 		Telemetry:    Telemetry{Rounds: rounds, Stopped: stopped},
 	}, setupEnd, searchEnd)
 }

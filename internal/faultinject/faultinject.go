@@ -36,8 +36,9 @@ type Point uint8
 
 // Injection points.
 const (
-	// OracleEval fires before each bc(S) evaluation of a batched oracle
-	// round (physical.Searcher.BestCostBatchCtx, serial and parallel).
+	// OracleEval fires before each bc(S) evaluation in
+	// physical.Searcher.BestCostBatchCtx, which every bestCost call of a
+	// run goes through: one hit per Telemetry.BCCalls.
 	OracleEval Point = iota
 	// Round fires at each greedy round boundary (submod.lazyRun),
 	// after budget checks and before the round's oracle work.

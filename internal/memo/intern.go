@@ -104,27 +104,51 @@ func WithBuildCache(c *BuildCache) Option {
 	return func(cfg *buildConfig) { cfg.cache = c }
 }
 
-// key renders the key finished memos of the batch are held under, "" when
-// some query has no fingerprint (or c is nil). Names and fingerprints are
-// length-prefixed, so distinct batches never render alike.
+// key renders the key finished memos of the batch are held under: the two
+// rule-ablation flags and BatchKey; "" when some query has no fingerprint
+// (or c is nil).
 func (c *BuildCache) key(batch *logical.Batch, cfg *buildConfig) string {
 	if c == nil {
 		return ""
 	}
+	flags := string(ablationFlag(cfg.noSelectSubsumption)) + string(ablationFlag(cfg.noAggSubsumption))
+	k, _ := batchKey(batch, flags)
+	return k
+}
+
+// BatchKey renders what identifies a batch to the optimizer: each query's
+// name and canonical structural fingerprint (blockKey), length-prefixed, in
+// batch order — so distinct batches never render alike, and equal keys
+// build identical DAGs against one catalog. ok is false when some query is
+// not fingerprintable (derived sources, > 64 sources) or the batch is nil.
+// BuildCache holds memos under it; the serving layer's batch coalescer
+// deduplicates member requests by it.
+func BatchKey(batch *logical.Batch) (string, bool) {
+	return batchKey(batch, "")
+}
+
+// batchKey renders prefix and then BatchKey, into one allocation; "" when
+// BatchKey has none.
+func batchKey(batch *logical.Batch, prefix string) (string, bool) {
+	if batch == nil {
+		return "", false
+	}
 	fps := make([]string, len(batch.Queries))
-	size := 2
+	size := len(prefix)
 	for i, q := range batch.Queries {
-		k, ok := QueryFingerprint(q)
-		if !ok {
-			return ""
+		if q == nil {
+			return "", false
 		}
-		fps[i] = k
-		size += len(q.Name) + len(k) + 16
+		fp, ok := blockKey(q.Root)
+		if !ok {
+			return "", false
+		}
+		fps[i] = fp
+		size += len(q.Name) + len(fp) + 16
 	}
 	var sb strings.Builder
 	sb.Grow(size)
-	sb.WriteByte(ablationFlag(cfg.noSelectSubsumption))
-	sb.WriteByte(ablationFlag(cfg.noAggSubsumption))
+	sb.WriteString(prefix)
 	for i, q := range batch.Queries {
 		sb.WriteString(strconv.Itoa(len(q.Name)))
 		sb.WriteByte(':')
@@ -133,7 +157,7 @@ func (c *BuildCache) key(batch *logical.Batch, cfg *buildConfig) string {
 		sb.WriteByte(':')
 		sb.WriteString(fps[i])
 	}
-	return sb.String()
+	return sb.String(), true
 }
 
 func ablationFlag(off bool) byte {
@@ -193,20 +217,6 @@ func (c *BuildCache) hold(key string, m *Memo) {
 		c.nodes -= c.held[victim].m.NumExprs()
 		delete(c.held, victim)
 	}
-}
-
-// QueryFingerprint renders the canonical structural fingerprint of a
-// query — the per-query part of the key BuildCache holds a batch's memo
-// under — or ok=false when the query is not fingerprintable
-// (derived sources, >64 sources). Two queries with equal fingerprints
-// build identical memo sub-DAGs against the same catalog; the serving
-// layer's batch coalescer relies on exactly that to deduplicate
-// structurally identical member requests before a shared run.
-func QueryFingerprint(q *logical.Query) (string, bool) {
-	if q == nil {
-		return "", false
-	}
-	return blockKey(q.Root)
 }
 
 // blockKey renders the canonical structural fingerprint of a single-block

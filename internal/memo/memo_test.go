@@ -362,17 +362,17 @@ func TestShareIndexDescendants(t *testing.T) {
 	if !nonzero {
 		t.Error("root sees no shareable descendants")
 	}
-	// MaskHash must differ when a descendant's bit flips and stay equal
-	// for bits outside the descendant set.
+	// The mask hash must differ when a descendant's bit flips and stay
+	// equal for bits outside the descendant set.
 	mat := si.NewMatSet()
-	h0 := si.MaskHash(m.QueryRoots[0], mat)
+	h0 := HashMasked(rootBits, mat)
 	for _, id := range m.Shareable() {
 		si.Set(mat, id)
 		break
 	}
-	h1 := si.MaskHash(m.QueryRoots[0], mat)
+	h1 := HashMasked(rootBits, mat)
 	if h0 == h1 {
-		t.Error("MaskHash ignored a shareable descendant flip")
+		t.Error("HashMasked ignored a shareable descendant flip")
 	}
 }
 
@@ -394,9 +394,9 @@ func TestShareIndexSetOps(t *testing.T) {
 	if !si.Set(mat, sh[0]) || !si.Has(mat, sh[0]) {
 		t.Error("Set/Has broken")
 	}
-	si.Unset(mat, sh[0])
+	mat.ClearSlot(si.Pos(sh[0]))
 	if si.Has(mat, sh[0]) {
-		t.Error("Unset broken")
+		t.Error("ClearSlot broken")
 	}
 	if si.Pos(GroupID(99999)) != -1 {
 		t.Error("Pos of non-shareable should be -1")

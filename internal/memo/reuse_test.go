@@ -52,12 +52,8 @@ func pinnedDigests(t testing.TB) map[string]digestPin {
 }
 
 func fingerprintable(b *logical.Batch) bool {
-	for _, q := range b.Queries {
-		if _, ok := memo.QueryFingerprint(q); !ok {
-			return false
-		}
-	}
-	return true
+	_, ok := memo.BatchKey(b)
+	return ok
 }
 
 // A hit is indistinguishable from a miss: the memo a BuildCache hands back

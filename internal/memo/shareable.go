@@ -150,14 +150,9 @@ func (si *ShareIndex) Groups(mat Bitset) []GroupID {
 // the group (shared storage, do not mutate).
 func (si *ShareIndex) Descendants(id GroupID) Bitset { return si.desc[id] }
 
-// MaskHash hashes the intersection of a materialization bitset with the
-// group's shareable descendants (FNV-1a over the masked words).
-func (si *ShareIndex) MaskHash(id GroupID, mat Bitset) uint64 {
-	return HashMasked(si.Descendants(id), mat)
-}
-
-// HashMasked is MaskHash over an explicit descendants bitset; the oracle
-// hot path precomputes descendants per group and calls this directly.
+// HashMasked hashes the intersection of a materialization bitset with a
+// group's shareable descendants (FNV-1a over the masked words): the
+// Section 5.1 cache mask.
 func HashMasked(desc, mat Bitset) uint64 {
 	var h uint64 = 1469598103934665603
 	for w := range desc {
@@ -186,13 +181,6 @@ func (si *ShareIndex) Set(mat Bitset, id GroupID) bool {
 	}
 	mat.SetSlot(p)
 	return true
-}
-
-// Unset clears a shareable group's bit.
-func (si *ShareIndex) Unset(mat Bitset, id GroupID) {
-	if p := si.Pos(id); p >= 0 {
-		mat.ClearSlot(p)
-	}
 }
 
 // Has reports whether the group's bit is set.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -43,8 +44,10 @@ var walkMemos = sync.OnceValue(func() []*memo.Memo {
 // must be the bit a searcher that reuses nothing produces. The reference
 // keeps no base and no cache (Incremental off: every call re-stamps every
 // group), and every 64th check is also made against a searcher created for
-// it, whose worker has never priced anything.
+// it, whose worker has never priced anything. A round's width is the bytes'
+// choice of GOMAXPROCS 1, 2 or 4, restored when the walk ends.
 func deltaWalk(t testing.TB, data []byte) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	memos := walkMemos()
 	pos := 0
 	next := func() int {
@@ -64,11 +67,11 @@ func deltaWalk(t testing.TB, data []byte) {
 		cur    NodeSet
 		checks int
 	)
-	bind := func(to *memo.Memo, extended, matOrders, incremental bool, par int) {
+	bind := func(to *memo.Memo, extended, matOrders, incremental bool) {
 		m, sh = to, to.Shareable()
 		s = NewSearcher(m)
 		s.AttachSharedCache(cache)
-		s.ExtendedOps, s.MatOrders, s.Incremental, s.Parallelism = extended, matOrders, incremental, par
+		s.ExtendedOps, s.MatOrders, s.Incremental = extended, matOrders, incremental
 		if refs[m] == nil {
 			refs[m] = NewSearcher(m)
 			refs[m].Incremental = false
@@ -76,7 +79,7 @@ func deltaWalk(t testing.TB, data []byte) {
 		ref = refs[m]
 		cur = s.NewNodeSet()
 	}
-	bind(memos[next()%len(memos)], false, true, true, 1)
+	bind(memos[next()%len(memos)], false, true, true)
 
 	want := func(set NodeSet) float64 {
 		ref.ExtendedOps, ref.MatOrders = s.ExtendedOps, s.MatOrders
@@ -92,7 +95,7 @@ func deltaWalk(t testing.TB, data []byte) {
 	}
 	flip := func(set NodeSet, id memo.GroupID) {
 		if set.Has(id) {
-			s.SI.Unset(set.bits, id)
+			set.bits.ClearSlot(s.SI.Pos(id))
 		} else {
 			set.Add(id)
 		}
@@ -117,7 +120,8 @@ func deltaWalk(t testing.TB, data []byte) {
 				fail("bc after a toggle = %v, want %v", got, w)
 			}
 		case op < 20: // a round of one-node neighbours
-			s.Parallelism = []int{1, 2, 4}[next()%3]
+			par := []int{1, 2, 4}[next()%3]
+			runtime.GOMAXPROCS(par)
 			if next()%2 == 0 {
 				s.batchMark = s.Stats // no evaluation since the last batch: fan out
 			}
@@ -133,7 +137,7 @@ func deltaWalk(t testing.TB, data []byte) {
 				// skips sets, sits a batch out, comes back rounds later.
 				s.setBatchBase(sets)
 				for _, set := range sets {
-					w := s.worker(next() % s.Parallelism)
+					w := s.worker(next() % par)
 					got = append(got, s.bestCostOn(w, set.bits, s.base))
 					w.flushStats()
 				}
@@ -145,7 +149,7 @@ func deltaWalk(t testing.TB, data []byte) {
 			}
 			for i := range sets {
 				if w := want(sets[i]); got[i] != w {
-					fail("batch at Parallelism %d, set %d of %d: bc = %v, want %v", s.Parallelism, i, len(sets), got[i], w)
+					fail("batch at GOMAXPROCS %d, set %d of %d: bc = %v, want %v", par, i, len(sets), got[i], w)
 				}
 			}
 		case op == 20: // far jump
@@ -190,7 +194,7 @@ func deltaWalk(t testing.TB, data []byte) {
 			}
 		case op == 24: // publish, and a successor over another DAG takes the workers
 			s.PublishCache()
-			bind(memos[next()%len(memos)], s.ExtendedOps, s.MatOrders, s.Incremental, s.Parallelism)
+			bind(memos[next()%len(memos)], s.ExtendedOps, s.MatOrders, s.Incremental)
 		case op == 25:
 			s.ExtendedOps = !s.ExtendedOps
 			s.ClearCache()

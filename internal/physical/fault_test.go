@@ -24,7 +24,7 @@ func TestFaultBatchPanicRecovered(t *testing.T) {
 
 	for _, par := range []int{1, 4} {
 		s := buildSearcher(t, sharedPairQueries()...)
-		s.Parallelism = par
+		withProcs(t, par)
 		schedule := faultinject.NewSchedule(7, faultinject.Rule{
 			Point: faultinject.OracleEval, N: 2, Panic: true,
 		})
@@ -73,7 +73,7 @@ func TestFaultFreeReplayBitIdentical(t *testing.T) {
 	for _, id := range sh {
 		mats = append(mats, s.NewNodeSet(id))
 	}
-	s.Parallelism = 4
+	withProcs(t, 4)
 	a, ok := s.BestCostBatchCtx(context.Background(), mats)
 	if !ok {
 		t.Fatal("first run aborted")

@@ -399,7 +399,7 @@ func TestBestCostBatchCtxL1Stress(t *testing.T) {
 		mats[i] = sPar.NewNodeSet(ids...)
 		seqMats[i] = sSeq.NewNodeSet(ids...)
 	}
-	sPar.Parallelism = 4
+	withProcs(t, 4)
 	got, ok := sPar.BestCostBatchCtx(nil, mats)
 	if !ok {
 		t.Fatal("stress batch aborted")

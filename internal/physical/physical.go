@@ -176,10 +176,18 @@
 // log, the private L1 cache, stat counters). Sequential entry points
 // (BestCost, BestUseCost, BestPlan, CostBreakdown) share worker 0 and are
 // not safe for concurrent use, while BestCostBatchCtx evaluates many
-// materialization sets concurrently on up to Parallelism workers. A worker's
-// base is private to it; the batch base (Searcher.base) is written by
-// BestCostBatchCtx before it starts the batch's goroutines, which only read
-// it.
+// materialization sets concurrently. A worker's base is private to it; the
+// batch base (Searcher.base) is written by BestCostBatchCtx before it starts
+// the batch's goroutines, which only read it.
+//
+// How many workers a batch runs on is the searcher's decision, not a
+// caller's: GOMAXPROCS, capped by the batch, and one while the evaluations
+// before the batch read caches rather than computed keys (fanOutKeys). The
+// crossover it follows is a property of the run, which a caller does not
+// see: measured in PRs 23–24, a second worker loses on every warm run and
+// on cold runs below 64 queries and wins on a cold 64-query one (numbers at
+// fanOutKeys) — it relearns a private L1 its neighbour already holds
+// (computed_keys + 19–34 %), so it pays only where computing keys dominates.
 //
 // Workers are borrowed, under one rule for every entry point: a searcher
 // takes a worker the first time an evaluation needs one — from the attached
@@ -383,20 +391,6 @@ type Searcher struct {
 	// Like ExtendedOps, toggling it requires a ClearCache call.
 	MatOrders bool
 
-	// Parallelism bounds the number of workers BestCostBatchCtx fans a batch
-	// of candidate sets out to; 0 (the default) means GOMAXPROCS and 1
-	// forces sequential evaluation on worker 0. It is a bound, not a
-	// demand: a batch fans out only where that pays — while the evaluations
-	// before it computed keys rather than read caches (fanOutKeys) — so a
-	// run the caches serve stays on worker 0 and takes no other. Each
-	// worker carries its own memo and cross-call cache, and every
-	// individual bc(S) evaluation stays sequential, so results are
-	// bit-identical for every setting — the knob trades memory (one
-	// context per worker) and warm-up (per-worker caches learn separately)
-	// against wall-clock time on the batched greedy rounds. Set it before
-	// optimization starts; it must not change during a concurrent batch.
-	Parallelism int
-
 	// workers are the evaluation contexts this searcher has taken so far
 	// (worker), in the order it asked for them.
 	workers []*worker
@@ -465,9 +459,6 @@ func compile(m *memo.Memo) *space {
 	sp.prepare()
 	return sp
 }
-
-// ResetStats clears the counters (not the cache).
-func (s *Searcher) ResetStats() { s.Stats = Stats{} }
 
 // ClearCache drops the worker-private cross-call caches. An attached
 // SharedCache is left alone: its entries are namespaced by the structural
@@ -1229,29 +1220,29 @@ func (s *Searcher) bestCostOn(w *worker, mat, base memo.Bitset) float64 {
 	return total
 }
 
-// BestCostBatchCtx evaluates bc(S) for every set concurrently on up to
-// Parallelism workers and returns the costs in input order. Once ctx is
-// cancelled no further evaluation starts (a bc(S) evaluation already
-// underway runs to completion — cancellation granularity is one oracle
-// call). On abort
-// it returns ok=false together with the completed prefix of the results —
-// costs[:k] such that every evaluation before the first unevaluated set
-// finished. Each value in the prefix is the exact, deterministic bc(S) of
-// its set, so a budget-interrupted round can commit them (e.g. memoize
-// best-so-far candidates) without any risk to determinism; only how much
-// of the batch survives depends on timing. With a nil or undone context
-// results are complete, in input order, and bit-identical to sequential
-// BestCost calls.
+// BestCostBatchCtx evaluates bc(S) for every set and returns the costs in
+// input order, on as many workers as the searcher decides (see the package
+// comment): GOMAXPROCS, capped by the batch, or worker 0 alone while the
+// evaluations before the batch read caches (fanOutKeys). Worker 0 runs on
+// the calling goroutine and the others, if any, on their own; every worker
+// runs the same loop. Once ctx is cancelled no further evaluation starts (a
+// bc(S) evaluation already underway runs to completion — cancellation
+// granularity is one oracle call); a nil ctx never cancels. Every
+// evaluation passes faultinject.OracleEval and is panic-isolated: a panic —
+// injected or genuine — is recovered into a PanicError for TakeFault and
+// aborts the batch, so a poisoned worker can never kill the process or
+// publish a half-computed cost. On abort it returns ok=false together with
+// the completed prefix of the results — costs[:k] such that every
+// evaluation before the first unevaluated set finished. Each value in the
+// prefix is the exact, deterministic bc(S) of its set, so a
+// budget-interrupted round can commit them (e.g. memoize best-so-far
+// candidates) without any risk to determinism; only how much of the batch
+// survives depends on timing. With a nil or undone context results are
+// complete, in input order, and bit-identical to sequential BestCost calls.
 func (s *Searcher) BestCostBatchCtx(ctx context.Context, mats []NodeSet) (costs []float64, ok bool) {
 	s.fault = nil
 	out := make([]float64, len(mats))
-	par := s.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > len(mats) {
-		par = len(mats)
-	}
+	par := max(1, min(runtime.GOMAXPROCS(0), len(mats)))
 	if did := s.Stats.Sub(s.batchMark); did.BCCalls > 0 && did.ComputedKey < fanOutKeys*did.BCCalls {
 		par = 1
 	}
@@ -1259,102 +1250,83 @@ func (s *Searcher) BestCostBatchCtx(ctx context.Context, mats []NodeSet) (costs 
 	if s.Incremental {
 		s.setBatchBase(mats)
 	}
-	var aborted int32
-	var fault atomic.Pointer[faultinject.PanicError]
-	cancelled := func() bool {
-		if atomic.LoadInt32(&aborted) != 0 {
-			return true
-		}
-		if ctx != nil && ctx.Err() != nil {
-			atomic.StoreInt32(&aborted, 1)
-			return true
-		}
-		return false
-	}
-	// evalOne runs one bc(S) evaluation with panic isolation: a panic —
-	// injected or genuine — is recovered into a PanicError (first one wins)
-	// and aborts the batch, so a poisoned worker can never kill the process
-	// or publish a half-computed cost. On a recovered panic ok is false and
-	// out[i] is left untouched, so the committed prefix stops before i.
-	evalOne := func(w *worker, i int) (ok bool) {
-		defer func() {
-			if r := recover(); r != nil {
-				fault.CompareAndSwap(nil, faultinject.NewPanicError("physical.BestCostBatch", r))
-				atomic.StoreInt32(&aborted, 1)
-			}
+	s.worker(par - 1) // takes the batch's workers: s.workers[:par]
+	b := &batch{ctx: ctx, mats: mats, out: out, completed: make([]bool, len(mats))}
+	for _, w := range s.workers[1:par] {
+		b.wg.Add(1)
+		go func() {
+			defer b.wg.Done()
+			s.runBatch(b, w)
 		}()
-		faultinject.Hit(faultinject.OracleEval)
-		out[i] = s.bestCostOn(w, mats[i].bits, s.base)
-		return true
 	}
-	if par <= 1 {
-		w := s.worker(0)
-		done := 0
-		for i := range mats {
-			if cancelled() || !evalOne(w, i) {
-				break
-			}
-			done = i + 1
-		}
+	s.runBatch(b, s.workers[0])
+	b.wg.Wait()
+	for _, w := range s.workers[:par] {
 		w.flushStats()
-		s.fault = fault.Load()
-		if aborted != 0 {
-			return out[:done], false
-		}
+	}
+	s.fault = b.fault.Load()
+	if !b.aborted.Load() {
 		return out, true
 	}
-	workers := make([]*worker, par)
-	for k := range workers {
-		workers[k] = s.worker(k)
+	done := 0
+	for done < len(mats) && b.completed[done] {
+		done++
 	}
-	completed := make([]uint32, len(mats))
-	var next int64 = -1
-	var wg sync.WaitGroup
-	for k := 0; k < par; k++ {
-		wg.Add(1)
-		go func(w *worker) {
-			defer wg.Done()
-			for {
-				if cancelled() {
-					return
-				}
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(mats) {
-					return
-				}
-				if !evalOne(w, i) {
-					return
-				}
-				atomic.StoreUint32(&completed[i], 1)
-			}
-		}(workers[k])
-	}
-	wg.Wait()
-	for _, w := range workers {
-		w.flushStats()
-	}
-	s.fault = fault.Load()
-	if atomic.LoadInt32(&aborted) != 0 {
-		done := 0
-		for done < len(completed) && completed[done] == 1 {
-			done++
+	return out[:done], false
+}
+
+// batch is what the workers of one BestCostBatchCtx call share.
+type batch struct {
+	ctx  context.Context
+	mats []NodeSet
+	out  []float64
+	// completed[i] is written by the worker that priced set i and read
+	// after wg.
+	completed []bool
+	next      atomic.Int64 // sets claimed so far
+	aborted   atomic.Bool
+	fault     atomic.Pointer[faultinject.PanicError] // the first panic recovered
+	wg        sync.WaitGroup
+}
+
+// runBatch is the loop every worker of a batch runs: claim the next set and
+// price it, until the sets run out or the batch aborts. A panic ends the
+// loop and aborts the batch; the set it was pricing stays uncompleted.
+func (s *Searcher) runBatch(b *batch, w *worker) {
+	defer func() {
+		if r := recover(); r != nil {
+			b.fault.CompareAndSwap(nil, faultinject.NewPanicError("physical.BestCostBatch", r))
+			b.aborted.Store(true)
 		}
-		return out[:done], false
+	}()
+	for {
+		i := int(b.next.Add(1) - 1)
+		if i >= len(b.mats) || b.aborted.Load() {
+			return
+		}
+		if b.ctx != nil && b.ctx.Err() != nil {
+			b.aborted.Store(true)
+			return
+		}
+		faultinject.Hit(faultinject.OracleEval)
+		b.out[i] = s.bestCostOn(w, b.mats[i].bits, s.base)
+		b.completed[i] = true
 	}
-	return out, true
 }
 
 // fanOutKeys is the number of keys an evaluation must compute, on average
 // over the evaluations since the start of the last batch, for the next batch
-// to be worth a second worker: below it the batch runs on worker 0 whatever
-// Parallelism says. An evaluation the caches serve costs 1–6 µs, less than
-// waking a goroutine, and a worker that is never woken is never taken or
-// allocated. Measured with the rule off (2-vCPU Xeon 2.6 GHz, PR 23, a warm
-// Session.Optimize at Parallelism 1 against 2): 16 queries 0.47 against
-// 0.66 ms, 32 queries 1.34 against 1.70, 64 queries 5.7 against 6.0 — under
-// a key a call each — while a cold 64-query run (≈ 350 keys a call) is 101 ms
-// on one worker and 88 on two. A searcher's first batch after no evaluation
-// at all fans out.
+// to be worth a second worker: below it the batch runs on worker 0 alone. An
+// evaluation the caches serve costs 1–6 µs, less than waking a goroutine,
+// and a worker that is never woken is never taken or allocated. Measured
+// with the rule off (2-vCPU Xeon 2.6 GHz, a warm Session.Optimize on one
+// worker against two): 16 queries 0.47 against 0.66 ms, 32 queries 1.34
+// against 1.70, 64 queries 5.7 against 6.0 — under a key a call each. Cold
+// runs (≈ 350 keys a call at 64 queries) fan out, and there the second worker
+// loses at 16 and 32 queries (6.1–6.3 against 7.4–9.0 ms, 14.8–15.2 against
+// 17.1–18.6) and wins at 64 (81.8–83.5 against 69.1–69.7, PR 24): the
+// crossover a finer rule would have to find, which is ROADMAP item 3(b)'s. A
+// searcher's first batch after no evaluation at all fans out.
 const fanOutKeys = 16
 
 // setBatchBase chooses the base of a batch: the current one while every set

@@ -2,6 +2,7 @@ package physical
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/catalog"
@@ -28,6 +29,14 @@ func testCatalog() *catalog.Catalog {
 	mk("t2", 100000)
 	mk("t3", 80000)
 	return c
+}
+
+// withProcs runs the rest of the test at GOMAXPROCS n — how a test picks
+// how wide BestCostBatchCtx may fan a batch out — and restores it at
+// cleanup. No test calls t.Parallel, so nothing else runs meanwhile.
+func withProcs(t testing.TB, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 func buildSearcher(t testing.TB, queries ...*logical.Query) *Searcher {

@@ -37,7 +37,6 @@ func TestSharedCacheWarmStartAcrossSearchers(t *testing.T) {
 		t.Fatal("publish left the shared cache empty")
 	}
 
-	s2.ResetStats()
 	for i, id := range sh {
 		if got := s2.BestCost(s2.NewNodeSet(id)); got != want[i] {
 			t.Errorf("warm cost %d: %v != cold %v", i, got, want[i])
@@ -265,7 +264,7 @@ func TestSharedCacheInvalidateDropsTables(t *testing.T) {
 	if cache.Len() != 0 || len(cache.spaces) != 0 {
 		t.Fatalf("invalidated cache holds %d entries in %d namespaces", cache.Len(), len(cache.spaces))
 	}
-	early.ResetStats()
+	early.Stats = Stats{}
 	for i, v := range run(early) {
 		if v != want[i] {
 			t.Errorf("cost %d after invalidation %v != %v", i, v, want[i])
@@ -316,9 +315,9 @@ func randomSets(s *Searcher, rng *rand.Rand, n int) []NodeSet {
 // under -race by CI's full-p{1,2,4} rows): four searchers over one memo,
 // each a 4-worker pool, evaluate batches while the others publish into
 // the same namespace; every cost must be bit-identical to an unattached
-// searcher's. Parallelism is forced so a 1-vCPU runner does not take the
-// sequential branch.
+// searcher's. GOMAXPROCS is forced so a 1-vCPU runner fans out too.
 func TestSharedCacheReadDuringPublish(t *testing.T) {
+	withProcs(t, 4)
 	m := workloadMemo(t, 8)
 	ref := NewSearcher(m)
 	const rounds, perRound = 4, 24
@@ -332,7 +331,6 @@ func TestSharedCacheReadDuringPublish(t *testing.T) {
 	searchers := make([]*Searcher, 4)
 	for k := range searchers {
 		searchers[k] = NewSearcher(m)
-		searchers[k].Parallelism = 4
 		searchers[k].AttachSharedCache(cache)
 	}
 	var wg sync.WaitGroup
@@ -390,8 +388,8 @@ func liveL1Entries(s *Searcher) int {
 func TestPublishCacheMovesBucketsOut(t *testing.T) {
 	m := workloadMemo(t, 8)
 	cache := NewSharedCache()
+	withProcs(t, 4)
 	s := NewSearcher(m)
-	s.Parallelism = 4
 	s.AttachSharedCache(cache)
 	sets := randomSets(s, rand.New(rand.NewSource(3)), 33)
 	first, late := sets[:32], sets[32]
@@ -426,7 +424,7 @@ func TestPublishCacheMovesBucketsOut(t *testing.T) {
 	}
 
 	// Work after the publish lands in fresh private buckets.
-	s.ResetStats()
+	s.Stats = Stats{}
 	want := s.BestCost(late)
 	fresh := s.ComputedKey
 	if fresh == 0 {
@@ -459,11 +457,11 @@ func TestPublishCacheMovesBucketsOut(t *testing.T) {
 // so a run publishes what it computed and nothing else — an identical run
 // adds nothing, a run with new sets adds exactly its new keys.
 func TestRepublishGrowsByNewKeysOnly(t *testing.T) {
+	withProcs(t, 1)
 	m := workloadMemo(t, 8)
 	cache := NewSharedCache()
 	attach := func() *Searcher {
 		s := NewSearcher(m)
-		s.Parallelism = 1
 		s.AttachSharedCache(cache)
 		return s
 	}
@@ -534,7 +532,7 @@ func TestBestCostBatchCtxReturnsCompletedPrefix(t *testing.T) {
 	for i, m := range mats {
 		want[i] = s.BestCost(m)
 	}
-	s.Parallelism = 1
+	withProcs(t, 1)
 	costs, ok := s.BestCostBatchCtx(&errAfterCtx{left: 3}, mats)
 	if ok {
 		t.Fatal("aborted batch reported ok")
@@ -549,7 +547,7 @@ func TestBestCostBatchCtxReturnsCompletedPrefix(t *testing.T) {
 	}
 	// The concurrent dispatch path under an already-dead context completes
 	// nothing: the prefix is empty, never partial garbage.
-	s.Parallelism = 4
+	withProcs(t, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	costs, ok = s.BestCostBatchCtx(ctx, mats)

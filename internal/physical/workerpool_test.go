@@ -61,7 +61,7 @@ func TestPublishReturnsWorkers(t *testing.T) {
 
 	s := NewSearcher(m)
 	s.AttachSharedCache(cache)
-	s.Parallelism = 4
+	withProcs(t, 4)
 	sets := randomSets(s, rng, 40)
 	if _, ok := s.BestCostBatchCtx(context.Background(), sets); !ok {
 		t.Fatal("batch aborted")
@@ -203,6 +203,7 @@ func TestFreeListBounds(t *testing.T) {
 // meets other operator flags, and carries stamps from every run before.
 // None of that may show — every cost equals a fresh worker's.
 func TestPooledWorkerAcrossDAGs(t *testing.T) {
+	withProcs(t, 1)
 	big, small := workloadMemo(t, 32), workloadMemo(t, 8)
 	cache := NewSharedCache()
 	rng := rand.New(rand.NewSource(11))
@@ -218,7 +219,6 @@ func TestPooledWorkerAcrossDAGs(t *testing.T) {
 		s := NewSearcher(step.m)
 		s.AttachSharedCache(cache)
 		s.ExtendedOps = step.extended
-		s.Parallelism = 1
 		w := s.worker(0)
 		if round == 0 {
 			pooled = w

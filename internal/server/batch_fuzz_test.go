@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/logical"
+	"repro/internal/memo"
 	"repro/internal/workload"
 )
 
@@ -24,7 +25,7 @@ var fuzzPalette = sync.OnceValues(func() ([]*logical.Batch, []string) {
 			panic(err)
 		}
 		batches[i] = b
-		fp, ok := batchFingerprint(b)
+		fp, ok := memo.BatchKey(b)
 		if !ok {
 			panic("palette batch not fingerprintable")
 		}
@@ -89,7 +90,7 @@ func FuzzBatchCoalesce(f *testing.F) {
 			// The group's batch must be structurally identical to the
 			// member's own — the shared sub-run serves its exact queries.
 			if members[i].fp != "" {
-				gfp, ok := batchFingerprint(groups[gi])
+				gfp, ok := memo.BatchKey(groups[gi])
 				if !ok || gfp != members[i].fp {
 					t.Fatalf("member %d (fp %q) mapped to group %d with fingerprint %q (ok=%v)",
 						i, members[i].fp, gi, gfp, ok)

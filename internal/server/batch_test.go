@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/logical"
+	"repro/internal/memo"
 )
 
 // batchSpecBody is the identical 12-query workload every batching test
@@ -261,7 +262,7 @@ func TestBatchMemberCancelledExcised(t *testing.T) {
 	mkMember := func(ctx context.Context) *batchMember {
 		batch := &logical.Batch{}
 		batch.Add(logical.NewBlock().Scan("lineitem", "l").Cmp("l.tax", expr.LT, 40).Query("q"))
-		fp, _ := batchFingerprint(batch)
+		fp, _ := memo.BatchKey(batch)
 		g, err := srv.adm.AcquireGrant(context.Background(), AdmitRequest{Tenant: "t"})
 		if err != nil {
 			t.Fatal(err)
@@ -486,7 +487,7 @@ func TestCoalesceBatchesUnit(t *testing.T) {
 	}
 	mk := func(queries ...*logical.Query) *batchMember {
 		b := &logical.Batch{Queries: queries}
-		fp, _ := batchFingerprint(b)
+		fp, _ := memo.BatchKey(b)
 		return &batchMember{batch: b, fp: fp}
 	}
 	a1 := mk(q(10, "a"))

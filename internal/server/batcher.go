@@ -1,12 +1,10 @@
 package server
 
 import (
-	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/logical"
-	"repro/internal/memo"
 )
 
 // BatchConfig parameterizes cross-request continuous batching. The zero
@@ -71,31 +69,13 @@ func newBatcher(srv *Server, cfg BatchConfig) *batcher {
 	}
 }
 
-// batchFingerprint renders the coalescing key of one member batch: the
-// concatenated structural fingerprints and names of its queries. Members
-// with equal fingerprints submitted structurally identical batches and
-// are served from one shared sub-run. ok=false (some query is not
-// fingerprintable) makes the member unique — it still batches, it just
-// never deduplicates.
-func batchFingerprint(b *logical.Batch) (string, bool) {
-	if b == nil || len(b.Queries) == 0 {
-		return "", false
-	}
-	key := ""
-	for _, q := range b.Queries {
-		fp, ok := memo.QueryFingerprint(q)
-		if !ok {
-			return "", false
-		}
-		key += strconv.Itoa(len(q.Name)) + ";" + q.Name + ";" + fp + "\x00"
-	}
-	return key, true
-}
-
-// coalesceBatches deduplicates member batches by fingerprint: the
-// returned groups hold one batch per distinct fingerprint (first
-// submitter wins, order preserved), and memberGroup maps each member to
-// its group. Members without a fingerprint get their own group.
+// coalesceBatches deduplicates member batches by fingerprint — the
+// member's memo.BatchKey: equal keys are structurally identical batches,
+// served from one shared sub-run. The returned groups hold one batch per
+// distinct fingerprint (first submitter wins, order preserved), and
+// memberGroup maps each member to its group. Members without a fingerprint
+// (some query is not fingerprintable) get their own group: they still
+// batch, they just never deduplicate.
 func coalesceBatches(members []*batchMember) (groups []*logical.Batch, memberGroup []int) {
 	memberGroup = make([]int, len(members))
 	index := make(map[string]int, len(members))

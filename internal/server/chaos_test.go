@@ -17,10 +17,10 @@ import (
 // pairSQL is a cheap two-query sharing pair for load-shaped tests.
 const pairSQL = `{"sql": "SELECT l.tax FROM lineitem l WHERE l.shipdate < 1200; SELECT l.tax FROM lineitem l WHERE l.shipdate < 1300"}`
 
-// specBody marshals a testSpec request plus extras. The spec batch has
-// enough shareable nodes that its greedy rounds evaluate real candidate
-// batches — the path the OracleEval injection point lives on (tiny
-// batches resolve through the singular bestCost path and never hit it).
+// specBody marshals a testSpec request plus extras. Every bestCost call a
+// run makes passes the OracleEval injection point — hit 1 is bc(∅), the last
+// prices the chosen set — and the spec batch has enough shareable nodes that
+// most of its hits are candidate sets of the greedy rounds.
 func specBody(t *testing.T, extra map[string]any) string {
 	t.Helper()
 	m := map[string]any{"spec": testSpec()}

@@ -40,9 +40,6 @@
 // A request is refused with 400 when one of its blocks joins more than
 // logical.MaxBlockSources sources: the DAG holds every connected subset of
 // a block's sources, so the bound is checked before anything is built.
-// A request's "parallelism" above GOMAXPROCS runs at GOMAXPROCS (the oracle
-// allocates a DAG-sized worker per unit of it, and workers beyond the cores
-// buy nothing); the library's WithParallelism is taken as given.
 //
 // # Admission-control contract
 //
@@ -158,7 +155,7 @@
 // A lane is the set of requests one shared run serves, keyed by
 // everything that must match for that run to be exactly what each member
 // asked for: the catalog (pool key), the fully-clamped effective run spec
-// (strategy, parallelism, time and call budgets after tenant caps and
+// (strategy, time and call budgets after tenant caps and
 // degradation clamps), and the degradation flag. Tenancy is deliberately
 // NOT in the key — cross-tenant sharing is the point, and attribution
 // keeps each tenant's accounting exact. A solo request is a lane of one:
@@ -253,8 +250,8 @@
 //
 // # Determinism
 //
-// The front end adds no nondeterminism: for a given spec/SQL payload,
-// strategy and parallelism, the response's materialization set, costs and
+// The front end adds no nondeterminism: for a given spec/SQL payload and
+// strategy, the response's materialization set, costs and
 // work telemetry (core.Telemetry.Work) are bit-identical to a direct
 // Session.Optimize call — by construction, since a request is served by
 // the same OptimizeShared call Optimize makes (the session's shared cost

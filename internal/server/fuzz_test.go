@@ -17,14 +17,14 @@ func FuzzOptimizeRequest(f *testing.F) {
 	seeds := []string{
 		`{"sql": "SELECT l.tax FROM lineitem l"}`,
 		`{"spec": {"queries": 4, "fan_out": 3, "shape": "star"}, "strategy": "marginal"}`,
-		`{"spec": {"seed": 7, "queries": 8, "shape": "mixed", "fan_out": 4, "sharing": 0.5, "select_frac": 0.8, "agg_frac": 0.5}, "strategy": "lazymarginal", "parallelism": 4, "time_budget_ms": 100, "oracle_call_budget": 500}`,
+		`{"spec": {"seed": 7, "queries": 8, "shape": "mixed", "fan_out": 4, "sharing": 0.5, "select_frac": 0.8, "agg_frac": 0.5}, "strategy": "lazymarginal", "time_budget_ms": 100, "oracle_call_budget": 500}`,
 		`{"tenant": "acme", "sf": 100, "extended_ops": true, "sql": "SELECT l.tax FROM lineitem l", "plan_text": true}`,
 		`{"sql": "x", "spec": {"queries": 1, "fan_out": 2}}`, // both payloads
 		`{}`,                                     // neither payload
 		`{"sql": "x", "strategy": "exhaustive"}`, // unservable strategy
 		`{"sql": "x", "sf": -1}`,                 // bad scale factor
 		`{"sql": "x", "sf": 1e308}`,              // absurd scale factor
-		`{"sql": "x", "parallelism": 100000}`,    // beyond the bound
+		`{"sql": "x", "parallelism": 4}`,         // removed field: strict decode
 		`{"sql": "x", "oracle_call_budget": 0}`,  // zero is meaningful
 		`{"sql": "x", "unknown_field": 1}`,       // strict decode
 		`{"sql": "x"} []`,                        // trailing data
@@ -54,9 +54,6 @@ func FuzzOptimizeRequest(f *testing.F) {
 		}
 		if _, err := parseStrategy(req.Strategy); err != nil {
 			t.Fatalf("accepted request with unservable strategy %q", req.Strategy)
-		}
-		if req.Parallelism < 0 || req.Parallelism > maxParallelism {
-			t.Fatalf("accepted request with parallelism %d", req.Parallelism)
 		}
 		if req.TimeBudgetMS < 0 || (req.OracleCallBudget != nil && *req.OracleCallBudget < 0) {
 			t.Fatalf("accepted request with negative budget: %+v", req)

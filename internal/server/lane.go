@@ -15,7 +15,7 @@ import (
 
 // laneKey identifies one stream of requests that one shared run can
 // serve: they target the same catalog, resolve to the same effective run
-// spec (strategy, parallelism, budgets after tenant and degradation
+// spec (strategy and budgets after tenant and degradation
 // clamps) and the same degradation state, so the run's options are
 // exactly what every member asked for. Tenancy is NOT part of the key —
 // cross-tenant sharing is the point, and the attribution split keeps each

@@ -8,7 +8,6 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -18,6 +17,7 @@ import (
 	"repro"
 	"repro/internal/core"
 	"repro/internal/logical"
+	"repro/internal/memo"
 	"repro/internal/parser"
 	"repro/internal/workload"
 )
@@ -316,36 +316,30 @@ func (s *Server) buildBatch(req *OptimizeRequest) (*logical.Batch, error) {
 }
 
 // runSpec is the fully resolved execution shape of one request after
-// every clamp: strategy, parallelism and budgets with the tenant's caps
+// every clamp: strategy and budgets with the tenant's caps
 // and (when degraded) the breaker's clamps already applied. It is
 // comparable, so the batch scheduler keys lanes on it — requests coalesce
 // only when the one shared run's options are exactly what each member
 // would have run solo with.
 type runSpec struct {
-	strategy    core.Strategy
-	parallelism int
-	timeMS      int64
-	callBudget  int // -1 = unbudgeted; 0 is meaningful (forbid all calls)
+	strategy   core.Strategy
+	timeMS     int64
+	callBudget int // -1 = unbudgeted; 0 is meaningful (forbid all calls)
 }
 
 // effectiveSpec resolves a request against its tenant's caps and, when
 // non-nil, the degraded clamps: the effective budget is the tightest of
 // the request's ask, the tenant's cap and the degraded clamp, and
-// degraded serving forces the cheap LazyGreedy fallback strategy. The
-// worker-pool override is clamped to GOMAXPROCS: a fanned-out batch
-// allocates a worker — tables the size of the DAG — per unit of it, and
-// workers beyond the cores buy nothing (a cold 32-query request asking for
-// 256 allocated 204 MB against the default's 16 MB).
+// degraded serving forces the cheap LazyGreedy fallback strategy.
 func effectiveSpec(req *OptimizeRequest, cfg TenantConfig, deg *BreakerConfig) runSpec {
 	strat, _ := parseStrategy(req.Strategy) // validated at decode time
 	if deg != nil {
 		strat = core.LazyGreedyStrategy
 	}
 	rs := runSpec{
-		strategy:    strat,
-		parallelism: min(req.Parallelism, runtime.GOMAXPROCS(0)),
-		timeMS:      req.TimeBudgetMS,
-		callBudget:  -1,
+		strategy:   strat,
+		timeMS:     req.TimeBudgetMS,
+		callBudget: -1,
 	}
 	clampTime := func(capMS int64) {
 		if capMS > 0 && (rs.timeMS == 0 || rs.timeMS > capMS) {
@@ -373,10 +367,7 @@ func effectiveSpec(req *OptimizeRequest, cfg TenantConfig, deg *BreakerConfig) r
 
 // options maps the resolved spec onto Session options.
 func (rs runSpec) options() []repro.Option {
-	opts := []repro.Option{
-		repro.WithStrategy(rs.strategy),
-		repro.WithParallelism(rs.parallelism),
-	}
+	opts := []repro.Option{repro.WithStrategy(rs.strategy)}
 	if rs.timeMS > 0 {
 		opts = append(opts, repro.WithTimeBudget(time.Duration(rs.timeMS)*time.Millisecond))
 	}
@@ -493,7 +484,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	// carries the member's exact oracle-call share for the quota charge.
 	var out batchOutcome
 	if s.batcher != nil && req.Resume == nil {
-		m.fp, _ = batchFingerprint(batch) // only a shared lane coalesces
+		m.fp, _ = memo.BatchKey(batch) // only a shared lane coalesces
 		out = s.batcher.submit(lk, m)
 	} else {
 		s.runLane(&lane{key: lk, members: []*batchMember{m}})

@@ -9,8 +9,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -228,6 +226,7 @@ func TestServerBadRequests(t *testing.T) {
 		{"trailing garbage", `{"sql": "SELECT l.tax FROM lineitem l"} {}`},
 		{"unknown strategy", `{"sql": "SELECT l.tax FROM lineitem l", "strategy": "exhaustive"}`},
 		{"negative parallelism", `{"sql": "SELECT l.tax FROM lineitem l", "parallelism": -1}`},
+		{"parallelism", `{"sql": "SELECT l.tax FROM lineitem l", "parallelism": 2}`}, // the searcher picks the width
 		{"negative time budget", `{"sql": "SELECT l.tax FROM lineitem l", "time_budget_ms": -5}`},
 		{"negative call budget", `{"sql": "SELECT l.tax FROM lineitem l", "oracle_call_budget": -1}`},
 		{"bad sf", `{"sql": "SELECT l.tax FROM lineitem l", "sf": -2}`},
@@ -674,46 +673,5 @@ func TestServerSessionPoolSharing(t *testing.T) {
 	}
 	if sf1Batches != 2 {
 		t.Errorf("sf=1 session served %d batches, want 2 (pool sharing broken)", sf1Batches)
-	}
-}
-
-// TestOversizeParallelismIsClamped: the wire accepts "parallelism" up to
-// maxParallelism, and the oracle allocates a worker — tables the size of the
-// DAG — per unit of it when a batch fans out. The server clamps the ask to
-// GOMAXPROCS, so an oversize one runs exactly the default request: same
-// plan, same work, and nowhere near a worker per unit allocated.
-func TestOversizeParallelismIsClamped(t *testing.T) {
-	spec := testSpec()
-	spec.Queries = 32
-	run := func(parallelism int) (*OptimizeResponse, uint64) {
-		ts := httptest.NewServer(New(Config{}).Handler()) // cold: the run computes, so its batches fan out
-		defer ts.Close()
-		body, err := json.Marshal(map[string]any{"spec": spec, "parallelism": parallelism})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		resp, data := postOptimize(t, ts.URL, string(body), nil)
-		runtime.ReadMemStats(&after)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("parallelism %d: status %d: %s", parallelism, resp.StatusCode, data)
-		}
-		return decodeResponse(t, data), after.TotalAlloc - before.TotalAlloc
-	}
-	want, wantAlloc := run(0)
-	got, gotAlloc := run(maxParallelism)
-	t.Logf("allocated: default %d B, parallelism %d: %d B", wantAlloc, maxParallelism, gotAlloc)
-	if !reflect.DeepEqual(got.Materialized, want.Materialized) || got.CostMS != want.CostMS || !reflect.DeepEqual(got.Plan, want.Plan) {
-		t.Fatalf("parallelism %d chose %v at %v, the default %v at %v (or the plans differ)", maxParallelism, got.Materialized, got.CostMS, want.Materialized, want.CostMS)
-	}
-	if got.Telemetry.Work() != want.Telemetry.Work() {
-		t.Fatalf("parallelism %d did work %+v, the default %+v", maxParallelism, got.Telemetry.Work(), want.Telemetry.Work())
-	}
-	if gotAlloc >= 2*wantAlloc {
-		t.Fatalf("parallelism %d allocated %d B, the default request %d B: the ask was not clamped", maxParallelism, gotAlloc, wantAlloc)
-	}
-	if rs := effectiveSpec(&OptimizeRequest{Parallelism: maxParallelism}, TenantConfig{}, nil); rs.parallelism != runtime.GOMAXPROCS(0) {
-		t.Fatalf("effective parallelism %d, GOMAXPROCS is %d", rs.parallelism, runtime.GOMAXPROCS(0))
 	}
 }

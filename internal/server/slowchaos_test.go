@@ -38,12 +38,13 @@ func TestSlowChaosLongSchedule(t *testing.T) {
 	ref := decodeResponse(t, data)
 
 	// Derive the panic positions from the fixed seed: ~1 in 3 requests
-	// fault somewhere inside their batched-oracle scan. Delay rules fire on
-	// every hit and keep the slow paths exercised without changing results.
+	// fault somewhere inside their run, whose every bestCost call is one
+	// OracleEval hit. Delay rules fire on every hit and keep the slow paths
+	// exercised without changing results.
 	rng := rand.New(rand.NewSource(slowChaosSeed))
-	perRequest := ref.Telemetry.OracleCalls
+	perRequest := ref.Telemetry.BCCalls
 	if perRequest <= 0 {
-		t.Fatalf("reference made no oracle calls; spec no longer reaches the batch path")
+		t.Fatalf("reference made no bestCost calls")
 	}
 	const requests = 36
 	rules := []faultinject.Rule{
@@ -55,8 +56,8 @@ func TestSlowChaosLongSchedule(t *testing.T) {
 		if rng.Intn(3) != 0 {
 			continue
 		}
-		// A panic at a random eval of request i's scan. Faulted requests
-		// abort their scan, so later offsets are computed from the running
+		// A panic at a random eval of request i's run. Faulted requests
+		// abort their run, so later offsets are computed from the running
 		// hit count the schedule will actually reach, which we cannot know
 		// exactly; rule Ns target the fault-free cumulative position and any
 		// rule landing inside an aborted scan simply fires on a later

@@ -19,8 +19,6 @@ const (
 	maxSQLBytes = 256 * 1024
 	// maxScaleFactor caps the catalog scale factor a request may name.
 	maxScaleFactor = 100000
-	// maxParallelism caps the per-request worker-pool override.
-	maxParallelism = 256
 )
 
 // OptimizeRequest is the body of POST /v1/optimize. Exactly one of Spec
@@ -40,8 +38,6 @@ type OptimizeRequest struct {
 	// marginal, lazymarginal, materializeall or volcanosh (default
 	// marginal). Exhaustive is not servable — its cost is exponential.
 	Strategy string `json:"strategy,omitempty"`
-	// Parallelism overrides the oracle worker-pool bound (0 = GOMAXPROCS).
-	Parallelism int `json:"parallelism,omitempty"`
 	// TimeBudgetMS caps the optimization wall clock; clamped to the
 	// tenant's TimeBudgetMS when that is set.
 	TimeBudgetMS int64 `json:"time_budget_ms,omitempty"`
@@ -97,9 +93,6 @@ func (r *OptimizeRequest) validate(maxQueries int) error {
 	}
 	if _, err := parseStrategy(r.Strategy); err != nil {
 		return err
-	}
-	if r.Parallelism < 0 || r.Parallelism > maxParallelism {
-		return fmt.Errorf("parallelism must be in [0, %d], got %d", maxParallelism, r.Parallelism)
 	}
 	if r.TimeBudgetMS < 0 {
 		return fmt.Errorf("time_budget_ms must be ≥ 0, got %d", r.TimeBudgetMS)

@@ -198,10 +198,8 @@ func addFree(name string, d *Decomposition, x Set, free []int, res *Result) Set 
 			res.Checkpoint = captureFree(name, x, d, res)
 			return x
 		}
-		// f(X) is computed once per pass (not once per element) and the
-		// candidate gains are evaluated in one batched oracle call.
-		cur := d.o.Eval(x)
-		sets = sets[:0]
+		// f(X), then the candidates: one batched oracle call a pass.
+		sets = append(sets[:0], x)
 		for _, e := range remaining {
 			sets = append(sets, x.With(e))
 		}
@@ -213,7 +211,7 @@ func addFree(name string, d *Decomposition, x Set, free []int, res *Result) Set 
 		}
 		bestE, bestGain := -1, math.Inf(-1)
 		for i, e := range remaining {
-			if gain := vals[i] - cur; gain > bestGain {
+			if gain := vals[i+1] - vals[0]; gain > bestGain {
 				bestGain, bestE = gain, e
 			}
 		}

@@ -238,24 +238,37 @@ func (o *Oracle) ctxCancelled() bool {
 }
 
 // markCancelled records a mid-batch abort reported by a BatchFunction: a
-// recovered panic (surfaced through the optional Faulter interface) wins
-// over budget classification, otherwise the context's error decides.
+// recovered panic wins over budget classification, otherwise the context's
+// error decides.
 func (o *Oracle) markCancelled() {
-	if o.ctrl == nil {
+	if o.faulted() || o.ctrl == nil {
 		return
-	}
-	if f, ok := o.F.(Faulter); ok {
-		if err := f.Fault(); err != nil {
-			if o.ctrl.reason == StopNone || o.ctrl.reason == StopCancelled {
-				o.ctrl.reason = StopPanic
-				o.ctrl.fault = err
-			}
-			return
-		}
 	}
 	if !o.ctxCancelled() && o.ctrl.reason == StopNone {
 		o.ctrl.reason = StopCancelled
 	}
+}
+
+// faulted drains the panic the function recovered in its last evaluation,
+// if it reports one (Faulter), into a StopPanic stop — on a control of its
+// own when the oracle has none, so the fault is never dropped.
+func (o *Oracle) faulted() bool {
+	f, ok := o.F.(Faulter)
+	if !ok {
+		return false
+	}
+	err := f.Fault()
+	if err == nil {
+		return false
+	}
+	if o.ctrl == nil {
+		o.ctrl = &Control{}
+	}
+	if o.ctrl.reason == StopNone || o.ctrl.reason == StopCancelled {
+		o.ctrl.reason = StopPanic
+		o.ctrl.fault = err
+	}
+	return true
 }
 
 // progress emits a per-round report to the control's callback, if any.

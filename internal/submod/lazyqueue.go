@@ -10,7 +10,8 @@ import (
 // refreshes per oracle round once every candidate has been priced at least
 // once. It is a fixed constant — deliberately independent of the oracle's
 // evaluation parallelism — so the sequence of evaluated sets, and therefore
-// every call-budget stop point, is identical at every Parallelism setting.
+// every call-budget stop point, is identical however many workers the
+// oracle evaluates a batch on.
 const lazyChunkSize = 16
 
 // lazyState classifies the cached bound of one candidate in a lazyQueue.
@@ -184,9 +185,17 @@ func lazyRun(name string, o *Oracle, d *Decomposition, q *lazyQueue, x Set, chun
 			// to it), so this is exactly the element an exhaustive scan
 			// would select.
 			q.popTop()
+			cur, ok := o.eval(x.With(top.e))
+			if !ok {
+				// Pricing the selection faulted (a reused marginal left
+				// f(X ∪ {e}) unpriced). The checkpoint is taken before the
+				// selection, top back on the heap: the resumed run makes it.
+				res.Stopped = o.StopReason()
+				res.Checkpoint = captureLazy(name, x, q, []lazyItem{top}, res.Stale, d, res)
+				break
+			}
 			x = x.With(top.e)
 			res.Iterations++
-			cur := o.Eval(x)
 			res.Reused += q.demote(inter, top.e)
 			o.progress(name, res.Iterations, x.Len(), q.len(), cur)
 			continue
@@ -211,10 +220,13 @@ func lazyRun(name string, o *Oracle, d *Decomposition, q *lazyQueue, x Set, chun
 			popped = append(popped, it)
 			elems = append(elems, it.e)
 		}
+		// f(X) rides last in the round's batch: a memo hit, but for round
+		// 1's f(∅) and a resumed run's first round.
 		sets = sets[:0]
 		for _, e := range elems {
 			sets = append(sets, x.With(e))
 		}
+		sets = append(sets, x)
 		vals, ok := o.EvalBatch(sets)
 		if !ok {
 			// The round was cut short. The popped candidates rejoin the
@@ -225,7 +237,7 @@ func lazyRun(name string, o *Oracle, d *Decomposition, q *lazyQueue, x Set, chun
 			res.Checkpoint = captureLazy(name, x, q, popped, staleAt, d, res)
 			break
 		}
-		cur := o.Eval(x)
+		cur := vals[len(elems)]
 		for i, e := range elems {
 			if d != nil {
 				r := d.RatioFrom(vals[i], cur, e)

@@ -284,22 +284,37 @@ func NewOracle(f Function) *Oracle {
 	return &Oracle{F: f, memo: map[uint64]float64{}}
 }
 
-// Eval returns f(S), memoized.
+// Eval returns f(S), memoized. An evaluation the function reports as
+// faulted (Faulter) stops the run with StopPanic and returns 0 — as does
+// every evaluation after it: the function is not called again.
 func (o *Oracle) Eval(s Set) float64 {
+	v, _ := o.eval(s)
+	return v
+}
+
+// eval is Eval reporting whether the value is f(S): ok is false once the
+// function has faulted.
+func (o *Oracle) eval(s Set) (float64, bool) {
 	k := s.Key()
 	if v, ok := o.memo[k]; ok {
-		return v
+		return v, true
 	}
 	if o.L2 != nil {
 		if v, ok := o.L2.Get(k); ok {
 			o.L2Hits++
 			o.memo[k] = v
-			return v
+			return v, true
 		}
 	}
+	if o.Fault() != nil {
+		return 0, false
+	}
 	v := o.F.Eval(s)
+	if o.faulted() {
+		return 0, false
+	}
 	o.commit(k, v)
-	return v
+	return v, true
 }
 
 // commit records one evaluation the function made: the call, the run memo
@@ -412,20 +427,19 @@ type Decomposition struct {
 }
 
 // DecomposeStar computes the Proposition 1 decomposition:
-// c*(e) = f(U∖{e}) − f(U). It uses exactly n+1 oracle calls (for U and
-// each U∖{e}); the n leave-one-out evaluations run as one batched —
-// possibly concurrent — oracle call. When the oracle's budget is already
-// exhausted (or is cut off mid-batch) the returned decomposition is marked
-// truncated and carries no costs.
+// c*(e) = f(U∖{e}) − f(U). It uses exactly n+1 oracle calls, f(U) and then
+// each f(U∖{e}), as one batched — possibly concurrent — oracle call. When
+// the oracle's budget is already exhausted (or is cut off mid-batch) the
+// returned decomposition is marked truncated and carries no costs.
 func DecomposeStar(o *Oracle) *Decomposition {
 	if o.Interrupted() {
 		return &Decomposition{o: o, truncated: true}
 	}
 	u := o.Universe()
-	fu := o.Eval(u)
-	sets := make([]Set, o.N())
-	for e := range sets {
-		sets[e] = u.Without(e)
+	sets := make([]Set, o.N()+1)
+	sets[0] = u
+	for e := 0; e < o.N(); e++ {
+		sets[e+1] = u.Without(e)
 	}
 	vals, ok := o.EvalBatch(sets)
 	if !ok {
@@ -433,7 +447,7 @@ func DecomposeStar(o *Oracle) *Decomposition {
 	}
 	c := make([]float64, o.N())
 	for e := range c {
-		c[e] = vals[e] - fu
+		c[e] = vals[e+1] - vals[0]
 	}
 	return &Decomposition{o: o, C: c}
 }
@@ -448,18 +462,6 @@ func NewDecomposition(o *Oracle, costs []float64) *Decomposition {
 
 // F returns f(S).
 func (d *Decomposition) F(s Set) float64 { return d.o.Eval(s) }
-
-// FM returns the monotone part f_M(S) = f(S) + Σ_{e∈S} c(e).
-func (d *Decomposition) FM(s Set) float64 {
-	v := d.o.Eval(s)
-	s.ForEach(func(e int) { v += d.C[e] })
-	return v
-}
-
-// MarginalFM returns f'_M(e, S) = f(S∪{e}) − f(S) + c(e) for e ∉ S.
-func (d *Decomposition) MarginalFM(e int, s Set) float64 {
-	return d.o.Eval(s.With(e)) - d.o.Eval(s) + d.C[e]
-}
 
 // Ratio returns f'_M(e, S) / c(e); callers must ensure c(e) > 0.
 func (d *Decomposition) Ratio(e int, s Set) float64 {

@@ -3,23 +3,33 @@ package tpcd
 import (
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/cost"
 	"repro/internal/logical"
 	"repro/internal/volcano"
 )
 
 func TestCatalogSizes(t *testing.T) {
-	cat := Catalog(1)
-	gb := cat.TotalBytes() / (1 << 30)
-	if gb < 0.7 || gb > 1.5 {
+	tables := []string{"region", "nation", "supplier", "customer", "part", "partsupp", "orders", "lineitem"}
+	gb := func(cat *catalog.Catalog) float64 {
+		sum := 0.0
+		for _, name := range tables {
+			tbl, ok := cat.Table(name)
+			if !ok {
+				t.Fatalf("no table %s", name)
+			}
+			sum += tbl.Rows * float64(tbl.RowWidth())
+		}
+		return sum / (1 << 30)
+	}
+	if gb := gb(Catalog(1)); gb < 0.7 || gb > 1.5 {
 		t.Errorf("SF1 total size = %.2f GB, want ≈ 1 GB", gb)
 	}
-	cat100 := Catalog(100)
-	gb100 := cat100.TotalBytes() / (1 << 30)
-	if gb100 < 70 || gb100 > 150 {
+	if gb100 := gb(Catalog(100)); gb100 < 70 || gb100 > 150 {
 		t.Errorf("SF100 total size = %.2f GB, want ≈ 100 GB", gb100)
 	}
-	for _, tbl := range cat.Tables() {
+	for _, name := range tables {
+		tbl, _ := Catalog(1).Table(name)
 		if _, ok := tbl.ClusteredIndex(); !ok {
 			t.Errorf("table %s lacks a clustered index", tbl.Name)
 		}

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -169,17 +170,17 @@ func TestWorkloadSharingGrowsUnification(t *testing.T) {
 
 // TestWorkloadParitySerialBatched: Greedy and MarginalGreedy must pick the
 // same materialization set and cost whether the oracle rounds run serially
-// (Parallelism 1) or on the concurrent batched path.
+// (GOMAXPROCS 1) or on the concurrent batched path.
 func TestWorkloadParitySerialBatched(t *testing.T) {
 	cat := tpcd.Catalog(1)
 	batch := MustGenerate(DefaultSpec(8, 0.75))
 	for _, strat := range []core.Strategy{core.Greedy, core.MarginalGreedy} {
 		run := func(par int) core.Result {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
 			opt, err := volcano.NewOptimizer(cat, cost.Default(), batch)
 			if err != nil {
 				t.Fatal(err)
 			}
-			opt.Searcher.Parallelism = par
 			return core.RunWith(context.Background(), opt, strat, core.Config{})
 		}
 		serial, batched := run(1), run(4)

@@ -115,13 +115,12 @@ var parityGolden = []parityRow{
 	{sf: 100, bq: 6, strat: core.VolcanoSH, cost: "978212268.900000", mat: []memo.GroupID{1, 2, 12, 19, 25, 33, 63, 64, 152}},
 }
 
-func runStrategy(t *testing.T, sf float64, bq int, strat core.Strategy, parallelism int) core.Result {
+func runStrategy(t *testing.T, sf float64, bq int, strat core.Strategy) core.Result {
 	t.Helper()
 	opt, err := volcano.NewOptimizer(tpcd.Catalog(sf), cost.Default(), tpcd.BQ(bq))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.Searcher.Parallelism = parallelism
 	return core.RunWith(context.Background(), opt, strat, core.Config{})
 }
 
@@ -148,22 +147,23 @@ func TestOracleParityGolden(t *testing.T) {
 	for _, row := range parityGolden {
 		row := row
 		t.Run(fmt.Sprintf("SF%g/BQ%d/%s", row.sf, row.bq, row.strat), func(t *testing.T) {
-			checkParity(t, row, runStrategy(t, row.sf, row.bq, row.strat, 0))
+			checkParity(t, row, runStrategy(t, row.sf, row.bq, row.strat))
 		})
 	}
 }
 
-// TestParallelScanParity forces a multi-worker ratio scan (Parallelism=4
-// regardless of GOMAXPROCS) and checks the same goldens for the strategies
-// with batched rounds; under -race this exercises the concurrent oracle.
+// TestParallelScanParity forces a multi-worker ratio scan (GOMAXPROCS 4,
+// whatever the machine) and checks the same goldens for the strategies with
+// batched rounds; under -race this exercises the concurrent oracle.
 func TestParallelScanParity(t *testing.T) {
+	withProcs(t, 4)
 	for _, row := range parityGolden {
 		if row.sf != 1 || (row.strat != core.Greedy && row.strat != core.MarginalGreedy) {
 			continue
 		}
 		row := row
 		t.Run(fmt.Sprintf("BQ%d/%s", row.bq, row.strat), func(t *testing.T) {
-			checkParity(t, row, runStrategy(t, row.sf, row.bq, row.strat, 4))
+			checkParity(t, row, runStrategy(t, row.sf, row.bq, row.strat))
 		})
 	}
 }

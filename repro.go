@@ -15,8 +15,7 @@
 // the consolidated physical plan, and run telemetry:
 //
 //	sess, err := repro.NewSession(tpcd.Catalog(1), cost.Default(),
-//		repro.WithStrategy(repro.MarginalGreedy),
-//		repro.WithParallelism(4))
+//		repro.WithStrategy(repro.MarginalGreedy))
 //	...
 //	res, err := sess.Optimize(ctx, tpcd.BQ(3),
 //		repro.WithTimeBudget(200*time.Millisecond),

@@ -115,6 +115,7 @@ func TestRepeatedBatchMatchesFreshSession(t *testing.T) {
 // extended and the paper's operator set. They share the DAG, the compiled
 // search space and the pooled workers, and must share no cost.
 func TestAlternatingOperatorSetsOnOneSession(t *testing.T) {
+	withProcs(t, 1)
 	for name, batch := range reuseBatches(t) {
 		want := map[bool]outcome{}
 		for _, ext := range []bool{false, true} {
@@ -127,7 +128,7 @@ func TestAlternatingOperatorSetsOnOneSession(t *testing.T) {
 		if want[false].cost == want[true].cost && name != "BQ1" {
 			t.Logf("%s: the operator sets cost the same; the alternation proves less here", name)
 		}
-		sess := newTestSession(t, WithParallelism(1))
+		sess := newTestSession(t)
 		for call := 0; call < 6; call++ {
 			ext := call%2 == 1
 			res, err := sess.Optimize(context.Background(), batch, WithExtendedOps(ext))
@@ -208,10 +209,11 @@ func TestConcurrentRepeatsShareNothingMutable(t *testing.T) {
 // A run takes a worker when an evaluation first needs it: a repeat of a held
 // batch, which the caches serve, prices everything on one (fanOutKeys), a
 // run that has to compute — here the same batch under the other operator
-// set — fans out and takes Parallelism of them.
+// set — fans out and takes GOMAXPROCS of them, here two.
 func TestFaultLeavesNoPooledWorker(t *testing.T) {
+	withProcs(t, 2)
 	batch := tpcd.BQ(2)
-	cold, err := newTestSession(t).Optimize(context.Background(), batch, WithParallelism(2))
+	cold, err := newTestSession(t).Optimize(context.Background(), batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +226,7 @@ func TestFaultLeavesNoPooledWorker(t *testing.T) {
 		{"warm repeat", nil, 1},
 		{"cold run", []Option{WithExtendedOps(true)}, 2},
 	} {
-		sess = newTestSession(t, WithParallelism(2))
+		sess = newTestSession(t)
 		if _, err := sess.Optimize(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +251,7 @@ func TestFaultLeavesNoPooledWorker(t *testing.T) {
 	}
 	// The owner quarantines the session; the next one starts clean and is
 	// bit-identical to cold.
-	next := newTestSession(t, WithParallelism(2))
+	next := newTestSession(t)
 	if next.cache.FreeWorkers() != 0 {
 		t.Fatal("a new session starts with pooled workers")
 	}

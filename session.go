@@ -78,7 +78,9 @@ type FaultError struct {
 	// panic value and the stack captured at the recovery site).
 	Panic error
 	// Checkpoint resumes the interrupted run's committed prefix; nil when
-	// the run faulted before it had any state.
+	// the run faulted before it had any state (bc(∅), the decomposition),
+	// after its search (the pricing of the chosen set), or under a strategy
+	// that does not resume.
 	Checkpoint *Checkpoint
 	// Telemetry is the faulted run's accounting (Stopped == StopPanic).
 	Telemetry Telemetry
@@ -94,7 +96,6 @@ func (e *FaultError) Unwrap() error { return e.Panic }
 // the session's defaults.
 type config struct {
 	strategy    Strategy
-	parallelism int
 	timeBudget  time.Duration
 	callBudget  int
 	hasBudget   bool
@@ -112,15 +113,6 @@ type Option func(*config)
 // WithStrategy selects the MQO algorithm (default MarginalGreedy).
 func WithStrategy(s Strategy) Option {
 	return func(c *config) { c.strategy = s }
-}
-
-// WithParallelism bounds the worker pool evaluating candidate sets in a
-// greedy round: 0 means GOMAXPROCS, 1 forces sequential evaluation. It is a
-// bound: a round fans out only while the run is computing costs, so a repeat
-// the session's caches serve stays on one worker (physical.Searcher.Parallelism).
-// Results are bit-identical at every setting.
-func WithParallelism(n int) Option {
-	return func(c *config) { c.parallelism = n }
 }
 
 // WithTimeBudget caps the wall-clock time of the optimization run — the
@@ -285,7 +277,7 @@ func (s *SessionStats) Add(o SessionStats) {
 
 // Session is a long-lived handle for optimizing many batches against one
 // catalog: it fixes the catalog, the cost model and the tuning knobs
-// (strategy, parallelism, budgets) once, and every Optimize call reuses
+// (strategy, budgets) once, and every Optimize call reuses
 // them. Optimize is safe for concurrent use — each call owns its optimizer
 // — and the session aggregates telemetry across calls (Stats).
 //
@@ -462,7 +454,6 @@ func (s *Session) runBatch(ctx context.Context, batch *logical.Batch, counts []i
 	cc := core.Config{
 		TimeBudget:    cfg.timeBudget,
 		Progress:      cfg.progress,
-		Parallelism:   cfg.parallelism,
 		WarmOracle:    cfg.warmOracle || s.warmed.Load(),
 		PreemptSignal: cfg.preempt,
 	}

@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -39,6 +40,14 @@ func newTestSession(t *testing.T, opts ...Option) *Session {
 		t.Fatal(err)
 	}
 	return sess
+}
+
+// withProcs runs the rest of the test at GOMAXPROCS n — how a test picks
+// how wide the oracle's batches may run — and restores it at cleanup. No
+// test calls t.Parallel, so nothing else runs meanwhile.
+func withProcs(t testing.TB, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 // TestSessionMatchesOneShotAllStrategies pins the sessionized path to the
@@ -83,7 +92,8 @@ func TestSessionMatchesOneShotAllStrategies(t *testing.T) {
 }
 
 func TestSessionPlanValidates(t *testing.T) {
-	sess := newTestSession(t, WithParallelism(2))
+	withProcs(t, 2)
+	sess := newTestSession(t)
 	r, err := sess.Optimize(context.Background(), tpcd.BQ(3))
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +268,8 @@ func TestSessionStatsAggregate(t *testing.T) {
 // TestSessionConcurrentOptimize exercises concurrent Optimize calls on one
 // session (each call owns its DAG; the shared state is only the stats).
 func TestSessionConcurrentOptimize(t *testing.T) {
-	sess := newTestSession(t, WithParallelism(2))
+	withProcs(t, 2)
+	sess := newTestSession(t)
 	const n = 4
 	costs := make([]float64, n)
 	var wg sync.WaitGroup
@@ -322,7 +333,8 @@ func TestSessionInvalidBatchRejected(t *testing.T) {
 // same set at the same cost. An unrelated batch in between must neither
 // pollute nor benefit: its DAG fingerprint namespaces its entries.
 func TestSessionSharedCacheWarmsAcrossBatches(t *testing.T) {
-	sess := newTestSession(t, WithParallelism(1))
+	withProcs(t, 1)
+	sess := newTestSession(t)
 	ctx := context.Background()
 	batch := tpcd.BQ(3)
 
@@ -360,7 +372,8 @@ func TestSessionSharedCacheWarmsAcrossBatches(t *testing.T) {
 // warm session reports the SharedCache hits that replaced its key
 // computations, and the session's total is the sum over its results.
 func TestSessionVolcanoSHCountsSharedHits(t *testing.T) {
-	sess := newTestSession(t, WithParallelism(1), WithStrategy(core.VolcanoSH))
+	withProcs(t, 1)
+	sess := newTestSession(t, WithStrategy(core.VolcanoSH))
 	ctx := context.Background()
 	batch := tpcd.BQ(3)
 	sum := 0
@@ -385,7 +398,8 @@ func TestSessionVolcanoSHCountsSharedHits(t *testing.T) {
 // TestSessionInvalidateCacheForcesColdStart: after InvalidateCache a
 // repeated batch relearns from scratch, bit-identically.
 func TestSessionInvalidateCacheForcesColdStart(t *testing.T) {
-	sess := newTestSession(t, WithParallelism(1))
+	withProcs(t, 1)
+	sess := newTestSession(t)
 	ctx := context.Background()
 	batch := tpcd.BQ(2)
 	first, err := sess.Optimize(ctx, batch)

@@ -220,10 +220,10 @@ func BenchmarkWorkload(b *testing.B) {
 	}
 	// The parallel curve (ROADMAP item 2): the same cold 64-query run at
 	// GOMAXPROCS 1, 2 and 4, the widest the searcher fans a batch out (the
-	// run is cold, so it does fan out). computed_keys is the work — it
-	// grows with P, each worker's private L1 recomputing what a neighbour
-	// just did — and efficiency is p1's ns/op over P × this row's, so 1.0 is
-	// a linear speed-up; on fewer than P cores it cannot be reached.
+	// run is cold, so it does fan out). computed_keys is the work — flat in
+	// P, the workers sharing one L1, so a key one of them computed is a hit
+	// for the rest — and efficiency is p1's ns/op over P × this row's, so 1.0
+	// is a linear speed-up; on fewer than P cores it cannot be reached.
 	batch := workload.MustGenerate(workload.DefaultSpec(64, 0.25))
 	var p1 float64
 	for _, par := range []int{1, 2, 4} {
@@ -243,12 +243,13 @@ func BenchmarkWorkload(b *testing.B) {
 	}
 }
 
-// BenchmarkNewWorker measures what a cold run pays per oracle worker before
-// it has priced anything twice: a searcher over a compiled memo takes a
-// fresh worker — the cell-sized memo and L1 tables, allocated and zeroed —
-// and makes the first bc(∅) on it, which touches every cell a full walk
-// demands and allocates the L1 buckets it stores them in (1,152 B each, most
-// of B/op). computed_keys is that walk.
+// BenchmarkNewWorker measures what a cold run pays before it has priced
+// anything twice: a searcher over a compiled memo takes a fresh worker — its
+// cell-sized memo tables, allocated and zeroed — starts the run's L1, and
+// makes the first bc(∅), which touches every cell a full walk demands and
+// allocates the L1 buckets it stores them in (1,152 B each, most of B/op). A
+// second worker of the run pays the memo tables only: the L1 is the run's.
+// computed_keys is that walk.
 func BenchmarkNewWorker(b *testing.B) {
 	cat := tpcd.Catalog(1)
 	for _, size := range []int{64, 256} {
@@ -415,10 +416,12 @@ var benchSearcher *physical.Searcher
 
 // BenchmarkPublishCache isolates Searcher.PublishCache, the stage of
 // Session.Optimize after plan extraction: "cold" publishes one cold
-// MarginalGreedy run's worker caches into an empty SharedCache; "warm"
-// publishes an identical second run made against the cache the first one
-// filled (what a repeated batch on a long-lived session pays). The run itself is
-// outside the timer. Not in the CI gate set.
+// MarginalGreedy run's L1 into an empty SharedCache, which adopts it whole
+// (a few allocations however many workers filled it); "warm" publishes an
+// identical second run made against the cache the first one filled (what a
+// repeated batch on a long-lived session pays), whose table takes the
+// entries its chains lack. The run itself is outside the timer. Recorded in
+// the CI snapshot, not gated.
 func BenchmarkPublishCache(b *testing.B) {
 	cat := tpcd.Catalog(1)
 	for _, size := range []int{32, 64} {

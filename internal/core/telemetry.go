@@ -13,7 +13,7 @@ import (
 type Telemetry struct {
 	OracleCalls  int     `json:"oracle_calls"`   // memoized-distinct mb(S) evaluations
 	BCCalls      int     `json:"bc_calls"`       // bestCost invocations during the run
-	CacheHits    int     `json:"cache_hits"`     // worker-private (L1) cross-call cache hits
+	CacheHits    int     `json:"cache_hits"`     // lookups served by the run's L1
 	SharedHits   int     `json:"shared_hits"`    // lookups served by the SharedCache (L2) during the run
 	ComputedKeys int     `json:"computed_keys"`  // fresh (group, order, mask) computations
 	CacheHitRate float64 `json:"cache_hit_rate"` // (CacheHits+SharedHits) / (hits + ComputedKeys)
@@ -179,9 +179,9 @@ func apportion(total int64, weights []int) []int64 {
 // how much search the run did and why it stopped. It is a Telemetry whose
 // other fields read zero, because they depend on the machine and the
 // schedule: the phase times, and the cache-effect counters CacheHits /
-// SharedHits / ComputedKeys / CacheHitRate, which vary with which worker's
-// private cache saw which candidate set (BestCostBatchCtx hands indices out
-// through a shared counter). Contracts of the form "these two runs did the
+// SharedHits / ComputedKeys / CacheHitRate, which vary with which worker
+// priced which candidate set, and when (BestCostBatchCtx hands indices out
+// through a shared counter, and its workers share the run's L1). Contracts of the form "these two runs did the
 // same thing" — a served request ≡ a direct Session call, a lane of one ≡ a
 // solo request — are stated over Work, never over the whole struct.
 type Work Telemetry

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"math/rand"
 	"runtime"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/cost"
@@ -70,7 +69,6 @@ func TestL1KindsDoNotAlias(t *testing.T) {
 	cache := NewSharedCache()
 	s.AttachSharedCache(cache)
 	w := s.worker(0)
-	w.syncShared()
 
 	const both, useOnly, compOnly = uint64(31), uint64(32), uint64(33)
 	w.store(0, both, 1.5, kindUse)
@@ -109,7 +107,6 @@ func TestL1KindsDoNotAlias(t *testing.T) {
 	s2 := buildSearcher(t, sharedPairQueries()...)
 	s2.AttachSharedCache(cache)
 	w2 := s2.worker(0)
-	w2.syncShared()
 	check("L2", w2)
 	w2.flushStats()
 	if s2.SharedHits != 4 || s2.CacheHits != 0 {
@@ -129,7 +126,7 @@ func TestL1ProbeWraparound(t *testing.T) {
 		masks[i] = findMaskWithHome(t, l1BucketCap-1, taken)
 		w.store(0, masks[i], float64(100+i), kindUse)
 	}
-	b := w.l1[kindUse]
+	b := l1At(s, kindUse)
 	if b == nil {
 		t.Fatal("no bucket allocated")
 	}
@@ -159,7 +156,6 @@ func TestL1OverflowFallsBackToShared(t *testing.T) {
 	cache := NewSharedCache()
 	s.AttachSharedCache(cache)
 	w := s.worker(0)
-	w.syncShared()
 
 	taken := map[uint64]bool{}
 	for i := 0; i < l1MaxFill; i++ {
@@ -167,7 +163,7 @@ func TestL1OverflowFallsBackToShared(t *testing.T) {
 		taken[m] = true
 		w.store(0, m, float64(i), kindUse)
 	}
-	b := w.l1[kindUse]
+	b := l1At(s, kindUse)
 	if got := bits.OnesCount64(b.occ); got != l1MaxFill {
 		t.Fatalf("bucket fill %d after %d distinct stores, want the fill bound", got, l1MaxFill)
 	}
@@ -203,8 +199,8 @@ func TestL1OverflowFallsBackToShared(t *testing.T) {
 	// The evicted key falls back to the L2: seed it there (as an earlier
 	// PublishCache would have) and the cache read must hit, counted as a
 	// shared hit — every time, since a shared hit is not copied into the L1.
-	seedCosts(cache, w.ns, s.cells, []sharedKV{{k: cacheKey{g: 0, ord: 0, compute: false, mask: victim}, v: victimVal}})
-	w.syncShared()
+	seedCosts(cache, s.cacheNS(), s.cells, []sharedKV{{k: cacheKey{g: 0, ord: 0, compute: false, mask: victim}, v: victimVal}})
+	w = s.worker(0) // the next entry point sees the table
 	w.stats.SharedHits = 0
 	for n := 1; n <= 2; n++ {
 		if v, ok := w.cached(0, victim, kindUse); !ok || v != victimVal {
@@ -230,7 +226,7 @@ func TestL1OccupancyPastFillBound(t *testing.T) {
 	for i := 0; i < 5000 && b.occ != ^uint64(0); i++ {
 		m := l1TestMask(rng.Intn(1 << 20))
 		stored[m] = float64(i)
-		b.store(1, m, float64(i))
+		b.store(m, float64(i))
 	}
 	if got := bits.OnesCount64(b.occ); got != l1BucketCap {
 		t.Fatalf("occupancy %d after random stores, want it to creep to %d", got, l1BucketCap)
@@ -261,7 +257,7 @@ func TestL1OccupancyPastFillBound(t *testing.T) {
 	checkResident("full bucket", b.lookup)
 
 	// Published: an empty slot adopts the full bucket as is.
-	tab := &nsTable{slots: make([]atomic.Pointer[l1Bucket], 2)}
+	tab := &nsTable{slots: make(l1Table, 2)}
 	if n := tab.absorb(kindUse, b); n != l1BucketCap {
 		t.Fatalf("adopting the full bucket added %d entries, want %d", n, l1BucketCap)
 	}
@@ -272,7 +268,7 @@ func TestL1OccupancyPastFillBound(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		m := l1TestMask(1<<22 + i)
 		fresh[m] = float64(-i)
-		more.store(1, m, float64(-i))
+		more.store(m, float64(-i))
 	}
 	dup := 0
 	for m, v := range resident {
@@ -286,7 +282,7 @@ func TestL1OccupancyPastFillBound(t *testing.T) {
 	// A second full bucket, all new: more than one link's worth.
 	full := new(l1Bucket)
 	for i := 0; full.occ != ^uint64(0); i++ {
-		full.store(1, l1TestMask(1<<23+i), float64(i))
+		full.store(l1TestMask(1<<23+i), float64(i))
 	}
 	for j := range full.entries {
 		fresh[full.entries[j].mask] = full.entries[j].val
@@ -311,68 +307,50 @@ func TestL1OccupancyPastFillBound(t *testing.T) {
 	}
 }
 
-// TestL1ResetReusesBackingArrays pins the epoch-stamped reset: resetL1
-// must empty the cache without dropping the bucket probe arrays, and the
-// emptied buckets must be reusable.
-func TestL1ResetReusesBackingArrays(t *testing.T) {
+// TestClearCacheDropsRunL1 pins the L1's epoch move: ClearCache lets go of
+// the whole table instead of clearing buckets in place — a bucket is never
+// written again once a reset has passed it by — and the next evaluation
+// starts an empty table.
+func TestClearCacheDropsRunL1(t *testing.T) {
 	s := buildSearcher(t, sharedPairQueries()...)
 	w := s.worker(0)
 	w.store(0, 11, 1.5, kindUse)
 	w.store(0, 12, 2.5, kindComp)
-	useBefore, compBefore := w.l1[kindUse], w.l1[kindComp]
-	if useBefore == nil || compBefore == nil || useBefore == compBefore {
-		t.Fatalf("buckets after one store per kind: use %p, comp %p", useBefore, compBefore)
+	use := l1At(s, kindUse)
+	if use == nil || use == l1At(s, kindComp) {
+		t.Fatalf("after one store per kind: use bucket %p, compute bucket %p", use, l1At(s, kindComp))
 	}
 
-	w.resetL1()
-	if w.l1[kindUse] != useBefore || w.l1[kindComp] != compBefore {
-		t.Fatal("resetL1 dropped a bucket backing array")
+	s.ClearCache()
+	if s.l1 != nil {
+		t.Fatal("ClearCache kept the run's L1")
 	}
+	w = s.worker(0)
 	if _, ok := w.cached(0, 11, kindUse); ok {
-		t.Fatal("use entry survived resetL1")
+		t.Fatal("use entry survived ClearCache")
 	}
 	if _, ok := w.cached(0, 12, kindComp); ok {
-		t.Fatal("comp entry survived resetL1")
+		t.Fatal("comp entry survived ClearCache")
 	}
 
-	// The stale bucket self-clears on its next store and serves again.
 	w.store(0, 13, 3.5, kindUse)
-	if w.l1[kindUse] != useBefore {
-		t.Fatal("post-reset store allocated a fresh bucket")
+	if l1At(s, kindUse) == use {
+		t.Fatal("the store after ClearCache went into a bucket of the dropped table")
 	}
 	if v, ok := w.cached(0, 13, kindUse); !ok || v != 3.5 {
 		t.Fatalf("post-reset store: got (%v, %v), want (3.5, true)", v, ok)
 	}
-	if _, ok := useBefore.lookup(11); ok {
-		t.Fatal("pre-reset entry resurfaced after the bucket self-cleared")
+	if v, ok := use.lookup(11); !ok || v != 1.5 {
+		t.Fatalf("the dropped bucket changed after the reset: got (%v, %v)", v, ok)
 	}
 }
 
-// TestL1EpochWrapHardResets forces the uint32 L1 epoch to wrap and
-// verifies the ambiguous stamps are hard-cleared instead of resurrecting
-// entries stamped with a recycled epoch.
-func TestL1EpochWrapHardResets(t *testing.T) {
-	s := buildSearcher(t, sharedPairQueries()...)
-	w := s.worker(0)
-	w.store(0, 21, 4.5, kindUse)
-	w.store(0, 22, 5.5, kindComp)
-	// A bucket last written in generation 1 — the value the wrap lands on.
-	stale := w.l1[kindComp]
-	w.l1Epoch = ^uint32(0)       // next reset wraps
-	w.store(0, 21, 4.5, kindUse) // restamps the use bucket with the last generation
-	w.resetL1()
-	if w.l1Epoch != 1 {
-		t.Fatalf("wrapped epoch is %d, want 1", w.l1Epoch)
+// l1At is the bucket at slot i of the searcher's L1, nil when there is none.
+func l1At(s *Searcher, i int) *l1Bucket {
+	if s.l1 == nil {
+		return nil
 	}
-	if _, ok := w.cached(0, 21, kindUse); ok {
-		t.Fatal("entry resurrected across an epoch wrap")
-	}
-	if _, ok := w.cached(0, 22, kindComp); ok {
-		t.Fatal("generation-1 entry resurrected by the recycled epoch")
-	}
-	if stale.ep != 0 || stale.occ != 0 {
-		t.Fatalf("wrap left bucket stamped ep=%d occ=%#x, want a hard clear", stale.ep, stale.occ)
-	}
+	return s.l1[i].Load()
 }
 
 // TestBestCostBatchCtxL1Stress hammers the flat L1 through the real
@@ -411,6 +389,79 @@ func TestBestCostBatchCtxL1Stress(t *testing.T) {
 	}
 }
 
+// TestSharedL1Stress runs many fanned-out batches on one searcher at
+// GOMAXPROCS 4, so four workers store into and read one L1 at once — cold,
+// after a publish into the attached SharedCache, and across an Invalidate
+// between batches — and holds every cost bit for bit to a searcher that
+// reuses nothing. Buckets of the upper groups reach the fill bound, where a
+// fanned-out store is deferred to the end of the batch (settle); the test
+// checks that some are.
+func TestSharedL1Stress(t *testing.T) {
+	m := workloadMemo(t, 16)
+	ref := NewSearcher(m)
+	ref.Incremental = false
+	s := NewSearcher(m)
+	cache := NewSharedCache()
+	s.AttachSharedCache(cache)
+	withProcs(t, 4)
+	rng := rand.New(rand.NewSource(3))
+	deferred := 0
+	for round := 0; round < 12; round++ {
+		switch round % 4 {
+		case 1:
+			s.PublishCache()
+		case 3:
+			cache.Invalidate()
+		}
+		sets := randomSets(s, rng, 96)
+		s.batchMark = s.Stats // fan out whatever the last batch computed
+		got, ok := s.BestCostBatchCtx(nil, sets)
+		if !ok {
+			t.Fatalf("round %d: batch aborted: %v", round, s.TakeFault())
+		}
+		for _, w := range s.workers {
+			deferred += len(w.spill)
+		}
+		for i, set := range sets {
+			if want := ref.BestCost(set); got[i] != want {
+				t.Fatalf("round %d, set %d: batched %v, a searcher that reuses nothing %v", round, i, got[i], want)
+			}
+		}
+	}
+	if deferred == 0 {
+		t.Fatal("no store met a full bucket: deferring went unexercised")
+	}
+}
+
+// TestPublishCacheAdoptsBuckets pins what a cold publish costs after a
+// fanned-out run: the namespace adopts the run's one L1 — slot array and
+// buckets — so it allocates a small constant (the table record and its map
+// entry), not a copy of every bucket a second worker also filled.
+func TestPublishCacheAdoptsBuckets(t *testing.T) {
+	m := workloadMemo(t, 32)
+	withProcs(t, 4)
+	const runs = 4
+	var ready []*Searcher
+	for i := 0; i <= runs; i++ { // AllocsPerRun calls f once more, to warm up
+		s := NewSearcher(m)
+		s.AttachSharedCache(NewSharedCache())
+		if _, ok := s.BestCostBatchCtx(nil, randomSets(s, rand.New(rand.NewSource(int64(i))), 64)); !ok {
+			t.Fatal("batch aborted")
+		}
+		if len(s.workers) < 2 || s.ComputedKey == 0 {
+			t.Fatalf("the cold batch ran on %d workers, computing %d keys; the test wants it fanned out", len(s.workers), s.ComputedKey)
+		}
+		ready = append(ready, s)
+	}
+	allocs := testing.AllocsPerRun(runs, func() {
+		ready[0].PublishCache()
+		ready = ready[1:]
+	})
+	if allocs > 8 {
+		t.Fatalf("a cold PublishCache made %.0f allocations, want a small constant: adopt the L1, copy nothing", allocs)
+	}
+}
+
 // BenchmarkL1Probe compares the flat open-addressed bucket against the
 // retired map[uint64]float64 bucket layout on the L1's real access mix —
 // a warm bucket probed at a hit-heavy ratio with periodic fresh stores —
@@ -423,7 +474,7 @@ func BenchmarkL1Probe(b *testing.B) {
 	b.Run("flat", func(b *testing.B) {
 		bucket := new(l1Bucket)
 		for i, m := range masks {
-			bucket.store(1, m, float64(i))
+			bucket.put(m, float64(i))
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -431,7 +482,7 @@ func BenchmarkL1Probe(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			m := masks[i%len(masks)]
 			if i%16 == 15 {
-				bucket.store(1, m, float64(i))
+				bucket.put(m, float64(i))
 				continue
 			}
 			if v, ok := bucket.lookup(m); ok {
@@ -465,14 +516,14 @@ func BenchmarkL1Probe(b *testing.B) {
 var benchSink float64
 
 // TestNewWorkerBytesPerCell guards the per-run table set-up every
-// Optimize pays once per worker: the cell-sized arrays are the L1 bucket
-// pointers (2 × 8 B) and the two memo cells (2 × 16 B), 48 B per cell —
-// per (group, order) pair an evaluation can ask for, not per pair there
-// is. The allowance covers the per-group records (24 B) and allocator
-// size-class rounding; a fourth cell-sized array does not fit in it, and
-// one sized by groups × orders (here 15 × the cells) is far outside. One
-// goroutine, one newWorker: the reading does not depend on GOMAXPROCS or
-// the worker pool size.
+// Optimize pays once per worker: the cell-sized arrays are the two memo
+// cells (2 × 16 B), 32 B per cell — per (group, order) pair an evaluation can
+// ask for, not per pair there is; the L1 is the run's, not the worker's. The
+// allowance covers the per-group records (24 B) and allocator size-class
+// rounding; a third cell-sized array does not fit in it, and one sized by
+// groups × orders (here 15 × the cells) is far outside. One goroutine, one
+// newWorker: the reading does not depend on GOMAXPROCS or the worker pool
+// size.
 func TestNewWorkerBytesPerCell(t *testing.T) {
 	m, err := memo.Build(tpcd.Catalog(1), cost.Default(), workload.MustGenerate(workload.DefaultSpec(32, 0.25)))
 	if err != nil {
@@ -487,9 +538,9 @@ func TestNewWorkerBytesPerCell(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(w)
 	got := after.TotalAlloc - before.TotalAlloc
-	limit := uint64(48*cells + 32*groups + 16<<10)
+	limit := uint64(32*cells + 32*groups + 16<<10)
 	t.Logf("%d cells of %d groups × %d orders: newWorker allocated %d B (%.1f B/cell), limit %d", cells, groups, s.numOrds, got, float64(got)/float64(cells), limit)
 	if got > limit {
-		t.Fatalf("newWorker allocated %d B for %d cells, want ≤ %d (48 B/cell plus allowance)", got, cells, limit)
+		t.Fatalf("newWorker allocated %d B for %d cells, want ≤ %d (32 B/cell plus allowance)", got, cells, limit)
 	}
 }

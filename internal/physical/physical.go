@@ -75,9 +75,9 @@
 // 5.3–5.5 this way and 6.0–6.3 with sparse tables). Sharing pads the closure
 // 2.0–2.6 × (1,210 / 3,546 / 11,770 / 134,777 cells), which is still
 // 12–17.5 × fewer than groups × orders, and everything per (group, order)
-// that a worker or a SharedCache namespace holds is sized by it: 48 B a cell,
-// 0.56 MB a worker at 64 queries and 6.5 MB at 256, where groups × orders
-// were 8.5 and 111.
+// that a worker, a run's L1 or a SharedCache namespace holds is sized by it:
+// 32 B a cell in a worker and 16 in the L1, 0.56 MB a single-worker run at 64
+// queries and 6.5 MB at 256, where groups × orders were 8.5 and 111.
 //
 // The memo is a pair of flat arrays of stamped cells — one for use costs, one
 // for compute costs — and one stamp per group: a cell is live while its stamp
@@ -130,14 +130,16 @@
 //
 // The hierarchy a lookup walks under the memo, fastest first:
 //
-//  1. Flat L1, private to a worker: per-cell open-addressed probe arrays
-//     (l1Bucket, lazily allocated) of inline (mask, value) pairs with a
-//     1-byte tag per position and an explicit occupancy bitmap, so no mask
-//     value is reserved as "empty". Use-cost and compute-cost keys share
-//     one table: the bucket of a cell and kind sits at index 2*cell+kind.
-//     Memory is bounded by the fill bound (l1Bucket.store says what a store
-//     does there); resetL1 clears every bucket in O(1) by bumping the
-//     worker's l1Epoch.
+//  1. Flat L1, one per run and shared by the workers of a batch: per-cell
+//     open-addressed probe arrays (l1Bucket, lazily allocated) of inline
+//     (mask, value) pairs with a 1-byte tag per position and an explicit
+//     occupancy bitmap, so no mask value is reserved as "empty". Use-cost
+//     and compute-cost keys share one table: the bucket of a cell and kind
+//     sits at index 2*cell+kind. Memory is bounded by the fill bound, as on
+//     one worker: past it a store evicts at its home, but only while no
+//     other worker can be reading the bucket (worker.store says when), so
+//     the L1 holds at most one bucket per cell and kind. resetL1 lets go of
+//     the whole table in O(1).
 //  2. SharedCache L2: the optionally attached cross-searcher tier, one
 //     table per namespace (structural fingerprint + operator flags) with
 //     the L1's own geometry: slot 2*cell+kind holds an atomically loaded
@@ -164,30 +166,45 @@
 // repro.Session owns one SharedCache per session, so identical batches
 // start warm; entries are namespaced by the searcher's structural
 // fingerprint and operator flags, which is why ClearCache only resets the
-// private L1s — a flag toggle moves to a disjoint namespace on its own.
+// run's L1 — a flag toggle moves to a disjoint namespace on its own.
 //
 // # Concurrency contract
 //
 // The compiled search space is immutable and belongs to the memo, not to a
 // searcher: any number of searchers over one memo — a session's concurrent
 // or repeated runs of a batch it holds compiled — read the same arrays.
-// What a run mutates lives in the Searcher (flags, counters) and in its
-// workers, the per-evaluation contexts (the memo with its base and undo
-// log, the private L1 cache, stat counters). Sequential entry points
-// (BestCost, BestUseCost, BestPlan, CostBreakdown) share worker 0 and are
-// not safe for concurrent use, while BestCostBatchCtx evaluates many
-// materialization sets concurrently. A worker's base is private to it; the
-// batch base (Searcher.base) is written by BestCostBatchCtx before it starts
-// the batch's goroutines, which only read it.
+// What a run mutates lives in the Searcher (flags, counters, the L1) and in
+// its workers, the per-evaluation contexts (the memo with its base and undo
+// log, stat counters). Sequential entry points (BestCost, BestUseCost,
+// BestPlan, CostBreakdown) share worker 0 and are not safe for concurrent
+// use, while BestCostBatchCtx evaluates many materialization sets
+// concurrently. A worker's memo and base are private to it; the batch base
+// (Searcher.base) is written by BestCostBatchCtx before it starts the
+// batch's goroutines, which only read it.
+//
+// The workers of a batch share the run's L1: any of them reads, with no lock,
+// what any other stored, so a key one worker computed is a hit for the rest.
+// That is safe because, while a batch is fanned out, a bucket position is
+// written once and published in order (l1Bucket.share): a store claims a
+// free position with a compare-and-swap on the bucket's held word, writes
+// the tag and the entry, and only then sets the position's bit in occ with
+// an atomic or — the word a reader loads before it reads any entry. A store
+// that finds a full bucket waits in the spill log until the batch is over
+// (settle) or, once that is full, is dropped; it never overwrites a live
+// position under a reader. Two workers that miss the same key at once both
+// compute it, and both values are the same bits. What moves a whole table —
+// resetL1 (ClearCache, syncShared after an Invalidate) and PublishCache —
+// runs only between batches.
 //
 // How many workers a batch runs on is the searcher's decision, not a
 // caller's: GOMAXPROCS, capped by the batch, and one while the evaluations
 // before the batch read caches rather than computed keys (fanOutKeys). The
 // crossover it follows is a property of the run, which a caller does not
-// see: measured in PRs 23–24, a second worker loses on every warm run and
-// on cold runs below 64 queries and wins on a cold 64-query one (numbers at
-// fanOutKeys) — it relearns a private L1 its neighbour already holds
-// (computed_keys + 19–34 %), so it pays only where computing keys dominates.
+// see: a second worker loses on every warm run and on a cold 16-query one,
+// breaks even on a cold 32-query run and wins on a cold 64-query one
+// (numbers at fanOutKeys). It does not relearn what its neighbour holds —
+// computed_keys is flat in the worker count — but waking it and pricing the
+// groups its own memo lacks pays only where computing keys dominates.
 //
 // Workers are borrowed, under one rule for every entry point: a searcher
 // takes a worker the first time an evaluation needs one — from the attached
@@ -394,7 +411,21 @@ type Searcher struct {
 	// workers are the evaluation contexts this searcher has taken so far
 	// (worker), in the order it asked for them.
 	workers []*worker
-	shared  *SharedCache // cross-worker / cross-searcher L2 cache
+	shared  *SharedCache // cross-searcher L2 cache
+
+	// l1 is the run's cross-call cache, which every worker of a batch reads
+	// and writes; worker makes it, resetL1 and PublishCache let go of it.
+	// l2 is the table of the attached SharedCache's namespace ns as resolved
+	// at generation sharedGen, nil when nothing is published under it, and
+	// sharedEpoch the cache's invalidation epoch the L1 was filled under
+	// (syncShared).
+	l1          l1Table
+	fanned      bool       // a batch's workers run on more than one goroutine
+	check       batchCheck // what the cellcheck build asserts the batch against
+	ns          uint64
+	sharedGen   uint64
+	sharedEpoch uint64
+	l2          l1Table
 
 	// base is the set the evaluations of a batch are priced against — the
 	// batch's workers read it, BestCostBatchCtx writes it before it starts
@@ -420,7 +451,7 @@ type Searcher struct {
 // worker).
 type Stats struct {
 	BCCalls      int // bestCost invocations
-	CacheHits    int // worker-private (L1) cross-call cache hits
+	CacheHits    int // lookups served by the run's L1
 	SharedHits   int // lookups served by the SharedCache (L2)
 	ComputedKey  int // fresh (group, order, mask) computations
 	ExtractCalls int // plan-extraction node resolutions (BestPlan)
@@ -442,12 +473,11 @@ func (a Stats) Sub(b Stats) Stats {
 
 // NewSearcher returns a searcher over the given memo with the incremental
 // cache and materialized-order handling enabled, and no SharedCache
-// attached: workers keep purely private caches (zero synchronization on
-// the hot path). A longer-lived owner attaches its cache with
-// AttachSharedCache (repro.Session does). The search space is compiled by
-// the first searcher over a memo and kept on it, so on a memo a BuildCache
-// handed back NewSearcher is a struct literal; it allocates no worker —
-// the first evaluation takes one.
+// attached: the run's L1 is its only cross-call cache. A longer-lived owner
+// attaches its cache with AttachSharedCache (repro.Session does). The search
+// space is compiled by the first searcher over a memo and kept on it, so on
+// a memo a BuildCache handed back NewSearcher is a struct literal; it
+// allocates no worker — the first evaluation takes one.
 func NewSearcher(m *memo.Memo) *Searcher {
 	sp := m.Compiled(func() any { return compile(m) }).(*space)
 	return &Searcher{space: *sp, Incremental: true, MatOrders: true}
@@ -460,16 +490,13 @@ func compile(m *memo.Memo) *space {
 	return sp
 }
 
-// ClearCache drops the worker-private cross-call caches. An attached
-// SharedCache is left alone: its entries are namespaced by the structural
-// fingerprint and the operator flags (cacheNS), so a flag toggle moves to
-// a disjoint namespace and stale values can never be observed. Call
-// SharedCache.Invalidate for an explicit full flush.
-func (s *Searcher) ClearCache() {
-	for _, w := range s.workers {
-		w.resetL1()
-	}
-}
+// ClearCache drops the run's cross-call cache (the L1) and what the workers
+// kept from the last evaluation. An attached SharedCache is left alone: its
+// entries are namespaced by the structural fingerprint and the operator
+// flags (cacheNS), so a flag toggle moves to a disjoint namespace and stale
+// values can never be observed. Call SharedCache.Invalidate for an explicit
+// full flush.
+func (s *Searcher) ClearCache() { s.resetL1() }
 
 type cacheKey struct {
 	g       memo.GroupID
@@ -641,10 +668,11 @@ const l1BucketCap = 1 << l1BucketBits
 
 // l1MaxFill is the fill bound of a bucket (3/4 load): below it a store
 // claims the first empty position of its probe run, at or past it a store
-// writes at its home (see l1Bucket.store). Occupancy is not capped at the
-// bound — claimed empty homes let it creep up to the full capacity, where a
-// probe for an absent key walks all l1BucketCap positions (lookup takes the
-// run length from the occupancy word, so it still terminates).
+// writes at its home once no other worker can be reading the bucket
+// (l1Bucket.evict). Occupancy is not capped at the bound — claimed empty
+// homes let it creep up to the full capacity, where a probe for an absent
+// key walks all l1BucketCap positions (lookup takes the run length from the
+// occupancy word, so it still terminates).
 const l1MaxFill = l1BucketCap * 3 / 4
 
 // epVal is one memo cell: a cost and the stamp its group carried when the
@@ -698,20 +726,26 @@ type l1Entry struct {
 // l1Bucket is the flat open-addressed cross-call cache of one (group,
 // order) cell and cost kind. Occupancy is explicit — bit j of occ marks
 // entries[j] live — so every 64-bit mask hash, including ^uint64(0),
-// round-trips exactly. ep stamps the occupancy with the worker's L1
-// epoch: resetL1 bumps the epoch in O(1) and a stale bucket lazily
-// self-clears on its next store, reusing its backing array. next is nil
-// in a worker's L1; a SharedCache table, whose buckets are never written
-// once published, links the buckets of one cell and kind through it. It
-// comes last so the 16-byte header keeps every entry inside one cache line;
-// only a probe that misses a published bucket reads it.
+// round-trips exactly. In a run's L1 the workers of a fanned-out batch read
+// and store into one bucket at once, so a position is published in order:
+// share claims it in held, writes its tag and entry, and only then sets its
+// bit in occ; a reader loads occ before it reads a tag or an entry, so it
+// reads only positions whose writes are done. A SharedCache table's buckets
+// are never written once published; its table links the buckets of one cell
+// and kind through next, which is nil in a run's L1. The 16-byte header
+// keeps every entry inside one cache line; only a probe that misses a
+// published bucket reads next.
 type l1Bucket struct {
-	ep      uint32
-	occ     uint64
+	occ     uint64 // live positions; atomic
+	held    uint64 // claimed positions: occ and the stores in flight
 	tags    [l1BucketCap]uint8
 	entries [l1BucketCap]l1Entry
 	next    *l1Bucket
 }
+
+// l1Table is a run's L1, or a SharedCache namespace's table: the bucket
+// chain of (cell, kind) at slot 2*cell+kind.
+type l1Table []atomic.Pointer[l1Bucket]
 
 // l1Home is the probe start position for a mask hash: the top bucket
 // bits of a Fibonacci remix (the mask is itself a hash; the remix keeps
@@ -725,7 +759,7 @@ func l1Home(mask uint64) int {
 // all of them in one cache line — are compared first, so the 16-byte
 // entries are only loaded on a tag match (false positive rate 2^-8 per
 // occupied position). Tags carry no occupancy information: occ alone
-// decides liveness, so a stale tag after an epoch clear is never read.
+// decides liveness, so a stale tag is never read.
 func l1Tag(mask uint64) uint8 {
 	return uint8((mask * 0x9e3779b97f4a7c15) >> (56 - l1BucketBits))
 }
@@ -734,11 +768,10 @@ func l1Tag(mask uint64) uint8 {
 // stopping at the first empty position. The probe-run length is taken
 // from the occupancy word up front (rotate the free bitmap so the home
 // lands on bit 0; the first set bit is the first empty position), so
-// the loop itself tests only tag bytes. The caller has checked that the
-// bucket's epoch is current.
+// the loop itself tests only tag bytes.
 func (b *l1Bucket) lookup(mask uint64) (float64, bool) {
 	h := l1Home(mask)
-	d := bits.TrailingZeros64(bits.RotateLeft64(^b.occ, -h))
+	d := bits.TrailingZeros64(bits.RotateLeft64(^atomic.LoadUint64(&b.occ), -h))
 	tag := l1Tag(mask)
 	for i := 0; i < d; i++ {
 		j := (h + i) & (l1BucketCap - 1)
@@ -759,85 +792,129 @@ func (b *l1Bucket) find(mask uint64) (float64, bool) {
 	return 0, false
 }
 
-// put overwrites the mask's value or, below the fill bound, claims the
-// first empty position of its probe run. It reports false — leaving the
-// bucket as it was — when the mask is absent and the bucket is at the
-// bound.
-func (b *l1Bucket) put(mask uint64, v float64) bool {
+// claim writes a pair, below the fill bound, into the first position of its
+// probe run that no store has claimed, marking it in held but not in occ: the
+// caller publishes it (put, store). A mask already there is left as it is,
+// its value being a pure function of the key (the cellcheck build asserts the
+// bits agree). At the bound claim stores nothing and reports false. It runs
+// where no other worker stores into the bucket; share is its concurrent
+// counterpart.
+func (b *l1Bucket) claim(mask uint64, v float64) bool {
 	h := l1Home(mask)
 	tag := l1Tag(mask)
-	full := bits.OnesCount64(b.occ) >= l1MaxFill
 	for i := 0; i < l1BucketCap; i++ {
 		j := (h + i) & (l1BucketCap - 1)
-		if b.occ&(1<<uint(j)) == 0 {
-			if full {
+		bit := uint64(1) << uint(j)
+		if b.held&bit == 0 {
+			if bits.OnesCount64(b.held) >= l1MaxFill {
 				return false
 			}
-			b.occ |= 1 << uint(j)
+			if cellCheck {
+				checkUnclaimed(b, j)
+			}
+			b.held |= bit
 			b.tags[j] = tag
 			b.entries[j] = l1Entry{mask: mask, val: v}
 			return true
 		}
 		if b.tags[j] == tag && b.entries[j].mask == mask {
-			b.entries[j].val = v
+			if cellCheck {
+				checkPure(mask, b.entries[j].val, v)
+			}
 			return true
 		}
 	}
 	return false
 }
 
-// store inserts or overwrites a (mask, value) pair. A bucket whose epoch
-// is stale self-clears first (O(1): drop the occupancy bitmap). At the
-// fill bound a new pair goes to its home position whatever is there: it
-// replaces the occupant, or claims the home if that is empty (which is how
-// occupancy passes the bound, see l1MaxFill). The linear-probing invariant
-// survives because the new key rests exactly at its own home; an evicted
-// key simply misses from then on, falling back to the SharedCache L2 (if
-// it was published) or to recomputation. Values are pure functions of
-// their key, so eviction can never change a cost.
-func (b *l1Bucket) store(epoch uint32, mask uint64, v float64) {
-	if b.ep != epoch {
-		b.ep = epoch
-		b.occ = 0
+// put stores and publishes a pair in a bucket no reader can reach yet — a
+// SharedCache bucket before it is published, a new L1 one before it is
+// installed — and reports false, storing nothing, at the fill bound.
+func (b *l1Bucket) put(mask uint64, v float64) bool {
+	ok := b.claim(mask, v)
+	b.occ = b.held
+	return ok
+}
+
+// store is what a store does in a bucket no other worker can be reading:
+// it claims a position, or at the fill bound evicts, and publishes it.
+func (b *l1Bucket) store(mask uint64, v float64) {
+	if !b.claim(mask, v) {
+		b.evict(mask, v)
 	}
-	if b.put(mask, v) {
-		return
+	b.occ = b.held
+}
+
+// share stores a pair while other workers of the batch may probe and store
+// into the bucket. A mask already published is left as it is (its value is
+// a pure function of the key; the cellcheck build asserts the bits agree).
+// Else share claims the first position of its probe run that no store has
+// claimed, with a compare-and-swap on held, writes the tag and the entry,
+// and only then publishes the position with an atomic or on occ, the word a
+// reader loads before it reads any entry; no position is written twice. At
+// the fill bound it stores nothing and reports false.
+func (b *l1Bucket) share(mask uint64, v float64) bool {
+	// Full buckets, where most stores of a cold batch land, are not written
+	// until the batch is over: the test comes first and reads a line no
+	// worker is writing.
+	if bits.OnesCount64(atomic.LoadUint64(&b.held)) >= l1MaxFill {
+		return false
 	}
-	// The occupancy bit is set explicitly: the home may itself be empty,
-	// and a claimed-but-unmarked entry would be a lost store.
+	if have, ok := b.lookup(mask); ok {
+		if cellCheck {
+			checkPure(mask, have, v)
+		}
+		return true
+	}
 	h := l1Home(mask)
-	b.occ |= 1 << uint(h)
+	for {
+		held := atomic.LoadUint64(&b.held)
+		if bits.OnesCount64(held) >= l1MaxFill {
+			return false
+		}
+		j := (h + bits.TrailingZeros64(bits.RotateLeft64(^held, -h))) & (l1BucketCap - 1)
+		if atomic.CompareAndSwapUint64(&b.held, held, held|1<<uint(j)) {
+			if cellCheck {
+				checkUnclaimed(b, j)
+			}
+			b.tags[j] = l1Tag(mask)
+			b.entries[j] = l1Entry{mask: mask, val: v}
+			atomic.OrUint64(&b.occ, 1<<uint(j))
+			return true
+		}
+	}
+}
+
+// evict stores a pair claim could not take at its home position, whatever
+// is there: it replaces the occupant, or claims the home if that is empty
+// (which is how occupancy passes the fill bound, see l1MaxFill). The
+// linear-probing invariant survives because the new key rests exactly at
+// its own home; an evicted key simply misses from then on, falling back to
+// the SharedCache L2 (if it was published) or to recomputation. Values are
+// pure functions of their key, so eviction can never change a cost. evict
+// overwrites a live position, so it runs only while no other worker can be
+// reading the bucket; the writer publishes the position (store).
+func (b *l1Bucket) evict(mask uint64, v float64) {
+	h := l1Home(mask)
+	b.held |= 1 << uint(h)
 	b.tags[h] = l1Tag(mask)
 	b.entries[h] = l1Entry{mask: mask, val: v}
 }
 
-// worker is one evaluation context: per-call scratch tables plus a private
-// cross-call cache. Sequential entry points use worker 0; BestCostBatchCtx
-// uses one worker per goroutine. A worker belongs to one searcher at a
-// time, but may outlive it: a searcher with a SharedCache attached takes
-// its workers from the cache's free list and PublishCache gives them back,
-// so the tables below are sized by capacity — a later searcher reslices
-// them to its own DAG (bind) — and every stamp in them only ever grows.
+// worker is one evaluation context: the memo and its per-call scratch; the
+// cross-call caches are the searcher's. Sequential entry points use worker
+// 0; BestCostBatchCtx uses one worker per goroutine. A worker belongs to
+// one searcher at a time, but may outlive it: a searcher with a SharedCache
+// attached takes its workers from the cache's free list and PublishCache
+// gives them back, so the tables below are sized by capacity — a later
+// searcher reslices them to its own DAG (bind) — and every stamp in them
+// only ever grows.
 type worker struct {
 	s *Searcher // current owner; nil on the free list
 
-	// Private L1 cross-call cache. Entries are bucketed by the (group,
-	// order) cell — the index the memo tables below use — and the cost
-	// kind, and keyed inside the bucket by the 8-byte mask hash alone. Each
-	// bucket is a flat open-addressed probe array (l1Bucket), lazily
-	// allocated on first store and cleared in place by epoch stamping, so a
-	// probe is a few adjacent inline loads instead of a runtime map access.
-	// Misses fall through to l2.
-	l1Epoch uint32      // current L1 generation; buckets with other stamps are dead
-	l1      []*l1Bucket // bucket of (cell, kind) at 2*cell+kind, lazily allocated
-
-	// View of the attached SharedCache, refreshed by syncShared: l2 is the
-	// table of namespace ns as resolved at generation sharedGen, nil when
-	// nothing is published under it.
-	ns          uint64
-	sharedGen   uint64
-	sharedEpoch uint64 // SharedCache invalidation epoch the L1 was filled under
-	l2          []atomic.Pointer[l1Bucket]
+	// The run's L1 and the SharedCache table it reads (Searcher.l1, l2),
+	// as Searcher.worker last saw them: a lookup's first loads.
+	l1, l2 l1Table
 
 	// The memo (see "Hot-path representation"). clock is the last stamp
 	// handed out: every stamp in the tables below is at most it, so a new
@@ -858,6 +935,8 @@ type worker struct {
 	overlay    uint32
 	undoGroups []groupUndo
 	undoCells  []cellUndo
+
+	spill []l1Put // stores a fanned-out batch deferred, until settle
 
 	stats Stats // since the last flushStats
 }
@@ -882,66 +961,53 @@ func fit[S ~[]E, E any](a S, n int) S {
 // served before — and nothing of the previous owner stays readable. Every
 // stamp in them is at most the worker's clock and the base is dropped, so
 // the first evaluation re-stamps every group past them and no cell is
-// cleared; the L1 may hold costs priced under the previous run's operator
-// flags, so it is reset; and the view of the SharedCache was resolved for
-// the previous namespace, so it is dropped.
+// cleared.
 func (w *worker) bind(s *Searcher) {
 	cells := s.cells.len()
 	w.s = s
-	w.l1 = fit(w.l1, 2*cells)
 	w.useMemo = fit(w.useMemo, cells)
 	w.compMemo = fit(w.compMemo, cells)
 	w.groups = fit(w.groups, s.M.NumGroups())
 	w.bits = s.SI.NewMatSet()
 	w.base = fit(w.base, len(w.bits)) // unread until a rebase fills it
-	w.resetL1()
-	w.ns, w.sharedGen, w.sharedEpoch, w.l2 = 0, 0, 0, nil
+	w.spill = w.spill[:0]             // the previous owner's
+	w.dropBase()
 	w.stats = Stats{}
 }
 
-// resetL1 drops what the worker carries from one evaluation to the next:
-// the private cross-call cache, in O(1) by bumping the L1 epoch — buckets
-// stamped with an older generation read as empty, and every backing array
-// is reused in place, however often a SharedCache epoch bump or an explicit
-// ClearCache lands — and with it the base, so the next evaluation re-stamps
+// resetL1 drops what the run carries from one evaluation to the next: the
+// L1, in O(1) by letting go of the whole table — the next evaluation starts
+// an empty one — and every worker's base, so the next evaluation re-stamps
 // every group and no memo cell priced before (under other operator flags,
-// for one) is read again.
-func (w *worker) resetL1() {
-	w.dropBase()
-	w.l1Epoch++
-	if w.l1Epoch == 0 { // wrapped: stamps are ambiguous, hard-reset
-		// The whole array, not the cells of the current DAG: a bucket
-		// beyond them keeps its stamp for the next, larger one.
-		for _, b := range w.l1[:cap(w.l1)] {
-			if b != nil {
-				b.ep = 0
-				b.occ = 0
-			}
-		}
-		w.l1Epoch = 1
+// for one) is read again. Like every epoch move it runs between
+// evaluations, never while a batch's workers read the table.
+func (s *Searcher) resetL1() {
+	s.l1 = nil
+	for _, w := range s.workers {
+		w.dropBase()
+		w.spill = w.spill[:0]
 	}
 }
 
-// syncShared refreshes the worker's view of the attached SharedCache when
-// the flag namespace or the cache's table set moved: the namespace's
-// table, and — after an Invalidate — the private L1, which may hold
-// entries the invalidation was meant to flush.
-func (w *worker) syncShared() {
-	s := w.s
+// syncShared refreshes the run's view of the attached SharedCache when the
+// flag namespace or the cache's table set moved: the namespace's table, and
+// — after an Invalidate — the L1, which may hold entries the invalidation
+// was meant to flush. Between evaluations only (Searcher.worker calls it).
+func (s *Searcher) syncShared() {
 	c := s.shared
 	if c == nil {
 		return
 	}
 	ns, gen := s.cacheNS(), c.gen.Load()
-	if ns == w.ns && gen == w.sharedGen {
+	if ns == s.ns && gen == s.sharedGen {
 		return
 	}
-	w.ns, w.sharedGen = ns, gen
+	s.ns, s.sharedGen = ns, gen
 	var epoch uint64
-	w.l2, epoch = c.resolve(ns, s.cells)
-	if epoch != w.sharedEpoch {
-		w.sharedEpoch = epoch
-		w.resetL1()
+	s.l2, epoch = c.resolve(ns, s.cells)
+	if epoch != s.sharedEpoch {
+		s.sharedEpoch = epoch
+		s.resetL1()
 	}
 }
 
@@ -953,13 +1019,13 @@ const (
 )
 
 // cached consults the cache levels for a use- or compute-cost key: the
-// cell's L1 bucket, then the same cell of the SharedCache table resolved
-// for this call — an atomic pointer load and a probe of immutable buckets,
-// with no lock, no hash, and no copy into the L1. Fresh values go only to
-// the L1; PublishCache hands them to the SharedCache in bulk.
+// cell's bucket in the run's L1, then the same cell of the SharedCache table
+// resolved for the run — at each level a pointer load and a probe, with no
+// lock, no hash, and no copy into the L1. Fresh values go only to the L1;
+// PublishCache hands it to the SharedCache whole.
 func (w *worker) cached(cell int, mask uint64, kind int) (float64, bool) {
 	i := 2*cell + kind
-	if b := w.l1[i]; b != nil && b.ep == w.l1Epoch {
+	if b := w.l1[i].Load(); b != nil {
 		if v, ok := b.lookup(mask); ok {
 			w.stats.CacheHits++
 			return v, true
@@ -974,18 +1040,94 @@ func (w *worker) cached(cell int, mask uint64, kind int) (float64, bool) {
 	return 0, false
 }
 
+// store adds a fresh value to the run's L1. A worker alone writes it as it
+// would into a private table (storeAlone). In a fanned-out batch it shares
+// it with the other workers, which may be probing and storing into the same
+// bucket (l1Bucket.share): no lock and no log, so a store is written while
+// the probe that missed it has left its bucket in cache, and a worker never
+// waits for another (logging the stores and writing them under one lock
+// kept the workers of a cold 64-query run waiting 11 ms an op). A bucket at
+// the fill bound takes no shared store: the worker keeps the pair in its
+// spill log for settle, which stores it as a worker alone would, evicting at
+// home — the home may be under a reader until the batch is over.
 func (w *worker) store(cell int, mask uint64, v float64, kind int) {
 	i := 2*cell + kind
-	if w.l1[i] == nil {
-		w.l1[i] = new(l1Bucket)
+	s := w.s
+	if !s.fanned {
+		s.storeAlone(i, mask, v)
+		return
 	}
-	w.l1[i].store(w.l1Epoch, mask, v)
+	slot := &w.l1[i]
+	b := slot.Load()
+	if b == nil {
+		nb := new(l1Bucket)
+		nb.put(mask, v)
+		if slot.CompareAndSwap(nil, nb) {
+			return
+		}
+		b = slot.Load()
+	}
+	if !b.share(mask, v) && len(w.spill) < l1SpillLen {
+		if w.spill == nil {
+			w.spill = make([]l1Put, 0, l1SpillLen)
+		}
+		w.spill = append(w.spill, l1Put{slot: int32(i), l1Entry: l1Entry{mask: mask, val: v}})
+	}
+}
+
+// storeAlone stores a pair while no other worker runs: into the first free
+// position of its probe run, or at the fill bound at its home (evict).
+func (s *Searcher) storeAlone(i int, mask uint64, v float64) {
+	s.check.alone()
+	slot := &s.l1[i]
+	b := slot.Load()
+	if b == nil {
+		b = new(l1Bucket)
+		slot.Store(b)
+	}
+	b.store(mask, v)
+}
+
+// l1SpillLen bounds the stores a worker defers in one fanned-out batch
+// (192 kB, allocated once a worker): past it they are dropped. The first
+// batch of a cold 64-query run defers up to 35 k; keeping 8 k a worker holds
+// its p2 and p4 computed keys within 2 % of p1's, where dropping them all
+// costs 20 % more keys, and keeps p4's B/op within 1.15 × p1's.
+const l1SpillLen = 1 << 13
+
+// l1Put is a deferred store: the pair and the L1 slot of its bucket.
+type l1Put struct {
+	slot int32
+	l1Entry
+}
+
+// settle runs between evaluations, when no worker stores and no reader
+// probes: it stores what the last fanned-out batch deferred, so the L1
+// follows the keys a run asks for now as it does on one worker.
+func (s *Searcher) settle() {
+	for _, w := range s.workers {
+		for _, p := range w.spill {
+			s.storeAlone(int(p.slot), p.mask, p.val)
+		}
+		w.spill = w.spill[:0]
+	}
 }
 
 // worker returns the searcher's i-th worker, taking more on demand: from
 // the attached SharedCache's free list when it has one large enough for
-// this DAG, else newly allocated.
+// this DAG, else newly allocated. Every entry point takes its workers here,
+// between evaluations, so it is also where the run's view of the
+// SharedCache follows the flags and the cache (syncShared) and a run with
+// no L1 starts one.
 func (s *Searcher) worker(i int) *worker {
+	s.settle()
+	s.syncShared()
+	if s.l1 == nil && s.shared != nil {
+		s.l1 = s.shared.takeTable(s.cells.len())
+	}
+	if s.l1 == nil {
+		s.l1 = make(l1Table, 2*s.cells.len())
+	}
 	for len(s.workers) <= i {
 		var w *worker
 		if s.shared != nil {
@@ -997,6 +1139,9 @@ func (s *Searcher) worker(i int) *worker {
 			w = s.newWorker()
 		}
 		s.workers = append(s.workers, w)
+	}
+	for _, w := range s.workers {
+		w.l1, w.l2 = s.l1, s.l2
 	}
 	return s.workers[i]
 }
@@ -1105,7 +1250,6 @@ func (w *worker) rebase(to memo.Bitset) {
 // groups above the nodes mat differs from it in, logging what they held.
 // With Incremental off no base is kept and every call re-stamps every group.
 func (w *worker) begin(mat, base memo.Bitset) {
-	w.syncShared()
 	if w.clock >= math.MaxUint32-2 { // a call takes at most two stamps
 		w.wrap()
 	}
@@ -1251,6 +1395,7 @@ func (s *Searcher) BestCostBatchCtx(ctx context.Context, mats []NodeSet) (costs 
 		s.setBatchBase(mats)
 	}
 	s.worker(par - 1) // takes the batch's workers: s.workers[:par]
+	s.fanned = par > 1
 	b := &batch{ctx: ctx, mats: mats, out: out, completed: make([]bool, len(mats))}
 	for _, w := range s.workers[1:par] {
 		b.wg.Add(1)
@@ -1261,6 +1406,7 @@ func (s *Searcher) BestCostBatchCtx(ctx context.Context, mats []NodeSet) (costs 
 	}
 	s.runBatch(b, s.workers[0])
 	b.wg.Wait()
+	s.fanned = false
 	for _, w := range s.workers[:par] {
 		w.flushStats()
 	}
@@ -1293,7 +1439,9 @@ type batch struct {
 // price it, until the sets run out or the batch aborts. A panic ends the
 // loop and aborts the batch; the set it was pricing stays uncompleted.
 func (s *Searcher) runBatch(b *batch, w *worker) {
+	s.check.enter()
 	defer func() {
+		s.check.leave()
 		if r := recover(); r != nil {
 			b.fault.CompareAndSwap(nil, faultinject.NewPanicError("physical.BestCostBatch", r))
 			b.aborted.Store(true)
@@ -1322,11 +1470,15 @@ func (s *Searcher) runBatch(b *batch, w *worker) {
 // with the rule off (2-vCPU Xeon 2.6 GHz, a warm Session.Optimize on one
 // worker against two): 16 queries 0.47 against 0.66 ms, 32 queries 1.34
 // against 1.70, 64 queries 5.7 against 6.0 — under a key a call each. Cold
-// runs (≈ 350 keys a call at 64 queries) fan out, and there the second worker
-// loses at 16 and 32 queries (6.1–6.3 against 7.4–9.0 ms, 14.8–15.2 against
-// 17.1–18.6) and wins at 64 (81.8–83.5 against 69.1–69.7, PR 24): the
-// crossover a finer rule would have to find, which is ROADMAP item 3(b)'s. A
-// searcher's first batch after no evaluation at all fans out.
+// runs (≈ 350 keys a call at 64 queries) fan out. With the batch's workers
+// sharing one L1, a cold MarginalGreedy run on one worker against two (same
+// box, medians of five interleaved runs of 7–15 each, noisy) takes 5.4–8.2
+// against 6.2–8.4 ms at 16 queries (two lose in four runs of five),
+// 15.5–23.3 against 15.7–20.0 at 32 (two win in three) and 93–131 against
+// 78–110 at 64 (two win in three); with private L1s it was 6.1–6.3 against
+// 7.4–9.0, 14.8–15.2 against 17.1–18.6 and 81.8–83.5 against 69.1–69.7. That
+// is the crossover a finer rule would have to find, which is ROADMAP item
+// 3(b)'s. A searcher's first batch after no evaluation at all fans out.
 const fanOutKeys = 16
 
 // setBatchBase chooses the base of a batch: the current one while every set

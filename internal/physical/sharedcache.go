@@ -83,6 +83,7 @@ type SharedCache struct {
 
 	freeMu sync.Mutex
 	free   []*worker // no owner; see takeWorker / putWorkers
+	tables []l1Table // empty run L1s; see takeTable / putTable
 }
 
 // nsTable is one namespace's cost entries: slots holds them by cell, and ix
@@ -95,7 +96,7 @@ type nsTable struct {
 	stamp uint64 // clock reading of the last publish or import
 	n     int    // entries in slots and held
 	ix    cellIndex
-	slots []atomic.Pointer[l1Bucket]
+	slots l1Table
 	held  []sharedKV // canonical order, no duplicate keys
 }
 
@@ -127,7 +128,7 @@ func (c *SharedCache) Invalidate() {
 	c.benefits = make(map[benefitKey]float64)
 	c.benMu.Unlock()
 	c.freeMu.Lock()
-	c.free = nil
+	c.free, c.tables = nil, nil
 	c.freeMu.Unlock()
 }
 
@@ -149,24 +150,7 @@ func (w *worker) cellCap() int { return cap(w.useMemo) }
 func (c *SharedCache) takeWorker(cells int) *worker {
 	c.freeMu.Lock()
 	defer c.freeMu.Unlock()
-	best := -1
-	for i, w := range c.free {
-		if w.cellCap() >= cells && (best < 0 || w.cellCap() < c.free[best].cellCap()) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return nil
-	}
-	return c.removeFree(best)
-}
-
-// removeFree takes the i-th worker off the free list (order is not kept).
-func (c *SharedCache) removeFree(i int) *worker {
-	w, last := c.free[i], len(c.free)-1
-	c.free[i], c.free[last] = c.free[last], nil
-	c.free = c.free[:last]
-	return w
+	return takeTightest(&c.free, (*worker).cellCap, cells)
 }
 
 // putWorkers puts workers their searcher is done with on the free list and
@@ -176,22 +160,82 @@ func (c *SharedCache) putWorkers(ws []*worker) {
 	c.freeMu.Lock()
 	defer c.freeMu.Unlock()
 	for _, w := range ws {
-		w.s, w.l2 = nil, nil // hold neither the searcher nor a namespace's table
+		w.s, w.l1, w.l2 = nil, nil, nil // hold neither the searcher nor its tables
 		c.free = append(c.free, w)
 	}
-	cells := 0
-	for _, w := range c.free {
-		cells += w.cellCap()
+	keepLargest(&c.free, (*worker).cellCap, freeCellCap)
+}
+
+// tableCells is the number of cells an L1 table can serve.
+func tableCells(t l1Table) int { return cap(t) / 2 }
+
+// takeTable removes and returns the spare L1 table that fits a DAG of the
+// given cell count most tightly, resliced to it and empty, or nil when none
+// is large enough.
+func (c *SharedCache) takeTable(cells int) l1Table {
+	c.freeMu.Lock()
+	defer c.freeMu.Unlock()
+	if t := takeTightest(&c.tables, tableCells, cells); t != nil {
+		return t[:2*cells]
 	}
-	for len(c.free) > 0 && (len(c.free) > runtime.GOMAXPROCS(0) || cells > freeCellCap) {
+	return nil
+}
+
+// putTable keeps a run's L1 table, whose buckets a publish has taken, for
+// the next run: a warm run stores little, and a new table is 16 B a cell.
+// Like the workers, at most GOMAXPROCS tables and freeCellCap cells are
+// kept, the smallest dropped first.
+func (c *SharedCache) putTable(t l1Table) {
+	clear(t)
+	c.freeMu.Lock()
+	defer c.freeMu.Unlock()
+	c.tables = append(c.tables, t)
+	keepLargest(&c.tables, tableCells, freeCellCap)
+}
+
+// takeTightest removes and returns the item of a free list whose size fits
+// the need most tightly, or the zero value when none is large enough. Order
+// is not kept.
+func takeTightest[T any](list *[]T, size func(T) int, need int) T {
+	var none T
+	best := -1
+	for i, x := range *list {
+		if size(x) >= need && (best < 0 || size(x) < size((*list)[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return none
+	}
+	return removeAt(list, best)
+}
+
+// keepLargest drops the smallest items of a free list until it holds at
+// most GOMAXPROCS of them, of at most maxSize in all.
+func keepLargest[T any](list *[]T, size func(T) int, maxSize int) {
+	total := 0
+	for _, x := range *list {
+		total += size(x)
+	}
+	for len(*list) > 0 && (len(*list) > runtime.GOMAXPROCS(0) || total > maxSize) {
 		small := 0
-		for i, w := range c.free {
-			if w.cellCap() < c.free[small].cellCap() {
+		for i, x := range *list {
+			if size(x) < size((*list)[small]) {
 				small = i
 			}
 		}
-		cells -= c.removeFree(small).cellCap()
+		total -= size(removeAt(list, small))
 	}
+}
+
+// removeAt takes the i-th item off a free list (order is not kept).
+func removeAt[T any](list *[]T, i int) T {
+	l := *list
+	x, last := l[i], len(l)-1
+	var none T
+	l[i], l[last] = l[last], none
+	*list = l[:last]
+	return x
 }
 
 // Len reports the live entry count, cost keys and memoized oracle values
@@ -317,7 +361,7 @@ func (c *SharedCache) evict(keep *nsTable) {
 func (c *SharedCache) shaped(t *nsTable, ix cellIndex) bool {
 	if t.slots == nil {
 		t.ix = ix
-		t.slots = make([]atomic.Pointer[l1Bucket], 2*ix.len())
+		t.slots = make(l1Table, 2*ix.len())
 		held := t.held
 		c.total -= t.n
 		t.held, t.n = nil, 0
@@ -328,7 +372,7 @@ func (c *SharedCache) shaped(t *nsTable, ix cellIndex) bool {
 
 // resolve returns the slots of the namespace's table, nil when nothing is
 // published under it, together with the invalidation epoch.
-func (c *SharedCache) resolve(ns uint64, ix cellIndex) ([]atomic.Pointer[l1Bucket], uint64) {
+func (c *SharedCache) resolve(ns uint64, ix cellIndex) (l1Table, uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if t := c.spaces[ns]; t != nil && c.shaped(t, ix) {
@@ -392,10 +436,10 @@ func (t *nsTable) extend(i int, extra []l1Entry) {
 	t.slots[i].Store(head)
 }
 
-// absorb takes a worker's live bucket into slot i and returns how many
-// entries the table gained. An empty slot adopts the bucket itself — the
-// caller has taken it away from the worker, so nothing writes it again; an
-// occupied one is extended by the entries its chain lacks.
+// absorb takes a run's L1 bucket into slot i and returns how many entries
+// the table gained. An empty slot adopts the bucket itself — the caller has
+// taken the L1 away from its run, so nothing writes it again; an occupied
+// one is extended by the entries its chain lacks.
 func (t *nsTable) absorb(i int, b *l1Bucket) int {
 	head := t.slots[i].Load()
 	if head == nil {
@@ -531,71 +575,84 @@ func (s *Searcher) cacheNS() uint64 {
 // producing garbage.
 func (s *Searcher) Fingerprint() uint64 { return s.cacheNS() }
 
-// AttachSharedCache attaches a cross-call L2 cache: every worker keeps its
-// private (lock-free) L1 table for what it computes itself, reads c on an
-// L1 miss, and PublishCache hands the workers' learning over — and then the
-// workers, which the searcher also takes from c when c has some to spare.
-// A nil c detaches, leaving workers with private caches only — the default
-// for a fresh searcher. Attach only between evaluations, never during a
-// concurrent batch.
+// AttachSharedCache attaches a cross-call L2 cache: the run keeps its L1
+// for what its workers compute, they read c on an L1 miss, and PublishCache
+// hands the L1 over — and then the workers, which the searcher also takes
+// from c when c has some to spare. A nil c detaches, leaving the run's L1
+// as its only cache — the default for a fresh searcher. Attach only between
+// evaluations, never during a concurrent batch.
 func (s *Searcher) AttachSharedCache(c *SharedCache) {
 	s.shared = c
-	for _, w := range s.workers {
-		w.l2, w.sharedGen = nil, 0
-	}
+	s.l2, s.sharedGen = nil, 0
 }
 
 // Shared returns the attached cross-call L2 cache (nil unless attached).
 func (s *Searcher) Shared() *SharedCache { return s.shared }
 
-// PublishCache moves every worker's private cross-call cache into the
-// attached SharedCache under the current flag namespace — the write half
-// of the L1/L2 protocol, kept off the evaluation hot path — and then gives
-// the workers, their L1s now empty, to the cache's free list for the next
-// searcher (see the package comment for the borrow rule). It is a no-op
-// without an attached cache (with the incremental cache disabled it only
-// returns the workers) and must only be called between evaluations, like
-// every other cache operation — and never on a searcher a panic has
-// poisoned.
+// PublishCache moves the run's cross-call cache (the L1) into the attached
+// SharedCache under the current flag namespace — the write half of the
+// L1/L2 protocol, kept off the evaluation hot path — and then gives the
+// workers to the cache's free list for the next searcher (see the package
+// comment for the borrow rule); the run starts its next L1 empty. It is a
+// no-op without an attached cache (with the incremental cache disabled the
+// L1 is empty and it only returns the workers) and must only be called
+// between evaluations, like every other cache operation — and never on a
+// searcher a panic has poisoned.
 func (s *Searcher) PublishCache() {
 	if s.shared == nil {
 		return
 	}
-	if s.Incremental {
-		s.shared.publish(s.cacheNS(), s.cells, s.workers)
+	if s.l1 != nil {
+		s.settle()
+		if !s.shared.publish(s.cacheNS(), s.cells, s.l1) {
+			s.shared.putTable(s.l1)
+		}
 	}
+	s.l1 = nil
 	s.shared.putWorkers(s.workers)
 	s.workers = nil
 }
 
-// publish drains the live L1 buckets of a searcher's workers into the
-// namespace's table, creating it on the first entry, then marks the
-// namespace most recently published and enforces the cap against the
-// others.
-func (c *SharedCache) publish(ns uint64, ix cellIndex, workers []*worker) {
+// publish hands a run's L1 to the namespace's table. A namespace with no
+// table adopts the L1 whole, slot array and buckets; an existing table
+// adopts each bucket into an empty slot or takes the entries its chain
+// lacks (absorb). Nothing is copied that the table does not need, and
+// nothing is merged twice: the run's workers stored into one L1. Then it
+// marks the namespace most recently published and enforces the cap against
+// the others. An empty L1 publishes nothing. publish reports whether the
+// table adopted the L1 whole; else the L1's buckets are the table's or
+// garbage, and its slot array is free to reuse.
+func (c *SharedCache) publish(ns uint64, ix cellIndex, l1 l1Table) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t := c.spaces[ns]
-	if t != nil && !c.shaped(t, ix) {
-		return
-	}
-	for _, w := range workers {
-		for i, b := range w.l1 {
-			if b == nil || b.ep != w.l1Epoch || b.occ == 0 {
-				continue
+	t, adopted := c.spaces[ns], false
+	switch {
+	case t == nil:
+		n := 0
+		for i := range l1 {
+			if b := l1[i].Load(); b != nil {
+				n += bits.OnesCount64(b.occ)
 			}
-			w.l1[i] = nil
-			if t == nil {
-				t = c.space(ns)
-				c.shaped(t, ix)
+		}
+		if n == 0 {
+			return false
+		}
+		t = c.space(ns)
+		t.ix, t.slots, t.n = ix, l1, n
+		c.total += n
+		adopted = true
+	case !c.shaped(t, ix):
+		return false
+	default:
+		for i := range l1 {
+			if b := l1[i].Load(); b != nil {
+				n := t.absorb(i, b)
+				t.n += n
+				c.total += n
 			}
-			n := t.absorb(i, b)
-			t.n += n
-			c.total += n
 		}
 	}
-	if t != nil {
-		c.touch(t)
-		c.evict(t)
-	}
+	c.touch(t)
+	c.evict(t)
+	return adopted
 }

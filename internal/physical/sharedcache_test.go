@@ -154,18 +154,20 @@ func gridIndex(groups, ords int) cellIndex {
 	return ix
 }
 
-// fakeRun is a worker whose L1 holds perSlot distinct masks in each of the
-// first slots use-cost cells of a one-group table of the given cell count: a
-// run's learning without the run. Masks are l1TestMask(base + slot*perSlot + j).
-func fakeRun(cells, slots, perSlot, base int) *worker {
-	w := &worker{l1Epoch: 1, l1: make([]*l1Bucket, 2*cells)}
+// fakeRun is an L1 that holds perSlot distinct masks in each of the first
+// slots use-cost cells of a one-group table of the given cell count: a run's
+// learning without the run. Masks are l1TestMask(base + slot*perSlot + j).
+func fakeRun(cells, slots, perSlot, base int) l1Table {
+	l1 := make(l1Table, 2*cells)
 	for sl := 0; sl < slots; sl++ {
+		b := new(l1Bucket)
 		for j := 0; j < perSlot; j++ {
 			k := base + sl*perSlot + j
-			w.store(sl, l1TestMask(k), float64(k), kindUse)
+			b.put(l1TestMask(k), float64(k))
 		}
+		l1[2*sl+kindUse].Store(b)
 	}
-	return w
+	return l1
 }
 
 // hasRun reports how many of fakeRun's keys the cache serves under ns.
@@ -196,17 +198,17 @@ func TestSharedCacheCapDropsOtherNamespacesOldestFirst(t *testing.T) {
 	c := NewSharedCache()
 	small := 1000 / perSlot // slots of a 1,000-entry namespace
 	for ns := uint64(1); ns <= 3; ns++ {
-		c.publish(ns, ix, []*worker{fakeRun(cells, small, perSlot, 0)})
+		c.publish(ns, ix, fakeRun(cells, small, perSlot, 0))
 	}
 	// Republishing namespace 1 (nothing new) makes 2 the oldest.
-	c.publish(1, ix, []*worker{fakeRun(cells, small, perSlot, 0)})
+	c.publish(1, ix, fakeRun(cells, small, perSlot, 0))
 	if got := c.Len(); got != 3000 {
 		t.Fatalf("three 1,000-entry namespaces hold %d entries", got)
 	}
 
 	// A fourth namespace that leaves room for exactly one of the others.
 	bigSlots := (sharedCacheCap - 1500) / perSlot
-	c.publish(4, ix, []*worker{fakeRun(cells, bigSlots, perSlot, 0)})
+	c.publish(4, ix, fakeRun(cells, bigSlots, perSlot, 0))
 	if got := hasRun(c, 4, ix, bigSlots, perSlot, 0); got != bigSlots*perSlot {
 		t.Fatalf("published namespace serves %d of its %d keys", got, bigSlots*perSlot)
 	}
@@ -222,7 +224,7 @@ func TestSharedCacheCapDropsOtherNamespacesOldestFirst(t *testing.T) {
 	// A publish larger than the whole cap evicts everything else and keeps
 	// every one of its own entries.
 	overSlots := sharedCacheCap/perSlot + 100
-	c.publish(5, ix, []*worker{fakeRun(cells, overSlots, perSlot, 7)})
+	c.publish(5, ix, fakeRun(cells, overSlots, perSlot, 7))
 	if got := hasRun(c, 5, ix, overSlots, perSlot, 7); got != overSlots*perSlot {
 		t.Fatalf("over-cap publish serves %d of its own %d keys", got, overSlots*perSlot)
 	}
@@ -256,7 +258,7 @@ func TestSharedCacheInvalidateDropsTables(t *testing.T) {
 	early := buildSearcher(t, sharedPairQueries()...)
 	early.AttachSharedCache(cache)
 	run(early)
-	if early.SharedHits == 0 || early.worker(0).l2 == nil {
+	if early.SharedHits == 0 || early.l2 == nil {
 		t.Fatal("second searcher never read the published table")
 	}
 
@@ -367,23 +369,22 @@ func TestSharedCacheReadDuringPublish(t *testing.T) {
 	}
 }
 
-// liveL1Entries counts the entries in the workers' live L1 buckets: what
-// the next PublishCache has to hand over.
+// liveL1Entries counts the entries in the run's L1, the workers' logged
+// stores written: what the next PublishCache has to hand over.
 func liveL1Entries(s *Searcher) int {
+	s.settle()
 	n := 0
-	for _, w := range s.workers {
-		for _, b := range w.l1 {
-			if b != nil && b.ep == w.l1Epoch {
-				n += bits.OnesCount64(b.occ)
-			}
+	for i := range s.l1 {
+		if b := s.l1[i].Load(); b != nil {
+			n += bits.OnesCount64(b.occ)
 		}
 	}
 	return n
 }
 
-// TestPublishCacheMovesBucketsOut: after a publish no worker holds a
-// bucket the table owns, so what the searcher stores next stays private
-// until its next publish; and the searcher itself keeps pricing and
+// TestPublishCacheMovesBucketsOut: after a publish the run holds no bucket
+// the table owns, so what the searcher stores next stays its own until its
+// next publish; and the searcher itself keeps pricing and
 // validating plans through the table.
 func TestPublishCacheMovesBucketsOut(t *testing.T) {
 	m := workloadMemo(t, 8)
@@ -399,8 +400,8 @@ func TestPublishCacheMovesBucketsOut(t *testing.T) {
 	plan := s.BestPlan(first[0])
 	s.PublishCache()
 
-	if n := liveL1Entries(s); n != 0 {
-		t.Fatalf("workers still hold %d live L1 entries after the publish", n)
+	if n := liveL1Entries(s); n != 0 || s.l1 != nil {
+		t.Fatalf("the run still holds an L1 (%d entries) after the publish", n)
 	}
 	owned := map[*l1Bucket]bool{}
 	tab, _ := cache.resolve(s.cacheNS(), s.cells)
@@ -412,18 +413,11 @@ func TestPublishCacheMovesBucketsOut(t *testing.T) {
 	if len(owned) == 0 {
 		t.Fatal("publish left the table empty")
 	}
-	for _, w := range s.workers {
-		for i, b := range w.l1 {
-			if owned[b] {
-				t.Fatalf("worker slot %d still points at a bucket the table owns", i)
-			}
-		}
-	}
 	if err := s.ValidatePlan(plan, first[0]); err != nil {
 		t.Fatalf("ValidatePlan after the publish: %v", err)
 	}
 
-	// Work after the publish lands in fresh private buckets.
+	// Work after the publish lands in a fresh L1.
 	s.Stats = Stats{}
 	want := s.BestCost(late)
 	fresh := s.ComputedKey
@@ -572,14 +566,13 @@ func BenchmarkSharedCacheGet(b *testing.B) {
 	reader := NewSearcher(m)
 	reader.AttachSharedCache(cache)
 	w := reader.worker(0)
-	w.syncShared()
 	type probe struct {
 		idx, kind int
 		mask      uint64
 	}
 	var probes []probe
-	for i := range w.l2 {
-		for bk := w.l2[i].Load(); bk != nil; bk = bk.next {
+	for i := range reader.l2 {
+		for bk := reader.l2[i].Load(); bk != nil; bk = bk.next {
 			for occ := bk.occ; occ != 0; occ &= occ - 1 {
 				probes = append(probes, probe{idx: i / 2, kind: i % 2, mask: bk.entries[bits.TrailingZeros64(occ)].mask})
 			}

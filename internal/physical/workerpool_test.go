@@ -76,8 +76,8 @@ func TestPublishReturnsWorkers(t *testing.T) {
 		t.Fatalf("after publish: searcher holds %d workers, free list %d; want 0 and %d", len(s.workers), cache.FreeWorkers(), keep)
 	}
 	for _, w := range took {
-		if w.s != nil || w.l2 != nil {
-			t.Fatal("a free worker still points at its searcher or a namespace table")
+		if w.s != nil || w.l1 != nil || w.l2 != nil {
+			t.Fatal("a free worker still points at its searcher or a cache table")
 		}
 	}
 
@@ -212,8 +212,9 @@ func TestPooledWorkerAcrossDAGs(t *testing.T) {
 		m        *memo.Memo
 		extended bool
 	}{
-		// Odd rounds end without a publish, so the next round — the same
-		// DAG under the other flag, twice — meets a worker with a live L1.
+		// Odd rounds hand the worker back without a publish: the run's L1
+		// stays with its searcher, and the next round — the same DAG under
+		// the other flag, twice — meets a worker with a live base.
 		{big, false}, {small, true}, {small, false}, {big, true}, {big, false}, {small, false}, {big, true},
 	} {
 		s := NewSearcher(step.m)
@@ -225,14 +226,14 @@ func TestPooledWorkerAcrossDAGs(t *testing.T) {
 		} else if w != pooled {
 			t.Fatalf("round %d: the pooled worker was not reused", round)
 		}
-		if len(w.useMemo) != s.cells.len() || len(w.compMemo) != len(w.useMemo) || len(w.l1) != 2*len(w.useMemo) || len(w.groups) != step.m.NumGroups() {
-			t.Fatalf("round %d: tables sized %d/%d/%d/%d for %d cells of %d groups", round, len(w.useMemo), len(w.compMemo), len(w.l1), len(w.groups), s.cells.len(), step.m.NumGroups())
+		if len(w.useMemo) != s.cells.len() || len(w.compMemo) != len(w.useMemo) || len(w.groups) != step.m.NumGroups() {
+			t.Fatalf("round %d: tables sized %d/%d/%d for %d cells of %d groups", round, len(w.useMemo), len(w.compMemo), len(w.groups), s.cells.len(), step.m.NumGroups())
 		}
 		sameCosts(t, "pooled worker", s, randomSets(s, rng, 12))
 		if round%2 == 0 {
 			s.PublishCache()
 		} else {
-			cache.putWorkers(s.workers) // back with a live L1
+			cache.putWorkers(s.workers) // back with a live base
 		}
 	}
 }
@@ -240,9 +241,9 @@ func TestPooledWorkerAcrossDAGs(t *testing.T) {
 // Stamp wrap on a pooled worker: it now lives as long as its session, so
 // the wrap is reachable, and its arrays extend past the DAG it is bound to
 // when the wrap comes. The hard reset must clear their whole capacity: the
-// cells, group records and buckets beyond the small DAG carry stamps of the
-// large one's first run (priced with the extended operators), and after the
-// wrap the clocks pass through those very values again.
+// cells and group records beyond the small DAG carry stamps of the large
+// one's first run (priced with the extended operators), and after the wrap
+// the clock passes through those very values again.
 func TestPooledWorkerEpochWrap(t *testing.T) {
 	big, small := workloadMemo(t, 32), workloadMemo(t, 8)
 	cache := NewSharedCache()
@@ -252,16 +253,15 @@ func TestPooledWorkerEpochWrap(t *testing.T) {
 	first.AttachSharedCache(cache)
 	first.ExtendedOps = true
 	w := first.worker(0)
-	first.ClearCache() // L1 epoch 2: the stamp the second run over big will use
 	sets := randomSets(first, rng, 24)
 	for _, set := range sets {
 		first.BestCost(set)
 	}
-	cache.putWorkers(first.workers) // unpublished: the L1 buckets stay with the worker
+	cache.putWorkers(first.workers) // unpublished
 	// Every evaluation took a stamp or two, so the second run's first
 	// stamps are ones cells of this run carry.
-	if w.l1Epoch != 2 || w.clock < uint32(len(sets)) || w.clock > 2*uint32(len(sets)) {
-		t.Fatalf("first run left L1 epoch %d and clock %d, the test assumes 2 and %d–%d", w.l1Epoch, w.clock, len(sets), 2*len(sets))
+	if w.clock < uint32(len(sets)) || w.clock > 2*uint32(len(sets)) {
+		t.Fatalf("first run left clock %d, the test assumes %d–%d", w.clock, len(sets), 2*len(sets))
 	}
 	stale := 0
 	for _, c := range w.useMemo[NewSearcher(small).cells.len():] {
@@ -273,15 +273,15 @@ func TestPooledWorkerEpochWrap(t *testing.T) {
 		t.Fatal("no cell beyond the small DAG carries an early stamp: the wrap has nothing to clear")
 	}
 
-	w.clock, w.l1Epoch = math.MaxUint32-2, ^uint32(0)
+	w.clock = math.MaxUint32 - 2
 	mid := NewSearcher(small)
 	mid.AttachSharedCache(cache)
 	if mid.worker(0) != w || cap(w.useMemo) <= len(w.useMemo) {
 		t.Fatalf("the small DAG did not get the large worker resliced (len %d cap %d)", len(w.useMemo), cap(w.useMemo))
 	}
 	sameCosts(t, "small DAG across the wrap", mid, randomSets(mid, rng, 2))
-	if w.l1Epoch != 1 || w.clock == 0 || w.clock > 4 {
-		t.Fatalf("after the wrap: L1 epoch %d, clock %d; want 1 and a restart from 1", w.l1Epoch, w.clock)
+	if w.clock == 0 || w.clock > 4 {
+		t.Fatalf("after the wrap: clock %d; want a restart from 1", w.clock)
 	}
 	for i, c := range w.useMemo[len(w.useMemo):cap(w.useMemo)] {
 		if c.ep != 0 {
@@ -297,8 +297,8 @@ func TestPooledWorkerEpochWrap(t *testing.T) {
 
 	second := NewSearcher(big) // plain operators: the stale entries are wrong for it
 	second.AttachSharedCache(cache)
-	if second.worker(0) != w || w.l1Epoch != 2 {
-		t.Fatalf("second run over the large DAG: reused %t at L1 epoch %d, want true at 2", second.worker(0) == w, w.l1Epoch)
+	if second.worker(0) != w {
+		t.Fatal("second run over the large DAG did not reuse the worker")
 	}
 	for i, j := 0, len(sets)-1; i < j; i, j = i+1, j-1 {
 		sets[i], sets[j] = sets[j], sets[i]

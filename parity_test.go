@@ -11,6 +11,7 @@ import (
 	"repro/internal/memo"
 	"repro/internal/tpcd"
 	"repro/internal/volcano"
+	"repro/internal/workload"
 )
 
 // The golden table below was produced by the seed implementation of the
@@ -165,5 +166,35 @@ func TestParallelScanParity(t *testing.T) {
 		t.Run(fmt.Sprintf("BQ%d/%s", row.bq, row.strat), func(t *testing.T) {
 			checkParity(t, row, runStrategy(t, row.sf, row.bq, row.strat))
 		})
+	}
+}
+
+// TestComputedKeysFlatInP: the workers of a fanned-out batch share one cost
+// cache, so a second or a fourth worker does not recompute what a neighbour
+// holds. A cold MarginalGreedy run over a generated 32-query batch computes
+// at GOMAXPROCS 2 and 4 at most 5 % more keys than at 1 (only two workers
+// racing to the same miss compute a key twice), and chooses the same plan.
+func TestComputedKeysFlatInP(t *testing.T) {
+	cat := tpcd.Catalog(1)
+	batch := workload.MustGenerate(workload.DefaultSpec(32, 0.25))
+	var base core.Result
+	for _, par := range []int{1, 2, 4} {
+		withProcs(t, par)
+		opt, err := volcano.NewOptimizer(cat, cost.Default(), batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := core.RunWith(context.Background(), opt, core.MarginalGreedy, core.Config{})
+		t.Logf("GOMAXPROCS %d: computed_keys %d", par, res.Telemetry.ComputedKeys)
+		if par == 1 {
+			base = res
+			continue
+		}
+		if res.Cost != base.Cost || fmt.Sprint(res.Materialized) != fmt.Sprint(base.Materialized) {
+			t.Fatalf("GOMAXPROCS %d: cost %v of %v, at 1 %v of %v", par, res.Cost, res.Materialized, base.Cost, base.Materialized)
+		}
+		if 100*res.Telemetry.ComputedKeys > 105*base.Telemetry.ComputedKeys {
+			t.Fatalf("GOMAXPROCS %d computed %d keys, 1 computed %d: more than 5 %% relearned", par, res.Telemetry.ComputedKeys, base.Telemetry.ComputedKeys)
+		}
 	}
 }

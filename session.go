@@ -212,7 +212,7 @@ type SessionStats struct {
 	Interrupted  int `json:"interrupted"`   // calls stopped by a budget or cancellation
 	OracleCalls  int `json:"oracle_calls"`  // total memoized-distinct oracle calls
 	BCCalls      int `json:"bc_calls"`      // total bestCost invocations
-	CacheHits    int `json:"cache_hits"`    // worker-private (L1) cache hits
+	CacheHits    int `json:"cache_hits"`    // lookups served by the run's L1
 	SharedHits   int `json:"shared_hits"`   // lookups served by the session SharedCache (L2)
 	ComputedKeys int `json:"computed_keys"` // fresh (group, order, mask) computations
 	// SharedOracleHits counts whole oracle evaluations served from the

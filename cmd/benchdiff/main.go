@@ -1,266 +1,175 @@
-// Command benchdiff records and compares `go test -bench` results, gating
-// CI on performance regressions.
+// Command benchdiff records and gates the values `go test -bench` reports
+// that are pure functions of the input: oracle-call counts, costs, chosen
+// set sizes, computed keys, zero allocation counts. It never gates a clock:
+// ns/op is not recorded, and timings are compared only parent against
+// change on one machine (`go run ./bench`).
 //
-// Recording a baseline (commit the output):
+// Recording keeps, per benchmark, every reported value except ns/op that is
+// identical in every run piped in; a value that moves between runs, or with
+// GOMAXPROCS, is left out, and so is a nonzero allocation count (see
+// Agreed). Record the gate set three times at each of GOMAXPROCS 1, 2 and 4
+// (commit the output; the more runs, the less a wandering count can agree
+// by chance):
 //
-//	go test -bench 'BenchmarkBestCost|BenchmarkWorkload/64x' -benchtime 1x -count 3 -run '^$' ./... |
-//	  go run ./cmd/benchdiff -record BENCH_baseline.json
+//	for p in 1 2 4; do GOMAXPROCS=$p go test -bench 'BenchmarkBestCost|BenchmarkOracleRound|BenchmarkNewWorker|BenchmarkWorkload/(64x|256x0.25)|BenchmarkSessionRepeat|BenchmarkPublishCache|BenchmarkServer|BenchmarkRouter' -benchtime 1x -count 3 -run '^$' ./...; done | go run ./cmd/benchdiff -record BENCH_baseline.json
 //
-// Gating against it (exits non-zero on regression):
+// Gating (exits 1 on any failure):
 //
 //	go test -bench ... | go run ./cmd/benchdiff -baseline BENCH_baseline.json
 //
-// Both flags together compare AND write the fresh snapshot (CI uploads it
-// as an artifact, so the benchmark trajectory is preserved run over run).
-// With -count N the minimum per benchmark is kept — the least-noise
-// estimator of the true cost.
-//
-// Two gates run over the common benchmarks, each tuned to what it can
-// trust:
-//
-//   - wall clock: fail when the geometric mean of the per-benchmark
-//     new/old ns-per-op ratios exceeds -threshold (default 1.25). A single
-//     noisy benchmark cannot fail the build unless the regression is
-//     drastic, while a broad slowdown always does. This gate is hardware-
-//     sensitive, so it is refused — non-zero exit, one line saying why —
-//     when the run's CPU model or GOMAXPROCS differs from the baseline's:
-//     a ratio across machines passes real regressions and fails none.
-//     Re-record the baseline on the machine that gates against it.
-//   - oracle calls: fail when any benchmark's bc_calls metric (the
-//     deterministic count of bestCost oracle evaluations the workload
-//     benchmarks report) grows beyond -call-threshold (default 1.05).
-//     Call counts are pure functions of the algorithm, identical on any
-//     machine, so this gate catches scan-volume regressions that wall-
-//     clock noise could hide.
-//
-// Baseline benchmarks missing from the new run fail the gate outright: a
-// renamed benchmark or a drifted -bench regex must come with a deliberate
-// baseline refresh, not a silently shrunken gate.
+// The gate requires every recorded value to come back exactly. A recorded
+// benchmark missing from the run fails, and so does a recorded value that
+// differs between the runs piped into one gate invocation
+// (nondeterministic). Benchmarks not in the baseline are listed, not gated.
+// Both flags together gate and write the fresh recording.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
-	"sort"
-	"time"
+	"slices"
+	"strings"
 )
 
 func main() {
-	var (
-		baseline      = flag.String("baseline", "", "baseline JSON to compare against")
-		record        = flag.String("record", "", "write the parsed benchmarks as a new snapshot JSON")
-		threshold     = flag.Float64("threshold", 1.25, "fail when the geomean new/old ns-per-op ratio exceeds this")
-		callThreshold = flag.Float64("call-threshold", 1.05, "fail when any benchmark's bc_calls ratio exceeds this")
-	)
+	baseline := flag.String("baseline", "", "recorded JSON to gate against")
+	record := flag.String("record", "", "write the values every run agreed on as JSON")
 	flag.Parse()
 	if *baseline == "" && *record == "" {
-		fmt.Fprintln(os.Stderr, "benchdiff: need -baseline and/or -record")
-		os.Exit(2)
+		fatal(fmt.Errorf("need -baseline and/or -record"))
 	}
-	snap, err := Parse(os.Stdin)
+	runs, err := Parse(os.Stdin)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(2)
+		fatal(err)
 	}
-	if len(snap.Benchmarks) == 0 {
-		fmt.Fprintln(os.Stderr, "benchdiff: no benchmark lines on stdin")
-		os.Exit(2)
+	if len(runs) == 0 {
+		fatal(fmt.Errorf("no benchmark lines on stdin"))
 	}
 	if *record != "" {
-		if err := snap.Write(*record); err != nil {
-			fmt.Fprintln(os.Stderr, "benchdiff:", err)
-			os.Exit(2)
+		rec := Agreed(runs)
+		data, err := json.MarshalIndent(rec, "", "  ") // fails on a NaN or Inf value
+		if err == nil {
+			err = os.WriteFile(*record, append(data, '\n'), 0o644)
 		}
-		fmt.Printf("recorded %d benchmarks to %s\n", len(snap.Benchmarks), *record)
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Printf("recorded %d values in %d benchmarks to %s\n", rec.values(), len(rec), *record)
 	}
 	if *baseline == "" {
 		return
 	}
-	base, err := Load(*baseline)
+	data, err := os.ReadFile(*baseline)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(2)
+		fatal(err)
 	}
-	rep := Compare(base, snap, *threshold, *callThreshold)
-	fmt.Print(rep.Table())
-	if rep.Fail {
-		fmt.Fprintf(os.Stderr, "benchdiff: FAIL — %s\n", rep.Reason)
+	var base Baseline
+	if err := json.Unmarshal(data, &base); err != nil {
+		fatal(fmt.Errorf("%s: %v", *baseline, err))
+	}
+	if len(base) == 0 {
+		fatal(fmt.Errorf("%s gates nothing", *baseline))
+	}
+	fails, ungated := Compare(base, runs)
+	if len(ungated) > 0 {
+		fmt.Printf("not gated (not in the baseline): %s\n", strings.Join(ungated, ", "))
+	}
+	if len(fails) > 0 {
+		fmt.Printf("benchdiff: FAIL — %d mismatches gating %d values in %d benchmarks:\n%s\n",
+			len(fails), base.values(), len(base), strings.Join(fails, "\n"))
 		os.Exit(1)
 	}
-	fmt.Printf("benchdiff: ok — geomean ns/op ratio %.3f (threshold %.3f), oracle calls within %.2fx\n",
-		rep.Geomean, *threshold, *callThreshold)
+	fmt.Printf("benchdiff: ok — %d values in %d benchmarks reproduced exactly\n", base.values(), len(base))
 }
 
-// Bench is one benchmark's recorded measurements: wall clock, plus the
-// deterministic oracle-call metric when the benchmark reports one.
-type Bench struct {
-	NsPerOp float64 `json:"ns_per_op"`
-	BCCalls float64 `json:"bc_calls,omitempty"`
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "benchdiff:", err)
+	os.Exit(2)
 }
 
-// Snapshot is one recorded benchmark run: minimum measurements per
-// benchmark name (GOMAXPROCS suffix stripped), plus the environment
-// header go test printed, so a reader can judge whether two snapshots are
-// comparable.
-type Snapshot struct {
-	Recorded   string           `json:"recorded,omitempty"`
-	GOOS       string           `json:"goos,omitempty"`
-	GOARCH     string           `json:"goarch,omitempty"`
-	CPU        string           `json:"cpu,omitempty"`
-	GOMAXPROCS int              `json:"gomaxprocs,omitempty"` // from the benchmark names' suffix
-	Benchmarks map[string]Bench `json:"benchmarks"`
-}
+// Baseline is a recording: per benchmark, the values by unit that every
+// recorded run reported identically.
+type Baseline map[string]map[string]float64
 
-// otherMachine says why ns/op of the two snapshots cannot be compared — a
-// different CPU model or GOMAXPROCS — or returns "" when they can. A field
-// either side did not record decides nothing.
-func otherMachine(base, snap *Snapshot) string {
-	switch {
-	case base.CPU != "" && snap.CPU != "" && base.CPU != snap.CPU:
-		return fmt.Sprintf("the baseline was recorded on CPU %q, this run on %q", base.CPU, snap.CPU)
-	case base.GOMAXPROCS != 0 && snap.GOMAXPROCS != 0 && base.GOMAXPROCS != snap.GOMAXPROCS:
-		return fmt.Sprintf("the baseline was recorded at GOMAXPROCS %d, this run at %d", base.GOMAXPROCS, snap.GOMAXPROCS)
+func (b Baseline) values() int {
+	n := 0
+	for _, vals := range b {
+		n += len(vals)
 	}
-	return ""
+	return n
 }
 
-// Load reads a snapshot JSON.
-func Load(path string) (*Snapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var s Snapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	return &s, nil
-}
-
-// Write stores the snapshot as indented JSON with sorted keys.
-func (s *Snapshot) Write(path string) error {
-	s.Recorded = time.Now().UTC().Format(time.RFC3339)
-	data, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// Report is the outcome of one comparison.
-type Report struct {
-	Rows    []Row
-	Missing []string // in baseline, absent from the new run (fails the gate)
-	Added   []string // in the new run, absent from baseline
-	Geomean float64
-	Fail    bool
-	Reason  string
-}
-
-// Row is one common benchmark with its ratios.
-type Row struct {
-	Name      string
-	Old, New  Bench
-	Ratio     float64 // ns/op; 0 when either side's ns/op is non-positive
-	CallRatio float64 // bc_calls; 0 when either side lacks the metric
-}
-
-// Compare gates snap against base; see the package comment for the gate
-// rules.
-func Compare(base, snap *Snapshot, threshold, callThreshold float64) *Report {
-	rep := &Report{}
-	sum, n := 0.0, 0
-	worstCalls := ""
-	refused := otherMachine(base, snap)
-	for name, old := range base.Benchmarks {
-		nv, ok := snap.Benchmarks[name]
-		if !ok {
-			rep.Missing = append(rep.Missing, name)
-			continue
-		}
-		r := Row{Name: name, Old: old, New: nv}
-		// A non-positive ns/op (a hand-edited or corrupted baseline entry)
-		// would drive the geomean to Inf/NaN and poison the whole gate;
-		// such rows are shown but excluded from the ratio.
-		if old.NsPerOp > 0 && nv.NsPerOp > 0 && refused == "" {
-			r.Ratio = nv.NsPerOp / old.NsPerOp
-			sum += math.Log(r.Ratio)
-			n++
-		}
-		if old.BCCalls > 0 && nv.BCCalls > 0 {
-			r.CallRatio = nv.BCCalls / old.BCCalls
-			if r.CallRatio > callThreshold && worstCalls == "" {
-				worstCalls = fmt.Sprintf("%s oracle calls grew %.0f -> %.0f (%.2fx > %.2fx)",
-					name, old.BCCalls, nv.BCCalls, r.CallRatio, callThreshold)
+// Agreed returns, per benchmark, the values every one of its runs reported
+// identically; a benchmark with none is left out. A nonzero B/op or
+// allocs/op is left out too: it counts what the runtime and other
+// goroutines allocate meanwhile, so it can agree across nine runs and move
+// in the tenth.
+func Agreed(runs Runs) Baseline {
+	rec := Baseline{}
+	for name, rs := range runs {
+		vals := map[string]float64{}
+		for unit := range rs[0] {
+			v, ok := same(rs, unit)
+			if ok && (v == 0 || unit != "B/op" && unit != "allocs/op") {
+				vals[unit] = v
 			}
 		}
-		rep.Rows = append(rep.Rows, r)
-	}
-	for name := range snap.Benchmarks {
-		if _, ok := base.Benchmarks[name]; !ok {
-			rep.Added = append(rep.Added, name)
+		if len(vals) > 0 {
+			rec[name] = vals
 		}
 	}
-	sort.Slice(rep.Rows, func(i, j int) bool { return rep.Rows[i].Name < rep.Rows[j].Name })
-	sort.Strings(rep.Missing)
-	sort.Strings(rep.Added)
-	switch {
-	case refused != "":
-		// The call counts are the same on any machine: still gated, and
-		// reported with the refusal.
-		rep.Fail = true
-		rep.Geomean = math.NaN()
-		calls := "oracle calls are within the gate"
-		if worstCalls != "" {
-			calls = worstCalls
-		}
-		rep.Reason = fmt.Sprintf("refusing to gate ns/op: %s (re-record the baseline on this machine); %s", refused, calls)
-		if len(rep.Missing) > 0 {
-			rep.Reason += fmt.Sprintf("; %d baseline benchmark(s) missing from the new run", len(rep.Missing))
-		}
-		return rep
-	case n == 0:
-		rep.Fail = true
-		rep.Geomean = math.NaN()
-		rep.Reason = "no comparable benchmarks between baseline and new run"
-		return rep
-	case len(rep.Missing) > 0:
-		rep.Fail = true
-		rep.Reason = fmt.Sprintf("%d baseline benchmark(s) missing from the new run (refresh the baseline deliberately): %v", len(rep.Missing), rep.Missing)
-	}
-	rep.Geomean = math.Exp(sum / float64(n))
-	if !rep.Fail && rep.Geomean > threshold {
-		rep.Fail = true
-		rep.Reason = fmt.Sprintf("geomean ns/op ratio %.3f exceeds threshold %.3f", rep.Geomean, threshold)
-	}
-	if !rep.Fail && worstCalls != "" {
-		rep.Fail = true
-		rep.Reason = worstCalls
-	}
-	return rep
+	return rec
 }
 
-// Table renders the comparison for the CI log.
-func (r *Report) Table() string {
-	out := fmt.Sprintf("%-52s %14s %14s %8s %10s\n", "benchmark", "old ns/op", "new ns/op", "ratio", "calls")
-	for _, row := range r.Rows {
-		ratio, calls := "-", "-"
-		if row.Ratio > 0 {
-			ratio = fmt.Sprintf("%.3f", row.Ratio)
+// same returns unit's value when every run reports it, and reports the
+// same number.
+func same(rs []map[string]float64, unit string) (float64, bool) {
+	v, ok := rs[0][unit]
+	for _, r := range rs[1:] {
+		if w, has := r[unit]; !has || w != v {
+			return 0, false
 		}
-		if row.CallRatio > 0 {
-			calls = fmt.Sprintf("%.3f", row.CallRatio)
+	}
+	return v, ok
+}
+
+// Compare checks runs against base: one line per recorded value that did not
+// come back exactly (or per recorded benchmark missing from the run), and
+// the run's benchmarks base does not gate. Both are sorted.
+func Compare(base Baseline, runs Runs) (fails, ungated []string) {
+	for name, want := range base {
+		rs, ok := runs[name]
+		if !ok {
+			fails = append(fails, fmt.Sprintf("%s: missing from this run", name))
+			continue
 		}
-		out += fmt.Sprintf("%-52s %14.0f %14.0f %8s %10s\n", row.Name, row.Old.NsPerOp, row.New.NsPerOp, ratio, calls)
+		for unit, old := range want {
+			switch v, ok := same(rs, unit); {
+			case ok && v == old:
+			case ok:
+				fails = append(fails, fmt.Sprintf("%s %s: %v → %v", name, unit, old, v))
+			default:
+				got := make([]string, len(rs))
+				for i, r := range rs {
+					if w, has := r[unit]; has {
+						got[i] = fmt.Sprint(w)
+					} else {
+						got[i] = "none"
+					}
+				}
+				fails = append(fails, fmt.Sprintf("%s %s: nondeterministic, recorded %v, runs report %s",
+					name, unit, old, strings.Join(got, " / ")))
+			}
+		}
 	}
-	for _, name := range r.Missing {
-		out += fmt.Sprintf("%-52s missing from the new run\n", name)
+	for name := range runs {
+		if _, ok := base[name]; !ok {
+			ungated = append(ungated, name)
+		}
 	}
-	for _, name := range r.Added {
-		out += fmt.Sprintf("%-52s new benchmark (not in baseline)\n", name)
-	}
-	return out
+	slices.Sort(fails)
+	slices.Sort(ungated)
+	return fails, ungated
 }

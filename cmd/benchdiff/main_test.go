@@ -1,7 +1,7 @@
 package main
 
 import (
-	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -19,149 +19,131 @@ ok  	repro	1.906s
 `
 
 func TestParse(t *testing.T) {
-	snap, err := Parse(strings.NewReader(sampleOutput))
+	runs, err := Parse(strings.NewReader(sampleOutput))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.GOOS != "linux" || snap.GOARCH != "amd64" || !strings.Contains(snap.CPU, "Xeon") {
-		t.Errorf("header not parsed: %+v", snap)
+	want := Runs{
+		"BenchmarkWorkload/64x0.25": {{"bc_calls": 1716, "cost_s": 21291}, {"bc_calls": 1716, "cost_s": 21291}},
+		"BenchmarkWorkload/64x0.75": {{"bc_calls": 1483, "cost_s": 17488}},
+		"BenchmarkBestCost":         {{"B/op": 0, "allocs/op": 0}}, // -8 suffix stripped, no ns/op
 	}
-	want := map[string]Bench{
-		"BenchmarkWorkload/64x0.25": {NsPerOp: 359985525, BCCalls: 1716}, // minimum of the two counts
-		"BenchmarkWorkload/64x0.75": {NsPerOp: 199543405, BCCalls: 1483},
-		"BenchmarkBestCost":         {NsPerOp: 1306}, // -8 suffix stripped, no bc_calls metric
-	}
-	if len(snap.Benchmarks) != len(want) {
-		t.Fatalf("parsed %d benchmarks, want %d: %v", len(snap.Benchmarks), len(want), snap.Benchmarks)
-	}
-	for name, b := range want {
-		if got := snap.Benchmarks[name]; got != b {
-			t.Errorf("%s = %+v, want %+v", name, got, b)
-		}
+	if !reflect.DeepEqual(runs, want) {
+		t.Errorf("parsed %v, want %v", runs, want)
 	}
 }
 
 func TestParseIgnoresNonBenchLines(t *testing.T) {
-	snap, err := Parse(strings.NewReader("FAIL\nBenchmarkBroken no fields\nBenchmark0 x 12 ns/op\n"))
+	runs, err := Parse(strings.NewReader("FAIL\nBenchmarkBroken no fields\nBenchmark0 x 12 ns/op\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Benchmarks) != 0 {
-		t.Errorf("junk lines produced benchmarks: %v", snap.Benchmarks)
+	if len(runs) != 0 {
+		t.Errorf("junk lines produced benchmarks: %v", runs)
 	}
 }
 
-func TestCompareGeomeanGate(t *testing.T) {
-	base := &Snapshot{Benchmarks: map[string]Bench{"A": {NsPerOp: 100}, "B": {NsPerOp: 100}, "C": {NsPerOp: 100}}}
-	// One benchmark 2x slower, two unchanged: geomean = 2^(1/3) ≈ 1.26.
-	snap := &Snapshot{Benchmarks: map[string]Bench{"A": {NsPerOp: 200}, "B": {NsPerOp: 100}, "C": {NsPerOp: 100}}}
-	rep := Compare(base, snap, 1.25, 1.05)
-	if !rep.Fail {
-		t.Errorf("geomean %.3f should fail the 1.25 gate", rep.Geomean)
-	}
-	if math.Abs(rep.Geomean-math.Cbrt(2)) > 1e-9 {
-		t.Errorf("geomean = %v, want cbrt(2)", rep.Geomean)
-	}
-	// A uniform 20% improvement passes even with one 2x outlier removed.
-	snap2 := &Snapshot{Benchmarks: map[string]Bench{"A": {NsPerOp: 80}, "B": {NsPerOp: 80}, "C": {NsPerOp: 80}}}
-	if rep := Compare(base, snap2, 1.25, 1.05); rep.Fail {
-		t.Errorf("uniform speedup failed the gate: geomean %.3f, %s", rep.Geomean, rep.Reason)
+// TestRecordThenGate records one `go test -bench` output and gates another
+// against it, through the same Parse → Agreed → Compare path main takes.
+func TestRecordThenGate(t *testing.T) {
+	const recorded = `cpu: A
+BenchmarkW-1 	 1 	 100 ns/op 	 786 bc_calls 	 3 allocs/op
+BenchmarkW-4 	 1 	 900 ns/op 	 786 bc_calls 	 5 allocs/op
+BenchmarkZ-1 	 1 	 50 ns/op 	 64 B/op 	 0 allocs/op
+BenchmarkZ-4 	 1 	 70 ns/op 	 64 B/op 	 0 allocs/op
+`
+	for _, tc := range []struct {
+		name     string
+		run      string
+		record   Baseline // what the recording keeps; checked when set
+		fails    []string // substrings, one per failure line
+		notGated []string
+	}{
+		{
+			name:   "a value that differs across recorded runs is not recorded, nor is ns/op or a nonzero allocation count",
+			run:    "BenchmarkW 1 5 ns/op 786 bc_calls 99 allocs/op\nBenchmarkZ 1 5 ns/op 0 allocs/op\n",
+			record: Baseline{"BenchmarkW": {"bc_calls": 786}, "BenchmarkZ": {"allocs/op": 0}},
+		},
+		{
+			name:  "an exact mismatch fails and names the benchmark, unit and values",
+			run:   "BenchmarkW 1 5 ns/op 787 bc_calls\nBenchmarkZ 1 5 ns/op 1 allocs/op\n",
+			fails: []string{"BenchmarkW bc_calls: 786 → 787", "BenchmarkZ allocs/op: 0 → 1"},
+		},
+		{
+			name:  "a missing gated benchmark fails",
+			run:   "BenchmarkW 1 5 ns/op 786 bc_calls\n",
+			fails: []string{"BenchmarkZ: missing from this run"},
+		},
+		{
+			name:     "a new benchmark is listed but not gated",
+			run:      "BenchmarkW 1 5 ns/op 786 bc_calls\nBenchmarkZ 1 5 ns/op 0 allocs/op\nBenchmarkNew 1 5 ns/op 7 bc_calls\n",
+			notGated: []string{"BenchmarkNew"},
+		},
+		{
+			name:  "a count that differs inside one gate run fails as nondeterministic",
+			run:   "BenchmarkW-1 1 5 ns/op 786 bc_calls\nBenchmarkW-4 1 5 ns/op 790 bc_calls\nBenchmarkZ 1 5 ns/op 0 allocs/op\n",
+			fails: []string{"BenchmarkW bc_calls: nondeterministic, recorded 786, runs report 786 / 790"},
+		},
+		{
+			name:  "a gated value one run does not report fails",
+			run:   "BenchmarkW 1 5 ns/op 786 bc_calls\nBenchmarkW 1 5 ns/op\nBenchmarkZ 1 5 ns/op 0 allocs/op\n",
+			fails: []string{"BenchmarkW bc_calls: nondeterministic, recorded 786, runs report 786 / none"},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			runs, err := Parse(strings.NewReader(recorded))
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := Agreed(runs)
+			if tc.record != nil && !reflect.DeepEqual(base, tc.record) {
+				t.Errorf("recorded %v, want %v", base, tc.record)
+			}
+			run, err := Parse(strings.NewReader(tc.run))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fails, notGated := Compare(base, run)
+			if len(fails) != len(tc.fails) {
+				t.Fatalf("fails %q, want %d matching %q", fails, len(tc.fails), tc.fails)
+			}
+			for i, want := range tc.fails {
+				if !strings.Contains(fails[i], want) {
+					t.Errorf("fail line %q does not say %q", fails[i], want)
+				}
+			}
+			if !reflect.DeepEqual(notGated, tc.notGated) {
+				t.Errorf("not gated %v, want %v", notGated, tc.notGated)
+			}
+		})
 	}
 }
 
+// TestCompareOracleCallGate: bc_calls is gated exactly — growth and
+// reduction both fail, since either means the search changed.
 func TestCompareOracleCallGate(t *testing.T) {
-	base := &Snapshot{Benchmarks: map[string]Bench{"W": {NsPerOp: 100, BCCalls: 1000}, "B": {NsPerOp: 100}}}
-	// Wall clock fine, but the deterministic call count grew 10%: fail.
-	snap := &Snapshot{Benchmarks: map[string]Bench{"W": {NsPerOp: 100, BCCalls: 1100}, "B": {NsPerOp: 100}}}
-	rep := Compare(base, snap, 1.25, 1.05)
-	if !rep.Fail || !strings.Contains(rep.Reason, "oracle calls") {
-		t.Errorf("call growth did not fail the gate: fail=%v reason=%q", rep.Fail, rep.Reason)
-	}
-	// Within the tolerance (and with fewer calls) it passes.
-	snap2 := &Snapshot{Benchmarks: map[string]Bench{"W": {NsPerOp: 100, BCCalls: 900}, "B": {NsPerOp: 100}}}
-	if rep := Compare(base, snap2, 1.25, 1.05); rep.Fail {
-		t.Errorf("call reduction failed the gate: %s", rep.Reason)
+	base := Baseline{"W": {"bc_calls": 1000}}
+	for _, calls := range []float64{1100, 900, 1000} {
+		fails, _ := Compare(base, Runs{"W": {{"bc_calls": calls}}})
+		if (len(fails) == 0) != (calls == 1000) {
+			t.Errorf("bc_calls 1000 → %v: fails %q", calls, fails)
+		}
 	}
 }
 
 func TestCompareMissingFailsGate(t *testing.T) {
-	base := &Snapshot{Benchmarks: map[string]Bench{"A": {NsPerOp: 100}, "Gone": {NsPerOp: 50}}}
-	snap := &Snapshot{Benchmarks: map[string]Bench{"A": {NsPerOp: 100}, "New": {NsPerOp: 10}}}
-	rep := Compare(base, snap, 1.25, 1.05)
-	if !rep.Fail || !strings.Contains(rep.Reason, "missing") {
-		t.Errorf("missing baseline benchmark must fail the gate: fail=%v reason=%q", rep.Fail, rep.Reason)
+	base := Baseline{"A": {"bc_calls": 1}, "Gone": {"bc_calls": 2}}
+	fails, notGated := Compare(base, Runs{"A": {{"bc_calls": 1}}, "New": {{"bc_calls": 3}}})
+	if len(fails) != 1 || !strings.Contains(fails[0], "Gone: missing") {
+		t.Errorf("fails = %q, want Gone missing", fails)
 	}
-	if len(rep.Missing) != 1 || rep.Missing[0] != "Gone" {
-		t.Errorf("Missing = %v", rep.Missing)
-	}
-	if len(rep.Added) != 1 || rep.Added[0] != "New" {
-		t.Errorf("Added = %v", rep.Added)
-	}
-	if !strings.Contains(rep.Table(), "Gone") {
-		t.Error("table does not mention the missing benchmark")
+	if len(notGated) != 1 || notGated[0] != "New" {
+		t.Errorf("not gated = %v", notGated)
 	}
 }
 
 func TestCompareNoCommonFails(t *testing.T) {
-	base := &Snapshot{Benchmarks: map[string]Bench{"A": {NsPerOp: 100}}}
-	snap := &Snapshot{Benchmarks: map[string]Bench{"B": {NsPerOp: 100}}}
-	if rep := Compare(base, snap, 1.25, 1.05); !rep.Fail {
+	if fails, _ := Compare(Baseline{"A": {"bc_calls": 1}}, Runs{"B": {{"bc_calls": 1}}}); len(fails) == 0 {
 		t.Error("disjoint benchmark sets must fail the gate")
-	}
-}
-
-// TestCompareRefusesAcrossMachines: ns/op is gated only between runs of one
-// CPU model at one GOMAXPROCS. Across machines the comparison is refused —
-// the report fails with one line naming the difference — while the
-// machine-independent call counts are still gated and reported.
-func TestCompareRefusesAcrossMachines(t *testing.T) {
-	bench := func(ns, calls float64) map[string]Bench {
-		return map[string]Bench{"W": {NsPerOp: ns, BCCalls: calls}, "B": {NsPerOp: 100}}
-	}
-	for _, tc := range []struct {
-		name       string
-		base, snap Snapshot
-		fail       bool
-		reason     []string // substrings of Reason
-		ratios     bool     // ns/op ratios computed
-	}{
-		{"same machine", Snapshot{CPU: "x", GOMAXPROCS: 2, Benchmarks: bench(100, 1000)}, Snapshot{CPU: "x", GOMAXPROCS: 2, Benchmarks: bench(110, 1000)}, false, nil, true},
-		{"same machine, slower", Snapshot{CPU: "x", GOMAXPROCS: 2, Benchmarks: bench(100, 1000)}, Snapshot{CPU: "x", GOMAXPROCS: 2, Benchmarks: bench(400, 1000)}, true, []string{"geomean"}, true},
-		{"other CPU", Snapshot{CPU: "x", Benchmarks: bench(100, 1000)}, Snapshot{CPU: "y", Benchmarks: bench(50, 1000)}, true, []string{"refusing to gate ns/op", `CPU "x"`, `"y"`, "oracle calls are within"}, false},
-		{"other GOMAXPROCS", Snapshot{CPU: "x", GOMAXPROCS: 1, Benchmarks: bench(100, 1000)}, Snapshot{CPU: "x", GOMAXPROCS: 4, Benchmarks: bench(100, 1000)}, true, []string{"refusing to gate ns/op", "GOMAXPROCS 1", "at 4"}, false},
-		{"other CPU, calls grew", Snapshot{CPU: "x", Benchmarks: bench(100, 1000)}, Snapshot{CPU: "y", Benchmarks: bench(100, 1200)}, true, []string{"refusing to gate ns/op", "W oracle calls grew 1000 -> 1200"}, false},
-		{"baseline without a machine", Snapshot{Benchmarks: bench(100, 1000)}, Snapshot{CPU: "y", GOMAXPROCS: 2, Benchmarks: bench(100, 1000)}, false, nil, true},
-		{"baseline without GOMAXPROCS", Snapshot{CPU: "x", Benchmarks: bench(100, 1000)}, Snapshot{CPU: "x", GOMAXPROCS: 2, Benchmarks: bench(100, 1000)}, false, nil, true},
-	} {
-		rep := Compare(&tc.base, &tc.snap, 1.25, 1.05)
-		if rep.Fail != tc.fail {
-			t.Errorf("%s: fail = %t (%s), want %t", tc.name, rep.Fail, rep.Reason, tc.fail)
-		}
-		for _, want := range tc.reason {
-			if !strings.Contains(rep.Reason, want) {
-				t.Errorf("%s: reason %q does not mention %q", tc.name, rep.Reason, want)
-			}
-		}
-		if strings.Contains(rep.Reason, "\n") {
-			t.Errorf("%s: reason spans lines: %q", tc.name, rep.Reason)
-		}
-		for _, row := range rep.Rows {
-			if (row.Ratio > 0) != tc.ratios {
-				t.Errorf("%s: row %s has ns/op ratio %v, computed across machines: %t", tc.name, row.Name, row.Ratio, !tc.ratios)
-			}
-		}
-	}
-}
-
-func TestParseRecordsGOMAXPROCS(t *testing.T) {
-	for in, want := range map[string]int{
-		"BenchmarkA-4 1 10 ns/op\nBenchmarkB/x-4 1 10 ns/op\n": 4,
-		"BenchmarkA 1 10 ns/op\n":                              1,
-		"BenchmarkWorkload/64x0.25/p4-2 1 10 ns/op\n":          2,
-	} {
-		snap, err := Parse(strings.NewReader(in))
-		if err != nil || snap.GOMAXPROCS != want {
-			t.Errorf("Parse(%q): GOMAXPROCS %d (%v), want %d", in, snap.GOMAXPROCS, err, want)
-		}
 	}
 }

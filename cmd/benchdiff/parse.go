@@ -7,83 +7,56 @@ import (
 	"strings"
 )
 
-// Parse reads `go test -bench` output: benchmark result lines become
-// (name → minimum measurements) entries — the GOMAXPROCS suffix is
-// stripped so names are stable across machines, and kept as the snapshot's
-// GOMAXPROCS (no suffix is 1) — and the goos/goarch/cpu header lines are
-// carried into the snapshot. Besides ns/op, the deterministic bc_calls
-// metric is captured when a benchmark reports it. Unrelated lines (PASS, ok,
-// metrics-only noise) are ignored.
-func Parse(r io.Reader) (*Snapshot, error) {
-	snap := &Snapshot{Benchmarks: map[string]Bench{}}
+// Runs is parsed `go test -bench` output: per benchmark name (GOMAXPROCS
+// suffix stripped, so the names of runs at different GOMAXPROCS meet), one
+// entry per result line, each the line's reported values by unit — every
+// unit but ns/op, which is a clock.
+type Runs map[string][]map[string]float64
+
+// Parse reads `go test -bench` output. Lines other than benchmark result
+// lines (headers, PASS, ok, logs) are ignored.
+func Parse(r io.Reader) (Runs, error) {
+	runs := Runs{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		switch {
-		case strings.HasPrefix(line, "goos:"):
-			snap.GOOS = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
-			continue
-		case strings.HasPrefix(line, "goarch:"):
-			snap.GOARCH = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
-			continue
-		case strings.HasPrefix(line, "cpu:"):
-			snap.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
-			continue
+		if name, vals, ok := parseBenchLine(sc.Text()); ok {
+			runs[name] = append(runs[name], vals)
 		}
-		if !strings.HasPrefix(line, "Benchmark") {
-			continue
-		}
-		name, b, procs, ok := parseBenchLine(line)
-		if !ok {
-			continue
-		}
-		snap.GOMAXPROCS = max(snap.GOMAXPROCS, procs)
-		if old, seen := snap.Benchmarks[name]; seen {
-			if old.NsPerOp < b.NsPerOp {
-				b.NsPerOp = old.NsPerOp
-			}
-			if old.BCCalls > 0 && (b.BCCalls == 0 || old.BCCalls < b.BCCalls) {
-				b.BCCalls = old.BCCalls
-			}
-		}
-		snap.Benchmarks[name] = b
 	}
-	return snap, sc.Err()
+	return runs, sc.Err()
 }
 
-// parseBenchLine extracts the measurements from one result line of the form
+// parseBenchLine extracts the values of one result line of the form
 //
-//	BenchmarkName[-8]  <iterations>  <value> ns/op  [<value> bc_calls ...]
-func parseBenchLine(line string) (name string, b Bench, procs int, ok bool) {
+//	BenchmarkName[-8]  <iterations>  <value> ns/op  [<value> <unit> ...]
+func parseBenchLine(line string) (name string, vals map[string]float64, ok bool) {
 	fields := strings.Fields(line)
-	if len(fields) < 4 {
-		return "", Bench{}, 0, false
-	}
-	name, procs = fields[0], 1
-	// Strip the -GOMAXPROCS suffix from the last path element only.
-	if i := strings.LastIndex(name, "-"); i > 0 && !strings.Contains(name[i:], "/") {
-		if p, err := strconv.Atoi(name[i+1:]); err == nil {
-			name, procs = name[:i], p
-		}
+	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
+		return "", nil, false
 	}
 	if _, err := strconv.Atoi(fields[1]); err != nil {
-		return "", Bench{}, 0, false // iteration count must be an integer
+		return "", nil, false // iteration count must be an integer
 	}
+	name = fields[0]
+	// Strip the -GOMAXPROCS suffix from the last path element only.
+	if i := strings.LastIndex(name, "-"); i > 0 && !strings.Contains(name[i:], "/") {
+		if _, err := strconv.Atoi(name[i+1:]); err == nil {
+			name = name[:i]
+		}
+	}
+	vals = map[string]float64{}
 	for i := 2; i+1 < len(fields); i++ {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
 			continue
 		}
-		switch fields[i+1] {
-		case "ns/op":
-			b.NsPerOp = v
-		case "bc_calls":
-			b.BCCalls = v
+		if fields[i+1] == "ns/op" {
+			ok = true
+		} else {
+			vals[fields[i+1]] = v
 		}
+		i++
 	}
-	if b.NsPerOp == 0 {
-		return "", Bench{}, 0, false
-	}
-	return name, b, procs, true
+	return name, vals, ok
 }

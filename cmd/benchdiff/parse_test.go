@@ -1,153 +1,108 @@
 package main
 
 import (
-	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
 
 // TestParseEdgeCases is the table-driven sweep over the raw line formats
 // `go test -bench` (and hand-edited files) can produce: lines with and
-// without the allocs columns, duplicate benchmark names across -count
-// runs, zero-iteration lines, sub-nanosecond results, and assorted noise
-// that must parse to nothing rather than panic or misparse.
+// without the allocs columns, duplicate benchmark names across runs,
+// zero-iteration lines, and assorted noise that must parse to nothing
+// rather than panic or misparse.
 func TestParseEdgeCases(t *testing.T) {
+	type vals = map[string]float64
 	cases := []struct {
 		name  string
 		input string
-		want  map[string]Bench
+		want  Runs
 	}{
 		{
 			name:  "ns/op only, no allocs columns",
 			input: "BenchmarkLean 	 100 	 2500 ns/op\n",
-			want:  map[string]Bench{"BenchmarkLean": {NsPerOp: 2500}},
+			want:  Runs{"BenchmarkLean": {{}}},
 		},
 		{
 			name:  "full allocs columns",
 			input: "BenchmarkFull-8 	 10 	 1200 ns/op 	 512 B/op 	 7 allocs/op\n",
-			want:  map[string]Bench{"BenchmarkFull": {NsPerOp: 1200}},
+			want:  Runs{"BenchmarkFull": {{"B/op": 512, "allocs/op": 7}}},
 		},
 		{
-			name: "duplicate names keep the minimum of each metric",
+			name: "duplicate names keep every run",
 			input: "BenchmarkDup 	 1 	 300 ns/op 	 90 bc_calls\n" +
-				"BenchmarkDup 	 1 	 200 ns/op 	 100 bc_calls\n" +
-				"BenchmarkDup 	 1 	 250 ns/op 	 80 bc_calls\n",
-			want: map[string]Bench{"BenchmarkDup": {NsPerOp: 200, BCCalls: 80}},
+				"BenchmarkDup-4 	 1 	 200 ns/op 	 100 bc_calls\n",
+			want: Runs{"BenchmarkDup": {{"bc_calls": 90}, {"bc_calls": 100}}},
 		},
 		{
 			name: "duplicate where one run lacks the bc_calls metric",
 			input: "BenchmarkMixed 	 1 	 300 ns/op 	 50 bc_calls\n" +
 				"BenchmarkMixed 	 1 	 200 ns/op\n",
-			want: map[string]Bench{"BenchmarkMixed": {NsPerOp: 200, BCCalls: 50}},
+			want: Runs{"BenchmarkMixed": {{"bc_calls": 50}, {}}},
 		},
 		{
 			name:  "metric before ns/op is not mistaken for it",
 			input: "BenchmarkOrder 	 1 	 42 widgets 	 900 ns/op\n",
-			want:  map[string]Bench{"BenchmarkOrder": {NsPerOp: 900}},
+			want:  Runs{"BenchmarkOrder": {{"widgets": 42}}},
 		},
 		{
 			name:  "zero-count run still records its measurement",
-			input: "BenchmarkZeroCount 	 0 	 1500 ns/op\n",
-			want:  map[string]Bench{"BenchmarkZeroCount": {NsPerOp: 1500}},
+			input: "BenchmarkZeroCount 	 0 	 1500 ns/op 	 3 bc_calls\n",
+			want:  Runs{"BenchmarkZeroCount": {{"bc_calls": 3}}},
 		},
 		{
 			name:  "sub-nanosecond result survives",
-			input: "BenchmarkFast-16 	 1000000000 	 0.2534 ns/op\n",
-			want:  map[string]Bench{"BenchmarkFast": {NsPerOp: 0.2534}},
-		},
-		{
-			name:  "zero ns/op is dropped, not recorded as a divide-by-zero trap",
-			input: "BenchmarkBroken 	 1 	 0 ns/op\n",
-			want:  map[string]Bench{},
+			input: "BenchmarkFast-16 	 1000000000 	 0.2534 ns/op 	 0 allocs/op\n",
+			want:  Runs{"BenchmarkFast": {{"allocs/op": 0}}},
 		},
 		{
 			name:  "non-integer iteration count is not a benchmark line",
 			input: "BenchmarkJunk 	 x 	 12 ns/op\n",
-			want:  map[string]Bench{},
+			want:  Runs{},
 		},
 		{
 			name:  "missing value column",
 			input: "BenchmarkShort 	 5 	 ns/op\n",
-			want:  map[string]Bench{},
+			want:  Runs{},
 		},
 		{
 			name: "GOMAXPROCS suffix stripped only from the last element",
-			input: "BenchmarkA/sub-8 	 1 	 10 ns/op\n" +
-				"BenchmarkB-8/sub 	 1 	 20 ns/op\n",
-			want: map[string]Bench{
-				"BenchmarkA/sub":   {NsPerOp: 10},
-				"BenchmarkB-8/sub": {NsPerOp: 20},
+			input: "BenchmarkA/sub-8 	 1 	 10 ns/op 	 1 x\n" +
+				"BenchmarkB-8/sub 	 1 	 20 ns/op 	 2 x\n",
+			want: Runs{
+				"BenchmarkA/sub":   {vals{"x": 1}},
+				"BenchmarkB-8/sub": {vals{"x": 2}},
 			},
 		},
 		{
 			name: "noise lines are ignored",
 			input: "goos: linux\nPASS\nok  	repro	1.2s\n--- FAIL: BenchmarkX\n" +
 				"Benchmark\nBenchmarkOnlyName\n\n",
-			want: map[string]Bench{},
+			want: Runs{},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			snap, err := Parse(strings.NewReader(tc.input))
+			runs, err := Parse(strings.NewReader(tc.input))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(snap.Benchmarks) != len(tc.want) {
-				t.Fatalf("parsed %d benchmarks, want %d: %v", len(snap.Benchmarks), len(tc.want), snap.Benchmarks)
-			}
-			for name, b := range tc.want {
-				if got := snap.Benchmarks[name]; got != b {
-					t.Errorf("%s = %+v, want %+v", name, got, b)
-				}
+			if !reflect.DeepEqual(runs, tc.want) {
+				t.Errorf("parsed %v, want %v", runs, tc.want)
 			}
 		})
 	}
 }
 
-// TestCompareNonPositiveBaseline: a corrupted baseline entry (ns/op ≤ 0)
-// must not poison the geomean with Inf/NaN; the row is excluded from the
-// ratio and the remaining benchmarks still gate normally.
-func TestCompareNonPositiveBaseline(t *testing.T) {
-	base := &Snapshot{Benchmarks: map[string]Bench{
-		"Corrupt": {NsPerOp: 0},
-		"A":       {NsPerOp: 100},
-		"B":       {NsPerOp: 100},
-	}}
-	snap := &Snapshot{Benchmarks: map[string]Bench{
-		"Corrupt": {NsPerOp: 500},
-		"A":       {NsPerOp: 110},
-		"B":       {NsPerOp: 110},
-	}}
-	rep := Compare(base, snap, 1.25, 1.05)
-	if math.IsNaN(rep.Geomean) || math.IsInf(rep.Geomean, 0) {
-		t.Fatalf("geomean = %v, corrupted entry poisoned the gate", rep.Geomean)
-	}
-	if math.Abs(rep.Geomean-1.1) > 1e-9 {
-		t.Errorf("geomean = %v, want 1.1 over the two valid rows", rep.Geomean)
-	}
-	if rep.Fail {
-		t.Errorf("gate failed on a passing run: %s", rep.Reason)
-	}
-	if !strings.Contains(rep.Table(), "Corrupt") {
-		t.Error("corrupted row missing from the table")
-	}
-	// All rows non-comparable: the gate fails loudly instead of passing a
-	// vacuous comparison.
-	allBad := &Snapshot{Benchmarks: map[string]Bench{"Corrupt": {NsPerOp: 0}}}
-	if rep := Compare(allBad, snap, 1.25, 1.05); !rep.Fail {
-		t.Error("comparison with no comparable rows must fail the gate")
-	}
-}
-
 // TestParseHeaderOnly: a run that produced headers but no benchmarks (all
-// filtered out) parses cleanly to an empty snapshot — main turns that
-// into an explicit error rather than recording an empty baseline.
+// filtered out) parses cleanly to nothing — main turns that into an
+// explicit error rather than recording an empty baseline.
 func TestParseHeaderOnly(t *testing.T) {
-	snap, err := Parse(strings.NewReader("goos: linux\ngoarch: amd64\ncpu: Fake CPU\n"))
+	runs, err := Parse(strings.NewReader("goos: linux\ngoarch: amd64\ncpu: Fake CPU\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Benchmarks) != 0 || snap.GOOS != "linux" || snap.CPU != "Fake CPU" {
-		t.Errorf("snapshot = %+v", snap)
+	if len(runs) != 0 {
+		t.Errorf("runs = %v", runs)
 	}
 }

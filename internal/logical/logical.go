@@ -7,7 +7,6 @@ package logical
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/catalog"
 	"repro/internal/expr"
@@ -286,24 +285,5 @@ func (q *Query) Blocks() []*Block {
 		out = append(out, b)
 	}
 	walk(q.Root)
-	return out
-}
-
-// BaseTables returns the distinct base table names referenced anywhere in
-// the query, sorted.
-func (q *Query) BaseTables() []string {
-	set := map[string]bool{}
-	for _, b := range q.Blocks() {
-		for _, s := range b.Sources {
-			if s.Base() {
-				set[s.Table] = true
-			}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for t := range set {
-		out = append(out, t)
-	}
-	sort.Strings(out)
 	return out
 }

@@ -129,15 +129,6 @@ func TestBlocksPostOrder(t *testing.T) {
 	}
 }
 
-func TestBaseTables(t *testing.T) {
-	inner := NewBlock().Scan("r", "a").GroupBy("a.fk").Count().Build()
-	outer := NewBlock().Scan("s", "b").Derived(inner, "d").Join("b.id", "d.fk").Query("q")
-	got := outer.BaseTables()
-	if len(got) != 2 || got[0] != "r" || got[1] != "s" {
-		t.Errorf("BaseTables = %v", got)
-	}
-}
-
 func TestJoinGraph(t *testing.T) {
 	b := NewBlock().
 		Scan("r", "a").Scan("s", "b").

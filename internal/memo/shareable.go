@@ -39,13 +39,6 @@ func (b Bitset) HasSlot(i int) bool {
 // SetSlot sets slot i; the bitset must be wide enough.
 func (b Bitset) SetSlot(i int) { b[i/64] |= 1 << uint(i%64) }
 
-// ClearSlot clears slot i if in range.
-func (b Bitset) ClearSlot(i int) {
-	if w := i / 64; w < len(b) {
-		b[w] &^= 1 << uint(i%64)
-	}
-}
-
 // Count returns the number of set bits.
 func (b Bitset) Count() int {
 	n := 0

@@ -32,19 +32,6 @@ func ParseBatch(src string) (*logical.Batch, error) {
 	return batch, nil
 }
 
-// ParseQuery parses a single SELECT statement.
-func ParseQuery(src, name string) (*logical.Query, error) {
-	b, err := ParseBatch(src)
-	if err != nil {
-		return nil, err
-	}
-	if len(b.Queries) != 1 {
-		return nil, fmt.Errorf("parser: expected one statement, got %d", len(b.Queries))
-	}
-	b.Queries[0].Name = name
-	return b.Queries[0], nil
-}
-
 type parser struct {
 	toks []token
 	i    int

@@ -5,14 +5,28 @@ import (
 	"testing"
 
 	"repro/internal/expr"
+	"repro/internal/logical"
 	"repro/internal/tpcd"
 )
 
+// parseOne parses a batch of exactly one statement.
+func parseOne(t *testing.T, src string) (*logical.Query, error) {
+	t.Helper()
+	b, err := ParseBatch(src)
+	if err != nil {
+		return nil, err
+	}
+	if len(b.Queries) != 1 {
+		t.Fatalf("%d statements, want one", len(b.Queries))
+	}
+	return b.Queries[0], nil
+}
+
 func TestParseSimpleSPJ(t *testing.T) {
-	q, err := ParseQuery(`
+	q, err := parseOne(t, `
 		SELECT *
 		FROM orders o, lineitem l
-		WHERE o.orderkey = l.orderkey AND o.orderdate < 1100`, "q")
+		WHERE o.orderkey = l.orderkey AND o.orderdate < 1100`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,11 +46,11 @@ func TestParseSimpleSPJ(t *testing.T) {
 }
 
 func TestParseAggregation(t *testing.T) {
-	q, err := ParseQuery(`
+	q, err := parseOne(t, `
 		SELECT o.orderdate, SUM(l.extendedprice), COUNT(*)
 		FROM orders o, lineitem l
 		WHERE o.orderkey = l.orderkey
-		GROUP BY o.orderdate`, "q")
+		GROUP BY o.orderdate`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +71,7 @@ func TestParseAggregation(t *testing.T) {
 
 func TestParseImplicitGroupBy(t *testing.T) {
 	// A plain column next to an aggregate is added to GROUP BY.
-	q, err := ParseQuery(`SELECT o.orderdate, SUM(o.totalprice) FROM orders o`, "q")
+	q, err := parseOne(t, `SELECT o.orderdate, SUM(o.totalprice) FROM orders o`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +82,8 @@ func TestParseImplicitGroupBy(t *testing.T) {
 }
 
 func TestParseMinMax(t *testing.T) {
-	q, err := ParseQuery(`SELECT ps.partkey, MIN(ps.supplycost), MAX(ps.availqty)
-		FROM partsupp ps GROUP BY ps.partkey`, "q")
+	q, err := parseOne(t, `SELECT ps.partkey, MIN(ps.supplycost), MAX(ps.availqty)
+		FROM partsupp ps GROUP BY ps.partkey`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +113,7 @@ func TestParseOperators(t *testing.T) {
 	for opTxt, op := range map[string]expr.CmpOp{
 		"=": expr.EQ, "<": expr.LT, "<=": expr.LE, ">": expr.GT, ">=": expr.GE,
 	} {
-		q, err := ParseQuery("SELECT * FROM orders o WHERE o.orderdate "+opTxt+" 5", "q")
+		q, err := parseOne(t, "SELECT * FROM orders o WHERE o.orderdate "+opTxt+" 5")
 		if err != nil {
 			t.Fatalf("%s: %v", opTxt, err)
 		}
@@ -110,7 +124,7 @@ func TestParseOperators(t *testing.T) {
 }
 
 func TestParseDefaultAlias(t *testing.T) {
-	q, err := ParseQuery("SELECT * FROM orders WHERE orders.orderdate < 5", "q")
+	q, err := parseOne(t, "SELECT * FROM orders WHERE orders.orderdate < 5")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func TestAdvertisedStatements(t *testing.T) {
 		`SELECT COUNT(*) FROM lineitem l WHERE l.shipdate >= 2200`,
 	}
 	for _, s := range stmts {
-		if _, err := ParseQuery(s, "q"); err != nil {
+		if _, err := parseOne(t, s); err != nil {
 			t.Errorf("advertised statement rejected: %v\n%s", err, s)
 		}
 	}

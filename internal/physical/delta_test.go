@@ -95,7 +95,8 @@ func deltaWalk(t testing.TB, data []byte) {
 	}
 	flip := func(set NodeSet, id memo.GroupID) {
 		if set.Has(id) {
-			set.bits.ClearSlot(s.SI.Pos(id))
+			p := s.SI.Pos(id)
+			set.bits[p/64] &^= 1 << uint(p%64)
 		} else {
 			set.Add(id)
 		}

@@ -247,9 +247,11 @@ func BenchmarkWorkload(b *testing.B) {
 // anything twice: a searcher over a compiled memo takes a fresh worker — its
 // cell-sized memo tables, allocated and zeroed — starts the run's L1, and
 // makes the first bc(∅), which touches every cell a full walk demands and
-// allocates the L1 buckets it stores them in (1,152 B each, most of B/op). A
-// second worker of the run pays the memo tables only: the L1 is the run's.
-// computed_keys is that walk.
+// allocates the L1 buckets it stores them in (1,152 B each, most of B/op).
+// bc(∅) materializes nothing, so every cost it stores is a compute cost: one
+// bucket a cell (5.7 MB at 64 queries), where storing each group's use cost
+// under a key of its own made two (10.8 MB). A second worker of the run pays
+// the memo tables only: the L1 is the run's. computed_keys is that walk.
 func BenchmarkNewWorker(b *testing.B) {
 	cat := tpcd.Catalog(1)
 	for _, size := range []int{64, 256} {
@@ -420,8 +422,9 @@ var benchSearcher *physical.Searcher
 // (a few allocations however many workers filled it); "warm" publishes an
 // identical second run made against the cache the first one filled (what a
 // repeated batch on a long-lived session pays), whose table takes the
-// entries its chains lack. The run itself is outside the timer. Recorded in
-// the CI snapshot, not gated.
+// entries its chains lack (2.3 MB at 64 queries, 4.7 MB when a use cost
+// outside the set was stored under a key of its own). The run itself is
+// outside the timer. Recorded in the CI snapshot, not gated.
 func BenchmarkPublishCache(b *testing.B) {
 	cat := tpcd.Catalog(1)
 	for _, size := range []int{32, 64} {
@@ -491,7 +494,11 @@ func BenchmarkBestCost(b *testing.B) {
 	for i, id := range sh {
 		sets[i] = opt.NewNodeSet(id)
 	}
-	opt.BestCost(sets[0]) // warm the cross-call cache and scratch tables
+	// Warm the cross-call cache and scratch tables with every set once: a
+	// use-cost bucket is made the first time its group is materialized.
+	for _, set := range sets {
+		opt.BestCost(set)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

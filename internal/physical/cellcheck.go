@@ -5,12 +5,17 @@ package physical
 import "repro/internal/memo"
 
 // cellCheck is off in ordinary builds: the oracle trusts the cells its
-// templates carry and that every cached cost is pure, and the checks below
-// compile to nothing. Building with -tags cellcheck (CI runs this package's
+// templates carry, that every cached cost is pure and that a use-cost key
+// exists only for a group in the set, and the checks below compile to
+// nothing. Building with -tags cellcheck (CI runs this package's
 // tests that way too) turns them on.
 const cellCheck = false
 
 func (s *space) checkCell(memo.GroupID, ordID, int) {}
+
+func (*worker) checkUseKey(int) {}
+
+func (*space) checkUseBucket(int) {}
 
 func checkPure(uint64, float64, float64) {}
 

@@ -5,6 +5,7 @@ package physical
 import (
 	"fmt"
 	"math"
+	"sort"
 	"sync/atomic"
 
 	"repro/internal/memo"
@@ -19,6 +20,34 @@ const cellCheck = true
 func (s *space) checkCell(g memo.GroupID, ord ordID, cell int) {
 	if want, ok := s.cells.cell(g, ord); !ok || want != cell {
 		panic(fmt.Sprintf("physical: (group %d, order %d) priced at cell %d; the index says %d (in the closure: %t)", g, ord, cell, want, ok))
+	}
+}
+
+// cellGroup is the group that owns a cell.
+func (ix cellIndex) cellGroup(cell int) memo.GroupID {
+	return memo.GroupID(sort.Search(len(ix.start)-1, func(g int) bool { return int(ix.start[g+1]) > cell }))
+}
+
+// checkUseKey panics on a use-cost probe or store (L1 index i = 2*cell+kind)
+// for a group outside the worker's set: there its use cost is its compute
+// cost, which the compute key answers (cacheKey).
+func (w *worker) checkUseKey(i int) {
+	if i&1 != kindUse {
+		return
+	}
+	if g := w.s.cells.cellGroup(i >> 1); !w.matHas(g) {
+		panic(fmt.Sprintf("physical: a use-cost key of group %d, which is outside the set, reached the cache", g))
+	}
+}
+
+// checkUseBucket panics when a use-cost bucket is made for a cell of a group
+// with no shareable slot: no set holds the group, so no such key exists.
+func (s *space) checkUseBucket(i int) {
+	if i&1 != kindUse {
+		return
+	}
+	if g := s.cells.cellGroup(i >> 1); !s.cells.useKeys[g] {
+		panic(fmt.Sprintf("physical: a use-cost L1 bucket made for group %d, which has no shareable slot", g))
 	}
 }
 

@@ -16,6 +16,9 @@ import (
 type cellIndex struct {
 	start []int32 // group g owns cells start[g] … start[g+1]-1; start[g] is its any-order cell
 	ord   []ordID // the order of each cell
+	// useKeys[g] reports whether g has a shareable slot: only then can a
+	// use-cost key of its cells exist (see cacheKey).
+	useKeys []bool
 }
 
 func (ix cellIndex) len() int { return len(ix.ord) }
@@ -105,10 +108,12 @@ func (s *space) fillCells() {
 		start[g+1] = start[g] + 1 + int32(len(lists[find(int32(g))]))
 	}
 	ord := make([]ordID, start[n])
+	useKeys := make([]bool, n)
 	for g := 0; g < n; g++ {
 		copy(ord[start[g]+1:], lists[find(int32(g))]) // ord[start[g]] stays 0: any order
+		useKeys[g] = s.SI.Pos(memo.GroupID(g)) >= 0
 	}
-	s.cells = cellIndex{start: start, ord: ord}
+	s.cells = cellIndex{start: start, ord: ord, useKeys: useKeys}
 	for g := range s.tmpls {
 		for i := range s.tmpls[g] {
 			t := &s.tmpls[g][i]

@@ -1,6 +1,7 @@
 package physical
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"runtime"
@@ -40,21 +41,21 @@ func findMaskWithHome(t *testing.T, home int, taken map[uint64]bool) uint64 {
 // round-trip exactly — for both cost kinds.
 func TestL1AllOnesMaskRoundTrips(t *testing.T) {
 	s := buildSearcher(t, sharedPairQueries()...)
-	w := s.worker(0)
+	w, _, c := useCell(t, s)
 	const mask = ^uint64(0)
 	for _, kind := range []int{kindUse, kindComp} {
-		if v, ok := w.cached(0, mask, kind); ok {
+		if v, ok := w.cached(c, mask, kind); ok {
 			t.Fatalf("kind %d: all-ones mask hit an empty L1 with value %v (sentinel collision)", kind, v)
 		}
 		want := 42.5 + float64(kind)
-		w.store(0, mask, want, kind)
-		if v, ok := w.cached(0, mask, kind); !ok || v != want {
+		w.store(c, mask, want, kind)
+		if v, ok := w.cached(c, mask, kind); !ok || v != want {
 			t.Fatalf("kind %d: all-ones mask after store: got (%v, %v), want (%v, true)", kind, v, ok, want)
 		}
 		// A later store of another mask in the same bucket must not
 		// displace it.
-		w.store(0, 7, 9.25, kind)
-		if v, ok := w.cached(0, mask, kind); !ok || v != want {
+		w.store(c, 7, 9.25, kind)
+		if v, ok := w.cached(c, mask, kind); !ok || v != want {
 			t.Fatalf("kind %d: all-ones mask after a second store: got (%v, %v), want (%v, true)", kind, v, ok, want)
 		}
 	}
@@ -68,16 +69,16 @@ func TestL1KindsDoNotAlias(t *testing.T) {
 	s := buildSearcher(t, sharedPairQueries()...)
 	cache := NewSharedCache()
 	s.AttachSharedCache(cache)
-	w := s.worker(0)
+	w, _, c := useCell(t, s)
 
 	const both, useOnly, compOnly = uint64(31), uint64(32), uint64(33)
-	w.store(0, both, 1.5, kindUse)
-	if v, ok := w.cached(0, both, kindComp); ok {
+	w.store(c, both, 1.5, kindUse)
+	if v, ok := w.cached(c, both, kindComp); ok {
 		t.Fatalf("use cost read back as a compute cost (%v): kind missing from the L1 index", v)
 	}
-	w.store(0, both, 2.5, kindComp)
-	w.store(0, useOnly, 3.5, kindUse)
-	w.store(0, compOnly, 4.5, kindComp)
+	w.store(c, both, 2.5, kindComp)
+	w.store(c, useOnly, 3.5, kindUse)
+	w.store(c, compOnly, 4.5, kindComp)
 
 	type probe struct {
 		mask uint64
@@ -96,7 +97,7 @@ func TestL1KindsDoNotAlias(t *testing.T) {
 	check := func(where string, w *worker) {
 		t.Helper()
 		for _, p := range probes {
-			if v, ok := w.cached(0, p.mask, p.kind); ok != p.hit || v != p.want {
+			if v, ok := w.cached(c, p.mask, p.kind); ok != p.hit || v != p.want {
 				t.Fatalf("%s: mask %d kind %d: got (%v, %v), want (%v, %v)", where, p.mask, p.kind, v, ok, p.want, p.hit)
 			}
 		}
@@ -106,7 +107,7 @@ func TestL1KindsDoNotAlias(t *testing.T) {
 	s.PublishCache()
 	s2 := buildSearcher(t, sharedPairQueries()...)
 	s2.AttachSharedCache(cache)
-	w2 := s2.worker(0)
+	w2, _, _ := useCell(t, s2)
 	check("L2", w2)
 	w2.flushStats()
 	if s2.SharedHits != 4 || s2.CacheHits != 0 {
@@ -119,14 +120,14 @@ func TestL1KindsDoNotAlias(t *testing.T) {
 // key stays retrievable.
 func TestL1ProbeWraparound(t *testing.T) {
 	s := buildSearcher(t, sharedPairQueries()...)
-	w := s.worker(0)
+	w, _, c := useCell(t, s)
 	taken := map[uint64]bool{}
 	masks := make([]uint64, 4)
 	for i := range masks {
 		masks[i] = findMaskWithHome(t, l1BucketCap-1, taken)
-		w.store(0, masks[i], float64(100+i), kindUse)
+		w.store(c, masks[i], float64(100+i), kindUse)
 	}
-	b := l1At(s, kindUse)
+	b := l1At(s, 2*c+kindUse)
 	if b == nil {
 		t.Fatal("no bucket allocated")
 	}
@@ -155,15 +156,15 @@ func TestL1OverflowFallsBackToShared(t *testing.T) {
 	s := buildSearcher(t, sharedPairQueries()...)
 	cache := NewSharedCache()
 	s.AttachSharedCache(cache)
-	w := s.worker(0)
+	w, g, c := useCell(t, s)
 
 	taken := map[uint64]bool{}
 	for i := 0; i < l1MaxFill; i++ {
 		m := l1TestMask(i)
 		taken[m] = true
-		w.store(0, m, float64(i), kindUse)
+		w.store(c, m, float64(i), kindUse)
 	}
-	b := l1At(s, kindUse)
+	b := l1At(s, 2*c+kindUse)
 	if got := bits.OnesCount64(b.occ); got != l1MaxFill {
 		t.Fatalf("bucket fill %d after %d distinct stores, want the fill bound", got, l1MaxFill)
 	}
@@ -188,7 +189,7 @@ func TestL1OverflowFallsBackToShared(t *testing.T) {
 	if victimVal, ok = b.lookup(victim); !ok {
 		t.Fatal("home position occupant not retrievable before eviction")
 	}
-	w.store(0, extra, 999.5, kindUse)
+	w.store(c, extra, 999.5, kindUse)
 	if v, ok := b.lookup(extra); !ok || v != 999.5 {
 		t.Fatalf("overflow store lost the new key: got (%v, %v)", v, ok)
 	}
@@ -199,11 +200,11 @@ func TestL1OverflowFallsBackToShared(t *testing.T) {
 	// The evicted key falls back to the L2: seed it there (as an earlier
 	// PublishCache would have) and the cache read must hit, counted as a
 	// shared hit — every time, since a shared hit is not copied into the L1.
-	seedCosts(cache, s.cacheNS(), s.cells, []sharedKV{{k: cacheKey{g: 0, ord: 0, compute: false, mask: victim}, v: victimVal}})
+	seedCosts(cache, s.cacheNS(), s.cells, []sharedKV{{k: cacheKey{g: g, ord: 0, compute: false, mask: victim}, v: victimVal}})
 	w = s.worker(0) // the next entry point sees the table
 	w.stats.SharedHits = 0
 	for n := 1; n <= 2; n++ {
-		if v, ok := w.cached(0, victim, kindUse); !ok || v != victimVal {
+		if v, ok := w.cached(c, victim, kindUse); !ok || v != victimVal {
 			t.Fatalf("evicted key via L2 fallback: got (%v, %v), want (%v, true)", v, ok, victimVal)
 		}
 		if w.stats.SharedHits != n {
@@ -313,12 +314,12 @@ func TestL1OccupancyPastFillBound(t *testing.T) {
 // starts an empty table.
 func TestClearCacheDropsRunL1(t *testing.T) {
 	s := buildSearcher(t, sharedPairQueries()...)
-	w := s.worker(0)
-	w.store(0, 11, 1.5, kindUse)
-	w.store(0, 12, 2.5, kindComp)
-	use := l1At(s, kindUse)
-	if use == nil || use == l1At(s, kindComp) {
-		t.Fatalf("after one store per kind: use bucket %p, compute bucket %p", use, l1At(s, kindComp))
+	w, _, c := useCell(t, s)
+	w.store(c, 11, 1.5, kindUse)
+	w.store(c, 12, 2.5, kindComp)
+	use := l1At(s, 2*c+kindUse)
+	if use == nil || use == l1At(s, 2*c+kindComp) {
+		t.Fatalf("after one store per kind: use bucket %p, compute bucket %p", use, l1At(s, 2*c+kindComp))
 	}
 
 	s.ClearCache()
@@ -326,23 +327,130 @@ func TestClearCacheDropsRunL1(t *testing.T) {
 		t.Fatal("ClearCache kept the run's L1")
 	}
 	w = s.worker(0)
-	if _, ok := w.cached(0, 11, kindUse); ok {
+	if _, ok := w.cached(c, 11, kindUse); ok {
 		t.Fatal("use entry survived ClearCache")
 	}
-	if _, ok := w.cached(0, 12, kindComp); ok {
+	if _, ok := w.cached(c, 12, kindComp); ok {
 		t.Fatal("comp entry survived ClearCache")
 	}
 
-	w.store(0, 13, 3.5, kindUse)
-	if l1At(s, kindUse) == use {
+	w.store(c, 13, 3.5, kindUse)
+	if l1At(s, 2*c+kindUse) == use {
 		t.Fatal("the store after ClearCache went into a bucket of the dropped table")
 	}
-	if v, ok := w.cached(0, 13, kindUse); !ok || v != 3.5 {
+	if v, ok := w.cached(c, 13, kindUse); !ok || v != 3.5 {
 		t.Fatalf("post-reset store: got (%v, %v), want (3.5, true)", v, ok)
 	}
 	if v, ok := use.lookup(11); !ok || v != 1.5 {
 		t.Fatalf("the dropped bucket changed after the reset: got (%v, %v)", v, ok)
 	}
+}
+
+// TestUseKeysOnlyInsideSet pins the rule that keeps one key per cost outside
+// the set: a group's use cost there is its compute cost, which the compute
+// key answers, so a use-cost key exists only for a group in the set (cacheKey).
+// A cold MarginalGreedy-shaped run — bc(∅), the U ∖ {e} batch of the
+// decomposition, greedy rounds of S ∪ {x} — at one worker and at four leaves
+// no use-cost bucket on a cell of a group with no shareable slot, neither in
+// the run's L1 nor in the table PublishCache hands it to; every total is the
+// bit a searcher that reuses nothing produces, and the final plan validates.
+func TestUseKeysOnlyInsideSet(t *testing.T) {
+	for _, q := range []int{16, 32} {
+		m := workloadMemo(t, q)
+		ref := NewSearcher(m)
+		ref.Incremental = false
+		for _, procs := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%dq/p%d", q, procs), func(t *testing.T) {
+				withProcs(t, procs)
+				s := NewSearcher(m)
+				cache := NewSharedCache()
+				s.AttachSharedCache(cache)
+				price := func(sets []NodeSet) []float64 {
+					t.Helper()
+					got, ok := s.BestCostBatchCtx(nil, sets)
+					if !ok {
+						t.Fatalf("batch aborted: %v", s.TakeFault())
+					}
+					for i, set := range sets {
+						if want := ref.BestCost(set); got[i] != want {
+							t.Fatalf("set %d of %d: bc = %v, a searcher that reuses nothing says %v", i, len(sets), got[i], want)
+						}
+					}
+					return got
+				}
+				sh := m.Shareable()
+				price([]NodeSet{{}})
+				var minus []NodeSet
+				for i := range sh {
+					minus = append(minus, s.NewNodeSet(append(append([]memo.GroupID(nil), sh[:i]...), sh[i+1:]...)...))
+				}
+				price(minus)
+				if procs > 1 && len(s.workers) < 2 {
+					t.Fatalf("the cold U ∖ {e} batch ran on %d worker(s); the test wants it fanned out", len(s.workers))
+				}
+				set := s.NewNodeSet()
+				for round := 0; round < 3; round++ {
+					var next []NodeSet
+					for _, x := range sh {
+						if !set.Has(x) {
+							next = append(next, set.With(x))
+						}
+					}
+					costs := price(next)
+					best := 0
+					for i, c := range costs {
+						if c < costs[best] {
+							best = i
+						}
+					}
+					set = next[best]
+				}
+				plan := s.BestPlan(set)
+				if err := s.ValidatePlan(plan, set); err != nil {
+					t.Fatalf("the plan of the chosen set does not validate: %v", err)
+				}
+				if want := ref.BestPlan(set); plan.Total != want.Total {
+					t.Fatalf("plan total %v, a searcher that reuses nothing says %v", plan.Total, want.Total)
+				}
+				useBuckets := func(where string, tab l1Table) {
+					t.Helper()
+					live := 0
+					for g, ok := range s.cells.useKeys {
+						for c := s.cells.start[g]; c < s.cells.start[g+1]; c++ {
+							if tab[2*c+kindUse].Load() == nil {
+								continue
+							}
+							if !ok {
+								t.Fatalf("%s: group %d has no shareable slot, yet cell %d holds a use-cost bucket", where, g, c)
+							}
+							live++
+						}
+					}
+					if live == 0 {
+						t.Fatalf("%s: no use-cost bucket at all; the run materialized nothing", where)
+					}
+				}
+				s.settle()
+				useBuckets("L1", s.l1)
+				s.PublishCache()
+				useBuckets("published table", cache.spaces[s.cacheNS()].slots)
+			})
+		}
+	}
+}
+
+// useCell puts the first shareable group in worker 0's set and returns the
+// worker, the group and its any-order cell: a cell where a use-cost key
+// exists (cacheKey), so the tests above may probe and store both kinds.
+func useCell(t *testing.T, s *Searcher) (*worker, memo.GroupID, int) {
+	t.Helper()
+	sh := s.M.Shareable()
+	if len(sh) == 0 {
+		t.Fatal("the batch has no shareable group")
+	}
+	w := s.worker(0)
+	s.SI.Set(w.bits, sh[0])
+	return w, sh[0], s.cells.anyCell(sh[0])
 }
 
 // l1At is the bucket at slot i of the searcher's L1, nil when there is none.

@@ -128,6 +128,19 @@
 // (bc_calls) is deterministic because it is counted at the oracle entry
 // point, above every cache level.
 //
+// A use-cost key exists only for a group in the set; outside it the compute
+// key answers. The mask hashes the set restricted to the shareable nodes at
+// or below the group, its own slot included (memo.ShareIndex.Descendants),
+// so it already says whether the group is materialized, and when it is not
+// useCost(g) is computeCost(g) under the same mask, bit for bit: useCostMiss
+// returns compute's value and stores nothing of its own. Only a materialized
+// group probes and stores a use-cost key, the lesser of its compute cost and
+// reading its copy. A group with no shareable slot — most groups of a DAG —
+// never has one, and a snapshot's use-cost entry for such a group is dropped
+// on import like a key with no cell. Keeping a second copy under a use-cost
+// key made 190.6 k of a cold 64-query run's 239 k use-cost stores and half
+// of its 9.1 k L1 buckets (generator seeds 1000–1003, one worker).
+//
 // The hierarchy a lookup walks under the memo, fastest first:
 //
 //  1. Flat L1, one per run and shared by the workers of a batch: per-cell
@@ -135,7 +148,9 @@
 //     (mask, value) pairs with a 1-byte tag per position and an explicit
 //     occupancy bitmap, so no mask value is reserved as "empty". Use-cost
 //     and compute-cost keys share one table: the bucket of a cell and kind
-//     sits at index 2*cell+kind. Memory is bounded by the fill bound, as on
+//     sits at index 2*cell+kind, and a use-cost bucket is made only for a
+//     cell of a group with a shareable slot (the cellcheck build asserts
+//     it). Memory is bounded by the fill bound, as on
 //     one worker: past it a store evicts at its home, but only while no
 //     other worker can be reading the bucket (worker.store says when), so
 //     the L1 holds at most one bucket per cell and kind. resetL1 lets go of
@@ -157,8 +172,9 @@
 // CacheSnapshot entry and the structural fingerprint name (group, order), as
 // they did when tables were groups × orders: a namespace table keeps the
 // cell index of the searcher that shaped it and maps through it at its
-// edges — an imported key is looked up (and dropped when it has no cell: no
-// searcher of the namespace can ask for it), an export walks the cells, which
+// edges — an imported key is looked up (and dropped when it has no cell, or
+// is a use-cost key of a group with no shareable slot: no searcher of the
+// namespace can ask for either), an export walks the cells, which
 // ascend in the snapshot's canonical (group, order) order. Equal search
 // spaces compile to equal indexes, so a table shaped by one searcher serves
 // every other of its namespace.
@@ -498,6 +514,13 @@ func compile(m *memo.Memo) *space {
 // full flush.
 func (s *Searcher) ClearCache() { s.resetL1() }
 
+// cacheKey is a cross-call cache entry's key outside the tables — in a
+// snapshot and in its canonical order: the (group, order) pair, which of its
+// two costs, and the mask hash of the set it was priced under. A use-cost key
+// (compute false) exists only for a group in that set, which its mask covers
+// (Descendants(g) holds g's slot); outside the set the group's use cost is
+// its compute cost and the compute key answers (useCostMiss). So a group
+// with no shareable slot has compute keys alone.
 type cacheKey struct {
 	g       memo.GroupID
 	ord     ordID
@@ -1012,7 +1035,9 @@ func (s *Searcher) syncShared() {
 }
 
 // Cost kinds of a cross-call cache key: the low bit of an L1 table index
-// and the compute field of a cacheKey.
+// and the compute field of a cacheKey. Only a materialized group's use cost
+// is kindUse; every other cost a cache holds, a use cost outside the set
+// included, is a kindComp entry (cacheKey).
 const (
 	kindUse  = 0
 	kindComp = 1
@@ -1025,6 +1050,9 @@ const (
 // PublishCache hands it to the SharedCache whole.
 func (w *worker) cached(cell int, mask uint64, kind int) (float64, bool) {
 	i := 2*cell + kind
+	if cellCheck {
+		w.checkUseKey(i)
+	}
 	if b := w.l1[i].Load(); b != nil {
 		if v, ok := b.lookup(mask); ok {
 			w.stats.CacheHits++
@@ -1053,6 +1081,9 @@ func (w *worker) cached(cell int, mask uint64, kind int) (float64, bool) {
 func (w *worker) store(cell int, mask uint64, v float64, kind int) {
 	i := 2*cell + kind
 	s := w.s
+	if cellCheck {
+		w.checkUseKey(i)
+	}
 	if !s.fanned {
 		s.storeAlone(i, mask, v)
 		return
@@ -1060,6 +1091,9 @@ func (w *worker) store(cell int, mask uint64, v float64, kind int) {
 	slot := &w.l1[i]
 	b := slot.Load()
 	if b == nil {
+		if cellCheck {
+			s.checkUseBucket(i)
+		}
 		nb := new(l1Bucket)
 		nb.put(mask, v)
 		if slot.CompareAndSwap(nil, nb) {
@@ -1082,6 +1116,9 @@ func (s *Searcher) storeAlone(i int, mask uint64, v float64) {
 	slot := &s.l1[i]
 	b := slot.Load()
 	if b == nil {
+		if cellCheck {
+			s.checkUseBucket(i)
+		}
 		b = new(l1Bucket)
 		slot.Store(b)
 	}
@@ -1089,10 +1126,13 @@ func (s *Searcher) storeAlone(i int, mask uint64, v float64) {
 }
 
 // l1SpillLen bounds the stores a worker defers in one fanned-out batch
-// (192 kB, allocated once a worker): past it they are dropped. The first
-// batch of a cold 64-query run defers up to 35 k; keeping 8 k a worker holds
-// its p2 and p4 computed keys within 2 % of p1's, where dropping them all
-// costs 20 % more keys, and keeps p4's B/op within 1.15 × p1's.
+// (192 kB, allocated once a worker): past it they are dropped. With the log
+// unbounded, the first batch of a cold 64-query run defers up to 23 k stores
+// over all its workers (generator seeds 1000–1003, GOMAXPROCS 2 and 4; 46 k
+// when a use cost outside the set was stored under a key of its own, see
+// cacheKey); keeping 8 k a worker holds its p2 and p4 computed keys within
+// 2 % of p1's, where dropping them all costs 20 % more keys, and keeps p4's
+// B/op within 1.15 × p1's.
 const l1SpillLen = 1 << 13
 
 // l1Put is a deferred store: the pair and the L1 slot of its bucket.
@@ -1476,9 +1516,14 @@ func (s *Searcher) runBatch(b *batch, w *worker) {
 // against 6.2–8.4 ms at 16 queries (two lose in four runs of five),
 // 15.5–23.3 against 15.7–20.0 at 32 (two win in three) and 93–131 against
 // 78–110 at 64 (two win in three); with private L1s it was 6.1–6.3 against
-// 7.4–9.0, 14.8–15.2 against 17.1–18.6 and 81.8–83.5 against 69.1–69.7. That
-// is the crossover a finer rule would have to find, which is ROADMAP item
-// 3(b)'s. A searcher's first batch after no evaluation at all fans out.
+// 7.4–9.0, 14.8–15.2 against 17.1–18.6 and 81.8–83.5 against 69.1–69.7. Once
+// a use cost outside the set stopped being stored twice (a cold key got
+// cheaper; same box, GOMAXPROCS 1 against 2, medians of five interleaved runs
+// of 10) it read 6.6 against 6.8 ms at 16 queries (6.0–8.9 against 6.3–8.0),
+// 20.3 against 18.9 at 32 (14.3–22.0 against 14.0–19.8) and 123 against 81 at
+// 64 (104–131 against 73–90). That is the crossover a finer rule would have
+// to find, which is ROADMAP item 3(b)'s. A searcher's first batch after no
+// evaluation at all fans out.
 const fanOutKeys = 16
 
 // setBatchBase chooses the base of a batch: the current one while every set
@@ -1554,14 +1599,21 @@ func (w *worker) useCost(g memo.GroupID, ord ordID, cell int) float64 {
 	return w.useCostMiss(g, ord, cell, m)
 }
 
-// useCostMiss is useCost's slow path: consult the cross-call cache, else
-// price the group fresh under the current materialization set.
+// useCostMiss is useCost's slow path. Outside the set the use cost is the
+// compute cost, under the compute key (see cacheKey); a materialized group
+// consults its use key, else prices reading its copy against computing it.
 func (w *worker) useCostMiss(g memo.GroupID, ord ordID, cell int, m *epVal) float64 {
 	s := w.s
 	if cellCheck {
 		s.checkCell(g, ord, cell)
 	}
 	w.logCell(g, cell, kindUse, m)
+	if !w.matHas(g) {
+		v := w.compute(g, ord, cell)
+		m.val = v
+		m.ep = w.groups[g].ep
+		return v
+	}
 	var mask uint64
 	if s.Incremental {
 		mask = w.maskHash(g)
@@ -1572,10 +1624,8 @@ func (w *worker) useCostMiss(g memo.GroupID, ord ordID, cell int, m *epVal) floa
 		}
 	}
 	v := w.compute(g, ord, cell)
-	if w.matHas(g) {
-		if alt, _ := w.matUseCost(g, ord); alt < v {
-			v = alt
-		}
+	if alt, _ := w.matUseCost(g, ord); alt < v {
+		v = alt
 	}
 	m.val = v
 	m.ep = w.groups[g].ep

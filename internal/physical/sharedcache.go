@@ -382,8 +382,9 @@ func (c *SharedCache) resolve(ns uint64, ix cellIndex) (l1Table, uint64) {
 }
 
 // insert adds canonical-order entries to a shaped table, skipping keys the
-// table already has and keys that have no cell in its index (no searcher of
-// the namespace can ask for those).
+// table already has, keys that have no cell in its index and use-cost keys of
+// a group with no shareable slot (no searcher of the namespace can ask for
+// either).
 func (c *SharedCache) insert(t *nsTable, kvs []sharedKV) {
 	var extra []l1Entry
 	for len(kvs) > 0 {
@@ -392,7 +393,7 @@ func (c *SharedCache) insert(t *nsTable, kvs []sharedKV) {
 		for run < len(kvs) && kvs[run].k.g == k.g && kvs[run].k.ord == k.ord && kvs[run].k.compute == k.compute {
 			run++
 		}
-		if cell, ok := t.ix.cell(k.g, k.ord); ok {
+		if cell, ok := t.ix.cell(k.g, k.ord); ok && (k.compute || t.ix.useKeys[k.g]) {
 			i := 2 * cell
 			if k.compute {
 				i += kindComp

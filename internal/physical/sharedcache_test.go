@@ -142,11 +142,15 @@ func seedCosts(c *SharedCache, ns uint64, ix cellIndex, kvs []sharedKV) {
 }
 
 // gridIndex is an index in which each of the groups is asked for every
-// order below ords: cell g*ords+ord, the numbering sparse tables had.
+// order below ords — cell g*ords+ord, the numbering sparse tables had — and
+// has a shareable slot, so both kinds of key exist for every cell.
 func gridIndex(groups, ords int) cellIndex {
-	ix := cellIndex{start: make([]int32, groups+1), ord: make([]ordID, groups*ords)}
+	ix := cellIndex{start: make([]int32, groups+1), ord: make([]ordID, groups*ords), useKeys: make([]bool, groups)}
 	for i := range ix.ord {
 		ix.ord[i] = ordID(i % ords)
+	}
+	for g := range ix.useKeys {
+		ix.useKeys[g] = true
 	}
 	for g := range ix.start {
 		ix.start[g] = int32(g * ords)

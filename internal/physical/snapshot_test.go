@@ -383,10 +383,13 @@ func FuzzCacheSnapshot(f *testing.F) {
 // snapshot exported at the commit before the tables went from groups ×
 // orders slots to cells (testdata/snapshot_pr23.json: a two-query generated
 // batch, bc of three sets, published and exported there) names this build's
-// namespace, folds into a table through the searcher's index, serves that
-// searcher every key, and exports again to the same bytes. A key no
-// evaluation can ask for is counted by Import and dropped by the fold, as a
-// key outside the table's groups × orders was.
+// namespace, is counted whole by Import, folds into a table through the
+// searcher's index and serves that searcher every key. The fold drops what
+// no evaluation can ask for: a key with no cell, and — since a group's use
+// cost outside the set is answered by its compute key — a use-cost key of a
+// group with no shareable slot, which that commit still stored. So the first
+// re-export is the fixture minus exactly those entries, and every later one
+// is byte-identical to it.
 func TestSnapshotAcrossIndex(t *testing.T) {
 	data, err := os.ReadFile("testdata/snapshot_pr23.json")
 	if err != nil {
@@ -406,26 +409,58 @@ func TestSnapshotAcrossIndex(t *testing.T) {
 		s.AttachSharedCache(c)
 		sets := []NodeSet{{}, s.NewNodeSet(sh[0]), s.NewNodeSet(sh...)}
 		sameCosts(t, "served from the imported snapshot", s, sets)
+		if s.ComputedKey != 0 || s.SharedHits == 0 {
+			t.Fatalf("the importer computed %d keys with %d shared hits; the snapshot covers every set", s.ComputedKey, s.SharedHits)
+		}
 		return s
 	}
 	entries := len(snap.Namespaces[0].Entries)
 
+	// The fixture minus its use-cost keys of groups with no shareable slot.
+	si := m.NewShareIndex()
+	live := *snap
+	live.Namespaces = []SnapshotNamespace{{NS: snap.Namespaces[0].NS}}
+	for _, e := range snap.Namespaces[0].Entries {
+		if e.Compute || si.Pos(memo.GroupID(e.G)) >= 0 {
+			live.Namespaces[0].Entries = append(live.Namespaces[0].Entries, e)
+		}
+	}
+	kept := len(live.Namespaces[0].Entries)
+	if kept == entries {
+		t.Fatal("the fixture holds no use-cost key of a group with no shareable slot: the test checks nothing")
+	}
+	live.Checksum = live.checksum()
+	want, err := live.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	c := NewSharedCache()
-	if n, err := c.Import(snap, "pr23"); err != nil || n != entries {
-		t.Fatalf("Import = (%d, %v), the fixture carries %d entries", n, err, entries)
+	if n, err := c.Import(snap, "pr23"); err != nil || n != entries || c.Len() != entries {
+		t.Fatalf("Import = (%d, %v), cache holds %d; the fixture carries %d entries", n, err, c.Len(), entries)
 	}
 	s := run(c)
 	if len(snap.Namespaces) != 1 || snap.Namespaces[0].NS != hex16(s.cacheNS()) {
 		t.Fatalf("the fixture's namespace is %s, this build's searcher has %s: the structural fingerprint moved", snap.Namespaces[0].NS, hex16(s.cacheNS()))
 	}
-	if s.ComputedKey != 0 || s.SharedHits == 0 {
-		t.Fatalf("the importer computed %d keys with %d shared hits; the fixture covers every set", s.ComputedKey, s.SharedHits)
+	if c.spaces[s.cacheNS()].held != nil || c.Len() != kept {
+		t.Fatalf("the fold kept %d of %d entries, want %d (held: %t)", c.Len(), entries, kept, c.spaces[s.cacheNS()].held != nil)
 	}
-	if c.spaces[s.cacheNS()].held != nil || c.Len() != entries {
-		t.Fatalf("the fold kept %d of %d entries (held: %t)", c.Len(), entries, c.spaces[s.cacheNS()].held != nil)
+	enc, _ := c.Export("pr23").Encode()
+	if !bytes.Equal(enc, want) {
+		t.Fatal("re-export of the folded fixture is not the fixture minus its dead use-cost keys")
 	}
-	if enc, _ := c.Export("pr23").Encode(); !bytes.Equal(enc, data) {
-		t.Fatal("re-export of the folded fixture is not byte-identical to it")
+	again, err := DecodeCacheSnapshot(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c = NewSharedCache()
+	if n, err := c.Import(again, "pr23"); err != nil || n != kept {
+		t.Fatalf("Import of the re-export = (%d, %v), want %d", n, err, kept)
+	}
+	run(c)
+	if enc, _ := c.Export("pr23").Encode(); !bytes.Equal(enc, want) || c.Len() != kept {
+		t.Fatalf("a second round trip moved the export (%d entries, want %d)", c.Len(), kept)
 	}
 
 	// A pair inside groups × orders that no evaluation can ask for.
@@ -446,10 +481,10 @@ func TestSnapshotAcrossIndex(t *testing.T) {
 		t.Fatalf("Import with a stray key = (%d, %v), cache holds %d; want %d counted and held", n, err, c.Len(), entries+1)
 	}
 	run(c)
-	if c.Len() != entries {
-		t.Fatalf("the fold kept %d entries, want the %d that have a cell", c.Len(), entries)
+	if c.Len() != kept {
+		t.Fatalf("the fold kept %d entries, want the %d a searcher can ask for", c.Len(), kept)
 	}
-	if enc, _ := c.Export("pr23").Encode(); !bytes.Equal(enc, data) {
+	if enc, _ := c.Export("pr23").Encode(); !bytes.Equal(enc, want) {
 		t.Fatal("the stray key survived the fold into the export")
 	}
 }

@@ -153,7 +153,7 @@ func BenchmarkIncrementalCache(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				opt.SetIncremental(inc)
+				opt.Incremental = inc
 				core.RunWith(context.Background(), opt, core.MarginalGreedy, core.Config{})
 			}
 		})
@@ -434,7 +434,7 @@ func BenchmarkPublishCache(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			opt.Searcher.AttachSharedCache(cache)
+			opt.AttachSharedCache(cache)
 			core.RunWith(context.Background(), opt, core.MarginalGreedy, core.Config{})
 			return opt.Searcher
 		}

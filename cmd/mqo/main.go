@@ -146,9 +146,7 @@ func runK(cat *catalog.Catalog, batch *logical.Batch, k int, ext, showPlan bool)
 	if err != nil {
 		log.Fatalf("mqo: %v", err)
 	}
-	if ext {
-		opt.SetExtendedOps(true)
-	}
+	opt.ExtendedOps = ext
 	res := core.RunK(opt, k, true)
 	fmt.Printf("== %s (k=%d) ==\n", res.Strategy, k)
 	fmt.Printf("queries: %d   materialized: %d\n", len(batch.Queries), len(res.Materialized))
@@ -157,7 +155,7 @@ func runK(cat *catalog.Catalog, batch *logical.Batch, k int, ext, showPlan bool)
 	fmt.Printf("optimization time: %v   oracle calls: %d\n", res.OptTime, res.OracleCalls)
 	if showPlan {
 		plan := opt.Plan(res.MatSet())
-		if err := opt.Searcher.ValidatePlan(plan, res.MatSet()); err != nil {
+		if err := opt.ValidatePlan(plan, res.MatSet()); err != nil {
 			log.Fatalf("mqo: extracted plan failed validation: %v", err)
 		}
 		fmt.Println(plan.String())

@@ -149,9 +149,7 @@ func main() {
 		},
 		Breaker: server.BreakerConfig{
 			Disabled:             *breakerOff,
-			FailureThreshold:     *breakerFailures,
-			OpenThreshold:        *breakerFailures,
-			RecoveryThreshold:    *breakerFailures,
+			Threshold:            *breakerFailures,
 			CooldownMS:           breakerCooldown.Milliseconds(),
 			DegradedTimeBudgetMS: degradedTime.Milliseconds(),
 			DegradedCallBudget:   *degradedCalls,

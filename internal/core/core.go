@@ -191,7 +191,7 @@ func NewBenefitFuncCtx(ctx context.Context, opt *volcano.Optimizer) *BenefitFunc
 // when the evaluation panicked; the searcher then holds the fault
 // (TakeFault).
 func bestCost(opt *volcano.Optimizer, set physical.NodeSet) (float64, bool) {
-	costs, ok := opt.Searcher.BestCostBatchCtx(context.Background(), []physical.NodeSet{set})
+	costs, ok := opt.BestCostBatchCtx(context.Background(), []physical.NodeSet{set})
 	if !ok {
 		return 0, false
 	}
@@ -306,9 +306,9 @@ func RunWith(ctx context.Context, opt *volcano.Optimizer, strat Strategy, cfg Co
 // continues bit-identically, which is also what makes it safe to preempt.
 func (s Strategy) Resumable() bool { return submod.Resumable(s.String()) }
 
-// StrategyOfAlgorithm maps a checkpoint's algorithm name back to its
+// strategyOfAlgorithm maps a checkpoint's algorithm name back to its
 // strategy; only the resumable lazy drivers have one.
-func StrategyOfAlgorithm(name string) (Strategy, error) {
+func strategyOfAlgorithm(name string) (Strategy, error) {
 	for s := Volcano; s <= VolcanoSH; s++ { // first and last declared
 		if s.Resumable() && s.String() == name {
 			return s, nil
@@ -328,7 +328,7 @@ func ResumeWith(ctx context.Context, opt *volcano.Optimizer, cp *submod.Checkpoi
 	if cp == nil {
 		return Result{}, fmt.Errorf("core: resume requires a checkpoint")
 	}
-	strat, err := StrategyOfAlgorithm(cp.Algorithm)
+	strat, err := strategyOfAlgorithm(cp.Algorithm)
 	if err != nil {
 		return Result{}, err
 	}
@@ -377,8 +377,8 @@ func run(ctx context.Context, opt *volcano.Optimizer, strat Strategy, cfg Config
 	// alias) are published for later runs — and, for a warm-started run
 	// (cfg.WarmOracle), served without re-running bestCost, so it spends
 	// oracle calls only on sets no prior run evaluated.
-	if sc := opt.Searcher.Shared(); sc != nil {
-		oracle.L2 = benefitL2{c: sc, ns: opt.Searcher.Fingerprint(), warm: cfg.WarmOracle}
+	if sc := opt.Shared(); sc != nil {
+		oracle.L2 = benefitL2{c: sc, ns: opt.Fingerprint(), warm: cfg.WarmOracle}
 	}
 	oracle.SetControl(&submod.Control{
 		Ctx:         ctx,
@@ -438,7 +438,7 @@ type meter struct {
 }
 
 func startMeter(opt *volcano.Optimizer) meter {
-	return meter{opt: opt, start: time.Now(), before: opt.Searcher.Stats}
+	return meter{opt: opt, start: time.Now(), before: opt.Stats}
 }
 
 // searched is the part of a Result a submod driver's search decides, read
@@ -476,14 +476,14 @@ func (mt meter) finish(res Result, setupEnd, searchEnd time.Time) Result {
 			res.Cost = c
 			res.Benefit = res.VolcanoCost - res.Cost
 		} else {
-			res.Fault, res.Telemetry.Stopped = mt.opt.Searcher.TakeFault(), submod.StopPanic
+			res.Fault, res.Telemetry.Stopped = mt.opt.TakeFault(), submod.StopPanic
 		}
 	}
 	end := time.Now()
 	res.OptTime = end.Sub(mt.start)
 	tel := &res.Telemetry
 	tel.OracleCalls = res.OracleCalls
-	did := mt.opt.Searcher.Stats.Sub(mt.before)
+	did := mt.opt.Stats.Sub(mt.before)
 	tel.BCCalls, tel.CacheHits, tel.SharedHits, tel.ComputedKeys = did.BCCalls, did.CacheHits, did.SharedHits, did.ComputedKey
 	tel.SetupTime = setupEnd.Sub(mt.start)
 	tel.SearchTime = searchEnd.Sub(setupEnd)

@@ -241,7 +241,7 @@ func TestFreshRunIsResumeFromStartBQ(t *testing.T) {
 	}
 	for i := 1; i <= 6; i++ {
 		for name, run := range drivers {
-			strat, err := StrategyOfAlgorithm(name)
+			strat, err := strategyOfAlgorithm(name)
 			if err != nil || !strat.Resumable() {
 				t.Fatalf("%s: not a resumable strategy (%v)", name, err)
 			}

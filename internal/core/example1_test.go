@@ -89,7 +89,11 @@ func TestExample1EmptySetIsVolcano(t *testing.T) {
 		t.Errorf("Volcano strategy cost %.4f != bc(∅) %.4f", v.Cost, bcEmpty)
 	}
 	// buc(∅) == bc(∅): with nothing materialized there is nothing to pay for.
-	if buc := opt.BestUseCost(physical.NodeSet{}); buc != bcEmpty {
+	buc := 0.0
+	for _, u := range opt.CostBreakdown(physical.NodeSet{}).RootUse {
+		buc += u
+	}
+	if buc != bcEmpty {
 		t.Errorf("buc(∅)=%.4f != bc(∅)=%.4f", buc, bcEmpty)
 	}
 }

@@ -147,7 +147,7 @@ func TestResumeWithRejectsBadCheckpoints(t *testing.T) {
 	if _, err := ResumeWith(context.Background(), bq2Optimizer(t), bad, Config{}); err == nil {
 		t.Error("non-resumable algorithm accepted")
 	}
-	if _, err := StrategyOfAlgorithm("Volcano"); err == nil {
-		t.Error("StrategyOfAlgorithm accepted a non-lazy strategy")
+	if _, err := strategyOfAlgorithm("Volcano"); err == nil {
+		t.Error("strategyOfAlgorithm accepted a non-lazy strategy")
 	}
 }

@@ -26,7 +26,7 @@ func runVolcanoSH(ctx context.Context, opt *volcano.Optimizer, cfg Config) Resul
 	mt := startMeter(opt)
 	base, ok := bestCost(opt, physical.NodeSet{})
 	if !ok {
-		return mt.faulted(VolcanoSH, opt.Searcher.TakeFault())
+		return mt.faulted(VolcanoSH, opt.TakeFault())
 	}
 	plan := opt.Plan(physical.NodeSet{})
 	setupEnd := time.Now()
@@ -74,7 +74,7 @@ func runVolcanoSH(ctx context.Context, opt *volcano.Optimizer, cfg Config) Resul
 		rounds++
 		c, ok := bestCost(opt, chosen.With(id))
 		if !ok {
-			stopped, fault = submod.StopPanic, opt.Searcher.TakeFault()
+			stopped, fault = submod.StopPanic, opt.TakeFault()
 			break
 		}
 		if c < cur {

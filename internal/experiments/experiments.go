@@ -278,7 +278,7 @@ func Ablation() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		opt.SetIncremental(v.incremental)
+		opt.Incremental = v.incremental
 		r := core.RunWith(context.TODO(), opt, v.strat, core.Config{})
 		t.Rows = append(t.Rows, []string{
 			v.name,
@@ -286,7 +286,7 @@ func Ablation() (*Table, error) {
 			fmt.Sprintf("%d", len(r.Materialized)),
 			fmt.Sprintf("%.2f", ms(r.OptTime)),
 			fmt.Sprintf("%d", r.OracleCalls),
-			fmt.Sprintf("%d", opt.Searcher.ComputedKey),
+			fmt.Sprintf("%d", opt.ComputedKey),
 		})
 	}
 	return t, nil

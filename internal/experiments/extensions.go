@@ -142,7 +142,7 @@ func ExtendedOperators() (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			opt.SetExtendedOps(ext)
+			opt.ExtendedOps = ext
 			res[s] = core.RunWith(context.TODO(), opt, s, core.Config{})
 		}
 		v, g, m := res[core.Volcano], res[core.Greedy], res[core.MarginalGreedy]

@@ -14,8 +14,6 @@ import (
 // (see bestCostOn): every term after the materialization sum is owned by
 // exactly one query root, which is what lets a batched serving layer
 // attribute an exact cost share to each member of a coalesced batch.
-// Total accumulates the terms in the same order as BestCost, so it is
-// bit-identical to BestCost(mat) on a warm worker.
 type CostBreakdown struct {
 	// Total is bc(mat), bit-identical to BestCost(mat).
 	Total float64
@@ -29,27 +27,21 @@ type CostBreakdown struct {
 }
 
 // CostBreakdown evaluates bc(mat) on worker 0 and returns its per-root /
-// per-materialization decomposition. It counts as one bestCost invocation
-// in the searcher stats and warms the same caches, so calling it after a
-// run re-derives the final set's breakdown at cache-hit cost.
+// per-materialization decomposition. It is one bestCost invocation in the
+// searcher stats: the walk is bestCostOn's, and each term is then read from
+// the memo cell that walk made live, so it is the very value the total
+// added. Calling it after a run re-derives the final set's breakdown at
+// cache-hit cost.
 func (s *Searcher) CostBreakdown(mat NodeSet) CostBreakdown {
-	w := s.worker(0)
-	w.stats.BCCalls++
-	w.begin(mat.bits, nil)
-	bd := CostBreakdown{RootUse: make([]float64, len(s.M.QueryRoots))}
-	total := 0.0
+	w := s.solo(mat)
+	bd := CostBreakdown{Total: s.bestCostOn(w, mat.bits), RootUse: make([]float64, len(s.M.QueryRoots))}
 	for _, id := range w.matGroups() {
-		c := w.compute(id, 0, s.cells.anyCell(id)) + s.writeArr[id]
 		bd.MatGroups = append(bd.MatGroups, id)
-		bd.MatCosts = append(bd.MatCosts, c)
-		total += c
+		bd.MatCosts = append(bd.MatCosts, w.compMemo[s.cells.anyCell(id)].val+s.writeArr[id])
 	}
 	for i, root := range s.M.QueryRoots {
-		u := w.useCost(root, 0, s.cells.anyCell(root))
-		bd.RootUse[i] = u
-		total += u
+		bd.RootUse[i] = w.useMemo[s.cells.anyCell(root)].val
 	}
-	bd.Total = total
 	w.flushStats()
 	return bd
 }

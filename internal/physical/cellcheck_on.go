@@ -70,8 +70,26 @@ func checkUnclaimed(b *l1Bucket, j int) {
 }
 
 // batchCheck counts the workers of the batch in flight that are running
-// (Searcher.runBatch).
-type batchCheck struct{ running atomic.Int32 }
+// (Searcher.runBatch), and holds the operator flags the searcher's first
+// evaluation found (Searcher.worker).
+type batchCheck struct {
+	running       atomic.Int32
+	seen          bool
+	extended, inc bool
+}
+
+// flags panics when the operator flags differ from those of the searcher's
+// first evaluation: its memo, L1 and namespace were priced under those, and
+// a searcher's flags are set before it evaluates and never changed.
+func (c *batchCheck) flags(extended, inc bool) {
+	if !c.seen {
+		c.seen, c.extended, c.inc = true, extended, inc
+		return
+	}
+	if extended != c.extended || inc != c.inc {
+		panic(fmt.Sprintf("physical: operator flags changed after the first evaluation (ExtendedOps %t → %t, Incremental %t → %t)", c.extended, extended, c.inc, inc))
+	}
+}
 
 func (c *batchCheck) enter() { c.running.Add(1) }
 func (c *batchCheck) leave() { c.running.Add(-1) }

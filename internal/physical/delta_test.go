@@ -41,7 +41,9 @@ var walkMemos = sync.OnceValue(func() []*memo.Memo {
 // and FuzzBestCostParity: the bytes steer one long-lived searcher — and the
 // pooled workers and SharedCache it hands to its successors — through every
 // way a set can follow another, and each total, breakdown term and plan total
-// must be the bit a searcher that reuses nothing produces. The reference
+// must be the bit a searcher that reuses nothing produces. A searcher's flags
+// are fixed before it evaluates, so a flag change is a successor over the
+// same memo that takes the workers and the cache. The reference
 // keeps no base and no cache (Incremental off: every call re-stamps every
 // group), and every 64th check is also made against a searcher created for
 // it, whose worker has never priced anything. A round's width is the bytes'
@@ -59,7 +61,11 @@ func deltaWalk(t testing.TB, data []byte) {
 	}
 
 	cache := NewSharedCache()
-	refs := map[*memo.Memo]*Searcher{}
+	type refKey struct {
+		m        *memo.Memo
+		extended bool
+	}
+	refs := map[refKey]*Searcher{}
 	var (
 		m      *memo.Memo
 		s, ref *Searcher
@@ -67,26 +73,37 @@ func deltaWalk(t testing.TB, data []byte) {
 		cur    NodeSet
 		checks int
 	)
-	bind := func(to *memo.Memo, extended, matOrders, incremental bool) {
+	// bind makes s a new searcher over to with the given flags, attached to
+	// the walk's cache; a successor over the same memo keeps the set.
+	bind := func(to *memo.Memo, extended, incremental bool) {
+		keep := to == m
 		m, sh = to, to.Shareable()
 		s = NewSearcher(m)
 		s.AttachSharedCache(cache)
-		s.ExtendedOps, s.MatOrders, s.Incremental = extended, matOrders, incremental
-		if refs[m] == nil {
-			refs[m] = NewSearcher(m)
-			refs[m].Incremental = false
+		s.ExtendedOps, s.Incremental = extended, incremental
+		if refs[refKey{m, extended}] == nil {
+			r := NewSearcher(m)
+			r.ExtendedOps, r.Incremental = extended, false
+			refs[refKey{m, extended}] = r
 		}
-		ref = refs[m]
-		cur = s.NewNodeSet()
+		ref = refs[refKey{m, extended}]
+		if !keep {
+			cur = s.NewNodeSet()
+		}
 	}
-	bind(memos[next()%len(memos)], false, true, true)
+	// successor hands s's learning and workers to a searcher over the same
+	// memo with other flags, as a session's next run of the batch would.
+	successor := func(extended, incremental bool) {
+		s.PublishCache()
+		bind(m, extended, incremental)
+	}
+	bind(memos[next()%len(memos)], false, true)
 
 	want := func(set NodeSet) float64 {
-		ref.ExtendedOps, ref.MatOrders = s.ExtendedOps, s.MatOrders
 		v := ref.BestCost(set)
 		if checks++; checks%64 == 0 {
 			fresh := NewSearcher(m)
-			fresh.ExtendedOps, fresh.MatOrders = s.ExtendedOps, s.MatOrders
+			fresh.ExtendedOps = s.ExtendedOps
 			if f := fresh.BestCost(set); f != v {
 				t.Fatalf("reference disagrees with itself: no-reuse searcher %v, new searcher %v", v, f)
 			}
@@ -106,8 +123,8 @@ func deltaWalk(t testing.TB, data []byte) {
 		op := next() % 32
 		fail := func(format string, args ...any) {
 			t.Helper()
-			t.Fatalf("step %d op %d (%d groups, %d shareable, |S| = %d, ext %t mat %t inc %t): %s", step, op,
-				m.NumGroups(), len(sh), cur.Len(), s.ExtendedOps, s.MatOrders, s.Incremental, fmt.Sprintf(format, args...))
+			t.Fatalf("step %d op %d (%d groups, %d shareable, |S| = %d, ext %t inc %t): %s", step, op,
+				m.NumGroups(), len(sh), cur.Len(), s.ExtendedOps, s.Incremental, fmt.Sprintf(format, args...))
 		}
 		if len(sh) == 0 && op < 21 {
 			op = 24 // nothing to toggle on this DAG: move on
@@ -139,7 +156,7 @@ func deltaWalk(t testing.TB, data []byte) {
 				s.setBatchBase(sets)
 				for _, set := range sets {
 					w := s.worker(next() % par)
-					got = append(got, s.bestCostOn(w, set.bits, s.base))
+					got = append(got, s.bestCostOn(w, set.bits))
 					w.flushStats()
 				}
 			} else {
@@ -168,7 +185,6 @@ func deltaWalk(t testing.TB, data []byte) {
 			if err := s.ValidatePlan(plan, cur); err != nil {
 				fail("plan does not validate: %v", err)
 			}
-			want(cur) // brings the reference's flags along
 			if w := ref.BestPlan(cur); plan.Total != w.Total || plan.String() != w.String() {
 				fail("plan totals %v, want %v; or the plans differ:\n%s\n%s", plan.Total, w.Total, plan, w)
 			}
@@ -189,19 +205,14 @@ func deltaWalk(t testing.TB, data []byte) {
 				}
 			}
 		case op == 23:
-			want(cur) // brings the reference's flags along
-			if got, w := s.BestUseCost(cur), ref.BestUseCost(cur); got != w {
+			if got, w := useCostOf(s, cur), useCostOf(ref, cur); got != w {
 				fail("buc = %v, want %v", got, w)
 			}
 		case op == 24: // publish, and a successor over another DAG takes the workers
 			s.PublishCache()
-			bind(memos[next()%len(memos)], s.ExtendedOps, s.MatOrders, s.Incremental)
-		case op == 25:
-			s.ExtendedOps = !s.ExtendedOps
-			s.ClearCache()
-		case op == 26:
-			s.MatOrders = !s.MatOrders
-			s.ClearCache()
+			bind(memos[next()%len(memos)], s.ExtendedOps, s.Incremental)
+		case op == 25, op == 26: // the other operator set, same memo and cache
+			successor(!s.ExtendedOps, s.Incremental)
 		case op == 27:
 			cache.Invalidate()
 		case op == 28: // the next evaluations cross a stamp wrap
@@ -212,8 +223,8 @@ func deltaWalk(t testing.TB, data []byte) {
 			}
 		case op == 29: // publish mid-run: the searcher goes on with a pooled worker
 			s.PublishCache()
-		case op == 30:
-			s.Incremental = !s.Incremental
+		case op == 30: // reuse nothing across calls, or again reuse
+			successor(s.ExtendedOps, !s.Incremental)
 		default: // a neighbour priced alone: cur stays the base
 			set := cur.Clone()
 			flip(set, sh[next()%len(sh)])
@@ -283,7 +294,7 @@ func TestDeltaCallAllocFree(t *testing.T) {
 	w := s.worker(0)
 	price := func() {
 		for _, set := range round {
-			s.bestCostOn(w, set.bits, s.base)
+			s.bestCostOn(w, set.bits)
 		}
 	}
 	price()
@@ -307,14 +318,14 @@ func BenchmarkOracleRound(b *testing.B) {
 			s.setBatchBase(round)
 			w := s.worker(0)
 			for _, set := range round {
-				s.bestCostOn(w, set.bits, s.base)
+				s.bestCostOn(w, set.bits)
 			}
 			w.stats = Stats{}
 			groups := 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.bestCostOn(w, round[i%len(round)].bits, s.base)
+				s.bestCostOn(w, round[i%len(round)].bits)
 				groups += len(w.undoGroups)
 			}
 			b.StopTimer()

@@ -200,7 +200,7 @@ func TestL1OverflowFallsBackToShared(t *testing.T) {
 	// The evicted key falls back to the L2: seed it there (as an earlier
 	// PublishCache would have) and the cache read must hit, counted as a
 	// shared hit — every time, since a shared hit is not copied into the L1.
-	seedCosts(cache, s.cacheNS(), s.cells, []sharedKV{{k: cacheKey{g: g, ord: 0, compute: false, mask: victim}, v: victimVal}})
+	seedCosts(cache, s.Fingerprint(), s.cells, []sharedKV{{k: cacheKey{g: g, ord: 0, compute: false, mask: victim}, v: victimVal}})
 	w = s.worker(0) // the next entry point sees the table
 	w.stats.SharedHits = 0
 	for n := 1; n <= 2; n++ {
@@ -308,11 +308,12 @@ func TestL1OccupancyPastFillBound(t *testing.T) {
 	}
 }
 
-// TestClearCacheDropsRunL1 pins the L1's epoch move: ClearCache lets go of
-// the whole table instead of clearing buckets in place — a bucket is never
-// written again once a reset has passed it by — and the next evaluation
-// starts an empty table.
-func TestClearCacheDropsRunL1(t *testing.T) {
+// TestResetL1DropsRunL1 pins the L1's epoch move: resetL1 (what an
+// Invalidate of the attached cache comes down to) lets go of the whole table
+// instead of clearing buckets in place — a bucket is never written again
+// once a reset has passed it by — and the next evaluation starts an empty
+// table.
+func TestResetL1DropsRunL1(t *testing.T) {
 	s := buildSearcher(t, sharedPairQueries()...)
 	w, _, c := useCell(t, s)
 	w.store(c, 11, 1.5, kindUse)
@@ -322,21 +323,21 @@ func TestClearCacheDropsRunL1(t *testing.T) {
 		t.Fatalf("after one store per kind: use bucket %p, compute bucket %p", use, l1At(s, 2*c+kindComp))
 	}
 
-	s.ClearCache()
+	s.resetL1()
 	if s.l1 != nil {
-		t.Fatal("ClearCache kept the run's L1")
+		t.Fatal("resetL1 kept the run's L1")
 	}
 	w = s.worker(0)
 	if _, ok := w.cached(c, 11, kindUse); ok {
-		t.Fatal("use entry survived ClearCache")
+		t.Fatal("use entry survived resetL1")
 	}
 	if _, ok := w.cached(c, 12, kindComp); ok {
-		t.Fatal("comp entry survived ClearCache")
+		t.Fatal("comp entry survived resetL1")
 	}
 
 	w.store(c, 13, 3.5, kindUse)
 	if l1At(s, 2*c+kindUse) == use {
-		t.Fatal("the store after ClearCache went into a bucket of the dropped table")
+		t.Fatal("the store after resetL1 went into a bucket of the dropped table")
 	}
 	if v, ok := w.cached(c, 13, kindUse); !ok || v != 3.5 {
 		t.Fatalf("post-reset store: got (%v, %v), want (3.5, true)", v, ok)
@@ -433,7 +434,7 @@ func TestUseKeysOnlyInsideSet(t *testing.T) {
 				s.settle()
 				useBuckets("L1", s.l1)
 				s.PublishCache()
-				useBuckets("published table", cache.spaces[s.cacheNS()].slots)
+				useBuckets("published table", cache.spaces[s.Fingerprint()].slots)
 			})
 		}
 	}

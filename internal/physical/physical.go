@@ -104,18 +104,19 @@
 // dropped base or an eviction can only cost a recomputation, never change a
 // cost.
 //
-// The base follows the caller without being told. A batch
-// (BestCostBatchCtx) keeps the current base while every one of its sets is
-// within one node of it and otherwise moves to the batch's bitwise majority —
-// S for a greedy round of S ∪ {x}, U for DecomposeStar's U ∖ {e}; a worker
-// follows by re-stamping only the groups above old base △ new base. An
-// evaluation on its own keeps the base while it is within loneReach nodes
-// and otherwise becomes the base. A walk from nothing is the same code with
-// no base to start from: every group is re-stamped. That is also what
-// Incremental = false means — nothing is reused across calls: no base is
-// kept, no cache read or written — and what a flag toggle (ClearCache), a
-// SharedCache.Invalidate and a worker changing hands (bind) come down to:
-// they drop the base together with the L1.
+// The base follows the caller without being told, by one rule
+// (setBatchBase): a batch (BestCostBatchCtx) keeps the current base while
+// every one of its sets is within one node of it and otherwise moves to the
+// batch's bitwise majority — S for a greedy round of S ∪ {x}, U for
+// DecomposeStar's U ∖ {e}; a worker follows by re-stamping only the groups
+// above old base △ new base. An evaluation on its own (BestCost, BestPlan,
+// CostBreakdown) is a batch of one: it keeps the base while it is within one
+// node of it and otherwise becomes the base. A walk from nothing is the same
+// code with no base to start from: every group is re-stamped. That is also
+// what Incremental = false means — nothing is reused across calls: no base
+// is kept, no cache read or written — and what a SharedCache.Invalidate and
+// a worker changing hands (bind) come down to: they drop the base together
+// with the L1.
 //
 // # Cross-call caching
 //
@@ -180,9 +181,9 @@
 // every other of its namespace.
 //
 // repro.Session owns one SharedCache per session, so identical batches
-// start warm; entries are namespaced by the searcher's structural
-// fingerprint and operator flags, which is why ClearCache only resets the
-// run's L1 — a flag toggle moves to a disjoint namespace on its own.
+// start warm; entries are namespaced by the searcher's Fingerprint — the
+// structural fingerprint and the operator flags — so searchers with other
+// flags never read each other's costs.
 //
 // # Concurrency contract
 //
@@ -191,8 +192,8 @@
 // or repeated runs of a batch it holds compiled — read the same arrays.
 // What a run mutates lives in the Searcher (flags, counters, the L1) and in
 // its workers, the per-evaluation contexts (the memo with its base and undo
-// log, stat counters). Sequential entry points (BestCost, BestUseCost,
-// BestPlan, CostBreakdown) share worker 0 and are not safe for concurrent
+// log, stat counters). Sequential entry points (BestCost, BestPlan,
+// CostBreakdown) share worker 0 and are not safe for concurrent
 // use, while BestCostBatchCtx evaluates many materialization sets
 // concurrently. A worker's memo and base are private to it; the batch base
 // (Searcher.base) is written by BestCostBatchCtx before it starts the
@@ -209,7 +210,7 @@
 // (settle) or, once that is full, is dropped; it never overwrites a live
 // position under a reader. Two workers that miss the same key at once both
 // compute it, and both values are the same bits. What moves a whole table —
-// resetL1 (ClearCache, syncShared after an Invalidate) and PublishCache —
+// resetL1 (syncShared after an Invalidate) and PublishCache —
 // runs only between batches.
 //
 // How many workers a batch runs on is the searcher's decision, not a
@@ -235,9 +236,9 @@
 // Costs are pure functions of (memo, set), so batch results are
 // bit-identical to sequential evaluation regardless of scheduling — and
 // SharedCache reads/publishes never change a value, only how often it is
-// recomputed. The flags may only be toggled between evaluations, never
-// during a concurrent batch, and a toggle requires a ClearCache call (the
-// volcano.Optimizer setters do this).
+// recomputed. A searcher's operator flags (ExtendedOps, Incremental) are set
+// before its first evaluation and never changed (the cellcheck build panics
+// if they are): other flags are another searcher.
 package physical
 
 import (
@@ -294,7 +295,7 @@ type ordID int32
 
 // NodeSet is a materialization set: a bitset over the shareable-node slots
 // of the searcher's ShareIndex. The zero value is the empty set; non-empty
-// sets are created with Searcher.NewNodeSet / Optimizer.NewNodeSet.
+// sets are created with Searcher.NewNodeSet.
 type NodeSet struct {
 	si   *memo.ShareIndex
 	bits memo.Bitset
@@ -405,24 +406,15 @@ type Searcher struct {
 
 	// Incremental reports whether anything is reused across calls (the
 	// Section 5.1 optimization): the memo's base and the cross-call cache.
-	// Disabled only for ablation benchmarks.
+	// Disabled only for ablation benchmarks. Like ExtendedOps it is set
+	// before the searcher's first evaluation and never changed after it.
 	Incremental bool
 
 	// ExtendedOps adds hash join and hash aggregation to the paper's
 	// operator set (relation scan, indexed selection, NLJ, merge join,
 	// sort, sort-based aggregation). Off by default: the experiments use
 	// the paper's rule set; the extended-operator ablation turns it on.
-	// Toggling it invalidates previously cached costs — call ClearCache
-	// (volcano.Optimizer.SetExtendedOps does).
 	ExtendedOps bool
-
-	// MatOrders stores each materialized result in the sort order its
-	// cheapest compute plan delivers, so consumers whose requirement that
-	// order satisfies skip the re-sort — the physical-property handling on
-	// intermediate relations the paper's Section 6 implementation
-	// includes. On by default; disabling it models order-less spools.
-	// Like ExtendedOps, toggling it requires a ClearCache call.
-	MatOrders bool
 
 	// workers are the evaluation contexts this searcher has taken so far
 	// (worker), in the order it asked for them.
@@ -431,14 +423,13 @@ type Searcher struct {
 
 	// l1 is the run's cross-call cache, which every worker of a batch reads
 	// and writes; worker makes it, resetL1 and PublishCache let go of it.
-	// l2 is the table of the attached SharedCache's namespace ns as resolved
-	// at generation sharedGen, nil when nothing is published under it, and
-	// sharedEpoch the cache's invalidation epoch the L1 was filled under
-	// (syncShared).
+	// l2 is the table of the attached SharedCache's namespace (Fingerprint)
+	// as resolved at generation sharedGen, nil when nothing is published
+	// under it, and sharedEpoch the cache's invalidation epoch the L1 was
+	// filled under (syncShared).
 	l1          l1Table
 	fanned      bool       // a batch's workers run on more than one goroutine
-	check       batchCheck // what the cellcheck build asserts the batch against
-	ns          uint64
+	check       batchCheck // what the cellcheck build asserts the batch and the flags against
 	sharedGen   uint64
 	sharedEpoch uint64
 	l2          l1Table
@@ -488,7 +479,7 @@ func (a Stats) Sub(b Stats) Stats {
 }
 
 // NewSearcher returns a searcher over the given memo with the incremental
-// cache and materialized-order handling enabled, and no SharedCache
+// cache enabled, the paper's operator set, and no SharedCache
 // attached: the run's L1 is its only cross-call cache. A longer-lived owner
 // attaches its cache with AttachSharedCache (repro.Session does). The search
 // space is compiled by the first searcher over a memo and kept on it, so on
@@ -496,7 +487,7 @@ func (a Stats) Sub(b Stats) Stats {
 // allocates no worker — the first evaluation takes one.
 func NewSearcher(m *memo.Memo) *Searcher {
 	sp := m.Compiled(func() any { return compile(m) }).(*space)
-	return &Searcher{space: *sp, Incremental: true, MatOrders: true}
+	return &Searcher{space: *sp, Incremental: true}
 }
 
 // compile builds the memo's search space.
@@ -505,14 +496,6 @@ func compile(m *memo.Memo) *space {
 	sp.prepare()
 	return sp
 }
-
-// ClearCache drops the run's cross-call cache (the L1) and what the workers
-// kept from the last evaluation. An attached SharedCache is left alone: its
-// entries are namespaced by the structural fingerprint and the operator
-// flags (cacheNS), so a flag toggle moves to a disjoint namespace and stale
-// values can never be observed. Call SharedCache.Invalidate for an explicit
-// full flush.
-func (s *Searcher) ClearCache() { s.resetL1() }
 
 // cacheKey is a cross-call cache entry's key outside the tables — in a
 // snapshot and in its canonical order: the (group, order) pair, which of its
@@ -729,16 +712,6 @@ type cellUndo struct {
 	cell int32 // 2*cell + kind, the cell's L1 index
 	old  epVal
 }
-
-// loneReach is how far (in nodes) an evaluation outside a batch may lie from
-// the worker's base and still be priced as a delta against it; a set further
-// away becomes the base. One keeps a sequential scan of S ∪ {x} on S once S
-// itself was priced (the eager drivers). At two a scan that never priced S
-// (VolcanoSH) would sit on its first set and re-price two nodes' ancestors a
-// call with the undo log on top, where following the sets re-prices the same
-// two without it: 32 queries, everything in the L1, 1.22 µs a call at two
-// against 0.90 at one.
-const loneReach = 1
 
 // l1Entry is one inline (mask hash, cost) pair of a flat L1 bucket.
 type l1Entry struct {
@@ -1001,9 +974,9 @@ func (w *worker) bind(s *Searcher) {
 // resetL1 drops what the run carries from one evaluation to the next: the
 // L1, in O(1) by letting go of the whole table — the next evaluation starts
 // an empty one — and every worker's base, so the next evaluation re-stamps
-// every group and no memo cell priced before (under other operator flags,
-// for one) is read again. Like every epoch move it runs between
-// evaluations, never while a batch's workers read the table.
+// every group and no memo cell priced before is read again. Like every
+// epoch move it runs between evaluations, never while a batch's workers
+// read the table.
 func (s *Searcher) resetL1() {
 	s.l1 = nil
 	for _, w := range s.workers {
@@ -1013,21 +986,22 @@ func (s *Searcher) resetL1() {
 }
 
 // syncShared refreshes the run's view of the attached SharedCache when the
-// flag namespace or the cache's table set moved: the namespace's table, and
-// — after an Invalidate — the L1, which may hold entries the invalidation
-// was meant to flush. Between evaluations only (Searcher.worker calls it).
+// cache's table set moved (and on the first evaluation after an attach): the
+// namespace's table, and — after an Invalidate — the L1, which may hold
+// entries the invalidation was meant to flush. Between evaluations only
+// (Searcher.worker calls it).
 func (s *Searcher) syncShared() {
 	c := s.shared
 	if c == nil {
 		return
 	}
-	ns, gen := s.cacheNS(), c.gen.Load()
-	if ns == s.ns && gen == s.sharedGen {
+	gen := c.gen.Load()
+	if gen == s.sharedGen {
 		return
 	}
-	s.ns, s.sharedGen = ns, gen
+	s.sharedGen = gen
 	var epoch uint64
-	s.l2, epoch = c.resolve(ns, s.cells)
+	s.l2, epoch = c.resolve(s.Fingerprint(), s.cells)
 	if epoch != s.sharedEpoch {
 		s.sharedEpoch = epoch
 		s.resetL1()
@@ -1157,9 +1131,11 @@ func (s *Searcher) settle() {
 // the attached SharedCache's free list when it has one large enough for
 // this DAG, else newly allocated. Every entry point takes its workers here,
 // between evaluations, so it is also where the run's view of the
-// SharedCache follows the flags and the cache (syncShared) and a run with
-// no L1 starts one.
+// SharedCache follows the cache (syncShared), a run with no L1 starts one,
+// and the cellcheck build holds the operator flags to what the first
+// evaluation found.
 func (s *Searcher) worker(i int) *worker {
+	s.check.flags(s.ExtendedOps, s.Incremental)
 	s.settle()
 	s.syncShared()
 	if s.l1 == nil && s.shared != nil {
@@ -1282,14 +1258,13 @@ func (w *worker) rebase(to memo.Bitset) {
 }
 
 // begin makes the memo hold the set mat: a live cell — one whose stamp is
-// its group's — is the group's cost under mat when begin returns. base is
-// the set the batch in flight prices against (BestCostBatchCtx), nil for an
-// evaluation on its own, which keeps the worker's base while mat lies
-// within loneReach of it and otherwise becomes the base itself. begin
-// rolls the previous evaluation back, follows the base, re-stamps the
-// groups above the nodes mat differs from it in, logging what they held.
-// With Incremental off no base is kept and every call re-stamps every group.
-func (w *worker) begin(mat, base memo.Bitset) {
+// its group's — is the group's cost under mat when begin returns. It rolls
+// the previous evaluation back, follows the base the searcher chose for the
+// batch in flight (Searcher.base; an evaluation on its own is a batch of
+// one), and re-stamps the groups above the nodes mat differs from it in,
+// logging what they held. With Incremental off no base is kept and every
+// call re-stamps every group.
+func (w *worker) begin(mat memo.Bitset) {
 	if w.clock >= math.MaxUint32-2 { // a call takes at most two stamps
 		w.wrap()
 	}
@@ -1297,13 +1272,9 @@ func (w *worker) begin(mat, base memo.Bitset) {
 	for i := range w.bits {
 		w.bits[i] = word(mat, i)
 	}
-	switch {
-	case !w.s.Incremental:
-		base = nil
-	case base == nil && w.hasBase && apart(w.bits, w.base) <= loneReach:
-		base = w.base
-	case base == nil:
-		base = w.bits
+	var base memo.Bitset
+	if w.s.Incremental {
+		base = w.s.base
 	}
 	w.rebase(base)
 	if w.hasBase {
@@ -1353,14 +1324,14 @@ func (w *worker) matHas(g memo.GroupID) bool {
 }
 
 // stored returns the order a materialized group is stored in under the
-// current set: with MatOrders on, the one its cheapest unconstrained compute
-// plan delivers, fixed the first time a reader asks. That plan reads the
-// materializations below the group in their stored orders, which the same
-// rule fixes on the way down, so dependencies come first.
+// current set: the one its cheapest unconstrained compute plan delivers,
+// fixed the first time a reader asks, so consumers whose requirement that
+// order satisfies skip the re-sort — the physical-property handling on
+// intermediate relations the paper's Section 6 implementation includes.
+// That plan reads the materializations below the group in their stored
+// orders, which the same rule fixes on the way down, so dependencies come
+// first.
 func (w *worker) stored(g memo.GroupID) ordID {
-	if !w.s.MatOrders {
-		return 0
-	}
 	gs := &w.groups[g]
 	if gs.storedEp != gs.ep {
 		gs.storedOrd = w.bestDeliveredOrder(g)
@@ -1382,18 +1353,26 @@ func (w *worker) maskHash(g memo.GroupID) uint64 {
 
 // BestCost is bc(S): see the package comment.
 func (s *Searcher) BestCost(mat NodeSet) float64 {
-	w := s.worker(0)
-	v := s.bestCostOn(w, mat.bits, nil)
+	w := s.solo(mat)
+	v := s.bestCostOn(w, mat.bits)
 	w.flushStats()
 	return v
 }
 
-// bestCostOn prices mat on the worker against the given base (see begin).
-// Whatever begin found live, every materialized group's and every root's
-// term is added, in this order: the float total is the full walk's.
-func (s *Searcher) bestCostOn(w *worker, mat, base memo.Bitset) float64 {
+// solo readies worker 0 for an evaluation of mat on its own: the sequential
+// entry points (BestCost, BestPlan, CostBreakdown) choose its base as
+// BestCostBatchCtx does for a batch of one (setBatchBase).
+func (s *Searcher) solo(mat NodeSet) *worker {
+	s.setBatchBase([]NodeSet{mat})
+	return s.worker(0)
+}
+
+// bestCostOn prices mat on the worker against the searcher's base (see
+// begin). Whatever begin found live, every materialized group's and every
+// root's term is added, in this order: the float total is the full walk's.
+func (s *Searcher) bestCostOn(w *worker, mat memo.Bitset) float64 {
 	w.stats.BCCalls++
-	w.begin(mat, base)
+	w.begin(mat)
 	total := 0.0
 	for _, id := range w.matGroups() {
 		total += w.compute(id, 0, s.cells.anyCell(id)) + s.writeArr[id]
@@ -1431,9 +1410,7 @@ func (s *Searcher) BestCostBatchCtx(ctx context.Context, mats []NodeSet) (costs 
 		par = 1
 	}
 	s.batchMark = s.Stats
-	if s.Incremental {
-		s.setBatchBase(mats)
-	}
+	s.setBatchBase(mats)
 	s.worker(par - 1) // takes the batch's workers: s.workers[:par]
 	s.fanned = par > 1
 	b := &batch{ctx: ctx, mats: mats, out: out, completed: make([]bool, len(mats))}
@@ -1497,7 +1474,7 @@ func (s *Searcher) runBatch(b *batch, w *worker) {
 			return
 		}
 		faultinject.Hit(faultinject.OracleEval)
-		b.out[i] = s.bestCostOn(w, b.mats[i].bits, s.base)
+		b.out[i] = s.bestCostOn(w, b.mats[i].bits)
 		b.completed[i] = true
 	}
 }
@@ -1529,8 +1506,12 @@ const fanOutKeys = 16
 // setBatchBase chooses the base of a batch: the current one while every set
 // of the batch lies within one node of it — a later chunk of the same
 // round — and otherwise the batch's bitwise majority, which is S for a
-// round of S ∪ {x} and U for DecomposeStar's U ∖ {e}.
+// round of S ∪ {x} and U for DecomposeStar's U ∖ {e}. With Incremental off
+// there is no base to choose.
 func (s *Searcher) setBatchBase(mats []NodeSet) {
+	if !s.Incremental {
+		return
+	}
 	if s.base == nil {
 		s.base, s.tally = s.SI.NewMatSet(), make([]int32, s.SI.Len())
 	} else {
@@ -1570,19 +1551,6 @@ func (s *Searcher) TakeFault() error {
 		return nil
 	}
 	return f
-}
-
-// BestUseCost is buc(S): the cost of the optimal plan that may exploit S
-// but does not pay for computing or materializing it.
-func (s *Searcher) BestUseCost(mat NodeSet) float64 {
-	w := s.worker(0)
-	w.begin(mat.bits, nil)
-	total := 0.0
-	for _, root := range s.M.QueryRoots {
-		total += w.useCost(root, 0, s.cells.anyCell(root))
-	}
-	w.flushStats()
-	return total
 }
 
 // useCost returns the cheapest way for a consumer to obtain the group's
@@ -1762,8 +1730,3 @@ func (w *worker) bestDeliveredOrder(g memo.GroupID) ordID {
 }
 
 const inf = 1e300
-
-func (s *space) blocks(g memo.GroupID) float64       { return s.blocksArr[g] }
-func (s *space) sortCost(g memo.GroupID) float64     { return s.sortArr[g] }
-func (s *space) matReadCost(g memo.GroupID) float64  { return s.readArr[g] }
-func (s *space) matWriteCost(g memo.GroupID) float64 { return s.writeArr[g] }

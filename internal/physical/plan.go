@@ -46,8 +46,8 @@ type ConsolidatedPlan struct {
 // with the other sequential entry points and is not safe for concurrent
 // use.
 func (s *Searcher) BestPlan(mat NodeSet) *ConsolidatedPlan {
-	w := s.worker(0)
-	w.begin(mat.bits, nil)
+	w := s.solo(mat)
+	w.begin(mat.bits)
 	cp := &ConsolidatedPlan{QueryNames: append([]string(nil), s.M.QueryNames...)}
 	for _, slot := range s.depthOrder { // dependencies first
 		if !w.bits.HasSlot(int(slot)) {

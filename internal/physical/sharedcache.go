@@ -114,8 +114,8 @@ func NewSharedCache() *SharedCache {
 
 // Invalidate drops every table and memoized oracle value, releasing their
 // memory (a run in flight keeps the tables it resolved until its next
-// oracle call). Flag toggles do not require it (the namespace already
-// separates flag settings); it exists for holders that want to bound
+// oracle call). Searchers with other operator flags do not require it
+// (their namespaces are disjoint); it exists for holders that want to bound
 // memory or force a cold start.
 func (c *SharedCache) Invalidate() {
 	c.mu.Lock()
@@ -515,7 +515,7 @@ func (h *fnv64) str(s string) {
 // shareable slots, per-group cost constants and every candidate template
 // with its precomputed costs. Two searchers with equal hashes price every
 // (group, order, mask) key identically, so the hash — combined with the
-// operator flags (cacheNS) — namespaces entries in a SharedCache. The
+// operator flags (Fingerprint) — namespaces entries in a SharedCache. The
 // 64-bit fingerprint makes a cross-DAG collision astronomically unlikely
 // rather than impossible; a collision could only surface when one
 // SharedCache is attached to searchers over different batches.
@@ -554,27 +554,21 @@ func (s *space) structHash() uint64 {
 	return uint64(h)
 }
 
-// cacheNS is the SharedCache namespace of the searcher's current flag
-// settings: the structural fingerprint mixed with the cost-relevant
-// operator flags, so toggling a flag moves to a disjoint namespace
-// instead of requiring an invalidation.
-func (s *Searcher) cacheNS() uint64 {
-	ns := s.structSum
+// Fingerprint identifies the compiled search space plus the cost-relevant
+// operator flags: the structural fingerprint mixed with a constant per flag,
+// the 64-bit namespace SharedCache entries live under. Checkpoint tokens
+// embed it so a resume against a different catalog, batch, or flag setting
+// is rejected instead of silently producing garbage. Stored orders for
+// materializations (worker.stored), once a flag, are always on; their
+// constant stays, so fingerprints — and the tokens and snapshots that carry
+// them — keep their values.
+func (s *Searcher) Fingerprint() uint64 {
+	ns := s.structSum ^ 0xe703_7ed1_a0b4_28db
 	if s.ExtendedOps {
 		ns ^= 0xa076_1d64_78bd_642f
 	}
-	if s.MatOrders {
-		ns ^= 0xe703_7ed1_a0b4_28db
-	}
 	return ns
 }
-
-// Fingerprint identifies the compiled search space plus the cost-relevant
-// operator flags: the same 64-bit namespace SharedCache entries live
-// under. Checkpoint tokens embed it so a resume against a different
-// catalog, batch, or flag setting is rejected instead of silently
-// producing garbage.
-func (s *Searcher) Fingerprint() uint64 { return s.cacheNS() }
 
 // AttachSharedCache attaches a cross-call L2 cache: the run keeps its L1
 // for what its workers compute, they read c on an L1 miss, and PublishCache
@@ -605,7 +599,7 @@ func (s *Searcher) PublishCache() {
 	}
 	if s.l1 != nil {
 		s.settle()
-		if !s.shared.publish(s.cacheNS(), s.cells, s.l1) {
+		if !s.shared.publish(s.Fingerprint(), s.cells, s.l1) {
 			s.shared.putTable(s.l1)
 		}
 	}

@@ -70,7 +70,9 @@ func TestSharedCacheInvalidate(t *testing.T) {
 
 // TestSharedCacheNamespaceSeparatesFlags: publishing under one flag
 // setting must not leak into another — the extended-operator cost of a
-// fresh searcher and of a cache-sharing searcher must agree exactly.
+// fresh searcher and of a second searcher over the same memo and cache,
+// which takes the first one's published learning and pooled worker, must
+// agree exactly.
 func TestSharedCacheNamespaceSeparatesFlags(t *testing.T) {
 	s := buildSearcher(t, sharedPairQueries()...)
 	cache := NewSharedCache()
@@ -79,15 +81,21 @@ func TestSharedCacheNamespaceSeparatesFlags(t *testing.T) {
 	s.BestCost(set)
 	s.PublishCache()
 
-	s.ExtendedOps = true
-	s.ClearCache()
-	got := s.BestCost(set)
+	ext := NewSearcher(s.M)
+	ext.AttachSharedCache(cache)
+	ext.ExtendedOps = true
+	if ext.Fingerprint() == s.Fingerprint() {
+		t.Fatal("the extended operator set shares the paper set's namespace")
+	}
+	got := ext.BestCost(set)
+	if ext.SharedHits != 0 {
+		t.Errorf("the extended searcher read %d costs the paper set published", ext.SharedHits)
+	}
 
 	fresh := buildSearcher(t, sharedPairQueries()...)
 	fresh.ExtendedOps = true
-	fresh.ClearCache()
 	if want := fresh.BestCost(set); got != want {
-		t.Errorf("flag-toggled cost with shared cache %v != fresh %v", got, want)
+		t.Errorf("extended cost with shared cache %v != fresh %v", got, want)
 	}
 }
 
@@ -408,7 +416,7 @@ func TestPublishCacheMovesBucketsOut(t *testing.T) {
 		t.Fatalf("the run still holds an L1 (%d entries) after the publish", n)
 	}
 	owned := map[*l1Bucket]bool{}
-	tab, _ := cache.resolve(s.cacheNS(), s.cells)
+	tab, _ := cache.resolve(s.Fingerprint(), s.cells)
 	for i := range tab {
 		for b := tab[i].Load(); b != nil; b = b.next {
 			owned[b] = true

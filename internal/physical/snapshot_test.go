@@ -440,11 +440,11 @@ func TestSnapshotAcrossIndex(t *testing.T) {
 		t.Fatalf("Import = (%d, %v), cache holds %d; the fixture carries %d entries", n, err, c.Len(), entries)
 	}
 	s := run(c)
-	if len(snap.Namespaces) != 1 || snap.Namespaces[0].NS != hex16(s.cacheNS()) {
-		t.Fatalf("the fixture's namespace is %s, this build's searcher has %s: the structural fingerprint moved", snap.Namespaces[0].NS, hex16(s.cacheNS()))
+	if len(snap.Namespaces) != 1 || snap.Namespaces[0].NS != hex16(s.Fingerprint()) {
+		t.Fatalf("the fixture's namespace is %s, this build's searcher has %s: the structural fingerprint moved", snap.Namespaces[0].NS, hex16(s.Fingerprint()))
 	}
-	if c.spaces[s.cacheNS()].held != nil || c.Len() != kept {
-		t.Fatalf("the fold kept %d of %d entries, want %d (held: %t)", c.Len(), entries, kept, c.spaces[s.cacheNS()].held != nil)
+	if c.spaces[s.Fingerprint()].held != nil || c.Len() != kept {
+		t.Fatalf("the fold kept %d of %d entries, want %d (held: %t)", c.Len(), entries, kept, c.spaces[s.Fingerprint()].held != nil)
 	}
 	enc, _ := c.Export("pr23").Encode()
 	if !bytes.Equal(enc, want) {

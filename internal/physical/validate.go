@@ -23,7 +23,7 @@ func (s *Searcher) ValidatePlan(cp *ConsolidatedPlan, mat NodeSet) error {
 		if err := s.validateNode(st.Plan, seen); err != nil {
 			return fmt.Errorf("step %d: %w", i, err)
 		}
-		if want := s.matWriteCost(st.Group); !approxEqual(st.WriteCost, want) {
+		if want := s.writeArr[st.Group]; !approxEqual(st.WriteCost, want) {
 			return fmt.Errorf("step %d: write cost %v, model says %v", i, st.WriteCost, want)
 		}
 		seen[st.Group] = true
@@ -61,14 +61,14 @@ func (s *Searcher) validateNode(n *PlanNode, matDone map[memo.GroupID]bool) erro
 		if !matDone[n.Group] {
 			return fmt.Errorf("matscan of group %d before its materialization step", n.Group)
 		}
-		if want := s.matReadCost(n.Group); !approxEqual(n.Cost, want) {
+		if want := s.readArr[n.Group]; !approxEqual(n.Cost, want) {
 			return fmt.Errorf("matscan group %d cost %v, model says %v", n.Group, n.Cost, want)
 		}
 	case OpNameSort:
 		if len(n.Order) == 0 {
 			return fmt.Errorf("sort node with no order")
 		}
-		if want := childSum + s.sortCost(n.Group); !approxEqual(n.Cost, want) {
+		if want := childSum + s.sortArr[n.Group]; !approxEqual(n.Cost, want) {
 			return fmt.Errorf("sort over group %d cost %v, want %v", n.Group, n.Cost, want)
 		}
 	case OpNameScan, OpNameIndexScan:

@@ -18,7 +18,7 @@ import (
 func sameCosts(t *testing.T, what string, s *Searcher, sets []NodeSet) {
 	t.Helper()
 	fresh := NewSearcher(s.M)
-	fresh.ExtendedOps, fresh.MatOrders = s.ExtendedOps, s.MatOrders
+	fresh.ExtendedOps = s.ExtendedOps
 	for i, set := range sets {
 		if got, want := s.BestCost(set), fresh.BestCost(set); got != want {
 			t.Fatalf("%s: set %d: bc = %v, a fresh worker says %v", what, i, got, want)
@@ -104,7 +104,6 @@ func TestPublishReturnsWorkers(t *testing.T) {
 	for _, eval := range []func(*Searcher){
 		func(s *Searcher) { s.CostBreakdown(sets[0]) },
 		func(s *Searcher) { s.BestCost(sets[0]) },
-		func(s *Searcher) { s.BestUseCost(sets[0]) },
 		func(s *Searcher) { s.BestPlan(sets[0]) },
 	} {
 		for _, sr := range []*Searcher{next, attached(m, cache)} { // after a publish, and as a first evaluation

@@ -12,16 +12,12 @@ import (
 type BreakerConfig struct {
 	// Disabled turns the breaker off: every catalog serves closed forever.
 	Disabled bool `json:"disabled,omitempty"`
-	// FailureThreshold is the consecutive-failure count (recovered panics
-	// or time-budget deadline stops) that moves a closed catalog to
-	// degraded serving (default 3).
-	FailureThreshold int `json:"failure_threshold,omitempty"`
-	// OpenThreshold is the consecutive-failure count that moves a degraded
-	// catalog to open, where requests are rejected outright (default 3).
-	OpenThreshold int `json:"open_threshold,omitempty"`
-	// RecoveryThreshold is the consecutive-success count that closes a
+	// Threshold is the consecutive-failure count (recovered panics or
+	// time-budget deadline stops) that moves a closed catalog to degraded
+	// serving, and again a degraded one to open, where requests are
+	// rejected outright; and the consecutive-success count that closes a
 	// degraded catalog again (default 3).
-	RecoveryThreshold int `json:"recovery_threshold,omitempty"`
+	Threshold int `json:"threshold,omitempty"`
 	// CooldownMS is how long an open catalog rejects before a single probe
 	// request is let through in degraded mode (default 10000).
 	CooldownMS int64 `json:"cooldown_ms,omitempty"`
@@ -34,14 +30,8 @@ type BreakerConfig struct {
 }
 
 func (c BreakerConfig) normalize() BreakerConfig {
-	if c.FailureThreshold <= 0 {
-		c.FailureThreshold = 3
-	}
-	if c.OpenThreshold <= 0 {
-		c.OpenThreshold = 3
-	}
-	if c.RecoveryThreshold <= 0 {
-		c.RecoveryThreshold = 3
+	if c.Threshold <= 0 {
+		c.Threshold = 3
 	}
 	if c.CooldownMS <= 0 {
 		c.CooldownMS = 10000
@@ -173,7 +163,7 @@ func (b *breaker) recordSuccess(key poolKey) {
 	case breakerDegraded:
 		e.failures = 0
 		e.successes++
-		if e.successes >= b.cfg.RecoveryThreshold {
+		if e.successes >= b.cfg.Threshold {
 			delete(b.entries, key) // fully healthy again
 		}
 	case breakerOpen:
@@ -199,13 +189,13 @@ func (b *breaker) recordFailure(key poolKey) {
 	switch e.state {
 	case breakerClosed:
 		e.failures++
-		if e.failures >= b.cfg.FailureThreshold {
+		if e.failures >= b.cfg.Threshold {
 			e.state = breakerDegraded
 			e.failures = 0
 		}
 	case breakerDegraded:
 		e.failures++
-		if e.failures >= b.cfg.OpenThreshold {
+		if e.failures >= b.cfg.Threshold {
 			e.state = breakerOpen
 			e.failures = 0
 			e.openedAt = b.now()

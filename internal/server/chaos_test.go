@@ -242,10 +242,8 @@ func TestChaosResumeOverHTTP(t *testing.T) {
 // cooldown admits a probe, and consecutive successes close it again.
 func TestChaosBreakerLifecycle(t *testing.T) {
 	srv := New(Config{Breaker: BreakerConfig{
-		FailureThreshold:  2,
-		OpenThreshold:     2,
-		RecoveryThreshold: 2,
-		CooldownMS:        50,
+		Threshold:  2,
+		CooldownMS: 50,
 	}})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

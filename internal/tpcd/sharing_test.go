@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/logical"
+	"repro/internal/physical"
 	"repro/internal/volcano"
 )
 
@@ -95,7 +96,7 @@ func TestBQ6MonotoneVolcanoCost(t *testing.T) {
 	prev := 0.0
 	for i := 1; i <= 6; i++ {
 		opt := optimize(t, BQ(i))
-		c := opt.VolcanoCost()
+		c := opt.BestCost(physical.NodeSet{})
 		if c <= prev {
 			t.Errorf("BQ%d Volcano cost %v not above BQ%d's %v", i, c, i-1, prev)
 		}

@@ -15,48 +15,16 @@ func TestNewOptimizerRejectsBadBatch(t *testing.T) {
 	}
 }
 
-func TestVolcanoCostIsEmptySetCost(t *testing.T) {
-	opt, err := NewOptimizer(tpcd.Catalog(1), cost.Default(), tpcd.BQ(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opt.VolcanoCost() != opt.BestCost(physical.NodeSet{}) {
-		t.Error("VolcanoCost != bc(∅)")
-	}
-}
-
 func TestBCCallsCount(t *testing.T) {
 	opt, err := NewOptimizer(tpcd.Catalog(1), cost.Default(), tpcd.BQ(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := opt.BCCalls()
+	before := opt.BCCalls
 	opt.BestCost(physical.NodeSet{})
 	opt.BestCost(physical.NodeSet{})
-	if got := opt.BCCalls() - before; got != 2 {
+	if got := opt.BCCalls - before; got != 2 {
 		t.Errorf("BCCalls delta = %d, want 2", got)
-	}
-}
-
-func TestSetIncrementalToggle(t *testing.T) {
-	opt, err := NewOptimizer(tpcd.Catalog(1), cost.Default(), tpcd.BQ(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := opt.Shareable()
-	if len(sh) == 0 {
-		t.Fatal("no shareable nodes")
-	}
-	warm := opt.BestCost(opt.NewNodeSet(sh[0]))
-	opt.SetIncremental(false)
-	cold := opt.BestCost(opt.NewNodeSet(sh[0]))
-	if warm != cold {
-		t.Errorf("incremental %v != cold %v", warm, cold)
-	}
-	opt.SetIncremental(true)
-	again := opt.BestCost(opt.NewNodeSet(sh[0]))
-	if again != warm {
-		t.Errorf("re-enabled %v != warm %v", again, warm)
 	}
 }
 
@@ -71,8 +39,8 @@ func TestPlanForEveryWorkload(t *testing.T) {
 		if len(plan.Queries) != len(w.Batch.Queries) {
 			t.Errorf("%s: %d query plans for %d queries", w.Name, len(plan.Queries), len(w.Batch.Queries))
 		}
-		if plan.Total != opt.VolcanoCost() {
-			t.Errorf("%s: plan total %v != volcano cost %v", w.Name, plan.Total, opt.VolcanoCost())
+		if bc := opt.BestCost(physical.NodeSet{}); plan.Total != bc {
+			t.Errorf("%s: plan total %v != volcano cost bc(∅) %v", w.Name, plan.Total, bc)
 		}
 		if plan.String() == "" {
 			t.Errorf("%s: empty plan rendering", w.Name)

@@ -2,8 +2,27 @@ package workload
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
+
+	"repro/internal/strictjson"
 )
+
+// decodeSpec parses one JSON-encoded Spec as the serving front end does
+// (strictjson, then Validate): unknown fields, trailing garbage, malformed
+// JSON and out-of-range knobs all return an error, never a panic, so the
+// front end can map any failure to a 4xx. The returned spec is ready for
+// Generate.
+func decodeSpec(data []byte) (Spec, error) {
+	var s Spec
+	if err := strictjson.Decode(data, &s); err != nil {
+		return Spec{}, fmt.Errorf("workload: decoding spec: %w", err)
+	}
+	if err := s.Validate(); err != nil {
+		return Spec{}, err
+	}
+	return s, nil
+}
 
 // FuzzWorkloadSpec fuzzes the wire-format spec decoder: arbitrary bytes
 // must either decode into a valid Spec or return an error — never panic —
@@ -34,18 +53,18 @@ func FuzzWorkloadSpec(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		spec, err := DecodeSpec(data)
+		spec, err := decodeSpec(data)
 		if err != nil {
 			return // rejected input; the front end maps this to a 4xx
 		}
 		if err := spec.Validate(); err != nil {
-			t.Fatalf("DecodeSpec accepted an invalid spec %+v: %v", spec, err)
+			t.Fatalf("decodeSpec accepted an invalid spec %+v: %v", spec, err)
 		}
 		out, err := json.Marshal(spec)
 		if err != nil {
 			t.Fatalf("marshalling accepted spec %+v: %v", spec, err)
 		}
-		spec2, err := DecodeSpec(out)
+		spec2, err := decodeSpec(out)
 		if err != nil {
 			t.Fatalf("round trip of %s rejected: %v", out, err)
 		}

@@ -64,19 +64,3 @@ func (s *Spec) UnmarshalJSON(data []byte) error {
 	}
 	return nil
 }
-
-// DecodeSpec parses one JSON-encoded Spec from the wire and validates it.
-// It is strict end to end — unknown fields, trailing garbage, malformed
-// JSON and out-of-range knobs all return an error — and never panics, so a
-// network front end can map any failure to a 4xx. The returned spec is
-// ready for Generate.
-func DecodeSpec(data []byte) (Spec, error) {
-	var s Spec
-	if err := strictjson.Decode(data, &s); err != nil {
-		return Spec{}, fmt.Errorf("workload: decoding spec: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return Spec{}, err
-	}
-	return s, nil
-}

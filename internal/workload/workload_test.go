@@ -134,7 +134,7 @@ func TestWorkloadRoundTrip(t *testing.T) {
 	if plan == nil {
 		t.Fatal("nil consolidated plan")
 	}
-	if err := opt.Searcher.ValidatePlan(plan, res.MatSet()); err != nil {
+	if err := opt.ValidatePlan(plan, res.MatSet()); err != nil {
 		t.Errorf("extracted plan fails validation: %v", err)
 	}
 	if d := plan.Total - res.Cost; d > 1e-6 || d < -1e-6 {

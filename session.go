@@ -407,7 +407,7 @@ type RunResult struct {
 // Validate audits the extracted consolidated plan against the cost search
 // (structure, orders, and cost totals).
 func (r *RunResult) Validate() error {
-	return r.opt.Searcher.ValidatePlan(r.Plan, r.MatSet())
+	return r.opt.ValidatePlan(r.Plan, r.MatSet())
 }
 
 // Memo exposes the combined DAG the plan was extracted from; the executor
@@ -446,10 +446,8 @@ func (s *Session) runBatch(ctx context.Context, batch *logical.Batch, counts []i
 		return nil, err
 	}
 	build := time.Since(buildStart)
-	opt.Searcher.AttachSharedCache(s.cache)
-	if cfg.extendedOps {
-		opt.SetExtendedOps(true)
-	}
+	opt.AttachSharedCache(s.cache)
+	opt.ExtendedOps = cfg.extendedOps
 
 	cc := core.Config{
 		TimeBudget:    cfg.timeBudget,
@@ -465,7 +463,7 @@ func (s *Session) runBatch(ctx context.Context, batch *logical.Batch, counts []i
 		if cfg.resume.State == nil {
 			return nil, errors.New("repro: checkpoint carries no state")
 		}
-		if cfg.resume.Fingerprint != opt.Searcher.Fingerprint() {
+		if cfg.resume.Fingerprint != opt.Fingerprint() {
 			return nil, ErrResumeMismatch
 		}
 		res, err = core.ResumeWith(ctx, opt, cfg.resume.State, cc)
@@ -477,7 +475,7 @@ func (s *Session) runBatch(ctx context.Context, batch *logical.Batch, counts []i
 	}
 	var cp *Checkpoint
 	if res.Checkpoint != nil {
-		cp = &Checkpoint{Fingerprint: opt.Searcher.Fingerprint(), State: res.Checkpoint}
+		cp = &Checkpoint{Fingerprint: opt.Fingerprint(), State: res.Checkpoint}
 	}
 	if res.Fault != nil {
 		// The run was stopped by a recovered panic. The searcher's caches
@@ -501,7 +499,7 @@ func (s *Session) runBatch(ctx context.Context, batch *logical.Batch, counts []i
 	// Publish this call's cost learning into the session cache so later
 	// batches with the same DAG fingerprint start warm.
 	publishStart := time.Now()
-	opt.Searcher.PublishCache()
+	opt.PublishCache()
 	rr.PublishTime = time.Since(publishStart)
 
 	tel := res.Telemetry

@@ -76,7 +76,7 @@ func TestBatchedVsSoloParity(t *testing.T) {
 						}
 						// The node must actually serve one of the member's queries.
 						serves := false
-						for _, ri := range sres.opt.Searcher.RootsReaching(g) {
+						for _, ri := range sres.opt.RootsReaching(g) {
 							if ri >= a.QueryOffset && ri < a.QueryOffset+a.QueryCount {
 								serves = true
 								break

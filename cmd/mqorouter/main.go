@@ -5,8 +5,12 @@
 // Usage:
 //
 //	mqorouter -replicas http://h1:8080,http://h2:8080,http://h3:8080
-//	          [-listen :8070] [-vnodes 64] [-load-factor 1.25]
-//	          [-retries 2] [-default-sf 1] [-health-interval 2s]
+//	          [-listen :8070] [-default-sf 1]
+//
+// -default-sf must match the replicas' -sf. The ring (64 virtual nodes a
+// replica), the bounded-load factor (1.25), the retry budget (2 further
+// replicas) and the health poll (every 2 s) are fixed, so every router
+// built over one replica list places every key the same way.
 //
 // Each request's placement key is tenant + catalog (scale factor +
 // operator set), so one tenant's traffic for one catalog stays on one
@@ -34,13 +38,9 @@ import (
 func main() {
 	log.SetFlags(0)
 	var (
-		listen         = flag.String("listen", ":8070", "listen address")
-		replicas       = flag.String("replicas", "", "comma-separated replica base URLs (required)")
-		vnodes         = flag.Int("vnodes", 64, "virtual nodes per replica on the hash ring")
-		loadFactor     = flag.Float64("load-factor", 1.25, "bounded-load factor: max in-flight share per replica relative to fair share")
-		retries        = flag.Int("retries", 2, "extra replicas to try after a provably-unexecuted failure")
-		defaultSF      = flag.Float64("default-sf", 1, "scale factor assumed for requests naming none (must match the replicas' -sf)")
-		healthInterval = flag.Duration("health-interval", 2*time.Second, "replica /healthz poll period")
+		listen    = flag.String("listen", ":8070", "listen address")
+		replicas  = flag.String("replicas", "", "comma-separated replica base URLs (required)")
+		defaultSF = flag.Float64("default-sf", 1, "scale factor assumed for requests naming none (must match the replicas' -sf)")
 	)
 	flag.Parse()
 
@@ -55,13 +55,9 @@ func main() {
 	}
 
 	rt, err := cluster.NewRouter(cluster.RouterConfig{
-		Replicas:       reps,
-		VNodes:         *vnodes,
-		LoadFactor:     *loadFactor,
-		Retries:        *retries,
-		DefaultSF:      *defaultSF,
-		HealthInterval: *healthInterval,
-		Logger:         log.Default(),
+		Replicas:  reps,
+		DefaultSF: *defaultSF,
+		Logger:    log.Default(),
 	})
 	if err != nil {
 		log.Fatalf("mqorouter: %v", err)

@@ -2,17 +2,13 @@
 // per-tenant admission control (see internal/server for the API and the
 // admission contract).
 //
-// Usage:
+// Usage (the README's "Serving" section says when to change each flag):
 //
-//	mqoserver [-listen :8080] [-tenants tenants.json] [-strict-tenants]
+//	mqoserver [-listen :8080] [-tenants tenants.json]
 //	          [-pool-size 4] [-sf 1] [-sfs 1,10,100] [-max-queries 1024]
-//	          [-max-concurrent 4] [-queue-depth 16] [-queue-wait 5s]
-//	          [-time-budget 0] [-call-budget 0] [-call-quota 0]
-//	          [-refill-per-sec 0] [-quota-burst 0] [-weight 1] [-deadline 0]
 //	          [-sched-slots 0] [-sched-quantum 64] [-sched-policy drr]
 //	          [-no-preempt] [-drain-grace 2s] [-drain-timeout 30s]
 //	          [-breaker-off] [-breaker-failures 3] [-breaker-cooldown 10s]
-//	          [-degraded-time-budget 2s] [-degraded-call-budget 50000]
 //	          [-batch] [-batch-max 8] [-batch-delay 5ms] [-batch-queries 0]
 //	          [-warm-from snapshot.json | -warm-from http://peer:8080/]
 //
@@ -31,23 +27,23 @@
 // at refill_per_sec tokens per second up to quota_burst (default: the
 // quota itself); POST /v1/tenants/{name}/reset refills a bucket manually.
 //
-// The -tenants file is a JSON object mapping tenant name to its limits;
-// the -max-concurrent/-queue-*/-*-budget/-weight/-deadline flags
-// configure the default tenant applied to names missing from the table:
+// Tenants are configured in one place, the -tenants file: a JSON object
+// mapping tenant name to its limits (server.TenantConfig). The "*" entry
+// configures every tenant the table does not name; a table without one
+// admits only the tenants it names (403 for the rest). With no file every
+// tenant runs under TenantConfig's defaults.
 //
-//	{
-//	  "acme":  {"max_concurrent": 8, "queue_depth": 32, "queue_wait_ms": 2000,
-//	            "time_budget_ms": 1000, "call_budget": 20000, "call_quota": 1000000,
-//	            "refill_per_sec": 5000, "quota_burst": 2000000, "weight": 4},
-//	  "guest": {"max_concurrent": 1, "queue_depth": 4, "call_quota": 50000,
-//	            "deadline_ms": 500}
-//	}
+//	{"*":     {"max_concurrent": 2, "queue_depth": 8},
+//	 "acme":  {"max_concurrent": 8, "queue_wait_ms": 2000, "time_budget_ms": 1000,
+//	           "call_budget": 20000, "call_quota": 1000000, "refill_per_sec": 5000,
+//	           "quota_burst": 2000000, "weight": 4},
+//	 "guest": {"max_concurrent": 1, "call_quota": 50000, "deadline_ms": 500}}
 //
 // Each catalog (scale factor + operator set) carries a circuit breaker:
 // repeated recovered panics or deadline stops move it to degraded serving
-// (clamped budgets, LazyGreedy fallback, "degraded":true in responses) and
-// then to open (503 + Retry-After until -breaker-cooldown admits a probe).
-// -breaker-off disables it entirely.
+// (budgets clamped to 2 s and 50,000 oracle calls, LazyGreedy fallback,
+// "degraded":true in responses) and then to open (503 + Retry-After until
+// -breaker-cooldown admits a probe). -breaker-off disables it entirely.
 //
 // On SIGTERM/SIGINT the server drains: for -drain-grace the listener
 // stays open while /healthz answers 503 (so load balancers observe the
@@ -58,13 +54,17 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"log"
+	"maps"
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -77,23 +77,12 @@ import (
 func main() {
 	log.SetFlags(0)
 	var (
-		listen        = flag.String("listen", ":8080", "listen address")
-		tenantsPath   = flag.String("tenants", "", "JSON file mapping tenant name to its admission config")
-		strictTenants = flag.Bool("strict-tenants", false, "reject tenants missing from the -tenants table (403)")
-		poolSize      = flag.Int("pool-size", 4, "max catalog-keyed sessions kept in the pool")
-		sf            = flag.Float64("sf", 1, "default TPCD scale factor for requests naming none")
-		sfs           = flag.String("sfs", "1,10,100", "comma-separated scale factors requests may name (the sf is a session-pool key, so this set is closed)")
-		maxQueries    = flag.Int("max-queries", 1024, "max queries per request batch (-1 = unbounded)")
-		maxConc       = flag.Int("max-concurrent", 4, "default tenant: concurrent requests")
-		queueDepth    = flag.Int("queue-depth", 16, "default tenant: FIFO queue depth")
-		queueWait     = flag.Duration("queue-wait", 5*time.Second, "default tenant: max queue wait")
-		timeBudget    = flag.Duration("time-budget", 0, "default tenant: per-request optimization wall-clock cap (0 = none)")
-		callBudget    = flag.Int("call-budget", 0, "default tenant: per-request oracle-call cap (0 = none)")
-		callQuota     = flag.Int64("call-quota", 0, "default tenant: cumulative oracle-call quota (0 = unlimited)")
-		refillPerSec  = flag.Float64("refill-per-sec", 0, "default tenant: quota token-bucket refill rate in oracle calls/sec (0 = manual reset only)")
-		quotaBurst    = flag.Int64("quota-burst", 0, "default tenant: quota bucket capacity (0 = the quota itself)")
-		weight        = flag.Int("weight", 1, "default tenant: weighted-fair (DRR) share of the scheduler slots")
-		deadline      = flag.Duration("deadline", 0, "default tenant: relative SLO deadline applied to its requests (0 = none)")
+		listen      = flag.String("listen", ":8080", "listen address")
+		tenantsPath = flag.String("tenants", "", `JSON file mapping tenant name to its admission config; "*" configures unnamed tenants, and a table without "*" rejects them (403)`)
+		poolSize    = flag.Int("pool-size", 4, "max catalog-keyed sessions kept in the pool")
+		sf          = flag.Float64("sf", 1, "default TPCD scale factor for requests naming none")
+		sfs         = flag.String("sfs", "1,10,100", "comma-separated scale factors requests may name (the sf is a session-pool key, so this set is closed)")
+		maxQueries  = flag.Int("max-queries", 1024, "max queries per request batch")
 
 		schedSlots   = flag.Int("sched-slots", 0, "shared worker-slot pool all tenants compete for (0 = per-tenant limits only)")
 		schedQuantum = flag.Int("sched-quantum", 64, "DRR deficit quantum in query-count units, scaled by each tenant's weight")
@@ -112,29 +101,14 @@ func main() {
 		breakerOff      = flag.Bool("breaker-off", false, "disable the per-catalog circuit breaker")
 		breakerFailures = flag.Int("breaker-failures", 3, "consecutive faults that degrade a catalog, and again that open it; consecutive successes that close it")
 		breakerCooldown = flag.Duration("breaker-cooldown", 10*time.Second, "how long an open catalog rejects before admitting a degraded probe")
-		degradedTime    = flag.Duration("degraded-time-budget", 2*time.Second, "wall-clock clamp on requests served degraded")
-		degradedCalls   = flag.Int("degraded-call-budget", 50000, "oracle-call clamp on requests served degraded")
 	)
 	flag.Parse()
 
 	cfg := server.Config{
-		DefaultTenant: server.TenantConfig{
-			MaxConcurrent: *maxConc,
-			QueueDepth:    *queueDepth,
-			QueueWaitMS:   queueWait.Milliseconds(),
-			TimeBudgetMS:  timeBudget.Milliseconds(),
-			CallBudget:    *callBudget,
-			CallQuota:     *callQuota,
-			RefillPerSec:  *refillPerSec,
-			QuotaBurst:    *quotaBurst,
-			Weight:        *weight,
-			DeadlineMS:    deadline.Milliseconds(),
-		},
-		StrictTenants: *strictTenants,
-		PoolSize:      *poolSize,
-		MaxQueries:    *maxQueries,
-		DefaultSF:     *sf,
-		Logger:        log.Default(),
+		PoolSize:   *poolSize,
+		MaxQueries: *maxQueries,
+		DefaultSF:  *sf,
+		Logger:     log.Default(),
 		Batch: server.BatchConfig{
 			Enabled:     *batch,
 			MaxRequests: *batchMax,
@@ -148,15 +122,10 @@ func main() {
 			NoPreempt: *noPreempt,
 		},
 		Breaker: server.BreakerConfig{
-			Disabled:             *breakerOff,
-			Threshold:            *breakerFailures,
-			CooldownMS:           breakerCooldown.Milliseconds(),
-			DegradedTimeBudgetMS: degradedTime.Milliseconds(),
-			DegradedCallBudget:   *degradedCalls,
+			Disabled:   *breakerOff,
+			Threshold:  *breakerFailures,
+			CooldownMS: breakerCooldown.Milliseconds(),
 		},
-	}
-	if err := cfg.DefaultTenant.Validate(); err != nil {
-		log.Fatalf("mqoserver: default tenant: %v", err)
 	}
 	if *schedPolicy != server.PolicyDRR && *schedPolicy != server.PolicyFIFO {
 		log.Fatalf("mqoserver: -sched-policy: %q is not %q or %q", *schedPolicy, server.PolicyDRR, server.PolicyFIFO)
@@ -168,12 +137,8 @@ func main() {
 		}
 		cfg.AllowedSFs = append(cfg.AllowedSFs, v)
 	}
-	if *tenantsPath != "" {
-		table, err := loadTenants(*tenantsPath)
-		if err != nil {
-			log.Fatalf("mqoserver: %v", err)
-		}
-		cfg.Tenants = table
+	if err := loadTenants(&cfg, *tenantsPath); err != nil {
+		log.Fatalf("mqoserver: -tenants: %v", err)
 	}
 
 	srv := server.New(cfg)
@@ -250,21 +215,42 @@ func loadSnapshot(src string) ([]byte, error) {
 	return os.ReadFile(src)
 }
 
-// loadTenants reads the tenant table, strictly: unknown fields and
-// trailing data are config typos, not extensions.
-func loadTenants(path string) (map[string]server.TenantConfig, error) {
+// defaultTenant is the -tenants entry for every tenant the table does not name.
+const defaultTenant = "*"
+
+// loadTenants maps the -tenants file onto cfg's tenant fields. The file
+// is decoded strictly — unknown fields and trailing data are config
+// typos, not extensions — and every entry, "*" included, must pass
+// TenantConfig.Validate. The "*" entry becomes cfg.DefaultTenant and is
+// not a declared tenant; a table without it sets cfg.StrictTenants, so it
+// admits only the tenants it names. An empty path leaves cfg as it is:
+// every tenant runs under the defaults.
+func loadTenants(cfg *server.Config, path string) error {
+	if path == "" {
+		return nil
+	}
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var table map[string]server.TenantConfig
-	if err := strictjson.Decode(data, &table); err != nil {
-		return nil, errors.New(path + ": " + err.Error())
+	var raw map[string]json.RawMessage
+	if err := strictjson.Decode(data, &raw); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
 	}
-	for name, tc := range table {
-		if err := tc.Validate(); err != nil {
-			return nil, errors.New(path + ": tenant " + name + ": " + err.Error())
+	table := make(map[string]server.TenantConfig, len(raw))
+	for _, name := range slices.Sorted(maps.Keys(raw)) {
+		var tc server.TenantConfig
+		err := strictjson.Decode(raw[name], &tc)
+		if err == nil {
+			err = tc.Validate()
 		}
+		if err != nil {
+			return fmt.Errorf("%s: tenant %q: %w", path, name, err)
+		}
+		table[name] = tc
 	}
-	return table, nil
+	def, ok := table[defaultTenant]
+	delete(table, defaultTenant)
+	cfg.DefaultTenant, cfg.Tenants, cfg.StrictTenants = def, table, !ok
+	return nil
 }

@@ -20,7 +20,7 @@
 // Router forwards each request to the first replica in its key's
 // preference order that is (a) eligible — up, not draining, circuit
 // breaker for the request's catalog not open — and (b) under the
-// bounded-load capacity ceil(c·(L+1)/n) for load factor c (default 1.25),
+// bounded-load capacity ceil(c·(L+1)/n) for load factor c = 1.25,
 // n eligible replicas and L requests in flight. Saturated-but-eligible
 // replicas are used before ineligible ones; if nothing is eligible the
 // router tries the remaining replicas optimistically, since its health
@@ -36,19 +36,24 @@
 // issues before any optimization work. Everything else, 4xx rejections in
 // particular, relays to the client verbatim: quota and tenancy decisions
 // belong to the replica, and shopping them around would let a client
-// launder a 429 into a fresh budget. The retry budget (default 2 extra
-// replicas) bounds worst-case fan-out. Relayed responses carry the
-// serving replica in the X-MQO-Replica header.
+// launder a 429 into a fresh budget. The retry budget (2 extra replicas)
+// bounds worst-case fan-out. Relayed responses carry the serving replica
+// in the X-MQO-Replica header.
 //
 // # Health
 //
-// Replica health combines an active /healthz poll (status, per-catalog
-// breaker states) with passive signals from forwarding: a dial error
-// marks a replica down immediately (a forward that fails because the
-// client itself disconnected says nothing about the replica and leaves
-// its health alone), any response marks it reachable, a 503 draining
-// marks it draining. Down and draining replicas drop out of
+// Replica health combines an active /healthz poll every 2 s (status,
+// per-catalog breaker states) with passive signals from forwarding: a
+// dial error marks a replica down immediately (a forward that fails
+// because the client itself disconnected says nothing about the replica
+// and leaves its health alone), any response marks it reachable, a 503
+// draining marks it draining. Down and draining replicas drop out of
 // rotation and their keys spill to the next ring position; when a replica
 // recovers, the same keys return to it — deterministically, because the
 // preference order never changed.
+//
+// The vnode count, load factor, retry budget, poll period and body bound
+// are constants, not options: the one setting a deployment makes besides
+// the replica list is RouterConfig.DefaultSF, which must match the
+// replicas' default scale factor.
 package cluster

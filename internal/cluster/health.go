@@ -141,7 +141,7 @@ func (rt *Router) CheckNow(ctx context.Context) {
 
 // probe fetches one replica's /healthz and folds it into a health record.
 func (rt *Router) probe(ctx context.Context, replica string) replicaHealth {
-	ctx, cancel := context.WithTimeout(ctx, rt.cfg.HealthTimeout)
+	ctx, cancel := context.WithTimeout(ctx, healthTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, replica+"/healthz", nil)
 	if err != nil {
@@ -170,9 +170,9 @@ func (rt *Router) probe(ctx context.Context, replica string) replicaHealth {
 	return h
 }
 
-// pollLoop re-probes on the configured interval until ctx ends.
+// pollLoop re-probes every healthInterval until ctx ends.
 func (rt *Router) pollLoop(ctx context.Context) {
-	t := time.NewTicker(rt.cfg.HealthInterval)
+	t := time.NewTicker(healthInterval)
 	defer t.Stop()
 	for {
 		select {

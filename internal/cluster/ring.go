@@ -5,11 +5,12 @@ import (
 	"sort"
 )
 
-// defaultVNodes is the virtual-node count per replica. 64 points per
-// replica keep the largest arc a single replica owns within a few percent
-// of fair for small clusters, which is what bounds how much load shifts
-// when one replica joins or leaves.
-const defaultVNodes = 64
+// vnodes is the virtual-node count per replica. 64 points per replica
+// keep the largest arc a single replica owns within a few percent of fair
+// for small clusters, which is what bounds how much load shifts when one
+// replica joins or leaves. It is a constant so that every router's ring
+// is a function of the member set alone.
+const vnodes = 64
 
 // fnv1a64 hashes a string (FNV-1a, 64-bit) — the ring's only hash. It is
 // stable across processes and platforms, so every router instance built
@@ -40,18 +41,13 @@ type ringPoint struct {
 // the joining/leaving replica owned.
 type Ring struct {
 	replicas []string
-	vnodes   int
 	points   []ringPoint
 }
 
 // NewRing builds a ring over the replica names (base URLs, for the
 // router). Duplicates are dropped; the input order is irrelevant (members
 // are sorted first, so the ring is a pure function of the member set).
-// vnodes ≤ 0 selects the default (64).
-func NewRing(replicas []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = defaultVNodes
-	}
+func NewRing(replicas []string) *Ring {
 	uniq := make([]string, 0, len(replicas))
 	seen := make(map[string]bool, len(replicas))
 	for _, r := range replicas {
@@ -61,7 +57,7 @@ func NewRing(replicas []string, vnodes int) *Ring {
 		}
 	}
 	sort.Strings(uniq)
-	ring := &Ring{replicas: uniq, vnodes: vnodes}
+	ring := &Ring{replicas: uniq}
 	ring.points = make([]ringPoint, 0, len(uniq)*vnodes)
 	for i, r := range uniq {
 		for v := 0; v < vnodes; v++ {

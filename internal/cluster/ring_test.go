@@ -10,8 +10,8 @@ import (
 // the member set — input order and duplicates must not change any key's
 // preference order, or independent routers would disagree on placement.
 func TestRingDeterministicAcrossInputOrder(t *testing.T) {
-	a := NewRing([]string{"http://a", "http://b", "http://c"}, 0)
-	b := NewRing([]string{"http://c", "http://a", "http://b", "http://a"}, 0)
+	a := NewRing([]string{"http://a", "http://b", "http://c"})
+	b := NewRing([]string{"http://c", "http://a", "http://b", "http://a"})
 	if !reflect.DeepEqual(a.Replicas(), b.Replicas()) {
 		t.Fatalf("member lists differ: %v vs %v", a.Replicas(), b.Replicas())
 	}
@@ -28,7 +28,7 @@ func TestRingDeterministicAcrossInputOrder(t *testing.T) {
 // every member exactly once, primary first.
 func TestRingOrderCoversAllReplicas(t *testing.T) {
 	members := []string{"http://a", "http://b", "http://c", "http://d", "http://e"}
-	r := NewRing(members, 16)
+	r := NewRing(members)
 	for i := 0; i < 100; i++ {
 		key := fmt.Sprintf("key-%d", i)
 		o := r.Order(key)
@@ -51,7 +51,7 @@ func TestRingOrderCoversAllReplicas(t *testing.T) {
 // TestRingDistribution: with 64 vnodes and 3 replicas no replica owns a
 // wildly unfair share of a large key population.
 func TestRingDistribution(t *testing.T) {
-	r := NewRing([]string{"http://a", "http://b", "http://c"}, 0)
+	r := NewRing([]string{"http://a", "http://b", "http://c"})
 	counts := make(map[string]int)
 	const n = 9000
 	for i := 0; i < n; i++ {
@@ -72,8 +72,8 @@ func TestRingDistribution(t *testing.T) {
 // only the keys it owned; every other key keeps its owner. This is the
 // property that makes membership change cheap for cache warmth.
 func TestRingMembershipMinimalMovement(t *testing.T) {
-	full := NewRing([]string{"http://a", "http://b", "http://c", "http://d"}, 0)
-	reduced := NewRing([]string{"http://d", "http://b", "http://a"}, 0) // c removed, order shuffled
+	full := NewRing([]string{"http://a", "http://b", "http://c", "http://d"})
+	reduced := NewRing([]string{"http://d", "http://b", "http://a"}) // c removed, order shuffled
 	moved, kept := 0, 0
 	for i := 0; i < 2000; i++ {
 		key := fmt.Sprintf("k%d", i)
@@ -101,14 +101,14 @@ func TestRingMembershipMinimalMovement(t *testing.T) {
 
 // TestRingEdgeCases: empty and single-member rings behave.
 func TestRingEdgeCases(t *testing.T) {
-	empty := NewRing(nil, 0)
+	empty := NewRing(nil)
 	if o := empty.Order("x"); o != nil {
 		t.Errorf("empty ring Order = %v", o)
 	}
 	if empty.Owner("x") != "" {
 		t.Errorf("empty ring Owner = %q", empty.Owner("x"))
 	}
-	one := NewRing([]string{"http://only"}, 0)
+	one := NewRing([]string{"http://only"})
 	for _, key := range []string{"a", "b", ""} {
 		if got := one.Owner(key); got != "http://only" {
 			t.Errorf("single ring Owner(%q) = %q", key, got)

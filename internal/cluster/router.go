@@ -32,68 +32,41 @@ const (
 	codeBadRequest   = "bad_request"
 )
 
-// RouterConfig parameterizes a Router. Replicas is required; everything
-// else has serviceable defaults.
+// The router's tuning (the ring's is vnodes): constants, see the package doc.
+const (
+	// loadFactor is the bounded-load factor c ≥ 1: a replica's in-flight
+	// share may exceed the fair share load/n by at most ×c before keys
+	// spill to the next ring position. Higher values favor affinity
+	// (warmer caches), lower values favor even load.
+	loadFactor = 1.25
+	// maxRetries caps how many additional replicas one request may be
+	// forwarded to after its first target fails retryably.
+	maxRetries = 2
+	// maxBodyBytes bounds a proxied request body: the router fronts
+	// snapshot-sized payloads, not just optimize bodies.
+	maxBodyBytes = 64 << 20
+	// healthInterval is the /healthz poll period of Run's loop, and
+	// healthTimeout bounds one probe or one stats fetch. A forwarded
+	// request has no timeout of its own: optimizations can legitimately
+	// run long, so it ends with its client's deadline.
+	healthInterval = 2 * time.Second
+	healthTimeout  = time.Second
+)
+
+// RouterConfig parameterizes a Router. Replicas is required.
 type RouterConfig struct {
 	// Replicas lists the replica base URLs ("http://host:port", no
 	// trailing slash required — one is trimmed).
 	Replicas []string
-	// VNodes is the virtual-node count per replica (default 64).
-	VNodes int
-	// LoadFactor is the bounded-load factor c ≥ 1: a replica's in-flight
-	// share may exceed the fair share load/n by at most ×c before keys
-	// spill to the next ring position (default 1.25). Higher values favor
-	// affinity (warmer caches), lower values favor even load.
-	LoadFactor float64
-	// Retries caps how many *additional* replicas one request may be
-	// forwarded to after its first target fails retryably (default 2).
-	Retries int
 	// DefaultSF mirrors the replicas' default scale factor so an
 	// sf-less request routes to the same catalog key the serving tier
 	// will pool it under (default 1).
 	DefaultSF float64
-	// MaxBodyBytes bounds a proxied request body (default 64 MiB — the
-	// router fronts snapshot-sized payloads, not just optimize bodies).
-	MaxBodyBytes int64
-	// HealthInterval is the /healthz poll period (default 2s); Run starts
-	// the loop. HealthTimeout bounds one probe (default 1s).
-	HealthInterval time.Duration
-	HealthTimeout  time.Duration
-	// ForwardTimeout bounds one forwarded request (default none —
-	// optimizations can legitimately run long; rely on client deadlines).
-	ForwardTimeout time.Duration
 	// Transport overrides the forwarding round-tripper (tests inject
 	// httptest clients); nil uses http.DefaultTransport.
 	Transport http.RoundTripper
 	// Logger receives routing diagnostics; nil discards them.
 	Logger *log.Logger
-}
-
-func (c RouterConfig) normalize() RouterConfig {
-	if c.VNodes <= 0 {
-		c.VNodes = defaultVNodes
-	}
-	if c.LoadFactor < 1 {
-		c.LoadFactor = 1.25
-	}
-	if c.Retries < 0 {
-		c.Retries = 0
-	} else if c.Retries == 0 {
-		c.Retries = 2
-	}
-	if c.DefaultSF <= 0 {
-		c.DefaultSF = 1
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 64 << 20
-	}
-	if c.HealthInterval <= 0 {
-		c.HealthInterval = 2 * time.Second
-	}
-	if c.HealthTimeout <= 0 {
-		c.HealthTimeout = time.Second
-	}
-	return c
 }
 
 // Router is the replicated serving tier's front end: it places each
@@ -121,7 +94,9 @@ type Router struct {
 // (rings are pure functions of the member set, so a rebuilt router agrees
 // with every other instance built from the same list).
 func NewRouter(cfg RouterConfig) (*Router, error) {
-	cfg = cfg.normalize()
+	if cfg.DefaultSF <= 0 {
+		cfg.DefaultSF = 1
+	}
 	if len(cfg.Replicas) == 0 {
 		return nil, errors.New("cluster: router needs at least one replica")
 	}
@@ -137,8 +112,8 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	rt := &Router{
 		cfg:      cfg,
-		ring:     NewRing(reps, cfg.VNodes),
-		client:   &http.Client{Transport: cfg.Transport, Timeout: cfg.ForwardTimeout},
+		ring:     NewRing(reps),
+		client:   &http.Client{Transport: cfg.Transport},
 		inflight: make(map[string]int),
 	}
 	rt.health = newHealthTracker(rt.ring.Replicas())
@@ -226,7 +201,7 @@ func (rt *Router) underCapacity(replica string, eligible int) bool {
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	capacity := int(math.Ceil(rt.cfg.LoadFactor * float64(rt.total+1) / float64(eligible)))
+	capacity := int(math.Ceil(loadFactor * float64(rt.total+1) / float64(eligible)))
 	return rt.inflight[replica] < capacity
 }
 
@@ -274,7 +249,7 @@ func retryableReject(status int, body []byte) (string, bool) {
 }
 
 func (rt *Router) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -307,7 +282,7 @@ func (rt *Router) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	}
 	candidates := append(append(eligible, saturated...), rest...)
 
-	budget := rt.cfg.Retries + 1 // first attempt + retries
+	budget := maxRetries + 1 // first attempt + retries
 	var lastErr string
 	for i, rep := range candidates {
 		if i >= budget {
@@ -326,8 +301,7 @@ func (rt *Router) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			}
 			// The connection never yielded a response: for dial-class
 			// errors the request provably never executed, so the next
-			// replica may take it. Mark the replica down either way (a
-			// ForwardTimeout expiry included: the client is still here).
+			// replica may take it. Mark the replica down either way.
 			rt.health.markDown(rep, err)
 			lastErr = err.Error()
 			rt.logf("cluster: %s: forward to %s failed: %v", key, rep, err)
@@ -439,7 +413,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 // fetchJSON GETs a replica endpoint and returns its body as raw JSON, or
 // an error envelope.
 func (rt *Router) fetchJSON(ctx context.Context, url string) json.RawMessage {
-	ctx, cancel := context.WithTimeout(ctx, rt.cfg.HealthTimeout)
+	ctx, cancel := context.WithTimeout(ctx, healthTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err == nil {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -486,5 +487,44 @@ func TestRouterStatsAndHealthz(t *testing.T) {
 	}
 	if resp.StatusCode != http.StatusServiceUnavailable || hz.Status != "down" {
 		t.Fatalf("healthz after all kills = %d %q: %s", resp.StatusCode, hz.Status, data)
+	}
+}
+
+// TestRouterDefaultSFMatchesReplicas: with the router and its replicas
+// all at DefaultSF 10, an sf-less request routes under the same catalog
+// key as an explicit "sf": 10 one, so one tenant's two requests land on
+// one replica, the home of "tenant|sf=10". The tenant is picked so that
+// "tenant|sf=1" lives elsewhere: a router that ignored DefaultSF would
+// split the two.
+func TestRouterDefaultSFMatchesReplicas(t *testing.T) {
+	c := newTestCluster(t, 2, server.Config{DefaultSF: 10})
+	rt, err := NewRouter(RouterConfig{Replicas: c.urls, DefaultSF: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	tenant := ""
+	for i := 0; tenant == ""; i++ {
+		name := "tenant-" + strconv.Itoa(i)
+		if rt.Ring().Owner(name+"|sf=10") != rt.Ring().Owner(name+"|sf=1") {
+			tenant = name
+		}
+	}
+	home := rt.Ring().Owner(tenant + "|sf=10")
+	hdr := map[string]string{"X-Tenant": tenant}
+	for _, body := range []string{specBody(t, nil), specBody(t, map[string]any{"sf": 10})} {
+		resp, data := post(t, front.URL, body, hdr)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", body, resp.StatusCode, data)
+		}
+		if got := resp.Header.Get(ReplicaHeader); got != home {
+			t.Fatalf("%s served by %s, want %s, the home of %s|sf=10", body, got, home, tenant)
+		}
+	}
+	stats := c.srvs[c.replicaAt(home)].Admission().Stats()[tenant]
+	if stats.Completed != 2 {
+		t.Fatalf("home replica completed %d of the tenant's requests, want 2", stats.Completed)
 	}
 }

@@ -5,6 +5,13 @@ import (
 	"time"
 )
 
+// Degraded serving clamps each request's budgets to these, on top of any
+// tenant or request budget.
+const (
+	degradedTimeBudgetMS = 2000
+	degradedCallBudget   = 50000
+)
+
 // BreakerConfig parameterizes the per-catalog circuit breaker. Fields are
 // plain JSON (milliseconds, counts) so the mqoserver flag surface can
 // carry them. The zero value enables the breaker with generous defaults —
@@ -21,12 +28,6 @@ type BreakerConfig struct {
 	// CooldownMS is how long an open catalog rejects before a single probe
 	// request is let through in degraded mode (default 10000).
 	CooldownMS int64 `json:"cooldown_ms,omitempty"`
-	// DegradedTimeBudgetMS clamps each degraded request's wall clock, on
-	// top of any tenant or request budget (default 2000).
-	DegradedTimeBudgetMS int64 `json:"degraded_time_budget_ms,omitempty"`
-	// DegradedCallBudget clamps each degraded request's oracle calls
-	// (default 50000).
-	DegradedCallBudget int `json:"degraded_call_budget,omitempty"`
 }
 
 func (c BreakerConfig) normalize() BreakerConfig {
@@ -35,12 +36,6 @@ func (c BreakerConfig) normalize() BreakerConfig {
 	}
 	if c.CooldownMS <= 0 {
 		c.CooldownMS = 10000
-	}
-	if c.DegradedTimeBudgetMS <= 0 {
-		c.DegradedTimeBudgetMS = 2000
-	}
-	if c.DegradedCallBudget <= 0 {
-		c.DegradedCallBudget = 50000
 	}
 	return c
 }

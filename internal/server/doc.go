@@ -45,7 +45,9 @@
 //
 // Every optimize request is attributed to a tenant (the X-Tenant header or
 // the request's "tenant" field; "default" when absent) and passes the
-// tenant's admission gate before any optimizer work happens:
+// tenant's admission gate — its Config.Tenants entry, else
+// Config.DefaultTenant, or a 403 unknown_tenant when StrictTenants —
+// before any optimizer work happens:
 //
 //   - Concurrency: at most MaxConcurrent requests of a tenant run at once.
 //   - Queueing: excess requests wait in a bounded per-tenant queue of
@@ -89,10 +91,11 @@
 // With SchedConfig.Slots > 0 every tenant additionally competes for a
 // shared worker-slot pool, dispatched by SchedConfig.Policy:
 //
-//   - PolicyDRR (default) is deficit round-robin: a rotation pointer
-//     parks on one tenant, replenishes its deficit by Quantum×Weight once
-//     per visit, serves it while the deficit covers the head request's
-//     cost (its query count), then advances. Over any backlogged window
+//   - PolicyDRR (the default, and any value but PolicyFIFO) is deficit
+//     round-robin: a rotation pointer parks on one tenant, replenishes its
+//     deficit by Quantum×Weight once per visit, serves it while the
+//     deficit covers the head request's cost (its query count), then
+//     advances. Over any backlogged window
 //     each tenant's share of dispatched work is proportional to its
 //     Weight; a request costing more than one quantum accumulates deficit
 //     across rotations instead of starving or being starved.
@@ -148,9 +151,10 @@
 // Every optimize request takes one path: decode → validate → admit →
 // build → lane of ≥ 1 → one Session.OptimizeShared run → attribute →
 // encode (handleOptimize, then Server.runLane). Whatever is a pure
-// function of the request and the config — body shape, tenant name, the
-// sf allowlist — is rejected before admission, so a request that can only
-// be a 4xx never holds a slot or draws scheduler deficit.
+// function of the request and the config — body size (1 MiB) and shape,
+// query count (MaxQueries), tenant name, the sf allowlist — is rejected
+// before admission, so a request that can only be a 4xx never holds a
+// slot or draws scheduler deficit.
 //
 // A lane is the set of requests one shared run serves, keyed by
 // everything that must match for that run to be exactly what each member
@@ -228,9 +232,10 @@
 //
 // Each catalog (pool key) carries a circuit breaker. Repeated recovered
 // panics or time-budget deadline stops move it closed → degraded —
-// requests still answer 200 but under clamped budgets and the cheap
-// LazyGreedy fallback, flagged "degraded":true — and, if failures
-// continue, degraded → open: 503 + Retry-After with code breaker_open
+// requests still answer 200 but under budgets clamped to 2 s and 50,000
+// oracle calls and the cheap LazyGreedy fallback, flagged
+// "degraded":true — and, if failures continue, degraded → open: 503 +
+// Retry-After with code breaker_open
 // until a cooldown admits one degraded probe, whose outcome decides
 // between reopening and recovery. /healthz reports any non-closed breaker
 // under status "degraded" (still 200 — the instance serves).

@@ -29,8 +29,8 @@ type SchedConfig struct {
 	// 64). Smaller quanta interleave tenants more finely; larger ones
 	// amortize bulk requests.
 	Quantum int `json:"quantum,omitempty"`
-	// Policy selects the dispatch order: PolicyDRR (default) or
-	// PolicyFIFO.
+	// Policy selects the dispatch order: PolicyFIFO, or PolicyDRR for
+	// any other value (the default).
 	Policy string `json:"policy,omitempty"`
 	// NoPreempt disables deadline-aware preemption while keeping DRR
 	// dispatch.
@@ -41,7 +41,7 @@ func (c SchedConfig) normalize() SchedConfig {
 	if c.Quantum <= 0 {
 		c.Quantum = 64
 	}
-	if c.Policy == "" {
+	if c.Policy != PolicyFIFO {
 		c.Policy = PolicyDRR
 	}
 	return c
@@ -428,7 +428,7 @@ func (a *Admission) grantLocked(w *waiter) {
 // the victim's next round boundary, the victim Yields, and the freed slot
 // dispatches to the earliest-deadline waiter.
 func (a *Admission) maybePreemptLocked(w *waiter) {
-	if a.sched.Slots <= 0 || a.sched.NoPreempt || a.sched.Policy != PolicyDRR {
+	if a.sched.Slots <= 0 || a.sched.NoPreempt || a.sched.Policy == PolicyFIFO {
 		return
 	}
 	if !w.hasDeadline || w.preemptAsked || a.running < a.sched.Slots {

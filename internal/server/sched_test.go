@@ -584,3 +584,41 @@ func TestSchedGrantReleaseIdempotent(t *testing.T) {
 		t.Fatalf("after double release: %+v, want spent=30 completed=1 active=0", st)
 	}
 }
+
+// TestSchedUnknownPolicyIsDRR: a policy other than PolicyFIFO is DRR at
+// every decision — queue order, dispatch and preemption — so a misspelt
+// SchedConfig.Policy cannot leave DRR dispatch on with preemption
+// silently off: the deadline waiter must get the running grant asked to
+// yield.
+func TestSchedUnknownPolicyIsDRR(t *testing.T) {
+	a := NewScheduler(
+		TenantConfig{MaxConcurrent: 64, QueueDepth: 64, QueueWaitMS: 60000},
+		nil, false, SchedConfig{Slots: 1, Quantum: 64, Policy: "DRR"})
+	neverFire(a)
+	ctx := context.Background()
+
+	bulk, err := a.AcquireGrant(ctx, AdmitRequest{Tenant: "bulk", Cost: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bulk.SetPreemptible(true)
+
+	grants := make(chan grantRecord, 4)
+	spawnWaiters(t, a, "slo", 1, 1, time.Second, grants)
+	waitFor(t, func() bool { return bulk.PreemptRequested() })
+
+	resumed := make(chan error, 1)
+	go func() { resumed <- bulk.Yield(ctx) }()
+	r := <-grants
+	if r.tenant != "slo" {
+		t.Fatalf("slot after yield went to %s, want slo", r.tenant)
+	}
+	r.g.Release(0)
+	if err := <-resumed; err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	bulk.Release(0)
+	if n := a.Preemptions(); n != 1 {
+		t.Fatalf("Preemptions() = %d, want 1", n)
+	}
+}

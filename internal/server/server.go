@@ -22,8 +22,12 @@ import (
 	"repro/internal/workload"
 )
 
+// maxBodyBytes bounds an optimize request body. Snapshots are far larger
+// and have their own cap (snapshot.go).
+const maxBodyBytes = 1 << 20
+
 // Config parameterizes a Server. The zero value serves with the default
-// tenant config, a 4-session pool and a 1 MiB body limit.
+// tenant config and a 4-session pool.
 type Config struct {
 	// DefaultTenant is the admission config applied to tenants not listed
 	// in Tenants (rejected instead when StrictTenants).
@@ -35,10 +39,8 @@ type Config struct {
 	StrictTenants bool
 	// PoolSize bounds the session pool (default 4 catalogs).
 	PoolSize int
-	// MaxBodyBytes bounds an optimize request body (default 1 MiB).
-	MaxBodyBytes int64
 	// MaxQueries bounds the batch size one request may carry, spec or SQL
-	// (default 1024; < 0 disables the bound).
+	// (≤ 0 = the default 1024).
 	MaxQueries int
 	// DefaultSF is the catalog scale factor when a request names none
 	// (default 1).
@@ -67,13 +69,7 @@ func (c Config) normalize() Config {
 	if c.PoolSize <= 0 {
 		c.PoolSize = 4
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
-	switch {
-	case c.MaxQueries < 0:
-		c.MaxQueries = 0
-	case c.MaxQueries == 0:
+	if c.MaxQueries <= 0 {
 		c.MaxQueries = 1024
 	}
 	if c.DefaultSF <= 0 {
@@ -309,7 +305,7 @@ func (s *Server) buildBatch(req *OptimizeRequest) (*logical.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.cfg.MaxQueries > 0 && len(batch.Queries) > s.cfg.MaxQueries {
+	if len(batch.Queries) > s.cfg.MaxQueries {
 		return nil, errors.New("sql batch exceeds the server's query cap")
 	}
 	return batch, nil
@@ -328,39 +324,27 @@ type runSpec struct {
 }
 
 // effectiveSpec resolves a request against its tenant's caps and, when
-// non-nil, the degraded clamps: the effective budget is the tightest of
+// degraded, the breaker's clamps: the effective budget is the tightest of
 // the request's ask, the tenant's cap and the degraded clamp, and
 // degraded serving forces the cheap LazyGreedy fallback strategy.
-func effectiveSpec(req *OptimizeRequest, cfg TenantConfig, deg *BreakerConfig) runSpec {
+func effectiveSpec(req *OptimizeRequest, cfg TenantConfig, degraded bool) runSpec {
 	strat, _ := parseStrategy(req.Strategy) // validated at decode time
-	if deg != nil {
-		strat = core.LazyGreedyStrategy
-	}
-	rs := runSpec{
-		strategy:   strat,
-		timeMS:     req.TimeBudgetMS,
-		callBudget: -1,
-	}
-	clampTime := func(capMS int64) {
-		if capMS > 0 && (rs.timeMS == 0 || rs.timeMS > capMS) {
-			rs.timeMS = capMS
-		}
-	}
-	clampTime(cfg.TimeBudgetMS)
-	if deg != nil {
-		clampTime(deg.DegradedTimeBudgetMS)
-	}
+	rs := runSpec{strategy: strat, timeMS: req.TimeBudgetMS, callBudget: -1}
 	if req.OracleCallBudget != nil {
 		rs.callBudget = *req.OracleCallBudget
 	}
-	clampCalls := func(cap int) {
-		if cap > 0 && (rs.callBudget < 0 || rs.callBudget > cap) {
-			rs.callBudget = cap
+	clamp := func(capMS int64, capCalls int) {
+		if capMS > 0 && (rs.timeMS == 0 || rs.timeMS > capMS) {
+			rs.timeMS = capMS
+		}
+		if capCalls > 0 && (rs.callBudget < 0 || rs.callBudget > capCalls) {
+			rs.callBudget = capCalls
 		}
 	}
-	clampCalls(cfg.CallBudget)
-	if deg != nil {
-		clampCalls(deg.DegradedCallBudget)
+	clamp(cfg.TimeBudgetMS, cfg.CallBudget)
+	if degraded {
+		rs.strategy = core.LazyGreedyStrategy
+		clamp(degradedTimeBudgetMS, degradedCallBudget)
 	}
 	return rs
 }
@@ -387,7 +371,7 @@ func (s *Server) decodeOptimize(w http.ResponseWriter, r *http.Request) (req *Op
 		writeError(w, status, code, msg, 0)
 		return nil, "", poolKey{}, false
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	var tooLarge *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooLarge):
@@ -463,12 +447,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			"catalog "+key.String()+" is temporarily unavailable after repeated faults", retry)
 		return
 	}
-	var degCfg *BreakerConfig
-	if degraded {
-		degCfg = &s.cfg.Breaker
-	}
-
-	lk := laneKey{pool: key, spec: effectiveSpec(req, s.adm.Config(tenantName), degCfg), degraded: degraded}
+	lk := laneKey{pool: key, spec: effectiveSpec(req, s.adm.Config(tenantName), degraded), degraded: degraded}
 	m := &batchMember{
 		ctx:       ctx,
 		batch:     batch,

@@ -428,6 +428,53 @@ func TestServerCallBudgetZero(t *testing.T) {
 	}
 }
 
+// TestEffectiveSpecClamps: a request's budgets are the tightest of its
+// own ask, its tenant's cap and, when degraded, the breaker's clamp. A
+// call budget of 0 is an ask (forbid all calls), not "none", and an
+// unbudgeted request stays unbudgeted (-1). Degraded serving forces
+// LazyGreedy whatever the request named.
+func TestEffectiveSpecClamps(t *testing.T) {
+	calls := func(n int) *int { return &n }
+	tenant := TenantConfig{TimeBudgetMS: 1000, CallBudget: 20000}
+	cases := []struct {
+		name     string
+		req      OptimizeRequest
+		cfg      TenantConfig
+		degraded bool
+		want     runSpec
+	}{
+		{"no ask, no cap", OptimizeRequest{}, TenantConfig{}, false,
+			runSpec{core.MarginalGreedy, 0, -1}},
+		{"strategy kept", OptimizeRequest{Strategy: "greedy"}, TenantConfig{}, false,
+			runSpec{core.Greedy, 0, -1}},
+		{"ask under cap", OptimizeRequest{TimeBudgetMS: 500, OracleCallBudget: calls(100)}, tenant, false,
+			runSpec{core.MarginalGreedy, 500, 100}},
+		{"ask over cap", OptimizeRequest{TimeBudgetMS: 5000, OracleCallBudget: calls(30000)}, tenant, false,
+			runSpec{core.MarginalGreedy, 1000, 20000}},
+		{"no ask, tenant cap", OptimizeRequest{}, tenant, false,
+			runSpec{core.MarginalGreedy, 1000, 20000}},
+		{"zero calls stays zero", OptimizeRequest{OracleCallBudget: calls(0)}, tenant, false,
+			runSpec{core.MarginalGreedy, 1000, 0}},
+		{"degraded, no ask, no cap", OptimizeRequest{Strategy: "marginal"}, TenantConfig{}, true,
+			runSpec{core.LazyGreedyStrategy, degradedTimeBudgetMS, degradedCallBudget}},
+		{"degraded under tenant cap", OptimizeRequest{}, tenant, true,
+			runSpec{core.LazyGreedyStrategy, 1000, 20000}},
+		{"degraded clamps a loose ask", OptimizeRequest{TimeBudgetMS: 3000, OracleCallBudget: calls(60000)}, TenantConfig{}, true,
+			runSpec{core.LazyGreedyStrategy, degradedTimeBudgetMS, degradedCallBudget}},
+		{"degraded clamps a loose tenant", OptimizeRequest{}, TenantConfig{TimeBudgetMS: 9000, CallBudget: 70000}, true,
+			runSpec{core.LazyGreedyStrategy, degradedTimeBudgetMS, degradedCallBudget}},
+		{"degraded keeps a tight ask", OptimizeRequest{TimeBudgetMS: 50, OracleCallBudget: calls(0)}, tenant, true,
+			runSpec{core.LazyGreedyStrategy, 50, 0}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := effectiveSpec(&tc.req, tc.cfg, tc.degraded); got != tc.want {
+				t.Fatalf("effectiveSpec = %+v, want %+v", got, tc.want)
+			}
+		})
+	}
+}
+
 // TestServerBadSFRejectedBeforeAdmission: the sf allowlist is a pure
 // function of the request and the config, so it is checked before
 // admission — a request that can only ever be a 400 gets it at once even

@@ -23,7 +23,7 @@ import (
 
 // defaultMaxSnapshotBytes bounds a PUT /v1/cache/snapshot body. Snapshots
 // are far larger than optimize requests (every cache entry is ~100 bytes
-// of JSON), so they get their own cap instead of MaxBodyBytes.
+// of JSON), so they get their own cap instead of maxBodyBytes.
 const defaultMaxSnapshotBytes = 64 << 20
 
 // parsePoolKey is the inverse of poolKey.String: "sf=<g>" with an

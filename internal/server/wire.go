@@ -69,7 +69,7 @@ type OptimizeRequest struct {
 // decodeOptimizeRequest parses and validates one request body. It is
 // strict — unknown fields, trailing data and out-of-range knobs are all
 // errors — and never panics, so every failure maps to a 400. maxQueries
-// bounds the batch size a spec may request (0 = no bound).
+// bounds the batch size a spec may request.
 func decodeOptimizeRequest(data []byte, maxQueries int) (*OptimizeRequest, error) {
 	var req OptimizeRequest
 	if err := strictjson.Decode(data, &req); err != nil {
@@ -110,7 +110,7 @@ func (r *OptimizeRequest) validate(maxQueries int) error {
 		if err := r.Spec.Validate(); err != nil {
 			return err
 		}
-		if maxQueries > 0 && r.Spec.Queries > maxQueries {
+		if r.Spec.Queries > maxQueries {
 			return fmt.Errorf("spec asks for %d queries, server caps batches at %d", r.Spec.Queries, maxQueries)
 		}
 	}

@@ -8,15 +8,18 @@
 // instances.
 //
 // RunWith is the entry point: it accepts a context and a Config carrying a
-// wall-clock budget, an oracle-call budget and a progress callback, checks
-// them between greedy rounds, and reports per-phase telemetry in the
-// Result. The zero Config runs unbudgeted.
+// wall-clock budget, an oracle-call budget, a progress callback and a
+// preemption signal, checks them between greedy rounds, and reports
+// per-phase telemetry in the Result. The zero Config runs unbudgeted.
+// ResumeWith and RunK run through the same body over the same oracle.
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/memo"
@@ -48,8 +51,8 @@ const (
 	// paper attributes to Silva et al., noted as potentially "horribly
 	// inefficient").
 	MaterializeAll
-	// Exhaustive enumerates all materialization sets (≤ 20 shareable
-	// nodes).
+	// Exhaustive enumerates all materialization sets (≤ 25 shareable
+	// nodes; submod.Exhaustive panics above).
 	Exhaustive
 	// VolcanoSH shares only subexpressions that appear in the locally
 	// optimal plans (the post-optimization baseline of Subramanian &
@@ -103,15 +106,15 @@ type Config struct {
 	// The serving tier enables it only for sessions warm-started from an
 	// imported cache snapshot.
 	WarmOracle bool
-	// PreemptSignal, when non-nil, is polled after every completed greedy
-	// round (from the same between-rounds hook as Progress). When it
-	// returns true the run's context is cancelled with submod.ErrPreempted
-	// as the cause, so the run stops at the round boundary with
-	// Telemetry.Stopped == submod.StopPreempted and — for a resumable lazy
-	// strategy — a Checkpoint that continues it bit-identically. Polling
-	// only at round boundaries is what keeps Σ segment telemetry equal to
-	// an unpreempted run's: a mid-batch abort would re-price the
-	// interrupted round's pops on resume.
+	// PreemptSignal, when non-nil, is the run's submod.Control.Preempt:
+	// the oracle polls it after every completed greedy round, right after
+	// Progress, and a true result stops the run at that round boundary
+	// with Telemetry.Stopped == submod.StopPreempted and — for a resumable
+	// lazy strategy — a Checkpoint that continues it bit-identically. A
+	// context already done at the poll wins; a call budget spent on the
+	// same round does not. Polling only at round boundaries is what keeps
+	// Σ segment telemetry equal to an unpreempted run's: a mid-batch abort
+	// would re-price the interrupted round's pops on resume.
 	PreemptSignal func() bool
 
 	maxCalls    int
@@ -293,12 +296,7 @@ func (b benefitL2) Put(k uint64, v float64) { b.c.PutBenefit(b.ns, k, v) }
 // went. With no budget set the chosen sets and costs are bit-identical to
 // the seed-oracle goldens.
 func RunWith(ctx context.Context, opt *volcano.Optimizer, strat Strategy, cfg Config) Result {
-	res, err := run(ctx, opt, strat, cfg, nil)
-	if err != nil {
-		// run only fails validating a resume checkpoint, and none was given.
-		panic("core: " + err.Error())
-	}
-	return res
+	return run(ctx, opt, strat, cfg, strat.search)
 }
 
 // Resumable reports whether the strategy runs on a lazy driver
@@ -332,11 +330,77 @@ func ResumeWith(ctx context.Context, opt *volcano.Optimizer, cp *submod.Checkpoi
 	if err != nil {
 		return Result{}, err
 	}
-	return run(ctx, opt, strat, cfg, cp)
+	if err := cp.Validate(len(opt.Shareable())); err != nil {
+		return Result{}, err
+	}
+	return run(ctx, opt, strat, cfg, func(o *submod.Oracle, _ *BenefitFunc, _ func()) submod.Result {
+		r, err := submod.ResumeLazy(o, cp)
+		if err != nil {
+			panic("core: " + err.Error()) // validated above
+		}
+		return r
+	}), nil
 }
 
-// run is the shared body of RunWith and ResumeWith.
-func run(ctx context.Context, opt *volcano.Optimizer, strat Strategy, cfg Config, resume *submod.Checkpoint) (Result, error) {
+// RunK executes the cardinality-constrained MarginalGreedy of Section 5.3:
+// at most k nodes are materialized. With reduce=true the Theorem 4
+// universe-reduction preprocessing runs first; Theorem 4 guarantees the
+// same output either way.
+func RunK(opt *volcano.Optimizer, k int, reduce bool) Result {
+	return run(context.TODO(), opt, MarginalGreedy, Config{}, func(o *submod.Oracle, _ *BenefitFunc, setupDone func()) submod.Result {
+		d := submod.DecomposeStar(o)
+		setupDone()
+		if reduce {
+			return submod.MarginalGreedyKOn(d, k, submod.ReduceUniverse(d, k))
+		}
+		return submod.MarginalGreedyK(d, k)
+	})
+}
+
+// search is the part of a run its entry point decides: RunWith's strategy,
+// ResumeWith's checkpoint or RunK's cardinality bound. It drives the run's
+// oracle and returns what the driver found; setupDone marks the end of the
+// setup a search needs before its first round (DecomposeStar, Volcano-SH's
+// candidate order), so that work is timed as setup.
+type search func(o *submod.Oracle, f *BenefitFunc, setupDone func()) submod.Result
+
+// search dispatches the strategy to its submod driver.
+func (s Strategy) search(o *submod.Oracle, f *BenefitFunc, setupDone func()) submod.Result {
+	switch s {
+	case Volcano:
+		return submod.Result{Set: submod.Set{}}
+	case Greedy:
+		return submod.Greedy(o)
+	case LazyGreedyStrategy:
+		return submod.LazyGreedy(o)
+	case MarginalGreedy, LazyMarginalGreedy:
+		d := submod.DecomposeStar(o)
+		setupDone()
+		if s == MarginalGreedy {
+			return submod.MarginalGreedy(d)
+		}
+		return submod.LazyMarginalGreedy(d)
+	case MaterializeAll:
+		// No oracle rounds to bound, but the budget contract ("n = 0
+		// forbids any materialization") and cancellation still apply.
+		if o.Interrupted() {
+			return submod.Result{Stopped: o.StopReason()}
+		}
+		return submod.Result{Set: o.Universe()}
+	case Exhaustive:
+		return submod.Exhaustive(o)
+	case VolcanoSH:
+		order := volcanoSHOrder(f)
+		setupDone()
+		return submod.VolcanoSH(o, order)
+	}
+	panic("core: unknown strategy")
+}
+
+// run is the one body of every run: it meters the searcher, prices bc(∅),
+// builds the oracle with its L2 and its Control — the one place every early
+// stop is recorded — drives the search, and prices and accounts the result.
+func run(ctx context.Context, opt *volcano.Optimizer, strat Strategy, cfg Config, drive search) Result {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -345,30 +409,10 @@ func run(ctx context.Context, opt *volcano.Optimizer, strat Strategy, cfg Config
 		ctx, cancel = context.WithTimeout(ctx, cfg.TimeBudget)
 		defer cancel()
 	}
-	if cfg.PreemptSignal != nil {
-		// Preemption cancels with a cause, checked only between completed
-		// rounds (the Progress hook), so the stop lands exactly on a
-		// checkpointable round boundary.
-		var cancel context.CancelCauseFunc
-		ctx, cancel = context.WithCancelCause(ctx)
-		defer cancel(nil)
-		signal, inner := cfg.PreemptSignal, cfg.Progress
-		cfg.Progress = func(p submod.Progress) {
-			if inner != nil {
-				inner(p)
-			}
-			if signal() {
-				cancel(submod.ErrPreempted)
-			}
-		}
-	}
-	if strat == VolcanoSH {
-		return runVolcanoSH(ctx, opt, cfg), nil
-	}
 	mt := startMeter(opt)
 	f := NewBenefitFuncCtx(ctx, opt)
 	if err := f.Fault(); err != nil {
-		return mt.faulted(strat, err), nil
+		return mt.faulted(strat, err)
 	}
 	oracle := submod.NewOracle(f)
 	// With a session SharedCache attached, memoized oracle values from
@@ -385,66 +429,12 @@ func run(ctx context.Context, opt *volcano.Optimizer, strat Strategy, cfg Config
 		MaxCalls:    cfg.maxCalls,
 		HasMaxCalls: cfg.hasMaxCalls,
 		OnProgress:  cfg.Progress,
+		Preempt:     cfg.PreemptSignal,
 	})
-	var r submod.Result
 	setupEnd := time.Now()
-	if resume != nil {
-		var err error
-		r, err = submod.ResumeLazy(oracle, resume)
-		if err != nil {
-			return Result{}, err
-		}
-	} else {
-		switch strat {
-		case Volcano:
-			r = submod.Result{Set: submod.Set{}}
-		case Greedy:
-			r = submod.Greedy(oracle)
-		case LazyGreedyStrategy:
-			r = submod.LazyGreedy(oracle)
-		case MarginalGreedy:
-			d := submod.DecomposeStar(oracle)
-			setupEnd = time.Now()
-			r = submod.MarginalGreedy(d)
-		case LazyMarginalGreedy:
-			d := submod.DecomposeStar(oracle)
-			setupEnd = time.Now()
-			r = submod.LazyMarginalGreedy(d)
-		case MaterializeAll:
-			// No oracle rounds to bound, but the budget contract ("n = 0
-			// forbids any materialization") and cancellation still apply.
-			if oracle.Interrupted() {
-				r = submod.Result{Stopped: oracle.StopReason()}
-			} else {
-				r = submod.Result{Set: oracle.Universe()}
-			}
-		case Exhaustive:
-			r = submod.Exhaustive(oracle)
-		default:
-			panic("core: unknown strategy")
-		}
-	}
+	r := drive(oracle, f, func() { setupEnd = time.Now() })
 	searchEnd := time.Now()
-	return mt.finish(searched(strat, f, oracle, r), setupEnd, searchEnd), nil
-}
-
-// meter is the start-of-run snapshot every driver takes: the clock and the
-// searcher's cumulative counters, so a run's Telemetry is the delta over
-// exactly its own work however warm the searcher already was.
-type meter struct {
-	opt    *volcano.Optimizer
-	start  time.Time
-	before physical.Stats
-}
-
-func startMeter(opt *volcano.Optimizer) meter {
-	return meter{opt: opt, start: time.Now(), before: opt.Stats}
-}
-
-// searched is the part of a Result a submod driver's search decides, read
-// off its oracle and submod.Result: what meter.finish takes as input.
-func searched(strat Strategy, f *BenefitFunc, oracle *submod.Oracle, r submod.Result) Result {
-	return Result{
+	return mt.finish(Result{
 		Strategy:     strat,
 		Materialized: f.ToNodes(r.Set),
 		VolcanoCost:  f.Base(),
@@ -459,10 +449,55 @@ func searched(strat Strategy, f *BenefitFunc, oracle *submod.Oracle, r submod.Re
 			Reused:           r.Reused,
 			Stopped:          r.Stopped,
 		},
-	}
+	}, setupEnd, searchEnd)
 }
 
-// finish completes a Result whose search part the driver filled in
+// volcanoSHOrder is Volcano-SH's candidate order (Roy et al., SIGMOD 2000,
+// after Subramanian & Venkataraman's transient views): the shareable nodes,
+// as elements of f, that the locally optimal plans — the plan of the empty
+// set — compute at least twice, by use count descending, then by group id.
+// Sharing only what those plans already repeat never steers plan choice
+// toward sharing, which is what puts Volcano-SH between stand-alone Volcano
+// and cost-based MQO.
+func volcanoSHOrder(f *BenefitFunc) []int {
+	uses := map[memo.GroupID]int{}
+	var walk func(n *physical.PlanNode)
+	walk = func(n *physical.PlanNode) {
+		uses[n.Group]++
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	for _, q := range f.Opt.Plan(physical.NodeSet{}).Queries {
+		walk(q)
+	}
+	var order []int
+	for e, id := range f.Nodes {
+		if uses[id] >= 2 {
+			order = append(order, e)
+		}
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		ga, gb := f.Nodes[a], f.Nodes[b]
+		return cmp.Or(cmp.Compare(uses[gb], uses[ga]), cmp.Compare(ga, gb))
+	})
+	return order
+}
+
+// meter is the start-of-run snapshot run takes: the clock and the
+// searcher's cumulative counters, so a run's Telemetry is the delta over
+// exactly its own work however warm the searcher already was.
+type meter struct {
+	opt    *volcano.Optimizer
+	start  time.Time
+	before physical.Stats
+}
+
+func startMeter(opt *volcano.Optimizer) meter {
+	return meter{opt: opt, start: time.Now(), before: opt.Stats}
+}
+
+// finish completes a Result whose search part run filled in
 // (Strategy, Materialized, VolcanoCost, OracleCalls, Checkpoint, Fault and
 // the Telemetry round counters): it prices the chosen set (a faulted
 // run's searcher is not consulted again, and a panic in the pricing faults
@@ -498,28 +533,4 @@ func (mt meter) finish(res Result, setupEnd, searchEnd time.Time) Result {
 func (mt meter) faulted(strat Strategy, err error) Result {
 	now := time.Now()
 	return mt.finish(Result{Strategy: strat, Fault: err, Telemetry: Telemetry{Stopped: submod.StopPanic}}, now, now)
-}
-
-// RunK executes the cardinality-constrained MarginalGreedy of Section 5.3:
-// at most k nodes are materialized. With reduce=true the Theorem 4
-// universe-reduction preprocessing runs first; Theorem 4 guarantees the
-// same output either way.
-func RunK(opt *volcano.Optimizer, k int, reduce bool) Result {
-	mt := startMeter(opt)
-	f := NewBenefitFuncCtx(context.TODO(), opt)
-	if err := f.Fault(); err != nil {
-		return mt.faulted(MarginalGreedy, err)
-	}
-	oracle := submod.NewOracle(f)
-	d := submod.DecomposeStar(oracle)
-	setupEnd := time.Now()
-	var r submod.Result
-	if reduce {
-		universe := submod.ReduceUniverse(d, k)
-		r = submod.MarginalGreedyKOn(d, k, universe)
-	} else {
-		r = submod.MarginalGreedyK(d, k)
-	}
-	searchEnd := time.Now()
-	return mt.finish(searched(MarginalGreedy, f, oracle, r), setupEnd, searchEnd)
 }

@@ -13,7 +13,13 @@ import (
 
 func bq2Optimizer(t testing.TB) *volcano.Optimizer {
 	t.Helper()
-	opt, err := volcano.NewOptimizer(tpcd.Catalog(1), cost.Default(), tpcd.BQ(2))
+	return bqOptimizer(t, 2)
+}
+
+// bqOptimizer is a fresh optimizer over batch query BQi at scale factor 1.
+func bqOptimizer(t testing.TB, i int) *volcano.Optimizer {
+	t.Helper()
+	opt, err := volcano.NewOptimizer(tpcd.Catalog(1), cost.Default(), tpcd.BQ(i))
 	if err != nil {
 		t.Fatalf("NewOptimizer: %v", err)
 	}
@@ -262,6 +268,61 @@ func TestFreshRunIsResumeFromStartBQ(t *testing.T) {
 			if o.Calls != refO.Calls {
 				t.Fatalf("BQ%d %s: resume from start spent %d oracle calls, the driver %d", i, name, o.Calls, refO.Calls)
 			}
+		}
+	}
+}
+
+// TestPreemptPrecedence pins which stop wins when a preemption lands on
+// the same round as another stop. The signal is polled right after the
+// round's Progress report: a context the report cancelled is already done
+// at the poll and wins (StopCancelled), while a call budget the round spent
+// is only checked before the next round and loses (StopPreempted). Either
+// way the run stops at that round boundary.
+func TestPreemptPrecedence(t *testing.T) {
+	for _, s := range []Strategy{Greedy, LazyGreedyStrategy, MarginalGreedy, LazyMarginalGreedy} {
+		var calls []int // oracle calls at each progress report of the full run
+		RunWith(context.Background(), bq2Optimizer(t), s, Config{Progress: func(p submod.Progress) { calls = append(calls, p.OracleCalls) }})
+		if len(calls) == 0 {
+			t.Fatalf("%v: no progress report", s)
+		}
+		check := func(r int, what string, got Result, want submod.StopReason) {
+			t.Helper()
+			if got.Stopped() != want || got.OracleCalls != calls[r-1] || got.Telemetry.Rounds != r {
+				t.Errorf("%v report %d, %s: stopped %v after %d calls and %d rounds, want %v after %d and %d",
+					s, r, what, got.Stopped(), got.OracleCalls, got.Telemetry.Rounds, want, calls[r-1], r)
+			}
+		}
+		budgetRounds := 0
+		for r := 1; r <= len(calls); r++ {
+			reports := 0
+			fired := func() bool { return reports >= r }
+			ctx, cancel := context.WithCancel(context.Background())
+			got := RunWith(ctx, bq2Optimizer(t), s, Config{
+				Progress: func(submod.Progress) {
+					if reports++; reports == r {
+						cancel()
+					}
+				},
+				PreemptSignal: fired,
+			})
+			cancel()
+			check(r, "Progress cancels the context", got, submod.StopCancelled)
+
+			// A budget of the calls at report r runs out on round r only
+			// when the round's own selection spent the last call; otherwise
+			// the run stops before round r and there is nothing to race.
+			budget := Config{}.LimitOracleCalls(calls[r-1])
+			if RunWith(context.Background(), bq2Optimizer(t), s, budget).Telemetry.Rounds != r {
+				continue
+			}
+			budgetRounds++
+			reports = 0
+			budget.Progress = func(submod.Progress) { reports++ }
+			budget.PreemptSignal = fired
+			check(r, "the call budget runs out", RunWith(context.Background(), bq2Optimizer(t), s, budget), submod.StopPreempted)
+		}
+		if budgetRounds == 0 {
+			t.Errorf("%v: no round spent the call budget", s)
 		}
 	}
 }

@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/memo"
 	"repro/internal/physical"
+	"repro/internal/submod"
 )
 
 func TestVolcanoSHBetweenVolcanoAndMQO(t *testing.T) {
@@ -57,4 +60,57 @@ func TestVolcanoSHStrategyString(t *testing.T) {
 	if VolcanoSH.String() != "Volcano-SH" {
 		t.Errorf("got %q", VolcanoSH.String())
 	}
+}
+
+// TestVolcanoSHCallBudgetEveryProbe sweeps Volcano-SH's call budget over
+// every probe of the full run, on BQ1–6: a budget of n probes stops after
+// exactly n (one oracle call and one round each) with StopCallBudget, one
+// Progress report per probe, and the full run's first n keep/skip
+// decisions; a budget of every probe is the full run.
+func TestVolcanoSHCallBudgetEveryProbe(t *testing.T) {
+	for i := 1; i <= 6; i++ {
+		var full []submod.Progress
+		ref := RunWith(context.Background(), bqOptimizer(t, i), VolcanoSH, Config{Progress: func(p submod.Progress) { full = append(full, p) }})
+		probes := ref.OracleCalls
+		if probes == 0 || len(full) != probes || ref.Telemetry.Rounds != probes {
+			t.Fatalf("BQ%d: full run made %d probes in %d rounds with %d reports", i, probes, ref.Telemetry.Rounds, len(full))
+		}
+		var prev []memo.GroupID
+		for n := 0; n <= probes; n++ {
+			label := fmt.Sprintf("BQ%d budget %d of %d", i, n, probes)
+			var got []submod.Progress
+			r := RunWith(context.Background(), bqOptimizer(t, i), VolcanoSH, Config{Progress: func(p submod.Progress) { got = append(got, p) }}.LimitOracleCalls(n))
+			want := submod.StopCallBudget
+			if n == probes {
+				want = submod.StopNone
+			}
+			if r.OracleCalls != n || r.Telemetry.Rounds != n || r.Stopped() != want {
+				t.Fatalf("%s: %d calls, %d rounds, stopped %v; want %d, %d, %v", label, r.OracleCalls, r.Telemetry.Rounds, r.Stopped(), n, n, want)
+			}
+			if !slices.Equal(got, full[:n]) {
+				t.Fatalf("%s: reports %+v, want the full run's first %d %+v", label, got, n, full[:n])
+			}
+			kept := 0
+			if n > 0 {
+				kept = got[n-1].Selected
+			}
+			if len(r.Materialized) != kept || !subset(prev, r.Materialized) {
+				t.Fatalf("%s: kept %v after %v, %d selected", label, r.Materialized, prev, kept)
+			}
+			prev = r.Materialized
+		}
+		if !slices.Equal(prev, ref.Materialized) {
+			t.Fatalf("BQ%d: the full budget kept %v, the unbudgeted run %v", i, prev, ref.Materialized)
+		}
+	}
+}
+
+// subset reports whether every id of a is in b.
+func subset(a, b []memo.GroupID) bool {
+	for _, id := range a {
+		if !slices.Contains(b, id) {
+			return false
+		}
+	}
+	return true
 }

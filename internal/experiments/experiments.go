@@ -253,9 +253,10 @@ func Example1() (*Table, error) {
 	return t, nil
 }
 
-// Ablation compares eager vs lazy MarginalGreedy and the effect of the
-// incremental bestCost cache (Section 5 optimizations): identical answers,
-// different work.
+// Ablation compares batched-lazy against sequential-lazy re-evaluation
+// (MarginalGreedy vs LazyMarginalGreedy, Greedy vs LazyGreedy) and the
+// effect of the incremental bestCost cache (Section 5 optimizations):
+// identical answers, different work. No eager driver runs here.
 func Ablation() (*Table, error) {
 	t := &Table{
 		Title:   "Section 5 ablations (BQ4, SF 1): same answer, different work",

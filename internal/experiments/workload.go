@@ -15,7 +15,7 @@ import (
 
 // WorkloadStrategies are the seven MQO strategies the synthetic-workload
 // mode compares (Exhaustive is excluded: generated universes are far beyond
-// its ≤20-node limit).
+// the 25 shareable nodes it enumerates at most).
 var WorkloadStrategies = []core.Strategy{
 	core.Volcano, core.VolcanoSH, core.MaterializeAll,
 	core.Greedy, core.LazyGreedyStrategy,

@@ -182,9 +182,10 @@
 // summing the members' Telemetry reproduces the run's exactly, which is
 // what the tenant quotas are charged (one member of an n-way coalesced
 // group pays ~1/n of that group's oracle calls; a lane of one gets the
-// run itself). Faulted runs conserve the same way: the telemetry burned
-// before the panic is split and charged, under one incident id and one
-// session quarantine. Disconnection of SOME members never aborts the run
+// run itself). Faulted runs conserve the same way, by the same split
+// (memberShares): the telemetry burned before the panic is apportioned by
+// group query count, then evenly within a coalesced group, and charged
+// under one incident id and one session quarantine. Disconnection of SOME members never aborts the run
 // the survivors are riding; only when every client is gone is it
 // cancelled. When the combined build fails — one member's batch is
 // invalid against the catalog — each member is re-run as its own lane of

@@ -142,7 +142,7 @@ func (s *Server) runLane(l *lane) {
 		var fe *repro.FaultError
 		switch {
 		case errors.As(err, &fe):
-			s.faultLane(l.key.pool, live, sess, fe, segs, len(groups))
+			s.faultLane(l.key.pool, live, sess, fe, segs, groups, memberGroup)
 		case len(live) > 1:
 			// The combined build failed — typically one member's batch is
 			// invalid against the catalog. Run each member as its own lane of
@@ -170,23 +170,7 @@ func (s *Server) runLane(l *lane) {
 		s.breaker.recordSuccess(l.key.pool)
 	}
 
-	// Split each group's attribution among the members it was coalesced
-	// from. Group attributions conserve against the run exactly
-	// (repro.OptimizeShared's contract) and SplitTelemetry conserves each
-	// group's share exactly, so summing every member's telemetry
-	// reproduces the run's — the invariant the quota charges and the
-	// race-stress audit check.
-	sharers := make([][]int, len(groups)) // group -> positions in live
-	for k, gi := range memberGroup {
-		sharers[gi] = append(sharers[gi], k)
-	}
-	shares := make([]core.Telemetry, len(live))
-	for gi, a := range sres.Attributions {
-		split := repro.SplitTelemetry(a.Telemetry, ones(len(sharers[gi])))
-		for j, k := range sharers[gi] {
-			shares[k] = split[j]
-		}
-	}
+	shares := memberShares(sres.Telemetry, groups, memberGroup)
 	if s.onLaneComplete != nil {
 		s.onLaneComplete(sres.Telemetry, shares)
 	}
@@ -345,14 +329,14 @@ func laneContext(live []*batchMember) (context.Context, func()) {
 // but each member is charged its exact telemetry share of the work the
 // run burned before the panic (and in the segments before it), so the
 // fault costs tenants what it actually cost the server.
-func (s *Server) faultLane(pool poolKey, live []*batchMember, sess *repro.Session, fe *repro.FaultError, segs []repro.Telemetry, nGroups int) {
+func (s *Server) faultLane(pool poolKey, live []*batchMember, sess *repro.Session, fe *repro.FaultError, segs []repro.Telemetry, groups []*logical.Batch, memberGroup []int) {
 	id := s.incident()
 	s.panics.Add(1)
 	s.pool.quarantine(pool, sess)
 	s.breaker.recordFailure(pool)
 	s.logf("server: lane %s: optimization faulted (incident %s): %v", pool, id, fe.Panic)
 	burned := repro.MergeSegments(append(segs, fe.Telemetry))
-	shares := repro.SplitTelemetry(burned, ones(len(live)))
+	shares := memberShares(burned, groups, memberGroup)
 	if s.onLaneFault != nil {
 		s.onLaneFault(burned, shares)
 	}
@@ -360,20 +344,50 @@ func (s *Server) faultLane(pool poolKey, live []*batchMember, sess *repro.Sessio
 		o := incidentOutcome("optimization faulted", id, shares[k].OracleCalls)
 		// A checkpoint from a combined run only resumes the combined
 		// batch; hand it out only when this member is the whole run.
-		if len(live) == 1 && nGroups == 1 {
+		if len(live) == 1 && len(groups) == 1 {
 			o.body.Checkpoint = fe.Checkpoint
 		}
 		m.deliver(o)
 	}
 }
 
-// ones is the equal-weights vector of SplitTelemetry.
-func ones(n int) []int {
-	w := make([]int, n)
-	for i := range w {
-		w[i] = 1
+// memberShares apportions one lane run's telemetry — a completed run's or
+// the work a faulted one burned — to its live members, the one way: across
+// the coalesced groups by query count (repro.OptimizeShared's attribution),
+// then evenly among the members each group was coalesced from
+// (memberGroup[k] is member k's group). Both splits conserve exactly, so the
+// members' shares sum to the run's telemetry — the invariant the quota
+// charges and the race-stress audit check.
+func memberShares(t core.Telemetry, groups []*logical.Batch, memberGroup []int) []core.Telemetry {
+	// A one-way split is the identity, so a lone group or a lone member
+	// takes its telemetry as it is.
+	byGroup := []core.Telemetry{t}
+	if len(groups) > 1 {
+		counts := make([]int, len(groups))
+		for gi, g := range groups {
+			counts[gi] = len(g.Queries)
+		}
+		byGroup = repro.SplitTelemetry(t, counts)
 	}
-	return w
+	sharers := make([][]int, len(groups)) // group -> positions in live
+	for k, gi := range memberGroup {
+		sharers[gi] = append(sharers[gi], k)
+	}
+	shares := make([]core.Telemetry, len(memberGroup))
+	for gi, gt := range byGroup {
+		if len(sharers[gi]) == 1 {
+			shares[sharers[gi][0]] = gt
+			continue
+		}
+		even := make([]int, len(sharers[gi]))
+		for j := range even {
+			even[j] = 1
+		}
+		for j, part := range repro.SplitTelemetry(gt, even) {
+			shares[sharers[gi][j]] = part
+		}
+	}
+	return shares
 }
 
 // summarizeMemberPlan renders one member's slice of the run's plan: the

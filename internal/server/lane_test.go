@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"net/http/httptest"
 	"reflect"
@@ -8,6 +9,9 @@ import (
 
 	"repro"
 	"repro/internal/core"
+	"repro/internal/faultinject"
+	"repro/internal/memo"
+	"repro/internal/workload"
 )
 
 // TestLaneOfOneMatchesSolo pins the single request path: the same
@@ -146,4 +150,50 @@ func parityView(r *OptimizeResponse) core.Work {
 	r.Batched, r.BatchSize = false, 0
 	r.BuildNS, r.OptNS, r.ExtractNS, r.QueueWaitNS = 0, 0, 0, 0
 	return w
+}
+
+// TestFaultedLaneSharesMatchCompletedSplit: a faulted lane charges its
+// members by the rule a completed lane does — the burned telemetry split
+// across coalesced groups by query count, then evenly within a group — so
+// a 1-query member is not charged what its 3-query peer is. The lane holds
+// two coalesced copies of a 1-query batch and one 3-query batch, and a
+// panic on an oracle evaluation inside the search stops it.
+func TestFaultedLaneSharesMatchCompletedSplit(t *testing.T) {
+	srv := New(Config{DefaultTenant: TenantConfig{MaxConcurrent: 8, QueueDepth: 32, QueueWaitMS: 60000}})
+	var burned core.Telemetry
+	var got []core.Telemetry
+	srv.onLaneFault = func(total core.Telemetry, shares []core.Telemetry) { burned, got = total, shares }
+
+	small, large := testSpec(), testSpec()
+	small.Queries, large.Seed, large.Queries = 1, 8, 3
+	member := func(spec workload.Spec) *batchMember {
+		batch := workload.MustGenerate(spec)
+		fp, _ := memo.BatchKey(batch)
+		return &batchMember{ctx: context.Background(), batch: batch, fp: fp, tenant: "t", outcome: make(chan batchOutcome, 1)}
+	}
+	members := []*batchMember{member(small), member(large), member(small)}
+	withSchedule(t, faultinject.NewSchedule(1,
+		faultinject.Rule{Point: faultinject.OracleEval, N: 6, Panic: true}))
+	srv.runLane(&lane{key: laneKey{pool: poolKey{sf: 1}, spec: runSpec{strategy: core.Greedy, callBudget: -1}}, members: members})
+
+	if got == nil {
+		t.Fatal("the lane did not fault")
+	}
+	// The completed-lane split, spelled out: the 1-query group and the
+	// 3-query group by query count, then the 1-query group's share evenly
+	// between its two members (positions 0 and 2).
+	byGroup := repro.SplitTelemetry(burned, []int{1, 3})
+	pair := repro.SplitTelemetry(byGroup[0], []int{1, 1})
+	want := []core.Telemetry{pair[0], byGroup[1], pair[1]}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("faulted lane shares\n  %+v\nwant the completed-lane split\n  %+v", got, want)
+	}
+	for k, m := range members {
+		if o := <-m.outcome; o.spent != want[k].OracleCalls {
+			t.Errorf("member %d charged %d oracle calls, its share is %d", k, o.spent, want[k].OracleCalls)
+		}
+	}
+	if want[1].BCCalls <= want[0].BCCalls {
+		t.Fatalf("burned %d bc calls split %d / %d: the fixture does not tell the rules apart", burned.BCCalls, want[0].BCCalls, want[1].BCCalls)
+	}
 }

@@ -70,13 +70,23 @@ func (d *Decomposition) positiveCostSplit() (cands, free []int) {
 	return cands, free
 }
 
-// fresh runs the named lazy driver from its Start checkpoint. A run that may
-// not begin — the budget or the context was spent before it, or setting up
-// the decomposition used them up — returns the empty set and no checkpoint.
+// stoppedAtStart is every driver's rule for a run that may not begin: the
+// budget or the context was spent before it, or setting up the
+// decomposition d (nil for the drivers that use none) used them up. Such a
+// run returns the empty set, its stop reason and no checkpoint; ok is false
+// when the run may begin.
+func stoppedAtStart(o *Oracle, d *Decomposition) (res Result, ok bool) {
+	if (d == nil || !d.truncated) && !o.Interrupted() {
+		return Result{}, false
+	}
+	res.Stopped = o.StopReason()
+	res.finish(o, Set{})
+	return res, true
+}
+
+// fresh runs the named lazy driver from its Start checkpoint.
 func fresh(name string, o *Oracle, d *Decomposition) Result {
-	if (d != nil && d.truncated) || o.Interrupted() {
-		res := Result{Stopped: o.StopReason()}
-		res.finish(o, Set{})
+	if res, ok := stoppedAtStart(o, d); ok {
 		return res
 	}
 	return runLazy(o, Start(name, o.N(), d), lazyDrivers[name])
@@ -122,10 +132,8 @@ func LazyMarginalGreedy(d *Decomposition) Result {
 // baseline the lazy drivers are verified against (they must select
 // bit-identical sets) and the ablation benchmarks measure.
 func EagerMarginalGreedy(d *Decomposition) Result {
-	res := Result{}
-	if d.truncated || d.o.Interrupted() {
-		res.Stopped = d.o.StopReason()
-		res.finish(d.o, Set{})
+	res, stopped := stoppedAtStart(d.o, d)
+	if stopped {
 		return res
 	}
 	x := Set{}
@@ -153,7 +161,7 @@ func EagerMarginalGreedy(d *Decomposition) Result {
 		bestE, bestR, bestV := -1, math.Inf(-1), 0.0
 		keep := y[:0]
 		for i, e := range y {
-			r := d.RatioFrom(vals[i], cur, e)
+			r := d.ratioFrom(vals[i], cur, e)
 			if r < 1 {
 				res.Pruned++
 				continue // permanently pruned
@@ -243,15 +251,43 @@ func LazyGreedy(o *Oracle) Result {
 	return fresh("LazyGreedy", o, nil)
 }
 
+// VolcanoSH is the keep-scan of Volcano-SH, the post-optimization baseline
+// of Roy et al. (SIGMOD 2000): it tries each element of order once, in
+// order, against the set kept so far, and keeps it when f rises. Each try
+// is one oracle round; the caller chooses the order (core: the shareable
+// nodes the plan of the empty set computes at least twice). Budgets and
+// cancellation are checked before every try, so a stopped scan returns the
+// set kept so far.
+func VolcanoSH(o *Oracle, order []int) Result {
+	var res Result
+	x, cur := Set{}, 0.0 // f(∅) = 0 by normalization
+	for i, e := range order {
+		if o.Interrupted() {
+			res.Stopped = o.StopReason()
+			break
+		}
+		res.Iterations++
+		v, ok := o.eval(x.With(e))
+		if !ok {
+			res.Stopped = o.StopReason()
+			break
+		}
+		if v > cur {
+			x, cur = x.With(e), v
+		}
+		o.progress("Volcano-SH", res.Iterations, x.Len(), len(order)-i-1, cur)
+	}
+	res.Set, res.Value = x, cur
+	return res
+}
+
 // EagerGreedy is the exhaustive-scan reference implementation of the
 // benefit greedy: every round re-evaluates f(X∪{e}) for every remaining
 // element in one batched oracle call. The lazy drivers are verified to
 // select bit-identical sets against it.
 func EagerGreedy(o *Oracle) Result {
-	res := Result{}
-	if o.Interrupted() {
-		res.Stopped = o.StopReason()
-		res.finish(o, Set{})
+	res, stopped := stoppedAtStart(o, nil)
+	if stopped {
 		return res
 	}
 	x := Set{}
@@ -303,10 +339,8 @@ func Exhaustive(o *Oracle) Result {
 	if n > 25 {
 		panic("submod: exhaustive search limited to 25 elements")
 	}
-	res := Result{}
-	if o.Interrupted() {
-		res.Stopped = o.StopReason()
-		res.finish(o, Set{})
+	res, stopped := stoppedAtStart(o, nil)
+	if stopped {
 		return res
 	}
 	best := Set{}
@@ -351,10 +385,8 @@ func MarginalGreedyKOn(d *Decomposition, k int, universe []int) Result {
 
 // marginalGreedyKOn is the shared body: a nil universe means all elements.
 func marginalGreedyKOn(d *Decomposition, k int, universe []int) Result {
-	res := Result{}
-	if d.truncated || d.o.Interrupted() {
-		res.Stopped = d.o.StopReason()
-		res.finish(d.o, Set{})
+	res, stopped := stoppedAtStart(d.o, d)
+	if stopped {
 		return res
 	}
 	if universe == nil {
@@ -381,7 +413,7 @@ func marginalGreedyKOn(d *Decomposition, k int, universe []int) Result {
 		bestE, bestR := -1, math.Inf(-1)
 		keep := y[:0]
 		for _, e := range y {
-			r := d.Ratio(e, x)
+			r := d.ratio(e, x)
 			if r < 1 {
 				res.Pruned++
 				continue

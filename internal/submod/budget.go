@@ -24,18 +24,12 @@ const (
 	// StopPanic: the oracle recovered a panic mid-batch; the run stopped on
 	// the committed prefix and the fault is available via Oracle.Fault.
 	StopPanic
-	// StopPreempted: a scheduler suspended the run at a round boundary by
-	// cancelling its context with ErrPreempted as the cause. The run's
-	// checkpoint resumes it bit-identically; preemption is a yield, not a
-	// failure.
+	// StopPreempted: the Control's Preempt poll, made after a completed
+	// round, asked the run to suspend, so it stopped at that round
+	// boundary. The run's checkpoint resumes it bit-identically;
+	// preemption is a yield, not a failure.
 	StopPreempted
 )
-
-// ErrPreempted is the cancellation cause a scheduler uses to suspend a run
-// at its next round boundary. Cancelling a run's context via
-// context.WithCancelCause(...) with this cause makes the stop classify as
-// StopPreempted instead of StopCancelled.
-var ErrPreempted = errors.New("submod: run preempted")
 
 // String implements fmt.Stringer.
 func (r StopReason) String() string {
@@ -57,25 +51,6 @@ func (r StopReason) String() string {
 	}
 }
 
-// ParseStopReason is the inverse of String for the defined reasons.
-func ParseStopReason(s string) (StopReason, error) {
-	switch s {
-	case "none":
-		return StopNone, nil
-	case "cancelled":
-		return StopCancelled, nil
-	case "time-budget":
-		return StopTimeBudget, nil
-	case "call-budget":
-		return StopCallBudget, nil
-	case "panic":
-		return StopPanic, nil
-	case "preempted":
-		return StopPreempted, nil
-	}
-	return 0, fmt.Errorf("submod: unknown stop reason %q", s)
-}
-
 // MarshalJSON renders the reason as its String form, so telemetry on the
 // wire says "time-budget" rather than an opaque integer.
 func (r StopReason) MarshalJSON() ([]byte, error) {
@@ -88,12 +63,13 @@ func (r *StopReason) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &s); err != nil {
 		return err
 	}
-	v, err := ParseStopReason(s)
-	if err != nil {
-		return err
+	for v := StopNone; v <= StopPreempted; v++ { // first and last declared
+		if v.String() == s {
+			*r = v
+			return nil
+		}
 	}
-	*r = v
-	return nil
+	return fmt.Errorf("submod: unknown stop reason %q", s)
 }
 
 // Progress is a per-round report delivered to a Control's OnProgress
@@ -109,10 +85,12 @@ type Progress struct {
 	Best        float64 // f(X) of the current selection
 }
 
-// Control bounds one maximization run. All checks happen between oracle
-// rounds (a round's batch runs to completion unless the context itself is
-// cancelled mid-batch), so a stopped run returns a deterministic
-// best-so-far set: the greedy prefix selected by the completed rounds.
+// Control bounds one maximization run and records why it stopped: a
+// cancelled context, a passed deadline, a spent call budget, a recovered
+// panic or a preemption. All checks happen between oracle rounds (a
+// round's batch runs to completion unless the context itself is cancelled
+// mid-batch), so a stopped run returns a deterministic best-so-far set:
+// the greedy prefix selected by the completed rounds.
 type Control struct {
 	// Ctx cancels the run; nil means never. Time budgets are expressed as
 	// context deadlines and reported as StopTimeBudget.
@@ -125,17 +103,16 @@ type Control struct {
 	// OnProgress, when non-nil, receives a report after every completed
 	// round.
 	OnProgress func(Progress)
+	// Preempt, when non-nil, is polled after every completed round, right
+	// after OnProgress. A true result stops the run at that round boundary
+	// with StopPreempted — unless the context is already done, whose
+	// reason then wins. A preemption seen on the round that also spent the
+	// call budget wins over the budget. Polling only between rounds is
+	// what lets a checkpoint continue the run without re-pricing anything.
+	Preempt func() bool
 
 	reason StopReason // sticky once a stop condition has been observed
 	fault  error      // the recovered panic behind a StopPanic reason
-}
-
-// Reason returns the recorded stop reason (StopNone while running).
-func (c *Control) Reason() StopReason {
-	if c == nil {
-		return StopNone
-	}
-	return c.reason
 }
 
 // Fault returns the recovered panic that stopped the run (nil unless the
@@ -163,19 +140,14 @@ func (o *Oracle) Fault() error { return o.ctrl.Fault() }
 // SetControl attaches a control to the oracle; nil detaches it.
 func (o *Oracle) SetControl(c *Control) { o.ctrl = c }
 
-// Control returns the attached control (nil when unbounded).
-func (o *Oracle) Control() *Control { return o.ctrl }
-
-// Interrupted reports — stickily — whether the run must stop: the context
-// is done, or the oracle-call budget is spent. Algorithms check it between
-// rounds.
-func (o *Oracle) Interrupted() bool { return o.stopReason() != StopNone }
+// Interrupted reports — stickily — whether the run must stop: a fault or a
+// preemption was recorded, the context is done, or the oracle-call budget
+// is spent. Algorithms check it between rounds.
+func (o *Oracle) Interrupted() bool { return o.StopReason() != StopNone }
 
 // StopReason returns why the run stopped (StopNone while unbounded or
 // still running).
-func (o *Oracle) StopReason() StopReason { return o.stopReason() }
-
-func (o *Oracle) stopReason() StopReason {
+func (o *Oracle) StopReason() StopReason {
 	c := o.ctrl
 	if c == nil {
 		return StopNone
@@ -192,35 +164,19 @@ func (o *Oracle) stopReason() StopReason {
 	return c.reason
 }
 
-// CtxStopReason classifies a context error as a stop reason: nil maps to
-// StopNone, a deadline to StopTimeBudget, ErrPreempted (a cancellation
-// cause, surfaced via context.Cause) to StopPreempted, anything else to
-// StopCancelled. It is the single classification rule for every budget
+// ctxStopReason classifies a context as a stop reason: not done maps to
+// StopNone, a passed deadline to StopTimeBudget, any other cancellation to
+// StopCancelled. It is the single classification rule for every context
 // check.
-func CtxStopReason(err error) StopReason {
-	switch {
+func ctxStopReason(ctx context.Context) StopReason {
+	switch err := ctx.Err(); {
 	case err == nil:
 		return StopNone
 	case errors.Is(err, context.DeadlineExceeded):
 		return StopTimeBudget
-	case errors.Is(err, ErrPreempted):
-		return StopPreempted
 	default:
 		return StopCancelled
 	}
-}
-
-// ctxStopReason classifies a done context, preferring its cancellation
-// cause (which carries ErrPreempted for scheduler preemption) over the
-// bare Err.
-func ctxStopReason(ctx context.Context) StopReason {
-	if ctx.Err() == nil {
-		return StopNone
-	}
-	if cause := context.Cause(ctx); cause != nil {
-		return CtxStopReason(cause)
-	}
-	return CtxStopReason(ctx.Err())
 }
 
 // ctxCancelled reports whether the context alone is done (the mid-batch
@@ -271,17 +227,25 @@ func (o *Oracle) faulted() bool {
 	return true
 }
 
-// progress emits a per-round report to the control's callback, if any.
+// progress closes a completed round: it emits the round's report to the
+// control's callback, if any, then polls Preempt (Control.Preempt says
+// which stop wins when several land on one round).
 func (o *Oracle) progress(alg string, round, selected, remaining int, best float64) {
-	if o.ctrl == nil || o.ctrl.OnProgress == nil {
+	c := o.ctrl
+	if c == nil {
 		return
 	}
-	o.ctrl.OnProgress(Progress{
-		Algorithm:   alg,
-		Round:       round,
-		Selected:    selected,
-		Remaining:   remaining,
-		OracleCalls: o.Calls,
-		Best:        best,
-	})
+	if c.OnProgress != nil {
+		c.OnProgress(Progress{
+			Algorithm:   alg,
+			Round:       round,
+			Selected:    selected,
+			Remaining:   remaining,
+			OracleCalls: o.Calls,
+			Best:        best,
+		})
+	}
+	if c.Preempt != nil && c.reason == StopNone && c.Preempt() && (c.Ctx == nil || c.Ctx.Err() == nil) {
+		c.reason = StopPreempted
+	}
 }

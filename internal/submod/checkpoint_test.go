@@ -53,47 +53,73 @@ func assertResumeMatches(t *testing.T, label string, ref, got Result) {
 }
 
 func TestCheckpointResumeBitIdenticalEveryCutPoint(t *testing.T) {
-	// For every lazy driver and every possible call-budget cut point, a
-	// budget-stopped run plus a resume from its (JSON round-tripped)
-	// checkpoint must reproduce the uninterrupted run exactly: same set,
-	// same value, same Iterations/Pruned/Stale/Reused.
+	// For every lazy driver, a run stopped at every possible point plus a
+	// resume from its (JSON round-tripped) checkpoint must reproduce the
+	// uninterrupted run exactly: same set, same value, same
+	// Iterations/Pruned/Stale/Reused. Two stop kinds sweep every point: a
+	// call budget k for every k up to the run's calls, and a preemption —
+	// Control.Preempt true from progress report r on — for every r up to
+	// the run's reports, which must stop with StopPreempted every time.
 	for _, dc := range resumableDrivers {
 		for seed := int64(0); seed < 3; seed++ {
 			refO := randomInstance(seed, 12)
+			reports := 0
+			refO.SetControl(&Control{OnProgress: func(Progress) { reports++ }})
 			ref := dc.run(refO)
 			total := refO.Calls
-			sawCheckpoint := false
-			for k := 0; k <= total; k++ {
+			if reports == 0 {
+				t.Fatalf("%s seed %d: the run made no progress report", dc.name, seed)
+			}
+			// stop runs the driver under ctrl and resumes the stop; it
+			// reports whether the stop left a checkpoint.
+			stop := func(label string, ctrl *Control, want StopReason) bool {
 				o := randomInstance(seed, 12)
-				o.SetControl(&Control{MaxCalls: k, HasMaxCalls: true})
+				o.SetControl(ctrl)
 				partial := dc.run(o)
 				if partial.Stopped == StopNone {
 					if !partial.Set.Equal(ref.Set) {
-						t.Fatalf("%s seed %d budget %d: unstopped run diverged", dc.name, seed, k)
+						t.Fatalf("%s: unstopped run diverged", label)
 					}
-					continue
+					return false
 				}
-				if partial.Stopped != StopCallBudget {
-					t.Fatalf("%s seed %d budget %d: stopped %v", dc.name, seed, k, partial.Stopped)
+				if partial.Stopped != want {
+					t.Fatalf("%s: stopped %v, want %v", label, partial.Stopped, want)
 				}
 				if partial.Checkpoint == nil {
 					// Stopped before the driver had any state to snapshot
 					// (e.g. the decomposition itself was truncated).
 					if !partial.Set.Empty() {
-						t.Fatalf("%s seed %d budget %d: non-empty stop without checkpoint", dc.name, seed, k)
+						t.Fatalf("%s: non-empty stop without checkpoint", label)
 					}
-					continue
+					return false
 				}
-				sawCheckpoint = true
-				cp := roundTripCheckpoint(t, partial.Checkpoint)
-				got, err := ResumeLazy(randomInstance(seed, 12), cp)
+				got, err := ResumeLazy(randomInstance(seed, 12), roundTripCheckpoint(t, partial.Checkpoint))
 				if err != nil {
-					t.Fatalf("%s seed %d budget %d: resume: %v", dc.name, seed, k, err)
+					t.Fatalf("%s: resume: %v", label, err)
 				}
-				assertResumeMatches(t, dc.name, ref, got)
+				assertResumeMatches(t, label, ref, got)
+				return true
+			}
+			sawCheckpoint := false
+			for k := 0; k <= total; k++ {
+				label := fmt.Sprintf("%s seed %d budget %d", dc.name, seed, k)
+				if stop(label, &Control{MaxCalls: k, HasMaxCalls: true}, StopCallBudget) {
+					sawCheckpoint = true
+				}
 			}
 			if !sawCheckpoint {
 				t.Errorf("%s seed %d: no budget produced a checkpoint", dc.name, seed)
+			}
+			for r := 1; r <= reports; r++ {
+				label := fmt.Sprintf("%s seed %d preempt at report %d", dc.name, seed, r)
+				seen := 0
+				ctrl := &Control{
+					OnProgress: func(Progress) { seen++ },
+					Preempt:    func() bool { return seen >= r },
+				}
+				if !stop(label, ctrl, StopPreempted) {
+					t.Fatalf("%s: the run did not stop with a checkpoint", label)
+				}
 			}
 		}
 	}

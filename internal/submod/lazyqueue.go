@@ -240,7 +240,7 @@ func lazyRun(name string, o *Oracle, d *Decomposition, q *lazyQueue, x Set, chun
 		cur := vals[len(elems)]
 		for i, e := range elems {
 			if d != nil {
-				r := d.RatioFrom(vals[i], cur, e)
+				r := d.ratioFrom(vals[i], cur, e)
 				if r < 1 {
 					res.Pruned++ // permanently pruned (Section 5.1)
 					continue

@@ -256,9 +256,10 @@ type MemoL2 interface {
 // Oracle wraps a Function with memoization and an evaluation counter, so
 // algorithms can be compared by the number of (potentially expensive)
 // oracle calls — in MQO each call is one bestCost optimization. An
-// optional Control (SetControl) bounds a run by context cancellation and
-// an oracle-call budget; the algorithms check Interrupted between rounds
-// and stop with a deterministic best-so-far set.
+// optional Control (SetControl) bounds a run by context cancellation, an
+// oracle-call budget and a preemption poll, and records why it stopped;
+// the algorithms check Interrupted between rounds and stop with a
+// deterministic best-so-far set.
 //
 // An optional L2 (set before the run starts) serves values memoized by
 // earlier runs over the same function: a hit fills the run memo without
@@ -460,23 +461,17 @@ func NewDecomposition(o *Oracle, costs []float64) *Decomposition {
 	return &Decomposition{o: o, C: c}
 }
 
-// F returns f(S).
-func (d *Decomposition) F(s Set) float64 { return d.o.Eval(s) }
-
-// Ratio returns f'_M(e, S) / c(e); callers must ensure c(e) > 0.
-func (d *Decomposition) Ratio(e int, s Set) float64 {
-	return d.RatioFrom(d.o.Eval(s.With(e)), d.o.Eval(s), e)
+// ratio returns f'_M(e, S) / c(e); callers must ensure c(e) > 0.
+func (d *Decomposition) ratio(e int, s Set) float64 {
+	return d.ratioFrom(d.o.Eval(s.With(e)), d.o.Eval(s), e)
 }
 
-// RatioFrom is Ratio computed from already-evaluated f(S∪{e}) and f(S);
+// ratioFrom is ratio computed from already-evaluated f(S∪{e}) and f(S);
 // the batched greedy rounds use it so the sequential and batched paths
 // share one definition of the ratio.
-func (d *Decomposition) RatioFrom(fxe, fx float64, e int) float64 {
+func (d *Decomposition) ratioFrom(fxe, fx float64, e int) float64 {
 	return (fxe - fx + d.C[e]) / d.C[e]
 }
-
-// Oracle returns the underlying oracle.
-func (d *Decomposition) Oracle() *Oracle { return d.o }
 
 // TheoremOneBound returns the Theorem 1 guarantee
 // [1 − (c/f)·ln(1 + f/c)]·f for the optimum value f = f(Θ) and its cost

@@ -121,7 +121,7 @@ func TestCoverageSubmodularQuick(t *testing.T) {
 
 // fm is the monotone part of the decomposition, f*_M(S) = f(S) + c*(S).
 func fm(d *Decomposition, s Set) float64 {
-	v := d.F(s)
+	v := d.o.Eval(s)
 	s.ForEach(func(e int) { v += d.C[e] })
 	return v
 }
@@ -140,7 +140,7 @@ func TestDecomposeStarIdentity(t *testing.T) {
 		}
 		cS := 0.0
 		s.ForEach(func(e int) { cS += d.C[e] })
-		if math.Abs(fm(d, s)-cS-d.F(s)) > 1e-9 {
+		if math.Abs(fm(d, s)-cS-d.o.Eval(s)) > 1e-9 {
 			t.Fatalf("decomposition identity broken at %v", s.Sorted())
 		}
 	}
@@ -183,7 +183,7 @@ func TestMarginalFMAndRatio(t *testing.T) {
 	e := 3
 	want := o.Eval(s.With(e)) - o.Eval(s) + d.C[e] // f'_M(e, S)
 	if d.C[e] > 0 {
-		if math.Abs(d.Ratio(e, s)-want/d.C[e]) > 1e-12 {
+		if math.Abs(d.ratio(e, s)-want/d.C[e]) > 1e-12 {
 			t.Error("Ratio formula")
 		}
 	}

@@ -35,11 +35,6 @@ const (
 	StopPreempted  = submod.StopPreempted
 )
 
-// ErrPreempted is the cancellation cause that classifies a stop as
-// StopPreempted; schedulers cancel a run's context with it (or use
-// WithPreemptSignal, which does so at round boundaries only).
-var ErrPreempted = submod.ErrPreempted
-
 // Telemetry is the per-run accounting carried by every Result.
 type Telemetry = core.Telemetry
 
@@ -159,13 +154,15 @@ func WithWarmOracle(on bool) Option {
 	return func(c *config) { c.warmOracle = on }
 }
 
-// WithPreemptSignal installs a scheduler's suspend signal: it is polled
-// after every completed greedy round, and when it returns true the run
-// stops at that round boundary with Telemetry.Stopped == StopPreempted
-// and (for a resumable lazy strategy) a Checkpoint that WithResume
-// continues bit-identically. Because the poll happens only between
-// rounds, the suspended segments' telemetry is conserving: summing each
-// segment's oracle work (MergeSegments) equals an unpreempted run's.
+// WithPreemptSignal installs a scheduler's suspend signal: the run's oracle
+// polls it after every completed greedy round, right after the progress
+// report, and when it returns true the run stops at that round boundary
+// with Telemetry.Stopped == StopPreempted and (for a resumable lazy
+// strategy) a Checkpoint that WithResume continues bit-identically. A
+// context already done at the poll wins over the signal. Because the poll
+// happens only between rounds, the suspended segments' telemetry is
+// conserving: summing each segment's oracle work (MergeSegments) equals an
+// unpreempted run's.
 func WithPreemptSignal(fn func() bool) Option {
 	return func(c *config) { c.preempt = fn }
 }

@@ -40,15 +40,22 @@ func (w *worker) checkUseKey(i int) {
 	}
 }
 
-// checkUseBucket panics when a use-cost bucket is made for a cell of a group
-// with no shareable slot: no set holds the group, so no such key exists.
-func (s *space) checkUseBucket(i int) {
-	if i&1 != kindUse {
+// checkOverlayKey panics on a probe or store (L1 index i = 2*cell+kind) of
+// a cell the evaluation in flight re-prices for itself alone — its group
+// carries the overlay stamp — that is neither one of the evaluation's entry
+// terms nor priced by plan extraction: the keep rule (worker.keeps) leaves
+// such a key out of the caches. It restates the rule rather than calling
+// keeps, so a miss path that stops asking keeps trips it.
+func (w *worker) checkOverlayKey(i int) {
+	cell, kind := i>>1, i&1
+	g := w.s.cells.cellGroup(cell)
+	if w.overlay == 0 || w.groups[g].ep != w.overlay || w.extracting {
+		return // no evaluation in flight re-prices a group for itself alone, or not g
+	}
+	if cell == w.s.cells.anyCell(g) && (w.s.isRoot[g] || kind == kindComp && w.matHas(g)) {
 		return
 	}
-	if g := s.cells.cellGroup(i >> 1); !s.cells.useKeys[g] {
-		panic(fmt.Sprintf("physical: a use-cost L1 bucket made for group %d, which has no shareable slot", g))
-	}
+	panic(fmt.Sprintf("physical: (group %d, cell %d, kind %d), re-priced for the evaluation in flight alone, reached the cache", g, cell, kind))
 }
 
 // checkPure panics when a store finds its key already cached with a value of
@@ -69,11 +76,9 @@ func checkUnclaimed(b *l1Bucket, j int) {
 	}
 }
 
-// batchCheck counts the workers of the batch in flight that are running
-// (Searcher.runBatch), and holds the operator flags the searcher's first
-// evaluation found (Searcher.worker).
-type batchCheck struct {
-	running       atomic.Int32
+// flagCheck holds the operator flags the searcher's first evaluation found
+// (Searcher.worker).
+type flagCheck struct {
 	seen          bool
 	extended, inc bool
 }
@@ -81,24 +86,12 @@ type batchCheck struct {
 // flags panics when the operator flags differ from those of the searcher's
 // first evaluation: its memo, L1 and namespace were priced under those, and
 // a searcher's flags are set before it evaluates and never changed.
-func (c *batchCheck) flags(extended, inc bool) {
+func (c *flagCheck) flags(extended, inc bool) {
 	if !c.seen {
 		c.seen, c.extended, c.inc = true, extended, inc
 		return
 	}
 	if extended != c.extended || inc != c.inc {
 		panic(fmt.Sprintf("physical: operator flags changed after the first evaluation (ExtendedOps %t → %t, Incremental %t → %t)", c.extended, extended, c.inc, inc))
-	}
-}
-
-func (c *batchCheck) enter() { c.running.Add(1) }
-func (c *batchCheck) leave() { c.running.Add(-1) }
-
-// alone panics when a store is about to overwrite a live L1 position while
-// another worker of the batch runs: it may be reading the position, and would
-// see a torn entry.
-func (c *batchCheck) alone() {
-	if n := c.running.Load(); n > 1 {
-		panic(fmt.Sprintf("physical: an L1 store overwrites a live position while %d workers of a batch run", n))
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/cost"
@@ -147,164 +148,71 @@ func TestL1ProbeWraparound(t *testing.T) {
 	}
 }
 
-// TestL1OverflowFallsBackToShared drives one (group, order) bucket past
-// its fill bound, so a store must evict the occupant of its home
-// position, and verifies the evicted key is then served from the
-// SharedCache L2 — the prescribed overflow path — while the newly stored
-// key stays in the L1.
-func TestL1OverflowFallsBackToShared(t *testing.T) {
+// TestL1ChainsPastFillBound pins what replaced eviction: a bucket takes at
+// most l1MaxFill entries, and a store that finds every bucket of its cell's
+// chain full links a new one behind the last, so the L1 drops no key. No
+// link passes the bound (a probe for an absent key stops early), every
+// stored key is found and no other; the publish path takes the chain whole
+// into an empty slot, and into an occupied one only the entries it lacks.
+func TestL1ChainsPastFillBound(t *testing.T) {
 	s := buildSearcher(t, sharedPairQueries()...)
-	cache := NewSharedCache()
-	s.AttachSharedCache(cache)
-	w, g, c := useCell(t, s)
-
-	taken := map[uint64]bool{}
-	for i := 0; i < l1MaxFill; i++ {
+	w, _, c := useCell(t, s)
+	const n = 3*l1MaxFill + 5
+	stored := map[uint64]float64{}
+	for i := 0; i < n; i++ {
 		m := l1TestMask(i)
-		taken[m] = true
+		stored[m] = float64(i)
 		w.store(c, m, float64(i), kindUse)
 	}
-	b := l1At(s, 2*c+kindUse)
-	if got := bits.OnesCount64(b.occ); got != l1MaxFill {
-		t.Fatalf("bucket fill %d after %d distinct stores, want the fill bound", got, l1MaxFill)
-	}
-
-	// One more store must evict the current occupant of its home position.
-	extra := findMaskWithHome(t, 0, taken)
-	home := l1Home(extra)
-	if b.occ&(1<<uint(home)) == 0 {
-		// An empty home is claimed instead of evicting; force the probe to
-		// land on an occupied home so the eviction path is exercised.
-		for p := 0; p < l1BucketCap; p++ {
-			if b.occ&(1<<uint(p)) != 0 {
-				extra = findMaskWithHome(t, p, taken)
-				home = p
-				break
-			}
+	w.store(c, l1TestMask(n-1), n-1, kindUse) // a key its link already holds adds nothing
+	head := l1At(s, 2*c+kindUse)
+	links := 0
+	for b := head; b != nil; b = b.next.Load() {
+		links++
+		if occ := bits.OnesCount64(b.occ); occ > l1MaxFill || occ != bits.OnesCount64(b.held) {
+			t.Fatalf("link %d holds %d entries (%d claimed), want at most the fill bound %d and none in flight", links, occ, bits.OnesCount64(b.held), l1MaxFill)
 		}
 	}
-	victim := b.entries[home].mask
-	var victimVal float64
-	var ok bool
-	if victimVal, ok = b.lookup(victim); !ok {
-		t.Fatal("home position occupant not retrievable before eviction")
+	if want := (n + l1MaxFill - 1) / l1MaxFill; links != want || chainLen(head) != n {
+		t.Fatalf("%d stores made %d links of %d entries, want %d links of %d", n, links, chainLen(head), want, n)
 	}
-	w.store(c, extra, 999.5, kindUse)
-	if v, ok := b.lookup(extra); !ok || v != 999.5 {
-		t.Fatalf("overflow store lost the new key: got (%v, %v)", v, ok)
-	}
-	if _, ok := b.lookup(victim); ok {
-		t.Fatal("evicted key still present in the L1 bucket")
-	}
-
-	// The evicted key falls back to the L2: seed it there (as an earlier
-	// PublishCache would have) and the cache read must hit, counted as a
-	// shared hit — every time, since a shared hit is not copied into the L1.
-	seedCosts(cache, s.Fingerprint(), s.cells, []sharedKV{{k: cacheKey{g: g, ord: 0, compute: false, mask: victim}, v: victimVal}})
-	w = s.worker(0) // the next entry point sees the table
-	w.stats.SharedHits = 0
-	for n := 1; n <= 2; n++ {
-		if v, ok := w.cached(c, victim, kindUse); !ok || v != victimVal {
-			t.Fatalf("evicted key via L2 fallback: got (%v, %v), want (%v, true)", v, ok, victimVal)
-		}
-		if w.stats.SharedHits != n {
-			t.Fatalf("L2 fallback counted %d shared hits after %d reads", w.stats.SharedHits, n)
-		}
-	}
-}
-
-// TestL1OccupancyPastFillBound pins what the fill bound does and does not
-// bound. Past it a store goes to its home position, and when that home is
-// empty it is claimed, so occupancy creeps past l1MaxFill up to the full
-// capacity. Lookups must stay exact there (the probe-run length comes from
-// the occupancy word: 64 when no position is free), and the publish path,
-// which reasons about the occupancy count, must take such a bucket — and
-// extend its chain — without losing an entry.
-func TestL1OccupancyPastFillBound(t *testing.T) {
-	b := new(l1Bucket)
-	stored := map[uint64]float64{}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 5000 && b.occ != ^uint64(0); i++ {
-		m := l1TestMask(rng.Intn(1 << 20))
-		stored[m] = float64(i)
-		b.store(m, float64(i))
-	}
-	if got := bits.OnesCount64(b.occ); got != l1BucketCap {
-		t.Fatalf("occupancy %d after random stores, want it to creep to %d", got, l1BucketCap)
-	}
-	resident := map[uint64]float64{}
-	for j := range b.entries {
-		resident[b.entries[j].mask] = b.entries[j].val
-	}
-	if len(resident) != l1BucketCap {
-		t.Fatalf("full bucket holds %d distinct masks, want %d", len(resident), l1BucketCap)
-	}
-	checkResident := func(where string, find func(uint64) (float64, bool)) {
+	checkChain := func(where string, head *l1Bucket, want map[uint64]float64) {
 		t.Helper()
-		for m, v := range stored {
-			got, ok := find(m)
-			if want, in := resident[m]; in {
-				if !ok || got != want || want != v {
-					t.Fatalf("%s: resident mask %#x: got (%v, %v), want (%v, true)", where, m, got, ok, want)
-				}
-			} else if ok {
-				t.Fatalf("%s: evicted mask %#x still found (%v)", where, m, got)
+		for m, v := range want {
+			if got, ok := head.find(m); !ok || got != v {
+				t.Fatalf("%s: mask %#x: got (%v, %v), want (%v, true)", where, m, got, ok, v)
 			}
 		}
-		if v, ok := find(l1TestMask(1 << 21)); ok {
+		if v, ok := head.find(l1TestMask(1 << 21)); ok {
 			t.Fatalf("%s: never-stored mask found (%v)", where, v)
 		}
 	}
-	checkResident("full bucket", b.lookup)
+	checkChain("run L1", head, stored)
 
-	// Published: an empty slot adopts the full bucket as is.
+	// Published: an empty slot adopts the chain as is.
 	tab := &nsTable{slots: make(l1Table, 2)}
-	if n := tab.absorb(kindUse, b); n != l1BucketCap {
-		t.Fatalf("adopting the full bucket added %d entries, want %d", n, l1BucketCap)
+	if got := tab.absorb(kindUse, head); got != n || tab.slots[kindUse].Load() != head {
+		t.Fatalf("adopting the chain added %d entries (head kept: %t), want %d and the run's own head", got, tab.slots[kindUse].Load() == head, n)
 	}
-	// A second bucket sharing two of its keys brings ten new ones: they
-	// cannot fit under the head's bound, so the chain grows by a link.
-	more := new(l1Bucket)
-	fresh := map[uint64]float64{}
-	for i := 0; i < 10; i++ {
-		m := l1TestMask(1<<22 + i)
-		fresh[m] = float64(-i)
-		more.store(m, float64(-i))
-	}
-	dup := 0
-	for m, v := range resident {
-		if dup < 2 && more.put(m, v) {
-			dup++
+	// A second run's chain that shares two keys brings a link and a half of
+	// new ones: only those are added, in links of the table's own.
+	s2 := buildSearcher(t, sharedPairQueries()...)
+	w2, _, _ := useCell(t, s2)
+	fresh := 0
+	for i := n - 2; i < n+l1MaxFill+l1MaxFill/2; i++ {
+		m := l1TestMask(i)
+		if _, ok := stored[m]; !ok {
+			fresh++
 		}
+		stored[m] = float64(i)
+		w2.store(c, m, float64(i), kindUse)
 	}
-	if n := tab.absorb(kindUse, more); n != len(fresh) {
-		t.Fatalf("absorbing %d new and %d known keys added %d entries", len(fresh), dup, n)
+	if got := tab.absorb(kindUse, l1At(s2, 2*c+kindUse)); got != fresh {
+		t.Fatalf("absorbing %d new and 2 known keys added %d entries", fresh, got)
 	}
-	// A second full bucket, all new: more than one link's worth.
-	full := new(l1Bucket)
-	for i := 0; full.occ != ^uint64(0); i++ {
-		full.store(l1TestMask(1<<23+i), float64(i))
-	}
-	for j := range full.entries {
-		fresh[full.entries[j].mask] = full.entries[j].val
-	}
-	inFull := bits.OnesCount64(full.occ)
-	if n := tab.absorb(kindUse, full); n != inFull {
-		t.Fatalf("absorbing a full bucket of new keys added %d entries, want %d", n, inFull)
-	}
-	head := tab.slots[kindUse].Load()
-	checkResident("published chain", head.find)
-	for m, v := range fresh {
-		if got, ok := head.find(m); !ok || got != v {
-			t.Fatalf("published chain lost absorbed mask %#x: got (%v, %v), want (%v, true)", m, got, ok, v)
-		}
-	}
-	links := 0
-	for l := head; l != nil; l = l.next {
-		links++
-	}
-	if links < 3 {
-		t.Fatalf("chain has %d links after absorbing 10 + %d entries over a full bucket", links, inFull)
+	checkChain("published chain", tab.slots[kindUse].Load(), stored)
+	if got := chainLen(tab.slots[kindUse].Load()); got != len(stored) {
+		t.Fatalf("published chain holds %d entries for %d keys", got, len(stored))
 	}
 }
 
@@ -431,7 +339,6 @@ func TestUseKeysOnlyInsideSet(t *testing.T) {
 						t.Fatalf("%s: no use-cost bucket at all; the run materialized nothing", where)
 					}
 				}
-				s.settle()
 				useBuckets("L1", s.l1)
 				s.PublishCache()
 				useBuckets("published table", cache.spaces[s.Fingerprint()].slots)
@@ -502,9 +409,12 @@ func TestBestCostBatchCtxL1Stress(t *testing.T) {
 // GOMAXPROCS 4, so four workers store into and read one L1 at once — cold,
 // after a publish into the attached SharedCache, and across an Invalidate
 // between batches — and holds every cost bit for bit to a searcher that
-// reuses nothing. Buckets of the upper groups reach the fill bound, where a
-// fanned-out store is deferred to the end of the batch (settle); the test
-// checks that some are.
+// reuses nothing. The query roots' entry buckets overflow inside a batch, so
+// chains are linked while other workers probe and store into them; the test
+// checks that some are, and that a publish hands the table every entry of
+// the L1. Then the four workers store straight into a few cells at once,
+// hundreds of keys each, some keys stored by all four: after PublishCache
+// every key any of them stored is in the namespace table, at its value.
 func TestSharedL1Stress(t *testing.T) {
 	m := workloadMemo(t, 16)
 	ref := NewSearcher(m)
@@ -513,12 +423,36 @@ func TestSharedL1Stress(t *testing.T) {
 	cache := NewSharedCache()
 	s.AttachSharedCache(cache)
 	withProcs(t, 4)
+	// published checks that the namespace table holds every entry of l1.
+	published := func(where string, l1 []l1Entry, slots []int32) {
+		t.Helper()
+		tab := cache.spaces[s.Fingerprint()]
+		if tab == nil {
+			t.Fatalf("%s: nothing published under the searcher's namespace", where)
+		}
+		for j, e := range l1 {
+			if v, ok := tab.slots[slots[j]].Load().find(e.mask); !ok || v != e.val {
+				t.Fatalf("%s: slot %d mask %#x: the table says (%v, %v), the L1 held %v", where, slots[j], e.mask, v, ok, e.val)
+			}
+		}
+	}
 	rng := rand.New(rand.NewSource(3))
-	deferred := 0
+	chained := 0
 	for round := 0; round < 12; round++ {
 		switch round % 4 {
 		case 1:
+			var held []l1Entry
+			var slots []int32
+			for i := range s.l1 {
+				for b := s.l1[i].Load(); b != nil; b = b.next.Load() {
+					for occ := b.occ; occ != 0; occ &= occ - 1 {
+						held = append(held, b.entries[bits.TrailingZeros64(occ)])
+						slots = append(slots, int32(i))
+					}
+				}
+			}
 			s.PublishCache()
+			published(fmt.Sprintf("round %d", round), held, slots)
 		case 3:
 			cache.Invalidate()
 		}
@@ -528,8 +462,10 @@ func TestSharedL1Stress(t *testing.T) {
 		if !ok {
 			t.Fatalf("round %d: batch aborted: %v", round, s.TakeFault())
 		}
-		for _, w := range s.workers {
-			deferred += len(w.spill)
+		for i := range s.l1 {
+			if b := s.l1[i].Load(); b != nil && b.next.Load() != nil {
+				chained++
+			}
 		}
 		for i, set := range sets {
 			if want := ref.BestCost(set); got[i] != want {
@@ -537,8 +473,43 @@ func TestSharedL1Stress(t *testing.T) {
 			}
 		}
 	}
-	if deferred == 0 {
-		t.Fatal("no store met a full bucket: deferring went unexercised")
+	if chained == 0 {
+		t.Fatal("no bucket overflowed inside a fanned-out batch: chaining went unexercised")
+	}
+
+	// Straight stores, racing for the same chains: cells 0–3, compute keys.
+	s.worker(3)
+	const cells, perWorker, common = 4, 300, 40
+	var wg sync.WaitGroup
+	stored := make([][]l1Entry, 4)
+	for k, w := range s.workers[:4] {
+		w.undo() // between evaluations: no group carries an overlay stamp
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < perWorker; j++ {
+				key := 1<<30 + k*perWorker + j
+				if j < common {
+					key = 1<<30 - 1 - j // the same keys on every worker
+				}
+				e := l1Entry{mask: l1TestMask(key), val: float64(key)}
+				for c := 0; c < cells; c++ {
+					w.store(c, e.mask, e.val, kindComp)
+				}
+				stored[k] = append(stored[k], e)
+			}
+		}()
+	}
+	wg.Wait()
+	s.PublishCache()
+	for k := range stored {
+		for c := 0; c < cells; c++ {
+			slots := make([]int32, len(stored[k]))
+			for j := range slots {
+				slots[j] = int32(2*c + kindComp)
+			}
+			published(fmt.Sprintf("worker %d, cell %d", k, c), stored[k], slots)
+		}
 	}
 }
 

@@ -101,8 +101,8 @@
 // a cell whose value holds for the base. (A cell written in a group that was
 // not re-stamped qualifies: no changed node lies below it, so its value is
 // the same under T and under the base.) Under it a lost undo record, a
-// dropped base or an eviction can only cost a recomputation, never change a
-// cost.
+// dropped base or a lost cache entry can only cost a recomputation, never
+// change a cost.
 //
 // The base follows the caller without being told, by one rule
 // (setBatchBase): a batch (BestCostBatchCtx) keeps the current base while
@@ -129,6 +129,28 @@
 // (bc_calls) is deterministic because it is counted at the oracle entry
 // point, above every cache level.
 //
+// The caches hold what a later call reads (worker.keeps). A cell an
+// evaluation re-prices for itself alone — a cell of a group above T △ base,
+// carrying the overlay stamp — is neither probed nor stored: the next
+// evaluation puts the group's base cells back and re-prices it against its
+// own set, only a base that later moves to T itself (a round's winner) would
+// read it, and a repeat of the evaluation never reaches it, because it reads
+// the evaluation's entry terms first — compute(m, any) of every m in the set
+// and use(r, any) of every query root, the terms bestCostOn adds — and those
+// are kept. Every other cell is kept: one priced for the worker's base
+// (which the batch's evaluations on other workers, and the next batch, read
+// again), for a walk from nothing, or by BestPlan's extraction (which prices
+// beyond the entry terms, and which a repeated run repeats). So a repeated
+// batch computes nothing (TestRepeatComputesNothing), and a cold run keeps a
+// seventh of the keys it computes: a cold 64-query MarginalGreedy session
+// call (generator seed 1000, one worker) computes 303 k keys and leaves 43 k
+// entries, where probing and storing every re-priced cell computed 258 k and
+// left 205 k — those probes mostly missed, each the first touch of a 1 kB
+// bucket, and cost more than the keys they saved. Caching the entry and
+// extraction cells alone, without the base cells, made computed_keys depend
+// on how a fanned batch's sets fell to its workers (a cold 32-query run
+// computed 8 % more keys at GOMAXPROCS 2 than at 1).
+//
 // A use-cost key exists only for a group in the set; outside it the compute
 // key answers. The mask hashes the set restricted to the shareable nodes at
 // or below the group, its own slot included (memo.ShareIndex.Descendants),
@@ -145,17 +167,18 @@
 // The hierarchy a lookup walks under the memo, fastest first:
 //
 //  1. Flat L1, one per run and shared by the workers of a batch: per-cell
-//     open-addressed probe arrays (l1Bucket, lazily allocated) of inline
-//     (mask, value) pairs with a 1-byte tag per position and an explicit
-//     occupancy bitmap, so no mask value is reserved as "empty". Use-cost
-//     and compute-cost keys share one table: the bucket of a cell and kind
-//     sits at index 2*cell+kind, and a use-cost bucket is made only for a
-//     cell of a group with a shareable slot (the cellcheck build asserts
-//     it). Memory is bounded by the fill bound, as on
-//     one worker: past it a store evicts at its home, but only while no
-//     other worker can be reading the bucket (worker.store says when), so
-//     the L1 holds at most one bucket per cell and kind. resetL1 lets go of
-//     the whole table in O(1).
+//     chains of open-addressed probe arrays (l1Bucket, lazily allocated) of
+//     inline (mask, value) pairs with a 1-byte tag per position and an
+//     explicit occupancy bitmap, so no mask value is reserved as "empty".
+//     Use-cost and compute-cost keys share one table: the chain of a cell
+//     and kind sits at index 2*cell+kind, and a use-cost chain exists only
+//     for a cell of a group in some set (the cellcheck build asserts it). A
+//     bucket takes entries up to a 3/4 fill bound; a store that finds every
+//     bucket of its chain full links a new one behind the last. Nothing is
+//     evicted: the L1 holds every key the run kept until PublishCache hands
+//     it over, so its memory is what the run stored — bounded by the keep
+//     rule above, not by a fill bound. resetL1 lets go of the whole table in
+//     O(1).
 //  2. SharedCache L2: the optionally attached cross-searcher tier, one
 //     table per namespace (structural fingerprint + operator flags) with
 //     the L1's own geometry: slot 2*cell+kind holds an atomically loaded
@@ -201,25 +224,28 @@
 //
 // The workers of a batch share the run's L1: any of them reads, with no lock,
 // what any other stored, so a key one worker computed is a hit for the rest.
-// That is safe because, while a batch is fanned out, a bucket position is
-// written once and published in order (l1Bucket.share): a store claims a
-// free position with a compare-and-swap on the bucket's held word, writes
-// the tag and the entry, and only then sets the position's bit in occ with
-// an atomic or — the word a reader loads before it reads any entry. A store
-// that finds a full bucket waits in the spill log until the batch is over
-// (settle) or, once that is full, is dropped; it never overwrites a live
-// position under a reader. Two workers that miss the same key at once both
-// compute it, and both values are the same bits. What moves a whole table —
-// resetL1 (syncShared after an Invalidate) and PublishCache —
+// That is safe because a bucket position is written once and published in
+// order (l1Bucket.put): a store claims a free position with a
+// compare-and-swap on the bucket's held word, writes the tag and the entry,
+// and only then sets the position's bit in occ with an atomic or — the word
+// a reader loads before it reads any entry. A bucket at the fill bound is
+// never written again; a store that finds every bucket of its chain full
+// links a new one, holding its pair, with a compare-and-swap on the last
+// bucket's next pointer (or on the empty slot), so two stores that race for
+// the link both land — the loser's bucket is tried again further down — and
+// a reader that loads the pointer sees a finished bucket. No store waits, is
+// deferred or is dropped, and none overwrites a live position under a
+// reader, on one worker or on many. Two workers that miss the same key at
+// once both compute it, and both values are the same bits. What moves a
+// whole table — resetL1 (syncShared after an Invalidate) and PublishCache —
 // runs only between batches.
 //
 // How many workers a batch runs on is the searcher's decision, not a
 // caller's: GOMAXPROCS, capped by the batch, and one while the evaluations
 // before the batch read caches rather than computed keys (fanOutKeys). The
 // crossover it follows is a property of the run, which a caller does not
-// see: a second worker loses on every warm run and on a cold 16-query one,
-// breaks even on a cold 32-query run and wins on a cold 64-query one
-// (numbers at fanOutKeys). It does not relearn what its neighbour holds —
+// see: a second worker loses on every warm run and wins on cold runs of 16,
+// 32 and 64 queries (numbers at fanOutKeys). It does not relearn what its neighbour holds —
 // computed_keys is flat in the worker count — but waking it and pricing the
 // groups its own memo lacks pays only where computing keys dominates.
 //
@@ -390,7 +416,10 @@ type space struct {
 	// depthOrder lists the shareable slots by (DAG depth, group id): the
 	// order in which materializations depend on each other.
 	depthOrder []int32
-	structSum  uint64 // structural fingerprint of the compiled search space
+	// isRoot[g] reports whether group g is a query root: use(g, any) is then
+	// one of every evaluation's entry terms (worker.entry).
+	isRoot    []bool
+	structSum uint64 // structural fingerprint of the compiled search space
 
 	ordIdx map[string]ordID // construction only
 }
@@ -428,8 +457,7 @@ type Searcher struct {
 	// under it, and sharedEpoch the cache's invalidation epoch the L1 was
 	// filled under (syncShared).
 	l1          l1Table
-	fanned      bool       // a batch's workers run on more than one goroutine
-	check       batchCheck // what the cellcheck build asserts the batch and the flags against
+	check       flagCheck // the operator flags the cellcheck build holds the searcher to
 	sharedGen   uint64
 	sharedEpoch uint64
 	l2          l1Table
@@ -548,6 +576,10 @@ func (s *space) prepare() {
 		s.sat[i] = row
 	}
 	s.fillCells()
+	s.isRoot = make([]bool, n)
+	for _, r := range s.M.QueryRoots {
+		s.isRoot[r] = true
+	}
 	s.fillRootMasks()
 	s.fillAbove()
 	s.structSum = s.structHash()
@@ -672,13 +704,10 @@ const l1BucketBits = 6
 // l1BucketCap is the bucket capacity (entries per probe array).
 const l1BucketCap = 1 << l1BucketBits
 
-// l1MaxFill is the fill bound of a bucket (3/4 load): below it a store
-// claims the first empty position of its probe run, at or past it a store
-// writes at its home once no other worker can be reading the bucket
-// (l1Bucket.evict). Occupancy is not capped at the bound — claimed empty
-// homes let it creep up to the full capacity, where a probe for an absent
-// key walks all l1BucketCap positions (lookup takes the run length from the
-// occupancy word, so it still terminates).
+// l1MaxFill is the fill bound of a bucket (3/4 load): a bucket holds at most
+// this many entries, so a probe for an absent key stops at an empty position
+// after a short run, and a store that finds its bucket at the bound goes to
+// the next link of the cell's chain (worker.store, nsTable.extend).
 const l1MaxFill = l1BucketCap * 3 / 4
 
 // epVal is one memo cell: a cost and the stamp its group carried when the
@@ -719,24 +748,26 @@ type l1Entry struct {
 	val  float64
 }
 
-// l1Bucket is the flat open-addressed cross-call cache of one (group,
-// order) cell and cost kind. Occupancy is explicit — bit j of occ marks
-// entries[j] live — so every 64-bit mask hash, including ^uint64(0),
+// l1Bucket is one link of the flat open-addressed cross-call cache of a
+// (group, order) cell and cost kind. Occupancy is explicit — bit j of occ
+// marks entries[j] live — so every 64-bit mask hash, including ^uint64(0),
 // round-trips exactly. In a run's L1 the workers of a fanned-out batch read
 // and store into one bucket at once, so a position is published in order:
-// share claims it in held, writes its tag and entry, and only then sets its
+// put claims it in held, writes its tag and entry, and only then sets its
 // bit in occ; a reader loads occ before it reads a tag or an entry, so it
-// reads only positions whose writes are done. A SharedCache table's buckets
-// are never written once published; its table links the buckets of one cell
-// and kind through next, which is nil in a run's L1. The 16-byte header
-// keeps every entry inside one cache line; only a probe that misses a
-// published bucket reads next.
+// reads only positions whose writes are done. A bucket at the fill bound
+// takes no more stores: the cell's next one does, linked through next — in a
+// run's L1 behind the full bucket, by the store that found it full, with a
+// compare-and-swap; in a SharedCache table in front of the chain, before the
+// new head is published (nsTable.extend), whose buckets are never written
+// once published. The 16-byte header keeps every entry inside one cache
+// line; only a probe that misses a bucket reads next.
 type l1Bucket struct {
 	occ     uint64 // live positions; atomic
-	held    uint64 // claimed positions: occ and the stores in flight
+	held    uint64 // claimed positions: occ and the stores in flight; atomic
 	tags    [l1BucketCap]uint8
 	entries [l1BucketCap]l1Entry
-	next    *l1Bucket
+	next    atomic.Pointer[l1Bucket]
 }
 
 // l1Table is a run's L1, or a SharedCache namespace's table: the bucket
@@ -780,7 +811,7 @@ func (b *l1Bucket) lookup(mask uint64) (float64, bool) {
 
 // find probes the chain of buckets starting at b (nil is the empty chain).
 func (b *l1Bucket) find(mask uint64) (float64, bool) {
-	for ; b != nil; b = b.next {
+	for ; b != nil; b = b.next.Load() {
 		if v, ok := b.lookup(mask); ok {
 			return v, true
 		}
@@ -788,71 +819,18 @@ func (b *l1Bucket) find(mask uint64) (float64, bool) {
 	return 0, false
 }
 
-// claim writes a pair, below the fill bound, into the first position of its
-// probe run that no store has claimed, marking it in held but not in occ: the
-// caller publishes it (put, store). A mask already there is left as it is,
-// its value being a pure function of the key (the cellcheck build asserts the
-// bits agree). At the bound claim stores nothing and reports false. It runs
-// where no other worker stores into the bucket; share is its concurrent
-// counterpart.
-func (b *l1Bucket) claim(mask uint64, v float64) bool {
-	h := l1Home(mask)
-	tag := l1Tag(mask)
-	for i := 0; i < l1BucketCap; i++ {
-		j := (h + i) & (l1BucketCap - 1)
-		bit := uint64(1) << uint(j)
-		if b.held&bit == 0 {
-			if bits.OnesCount64(b.held) >= l1MaxFill {
-				return false
-			}
-			if cellCheck {
-				checkUnclaimed(b, j)
-			}
-			b.held |= bit
-			b.tags[j] = tag
-			b.entries[j] = l1Entry{mask: mask, val: v}
-			return true
-		}
-		if b.tags[j] == tag && b.entries[j].mask == mask {
-			if cellCheck {
-				checkPure(mask, b.entries[j].val, v)
-			}
-			return true
-		}
-	}
-	return false
-}
-
-// put stores and publishes a pair in a bucket no reader can reach yet — a
-// SharedCache bucket before it is published, a new L1 one before it is
-// installed — and reports false, storing nothing, at the fill bound.
-func (b *l1Bucket) put(mask uint64, v float64) bool {
-	ok := b.claim(mask, v)
-	b.occ = b.held
-	return ok
-}
-
-// store is what a store does in a bucket no other worker can be reading:
-// it claims a position, or at the fill bound evicts, and publishes it.
-func (b *l1Bucket) store(mask uint64, v float64) {
-	if !b.claim(mask, v) {
-		b.evict(mask, v)
-	}
-	b.occ = b.held
-}
-
-// share stores a pair while other workers of the batch may probe and store
+// put stores a pair while other workers of the batch may probe and store
 // into the bucket. A mask already published is left as it is (its value is
 // a pure function of the key; the cellcheck build asserts the bits agree).
-// Else share claims the first position of its probe run that no store has
+// Else put claims the first position of its probe run that no store has
 // claimed, with a compare-and-swap on held, writes the tag and the entry,
 // and only then publishes the position with an atomic or on occ, the word a
 // reader loads before it reads any entry; no position is written twice. At
-// the fill bound it stores nothing and reports false.
-func (b *l1Bucket) share(mask uint64, v float64) bool {
-	// Full buckets, where most stores of a cold batch land, are not written
-	// until the batch is over: the test comes first and reads a line no
-	// worker is writing.
+// the fill bound it stores nothing and reports false: the pair belongs in
+// the next link.
+func (b *l1Bucket) put(mask uint64, v float64) bool {
+	// Full buckets, which a store passes on its way down a chain, are not
+	// written again: the test comes first and reads a line no worker writes.
 	if bits.OnesCount64(atomic.LoadUint64(&b.held)) >= l1MaxFill {
 		return false
 	}
@@ -881,20 +859,13 @@ func (b *l1Bucket) share(mask uint64, v float64) bool {
 	}
 }
 
-// evict stores a pair claim could not take at its home position, whatever
-// is there: it replaces the occupant, or claims the home if that is empty
-// (which is how occupancy passes the fill bound, see l1MaxFill). The
-// linear-probing invariant survives because the new key rests exactly at
-// its own home; an evicted key simply misses from then on, falling back to
-// the SharedCache L2 (if it was published) or to recomputation. Values are
-// pure functions of their key, so eviction can never change a cost. evict
-// overwrites a live position, so it runs only while no other worker can be
-// reading the bucket; the writer publishes the position (store).
-func (b *l1Bucket) evict(mask uint64, v float64) {
-	h := l1Home(mask)
-	b.held |= 1 << uint(h)
-	b.tags[h] = l1Tag(mask)
-	b.entries[h] = l1Entry{mask: mask, val: v}
+// chainLen counts the entries of the chain starting at b.
+func chainLen(b *l1Bucket) int {
+	n := 0
+	for ; b != nil; b = b.next.Load() {
+		n += bits.OnesCount64(b.occ)
+	}
+	return n
 }
 
 // worker is one evaluation context: the memo and its per-call scratch; the
@@ -932,7 +903,9 @@ type worker struct {
 	undoGroups []groupUndo
 	undoCells  []cellUndo
 
-	spill []l1Put // stores a fanned-out batch deferred, until settle
+	// extracting is set while BestPlan prices the plan it extracts: then
+	// every key it reaches goes through the run's caches (keeps).
+	extracting bool
 
 	stats Stats // since the last flushStats
 }
@@ -966,7 +939,6 @@ func (w *worker) bind(s *Searcher) {
 	w.groups = fit(w.groups, s.M.NumGroups())
 	w.bits = s.SI.NewMatSet()
 	w.base = fit(w.base, len(w.bits)) // unread until a rebase fills it
-	w.spill = w.spill[:0]             // the previous owner's
 	w.dropBase()
 	w.stats = Stats{}
 }
@@ -981,7 +953,6 @@ func (s *Searcher) resetL1() {
 	s.l1 = nil
 	for _, w := range s.workers {
 		w.dropBase()
-		w.spill = w.spill[:0]
 	}
 }
 
@@ -1017,8 +988,31 @@ const (
 	kindComp = 1
 )
 
+// keeps reports whether the run's caches take the key of cell (a cell of g)
+// and kind: probe it before pricing it, store it after. A cell the
+// evaluation in flight re-prices for itself alone — its group carries the
+// overlay stamp — is seldom read again: the next evaluation puts the group's
+// base cells back (undo) and re-prices it against its own set, and only a
+// base that later moves to this very set (the round's winner) would find it.
+// So such a key is neither probed nor stored, unless it is one of the
+// evaluation's entry terms (entry), which a repeat of the evaluation reads
+// first and which save it everything below them, or plan extraction prices
+// it. Every other cell is priced for the worker's base, or for a walk from
+// nothing, and keeps the probe-then-store rule.
+func (w *worker) keeps(g memo.GroupID, cell, kind int) bool {
+	return w.groups[g].ep != w.overlay || w.extracting || w.entry(g, cell, kind)
+}
+
+// entry reports whether the key of cell (a cell of g) and kind is one of the
+// terms bestCostOn adds under the current set, however the evaluation reaches
+// it: compute(m, any) of every materialized group m, and use(r, any) of
+// every query root r — the compute key when r is outside the set (cacheKey).
+func (w *worker) entry(g memo.GroupID, cell, kind int) bool {
+	return cell == w.s.cells.anyCell(g) && (w.s.isRoot[g] || kind == kindComp && w.matHas(g))
+}
+
 // cached consults the cache levels for a use- or compute-cost key: the
-// cell's bucket in the run's L1, then the same cell of the SharedCache table
+// cell's chain in the run's L1, then the same cell of the SharedCache table
 // resolved for the run — at each level a pointer load and a probe, with no
 // lock, no hash, and no copy into the L1. Fresh values go only to the L1;
 // PublishCache hands it to the SharedCache whole.
@@ -1026,12 +1020,11 @@ func (w *worker) cached(cell int, mask uint64, kind int) (float64, bool) {
 	i := 2*cell + kind
 	if cellCheck {
 		w.checkUseKey(i)
+		w.checkOverlayKey(i)
 	}
-	if b := w.l1[i].Load(); b != nil {
-		if v, ok := b.lookup(mask); ok {
-			w.stats.CacheHits++
-			return v, true
-		}
+	if v, ok := w.l1[i].Load().find(mask); ok {
+		w.stats.CacheHits++
+		return v, true
 	}
 	if w.l2 != nil {
 		if v, ok := w.l2[i].Load().find(mask); ok {
@@ -1042,88 +1035,42 @@ func (w *worker) cached(cell int, mask uint64, kind int) (float64, bool) {
 	return 0, false
 }
 
-// store adds a fresh value to the run's L1. A worker alone writes it as it
-// would into a private table (storeAlone). In a fanned-out batch it shares
-// it with the other workers, which may be probing and storing into the same
-// bucket (l1Bucket.share): no lock and no log, so a store is written while
-// the probe that missed it has left its bucket in cache, and a worker never
-// waits for another (logging the stores and writing them under one lock
-// kept the workers of a cold 64-query run waiting 11 ms an op). A bucket at
-// the fill bound takes no shared store: the worker keeps the pair in its
-// spill log for settle, which stores it as a worker alone would, evicting at
-// home — the home may be under a reader until the batch is over.
+// store adds a fresh value to the run's L1, which the other workers of a
+// batch may be probing and storing into at the same time: no lock and no
+// log, so a store is written while the probe that missed it has left its
+// chain in cache, and a worker never waits for another (logging the stores
+// and writing them under one lock kept the workers of a cold 64-query run
+// waiting 11 ms an op). The pair goes into the first bucket of the cell's
+// chain below the fill bound (l1Bucket.put); when every bucket is full, into
+// a new one the store links behind the last with a compare-and-swap on its
+// next, or, at an empty slot, installs as the chain. A store never drops a
+// pair and never overwrites a live position, so the L1 holds every key the
+// run stored until PublishCache hands it over. A link a store loses the race
+// to install is kept for its next try.
 func (w *worker) store(cell int, mask uint64, v float64, kind int) {
 	i := 2*cell + kind
-	s := w.s
 	if cellCheck {
 		w.checkUseKey(i)
+		w.checkOverlayKey(i)
 	}
-	if !s.fanned {
-		s.storeAlone(i, mask, v)
-		return
-	}
-	slot := &w.l1[i]
-	b := slot.Load()
-	if b == nil {
-		if cellCheck {
-			s.checkUseBucket(i)
+	at := &w.l1[i]   // the slot, then the next of each full bucket
+	var nb *l1Bucket // the pair in a link of its own, once it needs one
+	for {
+		b := at.Load()
+		if b == nil {
+			if nb == nil {
+				nb = new(l1Bucket)
+				nb.put(mask, v)
+			}
+			if at.CompareAndSwap(nil, nb) {
+				return
+			}
+			continue // another store linked first: try its bucket
 		}
-		nb := new(l1Bucket)
-		nb.put(mask, v)
-		if slot.CompareAndSwap(nil, nb) {
+		if b.put(mask, v) {
 			return
 		}
-		b = slot.Load()
-	}
-	if !b.share(mask, v) && len(w.spill) < l1SpillLen {
-		if w.spill == nil {
-			w.spill = make([]l1Put, 0, l1SpillLen)
-		}
-		w.spill = append(w.spill, l1Put{slot: int32(i), l1Entry: l1Entry{mask: mask, val: v}})
-	}
-}
-
-// storeAlone stores a pair while no other worker runs: into the first free
-// position of its probe run, or at the fill bound at its home (evict).
-func (s *Searcher) storeAlone(i int, mask uint64, v float64) {
-	s.check.alone()
-	slot := &s.l1[i]
-	b := slot.Load()
-	if b == nil {
-		if cellCheck {
-			s.checkUseBucket(i)
-		}
-		b = new(l1Bucket)
-		slot.Store(b)
-	}
-	b.store(mask, v)
-}
-
-// l1SpillLen bounds the stores a worker defers in one fanned-out batch
-// (192 kB, allocated once a worker): past it they are dropped. With the log
-// unbounded, the first batch of a cold 64-query run defers up to 23 k stores
-// over all its workers (generator seeds 1000–1003, GOMAXPROCS 2 and 4; 46 k
-// when a use cost outside the set was stored under a key of its own, see
-// cacheKey); keeping 8 k a worker holds its p2 and p4 computed keys within
-// 2 % of p1's, where dropping them all costs 20 % more keys, and keeps p4's
-// B/op within 1.15 × p1's.
-const l1SpillLen = 1 << 13
-
-// l1Put is a deferred store: the pair and the L1 slot of its bucket.
-type l1Put struct {
-	slot int32
-	l1Entry
-}
-
-// settle runs between evaluations, when no worker stores and no reader
-// probes: it stores what the last fanned-out batch deferred, so the L1
-// follows the keys a run asks for now as it does on one worker.
-func (s *Searcher) settle() {
-	for _, w := range s.workers {
-		for _, p := range w.spill {
-			s.storeAlone(int(p.slot), p.mask, p.val)
-		}
-		w.spill = w.spill[:0]
+		at = &b.next
 	}
 }
 
@@ -1136,7 +1083,6 @@ func (s *Searcher) settle() {
 // evaluation found.
 func (s *Searcher) worker(i int) *worker {
 	s.check.flags(s.ExtendedOps, s.Incremental)
-	s.settle()
 	s.syncShared()
 	if s.l1 == nil && s.shared != nil {
 		s.l1 = s.shared.takeTable(s.cells.len())
@@ -1412,7 +1358,6 @@ func (s *Searcher) BestCostBatchCtx(ctx context.Context, mats []NodeSet) (costs 
 	s.batchMark = s.Stats
 	s.setBatchBase(mats)
 	s.worker(par - 1) // takes the batch's workers: s.workers[:par]
-	s.fanned = par > 1
 	b := &batch{ctx: ctx, mats: mats, out: out, completed: make([]bool, len(mats))}
 	for _, w := range s.workers[1:par] {
 		b.wg.Add(1)
@@ -1423,7 +1368,6 @@ func (s *Searcher) BestCostBatchCtx(ctx context.Context, mats []NodeSet) (costs 
 	}
 	s.runBatch(b, s.workers[0])
 	b.wg.Wait()
-	s.fanned = false
 	for _, w := range s.workers[:par] {
 		w.flushStats()
 	}
@@ -1456,9 +1400,7 @@ type batch struct {
 // price it, until the sets run out or the batch aborts. A panic ends the
 // loop and aborts the batch; the set it was pricing stays uncompleted.
 func (s *Searcher) runBatch(b *batch, w *worker) {
-	s.check.enter()
 	defer func() {
-		s.check.leave()
 		if r := recover(); r != nil {
 			b.fault.CompareAndSwap(nil, faultinject.NewPanicError("physical.BestCostBatch", r))
 			b.aborted.Store(true)
@@ -1486,21 +1428,18 @@ func (s *Searcher) runBatch(b *batch, w *worker) {
 // and a worker that is never woken is never taken or allocated. Measured
 // with the rule off (2-vCPU Xeon 2.6 GHz, a warm Session.Optimize on one
 // worker against two): 16 queries 0.47 against 0.66 ms, 32 queries 1.34
-// against 1.70, 64 queries 5.7 against 6.0 — under a key a call each. Cold
-// runs (≈ 350 keys a call at 64 queries) fan out. With the batch's workers
-// sharing one L1, a cold MarginalGreedy run on one worker against two (same
-// box, medians of five interleaved runs of 7–15 each, noisy) takes 5.4–8.2
-// against 6.2–8.4 ms at 16 queries (two lose in four runs of five),
-// 15.5–23.3 against 15.7–20.0 at 32 (two win in three) and 93–131 against
-// 78–110 at 64 (two win in three); with private L1s it was 6.1–6.3 against
-// 7.4–9.0, 14.8–15.2 against 17.1–18.6 and 81.8–83.5 against 69.1–69.7. Once
-// a use cost outside the set stopped being stored twice (a cold key got
-// cheaper; same box, GOMAXPROCS 1 against 2, medians of five interleaved runs
-// of 10) it read 6.6 against 6.8 ms at 16 queries (6.0–8.9 against 6.3–8.0),
-// 20.3 against 18.9 at 32 (14.3–22.0 against 14.0–19.8) and 123 against 81 at
-// 64 (104–131 against 73–90). That is the crossover a finer rule would have
-// to find, which is ROADMAP item 3(b)'s. A searcher's first batch after no
-// evaluation at all fans out.
+// against 1.70, 64 queries 5.7 against 6.0 — under a key a call each; a
+// warm repeat now computes none. Cold runs (hundreds of keys a call) fan
+// out, and since the caches keep only what a later call reads (keeps) a
+// second worker pays at every size measured: a cold Session.Optimize at
+// GOMAXPROCS 1 against 2 (same box, two readings, each the median of five
+// interleaved runs of 10) takes 10.2 / 9.5 against 8.5 / 8.4 ms at 16
+// queries, 18.1 / 24.4 against 19.9 / 20.5 at 32 and 119 / 124 against 84 /
+// 82 at 64. Before, one worker won at 16 queries (6.6 against 6.8 ms) and
+// 32 was a toss-up, which is what ROADMAP item 3(b)'s finer rule was to
+// find. The constant only has to part runs that compute keys from runs that
+// read them, and it does. A searcher's first batch after no evaluation at
+// all fans out.
 const fanOutKeys = 16
 
 // setBatchBase chooses the base of a batch: the current one while every set
@@ -1569,7 +1508,8 @@ func (w *worker) useCost(g memo.GroupID, ord ordID, cell int) float64 {
 
 // useCostMiss is useCost's slow path. Outside the set the use cost is the
 // compute cost, under the compute key (see cacheKey); a materialized group
-// consults its use key, else prices reading its copy against computing it.
+// consults its use key where it is kept (keeps), else prices reading its
+// copy against computing it.
 func (w *worker) useCostMiss(g memo.GroupID, ord ordID, cell int, m *epVal) float64 {
 	s := w.s
 	if cellCheck {
@@ -1583,7 +1523,8 @@ func (w *worker) useCostMiss(g memo.GroupID, ord ordID, cell int, m *epVal) floa
 		return v
 	}
 	var mask uint64
-	if s.Incremental {
+	keep := s.Incremental && w.keeps(g, cell, kindUse)
+	if keep {
 		mask = w.maskHash(g)
 		if v, ok := w.cached(cell, mask, kindUse); ok {
 			m.val = v
@@ -1597,7 +1538,7 @@ func (w *worker) useCostMiss(g memo.GroupID, ord ordID, cell int, m *epVal) floa
 	}
 	m.val = v
 	m.ep = w.groups[g].ep
-	if s.Incremental {
+	if keep {
 		w.store(cell, mask, v, kindUse)
 	}
 	return v
@@ -1629,8 +1570,9 @@ func (w *worker) compute(g memo.GroupID, ord ordID, cell int) float64 {
 	return w.computeMiss(g, ord, cell, m)
 }
 
-// computeMiss is compute's slow path: cross-call cache, then a fresh
-// pass over the group's implementation templates.
+// computeMiss is compute's slow path: the cross-call caches where the key
+// is kept (keeps), then a fresh pass over the group's implementation
+// templates.
 func (w *worker) computeMiss(g memo.GroupID, ord ordID, cell int, m *epVal) float64 {
 	s := w.s
 	if cellCheck {
@@ -1640,7 +1582,8 @@ func (w *worker) computeMiss(g memo.GroupID, ord ordID, cell int, m *epVal) floa
 	m.val = inf // guard against accidental cycles
 	m.ep = w.groups[g].ep
 	var mask uint64
-	if s.Incremental {
+	keep := s.Incremental && w.keeps(g, cell, kindComp)
+	if keep {
 		mask = w.maskHash(g)
 		if v, ok := w.cached(cell, mask, kindComp); ok {
 			m.val = v
@@ -1661,7 +1604,7 @@ func (w *worker) computeMiss(g memo.GroupID, ord ordID, cell int, m *epVal) floa
 		}
 	}
 	m.val = best
-	if s.Incremental {
+	if keep {
 		w.store(cell, mask, best, kindComp)
 	}
 	return best

@@ -42,12 +42,15 @@ type ConsolidatedPlan struct {
 }
 
 // BestPlan extracts the optimal consolidated plan for the given
-// materialization set. Its Total equals BestCost(mat). It shares worker 0
-// with the other sequential entry points and is not safe for concurrent
-// use.
+// materialization set. Its Total equals BestCost(mat). Every cost it prices
+// goes through the run's caches, so a repeat of the extraction reads them
+// (worker.keeps). It shares worker 0 with the other sequential entry points
+// and is not safe for concurrent use.
 func (s *Searcher) BestPlan(mat NodeSet) *ConsolidatedPlan {
 	w := s.solo(mat)
 	w.begin(mat.bits)
+	w.extracting = true
+	defer func() { w.extracting = false }()
 	cp := &ConsolidatedPlan{QueryNames: append([]string(nil), s.M.QueryNames...)}
 	for _, slot := range s.depthOrder { // dependencies first
 		if !w.bits.HasSlot(int(slot)) {

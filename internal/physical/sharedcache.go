@@ -420,10 +420,13 @@ func (c *SharedCache) insert(t *nsTable, kvs []sharedKV) {
 func (t *nsTable) extend(i int, extra []l1Entry) {
 	head := t.slots[i].Load()
 	for len(extra) > 0 {
-		nb, room := &l1Bucket{next: head}, l1MaxFill
+		nb, room := new(l1Bucket), l1MaxFill
 		if head != nil && bits.OnesCount64(head.occ)+len(extra) <= l1MaxFill {
-			*nb = *head
+			nb.occ, nb.held, nb.tags, nb.entries = head.occ, head.held, head.tags, head.entries
+			nb.next.Store(head.next.Load())
 			room -= bits.OnesCount64(head.occ)
+		} else {
+			nb.next.Store(head)
 		}
 		if room > len(extra) {
 			room = len(extra)
@@ -437,26 +440,29 @@ func (t *nsTable) extend(i int, extra []l1Entry) {
 	t.slots[i].Store(head)
 }
 
-// absorb takes a run's L1 bucket into slot i and returns how many entries
-// the table gained. An empty slot adopts the bucket itself — the caller has
+// absorb takes a run's L1 chain into slot i and returns how many entries
+// the table gained. An empty slot adopts the chain itself — the caller has
 // taken the L1 away from its run, so nothing writes it again; an occupied
-// one is extended by the entries its chain lacks.
+// one is extended, link by link, by the entries its chain lacks.
 func (t *nsTable) absorb(i int, b *l1Bucket) int {
-	head := t.slots[i].Load()
-	if head == nil {
+	if t.slots[i].Load() == nil {
 		t.slots[i].Store(b)
-		return bits.OnesCount64(b.occ)
+		return chainLen(b)
 	}
+	n := 0
 	var buf [l1BucketCap]l1Entry
-	extra := buf[:0]
-	for occ := b.occ; occ != 0; occ &= occ - 1 {
-		e := b.entries[bits.TrailingZeros64(occ)]
-		if _, ok := head.find(e.mask); !ok {
-			extra = append(extra, e)
+	for ; b != nil; b = b.next.Load() {
+		head, extra := t.slots[i].Load(), buf[:0]
+		for occ := b.occ; occ != 0; occ &= occ - 1 {
+			e := b.entries[bits.TrailingZeros64(occ)]
+			if _, ok := head.find(e.mask); !ok {
+				extra = append(extra, e)
+			}
 		}
+		t.extend(i, extra)
+		n += len(extra)
 	}
-	t.extend(i, extra)
-	return len(extra)
+	return n
 }
 
 // each calls fn for every entry in the table's slots, ascending by (group,
@@ -469,7 +475,7 @@ func (t *nsTable) each(fn func(k cacheKey, v float64)) {
 			g++
 		}
 		k := cacheKey{g: g, ord: t.ix.ord[cell], compute: i%2 == kindComp}
-		for b := t.slots[i].Load(); b != nil; b = b.next {
+		for b := t.slots[i].Load(); b != nil; b = b.next.Load() {
 			for occ := b.occ; occ != 0; occ &= occ - 1 {
 				e := &b.entries[bits.TrailingZeros64(occ)]
 				k.mask = e.mask
@@ -598,7 +604,6 @@ func (s *Searcher) PublishCache() {
 		return
 	}
 	if s.l1 != nil {
-		s.settle()
 		if !s.shared.publish(s.Fingerprint(), s.cells, s.l1) {
 			s.shared.putTable(s.l1)
 		}
@@ -610,7 +615,7 @@ func (s *Searcher) PublishCache() {
 
 // publish hands a run's L1 to the namespace's table. A namespace with no
 // table adopts the L1 whole, slot array and buckets; an existing table
-// adopts each bucket into an empty slot or takes the entries its chain
+// adopts each chain into an empty slot or takes the entries its chain
 // lacks (absorb). Nothing is copied that the table does not need, and
 // nothing is merged twice: the run's workers stored into one L1. Then it
 // marks the namespace most recently published and enforces the cap against
@@ -625,9 +630,7 @@ func (c *SharedCache) publish(ns uint64, ix cellIndex, l1 l1Table) bool {
 	case t == nil:
 		n := 0
 		for i := range l1 {
-			if b := l1[i].Load(); b != nil {
-				n += bits.OnesCount64(b.occ)
-			}
+			n += chainLen(l1[i].Load())
 		}
 		if n == 0 {
 			return false

@@ -381,15 +381,12 @@ func TestSharedCacheReadDuringPublish(t *testing.T) {
 	}
 }
 
-// liveL1Entries counts the entries in the run's L1, the workers' logged
-// stores written: what the next PublishCache has to hand over.
+// liveL1Entries counts the entries in the run's L1, every link of every
+// chain: what the next PublishCache has to hand over.
 func liveL1Entries(s *Searcher) int {
-	s.settle()
 	n := 0
 	for i := range s.l1 {
-		if b := s.l1[i].Load(); b != nil {
-			n += bits.OnesCount64(b.occ)
-		}
+		n += chainLen(s.l1[i].Load())
 	}
 	return n
 }
@@ -418,7 +415,7 @@ func TestPublishCacheMovesBucketsOut(t *testing.T) {
 	owned := map[*l1Bucket]bool{}
 	tab, _ := cache.resolve(s.Fingerprint(), s.cells)
 	for i := range tab {
-		for b := tab[i].Load(); b != nil; b = b.next {
+		for b := tab[i].Load(); b != nil; b = b.next.Load() {
 			owned[b] = true
 		}
 	}
@@ -437,7 +434,7 @@ func TestPublishCacheMovesBucketsOut(t *testing.T) {
 		t.Fatal("the late set computed no new key; pick another")
 	}
 	for i := range tab {
-		for b := tab[i].Load(); b != nil; b = b.next {
+		for b := tab[i].Load(); b != nil; b = b.next.Load() {
 			if !owned[b] {
 				t.Fatalf("table slot %d changed without a publish", i)
 			}
@@ -584,7 +581,7 @@ func BenchmarkSharedCacheGet(b *testing.B) {
 	}
 	var probes []probe
 	for i := range reader.l2 {
-		for bk := reader.l2[i].Load(); bk != nil; bk = bk.next {
+		for bk := reader.l2[i].Load(); bk != nil; bk = bk.next.Load() {
 			for occ := bk.occ; occ != 0; occ &= occ - 1 {
 				probes = append(probes, probe{idx: i / 2, kind: i % 2, mask: bk.entries[bits.TrailingZeros64(occ)].mask})
 			}

@@ -5,7 +5,7 @@ package tpcd
 // per table, the columns that make sensible selection predicates together
 // with their value ranges. Everything here is static metadata derived from
 // the Catalog definition in schema.go; the slices returned are freshly
-// allocated and safe to mutate.
+// allocated and safe to mutate, except the edge EdgeBetween returns.
 
 // JoinEdge is one joinable foreign-key relationship between two tables.
 // Cols lists the equated column pairs — one pair for simple keys, two for
@@ -15,28 +15,38 @@ type JoinEdge struct {
 	Cols        [][2]string // column pairs, Cols[i][0] on Left, Cols[i][1] on Right
 }
 
+// joinEdges is the foreign-key join graph of the TPCD schema, built once:
+// EdgeBetween scans it for every join a generated query asks for, so it
+// hands out the table's own edges, and JoinEdges copies it.
+var joinEdges = []JoinEdge{
+	{Left: "lineitem", Right: "orders", Cols: [][2]string{{"orderkey", "orderkey"}}},
+	{Left: "lineitem", Right: "part", Cols: [][2]string{{"partkey", "partkey"}}},
+	{Left: "lineitem", Right: "supplier", Cols: [][2]string{{"suppkey", "suppkey"}}},
+	{Left: "lineitem", Right: "partsupp", Cols: [][2]string{{"partkey", "partkey"}, {"suppkey", "suppkey"}}},
+	{Left: "orders", Right: "customer", Cols: [][2]string{{"custkey", "custkey"}}},
+	{Left: "customer", Right: "nation", Cols: [][2]string{{"nationkey", "nationkey"}}},
+	{Left: "supplier", Right: "nation", Cols: [][2]string{{"nationkey", "nationkey"}}},
+	{Left: "partsupp", Right: "part", Cols: [][2]string{{"partkey", "partkey"}}},
+	{Left: "partsupp", Right: "supplier", Cols: [][2]string{{"suppkey", "suppkey"}}},
+	{Left: "nation", Right: "region", Cols: [][2]string{{"regionkey", "regionkey"}}},
+}
+
 // JoinEdges returns the foreign-key join graph of the TPCD schema in a
 // fixed, deterministic order. Edges are undirected: generators may traverse
 // them from either side.
 func JoinEdges() []JoinEdge {
-	return []JoinEdge{
-		{Left: "lineitem", Right: "orders", Cols: [][2]string{{"orderkey", "orderkey"}}},
-		{Left: "lineitem", Right: "part", Cols: [][2]string{{"partkey", "partkey"}}},
-		{Left: "lineitem", Right: "supplier", Cols: [][2]string{{"suppkey", "suppkey"}}},
-		{Left: "lineitem", Right: "partsupp", Cols: [][2]string{{"partkey", "partkey"}, {"suppkey", "suppkey"}}},
-		{Left: "orders", Right: "customer", Cols: [][2]string{{"custkey", "custkey"}}},
-		{Left: "customer", Right: "nation", Cols: [][2]string{{"nationkey", "nationkey"}}},
-		{Left: "supplier", Right: "nation", Cols: [][2]string{{"nationkey", "nationkey"}}},
-		{Left: "partsupp", Right: "part", Cols: [][2]string{{"partkey", "partkey"}}},
-		{Left: "partsupp", Right: "supplier", Cols: [][2]string{{"suppkey", "suppkey"}}},
-		{Left: "nation", Right: "region", Cols: [][2]string{{"regionkey", "regionkey"}}},
+	out := make([]JoinEdge, len(joinEdges))
+	for i, e := range joinEdges {
+		out[i] = JoinEdge{Left: e.Left, Right: e.Right, Cols: append([][2]string(nil), e.Cols...)}
 	}
+	return out
 }
 
 // EdgeBetween returns the join edge connecting two tables (in either
-// orientation), or false if the schema has none.
+// orientation), or false if the schema has none. It allocates nothing: the
+// edge's Cols is the package's own, to be read and not written.
 func EdgeBetween(a, b string) (JoinEdge, bool) {
-	for _, e := range JoinEdges() {
+	for _, e := range joinEdges {
 		if (e.Left == a && e.Right == b) || (e.Left == b && e.Right == a) {
 			return e, true
 		}

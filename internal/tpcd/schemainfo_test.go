@@ -37,6 +37,26 @@ func TestJoinEdgesMatchCatalog(t *testing.T) {
 	}
 }
 
+// TestEdgeBetweenAllocFree: EdgeBetween scans a table built once, so the
+// generator's per-join lookup allocates nothing, and a caller writing into a
+// JoinEdges result changes no later EdgeBetween answer.
+func TestEdgeBetweenAllocFree(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { EdgeBetween("partsupp", "lineitem") }); n != 0 {
+		t.Fatalf("EdgeBetween made %v allocations, want 0", n)
+	}
+	edges := JoinEdges()
+	for i := range edges {
+		edges[i].Left = "mutated"
+		for j := range edges[i].Cols {
+			edges[i].Cols[j] = [2]string{"x", "y"}
+		}
+	}
+	e, ok := EdgeBetween("lineitem", "partsupp")
+	if !ok || e.Left != "lineitem" || len(e.Cols) != 2 || e.Cols[0] != [2]string{"partkey", "partkey"} || e.Cols[1] != [2]string{"suppkey", "suppkey"} {
+		t.Fatalf("EdgeBetween after a JoinEdges result was mutated: %+v, %v", e, ok)
+	}
+}
+
 // TestFilterColumnsMatchCatalog: filter columns must exist and their
 // advertised constant ranges must lie within the catalog statistics, so
 // generated predicates are never trivially empty or always-true.

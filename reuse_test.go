@@ -111,6 +111,56 @@ func TestRepeatedBatchMatchesFreshSession(t *testing.T) {
 	}
 }
 
+// A repeat reads everything: the second Optimize of a batch on one session
+// computes no key, because the first run's caches hold every cost a later
+// evaluation reads — its entry terms, the cells priced for a base and those
+// plan extraction priced (internal/physical, worker.keeps). Its cost and
+// deterministic work are the first run's bit for bit. Every strategy on the
+// paper's batches, and MarginalGreedy on generated 32- and 64-query batches,
+// at GOMAXPROCS 1, 2 and 4: a cold first run fans out, so what its workers
+// stored into the one L1 must be complete too.
+func TestRepeatComputesNothing(t *testing.T) {
+	strategies := []Strategy{
+		core.Volcano, core.Greedy, core.LazyGreedyStrategy, core.MarginalGreedy,
+		core.LazyMarginalGreedy, core.MaterializeAll, core.VolcanoSH,
+	}
+	type input struct {
+		name  string
+		batch *logical.Batch
+		strat Strategy
+	}
+	var inputs []input
+	for i := 1; i <= 6; i++ {
+		for _, strat := range strategies {
+			inputs = append(inputs, input{fmt.Sprintf("BQ%d/%s", i, strat), tpcd.BQ(i), strat})
+		}
+	}
+	for _, q := range []int{32, 64} {
+		inputs = append(inputs, input{fmt.Sprintf("gen%dx0.25/%s", q, MarginalGreedy), workload.MustGenerate(workload.DefaultSpec(q, 0.25)), MarginalGreedy})
+	}
+	for _, procs := range []int{1, 2, 4} {
+		withProcs(t, procs)
+		for _, in := range inputs {
+			sess := newTestSession(t, WithStrategy(in.strat))
+			var runs [2]*RunResult
+			for i := range runs {
+				rr, err := sess.Optimize(context.Background(), in.batch)
+				if err != nil {
+					t.Fatalf("p%d %s: call %d: %v", procs, in.name, i+1, err)
+				}
+				runs[i] = rr
+			}
+			first, again := runs[0], runs[1]
+			if again.Telemetry.ComputedKeys != 0 {
+				t.Errorf("p%d %s: the repeat computed %d keys (the first run %d), want 0", procs, in.name, again.Telemetry.ComputedKeys, first.Telemetry.ComputedKeys)
+			}
+			if again.Cost != first.Cost || again.Telemetry.Work() != first.Telemetry.Work() {
+				t.Errorf("p%d %s: the repeat cost %v work %+v, the first run %v %+v", procs, in.name, again.Cost, again.Telemetry.Work(), first.Cost, first.Telemetry.Work())
+			}
+		}
+	}
+}
+
 // The stale-L1 trap: one batch, one session, runs alternating between the
 // extended and the paper's operator set. They share the DAG, the compiled
 // search space and the pooled workers, and must share no cost.

@@ -8,9 +8,9 @@
 // instances.
 //
 // RunWith is the entry point: it accepts a context and a Config carrying a
-// wall-clock budget, an oracle-call budget, a progress callback and a
-// preemption signal, checks them between greedy rounds, and reports
-// per-phase telemetry in the Result. The zero Config runs unbudgeted.
+// time budget, an oracle-call budget, a progress callback and a scheduler's
+// yielder, checks them between greedy rounds, and reports per-phase
+// telemetry in the Result. The zero Config runs unbudgeted.
 // ResumeWith and RunK run through the same body over the same oracle.
 package core
 
@@ -87,8 +87,10 @@ func (s Strategy) String() string {
 // Config bounds and instruments one optimization run. The zero value means
 // "no budgets, no callbacks".
 type Config struct {
-	// TimeBudget caps the wall-clock time of the run (0 = none). It is
-	// enforced as a context deadline: the greedy loop stops between oracle
+	// TimeBudget caps the running time of the run (0 = none): the wall
+	// time since it started less the time it spent paused (Yielder). It is
+	// enforced by cancelling the run's context with cause
+	// context.DeadlineExceeded: the greedy loop stops between oracle
 	// rounds, and a concurrent bestCost batch already in flight stops
 	// between individual evaluations.
 	TimeBudget time.Duration
@@ -106,16 +108,19 @@ type Config struct {
 	// The serving tier enables it only for sessions warm-started from an
 	// imported cache snapshot.
 	WarmOracle bool
-	// PreemptSignal, when non-nil, is the run's submod.Control.Preempt:
-	// the oracle polls it after every completed greedy round, right after
-	// Progress, and a true result stops the run at that round boundary
-	// with Telemetry.Stopped == submod.StopPreempted and — for a resumable
-	// lazy strategy — a Checkpoint that continues it bit-identically. A
+	// Yielder, when non-nil, is the scheduler's hold on the run's slot
+	// (submod.Control.Yielder): the oracle polls it after every completed
+	// greedy round, right after Progress, and when the scheduler asked for
+	// the slot the run pauses there — Yield gives the slot back and waits
+	// for it — then continues in place with the same oracle, searcher and
+	// caches, so its result and Telemetry.Work are the unpaused run's. The
+	// pause is left out of TimeBudget, the phase times and OptTime. Only a
+	// failed Yield stops the run, at that round boundary, with
+	// Telemetry.Stopped == submod.StopPreempted and — for a resumable lazy
+	// strategy — a Checkpoint that ResumeWith continues bit-identically. A
 	// context already done at the poll wins; a call budget spent on the
-	// same round does not. Polling only at round boundaries is what keeps
-	// Σ segment telemetry equal to an unpreempted run's: a mid-batch abort
-	// would re-price the interrupted round's pops on resume.
-	PreemptSignal func() bool
+	// same round does not.
+	Yielder submod.Yielder
 
 	maxCalls    int
 	hasMaxCalls bool
@@ -401,15 +406,8 @@ func (s Strategy) search(o *submod.Oracle, f *BenefitFunc, setupDone func()) sub
 // builds the oracle with its L2 and its Control — the one place every early
 // stop is recorded — drives the search, and prices and accounts the result.
 func run(ctx context.Context, opt *volcano.Optimizer, strat Strategy, cfg Config, drive search) Result {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if cfg.TimeBudget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.TimeBudget)
-		defer cancel()
-	}
-	mt := startMeter(opt)
+	mt, ctx, stop := startMeter(ctx, opt, cfg.TimeBudget)
+	defer stop()
 	f := NewBenefitFuncCtx(ctx, opt)
 	if err := f.Fault(); err != nil {
 		return mt.faulted(strat, err)
@@ -424,16 +422,14 @@ func run(ctx context.Context, opt *volcano.Optimizer, strat Strategy, cfg Config
 	if sc := opt.Shared(); sc != nil {
 		oracle.L2 = benefitL2{c: sc, ns: opt.Fingerprint(), warm: cfg.WarmOracle}
 	}
-	oracle.SetControl(&submod.Control{
-		Ctx:         ctx,
-		MaxCalls:    cfg.maxCalls,
-		HasMaxCalls: cfg.hasMaxCalls,
-		OnProgress:  cfg.Progress,
-		Preempt:     cfg.PreemptSignal,
-	})
-	setupEnd := time.Now()
-	r := drive(oracle, f, func() { setupEnd = time.Now() })
-	searchEnd := time.Now()
+	ctrl := &submod.Control{Ctx: ctx, MaxCalls: cfg.maxCalls, HasMaxCalls: cfg.hasMaxCalls, OnProgress: cfg.Progress}
+	if cfg.Yielder != nil {
+		ctrl.Yielder = pausing{cfg.Yielder, mt}
+	}
+	oracle.SetControl(ctrl)
+	setupEnd := mt.now()
+	r := drive(oracle, f, func() { setupEnd = mt.now() })
+	searchEnd := mt.now()
 	return mt.finish(Result{
 		Strategy:     strat,
 		Materialized: f.ToNodes(r.Set),
@@ -486,15 +482,63 @@ func volcanoSHOrder(f *BenefitFunc) []int {
 
 // meter is the start-of-run snapshot run takes: the clock and the
 // searcher's cumulative counters, so a run's Telemetry is the delta over
-// exactly its own work however warm the searcher already was.
+// exactly its own work however warm the searcher already was. Its clock
+// counts running time: a pause (Config.Yielder) stops it and the budget.
 type meter struct {
 	opt    *volcano.Optimizer
 	start  time.Time
+	paused time.Duration
+	budget time.Duration
+	cancel context.CancelCauseFunc // ends the run's context; nil without a budget
+	expire *time.Timer             // calls cancel when what is left of the budget is spent
 	before physical.Stats
 }
 
-func startMeter(opt *volcano.Optimizer) meter {
-	return meter{opt: opt, start: time.Now(), before: opt.Stats}
+// startMeter starts a run's meter and context: with a budget, ctx cancelled
+// with cause context.DeadlineExceeded once it is spent. stop releases it.
+func startMeter(ctx context.Context, opt *volcano.Optimizer, budget time.Duration) (mt *meter, _ context.Context, stop func()) {
+	ctx, stop = cmp.Or(ctx, context.Background()), func() {}
+	mt = &meter{opt: opt, start: time.Now(), budget: budget, before: opt.Stats}
+	if budget > 0 {
+		ctx, mt.cancel = context.WithCancelCause(ctx)
+		mt.arm()
+		stop = func() { mt.disarm(); mt.cancel(nil) }
+	}
+	return mt, ctx, stop
+}
+
+// now is the run's running time so far.
+func (mt *meter) now() time.Duration { return time.Since(mt.start) - mt.paused }
+
+// arm times what is left of the budget; with nothing left it ends the run at
+// once, as a context whose deadline has already passed does.
+func (mt *meter) arm() {
+	if left := mt.budget - mt.now(); left > 0 {
+		mt.expire = time.AfterFunc(left, func() { mt.cancel(context.DeadlineExceeded) })
+	} else {
+		mt.cancel(context.DeadlineExceeded)
+	}
+}
+
+// disarm stops the budget's timer and reports whether it had yet to fire.
+func (mt *meter) disarm() bool { return mt.expire != nil && mt.expire.Stop() }
+
+// pausing is the run's Yielder: Config.Yielder with the meter's clock, and
+// so the budget's timer, stopped while the scheduler holds the slot.
+type pausing struct {
+	submod.Yielder
+	mt *meter
+}
+
+func (p pausing) Yield(ctx context.Context) error {
+	mt, start := p.mt, time.Now()
+	running := mt.disarm()
+	err := p.Yielder.Yield(ctx)
+	mt.paused += time.Since(start)
+	if running {
+		mt.arm()
+	}
+	return err
 }
 
 // finish completes a Result whose search part run filled in
@@ -502,9 +546,9 @@ func startMeter(opt *volcano.Optimizer) meter {
 // the Telemetry round counters): it prices the chosen set (a faulted
 // run's searcher is not consulted again, and a panic in the pricing faults
 // the run) and fills the counter deltas and phase times — the one place
-// they are put together. setupEnd and searchEnd split the clock into
-// setup, search and finalize.
-func (mt meter) finish(res Result, setupEnd, searchEnd time.Time) Result {
+// they are put together. setupEnd and searchEnd, read off the run's clock,
+// split it into setup, search and finalize.
+func (mt *meter) finish(res Result, setupEnd, searchEnd time.Duration) Result {
 	res.Set = mt.opt.NewNodeSet(res.Materialized...)
 	if res.Fault == nil {
 		if c, ok := bestCost(mt.opt, res.Set); ok {
@@ -514,23 +558,23 @@ func (mt meter) finish(res Result, setupEnd, searchEnd time.Time) Result {
 			res.Fault, res.Telemetry.Stopped = mt.opt.TakeFault(), submod.StopPanic
 		}
 	}
-	end := time.Now()
-	res.OptTime = end.Sub(mt.start)
+	end := mt.now()
+	res.OptTime = end
 	tel := &res.Telemetry
 	tel.OracleCalls = res.OracleCalls
 	did := mt.opt.Stats.Sub(mt.before)
 	tel.BCCalls, tel.CacheHits, tel.SharedHits, tel.ComputedKeys = did.BCCalls, did.CacheHits, did.SharedHits, did.ComputedKey
-	tel.SetupTime = setupEnd.Sub(mt.start)
-	tel.SearchTime = searchEnd.Sub(setupEnd)
-	tel.FinalizeTime = end.Sub(searchEnd)
-	tel.TotalTime = end.Sub(mt.start)
+	tel.SetupTime = setupEnd
+	tel.SearchTime = searchEnd - setupEnd
+	tel.FinalizeTime = end - searchEnd
+	tel.TotalTime = end
 	tel.setHitRate()
 	return res
 }
 
 // faulted is the Result of a run whose bc(∅) panicked: there is nothing to
 // search from and nothing to resume.
-func (mt meter) faulted(strat Strategy, err error) Result {
-	now := time.Now()
+func (mt *meter) faulted(strat Strategy, err error) Result {
+	now := mt.now()
 	return mt.finish(Result{Strategy: strat, Fault: err, Telemetry: Telemetry{Stopped: submod.StopPanic}}, now, now)
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/cost"
 	"repro/internal/memo"
@@ -272,8 +274,22 @@ func TestFreshRunIsResumeFromStartBQ(t *testing.T) {
 	}
 }
 
-// TestPreemptPrecedence pins which stop wins when a preemption lands on
-// the same round as another stop. The signal is polled right after the
+// yielder is a scripted scheduler hold: it asks for the slot when ask says
+// so, and its Yield waits for wait to return (nil: the slot comes back).
+type yielder struct {
+	ask  func() bool
+	wait func() error
+}
+
+func (y yielder) PreemptRequested() bool { return y.ask() }
+
+func (y yielder) Yield(context.Context) error { return y.wait() }
+
+// neverRegranted is a Yield whose slot never comes back.
+func neverRegranted() error { return errors.New("no re-grant") }
+
+// TestPreemptPrecedence pins which stop wins when a failed yield lands on
+// the same round as another stop. The Yielder is polled right after the
 // round's Progress report: a context the report cancelled is already done
 // at the poll and wins (StopCancelled), while a call budget the round spent
 // is only checked before the next round and loses (StopPreempted). Either
@@ -295,7 +311,7 @@ func TestPreemptPrecedence(t *testing.T) {
 		budgetRounds := 0
 		for r := 1; r <= len(calls); r++ {
 			reports := 0
-			fired := func() bool { return reports >= r }
+			fails := yielder{ask: func() bool { return reports >= r }, wait: neverRegranted}
 			ctx, cancel := context.WithCancel(context.Background())
 			got := RunWith(ctx, bq2Optimizer(t), s, Config{
 				Progress: func(submod.Progress) {
@@ -303,7 +319,7 @@ func TestPreemptPrecedence(t *testing.T) {
 						cancel()
 					}
 				},
-				PreemptSignal: fired,
+				Yielder: fails,
 			})
 			cancel()
 			check(r, "Progress cancels the context", got, submod.StopCancelled)
@@ -318,11 +334,70 @@ func TestPreemptPrecedence(t *testing.T) {
 			budgetRounds++
 			reports = 0
 			budget.Progress = func(submod.Progress) { reports++ }
-			budget.PreemptSignal = fired
+			budget.Yielder = fails
 			check(r, "the call budget runs out", RunWith(context.Background(), bq2Optimizer(t), s, budget), submod.StopPreempted)
 		}
 		if budgetRounds == 0 {
 			t.Errorf("%v: no round spent the call budget", s)
+		}
+	}
+}
+
+// A pause costs the run no budget and no phase time: a run whose one yield
+// blocks longer than its TimeBudget — and at least 20× longer than the run
+// takes unpaused — completes, bit-identical to the unpaused run, and its
+// OptTime and phase times leave the pause out. The budget is set far above
+// the unpaused run time, so only a clock that counted the pause could stop
+// the run; every timing assertion is an ordering, none an absolute number.
+func TestPauseIsNotCharged(t *testing.T) {
+	for _, s := range []Strategy{Greedy, LazyMarginalGreedy} {
+		ref := RunWith(context.Background(), bq2Optimizer(t), s, Config{})
+		budget := max(200*time.Millisecond, 40*ref.OptTime)
+		hold := budget + max(100*time.Millisecond, 20*ref.OptTime)
+		var paused time.Duration
+		yields := 0
+		y := yielder{
+			ask: func() bool { return yields == 0 },
+			wait: func() error {
+				yields++
+				start := time.Now()
+				time.Sleep(hold)
+				paused = time.Since(start)
+				return nil
+			},
+		}
+		start := time.Now()
+		got := RunWith(context.Background(), bq2Optimizer(t), s, Config{TimeBudget: budget, Yielder: y})
+		wall := time.Since(start)
+		if yields != 1 {
+			t.Fatalf("%v: %d yields, want 1", s, yields)
+		}
+		if got.Stopped() != submod.StopNone {
+			t.Fatalf("%v: paused %v against a %v budget, the run stopped with %v", s, paused, budget, got.Stopped())
+		}
+		if got.Cost != ref.Cost || got.Benefit != ref.Benefit || got.Telemetry.Work() != ref.Telemetry.Work() {
+			t.Fatalf("%v: paused run %v (%+v), unpaused %v (%+v)", s, got.Cost, got.Telemetry.Work(), ref.Cost, ref.Telemetry.Work())
+		}
+		tel := got.Telemetry
+		if tel.TotalTime != got.OptTime || tel.SetupTime+tel.SearchTime+tel.FinalizeTime != tel.TotalTime {
+			t.Fatalf("%v: phases %v + %v + %v, total %v, OptTime %v", s, tel.SetupTime, tel.SearchTime, tel.FinalizeTime, tel.TotalTime, got.OptTime)
+		}
+		if got.OptTime+paused > wall || tel.SearchTime >= paused {
+			t.Fatalf("%v: OptTime %v (search %v) + pause %v against a wall of %v: the pause was clocked", s, got.OptTime, tel.SearchTime, paused, wall)
+		}
+	}
+}
+
+// RunK with k ≤ 0 chooses nothing, and the Theorem 4 reduction agrees
+// without pricing anything: k = 0 with and without it is the empty set, on
+// each of BQ1–6.
+func TestRunKZero(t *testing.T) {
+	for i := 1; i <= 6; i++ {
+		plain, reduced := RunK(bqOptimizer(t, i), 0, false), RunK(bqOptimizer(t, i), 0, true)
+		if len(plain.Materialized) != 0 || len(reduced.Materialized) != 0 || plain.Cost != reduced.Cost ||
+			plain.Telemetry.Work() != reduced.Telemetry.Work() {
+			t.Fatalf("BQ%d: RunK(0) = %v (%+v), with the reduction %v (%+v)", i,
+				plain.Materialized, plain.Telemetry.Work(), reduced.Materialized, reduced.Telemetry.Work())
 		}
 	}
 }

@@ -46,8 +46,7 @@ type Telemetry struct {
 }
 
 // counters lists the additive fields of the telemetry: the counts and times
-// that sum over the segments of a preempted-and-resumed run (Add) and divide
-// among the members of a shared one (Split). This is the one place they are
+// that divide among the members of a shared run (Split). This is the one place they are
 // named; a field added to Telemetry goes here or on the not-additive list of
 // the test that checks the two cover the struct.
 func (t *Telemetry) counters() ([]*int, []*time.Duration) {
@@ -65,21 +64,6 @@ func (t *Telemetry) setHitRate() {
 	if n := t.CacheHits + t.SharedHits + t.ComputedKeys; n > 0 {
 		t.CacheHitRate = float64(t.CacheHits+t.SharedHits) / float64(n)
 	}
-}
-
-// Add folds u into t: every additive field sums, the stop reason becomes u's
-// (the later run's) and CacheHitRate follows the summed counters.
-func (t *Telemetry) Add(u Telemetry) {
-	ti, td := t.counters()
-	ui, ud := u.counters()
-	for k := range ti {
-		*ti[k] += *ui[k]
-	}
-	for k := range td {
-		*td[k] += *ud[k]
-	}
-	t.Stopped = u.Stopped
-	t.setHitRate()
 }
 
 // Split apportions the telemetry into len(weights) shares that conserve

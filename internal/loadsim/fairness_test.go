@@ -129,11 +129,11 @@ func replay(t *testing.T, tr *Trace, url string) (*Report, []*result) {
 //   - interactive p99 under DRR improves ≥ 3× over FIFO;
 //   - preemptions actually happen (and FIFO reports none);
 //   - bulk p50 under DRR is at most 2× FIFO's — latency relief is not
-//     bought by starving bulk (on a 2-vCPU box it reads 0.9–1.7×: the
-//     interactive tenant needs under a tenth of the slot, the rest is
-//     what preempt-and-resume costs);
-//   - every preempted-and-resumed bulk response is bit-identical to the
-//     unloaded reference run.
+//     bought by starving bulk (the interactive tenant needs under a tenth
+//     of the slot; a pause re-prices nothing, so the rest is the order
+//     DRR serves the queue in);
+//   - every paused bulk response is bit-identical to the unloaded
+//     reference run.
 func TestSchedFairnessGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fairness gate measures wall-clock latency; skipped under -short")
@@ -196,7 +196,7 @@ func TestSchedFairnessGate(t *testing.T) {
 	// Preemption: the mechanism must actually fire under DRR, and must not
 	// exist under the FIFO baseline.
 	if drrRep.Preemptions == 0 {
-		t.Error("DRR replay reports zero preemptions; the deadline traffic never suspended a bulk run")
+		t.Error("DRR replay reports zero preemptions; the deadline traffic never paused a bulk run")
 	}
 	if fifoRep.Preemptions != 0 {
 		t.Errorf("FIFO replay reports %d preemptions, want 0", fifoRep.Preemptions)

@@ -80,7 +80,7 @@ type Report struct {
 	// OracleCalls sums the oracle calls of every 200 response.
 	OracleCalls int
 	// Preemptions sums the preemption counts of every 200 response: how
-	// often the server suspended-and-resumed runs to serve nearer-deadline
+	// often the server paused runs to serve nearer-deadline
 	// work during the replay.
 	Preemptions int
 	// ByTenant breaks the measurement down per X-Tenant attribution.

@@ -141,9 +141,9 @@ type TenantStats struct {
 	Queued            int   `json:"queued"`
 	QuotaSpent        int64 `json:"quota_spent"`
 	QuotaLimit        int64 `json:"quota_limit,omitempty"`
-	// Preemptions counts this tenant's runs suspended at a round boundary
-	// to serve a nearer-deadline request (each was transparently resumed
-	// or returned its checkpoint).
+	// Preemptions counts this tenant's runs paused at a round boundary to
+	// serve a nearer-deadline request (each continued in place when
+	// re-granted, or stopped and returned its checkpoint).
 	Preemptions int64 `json:"preemptions,omitempty"`
 	// Weight is the tenant's effective DRR weight.
 	Weight int `json:"weight,omitempty"`
@@ -182,7 +182,7 @@ const (
 	waiterQuotaCut        // rejected in the queue: the tenant quota is spent
 )
 
-// waiter is one queued request (or one suspended run waiting to resume).
+// waiter is one queued request (or one paused run waiting for its slot).
 // outcome is guarded by the scheduler mutex: the dispatcher either grants
 // a slot (waiterGranted) or, once a non-refilling quota is spent, cuts
 // the whole queue (waiterQuotaCut), closing ch either way. A waiter whose

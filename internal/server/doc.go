@@ -113,38 +113,42 @@
 //
 // Unless SchedConfig.NoPreempt is set, a deadline waiter that cannot be
 // dispatched picks one running preemptible victim — the grant with the
-// latest deadline, deadline-less bulk work first — and asks it to
-// suspend. A run is preemptible exactly when its lane has one live member
-// and its strategy checkpoints at round boundaries, whoever formed the
-// lane (Server.runSegments). The victim's run stops at its next greedy round boundary with
-// a checkpoint, yields its slot (the freed slot goes to the
-// earliest-deadline waiter), re-enters its tenant's queue at its
-// original arrival position — ahead of later arrivals — and resumes
-// transparently via the checkpoint when re-granted. The client sees one
-// ordinary 200 whose "preemptions" field counts the suspensions. If
-// re-granting exceeds the tenant's queue wait, the client instead gets
-// the completed-prefix response with Stopped "preempted" and a resumable
-// checkpoint — the same contract as a budget stop.
+// latest deadline, deadline-less bulk work first — and asks it for its
+// slot. A run is preemptible exactly when its lane has one live member
+// and its strategy checkpoints at round boundaries (or it carries a
+// resume), whoever formed the lane (Server.optimize). The run polls its
+// grant after every greedy round; at the first poll after the ask it
+// pauses: Grant.Yield gives the slot back (the freed slot goes to the
+// earliest-deadline waiter), re-enters the tenant's queue at the run's
+// original arrival position — ahead of later arrivals — and blocks until
+// the slot is granted again, and the run then continues in place, with the
+// same optimizer, memo and caches. The client sees one ordinary 200 whose
+// "preemptions" field counts the pauses. If the re-grant does not come
+// within the tenant's queue wait, the run stops at that round boundary
+// and the client gets the completed-prefix response with Stopped
+// "preempted" and a resumable checkpoint — the same contract as a budget
+// stop. (Pricing the prefix and extracting its plan then run outside any
+// slot.)
 //
-// What preemption conserves, exactly and approximately:
+// What preemption conserves:
 //
-//   - The result — materialization set, cost, volcano cost, benefit —
-//     plus Rounds and Pruned are bit-identical to the unpreempted run,
-//     however many times the run was suspended. The CI fairness gate and
-//     the preemption suites pin this.
-//   - Telemetry.OracleCalls grows by exactly one per resumed segment: the
-//     continuation re-derives the committed selection's value against a
-//     fresh per-run memo. A response's total spend is therefore the
-//     unpreempted run's calls + its Preemptions count.
-//   - The tenant's quota is charged the response's actual merged
-//     OracleCalls — charge and report always agree.
-//   - BCCalls and the cache-effect counters (CacheHits; SharedHits, the
-//     lookups served by the session's SharedCache; ComputedKeys) are NOT
-//     conserved: segments re-enter the session's
-//     shared cost cache with whatever warmth it has by then. (On more
-//     than one core the cache-effect counters differ even between two
-//     identical runs, so run-equality contracts are stated over
-//     core.Telemetry.Work, never over the whole struct.)
+//   - Everything deterministic: the result — materialization set, cost,
+//     volcano cost, benefit — and the work telemetry (core.Telemetry.Work:
+//     OracleCalls, BCCalls, Rounds, Pruned, …) are the unpreempted run's,
+//     however many times the run was paused; a pause re-prices nothing.
+//     The CI fairness gate and the preemption suites pin this.
+//   - The tenant's quota is charged the response's OracleCalls — charge
+//     and report always agree.
+//   - The clocks: a pause is left out of the run's time budget (a run
+//     paused k times still gets its tenant's cap of running time, not
+//     k+1 of them), of its phase times and of opt_ns; queue_wait_ns adds
+//     every re-grant wait to the admission wait, so the response's stage
+//     times still cover the handler's wall.
+//   - The cache-effect counters (CacheHits, SharedHits, ComputedKeys) are
+//     NOT: a run that takes the slot during a pause may publish into the
+//     session cache the paused run then reads. (On more than one core they
+//     differ even between two identical runs: run-equality contracts are
+//     stated over core.Telemetry.Work, never over the whole struct.)
 //
 // # One request pipeline
 //
@@ -261,8 +265,7 @@
 // work telemetry (core.Telemetry.Work) are bit-identical to a direct
 // Session.Optimize call — by construction, since a request is served by
 // the same OptimizeShared call Optimize makes (the session's shared cost
-// cache can only add SharedHits, never change a result). The e2e tests pin this byte-for-byte. Under
-// preemption the result stays bit-identical and only OracleCalls moves,
-// by exactly the response's Preemptions count (one re-derivation per
-// resumed segment — see the scheduling section).
+// cache can only add SharedHits, never change a result). The e2e tests pin this byte-for-byte. A
+// preempted run pauses and continues in place, so its result and work
+// telemetry stay the unpreempted run's too (see the scheduling section).
 package server

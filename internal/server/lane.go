@@ -39,8 +39,7 @@ type batchMember struct {
 	// grant is the member's scheduler hold and resume the checkpoint its
 	// client sent. Both are used only when the member is alone in its
 	// lane: the run of a lane of one is the member's own search space, so
-	// it can be suspended, resumed and checkpointed; a larger lane's
-	// cannot.
+	// it can be paused, resumed and checkpointed; a larger lane's cannot.
 	grant   *Grant
 	resume  *repro.Checkpoint
 	outcome chan batchOutcome
@@ -137,12 +136,12 @@ func (s *Server) runLane(l *lane) {
 	}
 	defer release()
 
-	sres, segs, err := s.runSegments(sess, l.key, live, groups)
+	sres, err := s.optimize(sess, l.key, live, groups)
 	if err != nil {
 		var fe *repro.FaultError
 		switch {
 		case errors.As(err, &fe):
-			s.faultLane(l.key.pool, live, sess, fe, segs, groups, memberGroup)
+			s.faultLane(l.key.pool, live, sess, fe, groups, memberGroup)
 		case len(live) > 1:
 			// The combined build failed — typically one member's batch is
 			// invalid against the catalog. Run each member as its own lane of
@@ -153,14 +152,17 @@ func (s *Server) runLane(l *lane) {
 		default:
 			// The request's own fault: a batch invalid against the catalog
 			// (unknown tables/columns, malformed predicates) or a checkpoint
-			// from another search space. Suspended segments stay charged.
+			// from another search space. Neither gets as far as the search.
 			status, code := http.StatusBadRequest, codeBadRequest
 			if errors.Is(err, repro.ErrResumeMismatch) {
 				status, code = http.StatusConflict, codeResumeMismatch
 			}
-			live[0].deliver(errorOutcome(status, code, err.Error(), repro.MergeSegments(segs).OracleCalls))
+			live[0].deliver(errorOutcome(status, code, err.Error(), 0))
 		}
 		return
+	}
+	if sres.Telemetry.Stopped == repro.StopPreempted {
+		s.logf("server: %s: paused run not re-granted; answering with its checkpoint", live[0].tenant)
 	}
 	// A deadline stop is a breaker failure — a catalog that cannot finish
 	// inside its budgets degrades before it monopolizes the pool.
@@ -195,7 +197,7 @@ func (s *Server) runLane(l *lane) {
 			BuildNS:        sres.BuildTime.Nanoseconds(),
 			OptNS:          sres.OptTime.Nanoseconds(),
 			ExtractNS:      sres.ExtractTime.Nanoseconds(),
-			QueueWaitNS:    m.queueWait.Nanoseconds(),
+			QueueWaitNS:    (m.queueWait + m.grant.pausedFor).Nanoseconds(),
 			Degraded:       l.key.degraded,
 			Preemptions:    m.grant.Preemptions(),
 			Batched:        l.batched,
@@ -219,19 +221,17 @@ func (s *Server) runLane(l *lane) {
 	}
 }
 
-// runSegments drives the lane's one shared run on sess. A lane of one
-// under a checkpoint-capable strategy is preemptible, however it was
-// formed: the scheduler may ask it to suspend at its next round boundary
-// to serve a nearer-deadline request, after which the run yields its
-// slot, waits for a re-grant and resumes from the checkpoint — so the run
-// is a sequence of segments. It returns the final segment's result with
-// the merged telemetry of all of them (the response and the quota charge
-// account the run's work exactly once across the suspensions); on error,
-// segs holds the completed segments' telemetry. A larger lane runs as a
-// single uninterruptible segment: its checkpoint would bind to a combined
-// search space no member can name again, and suspending it would stall
-// every member for one victim's grant.
-func (s *Server) runSegments(sess *repro.Session, key laneKey, live []*batchMember, groups []*logical.Batch) (sres *repro.SharedResult, segs []repro.Telemetry, err error) {
+// optimize drives the lane's one shared run on sess. A lane of one under
+// a checkpoint-capable strategy, or carrying a resume, is preemptible,
+// however it was formed: the scheduler may ask for its slot to serve a
+// nearer-deadline request, and the run, polling its grant after every
+// greedy round, then pauses in place — Grant.Yield gives the slot back and
+// waits for the re-grant — and continues with the same optimizer and
+// caches. Only a failed re-grant stops it, with StopPreempted and a
+// checkpoint: the shape of a budget stop, so it becomes the normal
+// response. A larger lane is never paused: it would stall every member for
+// one victim's grant.
+func (s *Server) optimize(sess *repro.Session, key laneKey, live []*batchMember, groups []*logical.Batch) (*repro.SharedResult, error) {
 	// A panic past this point may have corrupted the shared session: pull
 	// it from the pool before letting the caller's backstop answer.
 	defer func() {
@@ -244,57 +244,18 @@ func (s *Server) runSegments(sess *repro.Session, key laneKey, live []*batchMemb
 	ctx, stop := laneContext(live)
 	defer stop()
 
-	m := live[0]
-	var resume *repro.Checkpoint
-	preemptible := false
-	if len(live) == 1 {
-		resume = m.resume
-		preemptible = resume != nil || key.spec.strategy.Resumable()
-		defer m.grant.SetPreemptible(false)
+	opts := key.spec.options()
+	if m := live[0]; len(live) == 1 {
+		if m.resume != nil {
+			opts = append(opts, repro.WithResume(m.resume))
+		}
+		if m.resume != nil || key.spec.strategy.Resumable() {
+			m.grant.preemptible.Store(true)
+			defer m.grant.preemptible.Store(false)
+			opts = append(opts, repro.WithYielder(m.grant))
+		}
 	}
-	for {
-		opts := key.spec.options()
-		if resume != nil {
-			opts = append(opts, repro.WithResume(resume))
-		}
-		if preemptible {
-			m.grant.SetPreemptible(true)
-			opts = append(opts, repro.WithPreemptSignal(m.grant.PreemptRequested))
-		}
-		sres, err = sess.OptimizeShared(ctx, groups, opts...)
-		if err != nil {
-			return nil, segs, err
-		}
-		if sres.Telemetry.Stopped != repro.StopPreempted {
-			break
-		}
-		// Suspended at a round boundary. A nil checkpoint means the
-		// strategy was in a non-checkpointable phase: it still yields, but
-		// restarts from the original request afterwards and stops
-		// volunteering as a victim (the burned segment stays charged).
-		if sres.Checkpoint == nil {
-			preemptible = false
-			m.grant.SetPreemptible(false)
-			resume = m.resume
-		} else {
-			resume = sres.Checkpoint
-		}
-		if yerr := m.grant.Yield(m.ctx); yerr != nil {
-			// No re-grant (queue-wait timeout or the client left): stop
-			// here. The suspended segment's committed prefix plus its
-			// checkpoint is exactly the shape of a budget stop, so it
-			// becomes the normal response.
-			s.logf("server: %s: preempted run not resumed: %v", m.tenant, yerr)
-			break
-		}
-		segs = append(segs, sres.Telemetry)
-	}
-	if len(segs) > 0 {
-		// Only a lane of one is ever suspended, so the run has one group.
-		merged := repro.MergeSegments(append(segs, sres.Telemetry))
-		sres.Telemetry, sres.Attributions[0].Telemetry = merged, merged
-	}
-	return sres, segs, nil
+	return sess.OptimizeShared(ctx, groups, opts...)
 }
 
 // laneContext is the context of the lane's shared run. A lane of one runs
@@ -327,15 +288,15 @@ func laneContext(live []*batchMember) (context.Context, func()) {
 // faultLane answers every live member of a run stopped by a panic the
 // optimizer recovered: one incident, one quarantine, one breaker failure —
 // but each member is charged its exact telemetry share of the work the
-// run burned before the panic (and in the segments before it), so the
-// fault costs tenants what it actually cost the server.
-func (s *Server) faultLane(pool poolKey, live []*batchMember, sess *repro.Session, fe *repro.FaultError, segs []repro.Telemetry, groups []*logical.Batch, memberGroup []int) {
+// run burned before the panic, so the fault costs tenants what it actually
+// cost the server.
+func (s *Server) faultLane(pool poolKey, live []*batchMember, sess *repro.Session, fe *repro.FaultError, groups []*logical.Batch, memberGroup []int) {
 	id := s.incident()
 	s.panics.Add(1)
 	s.pool.quarantine(pool, sess)
 	s.breaker.recordFailure(pool)
 	s.logf("server: lane %s: optimization faulted (incident %s): %v", pool, id, fe.Panic)
-	burned := repro.MergeSegments(append(segs, fe.Telemetry))
+	burned := fe.Telemetry
 	shares := memberShares(burned, groups, memberGroup)
 	if s.onLaneFault != nil {
 		s.onLaneFault(burned, shares)

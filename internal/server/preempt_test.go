@@ -28,7 +28,7 @@ func bulkSpec() workload.Spec {
 }
 
 // soloReference runs a spec to completion on a fresh session — the
-// bit-identity oracle every preempted-and-resumed run is compared against.
+// bit-identity oracle every paused or resumed run is compared against.
 func soloReference(t *testing.T, spec workload.Spec, strat core.Strategy) *repro.RunResult {
 	t.Helper()
 	sess, err := repro.NewSession(tpcd.Catalog(1), cost.Default())
@@ -77,12 +77,13 @@ func assertSameResult(t *testing.T, label string, got *OptimizeResponse, ref *re
 	}
 }
 
-// TestPreemptRoundBoundaryBitIdentical is the tentpole's end-to-end
-// contract: a deadline request arriving while a bulk greedy run holds the
-// only slot suspends that run at its next round boundary, is served, and
-// the bulk run transparently resumes — its response is bit-identical to an
-// unpreempted run (same materialization, same costs, same oracle-call and
-// round counts) and reports the suspensions it absorbed.
+// TestPreemptRoundBoundaryBitIdentical is the preemption contract end to
+// end: a deadline request arriving while a bulk greedy run holds the only
+// slot pauses that run at its next round boundary, is served, and the bulk
+// run continues in place — its response is the unpreempted run's (same
+// materialization, same costs, the same deterministic work, oracle calls
+// included) and reports the pauses it absorbed, whose re-grant waits its
+// queue wait covers.
 func TestPreemptRoundBoundaryBitIdentical(t *testing.T) {
 	srv := New(Config{
 		DefaultTenant: TenantConfig{MaxConcurrent: 8, QueueDepth: 32, QueueWaitMS: 60000},
@@ -121,26 +122,29 @@ func TestPreemptRoundBoundaryBitIdentical(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("interactive request: status %d: %s", resp.StatusCode, data)
 	}
+	slo := decodeResponse(t, data)
 
 	bulk := <-bulkDone
 	if bulk.status != 200 {
 		t.Fatal("bulk run failed")
 	}
 	if bulk.resp.Preemptions < 1 {
-		t.Fatalf("bulk run reports %d preemptions, want ≥ 1 (the deadline request must have suspended it)", bulk.resp.Preemptions)
+		t.Fatalf("bulk run reports %d preemptions, want ≥ 1 (the deadline request must have paused it)", bulk.resp.Preemptions)
 	}
 	assertSameResult(t, "preempted bulk run", bulk.resp, ref)
 	tl, wtl := bulk.resp.Telemetry, ref.Telemetry
 	if tl.Stopped != repro.StopNone {
-		t.Fatalf("resumed run stopped with %v, want none", tl.Stopped)
+		t.Fatalf("paused run stopped with %v, want none", tl.Stopped)
 	}
-	// Rounds and pruning conserve exactly; oracle calls conserve up to one
-	// re-derivation per resume (each resumed segment re-prices the
-	// committed selection once against its fresh per-run memo).
-	if want := wtl.OracleCalls + bulk.resp.Preemptions; tl.OracleCalls != want ||
-		tl.Rounds != wtl.Rounds || tl.Pruned != wtl.Pruned {
-		t.Fatalf("merged telemetry = calls %d rounds %d pruned %d, want %d/%d/%d (reference + %d resume re-derivations)",
-			tl.OracleCalls, tl.Rounds, tl.Pruned, want, wtl.Rounds, wtl.Pruned, bulk.resp.Preemptions)
+	// A pause re-prices nothing: the oracle calls, rounds and every other
+	// deterministic counter are the reference's exactly.
+	if tl.Work() != wtl.Work() {
+		t.Fatalf("paused run's work %+v, the reference's %+v", tl.Work(), wtl.Work())
+	}
+	// The interactive run filled the bulk run's pause: its stages lie
+	// inside the bulk run's re-grant wait, which the queue wait reports.
+	if inner := slo.BuildNS + slo.OptNS + slo.ExtractNS; bulk.resp.QueueWaitNS < inner {
+		t.Fatalf("bulk queue wait %d ns, shorter than the interactive run (%d ns) that took its slot", bulk.resp.QueueWaitNS, inner)
 	}
 	if n := srv.Admission().Preemptions(); n < 1 {
 		t.Fatalf("scheduler preemption counter = %d, want ≥ 1", n)
@@ -152,10 +156,11 @@ func TestPreemptRoundBoundaryBitIdentical(t *testing.T) {
 }
 
 // TestPreemptYieldTimeoutReturnsCheckpoint pins the degraded half of the
-// preemption contract: when the suspended run cannot get its slot back
-// inside its tenant's queue-wait budget, the request completes as a
-// partial result — HTTP 200, Stopped "preempted", a resumable checkpoint —
-// and a client-driven resume finishes the run bit-identically.
+// preemption contract: when the paused run cannot get its slot back
+// inside its tenant's queue-wait budget, the paused run stops there and the
+// request completes as a partial result — HTTP 200, Stopped "preempted", a
+// resumable checkpoint — and a client-driven resume finishes the run
+// bit-identically.
 func TestPreemptYieldTimeoutReturnsCheckpoint(t *testing.T) {
 	srv := New(Config{
 		DefaultTenant: TenantConfig{MaxConcurrent: 8, QueueDepth: 32, QueueWaitMS: 60000},
@@ -165,7 +170,7 @@ func TestPreemptYieldTimeoutReturnsCheckpoint(t *testing.T) {
 		Sched: SchedConfig{Slots: 1},
 	})
 	// The interactive tenant camps on the slot far past bulk's 150ms
-	// queue-wait budget, so the suspended run's re-grant times out.
+	// queue-wait budget, so the paused run's re-grant times out.
 	srv.preOptimize = func(ctx context.Context, req *OptimizeRequest) {
 		if req.Tenant == "slo" {
 			select {
@@ -227,7 +232,7 @@ func TestPreemptYieldTimeoutReturnsCheckpoint(t *testing.T) {
 
 	// Resume client-side once the interactive run has drained the slot:
 	// the continuation must finish the run and land exactly on the solo
-	// reference, with the two segments' oracle calls summing to it.
+	// reference, with the two calls' oracle calls summing to it plus one.
 	<-sloDone
 	resumeBody, _ := json.Marshal(map[string]any{"tenant": "bulk", "spec": spec, "resume": first.Checkpoint})
 	resp, data := postOptimize(t, ts.URL, string(resumeBody), nil)
@@ -239,11 +244,11 @@ func TestPreemptYieldTimeoutReturnsCheckpoint(t *testing.T) {
 		t.Fatalf("resumed run stopped with %v, want none", second.Telemetry.Stopped)
 	}
 	assertSameResult(t, "client-resumed run", second, ref)
-	// The two segments sum to the reference plus exactly one resume
+	// The two calls sum to the reference plus exactly one resume
 	// re-derivation: the continuation re-prices the committed selection
 	// once against its fresh per-run memo.
 	if got := first.Telemetry.OracleCalls + second.Telemetry.OracleCalls; got != ref.Telemetry.OracleCalls+1 {
-		t.Fatalf("segment oracle calls %d + %d = %d, want %d (reference + one resume re-derivation)",
+		t.Fatalf("oracle calls %d + %d = %d, want %d (reference + one resume re-derivation)",
 			first.Telemetry.OracleCalls, second.Telemetry.OracleCalls, got, ref.Telemetry.OracleCalls+1)
 	}
 }
@@ -253,8 +258,8 @@ func TestPreemptYieldTimeoutReturnsCheckpoint(t *testing.T) {
 // greedy runs across a 2-slot pool, with the race detector watching. After
 // the storm drains, every admission must have completed, every tenant's
 // quota charge must equal the oracle calls its responses reported (charged
-// exactly once, across any number of suspensions), and every bulk response
-// must be bit-identical to the unpreempted reference.
+// exactly once, across any number of pauses), and every bulk response must
+// be bit-identical to the unpreempted reference, oracle calls included.
 func TestPreemptConservationRaceStress(t *testing.T) {
 	srv := New(Config{
 		DefaultTenant: TenantConfig{MaxConcurrent: 8, QueueDepth: 64, QueueWaitMS: 60000},
@@ -332,7 +337,11 @@ func TestPreemptConservationRaceStress(t *testing.T) {
 			t.Errorf("bulk response %d stopped with %v, want none (yield re-grants must not time out here)", i, out.Telemetry.Stopped)
 			continue
 		}
-		assertSameResult(t, fmt.Sprintf("bulk response %d (preemptions=%d)", i, out.Preemptions), out, ref)
+		label := fmt.Sprintf("bulk response %d (preemptions=%d)", i, out.Preemptions)
+		assertSameResult(t, label, out, ref)
+		if out.Telemetry.Work() != ref.Telemetry.Work() {
+			t.Errorf("%s: work %+v, the reference's %+v", label, out.Telemetry.Work(), ref.Telemetry.Work())
+		}
 	}
 	t.Logf("race stress: %d preemptions across %d bulk + %d slo requests",
 		srv.Admission().Preemptions(), sent["bulk"], sent["slo"])

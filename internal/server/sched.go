@@ -48,10 +48,10 @@ func (c SchedConfig) normalize() SchedConfig {
 }
 
 // Grant is an admitted request's hold on the scheduler: a slot, a quota
-// charge pending, and — when the run is preemptible — the suspend/resume
-// handshake. Release must be called exactly once; Yield only from the
-// goroutine that owns the run, after its optimizer stopped with
-// StopPreempted.
+// charge pending, and — when the run is preemptible — the pause handshake
+// (it is the run's repro.Yielder). Release must be called exactly once;
+// Yield only from the goroutine that owns the run, which its optimizer
+// does between greedy rounds.
 type Grant struct {
 	a           *Admission
 	t           *tenant
@@ -60,12 +60,17 @@ type Grant struct {
 	deadline    time.Time
 	hasDeadline bool
 
-	// preempt is the scheduler's suspend request; the run polls it at
-	// round boundaries (repro.WithPreemptSignal).
+	// preempt is the scheduler's request for the slot; the run polls it at
+	// round boundaries (PreemptRequested, through repro.WithYielder).
 	preempt atomic.Bool
-	// preemptible marks the run suspendable: a lane of one under a
-	// resumable strategy. Only preemptible grants are chosen as victims.
+	// preemptible marks the run pausable: a lane of one under a resumable
+	// strategy or resume (Server.optimize). Only preemptible grants are
+	// chosen as victims.
 	preemptible atomic.Bool
+	// pausedFor sums the run's pauses, each Yield from call to return: the
+	// re-grant waits the response adds to its admission wait. Written by
+	// Yield and read after the run, both on the run's goroutine.
+	pausedFor time.Duration
 
 	// Guarded by a.mu.
 	holding     bool // currently holds a slot
@@ -88,30 +93,27 @@ func (g *Grant) newWaiter(resume bool) *waiter {
 	}
 }
 
-// PreemptRequested reports whether the scheduler asked this run to
-// suspend; it is the signal handed to repro.WithPreemptSignal, polled at
-// round boundaries.
+// PreemptRequested reports whether the scheduler asked this run for its
+// slot: the poll half of the pause, made at round boundaries.
 func (g *Grant) PreemptRequested() bool { return g.preempt.Load() }
 
-// SetPreemptible marks the grant's run suspendable at round boundaries
-// (set it only for a lane of one under a checkpoint-capable strategy).
-func (g *Grant) SetPreemptible(on bool) { g.preemptible.Store(on) }
-
-// Preemptions reports how many times this grant's run was suspended.
+// Preemptions reports how many times this grant's run was paused.
 func (g *Grant) Preemptions() int {
 	g.a.mu.Lock()
 	defer g.a.mu.Unlock()
 	return g.preemptions
 }
 
-// Yield gives the grant's slot back after its run suspended at a round
-// boundary, lets the scheduler serve the nearer-deadline work that asked
-// for it, and blocks until the scheduler re-grants a slot for the resumed
-// run (which re-enters its tenant's queue at its original arrival order).
-// A nil return means the slot is held again and the caller should resume
-// from its checkpoint; ErrQueueTimeout/ErrCancelled mean the caller keeps
-// its checkpoint and must still Release the grant with the spend so far.
+// Yield is the wait half of the pause: called by a run paused at a round
+// boundary, it gives the grant's slot back, lets the scheduler serve the
+// nearer-deadline work that asked for it, and blocks until the scheduler
+// re-grants a slot (the paused run re-enters its tenant's queue at its
+// original arrival order). A nil return means the slot is held again and
+// the run continues in place; ErrQueueTimeout/ErrCancelled mean the run
+// stops with StopPreempted and its checkpoint, and the grant must still be
+// Released with the spend so far.
 func (g *Grant) Yield(ctx context.Context) error {
+	defer func(start time.Time) { g.pausedFor += time.Since(start) }(time.Now())
 	a := g.a
 	a.mu.Lock()
 	if !g.holding {
@@ -420,11 +422,11 @@ func (a *Admission) grantLocked(w *waiter) {
 	close(w.ch)
 }
 
-// maybePreemptLocked asks a running bulk grant to suspend when a
+// maybePreemptLocked asks a running bulk grant for its slot when a
 // nearer-deadline waiter cannot be dispatched: the victim is the
 // preemptible running grant with the latest deadline (no deadline ranks
 // last of all; ties go to the longest-running, which has the most
-// checkpointed progress). One victim per waiter — the suspend lands at
+// checkpointed progress). One victim per waiter — the pause lands at
 // the victim's next round boundary, the victim Yields, and the freed slot
 // dispatches to the earliest-deadline waiter.
 func (a *Admission) maybePreemptLocked(w *waiter) {

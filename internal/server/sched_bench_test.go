@@ -14,8 +14,8 @@ import (
 // cache warmth, so bc_calls — the summed spend of the six runs — is
 // deterministic regardless of dispatch interleaving; ns_per_op carries
 // the admission and dispatch overhead the scheduler adds to the serving
-// path. Preemption stays off: a suspend/resume cycle re-derives one
-// oracle call per segment, which would make the count timing-dependent.
+// path. Preemption stays off: the benchmark times dispatch, and a pause's
+// re-grant wait would land in ns_per_op.
 func BenchmarkServerScheduled(b *testing.B) {
 	const clients = 6
 	total := 0

@@ -394,7 +394,7 @@ func TestTokenBucketManualResetOnly(t *testing.T) {
 
 // TestSchedPreemptVictimSelection pins maybePreemptLocked's choice: a
 // deadline waiter that cannot dispatch asks the preemptible running grant
-// with the latest (or no) deadline to suspend — never one at least as
+// with the latest (or no) deadline for its slot — never one at least as
 // urgent as itself — and asks exactly one victim per waiter.
 func TestSchedPreemptVictimSelection(t *testing.T) {
 	a := NewScheduler(
@@ -417,9 +417,9 @@ func TestSchedPreemptVictimSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gNone.SetPreemptible(true)
-	gFar.SetPreemptible(true)
-	gNear.SetPreemptible(true)
+	gNone.preemptible.Store(true)
+	gFar.preemptible.Store(true)
+	gNear.preemptible.Store(true)
 
 	// A 5s-deadline waiter arrives with every slot busy: the victim must
 	// be the deadline-less grant, not the far one (later than 5s but
@@ -467,7 +467,7 @@ func TestSchedPreemptVictimSelection(t *testing.T) {
 	}
 }
 
-// TestSchedYieldHandoffNoStrandedWaiter is the suspend/resume handoff
+// TestSchedYieldHandoffNoStrandedWaiter is the pause handoff
 // audit: when a preempted grant yields its slot, the freed slot must go to
 // the deadline waiter immediately, and the yielded run must re-enter the
 // queue and eventually resume — nobody waits forever and every counter
@@ -483,7 +483,7 @@ func TestSchedYieldHandoffNoStrandedWaiter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bulk.SetPreemptible(true)
+	bulk.preemptible.Store(true)
 
 	grants := make(chan grantRecord, 4)
 	spawnWaiters(t, a, "slo", 1, 1, time.Second, grants)
@@ -524,7 +524,7 @@ func TestSchedYieldHandoffNoStrandedWaiter(t *testing.T) {
 // TestSchedResumeAheadOfLaterArrivals checks the resumption ordering
 // contract: a preempted run re-enters its tenant's queue at its ORIGINAL
 // arrival order, so requests that arrived after it do not overtake it
-// while it is suspended.
+// while it is paused.
 func TestSchedResumeAheadOfLaterArrivals(t *testing.T) {
 	a := NewScheduler(
 		TenantConfig{MaxConcurrent: 64, QueueDepth: 64, QueueWaitMS: 60000},
@@ -536,7 +536,7 @@ func TestSchedResumeAheadOfLaterArrivals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bulk.SetPreemptible(true)
+	bulk.preemptible.Store(true)
 
 	grants := make(chan grantRecord, 8)
 	// Later arrivals from the same tenant queue behind the running bulk.
@@ -559,7 +559,7 @@ func TestSchedResumeAheadOfLaterArrivals(t *testing.T) {
 	}
 	select {
 	case r := <-grants:
-		t.Fatalf("later arrival (%s) overtook the suspended run", r.tenant)
+		t.Fatalf("later arrival (%s) overtook the paused run", r.tenant)
 	default:
 	}
 	bulk.Release(0)
@@ -601,7 +601,7 @@ func TestSchedUnknownPolicyIsDRR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bulk.SetPreemptible(true)
+	bulk.preemptible.Store(true)
 
 	grants := make(chan grantRecord, 4)
 	spawnWaiters(t, a, "slo", 1, 1, time.Second, grants)

@@ -164,9 +164,9 @@ type OptimizeResponse struct {
 	// Degraded marks a run served under the catalog's circuit breaker:
 	// clamped budgets and the LazyGreedy fallback strategy.
 	Degraded bool `json:"degraded,omitempty"`
-	// Preemptions counts how many times this run was suspended at a round
-	// boundary to serve nearer-deadline work, then transparently resumed;
-	// Telemetry is the conserving merge of all its segments.
+	// Preemptions counts how many times this run paused at a round
+	// boundary to serve nearer-deadline work and then continued in place;
+	// QueueWaitNS includes the pauses' re-grant waits.
 	Preemptions int `json:"preemptions,omitempty"`
 	// Batched marks a response served by the continuous-batching
 	// scheduler: the run was shared with BatchSize requests and this

@@ -459,7 +459,8 @@ func marginalGreedyKOn(d *Decomposition, k int, universe []int) Result {
 // the reduced universe yields the same output as on the full universe.
 // Free (non-positive-cost) elements are always kept. When k ≥ n the full
 // universe is returned without any oracle calls (the Case 1 observation of
-// the proof: the check would be pure waste).
+// the proof: the check would be pure waste), and so, when k ≤ 0, are the
+// free elements alone: no positive-cost element can be chosen.
 func ReduceUniverse(d *Decomposition, k int) []int {
 	n := d.o.N()
 	all := make([]int, n)
@@ -479,6 +480,9 @@ func ReduceUniverse(d *Decomposition, k int) []int {
 	}
 	if len(pos) <= k {
 		return all
+	}
+	if k <= 0 {
+		return free
 	}
 	u := d.o.Universe()
 	fu := d.o.Eval(u)

@@ -1,6 +1,7 @@
 package submod
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -24,10 +25,12 @@ const (
 	// StopPanic: the oracle recovered a panic mid-batch; the run stopped on
 	// the committed prefix and the fault is available via Oracle.Fault.
 	StopPanic
-	// StopPreempted: the Control's Preempt poll, made after a completed
-	// round, asked the run to suspend, so it stopped at that round
-	// boundary. The run's checkpoint resumes it bit-identically;
-	// preemption is a yield, not a failure.
+	// StopPreempted: the run paused for its scheduler after a completed
+	// round (Control.Yielder) and did not get its slot back — the Yield
+	// failed — so it stopped at that round boundary. A pause the scheduler
+	// ends is no stop at all: the run continues in place. The stopped run's
+	// checkpoint resumes it bit-identically; a preemption is a yield, not a
+	// failure.
 	StopPreempted
 )
 
@@ -87,7 +90,7 @@ type Progress struct {
 
 // Control bounds one maximization run and records why it stopped: a
 // cancelled context, a passed deadline, a spent call budget, a recovered
-// panic or a preemption. All checks happen between oracle rounds (a
+// panic or a failed yield. All checks happen between oracle rounds (a
 // round's batch runs to completion unless the context itself is cancelled
 // mid-batch), so a stopped run returns a deterministic best-so-far set:
 // the greedy prefix selected by the completed rounds.
@@ -103,16 +106,27 @@ type Control struct {
 	// OnProgress, when non-nil, receives a report after every completed
 	// round.
 	OnProgress func(Progress)
-	// Preempt, when non-nil, is polled after every completed round, right
-	// after OnProgress. A true result stops the run at that round boundary
-	// with StopPreempted — unless the context is already done, whose
-	// reason then wins. A preemption seen on the round that also spent the
-	// call budget wins over the budget. Polling only between rounds is
-	// what lets a checkpoint continue the run without re-pricing anything.
-	Preempt func() bool
+	// Yielder, when non-nil, is polled after every completed round, right
+	// after OnProgress, unless the context is already done. When the
+	// scheduler asked for the slot the run pauses there, in Yield, and then
+	// continues in place — the same memo, the same function — so a paused
+	// run is the unpaused run. Only a failed Yield stops it: StopPreempted
+	// (the context's reason if the context ended the wait), which wins over
+	// a call budget spent on the same round. Pausing only between rounds
+	// leaves a stopped run a checkpoint that re-prices nothing.
+	Yielder Yielder
 
 	reason StopReason // sticky once a stop condition has been observed
 	fault  error      // the recovered panic behind a StopPanic reason
+}
+
+// Yielder is a scheduler's hold on the slot a run occupies: the two halves
+// of a pause. PreemptRequested is the poll, made between rounds; Yield gives
+// the slot back and blocks until the scheduler grants it again (nil) or
+// gives up (an error: no re-grant within its wait, or ctx ended).
+type Yielder interface {
+	PreemptRequested() bool
+	Yield(ctx context.Context) error
 }
 
 // Fault returns the recovered panic that stopped the run (nil unless the
@@ -141,7 +155,7 @@ func (o *Oracle) Fault() error { return o.ctrl.Fault() }
 func (o *Oracle) SetControl(c *Control) { o.ctrl = c }
 
 // Interrupted reports — stickily — whether the run must stop: a fault or a
-// preemption was recorded, the context is done, or the oracle-call budget
+// failed yield was recorded, the context is done, or the oracle-call budget
 // is spent. Algorithms check it between rounds.
 func (o *Oracle) Interrupted() bool { return o.StopReason() != StopNone }
 
@@ -165,14 +179,15 @@ func (o *Oracle) StopReason() StopReason {
 }
 
 // ctxStopReason classifies a context as a stop reason: not done maps to
-// StopNone, a passed deadline to StopTimeBudget, any other cancellation to
-// StopCancelled. It is the single classification rule for every context
-// check.
+// StopNone, a passed deadline — or a cancellation whose cause is
+// context.DeadlineExceeded, the way a time budget that stops for pauses ends
+// a run — to StopTimeBudget, any other cancellation to StopCancelled. It is
+// the single classification rule for every context check.
 func ctxStopReason(ctx context.Context) StopReason {
-	switch err := ctx.Err(); {
-	case err == nil:
+	switch {
+	case ctx.Err() == nil:
 		return StopNone
-	case errors.Is(err, context.DeadlineExceeded):
+	case errors.Is(context.Cause(ctx), context.DeadlineExceeded):
 		return StopTimeBudget
 	default:
 		return StopCancelled
@@ -228,8 +243,8 @@ func (o *Oracle) faulted() bool {
 }
 
 // progress closes a completed round: it emits the round's report to the
-// control's callback, if any, then polls Preempt (Control.Preempt says
-// which stop wins when several land on one round).
+// control's callback, if any, then polls the Yielder and pauses when asked
+// (Control.Yielder says which stop wins when several land on one round).
 func (o *Oracle) progress(alg string, round, selected, remaining int, best float64) {
 	c := o.ctrl
 	if c == nil {
@@ -245,7 +260,11 @@ func (o *Oracle) progress(alg string, round, selected, remaining int, best float
 			Best:        best,
 		})
 	}
-	if c.Preempt != nil && c.reason == StopNone && c.Preempt() && (c.Ctx == nil || c.Ctx.Err() == nil) {
-		c.reason = StopPreempted
+	ctx := cmp.Or(c.Ctx, context.Background())
+	if c.Yielder == nil || c.reason != StopNone || ctx.Err() != nil || !c.Yielder.PreemptRequested() {
+		return
+	}
+	if c.Yielder.Yield(ctx) != nil { // no re-grant: stop, for the context's reason if it ended the wait
+		c.reason = cmp.Or(ctxStopReason(ctx), StopPreempted)
 	}
 }

@@ -3,9 +3,29 @@ package submod
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"testing"
 )
+
+// yielder is a scripted scheduler hold: it asks for the slot whenever ask
+// reports true, and its Yield gives the slot back (nil) unless fail is set,
+// in which case the re-grant never comes.
+type yielder struct {
+	ask    func() bool
+	fail   bool
+	yields int
+}
+
+func (y *yielder) PreemptRequested() bool { return y.ask() }
+
+func (y *yielder) Yield(context.Context) error {
+	y.yields++
+	if y.fail {
+		return errors.New("no re-grant")
+	}
+	return nil
+}
 
 // resumableDrivers enumerates every lazy driver with its entry point; the
 // checkpoint tests sweep all of them.
@@ -57,9 +77,12 @@ func TestCheckpointResumeBitIdenticalEveryCutPoint(t *testing.T) {
 	// resume from its (JSON round-tripped) checkpoint must reproduce the
 	// uninterrupted run exactly: same set, same value, same
 	// Iterations/Pruned/Stale/Reused. Two stop kinds sweep every point: a
-	// call budget k for every k up to the run's calls, and a preemption —
-	// Control.Preempt true from progress report r on — for every r up to
-	// the run's reports, which must stop with StopPreempted every time.
+	// call budget k for every k up to the run's calls, and a failed yield —
+	// the Yielder asks for the slot at progress report r and never gives it
+	// back — for every r up to the run's reports, which must stop with
+	// StopPreempted every time. A pause at report r whose yield succeeds is
+	// no stop: the run completes as the unpaused one, with its oracle calls
+	// and no checkpoint.
 	for _, dc := range resumableDrivers {
 		for seed := int64(0); seed < 3; seed++ {
 			refO := randomInstance(seed, 12)
@@ -111,14 +134,24 @@ func TestCheckpointResumeBitIdenticalEveryCutPoint(t *testing.T) {
 				t.Errorf("%s seed %d: no budget produced a checkpoint", dc.name, seed)
 			}
 			for r := 1; r <= reports; r++ {
-				label := fmt.Sprintf("%s seed %d preempt at report %d", dc.name, seed, r)
+				label := fmt.Sprintf("%s seed %d yield fails at report %d", dc.name, seed, r)
 				seen := 0
 				ctrl := &Control{
 					OnProgress: func(Progress) { seen++ },
-					Preempt:    func() bool { return seen >= r },
+					Yielder:    &yielder{ask: func() bool { return seen >= r }, fail: true},
 				}
 				if !stop(label, ctrl, StopPreempted) {
 					t.Fatalf("%s: the run did not stop with a checkpoint", label)
+				}
+
+				label = fmt.Sprintf("%s seed %d paused at report %d", dc.name, seed, r)
+				seen = 0
+				y := &yielder{ask: func() bool { return seen == r }}
+				o := randomInstance(seed, 12)
+				o.SetControl(&Control{OnProgress: func(Progress) { seen++ }, Yielder: y})
+				assertResumeMatches(t, label, ref, dc.run(o))
+				if y.yields != 1 || o.Calls != total {
+					t.Fatalf("%s: %d yields and %d oracle calls, want 1 and %d", label, y.yields, o.Calls, total)
 				}
 			}
 		}

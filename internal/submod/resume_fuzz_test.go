@@ -11,16 +11,20 @@ import (
 // run must reproduce the uninterrupted one exactly (assertResumeMatches).
 // The bytes pick the instance seed and size (≤ 16 elements), one of the four
 // lazy drivers, and the chain of stops, two bytes a stop: its kind — a call
-// budget k, a context cancelled after k evaluations (mid-batch), or a
-// preemption at progress report k — and k. A stop that lands before the
-// driver has anything to snapshot leaves no checkpoint; the chain then
-// starts the driver afresh.
+// budget k, a context cancelled after k evaluations (mid-batch), a yield at
+// progress report k that is never re-granted, or a pause at report k that
+// is — and k. A stop that lands before the driver has anything to snapshot
+// leaves no checkpoint; the chain then starts the driver afresh. A pause is
+// no stop: its hop must end as the same hop unpaused does, with no
+// checkpoint and the same oracle calls, which ends the chain.
 func FuzzResumeAnywhere(f *testing.F) {
 	f.Add([]byte{0, 11, 0, 0, 13})
 	f.Add([]byte{1, 15, 1, 1, 3, 2, 1, 0, 5})
 	f.Add([]byte{2, 9, 2, 2, 1, 2, 1, 2, 1})
 	f.Add([]byte{3, 12, 3, 1, 1, 1, 2, 1, 3, 0, 0, 2, 2})
 	f.Add([]byte{4, 16, 0, 0, 0, 1, 20, 2, 4, 0, 17})
+	f.Add([]byte{5, 14, 1, 0, 9, 3, 2})
+	f.Add([]byte{6, 13, 2, 3, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -34,11 +38,23 @@ func FuzzResumeAnywhere(f *testing.F) {
 		ref := dc.run(randomInstance(seed, n))
 
 		var cp *Checkpoint
+		// hopRun runs one hop on o: the driver afresh, or a resume of cp.
+		hopRun := func(label string, o *Oracle) Result {
+			if cp == nil {
+				return dc.run(o)
+			}
+			got, err := ResumeLazy(o, roundTripCheckpoint(t, cp))
+			if err != nil {
+				t.Fatalf("%s: resume: %v", label, err)
+			}
+			return got
+		}
 		for hop := 0; ; hop++ {
 			label := fmt.Sprintf("%s seed %d n %d hop %d", dc.name, seed, n, hop)
 			o := randomInstance(seed, n)
+			var pause *yielder
 			if 2*hop+1 < len(stops) {
-				kind, k := stops[2*hop]%3, int(stops[2*hop+1])
+				kind, k := stops[2*hop]%4, int(stops[2*hop+1])
 				switch kind {
 				case 0:
 					o.SetControl(&Control{MaxCalls: k, HasMaxCalls: true})
@@ -47,21 +63,23 @@ func FuzzResumeAnywhere(f *testing.F) {
 					defer cancel()
 					o = NewOracle(&cancelAfterFunc{inner: o.F, left: k + 1, cancel: cancel})
 					o.SetControl(&Control{Ctx: ctx})
-				case 2:
+				case 2, 3:
 					seen := 0
-					o.SetControl(&Control{
-						OnProgress: func(Progress) { seen++ },
-						Preempt:    func() bool { return seen > k%8 },
-					})
+					y := &yielder{ask: func() bool { return seen > k%8 }, fail: kind == 2}
+					o.SetControl(&Control{OnProgress: func(Progress) { seen++ }, Yielder: y})
+					if kind == 3 {
+						pause = y
+					}
 				}
 			}
-			var got Result
-			if cp == nil {
-				got = dc.run(o)
-			} else {
-				var err error
-				if got, err = ResumeLazy(o, roundTripCheckpoint(t, cp)); err != nil {
-					t.Fatalf("%s: resume: %v", label, err)
+			got := hopRun(label, o)
+			if pause != nil {
+				plainO := randomInstance(seed, n)
+				plain := hopRun(label, plainO)
+				if got.Stopped != StopNone || got.Checkpoint != nil || !got.Set.Equal(plain.Set) || got.Value != plain.Value ||
+					got.Iterations != plain.Iterations || got.Pruned != plain.Pruned || got.Stale != plain.Stale ||
+					got.Reused != plain.Reused || o.Calls != plainO.Calls {
+					t.Fatalf("%s: paused %d times: %+v after %d calls, unpaused %+v after %d", label, pause.yields, got, o.Calls, plain, plainO.Calls)
 				}
 			}
 			if got.Stopped == StopNone {

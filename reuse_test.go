@@ -32,12 +32,34 @@ func reuseBatches(t testing.TB) map[string]*logical.Batch {
 }
 
 // outcome is what a caller can observe of one logical run — a plain call, a
-// budget-stopped one, or a run preempted after its first round and resumed.
+// budget-stopped one, one paused after its first round, or one whose yield
+// there failed and that a second call resumed. work is the last call's
+// deterministic work; stopped, the stopped first call's, when there are two.
 type outcome struct {
 	materialized []int
 	cost         float64
 	plan         string
 	work         core.Work
+	stopped      core.Work
+}
+
+// firstRoundYield asks for the slot once, at the first poll; its Yield gives
+// the slot back unless fail is set.
+type firstRoundYield struct {
+	asked, fail bool
+}
+
+func (y *firstRoundYield) PreemptRequested() bool {
+	first := !y.asked
+	y.asked = true
+	return first
+}
+
+func (y *firstRoundYield) Yield(context.Context) error {
+	if y.fail {
+		return errors.New("no re-grant")
+	}
+	return nil
 }
 
 // runMode drives one logical run of the batch on sess.
@@ -45,28 +67,22 @@ func runMode(t *testing.T, sess *Session, batch *logical.Batch, strat Strategy, 
 	t.Helper()
 	ctx := context.Background()
 	opts := []Option{WithStrategy(strat)}
-	var segs []Telemetry
 	switch mode {
 	case "extended":
 		opts = append(opts, WithExtendedOps(true))
 	case "budgeted":
 		opts = append(opts, WithOracleCallBudget(6))
+	case "paused", "yield-fails":
+		opts = append(opts, WithYielder(&firstRoundYield{fail: mode == "yield-fails"}))
 	}
-	var res *RunResult
-	var err error
-	if mode == "preempted" {
-		fired := false
-		res, err = sess.Optimize(ctx, batch, append(opts, WithPreemptSignal(func() bool {
-			first := !fired
-			fired = true
-			return first
-		}))...)
-		if err == nil && res.Checkpoint != nil {
-			segs = append(segs, res.Telemetry)
-			res, err = sess.Optimize(ctx, batch, WithResume(res.Checkpoint))
-		}
-	} else {
-		res, err = sess.Optimize(ctx, batch, opts...)
+	res, err := sess.Optimize(ctx, batch, opts...)
+	if err == nil && mode == "yield-fails" && strat.Resumable() && res.Telemetry.Rounds > 0 && res.Stopped() != StopPreempted {
+		t.Fatalf("%s %v: a run whose yield failed after %d rounds stopped %v", mode, strat, res.Telemetry.Rounds, res.Stopped())
+	}
+	var stopped core.Work
+	if err == nil && res.Checkpoint != nil && mode == "yield-fails" {
+		stopped = res.Telemetry.Work()
+		res, err = sess.Optimize(ctx, batch, WithResume(res.Checkpoint))
 	}
 	if err != nil {
 		t.Fatalf("%s: %v", mode, err)
@@ -74,7 +90,7 @@ func runMode(t *testing.T, sess *Session, batch *logical.Batch, strat Strategy, 
 	if err := res.Validate(); err != nil {
 		t.Fatalf("%s: plan does not validate: %v", mode, err)
 	}
-	o := outcome{cost: res.Cost, plan: res.Plan.String(), work: MergeSegments(append(segs, res.Telemetry)).Work()}
+	o := outcome{cost: res.Cost, plan: res.Plan.String(), work: res.Telemetry.Work(), stopped: stopped}
 	for _, g := range res.Materialized {
 		o.materialized = append(o.materialized, int(g))
 	}
@@ -85,7 +101,8 @@ func runMode(t *testing.T, sess *Session, batch *logical.Batch, strat Strategy, 
 // fourth Optimize of a batch — served the first call's DAG and search space
 // and whatever workers the calls before left — equal a fresh session's run
 // in chosen set, cost, plan and deterministic work, for every strategy and
-// for runs that are extended, budget-stopped, or preempted and resumed.
+// for runs that are extended, budget-stopped, paused, or stopped by a failed
+// yield and resumed. A paused run is the default run.
 func TestRepeatedBatchMatchesFreshSession(t *testing.T) {
 	strategies := []Strategy{
 		core.Volcano, core.Greedy, core.LazyGreedyStrategy, core.MarginalGreedy,
@@ -93,8 +110,13 @@ func TestRepeatedBatchMatchesFreshSession(t *testing.T) {
 	}
 	for name, batch := range reuseBatches(t) {
 		for _, strat := range strategies {
-			for _, mode := range []string{"default", "extended", "budgeted", "preempted"} {
+			def := runMode(t, newTestSession(t), batch, strat, "default")
+			for _, mode := range []string{"default", "extended", "budgeted", "paused", "yield-fails"} {
 				want := runMode(t, newTestSession(t), batch, strat, mode)
+				if mode == "paused" && !reflect.DeepEqual(want, def) {
+					t.Fatalf("%s/%s: a paused run differs from the unpaused one:\n got %v %v %+v\nwant %v %v %+v",
+						name, strat, want.materialized, want.cost, want.work, def.materialized, def.cost, def.work)
+				}
 				sess := newTestSession(t)
 				for call := 1; call <= 4; call++ {
 					if got := runMode(t, sess, batch, strat, mode); !reflect.DeepEqual(got, want) {

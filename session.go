@@ -98,7 +98,7 @@ type config struct {
 	extendedOps bool
 	resume      *Checkpoint
 	warmOracle  bool
-	preempt     func() bool
+	yielder     Yielder
 }
 
 // Option configures a Session (defaults for every call) or a single
@@ -110,11 +110,11 @@ func WithStrategy(s Strategy) Option {
 	return func(c *config) { c.strategy = s }
 }
 
-// WithTimeBudget caps the wall-clock time of the optimization run — the
+// WithTimeBudget caps the running time of the optimization run — the
 // bc(∅) setup, decomposition and greedy search phases — of one Optimize
-// call (0 = none). When it expires the greedy scan stops between oracle
-// rounds and the call returns the best-so-far materialization set with
-// Telemetry.Stopped = StopTimeBudget. DAG construction before the run and
+// call (0 = none); a pause (WithYielder) does not count. When it expires
+// the greedy scan stops between oracle rounds and the call returns the
+// best-so-far materialization set with Telemetry.Stopped = StopTimeBudget. DAG construction before the run and
 // plan extraction after it are not covered (both are near-linear in the
 // batch, orders of magnitude below the search; see RunResult.BuildTime and
 // ExtractTime for what they cost).
@@ -154,36 +154,16 @@ func WithWarmOracle(on bool) Option {
 	return func(c *config) { c.warmOracle = on }
 }
 
-// WithPreemptSignal installs a scheduler's suspend signal: the run's oracle
-// polls it after every completed greedy round, right after the progress
-// report, and when it returns true the run stops at that round boundary
-// with Telemetry.Stopped == StopPreempted and (for a resumable lazy
-// strategy) a Checkpoint that WithResume continues bit-identically. A
-// context already done at the poll wins over the signal. Because the poll
-// happens only between rounds, the suspended segments' telemetry is
-// conserving: summing each segment's oracle work (MergeSegments) equals an
-// unpreempted run's.
-func WithPreemptSignal(fn func() bool) Option {
-	return func(c *config) { c.preempt = fn }
-}
+// Yielder is a scheduler's hold on the slot an Optimize call runs in.
+type Yielder = submod.Yielder
 
-// MergeSegments folds the per-segment telemetry of a preempted-and-resumed
-// run into the telemetry an unpreempted run would have reported: additive
-// counters (oracle calls, bestCost work, cache traffic, phase times) sum
-// across segments, while the scan-cumulative counters (Rounds, Pruned,
-// Stale, Reused — a resumed segment continues its predecessor's counts)
-// and the stop reason come from the final segment. An empty slice returns
-// a zero Telemetry.
-func MergeSegments(segs []Telemetry) Telemetry {
-	var out Telemetry
-	for _, t := range segs {
-		out.Add(t)
-	}
-	if n := len(segs); n > 0 {
-		last := segs[n-1]
-		out.Rounds, out.Pruned, out.Stale, out.Reused = last.Rounds, last.Pruned, last.Stale, last.Reused
-	}
-	return out
+// WithYielder lets a scheduler pause the run: after every greedy round the
+// run polls y.PreemptRequested and, when asked, waits in y.Yield for its
+// slot, then continues in place — its result and Telemetry.Work are the
+// unpaused run's, the pause left out of the budget and the phase times.
+// Only a failed Yield stops it: StopPreempted (core.Config.Yielder).
+func WithYielder(y Yielder) Option {
+	return func(c *config) { c.yielder = y }
 }
 
 // WithResume continues an interrupted run from its checkpoint instead of
@@ -447,10 +427,10 @@ func (s *Session) runBatch(ctx context.Context, batch *logical.Batch, counts []i
 	opt.ExtendedOps = cfg.extendedOps
 
 	cc := core.Config{
-		TimeBudget:    cfg.timeBudget,
-		Progress:      cfg.progress,
-		WarmOracle:    cfg.warmOracle || s.warmed.Load(),
-		PreemptSignal: cfg.preempt,
+		TimeBudget: cfg.timeBudget,
+		Progress:   cfg.progress,
+		WarmOracle: cfg.warmOracle || s.warmed.Load(),
+		Yielder:    cfg.yielder,
 	}
 	if cfg.hasBudget {
 		cc = cc.LimitOracleCalls(cfg.callBudget)

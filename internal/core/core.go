@@ -109,17 +109,19 @@ type Config struct {
 	// imported cache snapshot.
 	WarmOracle bool
 	// Yielder, when non-nil, is the scheduler's hold on the run's slot
-	// (submod.Control.Yielder): the oracle polls it after every completed
-	// greedy round, right after Progress, and when the scheduler asked for
-	// the slot the run pauses there — Yield gives the slot back and waits
-	// for it — then continues in place with the same oracle, searcher and
-	// caches, so its result and Telemetry.Work are the unpaused run's. The
-	// pause is left out of TimeBudget, the phase times and OptTime. Only a
-	// failed Yield stops the run, at that round boundary, with
-	// Telemetry.Stopped == submod.StopPreempted and — for a resumable lazy
-	// strategy — a Checkpoint that ResumeWith continues bit-identically. A
-	// context already done at the poll wins; a call budget spent on the
-	// same round does not.
+	// (submod.Control.Yielder): the oracle polls it at every stop check —
+	// before each oracle round, the first included, and before the
+	// decomposition — and when the scheduler asked for the slot the run
+	// pauses there — Yield gives the slot back and waits for it — then
+	// continues in place with the same oracle, searcher and caches, so its
+	// result and Telemetry.Work are the unpaused run's. The pause is left
+	// out of TimeBudget, the phase times and OptTime. Only a failed Yield
+	// stops the run, at that check, with Telemetry.Stopped ==
+	// submod.StopPreempted and — for a resumable lazy strategy — a
+	// Checkpoint that ResumeWith continues bit-identically (the Start
+	// checkpoint, when it stopped at the scan's first check). A context
+	// already done at the check wins; a call budget spent on the round
+	// before does not.
 	Yielder submod.Yielder
 
 	maxCalls    int

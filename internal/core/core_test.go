@@ -289,11 +289,11 @@ func (y yielder) Yield(context.Context) error { return y.wait() }
 func neverRegranted() error { return errors.New("no re-grant") }
 
 // TestPreemptPrecedence pins which stop wins when a failed yield lands on
-// the same round as another stop. The Yielder is polled right after the
-// round's Progress report: a context the report cancelled is already done
-// at the poll and wins (StopCancelled), while a call budget the round spent
-// is only checked before the next round and loses (StopPreempted). Either
-// way the run stops at that round boundary.
+// the same round as another stop. The Yielder is polled at the stop check
+// after the round's Progress report, after the context and before the call
+// budget: a context the report cancelled is already done at the check and
+// wins (StopCancelled), while a call budget the round spent loses
+// (StopPreempted). Either way the run stops at that round boundary.
 func TestPreemptPrecedence(t *testing.T) {
 	for _, s := range []Strategy{Greedy, LazyGreedyStrategy, MarginalGreedy, LazyMarginalGreedy} {
 		var calls []int // oracle calls at each progress report of the full run

@@ -190,14 +190,12 @@ const (
 // mutex (settle) and, if it was granted in that same instant, is admitted
 // — the grant wins the race, so the slot is used rather than leaked.
 type waiter struct {
+	// Grant is the request the waiter queues for: its tenant, arrival seq
+	// (a resumption keeps its original), DRR cost and deadline, none of
+	// which change after AcquireGrant.
+	*Grant
 	ch           chan struct{}
 	outcome      int
-	t            *tenant
-	g            *Grant
-	seq          uint64    // global arrival order (a resumption keeps its original)
-	cost         float64   // DRR charge, in query-count units
-	deadline     time.Time // zero unless hasDeadline
-	hasDeadline  bool
 	resume       bool // a preempted run re-entering; not a new admission
 	preemptAsked bool // this waiter already claimed its one preemption victim
 }
@@ -409,22 +407,26 @@ func (a *Admission) AcquireGrant(ctx context.Context, req AdmitRequest) (*Grant,
 	}
 	a.maybePreemptLocked(w)
 	a.mu.Unlock()
-
-	timerC, stopTimer := a.newTimer(t.cfg.queueWait())
-	defer stopTimer()
-	var serr error
-	select {
-	case <-w.ch:
-		serr = a.settle(w, nil, nil)
-	case <-timerC:
-		serr = a.settle(w, &t.stats.QueueTimeouts, ErrQueueTimeout)
-	case <-ctx.Done():
-		serr = a.settle(w, &t.stats.Cancelled, ErrCancelled)
-	}
-	if serr != nil {
-		return nil, serr
+	if err := a.await(ctx, w); err != nil {
+		return nil, err
 	}
 	return g, nil
+}
+
+// await blocks a queued waiter until the dispatcher resolves it, its
+// tenant's queue wait runs out or ctx ends, whichever comes first, and
+// settles the race under the scheduler mutex.
+func (a *Admission) await(ctx context.Context, w *waiter) error {
+	timerC, stopTimer := a.newTimer(w.t.cfg.queueWait())
+	defer stopTimer()
+	select {
+	case <-w.ch:
+		return a.settle(w, nil, nil)
+	case <-timerC:
+		return a.settle(w, &w.t.stats.QueueTimeouts, ErrQueueTimeout)
+	case <-ctx.Done():
+		return a.settle(w, &w.t.stats.Cancelled, ErrCancelled)
+	}
 }
 
 func (a *Admission) nextSeqLocked() uint64 {

@@ -117,18 +117,19 @@
 // slot. A run is preemptible exactly when its lane has one live member
 // and its strategy checkpoints at round boundaries (or it carries a
 // resume), whoever formed the lane (Server.optimize). The run polls its
-// grant after every greedy round; at the first poll after the ask it
+// grant at every stop check — before each oracle round, round 1 included,
+// and before the decomposition — and at the first poll after the ask it
 // pauses: Grant.Yield gives the slot back (the freed slot goes to the
 // earliest-deadline waiter), re-enters the tenant's queue at the run's
 // original arrival position — ahead of later arrivals — and blocks until
 // the slot is granted again, and the run then continues in place, with the
 // same optimizer, memo and caches. The client sees one ordinary 200 whose
 // "preemptions" field counts the pauses. If the re-grant does not come
-// within the tenant's queue wait, the run stops at that round boundary
-// and the client gets the completed-prefix response with Stopped
-// "preempted" and a resumable checkpoint — the same contract as a budget
-// stop. (Pricing the prefix and extracting its plan then run outside any
-// slot.)
+// within the tenant's queue wait, the run stops at that check and the
+// client gets the completed-prefix response with Stopped "preempted" and a
+// resumable checkpoint — the same contract as a budget stop; a run
+// stranded before round 1 carries the start checkpoint. (Pricing the
+// prefix and extracting its plan then run outside any slot.)
 //
 // What preemption conserves:
 //

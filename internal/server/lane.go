@@ -224,8 +224,8 @@ func (s *Server) runLane(l *lane) {
 // optimize drives the lane's one shared run on sess. A lane of one under
 // a checkpoint-capable strategy, or carrying a resume, is preemptible,
 // however it was formed: the scheduler may ask for its slot to serve a
-// nearer-deadline request, and the run, polling its grant after every
-// greedy round, then pauses in place — Grant.Yield gives the slot back and
+// nearer-deadline request, and the run, polling its grant at every stop
+// check before an oracle round, then pauses in place — Grant.Yield gives the slot back and
 // waits for the re-grant — and continues with the same optimizer and
 // caches. Only a failed re-grant stops it, with StopPreempted and a
 // checkpoint: the shape of a budget stop, so it becomes the normal

@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro"
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/faultinject"
 	"repro/internal/tpcd"
 	"repro/internal/workload"
 )
@@ -232,7 +234,8 @@ func TestPreemptYieldTimeoutReturnsCheckpoint(t *testing.T) {
 
 	// Resume client-side once the interactive run has drained the slot:
 	// the continuation must finish the run and land exactly on the solo
-	// reference, with the two calls' oracle calls summing to it plus one.
+	// reference, with the two calls' oracle calls summing to it plus one —
+	// or to it exactly, when the run was stranded before round 1.
 	<-sloDone
 	resumeBody, _ := json.Marshal(map[string]any{"tenant": "bulk", "spec": spec, "resume": first.Checkpoint})
 	resp, data := postOptimize(t, ts.URL, string(resumeBody), nil)
@@ -246,20 +249,29 @@ func TestPreemptYieldTimeoutReturnsCheckpoint(t *testing.T) {
 	assertSameResult(t, "client-resumed run", second, ref)
 	// The two calls sum to the reference plus exactly one resume
 	// re-derivation: the continuation re-prices the committed selection
-	// once against its fresh per-run memo.
-	if got := first.Telemetry.OracleCalls + second.Telemetry.OracleCalls; got != ref.Telemetry.OracleCalls+1 {
-		t.Fatalf("oracle calls %d + %d = %d, want %d (reference + one resume re-derivation)",
-			first.Telemetry.OracleCalls, second.Telemetry.OracleCalls, got, ref.Telemetry.OracleCalls+1)
+	// once against its fresh per-run memo. A run stranded at its first
+	// check, before round 1, priced nothing and carries the Start
+	// checkpoint: its continuation is the whole run, re-pricing nothing.
+	want := ref.Telemetry.OracleCalls + 1
+	if first.Telemetry.OracleCalls == 0 {
+		want = ref.Telemetry.OracleCalls
+	}
+	if got := first.Telemetry.OracleCalls + second.Telemetry.OracleCalls; got != want {
+		t.Fatalf("oracle calls %d + %d = %d, want %d (reference %d, plus one resume re-derivation unless stranded before round 1)",
+			first.Telemetry.OracleCalls, second.Telemetry.OracleCalls, got, want, ref.Telemetry.OracleCalls)
 	}
 }
 
 // TestPreemptConservationRaceStress is the scheduling conservation audit
 // under real concurrency: interactive deadline traffic preempting bulk
-// greedy runs across a 2-slot pool, with the race detector watching. After
-// the storm drains, every admission must have completed, every tenant's
-// quota charge must equal the oracle calls its responses reported (charged
-// exactly once, across any number of pauses), and every bulk response must
-// be bit-identical to the unpreempted reference, oracle calls included.
+// greedy runs across a 2-slot pool, with the race detector watching. The
+// first two bulk runs hold both slots at their first round boundary until
+// an interactive request has queued behind them, so the storm pauses at
+// least one run whatever the timing, and it must have. After it drains,
+// every admission must have completed, every tenant's quota charge must
+// equal the oracle calls its responses reported (charged exactly once,
+// across any number of pauses), and every bulk response must be
+// bit-identical to the unpreempted reference, oracle calls included.
 func TestPreemptConservationRaceStress(t *testing.T) {
 	srv := New(Config{
 		DefaultTenant: TenantConfig{MaxConcurrent: 8, QueueDepth: 64, QueueWaitMS: 60000},
@@ -302,14 +314,34 @@ func TestPreemptConservationRaceStress(t *testing.T) {
 			mu.Unlock()
 		}
 	}
+	// The first two hits of the round boundary are two bulk runs — no
+	// interactive request is in flight yet — and each waits there, holding
+	// its slot, until release.
+	var held atomic.Int32
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	free := func() { releaseOnce.Do(func() { close(release) }) }
+	defer free()
+	withSchedule(t, faultinject.NewSchedule(0, faultinject.Rule{Point: faultinject.Round, Fn: func() {
+		if held.Add(1) <= 2 {
+			<-release
+		}
+	}}))
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
 		go post("bulk", string(bulkBody), 3)
 	}
+	waitFor(t, func() bool { return held.Load() >= 2 })
+	waitPreemptibleActive(t, srv.Admission())
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go post("slo", string(sloBody), 4)
 	}
+	// An interactive request queued behind the two held slots has asked one
+	// of the bulk runs for its slot; released, that run pauses at its next
+	// stop check.
+	waitFor(t, func() bool { return srv.Admission().Stats()["slo"].Queued > 0 })
+	free()
 	wg.Wait()
 
 	// Drain: the scheduler must end idle with no stranded waiter.
@@ -343,6 +375,9 @@ func TestPreemptConservationRaceStress(t *testing.T) {
 			t.Errorf("%s: work %+v, the reference's %+v", label, out.Telemetry.Work(), ref.Telemetry.Work())
 		}
 	}
-	t.Logf("race stress: %d preemptions across %d bulk + %d slo requests",
-		srv.Admission().Preemptions(), sent["bulk"], sent["slo"])
+	n := srv.Admission().Preemptions()
+	t.Logf("race stress: %d preemptions across %d bulk + %d slo requests", n, sent["bulk"], sent["slo"])
+	if n == 0 {
+		t.Fatal("no bulk run was paused: the conservation and bit-identity checks covered no pause")
+	}
 }

@@ -51,7 +51,7 @@ func (c SchedConfig) normalize() SchedConfig {
 // charge pending, and — when the run is preemptible — the pause handshake
 // (it is the run's repro.Yielder). Release must be called exactly once;
 // Yield only from the goroutine that owns the run, which its optimizer
-// does between greedy rounds.
+// does at a stop check, between oracle rounds.
 type Grant struct {
 	a           *Admission
 	t           *tenant
@@ -61,7 +61,7 @@ type Grant struct {
 	hasDeadline bool
 
 	// preempt is the scheduler's request for the slot; the run polls it at
-	// round boundaries (PreemptRequested, through repro.WithYielder).
+	// its stop checks (PreemptRequested, through repro.WithYielder).
 	preempt atomic.Bool
 	// preemptible marks the run pausable: a lane of one under a resumable
 	// strategy or resume (Server.optimize). Only preemptible grants are
@@ -81,20 +81,13 @@ type Grant struct {
 // newWaiter builds the queue entry for this grant; a resumption keeps the
 // grant's original seq so it re-enters ahead of later arrivals.
 func (g *Grant) newWaiter(resume bool) *waiter {
-	return &waiter{
-		ch:          make(chan struct{}),
-		t:           g.t,
-		g:           g,
-		seq:         g.seq,
-		cost:        g.cost,
-		deadline:    g.deadline,
-		hasDeadline: g.hasDeadline,
-		resume:      resume,
-	}
+	return &waiter{Grant: g, ch: make(chan struct{}), resume: resume}
 }
 
 // PreemptRequested reports whether the scheduler asked this run for its
-// slot: the poll half of the pause, made at round boundaries.
+// slot: the poll half of the pause, made at every stop check of the run —
+// before each oracle round, round 1 included. The Yield that answers the
+// request clears it.
 func (g *Grant) PreemptRequested() bool { return g.preempt.Load() }
 
 // Preemptions reports how many times this grant's run was paused.
@@ -104,14 +97,15 @@ func (g *Grant) Preemptions() int {
 	return g.preemptions
 }
 
-// Yield is the wait half of the pause: called by a run paused at a round
-// boundary, it gives the grant's slot back, lets the scheduler serve the
-// nearer-deadline work that asked for it, and blocks until the scheduler
-// re-grants a slot (the paused run re-enters its tenant's queue at its
-// original arrival order). A nil return means the slot is held again and
-// the run continues in place; ErrQueueTimeout/ErrCancelled mean the run
-// stops with StopPreempted and its checkpoint, and the grant must still be
-// Released with the spend so far.
+// Yield is the wait half of the pause: called by a run paused at a stop
+// check, before its next oracle round, it gives the grant's slot back,
+// lets the scheduler serve the nearer-deadline work that asked for it, and
+// blocks until the scheduler re-grants a slot (the paused run re-enters
+// its tenant's queue at its original arrival order). A nil return means
+// the slot is held again and the run continues in place;
+// ErrQueueTimeout/ErrCancelled mean the run stops with StopPreempted and
+// its checkpoint, and the grant must still be Released with the spend so
+// far.
 func (g *Grant) Yield(ctx context.Context) error {
 	defer func(start time.Time) { g.pausedFor += time.Since(start) }(time.Now())
 	a := g.a
@@ -120,14 +114,11 @@ func (g *Grant) Yield(ctx context.Context) error {
 		a.mu.Unlock()
 		return nil
 	}
-	g.holding = false
+	a.vacateLocked(g)
 	g.preempt.Store(false)
 	g.preemptions++
 	g.t.stats.Preemptions++
 	a.preempts++
-	g.t.active--
-	a.running--
-	a.dropActiveLocked(g)
 	w := g.newWaiter(true)
 	a.enqueueLocked(w)
 	a.dispatchLocked()
@@ -136,17 +127,7 @@ func (g *Grant) Yield(ctx context.Context) error {
 		return nil
 	}
 	a.mu.Unlock()
-
-	timerC, stopTimer := a.newTimer(g.t.cfg.queueWait())
-	defer stopTimer()
-	select {
-	case <-w.ch:
-		return a.settle(w, nil, nil)
-	case <-timerC:
-		return a.settle(w, &g.t.stats.QueueTimeouts, ErrQueueTimeout)
-	case <-ctx.Done():
-		return a.settle(w, &g.t.stats.Cancelled, ErrCancelled)
-	}
+	return a.await(ctx, w)
 }
 
 // Release frees the grant's slot (if still held), charges the tenant's
@@ -172,10 +153,7 @@ func (g *Grant) Release(oracleCalls int) {
 	}
 	t.stats.Completed++
 	if g.holding {
-		g.holding = false
-		t.active--
-		a.running--
-		a.dropActiveLocked(g)
+		a.vacateLocked(g)
 	}
 	if t.cfg.CallQuota > 0 && t.cfg.RefillPerSec <= 0 && t.tokens <= 0 {
 		for _, w := range t.queue {
@@ -276,8 +254,11 @@ func (a *Admission) dropRingLocked(t *tenant) {
 	}
 }
 
-// dropActiveLocked removes a grant from the running set.
-func (a *Admission) dropActiveLocked(g *Grant) {
+// vacateLocked gives back the slot g holds: g leaves the running set.
+func (a *Admission) vacateLocked(g *Grant) {
+	g.holding = false
+	g.t.active--
+	a.running--
 	for i, ag := range a.activeG {
 		if ag == g {
 			a.activeG = append(a.activeG[:i], a.activeG[i+1:]...)
@@ -417,8 +398,8 @@ func (a *Admission) grantLocked(w *waiter) {
 	t.active++
 	a.running++
 	w.outcome = waiterGranted
-	w.g.holding = true
-	a.activeG = append(a.activeG, w.g)
+	w.holding = true
+	a.activeG = append(a.activeG, w.Grant)
 	close(w.ch)
 }
 

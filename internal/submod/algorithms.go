@@ -32,9 +32,9 @@ type Result struct {
 	// its marginal without re-evaluation, once per selection survived.
 	Reused int
 	// Stopped records why the run ended early (StopNone for a complete
-	// run): budget exhaustion and cancellation are checked between oracle
-	// rounds, so Set is the deterministic best-so-far selection of the
-	// completed rounds.
+	// run): the reason the oracle's Control recorded at a stop check, made
+	// before every oracle round, so Set is the deterministic best-so-far
+	// selection of the completed rounds.
 	Stopped StopReason
 	// Checkpoint, set when a lazy driver stopped early, is the resumable
 	// round-boundary snapshot: ResumeLazy continues the run from it
@@ -43,14 +43,15 @@ type Result struct {
 	Checkpoint *Checkpoint
 }
 
-// finish fills the common tail of a Result: the chosen set and its value.
-// For a run interrupted before anything was selected the value is f(∅) = 0
-// by normalization, with no oracle call spent on it; otherwise f(X) is
-// evaluated (a memo hit — every selected set was priced when it was
-// chosen).
+// finish is where every driver ends: it fills the chosen set, its value and
+// the stop reason — the one the oracle's Control recorded, read once and
+// never re-derived from a context after the search. The value of the empty
+// set is f(∅) = 0 by normalization, with no oracle call spent on it;
+// otherwise f(X) is a memo hit: every selected set was priced when it was
+// chosen.
 func (res *Result) finish(o *Oracle, x Set) {
-	res.Set = x
-	if res.Stopped != StopNone && x.Empty() {
+	res.Set, res.Stopped = x, o.StopReason()
+	if x.Empty() {
 		res.Value = 0
 		return
 	}
@@ -70,23 +71,25 @@ func (d *Decomposition) positiveCostSplit() (cands, free []int) {
 	return cands, free
 }
 
-// stoppedAtStart is every driver's rule for a run that may not begin: the
-// budget or the context was spent before it, or setting up the
-// decomposition d (nil for the drivers that use none) used them up. Such a
-// run returns the empty set, its stop reason and no checkpoint; ok is false
-// when the run may begin.
+// stoppedAtStart is the rule for a run that may not begin: setting up the
+// decomposition d (nil for the drivers that use none) was cut off, or a
+// stop check made before anything is priced stops it. Such a run returns
+// the empty set, its stop reason and no checkpoint; ok is false when the
+// run may begin.
 func stoppedAtStart(o *Oracle, d *Decomposition) (res Result, ok bool) {
 	if (d == nil || !d.truncated) && !o.Interrupted() {
 		return Result{}, false
 	}
-	res.Stopped = o.StopReason()
 	res.finish(o, Set{})
 	return res, true
 }
 
-// fresh runs the named lazy driver from its Start checkpoint.
+// fresh runs the named lazy driver from its Start checkpoint. Only a
+// truncated decomposition stops it before that: a stop at the scan's first
+// check leaves the Start checkpoint itself.
 func fresh(name string, o *Oracle, d *Decomposition) Result {
-	if res, ok := stoppedAtStart(o, d); ok {
+	if d != nil && d.truncated {
+		res, _ := stoppedAtStart(o, d)
 		return res
 	}
 	return runLazy(o, Start(name, o.N(), d), lazyDrivers[name])
@@ -139,11 +142,7 @@ func EagerMarginalGreedy(d *Decomposition) Result {
 	x := Set{}
 	y, free := d.positiveCostSplit()
 	var sets []Set
-	for len(y) > 0 {
-		if d.o.Interrupted() {
-			res.Stopped = d.o.StopReason()
-			break
-		}
+	for len(y) > 0 && !d.o.Interrupted() {
 		res.Iterations++
 		// Evaluate the marginal ratio of every remaining element in one
 		// batched (possibly concurrent) oracle call, then pick the winner
@@ -154,7 +153,6 @@ func EagerMarginalGreedy(d *Decomposition) Result {
 		}
 		vals, ok := d.o.EvalBatch(sets)
 		if !ok {
-			res.Stopped = d.o.StopReason()
 			break
 		}
 		cur := d.o.Eval(x)
@@ -179,7 +177,7 @@ func EagerMarginalGreedy(d *Decomposition) Result {
 		y = remove(y, bestE)
 		d.o.progress("EagerMarginalGreedy", res.Iterations, x.Len(), len(y), bestV)
 	}
-	if res.Stopped == StopNone {
+	if d.o.StopReason() == StopNone {
 		x = addFree("EagerMarginalGreedy", d, x, free, &res)
 	}
 	res.finish(d.o, x)
@@ -202,7 +200,6 @@ func addFree(name string, d *Decomposition, x Set, free []int, res *Result) Set 
 	var sets []Set
 	for len(remaining) > 0 {
 		if d.o.Interrupted() {
-			res.Stopped = d.o.StopReason()
 			res.Checkpoint = captureFree(name, x, d, res)
 			return x
 		}
@@ -213,7 +210,6 @@ func addFree(name string, d *Decomposition, x Set, free []int, res *Result) Set 
 		}
 		vals, ok := d.o.EvalBatch(sets)
 		if !ok {
-			res.Stopped = d.o.StopReason()
 			res.Checkpoint = captureFree(name, x, d, res)
 			return x
 		}
@@ -263,13 +259,11 @@ func VolcanoSH(o *Oracle, order []int) Result {
 	x, cur := Set{}, 0.0 // f(∅) = 0 by normalization
 	for i, e := range order {
 		if o.Interrupted() {
-			res.Stopped = o.StopReason()
 			break
 		}
 		res.Iterations++
 		v, ok := o.eval(x.With(e))
 		if !ok {
-			res.Stopped = o.StopReason()
 			break
 		}
 		if v > cur {
@@ -277,7 +271,7 @@ func VolcanoSH(o *Oracle, order []int) Result {
 		}
 		o.progress("Volcano-SH", res.Iterations, x.Len(), len(order)-i-1, cur)
 	}
-	res.Set, res.Value = x, cur
+	res.finish(o, x)
 	return res
 }
 
@@ -297,11 +291,7 @@ func EagerGreedy(o *Oracle) Result {
 		y[i] = i
 	}
 	var sets []Set
-	for len(y) > 0 {
-		if o.Interrupted() {
-			res.Stopped = o.StopReason()
-			break
-		}
+	for len(y) > 0 && !o.Interrupted() {
 		res.Iterations++
 		sets = sets[:0]
 		for _, e := range y {
@@ -309,7 +299,6 @@ func EagerGreedy(o *Oracle) Result {
 		}
 		vals, ok := o.EvalBatch(sets) // one batched (possibly concurrent) scan
 		if !ok {
-			res.Stopped = o.StopReason()
 			break
 		}
 		bestE, bestV := -1, math.Inf(-1)
@@ -326,8 +315,7 @@ func EagerGreedy(o *Oracle) Result {
 		y = remove(y, bestE)
 		o.progress("EagerGreedy", res.Iterations, x.Len(), len(y), cur)
 	}
-	res.Set = x
-	res.Value = cur
+	res.finish(o, x)
 	return res
 }
 
@@ -345,11 +333,7 @@ func Exhaustive(o *Oracle) Result {
 	}
 	best := Set{}
 	bestV := o.Eval(best)
-	for mask := uint64(1); mask < uint64(1)<<uint(n); mask++ {
-		if o.Interrupted() {
-			res.Stopped = o.StopReason()
-			break
-		}
+	for mask := uint64(1); mask < uint64(1)<<uint(n) && !o.Interrupted(); mask++ {
 		s := Set{}
 		for e := 0; e < n; e++ {
 			if mask&(1<<uint(e)) != 0 {
@@ -360,8 +344,7 @@ func Exhaustive(o *Oracle) Result {
 			bestV, best = v, s
 		}
 	}
-	res.Set = best
-	res.Value = bestV
+	res.finish(o, best)
 	return res
 }
 
@@ -404,11 +387,7 @@ func marginalGreedyKOn(d *Decomposition, k int, universe []int) Result {
 			free = append(free, e)
 		}
 	}
-	for len(y) > 0 && x.Len() < k {
-		if d.o.Interrupted() {
-			res.Stopped = d.o.StopReason()
-			break
-		}
+	for len(y) > 0 && x.Len() < k && !d.o.Interrupted() {
 		res.Iterations++
 		bestE, bestR := -1, math.Inf(-1)
 		keep := y[:0]
@@ -431,15 +410,11 @@ func marginalGreedyKOn(d *Decomposition, k int, universe []int) Result {
 		y = remove(y, bestE)
 		d.o.progress("MarginalGreedyK", res.Iterations, x.Len(), len(y), d.o.Eval(x))
 	}
-	if res.Stopped == StopNone {
+	if d.o.StopReason() == StopNone {
 		sortByCost(free, d.C)
 		cur := d.o.Eval(x) // cached across the loop; updated only when x grows
 		for _, e := range free {
-			if x.Len() >= k {
-				break
-			}
-			if d.o.Interrupted() {
-				res.Stopped = d.o.StopReason()
+			if x.Len() >= k || d.o.Interrupted() {
 				break
 			}
 			if v := d.o.Eval(x.With(e)); v >= cur {

@@ -25,12 +25,13 @@ const (
 	// StopPanic: the oracle recovered a panic mid-batch; the run stopped on
 	// the committed prefix and the fault is available via Oracle.Fault.
 	StopPanic
-	// StopPreempted: the run paused for its scheduler after a completed
-	// round (Control.Yielder) and did not get its slot back — the Yield
-	// failed — so it stopped at that round boundary. A pause the scheduler
-	// ends is no stop at all: the run continues in place. The stopped run's
-	// checkpoint resumes it bit-identically; a preemption is a yield, not a
-	// failure.
+	// StopPreempted: the run paused for its scheduler at a stop check
+	// (Control.Yielder) and did not get its slot back — the Yield failed —
+	// so it stopped there, before the round the check guarded. A pause the
+	// scheduler ends is no stop at all: the run continues in place. The
+	// stopped run's checkpoint (a lazy run stopped at its first check: the
+	// Start checkpoint) resumes it bit-identically; a preemption is a yield,
+	// not a failure.
 	StopPreempted
 )
 
@@ -90,10 +91,13 @@ type Progress struct {
 
 // Control bounds one maximization run and records why it stopped: a
 // cancelled context, a passed deadline, a spent call budget, a recovered
-// panic or a failed yield. All checks happen between oracle rounds (a
-// round's batch runs to completion unless the context itself is cancelled
+// panic or a failed yield. It is the one report of a stop — a driver's
+// Result reads the reason recorded here. All checks happen at the drivers'
+// stop checks (Oracle.Interrupted), before each oracle round (a round's
+// batch runs to completion unless the context itself is cancelled
 // mid-batch), so a stopped run returns a deterministic best-so-far set:
-// the greedy prefix selected by the completed rounds.
+// the greedy prefix selected by the completed rounds. The same checks are
+// where a run pauses (Yielder).
 type Control struct {
 	// Ctx cancels the run; nil means never. Time budgets are expressed as
 	// context deadlines and reported as StopTimeBudget.
@@ -106,14 +110,15 @@ type Control struct {
 	// OnProgress, when non-nil, receives a report after every completed
 	// round.
 	OnProgress func(Progress)
-	// Yielder, when non-nil, is polled after every completed round, right
-	// after OnProgress, unless the context is already done. When the
-	// scheduler asked for the slot the run pauses there, in Yield, and then
-	// continues in place — the same memo, the same function — so a paused
-	// run is the unpaused run. Only a failed Yield stops it: StopPreempted
-	// (the context's reason if the context ended the wait), which wins over
-	// a call budget spent on the same round. Pausing only between rounds
-	// leaves a stopped run a checkpoint that re-prices nothing.
+	// Yielder, when non-nil, is polled at every stop check — before each
+	// oracle round, the first included — unless a stop is recorded or the
+	// context is done. When the scheduler asked for the slot the run pauses
+	// there, in Yield, and then continues in place — the same memo, the same
+	// function — so a paused run is the unpaused run. Only a failed Yield
+	// stops it: StopPreempted (the context's reason if the context ended the
+	// wait), which wins over a call budget spent on the round before.
+	// Pausing only between rounds leaves a stopped run a checkpoint that
+	// re-prices nothing.
 	Yielder Yielder
 
 	reason StopReason // sticky once a stop condition has been observed
@@ -121,9 +126,11 @@ type Control struct {
 }
 
 // Yielder is a scheduler's hold on the slot a run occupies: the two halves
-// of a pause. PreemptRequested is the poll, made between rounds; Yield gives
-// the slot back and blocks until the scheduler grants it again (nil) or
-// gives up (an error: no re-grant within its wait, or ctx ended).
+// of a pause. PreemptRequested is the poll, made at every stop check; Yield
+// gives the slot back and blocks until the scheduler grants it again (nil)
+// or gives up (an error: no re-grant within its wait, or ctx ended). A
+// request is answered by the Yield that follows it: PreemptRequested reports
+// false again once Yield returned, until the scheduler asks anew.
 type Yielder interface {
 	PreemptRequested() bool
 	Yield(ctx context.Context) error
@@ -154,28 +161,41 @@ func (o *Oracle) Fault() error { return o.ctrl.Fault() }
 // SetControl attaches a control to the oracle; nil detaches it.
 func (o *Oracle) SetControl(c *Control) { o.ctrl = c }
 
-// Interrupted reports — stickily — whether the run must stop: a fault or a
-// failed yield was recorded, the context is done, or the oracle-call budget
-// is spent. Algorithms check it between rounds.
-func (o *Oracle) Interrupted() bool { return o.StopReason() != StopNone }
-
-// StopReason returns why the run stopped (StopNone while unbounded or
-// still running).
-func (o *Oracle) StopReason() StopReason {
+// Interrupted is every driver's stop check, made before each oracle round
+// (and before DecomposeStar's batch and each free-element pass): it reports
+// — stickily — whether the run must stop, and it is where a run pauses. In
+// order: a stop already recorded; a done context; a pause the Yielder asks
+// for, taken here — Yield, then continue in place, unless the Yield failed
+// or the context ended meanwhile, which records StopPreempted or the
+// context's reason; a spent call budget.
+func (o *Oracle) Interrupted() bool {
 	c := o.ctrl
 	if c == nil {
-		return StopNone
+		return false
 	}
-	if c.reason != StopNone {
-		return c.reason
+	ctx := cmp.Or(c.Ctx, context.Background())
+	if c.reason == StopNone {
+		c.reason = ctxStopReason(ctx)
 	}
-	if c.Ctx != nil {
-		c.reason = ctxStopReason(c.Ctx)
+	if c.reason == StopNone && c.Yielder != nil && c.Yielder.PreemptRequested() {
+		if err := c.Yielder.Yield(ctx); err != nil || ctx.Err() != nil {
+			c.reason = cmp.Or(ctxStopReason(ctx), StopPreempted)
+		}
 	}
 	if c.reason == StopNone && c.HasMaxCalls && o.Calls >= c.MaxCalls {
 		c.reason = StopCallBudget
 	}
-	return c.reason
+	return c.reason != StopNone
+}
+
+// StopReason returns the stop the Control recorded: StopNone while the run
+// is unbounded, still running or complete. It re-reads nothing — only
+// Interrupted and an aborted evaluation record a stop.
+func (o *Oracle) StopReason() StopReason {
+	if o.ctrl == nil {
+		return StopNone
+	}
+	return o.ctrl.reason
 }
 
 // ctxStopReason classifies a context as a stop reason: not done maps to
@@ -242,15 +262,9 @@ func (o *Oracle) faulted() bool {
 	return true
 }
 
-// progress closes a completed round: it emits the round's report to the
-// control's callback, if any, then polls the Yielder and pauses when asked
-// (Control.Yielder says which stop wins when several land on one round).
+// progress reports a completed round to the control's callback, if any.
 func (o *Oracle) progress(alg string, round, selected, remaining int, best float64) {
-	c := o.ctrl
-	if c == nil {
-		return
-	}
-	if c.OnProgress != nil {
+	if c := o.ctrl; c != nil && c.OnProgress != nil {
 		c.OnProgress(Progress{
 			Algorithm:   alg,
 			Round:       round,
@@ -259,12 +273,5 @@ func (o *Oracle) progress(alg string, round, selected, remaining int, best float
 			OracleCalls: o.Calls,
 			Best:        best,
 		})
-	}
-	ctx := cmp.Or(c.Ctx, context.Background())
-	if c.Yielder == nil || c.reason != StopNone || ctx.Err() != nil || !c.Yielder.PreemptRequested() {
-		return
-	}
-	if c.Yielder.Yield(ctx) != nil { // no re-grant: stop, for the context's reason if it ended the wait
-		c.reason = cmp.Or(ctxStopReason(ctx), StopPreempted)
 	}
 }

@@ -174,3 +174,34 @@ func TestBudgetOffIsBitIdenticalToUncontrolled(t *testing.T) {
 		}
 	}
 }
+
+// Volcano-SH reports the stop its Control recorded: a run whose yield fails
+// at stop check c — one before each try — stops with StopPreempted after
+// c-1 tries, keeping what the run over those tries alone keeps, and a run
+// that completed every try reports StopNone, also when its Yielder would
+// ask only after the last try, where no check is left to pause at.
+func TestVolcanoSHReportsItsControl(t *testing.T) {
+	const n = 10
+	order := []int{7, 2, 9, 0, 4, 1, 8, 3, 6, 5}
+	polls := &yielder{}
+	ref := randomInstance(4, n)
+	ref.SetControl(&Control{Yielder: polls})
+	if r := VolcanoSH(ref, order); r.Stopped != StopNone || r.Iterations != len(order) || polls.polls != len(order) {
+		t.Fatalf("complete run: stopped %v after %d tries and %d checks, want none after %d and %d", r.Stopped, r.Iterations, polls.polls, len(order), len(order))
+	}
+	for c := 1; c <= len(order)+1; c++ {
+		o := randomInstance(4, n)
+		o.SetControl(&Control{Yielder: &yielder{at: c, fail: true}})
+		got := VolcanoSH(o, order)
+		tries := min(c-1, len(order))
+		want := VolcanoSH(randomInstance(4, n), order[:tries])
+		wantStop := StopPreempted
+		if c > len(order) {
+			wantStop = StopNone
+		}
+		if got.Stopped != wantStop || got.Iterations != tries || !got.Set.Equal(want.Set) || got.Value != want.Value {
+			t.Fatalf("yield fails at check %d: stopped %v after %d tries with %v (%v), want %v after %d with %v (%v)",
+				c, got.Stopped, got.Iterations, got.Set.Sorted(), got.Value, wantStop, tries, want.Set.Sorted(), want.Value)
+		}
+	}
+}

@@ -93,7 +93,7 @@ func Resumable(name string) bool {
 // leave: nothing selected, every candidate queued with an infinite bound —
 // for the marginal drivers the positive-cost elements of d, whose costs the
 // checkpoint carries; d is nil for the benefit-greedy pair. A fresh run is
-// ResumeLazy from it.
+// ResumeLazy from it, and a fresh run stopped at its first check leaves it.
 func Start(name string, n int, d *Decomposition) *Checkpoint {
 	cp := &Checkpoint{Algorithm: name, Heap: make([]CheckpointItem, 0, n)}
 	if d != nil {
@@ -253,7 +253,7 @@ func runLazy(o *Oracle, cp *Checkpoint, drv lazyDriver) Result {
 		}
 		x = lazyRun(cp.Algorithm, o, d, &q, x, drv.chunk, &res)
 	}
-	if d != nil && res.Stopped == StopNone {
+	if d != nil && o.StopReason() == StopNone {
 		var free []int
 		for e := 0; e < o.N(); e++ {
 			if d.C[e] <= epsCost && !x.Contains(e) {

@@ -8,16 +8,21 @@ import (
 	"testing"
 )
 
-// yielder is a scripted scheduler hold: it asks for the slot whenever ask
-// reports true, and its Yield gives the slot back (nil) unless fail is set,
-// in which case the re-grant never comes.
+// yielder is a scripted scheduler hold: it asks for the slot once, at its
+// at-th poll (never when at is 0) — a request the Yield that answers it
+// clears, as a Grant's — and its Yield gives the slot back (nil) unless fail
+// is set, in which case the re-grant never comes. polls counts the stop
+// checks that polled it.
 type yielder struct {
-	ask    func() bool
-	fail   bool
-	yields int
+	at            int
+	fail          bool
+	polls, yields int
 }
 
-func (y *yielder) PreemptRequested() bool { return y.ask() }
+func (y *yielder) PreemptRequested() bool {
+	y.polls++
+	return y.polls == y.at
+}
 
 func (y *yielder) Yield(context.Context) error {
 	y.yields++
@@ -78,24 +83,29 @@ func TestCheckpointResumeBitIdenticalEveryCutPoint(t *testing.T) {
 	// uninterrupted run exactly: same set, same value, same
 	// Iterations/Pruned/Stale/Reused. Two stop kinds sweep every point: a
 	// call budget k for every k up to the run's calls, and a failed yield —
-	// the Yielder asks for the slot at progress report r and never gives it
-	// back — for every r up to the run's reports, which must stop with
-	// StopPreempted every time. A pause at report r whose yield succeeds is
-	// no stop: the run completes as the unpaused one, with its oracle calls
-	// and no checkpoint.
+	// the Yielder asks for the slot at stop check c and never gives it back
+	// — for every c up to the run's checks, which must stop with
+	// StopPreempted every time: at the scan's first check with the Start
+	// checkpoint, at a marginal driver's first (DecomposeStar's) with none.
+	// A pause at check c whose yield succeeds is no stop: the run completes
+	// as the unpaused one, with its oracle calls and no checkpoint.
 	for _, dc := range resumableDrivers {
+		firstScanCheck := 1
+		if lazyDrivers[dc.name].marginal {
+			firstScanCheck = 2
+		}
 		for seed := int64(0); seed < 3; seed++ {
 			refO := randomInstance(seed, 12)
-			reports := 0
-			refO.SetControl(&Control{OnProgress: func(Progress) { reports++ }})
+			polls := &yielder{}
+			refO.SetControl(&Control{Yielder: polls})
 			ref := dc.run(refO)
-			total := refO.Calls
-			if reports == 0 {
-				t.Fatalf("%s seed %d: the run made no progress report", dc.name, seed)
+			total, checks := refO.Calls, polls.polls
+			if checks < firstScanCheck {
+				t.Fatalf("%s seed %d: the run made %d stop checks", dc.name, seed, checks)
 			}
 			// stop runs the driver under ctrl and resumes the stop; it
-			// reports whether the stop left a checkpoint.
-			stop := func(label string, ctrl *Control, want StopReason) bool {
+			// returns the checkpoint the stop left, if any.
+			stop := func(label string, ctrl *Control, want StopReason) *Checkpoint {
 				o := randomInstance(seed, 12)
 				o.SetControl(ctrl)
 				partial := dc.run(o)
@@ -103,7 +113,7 @@ func TestCheckpointResumeBitIdenticalEveryCutPoint(t *testing.T) {
 					if !partial.Set.Equal(ref.Set) {
 						t.Fatalf("%s: unstopped run diverged", label)
 					}
-					return false
+					return nil
 				}
 				if partial.Stopped != want {
 					t.Fatalf("%s: stopped %v, want %v", label, partial.Stopped, want)
@@ -114,41 +124,46 @@ func TestCheckpointResumeBitIdenticalEveryCutPoint(t *testing.T) {
 					if !partial.Set.Empty() {
 						t.Fatalf("%s: non-empty stop without checkpoint", label)
 					}
-					return false
+					return nil
 				}
 				got, err := ResumeLazy(randomInstance(seed, 12), roundTripCheckpoint(t, partial.Checkpoint))
 				if err != nil {
 					t.Fatalf("%s: resume: %v", label, err)
 				}
 				assertResumeMatches(t, label, ref, got)
-				return true
+				return partial.Checkpoint
 			}
 			sawCheckpoint := false
 			for k := 0; k <= total; k++ {
 				label := fmt.Sprintf("%s seed %d budget %d", dc.name, seed, k)
-				if stop(label, &Control{MaxCalls: k, HasMaxCalls: true}, StopCallBudget) {
+				if stop(label, &Control{MaxCalls: k, HasMaxCalls: true}, StopCallBudget) != nil {
 					sawCheckpoint = true
 				}
 			}
 			if !sawCheckpoint {
 				t.Errorf("%s seed %d: no budget produced a checkpoint", dc.name, seed)
 			}
-			for r := 1; r <= reports; r++ {
-				label := fmt.Sprintf("%s seed %d yield fails at report %d", dc.name, seed, r)
-				seen := 0
-				ctrl := &Control{
-					OnProgress: func(Progress) { seen++ },
-					Yielder:    &yielder{ask: func() bool { return seen >= r }, fail: true},
-				}
-				if !stop(label, ctrl, StopPreempted) {
+			for c := 1; c <= checks; c++ {
+				label := fmt.Sprintf("%s seed %d yield fails at check %d", dc.name, seed, c)
+				cp := stop(label, &Control{Yielder: &yielder{at: c, fail: true}}, StopPreempted)
+				switch {
+				case c < firstScanCheck:
+					if cp != nil {
+						t.Fatalf("%s: a stop before the decomposition left a checkpoint", label)
+					}
+				case cp == nil:
 					t.Fatalf("%s: the run did not stop with a checkpoint", label)
+				case c == firstScanCheck:
+					start, _ := json.Marshal(startOf(dc.name, randomInstance(seed, 12)))
+					if got, _ := json.Marshal(cp); string(got) != string(start) {
+						t.Fatalf("%s: checkpoint %s, want the Start checkpoint %s", label, got, start)
+					}
 				}
 
-				label = fmt.Sprintf("%s seed %d paused at report %d", dc.name, seed, r)
-				seen = 0
-				y := &yielder{ask: func() bool { return seen == r }}
+				label = fmt.Sprintf("%s seed %d paused at check %d", dc.name, seed, c)
+				y := &yielder{at: c}
 				o := randomInstance(seed, 12)
-				o.SetControl(&Control{OnProgress: func(Progress) { seen++ }, Yielder: y})
+				o.SetControl(&Control{Yielder: y})
 				assertResumeMatches(t, label, ref, dc.run(o))
 				if y.yields != 1 || o.Calls != total {
 					t.Fatalf("%s: %d yields and %d oracle calls, want 1 and %d", label, y.yields, o.Calls, total)

@@ -17,11 +17,7 @@ func DoubleGreedy(o *Oracle, shift float64) Result {
 	x := Set{}        // grows from ∅
 	y := o.Universe() // shrinks from U
 	res := Result{}
-	for e := 0; e < n; e++ {
-		if o.Interrupted() {
-			res.Stopped = o.StopReason()
-			break
-		}
+	for e := 0; e < n && !o.Interrupted(); e++ {
 		res.Iterations++
 		a := (o.Eval(x.With(e)) + shift) - (o.Eval(x) + shift)
 		b := (o.Eval(y.Without(e)) + shift) - (o.Eval(y) + shift)

@@ -168,7 +168,6 @@ func lazyRun(name string, o *Oracle, d *Decomposition, q *lazyQueue, x Set, chun
 	for q.len() > 0 {
 		faultinject.Hit(faultinject.Round)
 		if o.Interrupted() {
-			res.Stopped = o.StopReason()
 			res.Checkpoint = captureLazy(name, x, q, nil, res.Stale, d, res)
 			break
 		}
@@ -190,7 +189,6 @@ func lazyRun(name string, o *Oracle, d *Decomposition, q *lazyQueue, x Set, chun
 				// Pricing the selection faulted (a reused marginal left
 				// f(X ∪ {e}) unpriced). The checkpoint is taken before the
 				// selection, top back on the heap: the resumed run makes it.
-				res.Stopped = o.StopReason()
 				res.Checkpoint = captureLazy(name, x, q, []lazyItem{top}, res.Stale, d, res)
 				break
 			}
@@ -233,7 +231,6 @@ func lazyRun(name string, o *Oracle, d *Decomposition, q *lazyQueue, x Set, chun
 			// checkpoint heap with their pre-round stale bounds (its Stale
 			// snapshot rolls back likewise), so the resumed run re-prices
 			// them exactly as this round would have.
-			res.Stopped = o.StopReason()
 			res.Checkpoint = captureLazy(name, x, q, popped, staleAt, d, res)
 			break
 		}

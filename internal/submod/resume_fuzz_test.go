@@ -12,11 +12,12 @@ import (
 // The bytes pick the instance seed and size (≤ 16 elements), one of the four
 // lazy drivers, and the chain of stops, two bytes a stop: its kind — a call
 // budget k, a context cancelled after k evaluations (mid-batch), a yield at
-// progress report k that is never re-granted, or a pause at report k that
+// stop check k%8+1 that is never re-granted, or a pause at that check that
 // is — and k. A stop that lands before the driver has anything to snapshot
-// leaves no checkpoint; the chain then starts the driver afresh. A pause is
-// no stop: its hop must end as the same hop unpaused does, with no
-// checkpoint and the same oracle calls, which ends the chain.
+// (a marginal driver's decomposition) leaves no checkpoint; the chain then
+// starts the driver afresh. A pause is no stop: its hop must end as the same
+// hop unpaused does, with no checkpoint and the same oracle calls, which
+// ends the chain.
 func FuzzResumeAnywhere(f *testing.F) {
 	f.Add([]byte{0, 11, 0, 0, 13})
 	f.Add([]byte{1, 15, 1, 1, 3, 2, 1, 0, 5})
@@ -25,6 +26,7 @@ func FuzzResumeAnywhere(f *testing.F) {
 	f.Add([]byte{4, 16, 0, 0, 0, 1, 20, 2, 4, 0, 17})
 	f.Add([]byte{5, 14, 1, 0, 9, 3, 2})
 	f.Add([]byte{6, 13, 2, 3, 0})
+	f.Add([]byte{7, 12, 2, 2, 0, 3, 0}) // Greedy: a failed yield, then a pause, each before round 1
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -64,9 +66,8 @@ func FuzzResumeAnywhere(f *testing.F) {
 					o = NewOracle(&cancelAfterFunc{inner: o.F, left: k + 1, cancel: cancel})
 					o.SetControl(&Control{Ctx: ctx})
 				case 2, 3:
-					seen := 0
-					y := &yielder{ask: func() bool { return seen > k%8 }, fail: kind == 2}
-					o.SetControl(&Control{OnProgress: func(Progress) { seen++ }, Yielder: y})
+					y := &yielder{at: k%8 + 1, fail: kind == 2}
+					o.SetControl(&Control{Yielder: y})
 					if kind == 3 {
 						pause = y
 					}

@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -32,30 +35,34 @@ func reuseBatches(t testing.TB) map[string]*logical.Batch {
 }
 
 // outcome is what a caller can observe of one logical run — a plain call, a
-// budget-stopped one, one paused after its first round, or one whose yield
-// there failed and that a second call resumed. work is the last call's
-// deterministic work; stopped, the stopped first call's, when there are two.
+// budget-stopped one, one paused at its first or second stop check, or one
+// whose yield there failed and that a second call resumed. work is the last
+// call's deterministic work; stopped, the stopped first call's, when there
+// are two.
 type outcome struct {
 	materialized []int
 	cost         float64
 	plan         string
 	work         core.Work
 	stopped      core.Work
+	resumed      bool
 }
 
-// firstRoundYield asks for the slot once, at the first poll; its Yield gives
-// the slot back unless fail is set.
-type firstRoundYield struct {
-	asked, fail bool
+// checkYield asks for the slot once, at its at-th poll: the first stop check
+// is before round 1 (before the decomposition, for the marginal
+// strategies). Its Yield gives the slot back unless fail is set.
+type checkYield struct {
+	at, polls, yields int
+	fail              bool
 }
 
-func (y *firstRoundYield) PreemptRequested() bool {
-	first := !y.asked
-	y.asked = true
-	return first
+func (y *checkYield) PreemptRequested() bool {
+	y.polls++
+	return y.polls == y.at
 }
 
-func (y *firstRoundYield) Yield(context.Context) error {
+func (y *checkYield) Yield(context.Context) error {
+	y.yields++
 	if y.fail {
 		return errors.New("no re-grant")
 	}
@@ -67,30 +74,53 @@ func runMode(t *testing.T, sess *Session, batch *logical.Batch, strat Strategy, 
 	t.Helper()
 	ctx := context.Background()
 	opts := []Option{WithStrategy(strat)}
-	switch mode {
+	var y *checkYield
+	switch kind, at, _ := strings.Cut(mode, "@"); kind {
 	case "extended":
 		opts = append(opts, WithExtendedOps(true))
 	case "budgeted":
 		opts = append(opts, WithOracleCallBudget(6))
 	case "paused", "yield-fails":
-		opts = append(opts, WithYielder(&firstRoundYield{fail: mode == "yield-fails"}))
+		y = &checkYield{at: int(at[0] - '0'), fail: kind == "yield-fails"}
+		opts = append(opts, WithYielder(y))
 	}
 	res, err := sess.Optimize(ctx, batch, opts...)
-	if err == nil && mode == "yield-fails" && strat.Resumable() && res.Telemetry.Rounds > 0 && res.Stopped() != StopPreempted {
-		t.Fatalf("%s %v: a run whose yield failed after %d rounds stopped %v", mode, strat, res.Telemetry.Rounds, res.Stopped())
-	}
-	var stopped core.Work
-	if err == nil && res.Checkpoint != nil && mode == "yield-fails" {
-		stopped = res.Telemetry.Work()
-		res, err = sess.Optimize(ctx, batch, WithResume(res.Checkpoint))
-	}
 	if err != nil {
 		t.Fatalf("%s: %v", mode, err)
+	}
+	if y != nil && y.fail && y.yields > 0 && res.Stopped() != StopPreempted {
+		t.Fatalf("%s %v: a run whose yield failed stopped %v", mode, strat, res.Stopped())
+	}
+	var stopped core.Work
+	resumed := y != nil && y.fail && res.Checkpoint != nil
+	if resumed {
+		// The scan's first check — after the decomposition's, for the
+		// marginal strategies — stops a lazy run on its Start checkpoint:
+		// nothing selected, every candidate queued at an infinite bound.
+		scanFirst := 1
+		if strat == core.MarginalGreedy || strat == core.LazyMarginalGreedy {
+			scanFirst = 2
+		}
+		if y.at == scanFirst {
+			st := res.Checkpoint.State
+			for _, it := range st.Heap {
+				if !math.IsInf(math.Float64frombits(it.BoundBits), 1) {
+					t.Fatalf("%s %v: stopped at the scan's first check with a priced candidate: %+v", mode, strat, it)
+				}
+			}
+			if len(st.Selected) != 0 || st.Iterations != 0 || st.Stale != 0 || st.MainDone {
+				t.Fatalf("%s %v: stopped at the scan's first check on %+v, not the Start checkpoint", mode, strat, st)
+			}
+		}
+		stopped = res.Telemetry.Work()
+		if res, err = sess.Optimize(ctx, batch, WithResume(res.Checkpoint)); err != nil {
+			t.Fatalf("%s: resume: %v", mode, err)
+		}
 	}
 	if err := res.Validate(); err != nil {
 		t.Fatalf("%s: plan does not validate: %v", mode, err)
 	}
-	o := outcome{cost: res.Cost, plan: res.Plan.String(), work: res.Telemetry.Work(), stopped: stopped}
+	o := outcome{cost: res.Cost, plan: res.Plan.String(), work: res.Telemetry.Work(), stopped: stopped, resumed: resumed}
 	for _, g := range res.Materialized {
 		o.materialized = append(o.materialized, int(g))
 	}
@@ -101,8 +131,10 @@ func runMode(t *testing.T, sess *Session, batch *logical.Batch, strat Strategy, 
 // fourth Optimize of a batch — served the first call's DAG and search space
 // and whatever workers the calls before left — equal a fresh session's run
 // in chosen set, cost, plan and deterministic work, for every strategy and
-// for runs that are extended, budget-stopped, paused, or stopped by a failed
-// yield and resumed. A paused run is the default run.
+// for runs that are extended, budget-stopped, paused at their first or second
+// stop check, or stopped there by a failed yield and resumed. A paused run is
+// the default run, and a resumed one chooses the default run's set, at its
+// cost, with its plan.
 func TestRepeatedBatchMatchesFreshSession(t *testing.T) {
 	strategies := []Strategy{
 		core.Volcano, core.Greedy, core.LazyGreedyStrategy, core.MarginalGreedy,
@@ -111,11 +143,15 @@ func TestRepeatedBatchMatchesFreshSession(t *testing.T) {
 	for name, batch := range reuseBatches(t) {
 		for _, strat := range strategies {
 			def := runMode(t, newTestSession(t), batch, strat, "default")
-			for _, mode := range []string{"default", "extended", "budgeted", "paused", "yield-fails"} {
+			for _, mode := range []string{"default", "extended", "budgeted", "paused@1", "paused@2", "yield-fails@1", "yield-fails@2"} {
 				want := runMode(t, newTestSession(t), batch, strat, mode)
-				if mode == "paused" && !reflect.DeepEqual(want, def) {
-					t.Fatalf("%s/%s: a paused run differs from the unpaused one:\n got %v %v %+v\nwant %v %v %+v",
-						name, strat, want.materialized, want.cost, want.work, def.materialized, def.cost, def.work)
+				if strings.HasPrefix(mode, "paused") && !reflect.DeepEqual(want, def) {
+					t.Fatalf("%s/%s/%s: a paused run differs from the unpaused one:\n got %v %v %+v\nwant %v %v %+v",
+						name, strat, mode, want.materialized, want.cost, want.work, def.materialized, def.cost, def.work)
+				}
+				if want.resumed && (!slices.Equal(want.materialized, def.materialized) || want.cost != def.cost || want.plan != def.plan) {
+					t.Fatalf("%s/%s/%s: the resumed run chose %v at %v, the default run %v at %v",
+						name, strat, mode, want.materialized, want.cost, def.materialized, def.cost)
 				}
 				sess := newTestSession(t)
 				for call := 1; call <= 4; call++ {

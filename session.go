@@ -157,11 +157,13 @@ func WithWarmOracle(on bool) Option {
 // Yielder is a scheduler's hold on the slot an Optimize call runs in.
 type Yielder = submod.Yielder
 
-// WithYielder lets a scheduler pause the run: after every greedy round the
-// run polls y.PreemptRequested and, when asked, waits in y.Yield for its
-// slot, then continues in place — its result and Telemetry.Work are the
-// unpaused run's, the pause left out of the budget and the phase times.
-// Only a failed Yield stops it: StopPreempted (core.Config.Yielder).
+// WithYielder lets a scheduler pause the run: at every stop check — before
+// each oracle round, the first included — the run polls y.PreemptRequested
+// and, when asked, waits in y.Yield for its slot, then continues in place —
+// its result and Telemetry.Work are the unpaused run's, the pause left out
+// of the budget and the phase times. Only a failed Yield stops it:
+// StopPreempted (core.Config.Yielder); a lazy run stopped at its first
+// check carries the start checkpoint.
 func WithYielder(y Yielder) Option {
 	return func(c *config) { c.yielder = y }
 }

@@ -81,10 +81,12 @@ func liveCells(s *Searcher) map[pair]bool {
 //     own cell. (Under -tags cellcheck the miss paths and plan extraction
 //     assert exactly that on every evaluation of every test.)
 //   - not short: every demanded pair has a cell.
-//   - not padded beyond the shared lists: bc(∅) from nothing touches the
-//     demanded pairs and no other, evaluations of other sets and BestPlan
-//     touch nothing outside them, and on the generated DAGs the cells are at
-//     most 3 × the demanded pairs.
+//   - not padded beyond the shared lists: bc(∅) from nothing, evaluations of
+//     other sets and BestPlan touch nothing outside the demanded pairs, and
+//     on the generated DAGs the cells are at most 3 × the demanded pairs.
+//     (Bounded pricing leaves the cells of a template that cannot win
+//     unpriced, so bc(∅) touches a subset of the demanded pairs, not all of
+//     them: 309 of 693 on DAG 0.)
 func TestCellsCoverEveryDemand(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for mi, m := range walkMemos() {
@@ -120,18 +122,24 @@ func TestCellsCoverEveryDemand(t *testing.T) {
 					t.Fatalf("DAG %d flags %d: (group %d, order %d) can be asked for and has no cell", mi, flags, p.g, p.ord)
 				}
 			}
+			inside := func(what string) {
+				t.Helper()
+				for p := range liveCells(s) {
+					if !want[p] {
+						t.Fatalf("DAG %d flags %d: %s touched (group %d, order %d), which the rules never demand", mi, flags, what, p.g, p.ord)
+					}
+				}
+			}
 			s.BestCost(NodeSet{})
-			if got := liveCells(s); !reflect.DeepEqual(got, want) {
-				t.Fatalf("DAG %d flags %d: bc(∅) touched %d pairs, the rules demand %d", mi, flags, len(got), len(want))
+			inside("bc(∅)")
+			if mi == 0 && flags == 0 {
+				t.Logf("DAG 0: bc(∅) touched %d of the %d demanded pairs", len(liveCells(s)), len(want))
 			}
 			for _, set := range randomSets(s, rng, 6) {
 				s.BestCost(set)
+				inside("an evaluation")
 				s.BestPlan(set)
-				for p := range liveCells(s) {
-					if !want[p] {
-						t.Fatalf("DAG %d flags %d: an evaluation touched (group %d, order %d), which the rules never demand", mi, flags, p.g, p.ord)
-					}
-				}
+				inside("a plan extraction")
 			}
 			if flags == 1 {
 				ratio := float64(ix.len()) / float64(len(want))

@@ -63,8 +63,9 @@
 // group is asked for any order, for the fixed orders its parents' templates
 // name, and for what a filter above it is asked. That is 2–4 % of groups ×
 // orders (generator seed 1000, 16 / 32 / 64 / 256 queries: 620 / 1,555 /
-// 4,734 / 52,285 pairs of 14,534 / 50,530 / 182,304 / 2,362,584 — exactly
-// the keys a walk from nothing computes). Cells are numbered group by group,
+// 4,734 / 52,285 pairs of 14,534 / 50,530 / 182,304 / 2,362,584 — every
+// key a walk from nothing may compute, bounded pricing skipping some). Cells
+// are numbered group by group,
 // ascending by order id within a group, and the groups a chain of filters
 // links share one order list (the union of their fixed demands): a filter
 // then forwards the k-th order of its list to the k-th cell of its child, a
@@ -118,6 +119,35 @@
 // a worker changing hands (bind) come down to: they drop the base together
 // with the L1.
 //
+// # Bounded pricing
+//
+// compute(g, o) prices g's templates in their fixed order and keeps the
+// strict-< minimum; each template is priced against the best total found so
+// far (Graefe & McKenna's branch-and-bound, The Volcano Optimizer Generator,
+// ICDE 1993). Before price prices a child the memo lacks, it sums a lower
+// bound on the template's total in the order it sums the total — child by
+// child, then the local cost, which the set fixes before any child is priced —
+// from what the memo holds: a child's live use cost, else its live any-order
+// use cost, else 0. The sort enforcer is skipped when the sort alone costs the
+// best so far. A bound at or above the best skips the template, and its child
+// cells stay unpriced until some later call needs them. Three facts make the
+// skip exact, with no epsilon: every cost constant is finite and ≥ 0
+// (space.premise, which the cellcheck build asserts on every compile); rounded
+// addition is monotone in each operand, so a sum of lower bounds in the
+// total's order is ≤ the total bit for bit; and use(c, any) ≤ use(c, o), since
+// every template that delivers o delivers "any" and reading a materialized
+// copy in "any" needs no sort. So the minimum and its bits are those of an
+// unbounded loop. The stored-order pass (bestDeliveredOrder) and plan
+// extraction (extractCompute) price unbounded: which template wins, and every
+// plan, stay as they were. The bound reads the memo alone, not the caches: a
+// variant that also probed the run's L1 and the L2 for each child the memo
+// lacked computed the same keys within 0.01 % on a cold 64-query run and was
+// 5 % slower, and either kept computed_keys flat in GOMAXPROCS (within 1.5 %
+// over 120 runs a side of the root package's TestComputedKeysFlatInP). A cold
+// 64-query run (BenchmarkWorkload/64x0.25/p1) computes 117 k keys where it
+// computed 285 k unbounded; TestBoundedPricingMatchesNaive holds the bounded
+// oracle to a recursion that prunes nothing.
+//
 // # Cross-call caching
 //
 // The Section 5.1 incremental cache is keyed by the pure value
@@ -141,14 +171,14 @@
 // (which the batch's evaluations on other workers, and the next batch, read
 // again), for a walk from nothing, or by BestPlan's extraction (which prices
 // beyond the entry terms, and which a repeated run repeats). So a repeated
-// batch computes nothing (TestRepeatComputesNothing), and a cold run keeps a
-// seventh of the keys it computes: a cold 64-query MarginalGreedy session
-// call (generator seed 1000, one worker) computes 303 k keys and leaves 43 k
-// entries, where probing and storing every re-priced cell computed 258 k and
-// left 205 k — those probes mostly missed, each the first touch of a 1 kB
-// bucket, and cost more than the keys they saved. Caching the entry and
-// extraction cells alone, without the base cells, made computed_keys depend
-// on how a fanned batch's sets fell to its workers (a cold 32-query run
+// batch computes nothing (TestRepeatComputesNothing). Before bounded pricing a
+// cold run kept a seventh of the keys it computed: a cold 64-query
+// MarginalGreedy session call (generator seed 1000, one worker) computed 303 k
+// keys and left 43 k entries, where probing and storing every re-priced cell
+// computed 258 k and left 205 k — those probes mostly missed, each the first
+// touch of a 1 kB bucket, and cost more than the keys they saved. Caching the
+// entry and extraction cells alone, without the base cells, made computed_keys
+// depend on how a fanned batch's sets fell to its workers (a cold 32-query run
 // computed 8 % more keys at GOMAXPROCS 2 than at 1).
 //
 // A use-cost key exists only for a group in the set; outside it the compute
@@ -269,6 +299,7 @@ package physical
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/bits"
 	"runtime"
@@ -584,6 +615,30 @@ func (s *space) prepare() {
 	s.fillAbove()
 	s.structSum = s.structHash()
 	s.ordIdx = nil // registry is sealed
+	if cellCheck {
+		if err := s.premise(); err != nil {
+			panic(err)
+		}
+	}
+}
+
+// premise checks what bounded pricing rests on: every constant a cost sums —
+// each template's local and localSpill, each group's sort, read and write
+// cost — is finite and not negative. The cellcheck build asserts it on every
+// compile.
+func (s *space) premise() error {
+	bad := func(v float64) bool { return !(v >= 0) || math.IsInf(v, 1) }
+	for g := range s.tmpls {
+		for i := range s.tmpls[g] {
+			if t := &s.tmpls[g][i]; bad(t.local) || bad(t.localSpill) {
+				return fmt.Errorf("physical: group %d template %d (%s) costs %v locally, %v spilled: a cost must be finite and ≥ 0", g, i, t.op, t.local, t.localSpill)
+			}
+		}
+		if bad(s.sortArr[g]) || bad(s.readArr[g]) || bad(s.writeArr[g]) {
+			return fmt.Errorf("physical: group %d sorts for %v, reads for %v, writes for %v: a cost must be finite and ≥ 0", g, s.sortArr[g], s.readArr[g], s.writeArr[g])
+		}
+	}
+	return nil
 }
 
 // fillRootMasks computes, for every shareable slot, the bitset of query
@@ -1593,12 +1648,13 @@ func (w *worker) computeMiss(g memo.GroupID, ord ordID, cell int, m *epVal) floa
 	w.stats.ComputedKey++
 	best := inf
 	for i := range s.tmpls[g] {
-		if cost, _, ok := w.price(&s.tmpls[g][i], ord, cell); ok && cost < best {
+		if cost, _, ok := w.price(&s.tmpls[g][i], ord, cell, best); ok && cost < best {
 			best = cost
 		}
 	}
-	// Sort enforcer: compute in any order, then sort.
-	if ord != 0 {
+	// Sort enforcer: compute in any order, then sort — unless the sort alone
+	// already costs as much as the best template (bounded pricing).
+	if ord != 0 && s.sortArr[g] < best {
 		if v := w.compute(g, 0, s.cells.anyCell(g)) + s.sortArr[g]; v < best {
 			best = v
 		}
@@ -1613,12 +1669,14 @@ func (w *worker) computeMiss(g memo.GroupID, ord ordID, cell int, m *epVal) floa
 // price returns one template's total use-cost (children included) and
 // delivered order under the current materialization set, for the template's
 // group asked for ord at cell; ok is false when the template is gated off or
-// cannot deliver the required order. It is the single pricing rule shared by
-// the cost search (compute), the stored-order pass (bestDeliveredOrder) and
-// plan extraction (extractCompute) — and the rule fillCells compiles the
+// cannot deliver the required order, or when it cannot cost less than bound
+// (bounded pricing: see the package comment). It is the single pricing rule
+// shared by the cost search (compute, bounded by the best template so far),
+// the stored-order pass (bestDeliveredOrder) and plan extraction
+// (extractCompute), which pass inf — and the rule fillCells compiles the
 // cells from: which (group, order) pairs it can reach is fixed by the
 // templates, whatever the set.
-func (w *worker) price(t *tmpl, ord ordID, cell int) (cost float64, out ordID, ok bool) {
+func (w *worker) price(t *tmpl, ord ordID, cell int, bound float64) (cost float64, out ordID, ok bool) {
 	s := w.s
 	if t.extended && !s.ExtendedOps {
 		return 0, 0, false
@@ -1626,7 +1684,8 @@ func (w *worker) price(t *tmpl, ord ordID, cell int) (cost float64, out ordID, o
 	// The child lookups are the oracle's innermost edge: the per-call memo
 	// check is written out by hand because useCost's call frame exceeds
 	// the inlining budget, and the overwhelming majority of child lookups
-	// are memo hits.
+	// are memo hits. A miss is priced only once the template's lower bound
+	// says it can still win.
 	if t.passthrough {
 		// Order-preserving filter: forward the requirement. The child shares
 		// the group's order list, so its cell lies a fixed distance away.
@@ -1636,25 +1695,60 @@ func (w *worker) price(t *tmpl, ord ordID, cell int) (cost float64, out ordID, o
 		if m.ep == w.groups[c.g].ep {
 			return m.val + t.local, ord, true
 		}
+		if w.cannotWin(t, cell, t.local, bound) {
+			return 0, 0, false
+		}
 		return w.useCostMiss(c.g, ord, cc, m) + t.local, ord, true
 	}
 	if !s.sat[t.out][ord] {
 		return 0, 0, false
+	}
+	lc := t.local
+	if t.matGate >= 0 && !w.matHas(t.matGate) {
+		lc = t.localSpill
 	}
 	for ci := uint8(0); ci < t.nchild; ci++ {
 		c := &t.child[ci]
 		m := &w.useMemo[c.cell]
 		if m.ep == w.groups[c.g].ep {
 			cost += m.val
-		} else {
-			cost += w.useCostMiss(c.g, c.ord, int(c.cell), m)
+			continue
 		}
-	}
-	lc := t.local
-	if t.matGate >= 0 && !w.matHas(t.matGate) {
-		lc = t.localSpill
+		if w.cannotWin(t, cell, lc, bound) {
+			return 0, 0, false
+		}
+		cost += w.useCostMiss(c.g, c.ord, int(c.cell), m)
 	}
 	return cost + lc, t.out, true
+}
+
+// cannotWin reports whether template t, asked for at cell with local cost
+// lc, is sure to cost at least bound; price asks before it prices a child that
+// misses the memo. The lower bound is summed in the order price sums the
+// total — the children in turn, then lc — from what the memo holds for each
+// child: its live use cost, which is exact (a child priced for this template
+// already is one), else its live any-order use cost, else 0. (A child asked
+// for any order whose cell misses finds its any-order cell, the same one,
+// missing too.)
+func (w *worker) cannotWin(t *tmpl, cell int, lc, bound float64) bool {
+	if bound >= inf {
+		return false
+	}
+	lb := 0.0
+	for ci := uint8(0); ci < t.nchild; ci++ {
+		c := &t.child[ci]
+		cc := int(c.cell)
+		if t.passthrough {
+			cc += cell
+		}
+		ep := w.groups[c.g].ep
+		if m := &w.useMemo[cc]; m.ep == ep {
+			lb += m.val
+		} else if a := &w.useMemo[w.s.cells.anyCell(c.g)]; a.ep == ep {
+			lb += a.val // use(c, any) ≤ use(c, o)
+		}
+	}
+	return lb+lc >= bound
 }
 
 // bestDeliveredOrder returns the order delivered by the cheapest
@@ -1664,7 +1758,7 @@ func (w *worker) bestDeliveredOrder(g memo.GroupID) ordID {
 	best := inf
 	var out ordID
 	for i := range s.tmpls[g] {
-		if cost, o, ok := w.price(&s.tmpls[g][i], 0, s.cells.anyCell(g)); ok && cost < best {
+		if cost, o, ok := w.price(&s.tmpls[g][i], 0, s.cells.anyCell(g), inf); ok && cost < best {
 			best = cost
 			out = o
 		}

@@ -120,7 +120,7 @@ func (w *worker) extractCompute(g memo.GroupID, ord ordID, cell int) *PlanNode {
 	best := w.compute(g, ord, cell)
 	for i := range s.tmpls[g] {
 		t := &s.tmpls[g][i]
-		cost, out, ok := w.price(t, ord, cell)
+		cost, out, ok := w.price(t, ord, cell, inf)
 		if !ok || cost > best+1e-9 {
 			continue
 		}

@@ -311,7 +311,9 @@ func BenchmarkWorkloadSkew(b *testing.B) {
 
 // BenchmarkWorkloadDAGBuild isolates combined-DAG construction and
 // expansion for the generated batches — the component the stress grid
-// tracks separately from optimization.
+// tracks separately from optimization. It reports the memo's size (groups,
+// operators, shareable nodes), which the CI gate holds exactly: a change
+// that makes the build cheaper must leave the DAG as it was.
 func BenchmarkWorkloadDAGBuild(b *testing.B) {
 	cat := tpcd.Catalog(1)
 	for _, size := range workloadSizes {
@@ -323,11 +325,17 @@ func BenchmarkWorkloadDAGBuild(b *testing.B) {
 				batch := workload.MustGenerate(workload.DefaultSpec(size, sharing))
 				b.ReportAllocs()
 				b.ResetTimer()
+				var opt *volcano.Optimizer
 				for i := 0; i < b.N; i++ {
-					if _, err := volcano.NewOptimizer(cat, cost.Default(), batch); err != nil {
+					var err error
+					if opt, err = volcano.NewOptimizer(cat, cost.Default(), batch); err != nil {
 						b.Fatal(err)
 					}
 				}
+				b.StopTimer()
+				b.ReportMetric(float64(opt.Memo.NumGroups()), "groups")
+				b.ReportMetric(float64(opt.Memo.NumExprs()), "exprs")
+				b.ReportMetric(float64(len(opt.Shareable())), "shareable")
 			})
 		}
 	}

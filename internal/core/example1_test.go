@@ -35,7 +35,7 @@ func TestExample1DAGSharesBC(t *testing.T) {
 	found := false
 	for _, id := range sh {
 		g := opt.Memo.Group(id)
-		if len(g.Consumers) >= 2 && !g.Leaf {
+		if g.Consumers.Len() >= 2 && !g.Leaf {
 			found = true
 		}
 	}

@@ -55,11 +55,11 @@ func Build(cat *catalog.Catalog, model cost.Model, batch *logical.Batch, opts ..
 		return m, nil
 	}
 	m := New(cat, model)
-	for qi, q := range batch.Queries {
+	for _, q := range batch.Queries {
 		if err := q.Validate(cat); err != nil {
 			return nil, err
 		}
-		root, err := m.buildBlock(q.Root, "q"+strconv.Itoa(qi))
+		root, err := m.buildBlock(q.Root)
 		if err != nil {
 			return nil, fmt.Errorf("query %q: %w", q.Name, err)
 		}
@@ -112,13 +112,16 @@ func (r *resolver) col(c expr.Col) (expr.Col, error) {
 	return expr.Col{}, fmt.Errorf("derived source %q does not expose column %q", c.Alias, c.Column)
 }
 
-// buildBlock expands one block and returns its root group. It checks the
-// source bound itself: the 1<<n table below must never depend on a caller
-// having validated the query.
-func (m *Memo) buildBlock(b *logical.Block, ctx string) (GroupID, error) {
+// buildBlock expands one block and returns its root group. Each call is one
+// consumption context: the groups it reaches are consumed under a context
+// id of its own. It checks the source bound itself: the 1<<n table below
+// must never depend on a caller having validated the query.
+func (m *Memo) buildBlock(b *logical.Block) (GroupID, error) {
 	if err := b.CheckSources(); err != nil {
 		return 0, fmt.Errorf("memo: %w", err)
 	}
+	m.contexts++
+	ctx := m.contexts
 	n := len(b.Sources)
 	leafGID := make([]GroupID, n)
 	res := &resolver{m: m, idx: make(map[string]int, n), src: b.Sources, leaf: leafGID}
@@ -154,11 +157,11 @@ func (m *Memo) buildBlock(b *logical.Block, ctx string) (GroupID, error) {
 				g.Leaf = true
 				g.BasePred = !pred.True()
 				m.addExpr(&MExpr{Kind: OpScan, Group: g.ID, Table: src.Table, Alias: src.Alias, Pred: canonPred})
-				m.scans = append(m.scans, scanLeaf{g: g, table: t, anon: anon})
+				m.scans = append(m.scans, scanLeaf{g: g, table: t, alias: alias, anon: anon})
 			}
 			leafGID[i] = g.ID
 		} else {
-			sub, err := m.buildBlock(src.Sub, ctx+"/"+src.Alias)
+			sub, err := m.buildBlock(src.Sub)
 			if err != nil {
 				return 0, err
 			}
@@ -286,11 +289,10 @@ func (m *Memo) buildBlock(b *logical.Block, ctx string) (GroupID, error) {
 					continue
 				}
 				m.addExpr(&MExpr{
-					Kind:     OpJoin,
-					Group:    g.ID,
-					Children: []GroupID{groupOf[sub], groupOf[rest]},
-					Conds:    slices.Clone(cross),
-				})
+					Kind:  OpJoin,
+					Group: g.ID,
+					Conds: slices.Clone(cross),
+				}, groupOf[sub], groupOf[rest])
 			}
 			if len(g.Exprs) == 0 {
 				return 0, fmt.Errorf("memo: no join derivation for connected subset (internal error)")
@@ -324,7 +326,7 @@ func (m *Memo) buildBlock(b *logical.Block, ctx string) (GroupID, error) {
 		if isNew {
 			g.Props = cardinality.AggProps(m.Group(rootGID).Props, spec)
 			sp := spec
-			m.addExpr(&MExpr{Kind: OpAgg, Group: g.ID, Children: []GroupID{rootGID}, Spec: &sp})
+			m.addExpr(&MExpr{Kind: OpAgg, Group: g.ID, Spec: &sp}, rootGID)
 		}
 		m.addConsumer(g.ID, ctx)
 		rootGID = g.ID

@@ -3,6 +3,7 @@ package memo
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
@@ -25,8 +26,12 @@ func (m *Memo) WriteDOT(w io.Writer, shareable []GroupID) error {
 		if share[g.ID] {
 			attrs += ", style=filled, fillcolor=lightyellow"
 		}
-		label := fmt.Sprintf("g%d\\n%s\\nrows=%.0f uses=%d",
-			g.ID, dotEscape(shorten(g.Sig)), g.Props.Rows, len(g.Consumers))
+		uses := strconv.Itoa(g.Consumers.Len())
+		if uses == "2" {
+			uses = "2+" // the set keeps two contexts: it knows only "at least"
+		}
+		label := fmt.Sprintf("g%d\\n%s\\nrows=%.0f uses=%s",
+			g.ID, dotEscape(shorten(g.Sig)), g.Props.Rows, uses)
 		if _, err := fmt.Fprintf(w, "  g%d [%s, label=\"%s\"];\n", g.ID, attrs, label); err != nil {
 			return err
 		}

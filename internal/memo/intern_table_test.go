@@ -49,13 +49,8 @@ func equalMemos(t *testing.T, a, b *memo.Memo) {
 				t.Fatalf("group %d expr %d differs:\n  %s\n  %s", i, j, memo.ExprKey(ga.Exprs[j]), memo.ExprKey(gb.Exprs[j]))
 			}
 		}
-		if len(ga.Consumers) != len(gb.Consumers) {
-			t.Fatalf("group %d consumer count differs", i)
-		}
-		for c := range ga.Consumers {
-			if !gb.Consumers[c] {
-				t.Fatalf("group %d consumer %q missing", i, c)
-			}
+		if ga.Consumers != gb.Consumers {
+			t.Fatalf("group %d consumers %v vs %v", i, ga.Consumers, gb.Consumers)
 		}
 	}
 	if len(a.QueryRoots) != len(b.QueryRoots) {

@@ -30,7 +30,7 @@ func TestBuildBlockChecksSources(t *testing.T) {
 		a := fmt.Sprintf("a%d", i)
 		bb.Scan("t1", a).Join("a0.id", a+".id")
 	}
-	if _, err := New(testCatalog(), cost.Default()).buildBlock(bb.Build(), "q0"); err == nil {
+	if _, err := New(testCatalog(), cost.Default()).buildBlock(bb.Build()); err == nil {
 		t.Fatalf("buildBlock expanded a block of %d sources", logical.MaxBlockSources+1)
 	}
 }

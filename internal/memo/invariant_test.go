@@ -181,7 +181,7 @@ func memoDigest(m *memo.Memo) uint64 {
 		str(g.Sig)
 		num(g.Props.Width)
 		fmt.Fprintf(h, "%t%t", g.Leaf, g.BasePred)
-		num(min(len(g.Consumers), 2))
+		num(g.Consumers.Len())
 		num(len(g.Exprs))
 		for _, e := range g.Exprs {
 			num(int(e.Kind))
@@ -296,8 +296,9 @@ func TestBuildDigestPinned(t *testing.T) {
 
 // TestBuildAllocBudget bounds what one warm build of the benchmark's 32 q
 // batch allocates (46,920 objects when every operator was rendered into a
-// dedup key and every leaf pair re-fingerprinted; 12,2xx since, validation
-// included).
+// dedup key and every leaf pair re-fingerprinted; 12,2xx after, validation
+// included; 9,6xx since consumer sets hold two context ids and an operator
+// holds its children).
 func TestBuildAllocBudget(t *testing.T) {
 	batch := workload.MustGenerate(workload.DefaultSpec(32, 0.25))
 	cat := tpcd.Catalog(1)
@@ -311,5 +312,37 @@ func TestBuildAllocBudget(t *testing.T) {
 	const budget = 16000
 	if got := testing.AllocsPerRun(5, build); got > budget {
 		t.Errorf("memo.Build allocates %.0f objects on DefaultSpec(32, 0.25), budget %d", got, budget)
+	}
+}
+
+// TestBuildBytesPerOperator bounds what memo.Build allocates on the
+// 256-query batch, per operator node of the DAG it returns: the groups and
+// operators themselves, their predicates, join conditions and properties,
+// and the construction tables. The bound is tight — one byte per pair of
+// groups, a table sized by groups², does not fit under it — so per-group
+// state that grows with the batch (a consumer set of every context that
+// reaches the group) shows here as well.
+func TestBuildBytesPerOperator(t *testing.T) {
+	batch := workload.MustGenerate(workload.DefaultSpec(256, 0.25))
+	cat := tpcd.Catalog(1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := memo.Build(cat, cost.Default(), batch)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	ops := uint64(m.NumExprs())
+	pairs := uint64(m.NumGroups()) * uint64(m.NumGroups())
+	t.Logf("%d groups (%d pairs), %d operators: Build allocated %d B (%.0f B/operator)",
+		m.NumGroups(), pairs, ops, got, float64(got)/float64(ops))
+	const perOp = 475
+	limit := perOp * ops
+	if got > limit {
+		t.Fatalf("Build allocated %d B for %d operators, want ≤ %d (%d B an operator)", got, ops, limit, perOp)
+	}
+	if got+pairs <= limit {
+		t.Fatalf("the bound is loose: %d B and one byte per pair of groups (%d) still fit under %d", got, pairs, limit)
 	}
 }

@@ -15,13 +15,14 @@
 //
 // Build records each fact once, where it is first known, and keeps no
 // mechanism to find it again. Creating a base-relation leaf notes three
-// things (scanLeaf): the group, its catalog table, and its selection with
-// the alias anonymized — the predicate the leaf's signature is rendered
-// from, and the one select subsumption compares across the leaves of a
-// table. Every column is noted as used at the moment it is canonicalized
-// (resolver.col, a leaf's scan predicate, a subsumption filter), which is
-// all that width projection needs. A group's operators are reachable from
-// the group only: there are no parent links.
+// things (scanLeaf): the group with its canonical alias, its catalog
+// table, and its selection with the alias anonymized — the predicate the
+// leaf's signature is rendered from, and the one select subsumption
+// compares across the leaves of a table. Every column is noted as used at
+// the moment it is canonicalized (resolver.col, a leaf's scan predicate, a
+// subsumption filter), which is all that width projection needs. A
+// group's operators are reachable from the group only: there are no parent
+// links.
 //
 // No table of operators backs the construction, because it cannot produce
 // a duplicate: a scan or an aggregate is added only together with the
@@ -99,7 +100,8 @@ func (k OpKind) String() string {
 type MExpr struct {
 	Kind     OpKind
 	Group    GroupID   // owning group
-	Children []GroupID // input groups
+	Children []GroupID // input groups: a window of kids
+	kids     [2]GroupID
 
 	// OpScan fields.
 	Table string
@@ -130,7 +132,45 @@ type Group struct {
 
 	// Consumers is the set of distinct consumption contexts (query/block
 	// instances) that can use this group; ≥ 2 makes the group shareable.
-	Consumers map[string]bool
+	Consumers ConsumerSet
+}
+
+// ConsumerSet is a set of consumption contexts that keeps at most two of
+// them. A context is one buildBlock call (a query's root block, or a
+// derived table inside one), named by a positive id. Only "≥ 2 distinct"
+// is ever asked of the set, and a two-slot set answers that exactly under
+// insert and under union: it holds every member while there are fewer than
+// two, and two distinct ones after.
+type ConsumerSet [2]int32
+
+// Len returns the number of distinct contexts, counting two or more as 2.
+func (c ConsumerSet) Len() int {
+	n := 0
+	for _, id := range c {
+		if id != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// add inserts a context id (> 0).
+func (c *ConsumerSet) add(id int32) {
+	switch {
+	case c[0] == 0:
+		c[0] = id
+	case c[0] != id && c[1] == 0:
+		c[1] = id
+	}
+}
+
+// union inserts every member of o.
+func (c *ConsumerSet) union(o ConsumerSet) {
+	for _, id := range o {
+		if id != 0 {
+			c.add(id)
+		}
+	}
 }
 
 // joins reports whether the group already derives itself as the join of
@@ -148,6 +188,10 @@ func (g *Group) joins(l, r GroupID) bool {
 type scanLeaf struct {
 	g     *Group
 	table *catalog.Table
+	// alias is the group's canonical alias (CanonAlias): the qualifier of
+	// the leaf's output columns, which subsumption filters read and width
+	// projection looks up.
+	alias string
 	// anon is the pushed-down selection under the anonymous alias "$", so
 	// the selections of two leaves of one table compare directly.
 	anon expr.Pred
@@ -164,12 +208,14 @@ type Memo struct {
 	groups   []*Group
 	numExprs int
 	// Construction state, released when Build returns: the signature
-	// table, the base-relation leaves in creation order, and every
-	// canonical column some operator references (leaf scans project to
-	// these, projectWidths).
-	bySig map[string]GroupID
-	scans []scanLeaf
-	used  map[expr.Col]struct{}
+	// table, the base-relation leaves in creation order, every canonical
+	// column some operator references (leaf scans project to these,
+	// projectWidths), and the number of consumption contexts opened so far
+	// (the last one's id).
+	bySig    map[string]GroupID
+	scans    []scanLeaf
+	used     map[expr.Col]struct{}
+	contexts int32
 
 	// compiled is what a user of the finished DAG derived from it once, for
 	// every later user to share (Compiled).
@@ -221,19 +267,18 @@ func (m *Memo) internGroup(sig string) (*Group, bool) {
 	if id, ok := m.bySig[sig]; ok {
 		return m.groups[id], false
 	}
-	g := &Group{
-		ID:        GroupID(len(m.groups)),
-		Sig:       sig,
-		Consumers: map[string]bool{},
-	}
+	g := &Group{ID: GroupID(len(m.groups)), Sig: sig}
 	m.groups = append(m.groups, g)
 	m.bySig[sig] = g.ID
 	return g, true
 }
 
-// addExpr appends an operator node to its group. Callers add each
-// operator once (see the package comment).
-func (m *Memo) addExpr(e *MExpr) {
+// addExpr appends an operator node over the given input groups (at most
+// two) to its group; the node holds them itself, so it is one allocation.
+// Callers add each operator once (see the package comment).
+func (m *Memo) addExpr(e *MExpr, children ...GroupID) {
+	n := copy(e.kids[:], children)
+	e.Children = e.kids[:n:n]
 	g := m.groups[e.Group]
 	g.Exprs = append(g.Exprs, e)
 	m.numExprs++
@@ -243,8 +288,8 @@ func (m *Memo) addExpr(e *MExpr) {
 func (m *Memo) noteUsed(c expr.Col) { m.used[c] = struct{}{} }
 
 // addConsumer records that the given context can consume the group.
-func (m *Memo) addConsumer(id GroupID, ctx string) {
-	m.groups[id].Consumers[ctx] = true
+func (m *Memo) addConsumer(id GroupID, ctx int32) {
+	m.groups[id].Consumers.add(ctx)
 }
 
 // sortedIDs renders a list of group ids canonically.

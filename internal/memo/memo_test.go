@@ -1,6 +1,7 @@
 package memo
 
 import (
+	"math/rand/v2"
 	"strings"
 	"testing"
 
@@ -61,7 +62,7 @@ func TestLeafUnificationAcrossQueries(t *testing.T) {
 	if len(sel) != 1 {
 		t.Fatalf("expected one unified σ(t1) group, got %d", len(sel))
 	}
-	if len(sel[0].Consumers) != 2 {
+	if sel[0].Consumers.Len() != 2 {
 		t.Errorf("σ(t1) consumers = %v, want both queries", sel[0].Consumers)
 	}
 }
@@ -75,7 +76,7 @@ func TestJoinSubsetUnification(t *testing.T) {
 	m := build(t, q1, q2)
 	shared := 0
 	for _, g := range m.Groups() {
-		if !g.Leaf && len(g.Consumers) >= 2 && strings.HasPrefix(g.Sig, "join|") {
+		if !g.Leaf && g.Consumers.Len() >= 2 && strings.HasPrefix(g.Sig, "join|") {
 			shared++
 		}
 	}
@@ -111,8 +112,8 @@ func TestIdenticalQueriesShareRoot(t *testing.T) {
 			m.QueryRoots[0], m.QueryRoots[1])
 	}
 	root := m.Group(m.QueryRoots[0])
-	if len(root.Consumers) != 2 {
-		t.Errorf("shared root consumers = %d", len(root.Consumers))
+	if root.Consumers.Len() != 2 {
+		t.Errorf("shared root consumers = %d", root.Consumers.Len())
 	}
 	sh := m.Shareable()
 	found := false
@@ -242,7 +243,7 @@ func TestSelectSubsumptionEdge(t *testing.T) {
 	}
 	// The looser group inherits the stricter group's consumers and is
 	// therefore shareable.
-	if len(looser.Consumers) < 2 {
+	if looser.Consumers.Len() < 2 {
 		t.Errorf("looser consumers = %v", looser.Consumers)
 	}
 }
@@ -404,5 +405,39 @@ func TestShareIndexSetOps(t *testing.T) {
 	}
 	if si.Set(mat, GroupID(99999)) {
 		t.Error("Set of non-shareable should report false")
+	}
+}
+
+// A ConsumerSet answers "≥ 2 distinct contexts" exactly as the full set
+// would, under any sequence of inserts and unions: random walks over a few
+// sets, held against maps of every member.
+func TestConsumerSetExact(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for walk := 0; walk < 2000; walk++ {
+		var capped [4]ConsumerSet
+		var full [4]map[int32]bool
+		for i := range full {
+			full[i] = map[int32]bool{}
+		}
+		for step := 0; step < 12; step++ {
+			i := rng.IntN(len(capped))
+			if rng.IntN(2) == 0 {
+				id := 1 + rng.Int32N(4)
+				capped[i].add(id)
+				full[i][id] = true
+			} else {
+				j := rng.IntN(len(capped))
+				capped[i].union(capped[j])
+				for id := range full[j] {
+					full[i][id] = true
+				}
+			}
+			for k := range capped {
+				if got, want := capped[k].Len(), min(len(full[k]), 2); got != want {
+					t.Fatalf("walk %d step %d: set %d holds %v, Len %d, want %d (members %v)",
+						walk, step, k, capped[k], got, want, full[k])
+				}
+			}
+		}
 	}
 }

@@ -12,7 +12,7 @@ import "math/bits"
 func (m *Memo) Shareable() []GroupID {
 	var out []GroupID
 	for _, g := range m.groups {
-		if len(g.Consumers) < 2 {
+		if g.Consumers.Len() < 2 {
 			continue
 		}
 		if g.Leaf && !g.BasePred {

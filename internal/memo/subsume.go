@@ -1,6 +1,7 @@
 package memo
 
 import (
+	"repro/internal/catalog"
 	"repro/internal/expr"
 )
 
@@ -10,15 +11,24 @@ import (
 // filtering the looser result. This creates the sharing opportunities the
 // paper's batched experiments rely on (the same query repeated with
 // different selection constants).
+//
+// Only leaves of one table can subsume each other, so each leaf is tested
+// against its table's bucket alone. The pairs are still visited stricter
+// leaf by stricter leaf, each against the looser ones in creation order, so
+// every group's operators come in the order a test of all pairs adds them.
 func (m *Memo) subsumeSelections() {
+	byTable := map[*catalog.Table][]*scanLeaf{}
+	for i := range m.scans {
+		s := &m.scans[i]
+		byTable[s.table] = append(byTable[s.table], s)
+	}
 	for i := range m.scans {
 		a := &m.scans[i] // candidate stricter leaf
 		if a.anon.True() {
 			continue
 		}
-		for j := range m.scans {
-			b := &m.scans[j] // candidate looser leaf
-			if i == j || a.table != b.table {
+		for _, b := range byTable[a.table] { // candidate looser leaf
+			if b == a {
 				continue
 			}
 			// Strictly stricter: mutual implication (which includes distinct
@@ -28,19 +38,12 @@ func (m *Memo) subsumeSelections() {
 			}
 			// a = filter(b, pa) — re-apply the stricter predicate to
 			// b's output, whose columns carry b's canonical alias.
-			filterPred := rewriteAlias(a.anon, "$", CanonAlias(b.g.ID))
+			filterPred := rewriteAlias(a.anon, "$", b.alias)
 			for _, c := range filterPred.Conj {
 				m.noteUsed(c.Col)
 			}
-			m.addExpr(&MExpr{
-				Kind:     OpFilter,
-				Group:    a.g.ID,
-				Children: []GroupID{b.g.ID},
-				Pred:     filterPred,
-			})
-			for ctx := range a.g.Consumers {
-				m.addConsumer(b.g.ID, ctx)
-			}
+			m.addExpr(&MExpr{Kind: OpFilter, Group: a.g.ID, Pred: filterPred}, b.g.ID)
+			b.g.Consumers.union(a.g.Consumers)
 		}
 	}
 }
@@ -74,15 +77,8 @@ func (m *Memo) subsumeAggregates() {
 					continue
 				}
 				sp := coarse.spec
-				m.addExpr(&MExpr{
-					Kind:     OpReAgg,
-					Group:    coarse.g.ID,
-					Children: []GroupID{fine.g.ID},
-					Spec:     &sp,
-				})
-				for ctx := range coarse.g.Consumers {
-					m.addConsumer(fine.g.ID, ctx)
-				}
+				m.addExpr(&MExpr{Kind: OpReAgg, Group: coarse.g.ID, Spec: &sp}, fine.g.ID)
+				fine.g.Consumers.union(coarse.g.Consumers)
 			}
 		}
 	}

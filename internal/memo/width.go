@@ -18,10 +18,9 @@ func (m *Memo) projectWidths() {
 	// one 8-byte column so row counts still occupy space). A derived leaf
 	// (nested block root) is not a scan and is handled below.
 	for _, l := range m.scans {
-		alias := CanonAlias(l.g.ID)
 		w := 0
 		for _, c := range l.table.Columns {
-			if _, ok := m.used[expr.Col{Alias: alias, Column: c.Name}]; ok {
+			if _, ok := m.used[expr.Col{Alias: l.alias, Column: c.Name}]; ok {
 				w += c.Width
 			}
 		}

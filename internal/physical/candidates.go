@@ -1,6 +1,7 @@
 package physical
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/cardinality"
@@ -62,18 +63,34 @@ type childReq struct {
 	cell int32
 }
 
-// buildTemplates compiles the candidate templates of one group, in the
-// exact order candidate generation enumerates implementations: per
+// maxTemplates bounds how many templates an operator node compiles to: one
+// full scan plus at most one indexed selection per conjunct, one filter,
+// six joins (two nested-loops, two hash, two merge), two aggregations.
+// prepare sizes the space's one template array by it.
+func maxTemplates(e *memo.MExpr) int {
+	switch e.Kind {
+	case memo.OpScan:
+		return 1 + len(e.Pred.Conj)
+	case memo.OpFilter:
+		return 1
+	case memo.OpJoin:
+		return 6
+	default:
+		return 2
+	}
+}
+
+// appendTemplates appends the candidate templates of one group to out, in
+// the exact order candidate generation enumerates implementations: per
 // operator node — scans (full scan, then one indexed selection per indexed
 // conjunct), order-preserving filters, joins (BNLJ both operand orders,
 // hash join both orders, merge join both column orders), aggregations
 // (sort-based, then hash).
-func (s *space) buildTemplates(g memo.GroupID) []tmpl {
-	var out []tmpl
+func (s *space) appendTemplates(out []tmpl, g memo.GroupID) []tmpl {
 	for _, e := range s.M.Group(g).Exprs {
 		switch e.Kind {
 		case memo.OpScan:
-			out = append(out, s.scanTemplates(g, e)...)
+			out = s.scanTemplates(out, g, e)
 		case memo.OpFilter:
 			child := e.Children[0]
 			out = append(out, tmpl{
@@ -87,19 +104,18 @@ func (s *space) buildTemplates(g memo.GroupID) []tmpl {
 				passthrough: true,
 			})
 		case memo.OpJoin:
-			out = append(out, s.joinTemplates(g, e)...)
+			out = s.joinTemplates(out, g, e)
 		case memo.OpAgg, memo.OpReAgg:
-			out = append(out, s.aggTemplates(g, e)...)
+			out = s.aggTemplates(out, g, e)
 		}
 	}
 	return out
 }
 
-func (s *space) scanTemplates(g memo.GroupID, e *memo.MExpr) []tmpl {
+func (s *space) scanTemplates(out []tmpl, g memo.GroupID, e *memo.MExpr) []tmpl {
 	m := s.M.Model
 	t, _ := s.M.Cat.Table(e.Table)
 	tableBlocks := m.Blocks(t.Rows, t.RowWidth())
-	var out []tmpl
 
 	// Full sequential scan (+ filter). A clustered table is stored in
 	// clustered-key order, so the scan delivers that order.
@@ -139,10 +155,9 @@ func (s *space) scanTemplates(g memo.GroupID, e *memo.MExpr) []tmpl {
 	return out
 }
 
-func (s *space) joinTemplates(g memo.GroupID, e *memo.MExpr) []tmpl {
+func (s *space) joinTemplates(out []tmpl, g memo.GroupID, e *memo.MExpr) []tmpl {
 	m := s.M.Model
 	outBlocks := s.blocksArr[g]
-	var out []tmpl
 	a, b := e.Children[0], e.Children[1]
 	aBlocks, bBlocks := s.blocksArr[a], s.blocksArr[b]
 
@@ -217,11 +232,13 @@ func (s *space) joinTemplates(g memo.GroupID, e *memo.MExpr) []tmpl {
 }
 
 // mergeOrders splits the join conditions into the column sequences each
-// child must be sorted on, in a deterministic condition order.
+// child must be sorted on, in a deterministic condition order: by the
+// rendering of a's column, the first condition on a column kept.
 func (s *space) mergeOrders(a memo.GroupID, conds []expr.EqJoin) (Order, Order, bool) {
 	ap := s.M.Group(a).Props
 	type pair struct{ ca, cb expr.Col }
-	pairs := make([]pair, 0, len(conds))
+	var buf [4]pair
+	pairs := buf[:0]
 	for _, j := range conds {
 		if _, inA := ap.Cols[j.Left]; inA {
 			pairs = append(pairs, pair{j.Left, j.Right})
@@ -229,21 +246,27 @@ func (s *space) mergeOrders(a memo.GroupID, conds []expr.EqJoin) (Order, Order, 
 			pairs = append(pairs, pair{j.Right, j.Left})
 		}
 	}
-	sort.Slice(pairs, func(i, k int) bool { return pairs[i].ca.String() < pairs[k].ca.String() })
-	var ordA, ordB Order
-	seenA := map[expr.Col]bool{}
+	slices.SortFunc(pairs, func(x, y pair) int {
+		switch {
+		case renderedLess(x.ca, y.ca):
+			return -1
+		case renderedLess(y.ca, x.ca):
+			return 1
+		}
+		return 0
+	})
+	ordA, ordB := make(Order, 0, len(pairs)), make(Order, 0, len(pairs))
 	for _, p := range pairs {
-		if seenA[p.ca] {
+		if slices.Contains(ordA, p.ca) {
 			continue
 		}
-		seenA[p.ca] = true
 		ordA = append(ordA, p.ca)
 		ordB = append(ordB, p.cb)
 	}
 	return ordA, ordB, len(ordA) > 0
 }
 
-func (s *space) aggTemplates(g memo.GroupID, e *memo.MExpr) []tmpl {
+func (s *space) aggTemplates(out []tmpl, g memo.GroupID, e *memo.MExpr) []tmpl {
 	m := s.M.Model
 	child := e.Children[0]
 	childBlocks := s.blocksArr[child]
@@ -255,19 +278,19 @@ func (s *space) aggTemplates(g memo.GroupID, e *memo.MExpr) []tmpl {
 	if len(spec.GroupBy) == 0 {
 		// Scalar aggregation over any input order.
 		local := m.AggCost(childBlocks)
-		return []tmpl{{
+		return append(out, tmpl{
 			op: op, e: e, local: local, localSpill: local, matGate: -1,
 			child: [2]childReq{{g: child}}, nchild: 1,
-		}}
+		})
 	}
 	gb := append(Order(nil), spec.GroupBy...)
-	sort.Slice(gb, func(i, j int) bool { return gb[i].String() < gb[j].String() })
+	sort.Slice(gb, func(i, j int) bool { return renderedLess(gb[i], gb[j]) })
 	gid := s.intern(gb)
 	local := m.AggCost(childBlocks)
-	out := []tmpl{{
+	out = append(out, tmpl{
 		op: op, e: e, local: local, localSpill: local, matGate: -1,
 		out: gid, child: [2]childReq{{g: child, ord: gid}}, nchild: 1,
-	}}
+	})
 	// Hash aggregation (extended operator set only): unsorted input,
 	// unordered output.
 	if e.Kind == memo.OpAgg {
@@ -278,4 +301,27 @@ func (s *space) aggTemplates(g memo.GroupID, e *memo.MExpr) []tmpl {
 		})
 	}
 	return out
+}
+
+// renderedLess reports whether a.String() < b.String() — the order the
+// compiled orders' columns are sorted in — without rendering either
+// "alias.column". Up to the shorter alias the renderings are the aliases;
+// after an equal alias both read '.' and then the column.
+func renderedLess(a, b expr.Col) bool {
+	if a.Alias == b.Alias {
+		return a.Column < b.Column
+	}
+	n := min(len(a.Alias), len(b.Alias))
+	if a.Alias[:n] != b.Alias[:n] {
+		return a.Alias < b.Alias
+	}
+	// One alias is a proper prefix of the other: the shorter one's '.'
+	// meets the longer one's next byte.
+	if len(a.Alias) < len(b.Alias) && b.Alias[n] != '.' {
+		return '.' < b.Alias[n]
+	}
+	if len(b.Alias) < len(a.Alias) && a.Alias[n] != '.' {
+		return a.Alias[n] < '.'
+	}
+	return a.String() < b.String()
 }

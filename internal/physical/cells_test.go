@@ -219,11 +219,25 @@ func TestCompileBytesPerTemplate(t *testing.T) {
 	slots := m.NumGroups() * sp.numOrds
 	t.Logf("%d groups × %d orders = %d slots, %d templates, %d cells: compile allocated %d B (%.0f B/template)",
 		m.NumGroups(), sp.numOrds, slots, tmpls, sp.cells.len(), got, float64(got)/float64(tmpls))
-	limit := uint64(500 * tmpls)
+	const perTmpl = 200
+	limit := uint64(perTmpl * tmpls)
 	if got > limit {
-		t.Fatalf("compile allocated %d B for %d templates, want ≤ %d (500 B a template)", got, tmpls, limit)
+		t.Fatalf("compile allocated %d B for %d templates, want ≤ %d (%d B a template)", got, tmpls, limit, perTmpl)
 	}
 	if got+uint64(slots) <= limit {
 		t.Fatalf("the bound is loose: %d B and one byte per slot (%d) still fit under %d", got, slots, limit)
+	}
+}
+
+// sat, filled by looking up each order's prefixes, is Satisfies over every
+// pair of registered orders.
+func TestSatIsSatisfies(t *testing.T) {
+	sp := compile(memo256())
+	for have := range sp.orders {
+		for want := range sp.orders {
+			if got, exp := sp.sat[have][want], sp.orders[have].Satisfies(sp.orders[want]); got != exp {
+				t.Fatalf("sat[%v][%v] = %t, Satisfies says %t", sp.orders[have], sp.orders[want], got, exp)
+			}
+		}
 	}
 }

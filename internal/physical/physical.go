@@ -304,7 +304,6 @@ import (
 	"math/bits"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -318,15 +317,17 @@ import (
 type Order []expr.Col
 
 // Key renders the order canonically for map keys.
-func (o Order) Key() string {
-	if len(o) == 0 {
-		return ""
-	}
-	parts := make([]string, len(o))
+func (o Order) Key() string { return string(o.appendKey(nil)) }
+
+// appendKey appends Key's rendering to b.
+func (o Order) appendKey(b []byte) []byte {
 	for i, c := range o {
-		parts[i] = c.String()
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(append(append(b, c.Alias...), '.'), c.Column...)
 	}
-	return strings.Join(parts, ",")
+	return b
 }
 
 // Satisfies reports whether a stream sorted by o satisfies requirement
@@ -453,6 +454,7 @@ type space struct {
 	structSum uint64 // structural fingerprint of the compiled search space
 
 	ordIdx map[string]ordID // construction only
+	keyBuf []byte           // construction only: an order key being rendered
 }
 
 // Searcher owns the per-run search state — flags, workers, counters — over
@@ -593,19 +595,23 @@ func (s *space) prepare() {
 	for i := 0; i < n; i++ {
 		s.fillDepth(memo.GroupID(i))
 	}
+	// Every group's templates are a capped window of one array, sized by
+	// an upper bound over the operators, so no append below grows it.
+	bound := 0
+	for _, g := range s.M.Groups() {
+		for _, e := range g.Exprs {
+			bound += maxTemplates(e)
+		}
+	}
+	all := make([]tmpl, 0, bound)
 	s.tmpls = make([][]tmpl, n)
 	for i := 0; i < n; i++ {
-		s.tmpls[i] = s.buildTemplates(memo.GroupID(i))
+		lo := len(all)
+		all = s.appendTemplates(all, memo.GroupID(i))
+		s.tmpls[i] = all[lo:len(all):len(all)]
 	}
 	s.numOrds = len(s.orders)
-	s.sat = make([][]bool, s.numOrds)
-	for i := range s.sat {
-		row := make([]bool, s.numOrds)
-		for j := range row {
-			row[j] = s.orders[i].Satisfies(s.orders[j])
-		}
-		s.sat[i] = row
-	}
+	s.fillSat()
 	s.fillCells()
 	s.isRoot = make([]bool, n)
 	for _, r := range s.M.QueryRoots {
@@ -614,7 +620,7 @@ func (s *space) prepare() {
 	s.fillRootMasks()
 	s.fillAbove()
 	s.structSum = s.structHash()
-	s.ordIdx = nil // registry is sealed
+	s.ordIdx, s.keyBuf = nil, nil // registry is sealed
 	if cellCheck {
 		if err := s.premise(); err != nil {
 			panic(err)
@@ -721,15 +727,41 @@ func (s *Searcher) SharesQueryRoot(a, b memo.GroupID) bool {
 	return false
 }
 
-// intern registers an order and returns its id; construction-time only.
+// fillSat fills sat, one backing array of orders² entries. An order
+// satisfies exactly its prefixes, the empty one included, and a prefix's
+// key is a prefix of the order's key that ends before a ',' — so a row is
+// tested only at the registered orders those key prefixes name, not
+// against every order.
+func (s *space) fillSat() {
+	n := s.numOrds
+	cells := make([]bool, n*n)
+	s.sat = make([][]bool, n)
+	for have := range s.sat {
+		row := cells[have*n : (have+1)*n : (have+1)*n]
+		s.sat[have] = row
+		row[0] = true
+		key := s.orders[have].appendKey(s.keyBuf[:0])
+		for i := 0; i <= len(key); i++ {
+			if i == len(key) || key[i] == ',' {
+				if want, ok := s.ordIdx[string(key[:i])]; ok {
+					row[want] = s.orders[have].Satisfies(s.orders[want])
+				}
+			}
+		}
+		s.keyBuf = key
+	}
+}
+
+// intern registers an order and returns its id; construction-time only. The
+// key is rendered into a reused buffer, so only a new order allocates one.
 func (s *space) intern(o Order) ordID {
-	k := o.Key()
-	if id, ok := s.ordIdx[k]; ok {
+	s.keyBuf = o.appendKey(s.keyBuf[:0])
+	if id, ok := s.ordIdx[string(s.keyBuf)]; ok {
 		return id
 	}
 	id := ordID(len(s.orders))
 	s.orders = append(s.orders, o)
-	s.ordIdx[k] = id
+	s.ordIdx[string(s.keyBuf)] = id
 	return id
 }
 

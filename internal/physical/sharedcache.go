@@ -490,13 +490,29 @@ type fnv64 uint64
 
 func newFNV64() fnv64 { return 14695981039346656037 }
 
+// fnvPrime is the 64-bit FNV prime, and fnvPrimePow[k] its k-th power.
+const fnvPrime = 1099511628211
+
+var fnvPrimePow = func() (p [9]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime
+	}
+	return p
+}()
+
+// u64 hashes v's eight bytes, low byte first. A zero byte's round is
+// x ^= 0 (the identity) then x *= P, so the rounds from v's highest nonzero
+// byte up fold into one multiply by P^k: the same hash in fewer multiplies.
 func (h *fnv64) u64(v uint64) {
 	x := uint64(*h)
-	for i := 0; i < 8; i++ {
-		x ^= (v >> uint(8*i)) & 0xff
-		x *= 1099511628211
+	k := 8 // rounds left
+	for ; v > 0xff; v >>= 8 {
+		x ^= v & 0xff
+		x *= fnvPrime
+		k--
 	}
-	*h = fnv64(x)
+	*h = fnv64((x ^ v) * fnvPrimePow[k])
 }
 
 func (h *fnv64) i(v int)     { h.u64(uint64(int64(v))) }

@@ -51,7 +51,7 @@ func TestQ2InnerOuterShareJoin(t *testing.T) {
 	shared := 0
 	for _, id := range opt.Shareable() {
 		g := opt.Memo.Group(id)
-		if !g.Leaf && len(g.Consumers) >= 2 {
+		if !g.Leaf && g.Consumers.Len() >= 2 {
 			shared++
 		}
 	}

@@ -6,8 +6,8 @@
 //
 //	mqoserver [-listen :8080] [-tenants tenants.json]
 //	          [-pool-size 4] [-sf 1] [-sfs 1,10,100] [-max-queries 1024]
-//	          [-sched-slots 0] [-sched-quantum 64] [-sched-policy drr]
-//	          [-no-preempt] [-drain-grace 2s] [-drain-timeout 30s]
+//	          [-sched-slots 0] [-sched-quantum 64] [-sched-fifo]
+//	          [-drain-grace 2s] [-drain-timeout 30s]
 //	          [-breaker-off] [-breaker-failures 3] [-breaker-cooldown 10s]
 //	          [-batch] [-batch-max 8] [-batch-delay 5ms] [-batch-queries 0]
 //	          [-warm-from snapshot.json | -warm-from http://peer:8080/]
@@ -20,12 +20,11 @@
 // for the batching contract.
 //
 // -sched-slots gives all tenants a shared worker-slot pool scheduled by
-// -sched-policy: "drr" (deficit-round-robin weighted-fair dispatch with
-// earliest-deadline-first cut-ahead and — unless -no-preempt — deadline-
-// aware preemption of checkpointable runs at round boundaries) or "fifo"
-// (global arrival order). Tenants with a call_quota refill continuously
-// at refill_per_sec tokens per second up to quota_burst (default: the
-// quota itself); POST /v1/tenants/{name}/reset refills a bucket manually.
+// deficit-round-robin weighted-fair dispatch with earliest-deadline-first
+// cut-ahead and deadline-aware pauses of running requests at their stop
+// checks, or, with -sched-fifo, in global arrival order. Tenants with a
+// call_quota refill continuously at refill_per_sec tokens per second up
+// to the quota; POST /v1/tenants/{name}/reset refills a bucket manually.
 //
 // Tenants are configured in one place, the -tenants file: a JSON object
 // mapping tenant name to its limits (server.TenantConfig). The "*" entry
@@ -36,7 +35,7 @@
 //	{"*":     {"max_concurrent": 2, "queue_depth": 8},
 //	 "acme":  {"max_concurrent": 8, "queue_wait_ms": 2000, "time_budget_ms": 1000,
 //	           "call_budget": 20000, "call_quota": 1000000, "refill_per_sec": 5000,
-//	           "quota_burst": 2000000, "weight": 4},
+//	           "weight": 4},
 //	 "guest": {"max_concurrent": 1, "call_quota": 50000, "deadline_ms": 500}}
 //
 // Each catalog (scale factor + operator set) carries a circuit breaker:
@@ -86,8 +85,7 @@ func main() {
 
 		schedSlots   = flag.Int("sched-slots", 0, "shared worker-slot pool all tenants compete for (0 = per-tenant limits only)")
 		schedQuantum = flag.Int("sched-quantum", 64, "DRR deficit quantum in query-count units, scaled by each tenant's weight")
-		schedPolicy  = flag.String("sched-policy", server.PolicyDRR, `scheduling policy: "drr" or "fifo"`)
-		noPreempt    = flag.Bool("no-preempt", false, "disable deadline-aware preemption while keeping DRR dispatch")
+		schedFIFO    = flag.Bool("sched-fifo", false, "dispatch shared slots in global arrival order instead of DRR (no weights, cut-ahead or pauses)")
 		drainGrace   = flag.Duration("drain-grace", 2*time.Second, "how long to keep answering (503) after SIGTERM so load balancers observe the drain before the listener closes")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long in-flight requests get after SIGTERM")
 
@@ -116,19 +114,15 @@ func main() {
 			MaxQueries:  *batchQueries,
 		},
 		Sched: server.SchedConfig{
-			Slots:     *schedSlots,
-			Quantum:   *schedQuantum,
-			Policy:    *schedPolicy,
-			NoPreempt: *noPreempt,
+			Slots:   *schedSlots,
+			Quantum: *schedQuantum,
+			FIFO:    *schedFIFO,
 		},
 		Breaker: server.BreakerConfig{
 			Disabled:   *breakerOff,
 			Threshold:  *breakerFailures,
 			CooldownMS: breakerCooldown.Milliseconds(),
 		},
-	}
-	if *schedPolicy != server.PolicyDRR && *schedPolicy != server.PolicyFIFO {
-		log.Fatalf("mqoserver: -sched-policy: %q is not %q or %q", *schedPolicy, server.PolicyDRR, server.PolicyFIFO)
 	}
 	for _, part := range strings.Split(*sfs, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
@@ -215,16 +209,12 @@ func loadSnapshot(src string) ([]byte, error) {
 	return os.ReadFile(src)
 }
 
-// defaultTenant is the -tenants entry for every tenant the table does not name.
-const defaultTenant = "*"
-
-// loadTenants maps the -tenants file onto cfg's tenant fields. The file
-// is decoded strictly — unknown fields and trailing data are config
-// typos, not extensions — and every entry, "*" included, must pass
-// TenantConfig.Validate. The "*" entry becomes cfg.DefaultTenant and is
-// not a declared tenant; a table without it sets cfg.StrictTenants, so it
-// admits only the tenants it names. An empty path leaves cfg as it is:
-// every tenant runs under the defaults.
+// loadTenants reads the -tenants file into cfg.Tenants, whose rule it
+// keeps ("*" covers unnamed tenants; a table without it admits only the
+// tenants it names). The file is decoded strictly — unknown fields and
+// trailing data are config typos, not extensions — and every entry, "*"
+// included, must pass TenantConfig.Validate. An empty path leaves cfg as
+// it is: every tenant runs under the defaults.
 func loadTenants(cfg *server.Config, path string) error {
 	if path == "" {
 		return nil
@@ -249,8 +239,6 @@ func loadTenants(cfg *server.Config, path string) error {
 		}
 		table[name] = tc
 	}
-	def, ok := table[defaultTenant]
-	delete(table, defaultTenant)
-	cfg.DefaultTenant, cfg.Tenants, cfg.StrictTenants = def, table, !ok
+	cfg.Tenants = table
 	return nil
 }

@@ -38,8 +38,7 @@ func admits(t *testing.T, cfg server.Config, tenant string) bool {
 }
 
 // TestLoadTenantsDefaultEntry: the "*" entry configures every tenant the
-// table does not name, is not itself a declared tenant, and keeps the
-// table open to unnamed tenants.
+// table does not name and keeps the table open to unnamed tenants.
 func TestLoadTenantsDefaultEntry(t *testing.T) {
 	path := writeTable(t, `{
 		"*":    {"max_concurrent": 2, "queue_depth": 8, "weight": 2},
@@ -49,15 +48,12 @@ func TestLoadTenantsDefaultEntry(t *testing.T) {
 	if err := loadTenants(&cfg, path); err != nil {
 		t.Fatal(err)
 	}
-	if want := (server.TenantConfig{MaxConcurrent: 2, QueueDepth: 8, Weight: 2}); cfg.DefaultTenant != want {
-		t.Fatalf("DefaultTenant = %+v, want %+v", cfg.DefaultTenant, want)
+	want := map[string]server.TenantConfig{
+		"*":    {MaxConcurrent: 2, QueueDepth: 8, Weight: 2},
+		"acme": {MaxConcurrent: 8, TimeBudgetMS: 1000, CallBudget: 20000},
 	}
-	want := map[string]server.TenantConfig{"acme": {MaxConcurrent: 8, TimeBudgetMS: 1000, CallBudget: 20000}}
 	if !reflect.DeepEqual(cfg.Tenants, want) {
-		t.Fatalf("Tenants = %+v, want %+v (\"*\" is not a declared tenant)", cfg.Tenants, want)
-	}
-	if cfg.StrictTenants {
-		t.Fatal(`a table with "*" is strict`)
+		t.Fatalf("Tenants = %+v, want %+v", cfg.Tenants, want)
 	}
 	if !admits(t, cfg, "guest") {
 		t.Fatal(`an unnamed tenant was refused under "*"`)
@@ -75,8 +71,8 @@ func TestLoadTenantsWithoutDefaultIsStrict(t *testing.T) {
 	if err := loadTenants(&cfg, path); err != nil {
 		t.Fatal(err)
 	}
-	if !cfg.StrictTenants || cfg.DefaultTenant != (server.TenantConfig{}) || len(cfg.Tenants) != 1 {
-		t.Fatalf(`table without "*": strict %v, default %+v, tenants %+v`, cfg.StrictTenants, cfg.DefaultTenant, cfg.Tenants)
+	if want := map[string]server.TenantConfig{"acme": {MaxConcurrent: 8}}; !reflect.DeepEqual(cfg.Tenants, want) {
+		t.Fatalf(`table without "*": tenants %+v, want %+v`, cfg.Tenants, want)
 	}
 	if !admits(t, cfg, "acme") || admits(t, cfg, "guest") {
 		t.Fatal("a strict table must admit acme and refuse guest")

@@ -20,7 +20,9 @@ type ColStats struct {
 }
 
 // Props are the estimated relational properties of one equivalence node:
-// output row count, tuple width in bytes and per-column statistics.
+// output row count, tuple width in bytes and per-column statistics. The
+// estimators here leave Width zero: it depends on which columns the whole
+// batch references, so the memo sets it once the DAG is complete.
 type Props struct {
 	Rows  float64
 	Width int
@@ -57,7 +59,7 @@ func BaseProps(t *catalog.Table, alias string) Props {
 			Max:      c.Max,
 		}
 	}
-	return Props{Rows: t.Rows, Width: t.RowWidth(), Cols: cols}
+	return Props{Rows: t.Rows, Cols: cols}
 }
 
 // Selectivity estimates the fraction of tuples of a relation with the given
@@ -72,8 +74,22 @@ func Selectivity(p Props, pred expr.Pred) float64 {
 	return clamp01(sel)
 }
 
+// ColumnSelectivity estimates the fraction of a table's tuples that
+// satisfy one comparison on its column col, from the catalog's statistics
+// for that column: Selectivity's arithmetic without building the table's
+// Props.
+func ColumnSelectivity(col catalog.Column, c expr.Cmp) float64 {
+	return clamp01(statSelectivity(ColStats{Distinct: col.Distinct, Min: col.Min, Max: col.Max}, true, c))
+}
+
 func cmpSelectivity(p Props, c expr.Cmp) float64 {
 	st, ok := p.Cols[c.Col]
+	return statSelectivity(st, ok, c)
+}
+
+// statSelectivity is one comparison's selectivity given its column's
+// statistics st, when known (ok).
+func statSelectivity(st ColStats, ok bool, c expr.Cmp) float64 {
 	switch c.Op {
 	case expr.EQ:
 		if !ok || st.Distinct <= 0 {
@@ -153,7 +169,6 @@ func JoinSubsetProps(leaves []Props, conds []expr.EqJoin) Props {
 	out := Props{Rows: 1, Cols: make(map[expr.Col]ColStats, ncols)}
 	for _, p := range leaves {
 		out.Rows *= p.Rows
-		out.Width += p.Width
 		for k, v := range p.Cols {
 			out.Cols[k] = v
 		}
@@ -187,7 +202,7 @@ func JoinSubsetProps(leaves []Props, conds []expr.EqJoin) Props {
 
 // AggProps returns the properties of an aggregation: output rows are the
 // product of group-by distinct counts capped by input rows, and output
-// columns are the group-by columns plus one 8-byte column per aggregate.
+// columns are the group-by columns plus one column per aggregate.
 func AggProps(p Props, spec expr.AggSpec) Props {
 	groups := 1.0
 	for _, c := range spec.GroupBy {
@@ -203,19 +218,16 @@ func AggProps(p Props, spec expr.AggSpec) Props {
 	}
 	groups = math.Min(math.Max(1, groups), p.Rows)
 	cols := make(map[expr.Col]ColStats, len(spec.GroupBy)+len(spec.Aggs))
-	width := 0
 	for _, c := range spec.GroupBy {
 		st := p.Cols[c]
 		st.Distinct = math.Min(math.Max(1, st.Distinct), groups)
 		cols[c] = st
-		width += 8
 	}
 	for _, a := range spec.Aggs {
 		out := AggOutputCol(spec, a)
 		cols[out] = ColStats{Distinct: groups, Min: 0, Max: math.MaxFloat64 / 4}
-		width += 8
 	}
-	return Props{Rows: groups, Width: width, Cols: cols}
+	return Props{Rows: groups, Cols: cols}
 }
 
 // AggOutputCol returns the column under which an aggregate's result is

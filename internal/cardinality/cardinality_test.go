@@ -33,8 +33,8 @@ func pred(c expr.Col, op expr.CmpOp, v float64) expr.Pred {
 
 func TestBaseProps(t *testing.T) {
 	p := BaseProps(testTable(), "a")
-	if p.Rows != 1000 || p.Width != 24 {
-		t.Errorf("rows=%v width=%v", p.Rows, p.Width)
+	if p.Rows != 1000 {
+		t.Errorf("rows=%v", p.Rows)
 	}
 	st, ok := p.Cols[col("a", "grp")]
 	if !ok || st.Distinct != 10 {
@@ -118,9 +118,6 @@ func TestJoinProps(t *testing.T) {
 	if j.Rows != 1000 {
 		t.Errorf("join rows = %v, want 1000", j.Rows)
 	}
-	if j.Width != 48 {
-		t.Errorf("join width = %v, want 48", j.Width)
-	}
 	if _, ok := j.Cols[col("b", "grp")]; !ok {
 		t.Error("join lost right-side columns")
 	}
@@ -157,9 +154,6 @@ func TestAggProps(t *testing.T) {
 	ap := AggProps(p, spec)
 	if ap.Rows != 10 {
 		t.Errorf("agg rows = %v, want 10 groups", ap.Rows)
-	}
-	if ap.Width != 16 {
-		t.Errorf("agg width = %v, want 16 (one key + one agg)", ap.Width)
 	}
 	out := AggOutputCol(spec, spec.Aggs[0])
 	if _, ok := ap.Cols[out]; !ok {
@@ -234,6 +228,23 @@ func TestColumnListSorted(t *testing.T) {
 	for i := 1; i < len(cols); i++ {
 		if !cols[i-1].Less(cols[i]) {
 			t.Fatalf("ColumnList not sorted at %d: %v", i, cols)
+		}
+	}
+}
+
+// TestColumnSelectivityMatchesProps: a comparison's selectivity read from
+// its catalog column is the one Selectivity derives from the table's
+// Props, for every column and operator.
+func TestColumnSelectivityMatchesProps(t *testing.T) {
+	tab := testTable()
+	p := BaseProps(tab, "a")
+	for _, c := range tab.Columns {
+		for _, op := range []expr.CmpOp{expr.EQ, expr.LT, expr.LE, expr.GT, expr.GE} {
+			cmp := expr.Cmp{Col: col("a", c.Name), Op: op, Val: 5}
+			got := ColumnSelectivity(c, cmp)
+			if want := Selectivity(p, expr.Pred{Conj: []expr.Cmp{cmp}}); got != want {
+				t.Errorf("%s %v 5: column selectivity %v, props selectivity %v", c.Name, op, got, want)
+			}
 		}
 	}
 }

@@ -166,8 +166,7 @@ func TestRouterParityOptimize(t *testing.T) {
 // tenant must not be able to launder its rejection through failover.
 func TestRouterRejectParity(t *testing.T) {
 	strict := newTestCluster(t, 2, server.Config{
-		Tenants:       map[string]server.TenantConfig{"known": {}},
-		StrictTenants: true,
+		Tenants: map[string]server.TenantConfig{"known": {}},
 	})
 	resp, data := post(t, strict.front.URL, specBody(t, nil), map[string]string{"X-Tenant": "stranger"})
 	if resp.StatusCode != http.StatusForbidden {
@@ -185,7 +184,7 @@ func TestRouterRejectParity(t *testing.T) {
 	}
 
 	metered := newTestCluster(t, 3, server.Config{
-		DefaultTenant: server.TenantConfig{CallQuota: 1},
+		Tenants: map[string]server.TenantConfig{"*": {CallQuota: 1}},
 	})
 	body := specBody(t, nil)
 	hdr := map[string]string{"X-Tenant": "meter"}

@@ -308,7 +308,8 @@ func RunWith(ctx context.Context, opt *volcano.Optimizer, strat Strategy, cfg Co
 
 // Resumable reports whether the strategy runs on a lazy driver
 // (submod.Resumable): stopped early it leaves a checkpoint ResumeWith
-// continues bit-identically, which is also what makes it safe to preempt.
+// continues bit-identically. Pausing a run needs no checkpoint: every
+// strategy may be paused at its stop checks.
 func (s Strategy) Resumable() bool { return submod.Resumable(s.String()) }
 
 // strategyOfAlgorithm maps a checkpoint's algorithm name back to its

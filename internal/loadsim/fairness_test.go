@@ -38,12 +38,12 @@ func interactiveLoad() TenantLoad {
 	return TenantLoad{Tenant: "slo", RatePerSec: 18, Spec: s, DeadlineMS: 1000}
 }
 
-// schedServer builds one serving target with the given policy over a
+// schedServer builds one serving target, under DRR or FIFO, over a
 // single shared worker slot — the contended regime the gate measures.
-func schedServer(policy string) *httptest.Server {
+func schedServer(fifo bool) *httptest.Server {
 	return httptest.NewServer(server.New(server.Config{
-		DefaultTenant: server.TenantConfig{MaxConcurrent: 8, QueueDepth: 64, QueueWaitMS: 60000},
-		Sched:         server.SchedConfig{Slots: 1, Policy: policy},
+		Tenants: map[string]server.TenantConfig{"*": {MaxConcurrent: 8, QueueDepth: 64, QueueWaitMS: 60000}},
+		Sched:   server.SchedConfig{Slots: 1, FIFO: fifo},
 	}).Handler())
 }
 
@@ -149,16 +149,16 @@ func TestSchedFairnessGate(t *testing.T) {
 
 	// Solo references on an idle DRR server: per-tenant unloaded latency
 	// and the bulk result every loaded response must reproduce.
-	refSrv := schedServer(server.PolicyDRR)
+	refSrv := schedServer(false)
 	bulkRef, bulkSoloMS := solo(t, refSrv.URL, bulkLoad())
 	_, sloSoloMS := solo(t, refSrv.URL, interactiveLoad())
 	refSrv.Close()
 
-	fifoSrv := schedServer(server.PolicyFIFO)
+	fifoSrv := schedServer(true)
 	fifoRep, fifoBulk := replay(t, tr, fifoSrv.URL)
 	fifoSrv.Close()
 
-	drrSrv := schedServer(server.PolicyDRR)
+	drrSrv := schedServer(false)
 	drrRep, drrBulk := replay(t, tr, drrSrv.URL)
 	drrSrv.Close()
 

@@ -133,15 +133,13 @@ func (s *space) scanTemplates(out []tmpl, g memo.GroupID, e *memo.MExpr) []tmpl 
 	})
 
 	// Indexed selection per indexed conjunct; delivers index-column order.
-	alias := memo.CanonAlias(e.Group)
-	base := cardinality.BaseProps(t, alias)
 	for _, cmp := range e.Pred.Conj {
 		ix, ok := t.IndexOn(cmp.Col.Column)
 		if !ok {
 			continue
 		}
-		sel := cardinality.Selectivity(base, expr.Pred{Conj: []expr.Cmp{cmp}})
-		rows := t.Rows * sel
+		col, _ := t.Column(cmp.Col.Column) // an index names a column of its table
+		rows := t.Rows * cardinality.ColumnSelectivity(col, cmp)
 		matchBlk := m.Blocks(rows, t.RowWidth())
 		cost := m.IndexScanCost(tableBlocks, matchBlk, rows, ix.Clustered)
 		if len(e.Pred.Conj) > 1 {

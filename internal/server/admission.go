@@ -12,8 +12,8 @@ import (
 
 // TenantConfig bounds one tenant's use of the service. The zero value
 // means "all defaults"; normalize fills them in. Durations travel as
-// milliseconds so the config is plain JSON (the mqoserver -tenants table
-// is a map of these).
+// milliseconds so the config is plain JSON (Config.Tenants, the
+// mqoserver -tenants table, is a map of these).
 type TenantConfig struct {
 	// MaxConcurrent is the number of requests the tenant may have running
 	// at once (default 4).
@@ -34,19 +34,16 @@ type TenantConfig struct {
 	CallBudget int `json:"call_budget,omitempty"`
 	// CallQuota is the tenant's oracle-call allowance (0 = unlimited).
 	// Completed requests are charged their actual Telemetry.OracleCalls
-	// against a token bucket of this size (or QuotaBurst, when set); once
-	// the bucket is empty new requests are rejected with 429 until tokens
-	// refill (RefillPerSec) or an operator resets the bucket (ResetQuota
-	// / POST /v1/tenants/{name}/reset).
+	// against a token bucket of this size; once the bucket is empty new
+	// requests are rejected with 429 until tokens refill (RefillPerSec)
+	// or an operator resets the bucket (ResetQuota /
+	// POST /v1/tenants/{name}/reset).
 	CallQuota int64 `json:"call_quota,omitempty"`
 	// RefillPerSec refills the quota bucket continuously at this many
 	// oracle-call tokens per second (0 = no refill: the quota is
 	// manual-reset-only). 429 Retry-After reflects the actual time
 	// until a token is available.
 	RefillPerSec float64 `json:"refill_per_sec,omitempty"`
-	// QuotaBurst caps the bucket (0 = CallQuota): how much unused quota a
-	// tenant may accumulate and spend in a burst.
-	QuotaBurst int64 `json:"quota_burst,omitempty"`
 	// Weight is the tenant's deficit-round-robin share of the scheduler's
 	// worker slots (default 1): with slots contended, tenants receive
 	// service in proportion to their weights.
@@ -85,8 +82,8 @@ func (c TenantConfig) normalize() TenantConfig {
 }
 
 // Validate rejects scheduler fields no normalization can repair: negative
-// weights or deadlines, and refill rates or bursts that are negative,
-// NaN, or infinite. (QueueDepth's negative form is meaningful — "no
+// weights, deadlines or quotas, and refill rates that are negative, NaN,
+// or infinite. (QueueDepth's negative form is meaningful — "no
 // queueing" — so the limit fields stay normalize-only.)
 func (c TenantConfig) Validate() error {
 	if c.Weight < 0 {
@@ -94,9 +91,6 @@ func (c TenantConfig) Validate() error {
 	}
 	if c.RefillPerSec < 0 || math.IsNaN(c.RefillPerSec) || math.IsInf(c.RefillPerSec, 0) {
 		return fmt.Errorf("tenant config: refill_per_sec %v is not a finite non-negative rate", c.RefillPerSec)
-	}
-	if c.QuotaBurst < 0 {
-		return fmt.Errorf("tenant config: negative quota_burst %d", c.QuotaBurst)
 	}
 	if c.DeadlineMS < 0 {
 		return fmt.Errorf("tenant config: negative deadline_ms %d", c.DeadlineMS)
@@ -109,22 +103,6 @@ func (c TenantConfig) Validate() error {
 
 func (c TenantConfig) queueWait() time.Duration {
 	return time.Duration(c.QueueWaitMS) * time.Millisecond
-}
-
-// weight is the normalized DRR weight.
-func (c TenantConfig) weight() int {
-	if c.Weight <= 0 {
-		return 1
-	}
-	return c.Weight
-}
-
-// bucketCap is the quota bucket's capacity in oracle-call tokens.
-func (c TenantConfig) bucketCap() float64 {
-	if c.QuotaBurst > 0 {
-		return float64(c.QuotaBurst)
-	}
-	return float64(c.CallQuota)
 }
 
 // TenantStats are one tenant's admission counters, served by /v1/stats.
@@ -168,7 +146,8 @@ var (
 	ErrQuotaExhausted = errors.New("admission: oracle-call quota exhausted")
 	// ErrCancelled: the client went away while queued.
 	ErrCancelled = errors.New("admission: cancelled while queued")
-	// ErrUnknownTenant: strict mode and the tenant is not in the table (403).
+	// ErrUnknownTenant: the tenant table has no "*" entry and does not
+	// name the tenant (403).
 	ErrUnknownTenant = errors.New("admission: unknown tenant")
 	// ErrTenantOverflow: the controller is tracking its maximum number of
 	// distinct tenants and refuses to allocate state for new names (429).
@@ -224,11 +203,16 @@ type tenant struct {
 	stats      TenantStats
 }
 
-// maxDynamicTenants bounds how many distinct tenant names a non-strict
-// controller will lazily allocate state for, so attacker-chosen tenant
-// names cannot grow the map (and the /v1/stats payload) without bound.
+// maxDynamicTenants bounds how many distinct tenant names a controller
+// whose table has a "*" entry will lazily allocate state for, so
+// attacker-chosen tenant names cannot grow the map (and the /v1/stats
+// payload) without bound.
 // Pre-declared tenants don't count against it.
 const maxDynamicTenants = 4096
+
+// anyTenant is the tenant-table key whose config covers every tenant the
+// table does not name.
+const anyTenant = "*"
 
 // Admission is the scheduling admission controller: per-tenant
 // concurrency limits and bounded wait queues, plus — when a
@@ -242,7 +226,7 @@ type Admission struct {
 	tenants  map[string]*tenant
 	declared int // tenants pre-declared at construction
 	defCfg   TenantConfig
-	strict   bool
+	strict   bool // the table has no "*" entry: unnamed tenants are refused
 	sched    SchedConfig
 
 	running  int       // grants currently holding a shared slot
@@ -269,16 +253,17 @@ type Admission struct {
 
 // NewScheduler builds a controller with a scheduling policy over a shared
 // worker-slot pool (see SchedConfig; its zero value has no shared slots,
-// so only the per-tenant limits bind). def is the config for tenants not
-// in cfgs (unless strict, in which case they are rejected); cfgs
-// pre-declares named tenants.
-func NewScheduler(def TenantConfig, cfgs map[string]TenantConfig, strict bool, sc SchedConfig) *Admission {
+// so only the per-tenant limits bind) and a tenant table: the "*" entry
+// configures every tenant the table does not name; a table without it,
+// even an empty one, admits only the tenants it names; a nil table admits
+// every tenant under TenantConfig's defaults.
+func NewScheduler(tenants map[string]TenantConfig, sc SchedConfig) *Admission {
+	def, open := tenants[anyTenant]
 	a := &Admission{
-		tenants:  make(map[string]*tenant, len(cfgs)),
-		declared: len(cfgs),
-		defCfg:   def.normalize(),
-		strict:   strict,
-		sched:    sc.normalize(),
+		tenants: make(map[string]*tenant, len(tenants)),
+		defCfg:  def.normalize(),
+		strict:  tenants != nil && !open,
+		sched:   sc.normalize(),
 		newTimer: func(d time.Duration) (<-chan time.Time, func() bool) {
 			t := time.NewTimer(d)
 			return t.C, t.Stop
@@ -286,9 +271,12 @@ func NewScheduler(def TenantConfig, cfgs map[string]TenantConfig, strict bool, s
 		rand64: splitmix64,
 		now:    time.Now,
 	}
-	for name, c := range cfgs {
-		a.tenants[name] = &tenant{name: name, cfg: c.normalize()}
+	for name, c := range tenants {
+		if name != anyTenant {
+			a.tenants[name] = &tenant{name: name, cfg: c.normalize()}
+		}
 	}
+	a.declared = len(a.tenants)
 	return a
 }
 
@@ -327,13 +315,13 @@ func (a *Admission) refillLocked(t *tenant) {
 	now := a.now()
 	if !t.bktInit {
 		t.bktInit = true
-		t.tokens = t.cfg.bucketCap()
+		t.tokens = float64(t.cfg.CallQuota)
 		t.lastRefill = now
 		return
 	}
 	if t.cfg.RefillPerSec > 0 {
 		if dt := now.Sub(t.lastRefill); dt > 0 {
-			t.tokens = math.Min(t.cfg.bucketCap(), t.tokens+t.cfg.RefillPerSec*dt.Seconds())
+			t.tokens = math.Min(float64(t.cfg.CallQuota), t.tokens+t.cfg.RefillPerSec*dt.Seconds())
 		}
 	}
 	t.lastRefill = now
@@ -478,7 +466,7 @@ func (a *Admission) ResetQuota(name string) bool {
 	}
 	t.quotaSpent = 0
 	t.bktInit = true
-	t.tokens = t.cfg.bucketCap()
+	t.tokens = float64(t.cfg.CallQuota)
 	t.lastRefill = a.now()
 	return true
 }
@@ -501,7 +489,7 @@ func (a *Admission) Stats() map[string]TenantStats {
 		s.Queued = len(t.queue)
 		s.QuotaSpent = t.quotaSpent
 		s.QuotaLimit = t.cfg.CallQuota
-		s.Weight = t.cfg.weight()
+		s.Weight = t.cfg.Weight
 		s.RefillPerSec = t.cfg.RefillPerSec
 		if t.cfg.CallQuota > 0 {
 			a.refillLocked(t)

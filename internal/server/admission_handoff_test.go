@@ -29,7 +29,7 @@ func TestAdmissionMultiReleaseHandoff(t *testing.T) {
 		slots   = 4 // M concurrent releases
 		waiters = 9 // queued behind them, > 2×slots so the drain cascades
 	)
-	a := NewScheduler(TenantConfig{MaxConcurrent: slots, QueueDepth: waiters, QueueWaitMS: 60000}, nil, false, SchedConfig{})
+	a := NewScheduler(map[string]TenantConfig{"*": {MaxConcurrent: slots, QueueDepth: waiters, QueueWaitMS: 60000}}, SchedConfig{})
 	neverFire(a)
 
 	// Fill every slot.
@@ -97,7 +97,7 @@ func TestAdmissionMultiReleaseHandoff(t *testing.T) {
 // queue, so the later release finds nobody to hand its slot to and the
 // slot simply frees.
 func TestAdmissionQueueTimeoutDeterministic(t *testing.T) {
-	a := NewScheduler(TenantConfig{MaxConcurrent: 1, QueueDepth: 4, QueueWaitMS: 60000}, nil, false, SchedConfig{})
+	a := NewScheduler(map[string]TenantConfig{"*": {MaxConcurrent: 1, QueueDepth: 4, QueueWaitMS: 60000}}, SchedConfig{})
 	var (
 		mu     sync.Mutex
 		timers []chan time.Time

@@ -13,7 +13,7 @@ import (
 // then checks the overflow request is rejected immediately with
 // ErrQueueFull while the queued one is admitted FIFO when a slot frees.
 func TestAdmissionConcurrencyAndQueueFull(t *testing.T) {
-	a := NewScheduler(TenantConfig{MaxConcurrent: 2, QueueDepth: 1, QueueWaitMS: 60000}, nil, false, SchedConfig{})
+	a := NewScheduler(map[string]TenantConfig{"*": {MaxConcurrent: 2, QueueDepth: 1, QueueWaitMS: 60000}}, SchedConfig{})
 	ctx := context.Background()
 
 	rel1, err := a.AcquireGrant(ctx, AdmitRequest{Tenant: "t"})
@@ -63,7 +63,7 @@ func TestAdmissionConcurrencyAndQueueFull(t *testing.T) {
 // TestAdmissionFIFOOrder pins that freed slots go to waiters in arrival
 // order.
 func TestAdmissionFIFOOrder(t *testing.T) {
-	a := NewScheduler(TenantConfig{MaxConcurrent: 1, QueueDepth: 4, QueueWaitMS: 60000}, nil, false, SchedConfig{})
+	a := NewScheduler(map[string]TenantConfig{"*": {MaxConcurrent: 1, QueueDepth: 4, QueueWaitMS: 60000}}, SchedConfig{})
 	ctx := context.Background()
 	rel, err := a.AcquireGrant(ctx, AdmitRequest{Tenant: "t"})
 	if err != nil {
@@ -109,7 +109,7 @@ func TestAdmissionFIFOOrder(t *testing.T) {
 // tenant's deadline is rejected with ErrQueueTimeout and removed from the
 // queue.
 func TestAdmissionQueueWaitDeadline(t *testing.T) {
-	a := NewScheduler(TenantConfig{MaxConcurrent: 1, QueueDepth: 4, QueueWaitMS: 30}, nil, false, SchedConfig{})
+	a := NewScheduler(map[string]TenantConfig{"*": {MaxConcurrent: 1, QueueDepth: 4, QueueWaitMS: 30}}, SchedConfig{})
 	ctx := context.Background()
 	rel, err := a.AcquireGrant(ctx, AdmitRequest{Tenant: "t"})
 	if err != nil {
@@ -138,7 +138,7 @@ func TestAdmissionQueueWaitDeadline(t *testing.T) {
 // TestAdmissionCancelWhileQueued: cancelling the context of a queued
 // request removes it and reports ErrCancelled.
 func TestAdmissionCancelWhileQueued(t *testing.T) {
-	a := NewScheduler(TenantConfig{MaxConcurrent: 1, QueueDepth: 4, QueueWaitMS: 60000}, nil, false, SchedConfig{})
+	a := NewScheduler(map[string]TenantConfig{"*": {MaxConcurrent: 1, QueueDepth: 4, QueueWaitMS: 60000}}, SchedConfig{})
 	rel, err := a.AcquireGrant(context.Background(), AdmitRequest{Tenant: "t"})
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +164,7 @@ func TestAdmissionCancelWhileQueued(t *testing.T) {
 // TestAdmissionQuota: once completed requests have spent the tenant's
 // cumulative oracle-call quota, new requests are rejected until ResetQuota.
 func TestAdmissionQuota(t *testing.T) {
-	a := NewScheduler(TenantConfig{MaxConcurrent: 4, CallQuota: 100}, nil, false, SchedConfig{})
+	a := NewScheduler(map[string]TenantConfig{"*": {MaxConcurrent: 4, CallQuota: 100}}, SchedConfig{})
 	ctx := context.Background()
 	rel, err := a.AcquireGrant(ctx, AdmitRequest{Tenant: "t"})
 	if err != nil {
@@ -196,7 +196,7 @@ func TestAdmissionQuota(t *testing.T) {
 // rejected immediately with the quota reason instead of burning their
 // wait deadline on a slot that could no longer help them.
 func TestAdmissionQuotaCutsQueue(t *testing.T) {
-	a := NewScheduler(TenantConfig{MaxConcurrent: 1, QueueDepth: 4, QueueWaitMS: 60000, CallQuota: 10}, nil, false, SchedConfig{})
+	a := NewScheduler(map[string]TenantConfig{"*": {MaxConcurrent: 1, QueueDepth: 4, QueueWaitMS: 60000, CallQuota: 10}}, SchedConfig{})
 	ctx := context.Background()
 	rel, err := a.AcquireGrant(ctx, AdmitRequest{Tenant: "t"})
 	if err != nil {
@@ -222,11 +222,11 @@ func TestAdmissionQuotaCutsQueue(t *testing.T) {
 	}
 }
 
-// TestAdmissionDynamicTenantCap: a non-strict controller refuses to
+// TestAdmissionDynamicTenantCap: a controller whose table has a "*" entry refuses to
 // allocate state beyond maxDynamicTenants lazily-created names, so
 // request-invented tenant names cannot grow it without bound.
 func TestAdmissionDynamicTenantCap(t *testing.T) {
-	a := NewScheduler(TenantConfig{}, map[string]TenantConfig{"declared": {}}, false, SchedConfig{})
+	a := NewScheduler(map[string]TenantConfig{"*": {}, "declared": {}}, SchedConfig{})
 	a.mu.Lock()
 	for i := 0; i < maxDynamicTenants; i++ {
 		name := fmt.Sprintf("dyn-%d", i)
@@ -246,18 +246,53 @@ func TestAdmissionDynamicTenantCap(t *testing.T) {
 	}
 }
 
-// TestAdmissionStrictTenants: strict mode rejects tenants missing from the
-// table and still serves the declared ones.
-func TestAdmissionStrictTenants(t *testing.T) {
-	a := NewScheduler(TenantConfig{}, map[string]TenantConfig{"known": {}}, true, SchedConfig{})
-	if _, err := a.AcquireGrant(context.Background(), AdmitRequest{Tenant: "stranger"}); !errors.Is(err, ErrUnknownTenant) {
-		t.Fatalf("stranger acquire = %v, want ErrUnknownTenant", err)
+// TestAdmissionTenantTable pins the tenant table's rule: a nil table
+// admits every tenant under the defaults; a "*" entry configures every
+// tenant the table does not name and is not itself a declared tenant; a
+// table without "*", even an empty one, admits only the tenants it names
+// and still serves them.
+func TestAdmissionTenantTable(t *testing.T) {
+	admits := func(a *Admission, name string) bool {
+		t.Helper()
+		g, err := a.AcquireGrant(context.Background(), AdmitRequest{Tenant: name})
+		if errors.Is(err, ErrUnknownTenant) {
+			return false
+		}
+		if err != nil {
+			t.Fatalf("tenant %q: %v", name, err)
+		}
+		g.Release(0)
+		return true
 	}
-	rel, err := a.AcquireGrant(context.Background(), AdmitRequest{Tenant: "known"})
-	if err != nil {
-		t.Fatalf("known tenant rejected: %v", err)
+	open := NewScheduler(nil, SchedConfig{})
+	if !admits(open, "stranger") {
+		t.Fatal("a nil table refused a tenant")
 	}
-	rel.Release(0)
+	if got, want := open.Config("stranger"), (TenantConfig{}).normalize(); got != want {
+		t.Fatalf("nil table: stranger runs under %+v, want the defaults %+v", got, want)
+	}
+
+	star := NewScheduler(map[string]TenantConfig{"*": {MaxConcurrent: 2, Weight: 3}, "known": {}}, SchedConfig{})
+	if !admits(star, "stranger") || !admits(star, "known") {
+		t.Fatal(`a table with "*" refused a tenant`)
+	}
+	if got := star.Config("stranger"); got.MaxConcurrent != 2 || got.Weight != 3 {
+		t.Fatalf(`unnamed tenant runs under %+v, want the "*" entry's limits`, got)
+	}
+	if got := star.Config("known"); got.MaxConcurrent != defaultMaxConcurrent || got.Weight != 1 {
+		t.Fatalf(`named tenant runs under %+v, want its own entry's limits`, got)
+	}
+	if _, ok := star.Stats()["*"]; ok {
+		t.Fatal(`"*" is reported as a tenant`)
+	}
+
+	strict := NewScheduler(map[string]TenantConfig{"known": {}}, SchedConfig{})
+	if admits(strict, "stranger") || !admits(strict, "known") {
+		t.Fatal(`a table without "*" must refuse stranger and admit known`)
+	}
+	if admits(NewScheduler(map[string]TenantConfig{}, SchedConfig{}), "stranger") {
+		t.Fatal("an empty table admitted a tenant")
+	}
 }
 
 // TestAdmissionTenantsIsolated: one tenant saturating its limits does not
@@ -265,7 +300,7 @@ func TestAdmissionStrictTenants(t *testing.T) {
 func TestAdmissionTenantsIsolated(t *testing.T) {
 	// QueueDepth -1 normalizes to "no queueing": reject as soon as the
 	// slots are full.
-	a := NewScheduler(TenantConfig{MaxConcurrent: 1, QueueDepth: -1, QueueWaitMS: 30}, nil, false, SchedConfig{})
+	a := NewScheduler(map[string]TenantConfig{"*": {MaxConcurrent: 1, QueueDepth: -1, QueueWaitMS: 30}}, SchedConfig{})
 	ctx := context.Background()
 	relA, err := a.AcquireGrant(ctx, AdmitRequest{Tenant: "a"})
 	if err != nil {
@@ -289,7 +324,7 @@ func TestAdmissionTenantsIsolated(t *testing.T) {
 // into [base/2, base] per (tenant, rejection ordinal).
 func TestAdmissionRetryAfter(t *testing.T) {
 	inBounds := func(d, base time.Duration) bool { return base/2 <= d && d <= base }
-	a := NewScheduler(TenantConfig{QueueWaitMS: 2500}, nil, false, SchedConfig{})
+	a := NewScheduler(map[string]TenantConfig{"*": {QueueWaitMS: 2500}}, SchedConfig{})
 	if d := a.RetryAfter("t", ErrQueueFull); !inBounds(d, 2500*time.Millisecond) {
 		t.Errorf("RetryAfter(queue full) = %v, want within [1.25s, 2.5s]", d)
 	}
@@ -299,7 +334,7 @@ func TestAdmissionRetryAfter(t *testing.T) {
 
 	// The sequence is a pure function of (tenant, ordinal): a second
 	// controller replays it exactly, and distinct tenants de-correlate.
-	b := NewScheduler(TenantConfig{QueueWaitMS: 2500}, nil, false, SchedConfig{})
+	b := NewScheduler(map[string]TenantConfig{"*": {QueueWaitMS: 2500}}, SchedConfig{})
 	var seqA, seqB []time.Duration
 	for i := 0; i < 8; i++ {
 		seqA = append(seqA, a.RetryAfter("t", ErrQueueFull))
@@ -320,7 +355,7 @@ func TestAdmissionRetryAfter(t *testing.T) {
 	}
 
 	// Pinning the RNG hook pins the jitter: rand64 ≡ 0 means no offset.
-	c := NewScheduler(TenantConfig{QueueWaitMS: 2500}, nil, false, SchedConfig{})
+	c := NewScheduler(map[string]TenantConfig{"*": {QueueWaitMS: 2500}}, SchedConfig{})
 	c.rand64 = func(uint64) uint64 { return 0 }
 	if d := c.RetryAfter("t", ErrQueueFull); d != 2500*time.Millisecond {
 		t.Errorf("RetryAfter with zero RNG = %v, want the full base 2.5s", d)

@@ -45,7 +45,7 @@ func BenchmarkServerSolo(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for c := 0; c < clients; c++ {
 			srv := New(Config{
-				DefaultTenant: TenantConfig{MaxConcurrent: 2 * clients, QueueDepth: 32, QueueWaitMS: 60000},
+				Tenants: map[string]TenantConfig{"*": {MaxConcurrent: 2 * clients, QueueDepth: 32, QueueWaitMS: 60000}},
 			})
 			ts := httptest.NewServer(srv.Handler())
 			total += benchPost(b, ts.URL, batchSpecBody)
@@ -69,8 +69,8 @@ func BenchmarkServerBatched(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				srv := New(Config{
-					DefaultTenant: TenantConfig{MaxConcurrent: 2 * clients, QueueDepth: 32, QueueWaitMS: 60000},
-					Batch:         BatchConfig{Enabled: true, MaxRequests: clients, MaxDelayMS: 60000},
+					Tenants: map[string]TenantConfig{"*": {MaxConcurrent: 2 * clients, QueueDepth: 32, QueueWaitMS: 60000}},
+					Batch:   BatchConfig{Enabled: true, MaxRequests: clients, MaxDelayMS: 60000},
 				})
 				srv.batcher.newTimer = func(time.Duration) (<-chan time.Time, func() bool) {
 					return make(chan time.Time), func() bool { return true }

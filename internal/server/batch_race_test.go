@@ -88,8 +88,8 @@ func TestBatchRaceStress(t *testing.T) {
 		// FIFO handoff) is exercised while lanes fill; the real 25ms
 		// deadline timer bounds every lane wait, so slot-holding members
 		// can never deadlock the lane against admission.
-		DefaultTenant: TenantConfig{MaxConcurrent: 3, QueueDepth: 16, QueueWaitMS: 30000},
-		Batch:         BatchConfig{Enabled: true, MaxRequests: 4, MaxDelayMS: 25},
+		Tenants: map[string]TenantConfig{"*": {MaxConcurrent: 3, QueueDepth: 16, QueueWaitMS: 30000}},
+		Batch:   BatchConfig{Enabled: true, MaxRequests: 4, MaxDelayMS: 25},
 	})
 
 	// Server-side conservation hooks: every shared run — completed or

@@ -52,8 +52,8 @@ func postBatch(t *testing.T, url, tenant, body string) (*OptimizeResponse, int) 
 func batchingServer(t *testing.T, size int) (*Server, *httptest.Server) {
 	t.Helper()
 	srv := New(Config{
-		DefaultTenant: TenantConfig{MaxConcurrent: 2 * size, QueueDepth: 32, QueueWaitMS: 60000},
-		Batch:         BatchConfig{Enabled: true, MaxRequests: size, MaxDelayMS: 60000},
+		Tenants: map[string]TenantConfig{"*": {MaxConcurrent: 2 * size, QueueDepth: 32, QueueWaitMS: 60000}},
+		Batch:   BatchConfig{Enabled: true, MaxRequests: size, MaxDelayMS: 60000},
 	})
 	srv.batcher.newTimer = func(time.Duration) (<-chan time.Time, func() bool) {
 		return make(chan time.Time), func() bool { return true }
@@ -314,8 +314,8 @@ func TestBatchMemberCancelledExcised(t *testing.T) {
 // never come.
 func TestBatchDeadlineFlush(t *testing.T) {
 	srv := New(Config{
-		DefaultTenant: TenantConfig{MaxConcurrent: 8, QueueDepth: 32, QueueWaitMS: 60000},
-		Batch:         BatchConfig{Enabled: true, MaxRequests: 8, MaxDelayMS: 60000},
+		Tenants: map[string]TenantConfig{"*": {MaxConcurrent: 8, QueueDepth: 32, QueueWaitMS: 60000}},
+		Batch:   BatchConfig{Enabled: true, MaxRequests: 8, MaxDelayMS: 60000},
 	})
 	fire := make(chan time.Time)
 	srv.batcher.newTimer = func(time.Duration) (<-chan time.Time, func() bool) {
@@ -355,8 +355,8 @@ func TestBatchDeadlineFlush(t *testing.T) {
 // before MaxRequests is reached.
 func TestBatchQueryCapFlush(t *testing.T) {
 	srv := New(Config{
-		DefaultTenant: TenantConfig{MaxConcurrent: 8, QueueDepth: 32, QueueWaitMS: 60000},
-		Batch:         BatchConfig{Enabled: true, MaxRequests: 8, MaxDelayMS: 60000, MaxQueries: 4},
+		Tenants: map[string]TenantConfig{"*": {MaxConcurrent: 8, QueueDepth: 32, QueueWaitMS: 60000}},
+		Batch:   BatchConfig{Enabled: true, MaxRequests: 8, MaxDelayMS: 60000, MaxQueries: 4},
 	})
 	srv.batcher.newTimer = func(time.Duration) (<-chan time.Time, func() bool) {
 		return make(chan time.Time), func() bool { return true }

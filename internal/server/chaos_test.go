@@ -381,7 +381,7 @@ func TestChaosTelemetryConservationUnderFaults(t *testing.T) {
 	const workers = 4
 	const perWorker = 6
 	srv := New(Config{
-		DefaultTenant: TenantConfig{MaxConcurrent: 2, QueueDepth: 8, QueueWaitMS: 30000},
+		Tenants: map[string]TenantConfig{"*": {MaxConcurrent: 2, QueueDepth: 8, QueueWaitMS: 30000}},
 		// Keep the breaker out of the way: this test audits accounting,
 		// not degradation.
 		Breaker: BreakerConfig{Disabled: true},
@@ -534,8 +534,8 @@ func TestChaosPoolEvictionUnderLoad(t *testing.T) {
 	const workers = 4
 	const perWorker = 5
 	srv := New(Config{
-		PoolSize:      1,
-		DefaultTenant: TenantConfig{MaxConcurrent: workers, QueueDepth: 16, QueueWaitMS: 30000},
+		PoolSize: 1,
+		Tenants:  map[string]TenantConfig{"*": {MaxConcurrent: workers, QueueDepth: 16, QueueWaitMS: 30000}},
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

@@ -45,18 +45,19 @@
 //
 // Every optimize request is attributed to a tenant (the X-Tenant header or
 // the request's "tenant" field; "default" when absent) and passes the
-// tenant's admission gate — its Config.Tenants entry, else
-// Config.DefaultTenant, or a 403 unknown_tenant when StrictTenants —
-// before any optimizer work happens:
+// tenant's admission gate before any optimizer work happens. The gate is
+// the tenant's Config.Tenants entry, else the table's "*" entry; a table
+// without "*", even an empty one, answers 403 unknown_tenant instead, and
+// a nil table gates every tenant under TenantConfig's defaults:
 //
 //   - Concurrency: at most MaxConcurrent requests of a tenant run at once.
 //   - Queueing: excess requests wait in a bounded per-tenant queue of
 //     QueueDepth slots. A request whose queue wait exceeds QueueWait is
 //     rejected with 503 and a Retry-After header; a request arriving at a
 //     full queue is rejected immediately with 429 and Retry-After. Without
-//     a shared slot pool (SchedConfig.Slots == 0) freed slots are handed
-//     out in arrival order; with one, dispatch order is the scheduling
-//     policy's (below).
+//     a shared slot pool (SchedConfig.Slots == 0) a freed slot goes to the
+//     head of its tenant's own queue; with one, dispatch order is the
+//     scheduling policy's (below).
 //   - Quota: when CallQuota > 0, the tenant's completed requests are
 //     charged their actual Telemetry.OracleCalls against a token bucket;
 //     a tenant whose bucket is empty is rejected with 429 and a
@@ -89,10 +90,9 @@
 // # Scheduling and SLO-aware preemption
 //
 // With SchedConfig.Slots > 0 every tenant additionally competes for a
-// shared worker-slot pool, dispatched by SchedConfig.Policy:
+// shared worker-slot pool, dispatched by DRR unless SchedConfig.FIFO:
 //
-//   - PolicyDRR (the default, and any value but PolicyFIFO) is deficit
-//     round-robin: a rotation pointer parks on one tenant, replenishes its
+//   - DRR is deficit round-robin: a rotation pointer parks on one tenant, replenishes its
 //     deficit by Quantum×Weight once per visit, serves it while the
 //     deficit covers the head request's cost (its query count), then
 //     advances. Over any backlogged window
@@ -107,16 +107,15 @@
 //     order until its deficit recovers. Deficits (debts and credits
 //     alike) expire when a tenant's queue drains — fairness is over busy
 //     periods, not eternity.
-//   - PolicyFIFO dispatches strictly in global arrival order and ignores
+//   - FIFO dispatches strictly in global arrival order and ignores
 //     weights and deadlines — the baseline the CI fairness gate measures
-//     DRR against.
+//     DRR against. It never pauses a run.
 //
-// Unless SchedConfig.NoPreempt is set, a deadline waiter that cannot be
-// dispatched picks one running preemptible victim — the grant with the
-// latest deadline, deadline-less bulk work first — and asks it for its
-// slot. A run is preemptible exactly when its lane has one live member
-// and its strategy checkpoints at round boundaries (or it carries a
-// resume), whoever formed the lane (Server.optimize). The run polls its
+// Under DRR, a deadline waiter that cannot be dispatched picks one
+// running preemptible victim — the grant with the latest deadline,
+// deadline-less bulk work first — and asks it for its slot. A run is
+// preemptible exactly when its lane has one live member, whoever formed
+// the lane and whatever its strategy (Server.optimize). The run polls its
 // grant at every stop check — before each oracle round, round 1 included,
 // and before the decomposition — and at the first poll after the ask it
 // pauses: Grant.Yield gives the slot back (the freed slot goes to the
@@ -126,8 +125,9 @@
 // same optimizer, memo and caches. The client sees one ordinary 200 whose
 // "preemptions" field counts the pauses. If the re-grant does not come
 // within the tenant's queue wait, the run stops at that check and the
-// client gets the completed-prefix response with Stopped "preempted" and a
-// resumable checkpoint — the same contract as a budget stop; a run
+// client gets the completed-prefix response with Stopped "preempted" and,
+// under a lazy driver, a resumable checkpoint — the same contract as a
+// budget stop; a run
 // stranded before round 1 carries the start checkpoint. (Pricing the
 // prefix and extracting its plan then run outside any slot.)
 //

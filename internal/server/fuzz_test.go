@@ -73,15 +73,15 @@ func FuzzOptimizeRequest(f *testing.F) {
 func FuzzTenantConfig(f *testing.F) {
 	seeds := []string{
 		`{"acme": {"max_concurrent": 8, "queue_depth": 32, "queue_wait_ms": 500}}`,
-		`{"acme": {"call_quota": 100, "refill_per_sec": 2.5, "quota_burst": 400}}`,
+		`{"acme": {"call_quota": 100, "refill_per_sec": 2.5}}`,
 		`{"bulk": {"weight": 3, "deadline_ms": 0}, "slo": {"weight": 1, "deadline_ms": 250}}`,
 		`{"a": {"queue_depth": -1}}`,       // meaningful negative: no queueing
 		`{"a": {"weight": -1}}`,            // invalid: negative weight
 		`{"a": {"refill_per_sec": -0.5}}`,  // invalid: negative rate
 		`{"a": {"refill_per_sec": 1e309}}`, // JSON overflow, decode error
-		`{"a": {"quota_burst": -3}}`,       // invalid: negative burst
 		`{"a": {"deadline_ms": -1}}`,       // invalid: negative deadline
 		`{"a": {"call_quota": -9}}`,        // invalid: negative quota
+		`{"*": {"max_concurrent": 2}}`,     // "*" configures unnamed tenants
 		`{"a": {"refill_rate": 1}}`,        // unknown field, strict decode
 		`{"a": {}} {"b": {}}`,              // trailing data
 		`{"a": {"max_concurrent": 1e3}}`,   // float into int field
@@ -107,14 +107,14 @@ func FuzzTenantConfig(f *testing.F) {
 				continue
 			}
 			n := tc.normalize()
-			if n.MaxConcurrent < 1 || n.Weight < 1 || n.weight() < 1 {
+			if n.MaxConcurrent < 1 || n.Weight < 1 {
 				t.Fatalf("tenant %q: validated config normalizes to unservable limits: %+v", name, n)
 			}
 			if n.QueueDepth < 0 || n.queueWait() <= 0 {
 				t.Fatalf("tenant %q: validated config normalizes to a broken queue: %+v", name, n)
 			}
-			if cap := n.bucketCap(); cap < 0 || math.IsNaN(cap) || math.IsInf(cap, 0) {
-				t.Fatalf("tenant %q: validated config has an unaccountable quota bucket %v", name, cap)
+			if n.CallQuota < 0 {
+				t.Fatalf("tenant %q: validated config has an unaccountable quota bucket %d", name, n.CallQuota)
 			}
 		}
 		if !ok {
@@ -123,9 +123,12 @@ func FuzzTenantConfig(f *testing.F) {
 		// A controller built over the accepted table must hold up: every
 		// declared tenant answers a stats snapshot (exercising the lazy
 		// bucket fill and next-admit math under extreme rates).
-		a := NewScheduler(TenantConfig{}, table, true, SchedConfig{Slots: 1})
+		a := NewScheduler(table, SchedConfig{Slots: 1})
 		st := a.Stats()
 		for name := range table {
+			if name == anyTenant {
+				continue // configures unnamed tenants; not a tenant itself
+			}
 			s, found := st[name]
 			if !found {
 				t.Fatalf("declared tenant %q missing from stats", name)

@@ -162,7 +162,7 @@ func (s *Server) runLane(l *lane) {
 		return
 	}
 	if sres.Telemetry.Stopped == repro.StopPreempted {
-		s.logf("server: %s: paused run not re-granted; answering with its checkpoint", live[0].tenant)
+		s.logf("server: %s: paused run not re-granted; answering with its completed prefix", live[0].tenant)
 	}
 	// A deadline stop is a breaker failure — a catalog that cannot finish
 	// inside its budgets degrades before it monopolizes the pool.
@@ -177,15 +177,11 @@ func (s *Server) runLane(l *lane) {
 		s.onLaneComplete(sres.Telemetry, shares)
 	}
 
-	strategy := l.key.spec.strategy.String()
-	if len(live) == 1 && live[0].resume != nil {
-		strategy = live[0].resume.State.Algorithm // non-nil State: decode-validated
-	}
 	for k, m := range live {
 		a := sres.Attributions[memberGroup[k]]
 		resp := &OptimizeResponse{
 			Tenant:         m.tenant,
-			Strategy:       strategy,
+			Strategy:       sres.Strategy.String(),
 			Queries:        len(m.batch.Queries),
 			Materialized:   make([]int, 0, len(a.Materialized)),
 			CostMS:         a.Cost,
@@ -221,16 +217,17 @@ func (s *Server) runLane(l *lane) {
 	}
 }
 
-// optimize drives the lane's one shared run on sess. A lane of one under
-// a checkpoint-capable strategy, or carrying a resume, is preemptible,
-// however it was formed: the scheduler may ask for its slot to serve a
-// nearer-deadline request, and the run, polling its grant at every stop
-// check before an oracle round, then pauses in place — Grant.Yield gives the slot back and
-// waits for the re-grant — and continues with the same optimizer and
-// caches. Only a failed re-grant stops it, with StopPreempted and a
-// checkpoint: the shape of a budget stop, so it becomes the normal
-// response. A larger lane is never paused: it would stall every member for
-// one victim's grant.
+// optimize drives the lane's one shared run on sess. A lane of one is
+// preemptible, however it was formed and whatever its strategy: the
+// scheduler may ask for its slot to serve a nearer-deadline request, and
+// the run, polling its grant at every stop check before an oracle round,
+// then pauses in place — Grant.Yield gives the slot back and waits for
+// the re-grant — and continues with the same optimizer and caches
+// (Volcano, which makes no stop check, is asked and simply finishes).
+// Only a failed re-grant stops it, with StopPreempted and, under a lazy
+// driver, a checkpoint: the shape of a budget stop, so it becomes the
+// normal response. A larger lane is never paused: it would stall every
+// member for one victim's grant.
 func (s *Server) optimize(sess *repro.Session, key laneKey, live []*batchMember, groups []*logical.Batch) (*repro.SharedResult, error) {
 	// A panic past this point may have corrupted the shared session: pull
 	// it from the pool before letting the caller's backstop answer.
@@ -249,11 +246,9 @@ func (s *Server) optimize(sess *repro.Session, key laneKey, live []*batchMember,
 		if m.resume != nil {
 			opts = append(opts, repro.WithResume(m.resume))
 		}
-		if m.resume != nil || key.spec.strategy.Resumable() {
-			m.grant.preemptible.Store(true)
-			defer m.grant.preemptible.Store(false)
-			opts = append(opts, repro.WithYielder(m.grant))
-		}
+		m.grant.preemptible.Store(true)
+		defer m.grant.preemptible.Store(false)
+		opts = append(opts, repro.WithYielder(m.grant))
 	}
 	return sess.OptimizeShared(ctx, groups, opts...)
 }

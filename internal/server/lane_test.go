@@ -22,7 +22,7 @@ import (
 // may carry: plan text, a budget stop's checkpoint and its resume, and
 // round-boundary preemption by a deadline waiter.
 func TestLaneOfOneMatchesSolo(t *testing.T) {
-	base := Config{DefaultTenant: TenantConfig{MaxConcurrent: 8, QueueDepth: 32, QueueWaitMS: 60000}}
+	base := Config{Tenants: map[string]TenantConfig{"*": {MaxConcurrent: 8, QueueDepth: 32, QueueWaitMS: 60000}}}
 	post := func(t *testing.T, url string, body map[string]any) *OptimizeResponse {
 		t.Helper()
 		raw, err := json.Marshal(body)
@@ -158,7 +158,7 @@ func parityView(r *OptimizeResponse) core.Work {
 // two coalesced copies of a 1-query batch and one 3-query batch, and a
 // panic on an oracle evaluation inside the search stops it.
 func TestFaultedLaneSharesMatchCompletedSplit(t *testing.T) {
-	srv := New(Config{DefaultTenant: TenantConfig{MaxConcurrent: 8, QueueDepth: 32, QueueWaitMS: 60000}})
+	srv := New(Config{Tenants: map[string]TenantConfig{"*": {MaxConcurrent: 8, QueueDepth: 32, QueueWaitMS: 60000}}})
 	var burned core.Telemetry
 	var got []core.Telemetry
 	srv.onLaneFault = func(total core.Telemetry, shares []core.Telemetry) { burned, got = total, shares }

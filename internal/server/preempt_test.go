@@ -88,8 +88,8 @@ func assertSameResult(t *testing.T, label string, got *OptimizeResponse, ref *re
 // queue wait covers.
 func TestPreemptRoundBoundaryBitIdentical(t *testing.T) {
 	srv := New(Config{
-		DefaultTenant: TenantConfig{MaxConcurrent: 8, QueueDepth: 32, QueueWaitMS: 60000},
-		Sched:         SchedConfig{Slots: 1},
+		Tenants: map[string]TenantConfig{"*": {MaxConcurrent: 8, QueueDepth: 32, QueueWaitMS: 60000}},
+		Sched:   SchedConfig{Slots: 1},
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -165,8 +165,8 @@ func TestPreemptRoundBoundaryBitIdentical(t *testing.T) {
 // bit-identically.
 func TestPreemptYieldTimeoutReturnsCheckpoint(t *testing.T) {
 	srv := New(Config{
-		DefaultTenant: TenantConfig{MaxConcurrent: 8, QueueDepth: 32, QueueWaitMS: 60000},
 		Tenants: map[string]TenantConfig{
+			"*":    {MaxConcurrent: 8, QueueDepth: 32, QueueWaitMS: 60000},
 			"bulk": {MaxConcurrent: 8, QueueDepth: 32, QueueWaitMS: 150},
 		},
 		Sched: SchedConfig{Slots: 1},
@@ -274,8 +274,8 @@ func TestPreemptYieldTimeoutReturnsCheckpoint(t *testing.T) {
 // bit-identical to the unpreempted reference, oracle calls included.
 func TestPreemptConservationRaceStress(t *testing.T) {
 	srv := New(Config{
-		DefaultTenant: TenantConfig{MaxConcurrent: 8, QueueDepth: 64, QueueWaitMS: 60000},
-		Sched:         SchedConfig{Slots: 2},
+		Tenants: map[string]TenantConfig{"*": {MaxConcurrent: 8, QueueDepth: 64, QueueWaitMS: 60000}},
+		Sched:   SchedConfig{Slots: 2},
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -379,5 +379,77 @@ func TestPreemptConservationRaceStress(t *testing.T) {
 	t.Logf("race stress: %d preemptions across %d bulk + %d slo requests", n, sent["bulk"], sent["slo"])
 	if n == 0 {
 		t.Fatal("no bulk run was paused: the conservation and bit-identity checks covered no pause")
+	}
+}
+
+// TestPreemptVolcanoSHLanePauses: every lane of one may pause, not only a
+// lazy driver's. A Volcano-SH run holding the only slot, asked for it by a
+// deadline request, pauses at its next candidate check, serves the
+// deadline request from the pause, and answers with the unpaused run's
+// result and work.
+func TestPreemptVolcanoSHLanePauses(t *testing.T) {
+	srv := New(Config{
+		Tenants: map[string]TenantConfig{"*": {MaxConcurrent: 8, QueueDepth: 32, QueueWaitMS: 60000}},
+		Sched:   SchedConfig{Slots: 1},
+	})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	spec := bulkSpec()
+	ref := soloReference(t, spec, core.VolcanoSH)
+
+	// The bulk run's first oracle evaluation waits there, holding the
+	// slot, until the deadline request has queued behind it.
+	var held atomic.Int32
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	free := func() { releaseOnce.Do(func() { close(release) }) }
+	defer free()
+	withSchedule(t, faultinject.NewSchedule(0, faultinject.Rule{Point: faultinject.OracleEval, Fn: func() {
+		if held.Add(1) == 1 {
+			<-release
+		}
+	}}))
+
+	bulkBody, _ := json.Marshal(map[string]any{"tenant": "bulk", "spec": spec, "strategy": "volcanosh"})
+	bulkDone := make(chan *OptimizeResponse, 1)
+	go func() {
+		resp, data := postOptimize(t, ts.URL, string(bulkBody), nil)
+		if resp.StatusCode != 200 {
+			t.Errorf("bulk run: status %d: %s", resp.StatusCode, data)
+			bulkDone <- nil
+			return
+		}
+		bulkDone <- decodeResponse(t, data)
+	}()
+	waitFor(t, func() bool { return held.Load() >= 1 })
+
+	sloDone := make(chan struct{})
+	go func() {
+		defer close(sloDone)
+		sloBody, _ := json.Marshal(map[string]any{
+			"tenant": "slo", "spec": testSpec(), "sf": 10, "deadline_ms": 2000,
+		})
+		if resp, data := postOptimize(t, ts.URL, string(sloBody), nil); resp.StatusCode != 200 {
+			t.Errorf("interactive request: status %d: %s", resp.StatusCode, data)
+		}
+	}()
+	waitFor(t, func() bool { return srv.Admission().Stats()["slo"].Queued > 0 })
+	free()
+
+	bulk := <-bulkDone
+	<-sloDone
+	if bulk == nil {
+		t.Fatal("bulk run failed")
+	}
+	if bulk.Preemptions < 1 {
+		t.Fatalf("Volcano-SH lane of one reports %d preemptions, want ≥ 1", bulk.Preemptions)
+	}
+	if bulk.Strategy != core.VolcanoSH.String() || bulk.Telemetry.Stopped != repro.StopNone {
+		t.Fatalf("paused run: strategy %q, stopped %v; want %q, none", bulk.Strategy, bulk.Telemetry.Stopped, core.VolcanoSH)
+	}
+	assertSameResult(t, "paused Volcano-SH run", bulk, ref)
+	if bulk.Telemetry.Work() != ref.Telemetry.Work() {
+		t.Fatalf("paused run's work %+v, the reference's %+v", bulk.Telemetry.Work(), ref.Telemetry.Work())
 	}
 }

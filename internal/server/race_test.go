@@ -27,7 +27,7 @@ func TestServerRaceStress(t *testing.T) {
 		// Small slots and queues so contention queues (and may reject —
 		// both outcomes are conserved below), with a queue wait long
 		// enough that accepted work is not flaky under -race slowdowns.
-		DefaultTenant: TenantConfig{MaxConcurrent: 2, QueueDepth: 2, QueueWaitMS: 30000},
+		Tenants: map[string]TenantConfig{"*": {MaxConcurrent: 2, QueueDepth: 2, QueueWaitMS: 30000}},
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

@@ -2,24 +2,14 @@ package server
 
 import (
 	"context"
+	"math"
 	"sync/atomic"
 	"time"
 )
 
-// Scheduling policies.
-const (
-	// PolicyDRR is deficit-round-robin weighted-fair dispatch with
-	// earliest-deadline-first cut-ahead and deadline-aware preemption.
-	PolicyDRR = "drr"
-	// PolicyFIFO dispatches in pure global arrival order (the baseline
-	// the fairness harness compares DRR against); no cut-ahead, no
-	// preemption.
-	PolicyFIFO = "fifo"
-)
-
 // SchedConfig parameterizes the scheduler policy layer over the shared
 // worker-slot pool. The zero value has no shared slots, so only the
-// per-tenant limits bind and freed slots go out in arrival order.
+// per-tenant limits bind.
 type SchedConfig struct {
 	// Slots is the shared worker-slot pool all tenants compete for
 	// (0 = unbounded: per-tenant MaxConcurrent alone limits concurrency).
@@ -29,20 +19,22 @@ type SchedConfig struct {
 	// 64). Smaller quanta interleave tenants more finely; larger ones
 	// amortize bulk requests.
 	Quantum int `json:"quantum,omitempty"`
-	// Policy selects the dispatch order: PolicyFIFO, or PolicyDRR for
-	// any other value (the default).
-	Policy string `json:"policy,omitempty"`
-	// NoPreempt disables deadline-aware preemption while keeping DRR
-	// dispatch.
-	NoPreempt bool `json:"no_preempt,omitempty"`
+	// FIFO dispatches in pure global arrival order (the baseline the
+	// fairness harness compares DRR against): no cut-ahead, no weights,
+	// no preemption. The default is deficit-round-robin weighted-fair
+	// dispatch with earliest-deadline-first cut-ahead and deadline-aware
+	// preemption.
+	FIFO bool `json:"fifo,omitempty"`
 }
 
+// normalize fills in the quantum and resolves an unbounded pool to a
+// bound no running count reaches, so dispatch never asks which it is.
 func (c SchedConfig) normalize() SchedConfig {
 	if c.Quantum <= 0 {
 		c.Quantum = 64
 	}
-	if c.Policy != PolicyFIFO {
-		c.Policy = PolicyDRR
+	if c.Slots <= 0 {
+		c.Slots = math.MaxInt
 	}
 	return c
 }
@@ -63,9 +55,8 @@ type Grant struct {
 	// preempt is the scheduler's request for the slot; the run polls it at
 	// its stop checks (PreemptRequested, through repro.WithYielder).
 	preempt atomic.Bool
-	// preemptible marks the run pausable: a lane of one under a resumable
-	// strategy or resume (Server.optimize). Only preemptible grants are
-	// chosen as victims.
+	// preemptible marks the run pausable: a lane of one
+	// (Server.optimize). Only preemptible grants are chosen as victims.
 	preemptible atomic.Bool
 	// pausedFor sums the run's pauses, each Yield from call to return: the
 	// re-grant waits the response adds to its admission wait. Written by
@@ -177,7 +168,7 @@ func (g *Grant) Release(oracleCalls int) {
 func (a *Admission) enqueueLocked(w *waiter) {
 	t := w.t
 	pos := len(t.queue)
-	if a.sched.Policy == PolicyFIFO {
+	if a.sched.FIFO {
 		for pos = 0; pos < len(t.queue); pos++ {
 			if w.seq < t.queue[pos].seq {
 				break
@@ -273,7 +264,7 @@ func (a *Admission) vacateLocked(g *Grant) {
 // scheduler mutex, so no waiter is ever stranded with a free slot.
 func (a *Admission) dispatchLocked() {
 	for {
-		if a.sched.Slots > 0 && a.running >= a.sched.Slots {
+		if a.running >= a.sched.Slots {
 			return
 		}
 		w := a.pickLocked()
@@ -286,7 +277,7 @@ func (a *Admission) dispatchLocked() {
 
 // pickLocked chooses the next waiter to grant, or nil.
 func (a *Admission) pickLocked() *waiter {
-	if a.sched.Slots <= 0 || a.sched.Policy == PolicyFIFO {
+	if a.sched.FIFO {
 		return a.pickSeqLocked()
 	}
 	return a.pickDRRLocked()
@@ -301,9 +292,9 @@ func eligibleHead(t *tenant) *waiter {
 	return t.queue[0]
 }
 
-// pickSeqLocked dispatches in global arrival order — the uncontended
-// (Slots == 0) and FIFO-policy order. With per-tenant queues already
-// sorted, the minimum head seq across tenants is the global minimum.
+// pickSeqLocked dispatches in global arrival order, the FIFO policy's
+// order. With per-tenant queues already sorted, the minimum head seq
+// across tenants is the global minimum.
 func (a *Admission) pickSeqLocked() *waiter {
 	var best *waiter
 	for _, t := range a.ring {
@@ -334,7 +325,7 @@ func (a *Admission) pickDRRLocked() *waiter {
 		if h == nil || !h.hasDeadline {
 			continue
 		}
-		if t.deficit <= -float64(a.sched.Quantum*t.cfg.weight()) {
+		if t.deficit <= -float64(a.sched.Quantum*t.cfg.Weight) {
 			continue // borrow exhausted: back to weighted order
 		}
 		if best == nil || h.deadline.Before(best.deadline) ||
@@ -357,7 +348,7 @@ func (a *Admission) pickDRRLocked() *waiter {
 			if h != nil {
 				if !a.topped {
 					a.topped = true
-					t.deficit += float64(a.sched.Quantum * t.cfg.weight())
+					t.deficit += float64(a.sched.Quantum * t.cfg.Weight)
 					progressed = true
 				}
 				if t.deficit >= h.cost {
@@ -411,10 +402,7 @@ func (a *Admission) grantLocked(w *waiter) {
 // the victim's next round boundary, the victim Yields, and the freed slot
 // dispatches to the earliest-deadline waiter.
 func (a *Admission) maybePreemptLocked(w *waiter) {
-	if a.sched.Slots <= 0 || a.sched.NoPreempt || a.sched.Policy == PolicyFIFO {
-		return
-	}
-	if !w.hasDeadline || w.preemptAsked || a.running < a.sched.Slots {
+	if a.sched.FIFO || !w.hasDeadline || w.preemptAsked || a.running < a.sched.Slots {
 		return
 	}
 	var victim *Grant

@@ -14,20 +14,21 @@ import (
 // cache warmth, so bc_calls — the summed spend of the six runs — is
 // deterministic regardless of dispatch interleaving; ns_per_op carries
 // the admission and dispatch overhead the scheduler adds to the serving
-// path. Preemption stays off: the benchmark times dispatch, and a pause's
-// re-grant wait would land in ns_per_op.
+// path. A deadlined request may pause a running bulk one, and a paused
+// run does the unpaused run's work, so bc_calls stays deterministic; the
+// pause's re-grant wait lands in ns_per_op.
 func BenchmarkServerScheduled(b *testing.B) {
 	const clients = 6
 	total := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		srv := New(Config{
-			DefaultTenant: TenantConfig{MaxConcurrent: clients, QueueDepth: 32, QueueWaitMS: 60000},
 			Tenants: map[string]TenantConfig{
+				"*":    {MaxConcurrent: clients, QueueDepth: 32, QueueWaitMS: 60000},
 				"bulk": {MaxConcurrent: clients, QueueDepth: 32, QueueWaitMS: 60000, Weight: 3},
 				"slo":  {MaxConcurrent: clients, QueueDepth: 32, QueueWaitMS: 60000, DeadlineMS: 250},
 			},
-			Sched: SchedConfig{Slots: 1, NoPreempt: true},
+			Sched: SchedConfig{Slots: 1},
 		})
 		ts := httptest.NewServer(srv.Handler())
 		var (

@@ -52,12 +52,12 @@ func holdSlot(t *testing.T, a *Admission, n int) []*Grant {
 // tenant enqueued first.
 func TestSchedDRRWeightedShares(t *testing.T) {
 	a := NewScheduler(
-		TenantConfig{MaxConcurrent: 64, QueueDepth: 64, QueueWaitMS: 60000},
 		map[string]TenantConfig{
+			"*":     {MaxConcurrent: 64, QueueDepth: 64, QueueWaitMS: 60000},
 			"light": {MaxConcurrent: 64, QueueDepth: 64, QueueWaitMS: 60000, Weight: 1},
 			"heavy": {MaxConcurrent: 64, QueueDepth: 64, QueueWaitMS: 60000, Weight: 3},
 		},
-		false, SchedConfig{Slots: 1, Quantum: 1})
+		SchedConfig{Slots: 1, Quantum: 1})
 	neverFire(a)
 
 	held := holdSlot(t, a, 1)
@@ -99,8 +99,8 @@ func TestSchedDRRWeightedShares(t *testing.T) {
 // deficit covers its cost — it is neither starved nor served early.
 func TestSchedDeficitAccounting(t *testing.T) {
 	a := NewScheduler(
-		TenantConfig{MaxConcurrent: 64, QueueDepth: 64, QueueWaitMS: 60000},
-		nil, false, SchedConfig{Slots: 1, Quantum: 2})
+		map[string]TenantConfig{"*": {MaxConcurrent: 64, QueueDepth: 64, QueueWaitMS: 60000}},
+		SchedConfig{Slots: 1, Quantum: 2})
 	neverFire(a)
 
 	held := holdSlot(t, a, 1)
@@ -145,8 +145,8 @@ func TestSchedDeficitAccounting(t *testing.T) {
 // nearer deadlines beat farther ones.
 func TestSchedEDFCutAhead(t *testing.T) {
 	a := NewScheduler(
-		TenantConfig{MaxConcurrent: 64, QueueDepth: 64, QueueWaitMS: 60000},
-		nil, false, SchedConfig{Slots: 1, Quantum: 64, NoPreempt: true})
+		map[string]TenantConfig{"*": {MaxConcurrent: 64, QueueDepth: 64, QueueWaitMS: 60000}},
+		SchedConfig{Slots: 1, Quantum: 64})
 	neverFire(a)
 
 	held := holdSlot(t, a, 1)
@@ -184,8 +184,8 @@ func TestSchedEDFCutAhead(t *testing.T) {
 // jumping the ring until the deficit recovers through normal rotation.
 func TestSchedEDFBorrowBound(t *testing.T) {
 	a := NewScheduler(
-		TenantConfig{MaxConcurrent: 64, QueueDepth: 64, QueueWaitMS: 60000},
-		nil, false, SchedConfig{Slots: 1, Quantum: 1, NoPreempt: true})
+		map[string]TenantConfig{"*": {MaxConcurrent: 64, QueueDepth: 64, QueueWaitMS: 60000}},
+		SchedConfig{Slots: 1, Quantum: 1})
 	neverFire(a)
 
 	held := holdSlot(t, a, 1)
@@ -223,11 +223,11 @@ func TestSchedEDFBorrowBound(t *testing.T) {
 // against.
 func TestSchedFIFOBaseline(t *testing.T) {
 	a := NewScheduler(
-		TenantConfig{MaxConcurrent: 64, QueueDepth: 64, QueueWaitMS: 60000},
 		map[string]TenantConfig{
+			"*":     {MaxConcurrent: 64, QueueDepth: 64, QueueWaitMS: 60000},
 			"heavy": {MaxConcurrent: 64, QueueDepth: 64, QueueWaitMS: 60000, Weight: 8},
 		},
-		false, SchedConfig{Slots: 1, Policy: PolicyFIFO})
+		SchedConfig{Slots: 1, FIFO: true})
 	neverFire(a)
 
 	held := holdSlot(t, a, 1)
@@ -272,13 +272,13 @@ func manualClock(a *Admission) func(time.Duration) {
 
 // TestTokenBucketRefill pins the quota bucket against a manual clock:
 // spend drains tokens, refill restores them at exactly RefillPerSec up to
-// the burst cap, rejection happens at zero, and Retry-After reports the
+// the quota, rejection happens at zero, and Retry-After reports the
 // exact time until one whole token exists.
 func TestTokenBucketRefill(t *testing.T) {
-	a := NewScheduler(TenantConfig{
+	a := NewScheduler(map[string]TenantConfig{"*": {
 		MaxConcurrent: 4, QueueDepth: 8, QueueWaitMS: 60000,
-		CallQuota: 100, RefillPerSec: 10, QuotaBurst: 100,
-	}, nil, false, SchedConfig{})
+		CallQuota: 100, RefillPerSec: 10,
+	}}, SchedConfig{})
 	advance := manualClock(a)
 	ctx := context.Background()
 
@@ -314,7 +314,7 @@ func TestTokenBucketRefill(t *testing.T) {
 		t.Fatalf("acquire after refill: %v", err)
 	}
 	rel.Release(5)
-	// The bucket never exceeds its burst cap, however long it idles.
+	// The bucket never exceeds its quota, however long it idles.
 	advance(time.Hour)
 	if st := a.Stats()["t"]; st.QuotaRemaining != 100 {
 		t.Fatalf("after an idle hour: remaining=%v, want capped at 100", st.QuotaRemaining)
@@ -325,10 +325,10 @@ func TestTokenBucketRefill(t *testing.T) {
 // bucket holds drives it negative (the run was already admitted; the debt
 // is real) and that refill pays the debt before serving new requests.
 func TestTokenBucketOverspendDebt(t *testing.T) {
-	a := NewScheduler(TenantConfig{
+	a := NewScheduler(map[string]TenantConfig{"*": {
 		MaxConcurrent: 4, QueueDepth: 8, QueueWaitMS: 60000,
 		CallQuota: 50, RefillPerSec: 100,
-	}, nil, false, SchedConfig{})
+	}}, SchedConfig{})
 	advance := manualClock(a)
 	ctx := context.Background()
 
@@ -359,9 +359,9 @@ func TestTokenBucketOverspendDebt(t *testing.T) {
 // an exhausted bucket stays exhausted — NextAdmitMS answers 0 ("waiting
 // will not help") — until ResetQuota refills it to capacity.
 func TestTokenBucketManualResetOnly(t *testing.T) {
-	a := NewScheduler(TenantConfig{
+	a := NewScheduler(map[string]TenantConfig{"*": {
 		MaxConcurrent: 4, QueueDepth: 8, QueueWaitMS: 60000, CallQuota: 10,
-	}, nil, false, SchedConfig{})
+	}}, SchedConfig{})
 	advance := manualClock(a)
 	ctx := context.Background()
 
@@ -398,8 +398,8 @@ func TestTokenBucketManualResetOnly(t *testing.T) {
 // urgent as itself — and asks exactly one victim per waiter.
 func TestSchedPreemptVictimSelection(t *testing.T) {
 	a := NewScheduler(
-		TenantConfig{MaxConcurrent: 64, QueueDepth: 64, QueueWaitMS: 60000},
-		nil, false, SchedConfig{Slots: 3, Quantum: 64})
+		map[string]TenantConfig{"*": {MaxConcurrent: 64, QueueDepth: 64, QueueWaitMS: 60000}},
+		SchedConfig{Slots: 3, Quantum: 64})
 	neverFire(a)
 	ctx := context.Background()
 
@@ -474,8 +474,8 @@ func TestSchedPreemptVictimSelection(t *testing.T) {
 // conserves.
 func TestSchedYieldHandoffNoStrandedWaiter(t *testing.T) {
 	a := NewScheduler(
-		TenantConfig{MaxConcurrent: 64, QueueDepth: 64, QueueWaitMS: 60000},
-		nil, false, SchedConfig{Slots: 1, Quantum: 4})
+		map[string]TenantConfig{"*": {MaxConcurrent: 64, QueueDepth: 64, QueueWaitMS: 60000}},
+		SchedConfig{Slots: 1, Quantum: 4})
 	neverFire(a)
 	ctx := context.Background()
 
@@ -527,8 +527,8 @@ func TestSchedYieldHandoffNoStrandedWaiter(t *testing.T) {
 // while it is paused.
 func TestSchedResumeAheadOfLaterArrivals(t *testing.T) {
 	a := NewScheduler(
-		TenantConfig{MaxConcurrent: 64, QueueDepth: 64, QueueWaitMS: 60000},
-		nil, false, SchedConfig{Slots: 1, Quantum: 64})
+		map[string]TenantConfig{"*": {MaxConcurrent: 64, QueueDepth: 64, QueueWaitMS: 60000}},
+		SchedConfig{Slots: 1, Quantum: 64})
 	neverFire(a)
 	ctx := context.Background()
 
@@ -572,7 +572,7 @@ func TestSchedResumeAheadOfLaterArrivals(t *testing.T) {
 // TestSchedGrantReleaseIdempotent pins the exactly-once release contract:
 // double Release must not double-charge quota or free a slot twice.
 func TestSchedGrantReleaseIdempotent(t *testing.T) {
-	a := NewScheduler(TenantConfig{MaxConcurrent: 2, QueueDepth: 8, QueueWaitMS: 60000, CallQuota: 100}, nil, false, SchedConfig{})
+	a := NewScheduler(map[string]TenantConfig{"*": {MaxConcurrent: 2, QueueDepth: 8, QueueWaitMS: 60000, CallQuota: 100}}, SchedConfig{})
 	g, err := a.AcquireGrant(context.Background(), AdmitRequest{Tenant: "t"})
 	if err != nil {
 		t.Fatal(err)
@@ -582,43 +582,5 @@ func TestSchedGrantReleaseIdempotent(t *testing.T) {
 	st := a.Stats()["t"]
 	if st.QuotaSpent != 30 || st.Completed != 1 || st.Active != 0 {
 		t.Fatalf("after double release: %+v, want spent=30 completed=1 active=0", st)
-	}
-}
-
-// TestSchedUnknownPolicyIsDRR: a policy other than PolicyFIFO is DRR at
-// every decision — queue order, dispatch and preemption — so a misspelt
-// SchedConfig.Policy cannot leave DRR dispatch on with preemption
-// silently off: the deadline waiter must get the running grant asked to
-// yield.
-func TestSchedUnknownPolicyIsDRR(t *testing.T) {
-	a := NewScheduler(
-		TenantConfig{MaxConcurrent: 64, QueueDepth: 64, QueueWaitMS: 60000},
-		nil, false, SchedConfig{Slots: 1, Quantum: 64, Policy: "DRR"})
-	neverFire(a)
-	ctx := context.Background()
-
-	bulk, err := a.AcquireGrant(ctx, AdmitRequest{Tenant: "bulk", Cost: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bulk.preemptible.Store(true)
-
-	grants := make(chan grantRecord, 4)
-	spawnWaiters(t, a, "slo", 1, 1, time.Second, grants)
-	waitFor(t, func() bool { return bulk.PreemptRequested() })
-
-	resumed := make(chan error, 1)
-	go func() { resumed <- bulk.Yield(ctx) }()
-	r := <-grants
-	if r.tenant != "slo" {
-		t.Fatalf("slot after yield went to %s, want slo", r.tenant)
-	}
-	r.g.Release(0)
-	if err := <-resumed; err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	bulk.Release(0)
-	if n := a.Preemptions(); n != 1 {
-		t.Fatalf("Preemptions() = %d, want 1", n)
 	}
 }

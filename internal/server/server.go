@@ -26,17 +26,14 @@ import (
 // and have their own cap (snapshot.go).
 const maxBodyBytes = 1 << 20
 
-// Config parameterizes a Server. The zero value serves with the default
-// tenant config and a 4-session pool.
+// Config parameterizes a Server. The zero value serves every tenant
+// under TenantConfig's defaults with a 4-session pool.
 type Config struct {
-	// DefaultTenant is the admission config applied to tenants not listed
-	// in Tenants (rejected instead when StrictTenants).
-	DefaultTenant TenantConfig
-	// Tenants pre-declares named tenants with their own limits.
+	// Tenants is the tenant table, keyed by tenant name. Its "*" entry
+	// configures every tenant the table does not name; a table without
+	// "*", even an empty one, rejects those tenants with 403; a nil table
+	// admits every tenant under TenantConfig's defaults.
 	Tenants map[string]TenantConfig
-	// StrictTenants rejects requests from tenants missing from Tenants
-	// with 403 instead of admitting them under DefaultTenant.
-	StrictTenants bool
 	// PoolSize bounds the session pool (default 4 catalogs).
 	PoolSize int
 	// MaxQueries bounds the batch size one request may carry, spec or SQL
@@ -126,7 +123,7 @@ func New(cfg Config) *Server {
 	cfg = cfg.normalize()
 	s := &Server{
 		cfg:     cfg,
-		adm:     NewScheduler(cfg.DefaultTenant, cfg.Tenants, cfg.StrictTenants, cfg.Sched),
+		adm:     NewScheduler(cfg.Tenants, cfg.Sched),
 		pool:    newSessionPool(cfg.PoolSize),
 		breaker: newBreaker(cfg.Breaker),
 		started: time.Now(),

@@ -289,7 +289,7 @@ const tinySQL = `{"sql": "SELECT l.tax FROM lineitem l WHERE l.shipdate < 1200"}
 // the queued one completes once the blocker releases.
 func TestServerQueueFull429(t *testing.T) {
 	srv, started, gate := blockingServer(Config{
-		DefaultTenant: TenantConfig{MaxConcurrent: 1, QueueDepth: 1, QueueWaitMS: 60000},
+		Tenants: map[string]TenantConfig{"*": {MaxConcurrent: 1, QueueDepth: 1, QueueWaitMS: 60000}},
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -338,7 +338,7 @@ func TestServerQueueFull429(t *testing.T) {
 // within the tenant's queue-wait deadline is rejected with 503.
 func TestServerQueueWaitDeadline503(t *testing.T) {
 	srv, started, gate := blockingServer(Config{
-		DefaultTenant: TenantConfig{MaxConcurrent: 1, QueueDepth: 4, QueueWaitMS: 50},
+		Tenants: map[string]TenantConfig{"*": {MaxConcurrent: 1, QueueDepth: 4, QueueWaitMS: 50}},
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -371,7 +371,7 @@ func TestServerQueueWaitDeadline503(t *testing.T) {
 // spent its cumulative oracle-call quota, the next request is 429.
 func TestServerQuotaExhaustion429(t *testing.T) {
 	srv := New(Config{
-		DefaultTenant: TenantConfig{CallQuota: 1}, // one oracle call, then cut off
+		Tenants: map[string]TenantConfig{"*": {CallQuota: 1}}, // one oracle call, then cut off
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -483,7 +483,7 @@ func TestEffectiveSpecClamps(t *testing.T) {
 // as admitted.
 func TestServerBadSFRejectedBeforeAdmission(t *testing.T) {
 	srv, started, gate := blockingServer(Config{
-		DefaultTenant: TenantConfig{MaxConcurrent: 1, QueueDepth: 4, QueueWaitMS: 60000},
+		Tenants: map[string]TenantConfig{"*": {MaxConcurrent: 1, QueueDepth: 4, QueueWaitMS: 60000}},
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -512,7 +512,7 @@ func TestServerBadSFRejectedBeforeAdmission(t *testing.T) {
 // request is admitted but not yet running, the handler returns promptly,
 // freeing the tenant slot, and no optimizer work is spent on it.
 func TestServerClientDisconnectCancels(t *testing.T) {
-	srv := New(Config{DefaultTenant: TenantConfig{MaxConcurrent: 1}})
+	srv := New(Config{Tenants: map[string]TenantConfig{"*": {MaxConcurrent: 1}}})
 	entered := make(chan struct{}, 1)
 	firstReq := make(chan struct{}, 1)
 	firstReq <- struct{}{}
@@ -669,12 +669,11 @@ func TestServerHealthzAndStats(t *testing.T) {
 	}
 }
 
-// TestServerStrictTenants403: strict mode turns unknown tenants away at
-// the door.
+// TestServerStrictTenants403: a tenant table without "*" turns unknown
+// tenants away at the door.
 func TestServerStrictTenants403(t *testing.T) {
 	srv := New(Config{
-		Tenants:       map[string]TenantConfig{"known": {}},
-		StrictTenants: true,
+		Tenants: map[string]TenantConfig{"known": {}},
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

@@ -247,11 +247,12 @@ func BenchmarkWorkload(b *testing.B) {
 // anything twice: a searcher over a compiled memo takes a fresh worker — its
 // cell-sized memo tables, allocated and zeroed — starts the run's L1, and
 // makes the first bc(∅), which touches every cell a full walk demands and
-// allocates the L1 buckets it stores them in (1,152 B each, most of B/op).
-// bc(∅) materializes nothing, so every cost it stores is a compute cost: one
-// bucket a cell (5.7 MB at 64 queries), where storing each group's use cost
-// under a key of its own made two (10.8 MB). A second worker of the run pays
-// the memo tables only: the L1 is the run's. computed_keys is that walk.
+// allocates the L1 heads and buckets it stores them in (a 144-B head for a
+// cell's first 8 keys, 1,152-B buckets for a chain). bc(∅) materializes
+// nothing, so every cost it stores is a compute cost: 0.95 MB at 64
+// queries, 2.5 MB when a cell's first key took a full bucket. A second
+// worker of the run pays the memo tables only: the L1 is the run's.
+// computed_keys is that walk.
 func BenchmarkNewWorker(b *testing.B) {
 	cat := tpcd.Catalog(1)
 	for _, size := range []int{64, 256} {
@@ -429,9 +430,8 @@ var benchSearcher *physical.Searcher
 // MarginalGreedy run's L1 into an empty SharedCache, which adopts it whole
 // (a few allocations however many workers filled it); "warm" publishes an
 // identical second run made against the cache the first one filled (what a
-// repeated batch on a long-lived session pays), whose table takes the
-// entries its chains lack (2.3 MB at 64 queries, 4.7 MB when a use cost
-// outside the set was stored under a key of its own). The run itself is
+// repeated batch on a long-lived session pays): that run computes nothing,
+// so the publish takes nothing over and allocates 24 B. The run itself is
 // outside the timer. Recorded in the CI snapshot, not gated.
 func BenchmarkPublishCache(b *testing.B) {
 	cat := tpcd.Catalog(1)

@@ -11,7 +11,7 @@
 // (commit the output; the more runs, the less a wandering count can agree
 // by chance):
 //
-//	for p in 1 2 4; do GOMAXPROCS=$p go test -bench 'BenchmarkBestCost|BenchmarkOracleRound|BenchmarkNewWorker|BenchmarkWorkload/(64x|256x0.25)|BenchmarkWorkloadDAGBuild/(64|256)x0.25|BenchmarkSessionRepeat|BenchmarkPublishCache|BenchmarkServer|BenchmarkRouter' -benchtime 1x -count 3 -run '^$' ./...; done | go run ./cmd/benchdiff -record BENCH_baseline.json
+//	for p in 1 2 4; do GOMAXPROCS=$p go test -bench 'BenchmarkBestCost|BenchmarkOracleRound|BenchmarkL1Probe|BenchmarkNewWorker|BenchmarkWorkload/(64x|256x0.25)|BenchmarkWorkloadDAGBuild/(64|256)x0.25|BenchmarkSessionRepeat|BenchmarkPublishCache|BenchmarkServer|BenchmarkRouter' -benchtime 1x -count 3 -run '^$' ./...; done | go run ./cmd/benchdiff -record BENCH_baseline.json
 //
 // Gating (exits 1 on any failure):
 //

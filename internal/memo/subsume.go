@@ -1,6 +1,8 @@
 package memo
 
 import (
+	"slices"
+
 	"repro/internal/catalog"
 	"repro/internal/expr"
 )
@@ -16,19 +18,25 @@ import (
 // against its table's bucket alone. The pairs are still visited stricter
 // leaf by stricter leaf, each against the looser ones in creation order, so
 // every group's operators come in the order a test of all pairs adds them.
+// A filter reads its predicate's columns under the looser leaf's alias.
+// Those of the looser leaf's own selection were noted used when the leaf
+// was made, and a looser leaf feeds many stricter ones over the same few
+// columns, so only a column outside its selection is noted, once a leaf
+// (noted).
 func (m *Memo) subsumeSelections() {
-	byTable := map[*catalog.Table][]*scanLeaf{}
+	byTable := map[*catalog.Table][]int{}
 	for i := range m.scans {
-		s := &m.scans[i]
-		byTable[s.table] = append(byTable[s.table], s)
+		byTable[m.scans[i].table] = append(byTable[m.scans[i].table], i)
 	}
+	noted := map[int][]string{} // by looser leaf: the columns noted here under its alias
 	for i := range m.scans {
 		a := &m.scans[i] // candidate stricter leaf
 		if a.anon.True() {
 			continue
 		}
-		for _, b := range byTable[a.table] { // candidate looser leaf
-			if b == a {
+		for _, j := range byTable[a.table] {
+			b := &m.scans[j] // candidate looser leaf
+			if j == i {
 				continue
 			}
 			// Strictly stricter: mutual implication (which includes distinct
@@ -40,6 +48,11 @@ func (m *Memo) subsumeSelections() {
 			// b's output, whose columns carry b's canonical alias.
 			filterPred := rewriteAlias(a.anon, "$", b.alias)
 			for _, c := range filterPred.Conj {
+				col := c.Col.Column
+				if slices.ContainsFunc(b.anon.Conj, func(bc expr.Cmp) bool { return bc.Col.Column == col }) || slices.Contains(noted[j], col) {
+					continue
+				}
+				noted[j] = append(noted[j], col)
 				m.noteUsed(c.Col)
 			}
 			m.addExpr(&MExpr{Kind: OpFilter, Group: a.g.ID, Pred: filterPred}, b.g.ID)

@@ -5,6 +5,7 @@ package physical
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync/atomic"
 
@@ -67,12 +68,26 @@ func checkPure(mask uint64, have, v float64) {
 	}
 }
 
-// checkUnclaimed panics when the position a store has just claimed is live:
-// the batch's workers may be reading it, and a write would tear the entry
-// under them.
-func checkUnclaimed(b *l1Bucket, j int) {
-	if atomic.LoadUint64(&b.occ)&(1<<uint(j)) != 0 {
+// checkUnclaimed panics when the position j a store has just claimed is live
+// in occ, its bucket's occupancy: the batch's workers may be reading it, and
+// a write would tear the entry under them.
+func checkUnclaimed(occ uint64, j int) {
+	if occ&(1<<uint(j)) != 0 {
 		panic(fmt.Sprintf("physical: a store claims live position %d of an L1 bucket", j))
+	}
+}
+
+// checkGrown panics unless the bucket that replaces a full head holds every
+// entry of the head, at its bits, and at most one more: a replacement that
+// dropped or altered a key would hide it from every later probe.
+func checkGrown(h *l1Small, nb *l1Bucket) {
+	for j, e := range h.entries {
+		if v, ok := nb.lookup(e.mask); !ok || math.Float64bits(v) != math.Float64bits(e.val) {
+			panic(fmt.Sprintf("physical: the bucket replacing a full head lost position %d (mask %#x)", j, e.mask))
+		}
+	}
+	if n := bits.OnesCount64(atomic.LoadUint64(&nb.occ)); n != l1SmallCap && n != l1SmallCap+1 {
+		panic(fmt.Sprintf("physical: the bucket replacing a full head of %d entries holds %d", l1SmallCap, n))
 	}
 }
 

@@ -116,21 +116,26 @@ func TestL1KindsDoNotAlias(t *testing.T) {
 	}
 }
 
-// TestL1ProbeWraparound stores keys homed at the last probe position, so
-// collision resolution must wrap around to position 0, and verifies every
-// key stays retrievable.
+// TestL1ProbeWraparound stores keys homed at the last probe position of a
+// full bucket, so collision resolution must wrap around to position 0, and
+// verifies every key stays retrievable. A cell's first keys go into its
+// small head, which has no probe run; keys homed away from both ends fill it
+// first, so the wrapping keys reach the chain the head grows into.
 func TestL1ProbeWraparound(t *testing.T) {
 	s := buildSearcher(t, sharedPairQueries()...)
 	w, _, c := useCell(t, s)
 	taken := map[uint64]bool{}
+	for i := 0; i < l1SmallCap; i++ {
+		w.store(c, findMaskWithHome(t, 8+i, taken), float64(i), kindUse)
+	}
 	masks := make([]uint64, 4)
 	for i := range masks {
 		masks[i] = findMaskWithHome(t, l1BucketCap-1, taken)
 		w.store(c, masks[i], float64(100+i), kindUse)
 	}
-	b := l1At(s, 2*c+kindUse)
+	b := l1At(s, 2*c+kindUse).full.Load()
 	if b == nil {
-		t.Fatal("no bucket allocated")
+		t.Fatalf("%d stores left the cell without a chain", l1SmallCap+len(masks))
 	}
 	for i, m := range masks {
 		if v, ok := b.lookup(m); !ok || v != float64(100+i) {
@@ -148,12 +153,141 @@ func TestL1ProbeWraparound(t *testing.T) {
 	}
 }
 
-// TestL1ChainsPastFillBound pins what replaced eviction: a bucket takes at
-// most l1MaxFill entries, and a store that finds every bucket of its cell's
-// chain full links a new one behind the last, so the L1 drops no key. No
-// link passes the bound (a probe for an absent key stops early), every
-// stored key is found and no other; the publish path takes the chain whole
-// into an empty slot, and into an occupied one only the entries it lacks.
+// TestL1SmallHeadGrows pins a cell's geometry: its first l1SmallCap keys go
+// into a small head, and the store after them replaces the head with the
+// chain's first full bucket, which holds the head's keys and its own, while
+// the head is kept as it was. A SharedCache table sizes a slot by what it
+// holds the same way: extend gives a slot a new head while its entries fit
+// in one and a chain after, and never writes a published head or bucket.
+func TestL1SmallHeadGrows(t *testing.T) {
+	s := buildSearcher(t, sharedPairQueries()...)
+	w, _, c := useCell(t, s)
+	slot := l1At(s, 2*c+kindUse)
+	for i := 0; i < l1SmallCap; i++ {
+		w.store(c, l1TestMask(i), float64(i), kindUse)
+		if slot.full.Load() != nil || slot.small.Load().count() != i+1 {
+			t.Fatalf("after %d stores: chain %t, head of %d, want no chain and a head of %d", i+1, slot.full.Load() != nil, slot.small.Load().count(), i+1)
+		}
+	}
+	head := slot.small.Load()
+	w.store(c, l1TestMask(l1SmallCap), l1SmallCap, kindUse)
+	b := slot.full.Load()
+	if b == nil || b.next.Load() != nil || bits.OnesCount64(b.occ) != l1SmallCap+1 || slot.len() != l1SmallCap+1 {
+		t.Fatalf("the store past a full head made no one-bucket chain of %d entries (slot holds %d)", l1SmallCap+1, slot.len())
+	}
+	if slot.small.Load() != head || head.count() != l1SmallCap {
+		t.Fatal("replacing the head changed it")
+	}
+	for i := 0; i <= l1SmallCap; i++ {
+		if v, ok := slot.find(l1TestMask(i)); !ok || v != float64(i) {
+			t.Fatalf("mask %d after the head grew: got (%v, %v)", i, v, ok)
+		}
+	}
+
+	tab := &nsTable{slots: make(l1Table, 1)}
+	grow := func(from, to int) {
+		t.Helper()
+		var extra []l1Entry
+		for i := from; i < to; i++ {
+			extra = append(extra, l1Entry{mask: l1TestMask(i), val: float64(i)})
+		}
+		h, chain := tab.slots[0].small.Load(), tab.slots[0].full.Load()
+		hCount, chainOcc := h.count(), uint64(0)
+		if chain != nil {
+			chainOcc = chain.occ
+		}
+		tab.extend(0, extra)
+		if h.count() != hCount || chain != nil && chain.occ != chainOcc {
+			t.Fatal("extend wrote a published head or bucket")
+		}
+		if got := tab.slots[0].len(); got != to {
+			t.Fatalf("extended to %d keys, the slot holds %d", to, got)
+		}
+		for i := 0; i < to; i++ {
+			if v, ok := tab.slots[0].find(l1TestMask(i)); !ok || v != float64(i) {
+				t.Fatalf("mask %d of %d: got (%v, %v)", i, to, v, ok)
+			}
+		}
+	}
+	grow(0, 3)
+	grow(3, l1SmallCap)
+	if tab.slots[0].full.Load() != nil {
+		t.Fatalf("%d entries made a chain; they fit in a head", l1SmallCap)
+	}
+	grow(l1SmallCap, l1SmallCap+1)
+	grow(l1SmallCap+1, l1SmallCap+5)
+	if b := tab.slots[0].full.Load(); b == nil || b.next.Load() != nil {
+		t.Fatalf("%d entries are not one chain bucket", l1SmallCap+5)
+	}
+}
+
+// TestL1HeadGrowthRace stores distinct masks into one slot from four
+// goroutines at once, through the replacement of its full head, while two
+// readers probe it, and holds the slot to every mask at its value and to as
+// many entries as masks: no store dropped, none written twice. Run under
+// -race; the cellcheck build also asserts that no claimed position was live
+// and that every replacement kept the head whole.
+func TestL1HeadGrowthRace(t *testing.T) {
+	withProcs(t, 4)
+	const writers, perWriter, rounds = 4, 5, 300
+	for round := 0; round < rounds; round++ {
+		var slot l1Slot
+		var wg sync.WaitGroup
+		done := make(chan struct{})
+		for r := 0; r < 2; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					for k := 0; k < writers*perWriter; k++ {
+						if v, ok := slot.find(l1TestMask(k)); ok && v != float64(k) {
+							t.Errorf("mask %d read as %v while the slot grew", k, v)
+							return
+						}
+					}
+				}
+			}()
+		}
+		var writersWG sync.WaitGroup
+		for k := 0; k < writers; k++ {
+			writersWG.Add(1)
+			go func() {
+				defer writersWG.Done()
+				for j := 0; j < perWriter; j++ {
+					key := j*writers + k
+					slot.store(l1TestMask(key), float64(key))
+				}
+			}()
+		}
+		writersWG.Wait()
+		close(done)
+		wg.Wait()
+		if got := slot.len(); got != writers*perWriter {
+			t.Fatalf("round %d: %d distinct stores left %d entries", round, writers*perWriter, got)
+		}
+		for k := 0; k < writers*perWriter; k++ {
+			if v, ok := slot.find(l1TestMask(k)); !ok || v != float64(k) {
+				t.Fatalf("round %d: mask %d: got (%v, %v)", round, k, v, ok)
+			}
+		}
+		if slot.full.Load() == nil {
+			t.Fatalf("round %d: %d keys left no chain", round, writers*perWriter)
+		}
+	}
+}
+
+// TestL1ChainsPastFillBound pins what replaced eviction: a full bucket takes
+// at most l1MaxFill entries, and a store that finds every bucket of its
+// cell's chain full links a new one behind the last, so the L1 drops no key.
+// The chain holds every key the cell's head did. No link passes the bound (a
+// probe for an absent key stops early), every stored key is found and no
+// other; the publish path takes the slot whole into an empty slot, and into
+// an occupied one only the entries it lacks.
 func TestL1ChainsPastFillBound(t *testing.T) {
 	s := buildSearcher(t, sharedPairQueries()...)
 	w, _, c := useCell(t, s)
@@ -165,34 +299,34 @@ func TestL1ChainsPastFillBound(t *testing.T) {
 		w.store(c, m, float64(i), kindUse)
 	}
 	w.store(c, l1TestMask(n-1), n-1, kindUse) // a key its link already holds adds nothing
-	head := l1At(s, 2*c+kindUse)
+	slot := l1At(s, 2*c+kindUse)
 	links := 0
-	for b := head; b != nil; b = b.next.Load() {
+	for b := slot.full.Load(); b != nil; b = b.next.Load() {
 		links++
 		if occ := bits.OnesCount64(b.occ); occ > l1MaxFill || occ != bits.OnesCount64(b.held) {
 			t.Fatalf("link %d holds %d entries (%d claimed), want at most the fill bound %d and none in flight", links, occ, bits.OnesCount64(b.held), l1MaxFill)
 		}
 	}
-	if want := (n + l1MaxFill - 1) / l1MaxFill; links != want || chainLen(head) != n {
-		t.Fatalf("%d stores made %d links of %d entries, want %d links of %d", n, links, chainLen(head), want, n)
+	if want := (n + l1MaxFill - 1) / l1MaxFill; links != want || slot.len() != n {
+		t.Fatalf("%d stores made %d links of %d entries, want %d links of %d", n, links, slot.len(), want, n)
 	}
-	checkChain := func(where string, head *l1Bucket, want map[uint64]float64) {
+	checkSlot := func(where string, slot *l1Slot, want map[uint64]float64) {
 		t.Helper()
 		for m, v := range want {
-			if got, ok := head.find(m); !ok || got != v {
+			if got, ok := slot.find(m); !ok || got != v {
 				t.Fatalf("%s: mask %#x: got (%v, %v), want (%v, true)", where, m, got, ok, v)
 			}
 		}
-		if v, ok := head.find(l1TestMask(1 << 21)); ok {
+		if v, ok := slot.find(l1TestMask(1 << 21)); ok {
 			t.Fatalf("%s: never-stored mask found (%v)", where, v)
 		}
 	}
-	checkChain("run L1", head, stored)
+	checkSlot("run L1", slot, stored)
 
-	// Published: an empty slot adopts the chain as is.
+	// Published: an empty slot adopts the head and the chain as they are.
 	tab := &nsTable{slots: make(l1Table, 2)}
-	if got := tab.absorb(kindUse, head); got != n || tab.slots[kindUse].Load() != head {
-		t.Fatalf("adopting the chain added %d entries (head kept: %t), want %d and the run's own head", got, tab.slots[kindUse].Load() == head, n)
+	if got := tab.absorb(kindUse, slot); got != n || tab.slots[kindUse].full.Load() != slot.full.Load() || tab.slots[kindUse].small.Load() != slot.small.Load() {
+		t.Fatalf("adopting the slot added %d entries (chain kept: %t), want %d and the run's own chain", got, tab.slots[kindUse].full.Load() == slot.full.Load(), n)
 	}
 	// A second run's chain that shares two keys brings a link and a half of
 	// new ones: only those are added, in links of the table's own.
@@ -210,9 +344,95 @@ func TestL1ChainsPastFillBound(t *testing.T) {
 	if got := tab.absorb(kindUse, l1At(s2, 2*c+kindUse)); got != fresh {
 		t.Fatalf("absorbing %d new and 2 known keys added %d entries", fresh, got)
 	}
-	checkChain("published chain", tab.slots[kindUse].Load(), stored)
-	if got := chainLen(tab.slots[kindUse].Load()); got != len(stored) {
+	checkSlot("published chain", &tab.slots[kindUse], stored)
+	if got := tab.slots[kindUse].len(); got != len(stored) {
 		t.Fatalf("published chain holds %d entries for %d keys", got, len(stored))
+	}
+}
+
+// TestL1BytesPerEntry bounds what a cold run's L1 allocates per entry it
+// holds. A cold 32-query MarginalGreedy-shaped run — bc(∅), the U ∖ {e}
+// batch of the decomposition, greedy rounds of S ∪ {x} — fills the L1 on one
+// worker; its entries are then stored again, slot by slot, into an empty
+// table, and the bytes that replay allocates are the buckets the geometry
+// makes for that many keys a cell. Most cells hold a handful of keys, so one
+// full bucket (1,152 B) for every cell that holds any is far past the bound.
+func TestL1BytesPerEntry(t *testing.T) {
+	const bound = 64.0 // B per entry
+	withProcs(t, 1)
+	s := NewSearcher(workloadMemo(t, 32))
+	price := func(sets []NodeSet) []float64 {
+		t.Helper()
+		got, ok := s.BestCostBatchCtx(nil, sets)
+		if !ok {
+			t.Fatalf("batch aborted: %v", s.TakeFault())
+		}
+		return got
+	}
+	sh := s.M.Shareable()
+	set := s.NewNodeSet()
+	best := price([]NodeSet{set})[0]
+	var minus []NodeSet
+	for i := range sh {
+		minus = append(minus, s.NewNodeSet(append(append([]memo.GroupID(nil), sh[:i]...), sh[i+1:]...)...))
+	}
+	price(minus)
+	for {
+		var next []NodeSet
+		for _, x := range sh {
+			if !set.Has(x) {
+				next = append(next, set.With(x))
+			}
+		}
+		if len(next) == 0 {
+			break
+		}
+		costs, pick := price(next), -1
+		for i, c := range costs {
+			if c < best {
+				best, pick = c, i
+			}
+		}
+		if pick < 0 {
+			break
+		}
+		set = next[pick]
+	}
+
+	type kv struct {
+		slot int
+		e    l1Entry
+	}
+	var entries []kv
+	slots, fullBuckets := 0, 0 // slots holding any key; the chain buckets they would need
+	for i := range s.l1 {
+		n := s.l1[i].len()
+		if n == 0 {
+			continue
+		}
+		slots++
+		fullBuckets += (n + l1MaxFill - 1) / l1MaxFill
+		s.l1[i].links(func(occ uint64, es []l1Entry) {
+			for ; occ != 0; occ &= occ - 1 {
+				entries = append(entries, kv{i, es[bits.TrailingZeros64(occ)]})
+			}
+		})
+	}
+	tab := make(l1Table, len(s.l1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, x := range entries {
+		tab[x.slot].store(x.e.mask, x.e.val)
+	}
+	runtime.ReadMemStats(&after)
+	got := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(entries))
+	oneBucket := float64(fullBuckets*1152) / float64(len(entries))
+	t.Logf("%d entries in %d slots: %.1f B an entry (bound %.0f); full buckets alone would take %.1f", len(entries), slots, got, bound, oneBucket)
+	if oneBucket <= bound {
+		t.Fatalf("full buckets alone take %.1f B an entry, within the bound %.0f: the run is not one the bound tells apart", oneBucket, bound)
+	}
+	if got > bound {
+		t.Fatalf("the L1 allocates %.1f B an entry, want at most %.0f", got, bound)
 	}
 }
 
@@ -226,9 +446,9 @@ func TestResetL1DropsRunL1(t *testing.T) {
 	w, _, c := useCell(t, s)
 	w.store(c, 11, 1.5, kindUse)
 	w.store(c, 12, 2.5, kindComp)
-	use := l1At(s, 2*c+kindUse)
-	if use == nil || use == l1At(s, 2*c+kindComp) {
-		t.Fatalf("after one store per kind: use bucket %p, compute bucket %p", use, l1At(s, 2*c+kindComp))
+	use := l1At(s, 2*c+kindUse).small.Load()
+	if use == nil || use == l1At(s, 2*c+kindComp).small.Load() {
+		t.Fatalf("after one store per kind: use head %p, compute head %p", use, l1At(s, 2*c+kindComp).small.Load())
 	}
 
 	s.resetL1()
@@ -244,13 +464,13 @@ func TestResetL1DropsRunL1(t *testing.T) {
 	}
 
 	w.store(c, 13, 3.5, kindUse)
-	if l1At(s, 2*c+kindUse) == use {
-		t.Fatal("the store after resetL1 went into a bucket of the dropped table")
+	if l1At(s, 2*c+kindUse).small.Load() == use {
+		t.Fatal("the store after resetL1 went into a head of the dropped table")
 	}
 	if v, ok := w.cached(c, 13, kindUse); !ok || v != 3.5 {
 		t.Fatalf("post-reset store: got (%v, %v), want (3.5, true)", v, ok)
 	}
-	if v, ok := use.lookup(11); !ok || v != 1.5 {
+	if v, ok := use.find(11); !ok || v != 1.5 {
 		t.Fatalf("the dropped bucket changed after the reset: got (%v, %v)", v, ok)
 	}
 }
@@ -326,7 +546,7 @@ func TestUseKeysOnlyInsideSet(t *testing.T) {
 					live := 0
 					for g, ok := range s.cells.useKeys {
 						for c := s.cells.start[g]; c < s.cells.start[g+1]; c++ {
-							if tab[2*c+kindUse].Load() == nil {
+							if tab[2*c+kindUse].empty() {
 								continue
 							}
 							if !ok {
@@ -361,13 +581,8 @@ func useCell(t *testing.T, s *Searcher) (*worker, memo.GroupID, int) {
 	return w, sh[0], s.cells.anyCell(sh[0])
 }
 
-// l1At is the bucket at slot i of the searcher's L1, nil when there is none.
-func l1At(s *Searcher, i int) *l1Bucket {
-	if s.l1 == nil {
-		return nil
-	}
-	return s.l1[i].Load()
-}
+// l1At is slot i of the searcher's L1.
+func l1At(s *Searcher, i int) *l1Slot { return &s.l1[i] }
 
 // TestBestCostBatchCtxL1Stress hammers the flat L1 through the real
 // batched oracle: hundreds of random candidate sets, evaluated on a
@@ -431,7 +646,7 @@ func TestSharedL1Stress(t *testing.T) {
 			t.Fatalf("%s: nothing published under the searcher's namespace", where)
 		}
 		for j, e := range l1 {
-			if v, ok := tab.slots[slots[j]].Load().find(e.mask); !ok || v != e.val {
+			if v, ok := tab.slots[slots[j]].find(e.mask); !ok || v != e.val {
 				t.Fatalf("%s: slot %d mask %#x: the table says (%v, %v), the L1 held %v", where, slots[j], e.mask, v, ok, e.val)
 			}
 		}
@@ -444,12 +659,12 @@ func TestSharedL1Stress(t *testing.T) {
 			var held []l1Entry
 			var slots []int32
 			for i := range s.l1 {
-				for b := s.l1[i].Load(); b != nil; b = b.next.Load() {
-					for occ := b.occ; occ != 0; occ &= occ - 1 {
-						held = append(held, b.entries[bits.TrailingZeros64(occ)])
+				s.l1[i].links(func(occ uint64, entries []l1Entry) {
+					for ; occ != 0; occ &= occ - 1 {
+						held = append(held, entries[bits.TrailingZeros64(occ)])
 						slots = append(slots, int32(i))
 					}
-				}
+				})
 			}
 			s.PublishCache()
 			published(fmt.Sprintf("round %d", round), held, slots)
@@ -463,7 +678,7 @@ func TestSharedL1Stress(t *testing.T) {
 			t.Fatalf("round %d: batch aborted: %v", round, s.TakeFault())
 		}
 		for i := range s.l1 {
-			if b := s.l1[i].Load(); b != nil && b.next.Load() != nil {
+			if b := s.l1[i].full.Load(); b != nil && b.next.Load() != nil {
 				chained++
 			}
 		}
@@ -542,10 +757,11 @@ func TestPublishCacheAdoptsBuckets(t *testing.T) {
 	}
 }
 
-// BenchmarkL1Probe compares the flat open-addressed bucket against the
-// retired map[uint64]float64 bucket layout on the L1's real access mix —
-// a warm bucket probed at a hit-heavy ratio with periodic fresh stores —
-// with allocations reported. The flat path must be allocation-free.
+// BenchmarkL1Probe compares the L1's two bucket shapes against the retired
+// map[uint64]float64 bucket layout on the L1's real access mix — a warm
+// bucket probed at a hit-heavy ratio with periodic stores of keys it holds —
+// with allocations reported: "flat" is a full bucket at its fill bound,
+// "small" a full head (l1Small). Neither bucket path may allocate.
 func BenchmarkL1Probe(b *testing.B) {
 	masks := make([]uint64, l1MaxFill)
 	for i := range masks {
@@ -566,6 +782,26 @@ func BenchmarkL1Probe(b *testing.B) {
 				continue
 			}
 			if v, ok := bucket.lookup(m); ok {
+				sink += v
+			}
+		}
+		benchSink = sink
+	})
+	b.Run("small", func(b *testing.B) {
+		head := new(l1Small)
+		for i, m := range masks[:l1SmallCap] {
+			head.put(m, float64(i))
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		var sink float64
+		for i := 0; i < b.N; i++ {
+			m := masks[i%l1SmallCap]
+			if i%16 == 15 {
+				head.put(m, float64(i))
+				continue
+			}
+			if v, ok := head.find(m); ok {
 				sink += v
 			}
 		}

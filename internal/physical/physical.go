@@ -196,23 +196,30 @@
 //
 // The hierarchy a lookup walks under the memo, fastest first:
 //
-//  1. Flat L1, one per run and shared by the workers of a batch: per-cell
-//     chains of open-addressed probe arrays (l1Bucket, lazily allocated) of
-//     inline (mask, value) pairs with a 1-byte tag per position and an
-//     explicit occupancy bitmap, so no mask value is reserved as "empty".
-//     Use-cost and compute-cost keys share one table: the chain of a cell
-//     and kind sits at index 2*cell+kind, and a use-cost chain exists only
-//     for a cell of a group in some set (the cellcheck build asserts it). A
-//     bucket takes entries up to a 3/4 fill bound; a store that finds every
-//     bucket of its chain full links a new one behind the last. Nothing is
-//     evicted: the L1 holds every key the run kept until PublishCache hands
-//     it over, so its memory is what the run stored — bounded by the keep
-//     rule above, not by a fill bound. resetL1 lets go of the whole table in
-//     O(1).
+//  1. Flat L1, one per run and shared by the workers of a batch: one
+//     16-byte slot per cell and kind (l1Slot), which starts a small head
+//     (l1Small, 8 inline pairs, 144 B) and, when the cell outgrows it, a
+//     chain of open-addressed probe arrays (l1Bucket, 64 positions, 1,152
+//     B) that holds the head's pairs too; both lazily allocated. Pairs are
+//     inline (mask, value) with a 1-byte tag per position and an explicit
+//     occupancy bitmap, so no mask value is reserved as "empty". Most cells
+//     keep a handful of keys — a cold 64-query run of bc(∅), the
+//     decomposition and greedy rounds: median 2, 91 % at most 8 — so most
+//     cost a head, not a full bucket (a cold 32-query run's L1 allocates
+//     42 B an entry, 148 B when every cell started at a full bucket:
+//     TestL1BytesPerEntry). Use-cost and compute-cost keys share one table:
+//     the slot of a cell and kind sits at index 2*cell+kind, and a use-cost
+//     slot holds keys only for a cell of a group in some set (the cellcheck
+//     build asserts it). A full bucket takes entries up to a 3/4 fill bound;
+//     a store that finds every bucket of its chain full links a new one
+//     behind the last. Nothing is evicted: the L1 holds every key the run
+//     kept until PublishCache hands it over, so its memory is what the run
+//     stored — bounded by the keep rule above, not by a fill bound. resetL1
+//     lets go of the whole table in O(1).
 //  2. SharedCache L2: the optionally attached cross-searcher tier, one
 //     table per namespace (structural fingerprint + operator flags) with
-//     the L1's own geometry: slot 2*cell+kind holds an atomically loaded
-//     pointer to a short chain of l1Buckets that are immutable once
+//     the L1's own geometry: slot 2*cell+kind holds atomically loaded
+//     pointers to a head and a short chain of l1Buckets, immutable once
 //     published. Reads are lock-free: a worker resolves its namespace's
 //     table once per oracle call (nil when nothing was published under
 //     it, so a cold run never probes the L2) and on an L1 miss loads the
@@ -255,17 +262,22 @@
 // The workers of a batch share the run's L1: any of them reads, with no lock,
 // what any other stored, so a key one worker computed is a hit for the rest.
 // That is safe because a bucket position is written once and published in
-// order (l1Bucket.put): a store claims a free position with a
+// order (l1Bucket.put, l1Small.put): a store claims a free position with a
 // compare-and-swap on the bucket's held word, writes the tag and the entry,
 // and only then sets the position's bit in occ with an atomic or — the word
-// a reader loads before it reads any entry. A bucket at the fill bound is
-// never written again; a store that finds every bucket of its chain full
-// links a new one, holding its pair, with a compare-and-swap on the last
-// bucket's next pointer (or on the empty slot), so two stores that race for
-// the link both land — the loser's bucket is tried again further down — and
-// a reader that loads the pointer sees a finished bucket. No store waits, is
-// deferred or is dropped, and none overwrites a live position under a
-// reader, on one worker or on many. Two workers that miss the same key at
+// a reader loads before it reads any entry. A bucket at the fill bound, or a
+// full head, is never written again. A store that finds the head full
+// replaces it: once the stores in flight into the head have published (occ
+// catches up with held), it copies the head's pairs and its own into the
+// chain's first bucket and installs that with a compare-and-swap on the
+// slot's chain pointer, which a probe reads before the head. A store that
+// finds every bucket of its chain full links a new one, holding its pair,
+// with a compare-and-swap on the last bucket's next pointer, so two stores
+// that race for the link both land — the loser's bucket is tried again
+// further down — and a reader that loads the pointer sees a finished
+// bucket. No store is deferred or dropped, none waits but for the stores in
+// flight into a head it replaces, and none overwrites a live position under
+// a reader, on one worker or on many. Two workers that miss the same key at
 // once both compute it, and both values are the same bits. What moves a
 // whole table — resetL1 (syncShared after an Invalidate) and PublishCache —
 // runs only between batches.
@@ -782,20 +794,29 @@ func (s *space) fillDepth(g memo.GroupID) int32 {
 	return d
 }
 
-// l1BucketBits sizes the per-(group,order) flat L1 buckets: each bucket
-// is a fixed-capacity power-of-two probe array of 1<<l1BucketBits
-// (mask, value) pairs stored inline, so its occupancy fits one uint64
-// bitmap word.
+// l1BucketBits sizes a cell's full L1 buckets: each is a fixed-capacity
+// power-of-two probe array of 1<<l1BucketBits (mask, value) pairs stored
+// inline, so its occupancy fits one uint64 bitmap word.
 const l1BucketBits = 6
 
-// l1BucketCap is the bucket capacity (entries per probe array).
+// l1BucketCap is the full bucket's capacity (entries per probe array).
 const l1BucketCap = 1 << l1BucketBits
 
-// l1MaxFill is the fill bound of a bucket (3/4 load): a bucket holds at most
-// this many entries, so a probe for an absent key stops at an empty position
-// after a short run, and a store that finds its bucket at the bound goes to
-// the next link of the cell's chain (worker.store, nsTable.extend).
+// l1MaxFill is the fill bound of a full bucket (3/4 load): a bucket holds at
+// most this many entries, so a probe for an absent key stops at an empty
+// position after a short run, and a store that finds its bucket at the bound
+// goes to the next link of the cell's chain (l1Slot.store, nsTable.extend).
 const l1MaxFill = l1BucketCap * 3 / 4
+
+// l1SmallCap is the capacity of a cell's small head (l1Small), the bucket
+// every chain starts as: most cells keep a handful of keys (a cold 64-query
+// run: median 3, 84 % at most 6), which a full bucket holds in 1,152 B and a
+// small head in 144 B. Its positions are claimed in order and a probe reads
+// every live one, so it fills to capacity: l1SmallFull is its held word then.
+const (
+	l1SmallCap  = 8
+	l1SmallFull = 1<<l1SmallCap - 1
+)
 
 // epVal is one memo cell: a cost and the stamp its group carried when the
 // cost was written, adjacent in memory so a memo hit touches one cache line.
@@ -829,24 +850,229 @@ type cellUndo struct {
 	old  epVal
 }
 
-// l1Entry is one inline (mask hash, cost) pair of a flat L1 bucket.
+// l1Entry is one inline (mask hash, cost) pair of an L1 bucket.
 type l1Entry struct {
 	mask uint64
 	val  float64
 }
 
-// l1Bucket is one link of the flat open-addressed cross-call cache of a
-// (group, order) cell and cost kind. Occupancy is explicit — bit j of occ
-// marks entries[j] live — so every 64-bit mask hash, including ^uint64(0),
-// round-trips exactly. In a run's L1 the workers of a fanned-out batch read
-// and store into one bucket at once, so a position is published in order:
-// put claims it in held, writes its tag and entry, and only then sets its
-// bit in occ; a reader loads occ before it reads a tag or an entry, so it
-// reads only positions whose writes are done. A bucket at the fill bound
-// takes no more stores: the cell's next one does, linked through next — in a
-// run's L1 behind the full bucket, by the store that found it full, with a
+// l1Slot is the cache of one (group, order) cell and cost kind, in a run's
+// L1 or a SharedCache table: a small head (l1Small) until the cell holds
+// more than it takes, then a chain of full buckets (l1Bucket) that holds
+// every entry the head did. A probe loads full first and reads the head only
+// when there is no chain, so a cell with a chain is probed exactly as a
+// chain; both pointers sit in one 16-byte slot, so telling the two apart
+// reads no line the probe would not read anyway. A head, once replaced, is
+// kept but never read again.
+type l1Slot struct {
+	small atomic.Pointer[l1Small]
+	full  atomic.Pointer[l1Bucket]
+}
+
+// l1Table is a run's L1, or a SharedCache namespace's table: the slot of
+// (cell, kind) at index 2*cell+kind.
+type l1Table []l1Slot
+
+// find probes the slot: each bucket of its chain when it has one, else its
+// head.
+func (s *l1Slot) find(mask uint64) (float64, bool) {
+	b := s.full.Load()
+	if b == nil {
+		return s.small.Load().find(mask)
+	}
+	for ; b != nil; b = b.next.Load() {
+		if v, ok := b.lookup(mask); ok {
+			return v, true
+		}
+	}
+	return 0, false
+}
+
+// empty reports whether the slot holds nothing.
+func (s *l1Slot) empty() bool { return s.full.Load() == nil && s.small.Load() == nil }
+
+// links calls fn with the occupancy word and the entries of every bucket the
+// slot's entries live in: each link of its chain, or its head.
+func (s *l1Slot) links(fn func(occ uint64, entries []l1Entry)) {
+	if b := s.full.Load(); b != nil {
+		for ; b != nil; b = b.next.Load() {
+			fn(atomic.LoadUint64(&b.occ), b.entries[:])
+		}
+		return
+	}
+	if b := s.small.Load(); b != nil {
+		fn(uint64(atomic.LoadUint32(&b.occ)), b.entries[:])
+	}
+}
+
+// len counts the slot's entries.
+func (s *l1Slot) len() int {
+	n := 0
+	s.links(func(occ uint64, _ []l1Entry) { n += bits.OnesCount64(occ) })
+	return n
+}
+
+// store adds a pair to a run's L1 slot, which the other workers of a batch
+// may be probing and storing into at the same time. Until the cell has a
+// chain the pair goes into its head (storeSmall). In a chain it goes into
+// the first bucket below the fill bound (l1Bucket.put); when every bucket is
+// full, into a new one the store links behind the last with a
+// compare-and-swap on its next. A store never drops a pair and never
+// overwrites a live position, so the L1 holds every key the run stored until
+// PublishCache hands it over. A link a store loses the race to install is
+// kept for its next try.
+func (s *l1Slot) store(mask uint64, v float64) {
+	if s.full.Load() == nil && s.storeSmall(mask, v) {
+		return
+	}
+	at := &s.full    // the chain, then the next of each full bucket
+	var nb *l1Bucket // the pair in a link of its own, once it needs one
+	for {
+		b := at.Load()
+		if b == nil {
+			if nb == nil {
+				nb = new(l1Bucket)
+				nb.put(mask, v)
+			}
+			if at.CompareAndSwap(nil, nb) {
+				return
+			}
+			continue // another store linked first: try its bucket
+		}
+		if b.put(mask, v) {
+			return
+		}
+		at = &b.next
+	}
+}
+
+// storeSmall stores a pair in the slot's head, installing one with a
+// compare-and-swap at an empty slot. A store that finds the head full
+// replaces it: it builds the chain's first bucket from the head's entries and
+// its own pair (l1Small.grow) and installs it with a compare-and-swap on
+// full. storeSmall reports false when the pair still needs storing: another
+// store installed the chain first, and the pair belongs in it.
+func (s *l1Slot) storeSmall(mask uint64, v float64) bool {
+	for {
+		h := s.small.Load()
+		if h == nil {
+			h = new(l1Small)
+			h.put(mask, v)
+			if s.small.CompareAndSwap(nil, h) {
+				return true
+			}
+			continue // another store installed a head first: try it
+		}
+		if h.put(mask, v) {
+			return true
+		}
+		return s.full.CompareAndSwap(nil, h.grow(mask, v))
+	}
+}
+
+// l1Small is the head a cell's chain starts as: l1SmallCap inline pairs with
+// a 1-byte tag each, published in order like a full bucket's (l1Bucket) —
+// put claims a position in held, writes its tag and entry, and only then
+// sets its bit in occ, the word a reader loads first. Positions are claimed
+// lowest first and a probe compares the tag of every live one, so there is
+// no probe run and no fill bound below capacity. A full head takes no more
+// stores: the store that finds it full replaces it with a full bucket
+// (l1Slot.storeSmall).
+type l1Small struct {
+	occ     uint32 // live positions; atomic
+	held    uint32 // claimed positions: occ and the stores in flight; atomic
+	tags    [l1SmallCap]uint8
+	entries [l1SmallCap]l1Entry
+}
+
+// find probes the head's live positions, tag first (nil is the empty head).
+func (b *l1Small) find(mask uint64) (float64, bool) {
+	if b == nil {
+		return 0, false
+	}
+	tag := l1Tag(mask)
+	for occ := atomic.LoadUint32(&b.occ); occ != 0; occ &= occ - 1 {
+		j := bits.TrailingZeros32(occ)
+		if b.tags[j] == tag && b.entries[j].mask == mask {
+			return b.entries[j].val, true
+		}
+	}
+	return 0, false
+}
+
+// count is the number of the head's live entries (0 for nil). Positions are
+// claimed lowest first, so once the stores in flight have published theirs
+// the live entries are entries[:count].
+func (b *l1Small) count() int {
+	if b == nil {
+		return 0
+	}
+	return bits.OnesCount32(atomic.LoadUint32(&b.occ))
+}
+
+// put stores a pair as l1Bucket.put does, claiming the lowest free position:
+// a mask already published is left as it is, and a full head stores nothing
+// and reports false.
+func (b *l1Small) put(mask uint64, v float64) bool {
+	if atomic.LoadUint32(&b.held) == l1SmallFull {
+		return false
+	}
+	if have, ok := b.find(mask); ok {
+		if cellCheck {
+			checkPure(mask, have, v)
+		}
+		return true
+	}
+	for {
+		held := atomic.LoadUint32(&b.held)
+		if held == l1SmallFull {
+			return false
+		}
+		j := bits.TrailingZeros32(^held)
+		if atomic.CompareAndSwapUint32(&b.held, held, held|1<<uint(j)) {
+			if cellCheck {
+				checkUnclaimed(uint64(atomic.LoadUint32(&b.occ)), j)
+			}
+			b.tags[j] = l1Tag(mask)
+			b.entries[j] = l1Entry{mask: mask, val: v}
+			atomic.OrUint32(&b.occ, 1<<uint(j))
+			return true
+		}
+	}
+}
+
+// grow returns the full bucket that replaces a full head: the head's entries
+// and the pair. Every position of the head is claimed, so none is claimed
+// again; grow waits until the stores in flight have published theirs (occ
+// catches up with held, a few instructions each) and copies what is final.
+// The bucket is private until the caller installs it.
+func (b *l1Small) grow(mask uint64, v float64) *l1Bucket {
+	for atomic.LoadUint32(&b.occ) != l1SmallFull {
+		runtime.Gosched()
+	}
+	nb := new(l1Bucket)
+	for j := range b.entries {
+		nb.put(b.entries[j].mask, b.entries[j].val)
+	}
+	nb.put(mask, v)
+	if cellCheck {
+		checkGrown(b, nb)
+	}
+	return nb
+}
+
+// l1Bucket is one link of a cell's full chain, once the cell has outgrown
+// its head (l1Slot). Occupancy is explicit — bit j of occ marks entries[j]
+// live — so every 64-bit mask hash, including ^uint64(0), round-trips
+// exactly. In a run's L1 the workers of a fanned-out batch read and store
+// into one bucket at once, so a position is published in order: put claims
+// it in held, writes its tag and entry, and only then sets its bit in occ; a
+// reader loads occ before it reads a tag or an entry, so it reads only
+// positions whose writes are done. A bucket at the fill bound takes no more
+// stores: the cell's next one does, linked through next — in a run's L1
+// behind the full bucket, by the store that found it full, with a
 // compare-and-swap; in a SharedCache table in front of the chain, before the
-// new head is published (nsTable.extend), whose buckets are never written
+// new chain is published (nsTable.extend), whose buckets are never written
 // once published. The 16-byte header keeps every entry inside one cache
 // line; only a probe that misses a bucket reads next.
 type l1Bucket struct {
@@ -856,10 +1082,6 @@ type l1Bucket struct {
 	entries [l1BucketCap]l1Entry
 	next    atomic.Pointer[l1Bucket]
 }
-
-// l1Table is a run's L1, or a SharedCache namespace's table: the bucket
-// chain of (cell, kind) at slot 2*cell+kind.
-type l1Table []atomic.Pointer[l1Bucket]
 
 // l1Home is the probe start position for a mask hash: the top bucket
 // bits of a Fibonacci remix (the mask is itself a hash; the remix keeps
@@ -896,16 +1118,6 @@ func (b *l1Bucket) lookup(mask uint64) (float64, bool) {
 	return 0, false
 }
 
-// find probes the chain of buckets starting at b (nil is the empty chain).
-func (b *l1Bucket) find(mask uint64) (float64, bool) {
-	for ; b != nil; b = b.next.Load() {
-		if v, ok := b.lookup(mask); ok {
-			return v, true
-		}
-	}
-	return 0, false
-}
-
 // put stores a pair while other workers of the batch may probe and store
 // into the bucket. A mask already published is left as it is (its value is
 // a pure function of the key; the cellcheck build asserts the bits agree).
@@ -936,7 +1148,7 @@ func (b *l1Bucket) put(mask uint64, v float64) bool {
 		j := (h + bits.TrailingZeros64(bits.RotateLeft64(^held, -h))) & (l1BucketCap - 1)
 		if atomic.CompareAndSwapUint64(&b.held, held, held|1<<uint(j)) {
 			if cellCheck {
-				checkUnclaimed(b, j)
+				checkUnclaimed(atomic.LoadUint64(&b.occ), j)
 			}
 			b.tags[j] = l1Tag(mask)
 			b.entries[j] = l1Entry{mask: mask, val: v}
@@ -944,15 +1156,6 @@ func (b *l1Bucket) put(mask uint64, v float64) bool {
 			return true
 		}
 	}
-}
-
-// chainLen counts the entries of the chain starting at b.
-func chainLen(b *l1Bucket) int {
-	n := 0
-	for ; b != nil; b = b.next.Load() {
-		n += bits.OnesCount64(b.occ)
-	}
-	return n
 }
 
 // worker is one evaluation context: the memo and its per-call scratch; the
@@ -1099,7 +1302,7 @@ func (w *worker) entry(g memo.GroupID, cell, kind int) bool {
 }
 
 // cached consults the cache levels for a use- or compute-cost key: the
-// cell's chain in the run's L1, then the same cell of the SharedCache table
+// cell's slot in the run's L1, then the same slot of the SharedCache table
 // resolved for the run — at each level a pointer load and a probe, with no
 // lock, no hash, and no copy into the L1. Fresh values go only to the L1;
 // PublishCache hands it to the SharedCache whole.
@@ -1109,12 +1312,12 @@ func (w *worker) cached(cell int, mask uint64, kind int) (float64, bool) {
 		w.checkUseKey(i)
 		w.checkOverlayKey(i)
 	}
-	if v, ok := w.l1[i].Load().find(mask); ok {
+	if v, ok := w.l1[i].find(mask); ok {
 		w.stats.CacheHits++
 		return v, true
 	}
 	if w.l2 != nil {
-		if v, ok := w.l2[i].Load().find(mask); ok {
+		if v, ok := w.l2[i].find(mask); ok {
 			w.stats.SharedHits++
 			return v, true
 		}
@@ -1122,43 +1325,20 @@ func (w *worker) cached(cell int, mask uint64, kind int) (float64, bool) {
 	return 0, false
 }
 
-// store adds a fresh value to the run's L1, which the other workers of a
-// batch may be probing and storing into at the same time: no lock and no
-// log, so a store is written while the probe that missed it has left its
-// chain in cache, and a worker never waits for another (logging the stores
-// and writing them under one lock kept the workers of a cold 64-query run
-// waiting 11 ms an op). The pair goes into the first bucket of the cell's
-// chain below the fill bound (l1Bucket.put); when every bucket is full, into
-// a new one the store links behind the last with a compare-and-swap on its
-// next, or, at an empty slot, installs as the chain. A store never drops a
-// pair and never overwrites a live position, so the L1 holds every key the
-// run stored until PublishCache hands it over. A link a store loses the race
-// to install is kept for its next try.
+// store adds a fresh value to the run's L1 (l1Slot.store), which the other
+// workers of a batch may be probing and storing into at the same time: no
+// lock and no log, so a store is written while the probe that missed it has
+// left its slot in cache, and a worker never waits for another's computation
+// (logging the stores and writing them under one lock kept the workers of a
+// cold 64-query run waiting 11 ms an op). The one wait is a store's that
+// replaces a full head: for the stores in flight into that head to publish.
 func (w *worker) store(cell int, mask uint64, v float64, kind int) {
 	i := 2*cell + kind
 	if cellCheck {
 		w.checkUseKey(i)
 		w.checkOverlayKey(i)
 	}
-	at := &w.l1[i]   // the slot, then the next of each full bucket
-	var nb *l1Bucket // the pair in a link of its own, once it needs one
-	for {
-		b := at.Load()
-		if b == nil {
-			if nb == nil {
-				nb = new(l1Bucket)
-				nb.put(mask, v)
-			}
-			if at.CompareAndSwap(nil, nb) {
-				return
-			}
-			continue // another store linked first: try its bucket
-		}
-		if b.put(mask, v) {
-			return
-		}
-		at = &b.next
-	}
+	w.l1[i].store(mask, v)
 }
 
 // worker returns the searcher's i-th worker, taking more on demand: from

@@ -21,9 +21,10 @@ import (
 const sharedCacheCap = 1 << 19
 
 // freeCellCap bounds the cells of the workers a SharedCache keeps for reuse,
-// all of them together: at 48 B a cell (two 16-byte memo cells and two L1
-// bucket pointers) their tables stay under ≈ 25 MB, below what the cost
-// entries themselves may hold. Measured at generator seed 1000, a worker for
+// all of them together, and so of the spare L1 tables: at 32 B a cell (two
+// 16-byte memo cells) the workers' tables stay under ≈ 17 MB, and the spare
+// L1s (two 16-byte slots a cell) as much again, below what the cost entries
+// themselves may hold. Measured at generator seed 1000, a worker for
 // a 64-query batch is 11,770 cells (0.56 MB) and one for the 256-query stress
 // tier 134,777 (6.5 MB), so a worker per core of either is kept.
 const freeCellCap = 1 << 19
@@ -41,16 +42,19 @@ const benefitCap = 1 << 16
 // batch identical to an earlier one starts warm instead of relearning per
 // worker.
 //
-// A table has the geometry of a worker's L1: slot 2*cell+kind holds an
-// atomically loaded pointer to a short chain of l1Buckets that are
-// immutable once published. A worker resolves its namespace's table
-// once per oracle call (nil when nothing was published under it, so a cold
-// run never probes the SharedCache at all) and on an L1 miss probes the
-// slot's chain directly: no lock, no hash, and no copy into the L1 — the
-// L1 holds only what its own run computed. Workers never write the cache
-// mid-evaluation; Searcher.PublishCache hands their buckets over when the
-// owner decides a call's learning is worth keeping (repro.Session
-// publishes after every Optimize call).
+// A table has the geometry of a run's L1: slot 2*cell+kind (l1Slot) holds
+// atomically loaded pointers to a small head and a short chain of
+// l1Buckets, immutable once published; a publish or an import gives a slot a
+// new head while its entries fit in one and a chain after (nsTable.extend),
+// so the cache holds a cell of a few keys in 144 B, not in a 1,152-B bucket.
+// A worker resolves its namespace's table once per oracle call (nil when
+// nothing was published under it, so a cold run never probes the
+// SharedCache at all) and on an L1 miss probes the slot directly: no lock,
+// no hash, and no copy into the L1 — the L1 holds only what its own run
+// computed. Workers never write the cache mid-evaluation;
+// Searcher.PublishCache hands their buckets over when the owner decides a
+// call's learning is worth keeping (repro.Session publishes after every
+// Optimize call).
 //
 // Cached values are pure functions of their full key; the cache therefore
 // never changes any cost, only how often it is recomputed, and lookups are
@@ -182,7 +186,7 @@ func (c *SharedCache) takeTable(cells int) l1Table {
 }
 
 // putTable keeps a run's L1 table, whose buckets a publish has taken, for
-// the next run: a warm run stores little, and a new table is 16 B a cell.
+// the next run: a warm run stores little, and a new table is 32 B a cell.
 // Like the workers, at most GOMAXPROCS tables and freeCellCap cells are
 // kept, the smallest dropped first.
 func (c *SharedCache) putTable(t l1Table) {
@@ -398,10 +402,9 @@ func (c *SharedCache) insert(t *nsTable, kvs []sharedKV) {
 			if k.compute {
 				i += kindComp
 			}
-			head := t.slots[i].Load()
 			extra = extra[:0]
 			for _, e := range kvs[:run] {
-				if _, ok := head.find(e.k.mask); !ok {
+				if _, ok := t.slots[i].find(e.k.mask); !ok {
 					extra = append(extra, l1Entry{mask: e.k.mask, val: e.v})
 				}
 			}
@@ -413,12 +416,36 @@ func (c *SharedCache) insert(t *nsTable, kvs []sharedKV) {
 	}
 }
 
-// extend publishes entries the chain of slot i lacks. When they fit under
-// the head bucket's fill bound the head is copied, extended and swapped in
-// (copy-on-write: a published bucket is never written); otherwise they go
-// into new links in front of the chain.
+// extend publishes entries slot i lacks, copy-on-write: a published bucket
+// is never written. A slot with no chain whose head and extra fit in a head
+// gets a new head holding both. Otherwise the entries go into the chain —
+// the head's with them when there is no chain yet, which replaces the head
+// as in a run's L1 (l1Slot.storeSmall). When they fit under the fill bound
+// of the chain's first bucket it is copied, extended and swapped in; else
+// they go into new links in front of the chain.
 func (t *nsTable) extend(i int, extra []l1Entry) {
-	head := t.slots[i].Load()
+	if len(extra) == 0 {
+		return
+	}
+	slot := &t.slots[i]
+	head := slot.full.Load()
+	if head == nil {
+		h := slot.small.Load()
+		if n := h.count(); n+len(extra) <= l1SmallCap {
+			nh := new(l1Small)
+			if h != nil {
+				*nh = *h
+			}
+			for _, e := range extra {
+				nh.put(e.mask, e.val)
+			}
+			slot.small.Store(nh)
+			return
+		}
+		if n := h.count(); n > 0 {
+			extra = append(h.entries[:n:n], extra...)
+		}
+	}
 	for len(extra) > 0 {
 		nb, room := new(l1Bucket), l1MaxFill
 		if head != nil && bits.OnesCount64(head.occ)+len(extra) <= l1MaxFill {
@@ -437,31 +464,34 @@ func (t *nsTable) extend(i int, extra []l1Entry) {
 		extra = extra[room:]
 		head = nb
 	}
-	t.slots[i].Store(head)
+	slot.full.Store(head)
 }
 
-// absorb takes a run's L1 chain into slot i and returns how many entries
-// the table gained. An empty slot adopts the chain itself — the caller has
-// taken the L1 away from its run, so nothing writes it again; an occupied
-// one is extended, link by link, by the entries its chain lacks.
-func (t *nsTable) absorb(i int, b *l1Bucket) int {
-	if t.slots[i].Load() == nil {
-		t.slots[i].Store(b)
-		return chainLen(b)
+// absorb takes a run's L1 slot into slot i and returns how many entries the
+// table gained. An empty slot adopts the run's head and chain themselves —
+// the caller has taken the L1 away from its run, so nothing writes them
+// again; an occupied one is extended, bucket by bucket, by the entries it
+// lacks.
+func (t *nsTable) absorb(i int, src *l1Slot) int {
+	dst := &t.slots[i]
+	if dst.empty() {
+		dst.small.Store(src.small.Load())
+		dst.full.Store(src.full.Load())
+		return src.len()
 	}
 	n := 0
 	var buf [l1BucketCap]l1Entry
-	for ; b != nil; b = b.next.Load() {
-		head, extra := t.slots[i].Load(), buf[:0]
-		for occ := b.occ; occ != 0; occ &= occ - 1 {
-			e := b.entries[bits.TrailingZeros64(occ)]
-			if _, ok := head.find(e.mask); !ok {
+	src.links(func(occ uint64, entries []l1Entry) {
+		extra := buf[:0]
+		for ; occ != 0; occ &= occ - 1 {
+			e := entries[bits.TrailingZeros64(occ)]
+			if _, ok := dst.find(e.mask); !ok {
 				extra = append(extra, e)
 			}
 		}
 		t.extend(i, extra)
 		n += len(extra)
-	}
+	})
 	return n
 }
 
@@ -475,13 +505,13 @@ func (t *nsTable) each(fn func(k cacheKey, v float64)) {
 			g++
 		}
 		k := cacheKey{g: g, ord: t.ix.ord[cell], compute: i%2 == kindComp}
-		for b := t.slots[i].Load(); b != nil; b = b.next.Load() {
-			for occ := b.occ; occ != 0; occ &= occ - 1 {
-				e := &b.entries[bits.TrailingZeros64(occ)]
+		t.slots[i].links(func(occ uint64, entries []l1Entry) {
+			for ; occ != 0; occ &= occ - 1 {
+				e := &entries[bits.TrailingZeros64(occ)]
 				k.mask = e.mask
 				fn(k, e.val)
 			}
-		}
+		})
 	}
 }
 
@@ -646,7 +676,7 @@ func (c *SharedCache) publish(ns uint64, ix cellIndex, l1 l1Table) bool {
 	case t == nil:
 		n := 0
 		for i := range l1 {
-			n += chainLen(l1[i].Load())
+			n += l1[i].len()
 		}
 		if n == 0 {
 			return false
@@ -659,8 +689,8 @@ func (c *SharedCache) publish(ns uint64, ix cellIndex, l1 l1Table) bool {
 		return false
 	default:
 		for i := range l1 {
-			if b := l1[i].Load(); b != nil {
-				n := t.absorb(i, b)
+			if !l1[i].empty() {
+				n := t.absorb(i, &l1[i])
 				t.n += n
 				c.total += n
 			}

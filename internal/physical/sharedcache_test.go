@@ -172,12 +172,10 @@ func gridIndex(groups, ords int) cellIndex {
 func fakeRun(cells, slots, perSlot, base int) l1Table {
 	l1 := make(l1Table, 2*cells)
 	for sl := 0; sl < slots; sl++ {
-		b := new(l1Bucket)
 		for j := 0; j < perSlot; j++ {
 			k := base + sl*perSlot + j
-			b.put(l1TestMask(k), float64(k))
+			l1[2*sl+kindUse].store(l1TestMask(k), float64(k))
 		}
-		l1[2*sl+kindUse].Store(b)
 	}
 	return l1
 }
@@ -192,7 +190,7 @@ func hasRun(c *SharedCache, ns uint64, ix cellIndex, slots, perSlot, base int) i
 	for sl := 0; sl < slots; sl++ {
 		for j := 0; j < perSlot; j++ {
 			k := base + sl*perSlot + j
-			if v, ok := tab[2*sl+kindUse].Load().find(l1TestMask(k)); ok && v == float64(k) {
+			if v, ok := tab[2*sl+kindUse].find(l1TestMask(k)); ok && v == float64(k) {
 				n++
 			}
 		}
@@ -381,12 +379,24 @@ func TestSharedCacheReadDuringPublish(t *testing.T) {
 	}
 }
 
+// slotBuckets lists the head and every chain bucket of a slot.
+func slotBuckets(s *l1Slot) []any {
+	var bs []any
+	if h := s.small.Load(); h != nil {
+		bs = append(bs, h)
+	}
+	for b := s.full.Load(); b != nil; b = b.next.Load() {
+		bs = append(bs, b)
+	}
+	return bs
+}
+
 // liveL1Entries counts the entries in the run's L1, every link of every
 // chain: what the next PublishCache has to hand over.
 func liveL1Entries(s *Searcher) int {
 	n := 0
 	for i := range s.l1 {
-		n += chainLen(s.l1[i].Load())
+		n += s.l1[i].len()
 	}
 	return n
 }
@@ -412,10 +422,10 @@ func TestPublishCacheMovesBucketsOut(t *testing.T) {
 	if n := liveL1Entries(s); n != 0 || s.l1 != nil {
 		t.Fatalf("the run still holds an L1 (%d entries) after the publish", n)
 	}
-	owned := map[*l1Bucket]bool{}
+	owned := map[any]bool{} // every head and chain bucket of the table
 	tab, _ := cache.resolve(s.Fingerprint(), s.cells)
 	for i := range tab {
-		for b := tab[i].Load(); b != nil; b = b.next.Load() {
+		for _, b := range slotBuckets(&tab[i]) {
 			owned[b] = true
 		}
 	}
@@ -434,7 +444,7 @@ func TestPublishCacheMovesBucketsOut(t *testing.T) {
 		t.Fatal("the late set computed no new key; pick another")
 	}
 	for i := range tab {
-		for b := tab[i].Load(); b != nil; b = b.next.Load() {
+		for _, b := range slotBuckets(&tab[i]) {
 			if !owned[b] {
 				t.Fatalf("table slot %d changed without a publish", i)
 			}
@@ -581,11 +591,11 @@ func BenchmarkSharedCacheGet(b *testing.B) {
 	}
 	var probes []probe
 	for i := range reader.l2 {
-		for bk := reader.l2[i].Load(); bk != nil; bk = bk.next.Load() {
-			for occ := bk.occ; occ != 0; occ &= occ - 1 {
-				probes = append(probes, probe{idx: i / 2, kind: i % 2, mask: bk.entries[bits.TrailingZeros64(occ)].mask})
+		reader.l2[i].links(func(occ uint64, entries []l1Entry) {
+			for ; occ != 0; occ &= occ - 1 {
+				probes = append(probes, probe{idx: i / 2, kind: i % 2, mask: entries[bits.TrailingZeros64(occ)].mask})
 			}
-		}
+		})
 	}
 	rand.New(rand.NewSource(2)).Shuffle(len(probes), func(i, j int) { probes[i], probes[j] = probes[j], probes[i] })
 	b.ReportAllocs()

@@ -242,7 +242,7 @@ func TestSnapshotFoldKeepsExport(t *testing.T) {
 					i += kindComp
 				}
 				want := float64(g*100+ord*10) + float64(m)/7
-				if v, ok := tab[i].Load().find(m * 0x9e3779b97f4a7c15); !ok || v != want {
+				if v, ok := tab[i].find(m * 0x9e3779b97f4a7c15); !ok || v != want {
 					t.Fatalf("folded key g=%d ord=%d m=%d: got (%v, %v), want (%v, true)", g, ord, m, v, ok, want)
 				}
 			}
